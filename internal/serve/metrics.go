@@ -83,7 +83,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		}
 		snap.States[st.String()] = StateMetric{
 			Count:     n,
-			AvgWallMs: float64(s.st.stateWall[st].Milliseconds()) / float64(n),
+			AvgWallMs: float64(s.st.stateWall[st]) / float64(time.Millisecond) / float64(n),
 		}
 	}
 	snap.CheckpointsWritten = s.st.ckpts

@@ -3,26 +3,33 @@ package vhdl
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer tokenises VHDL source. Like the Verilog lexer it never fails:
 // malformed constructs yield TokError tokens for the parser to report.
+//
+// The lexer walks the source string by byte offset and decodes UTF-8
+// only for non-ASCII bytes, so lexing is linear in the input and token
+// texts are substrings of the source wherever they spell the same
+// bytes. Columns count runes, and each invalid UTF-8 byte reads as one
+// U+FFFD rune.
 type Lexer struct {
-	src  []rune
-	pos  int
+	src  string
+	pos  int // byte offset into src
 	line int
 	col  int
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: []rune(src), line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
 // Tokens lexes all of src, ending with TokEOF.
 func Tokens(src string) []Token {
 	lx := NewLexer(src)
-	var out []Token
+	out := make([]Token, 0, len(src)/4+1)
 	for {
 		t := lx.Next()
 		out = append(out, t)
@@ -32,14 +39,22 @@ func Tokens(src string) []Token {
 	}
 }
 
+// peek returns the rune at the cursor, or 0 at end of input.
 func (lx *Lexer) peek() rune {
 	if lx.pos >= len(lx.src) {
 		return 0
 	}
-	return lx.src[lx.pos]
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	return r
 }
 
-func (lx *Lexer) peekAt(n int) rune {
+// peekByte returns the byte n bytes past the cursor, or 0 past the end.
+// Callers compare it only with ASCII, which never occurs inside a
+// multi-byte sequence.
+func (lx *Lexer) peekByte(n int) byte {
 	if lx.pos+n >= len(lx.src) {
 		return 0
 	}
@@ -47,27 +62,43 @@ func (lx *Lexer) peekAt(n int) rune {
 }
 
 func (lx *Lexer) advance() rune {
-	r := lx.src[lx.pos]
-	lx.pos++
-	if r == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		lx.pos++
+		if c == '\n' {
+			lx.line++
+			lx.col = 1
+		} else {
+			lx.col++
+		}
+		return rune(c)
 	}
+	r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	lx.pos += w
+	lx.col++
 	return r
 }
 
 func (lx *Lexer) here() Pos { return Pos{Line: lx.line, Col: lx.col} }
 
+// text returns src[i:j] with every invalid UTF-8 byte replaced by
+// U+FFFD, as decoding rune by rune reads it. Valid text (the common
+// case) is returned as a substring without copying.
+func (lx *Lexer) text(i, j int) string {
+	s := lx.src[i:j]
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
 func (lx *Lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
-		r := lx.peek()
+		c := lx.src[lx.pos]
 		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			lx.advance()
-		case r == '-' && lx.peekAt(1) == '-':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
+		case c == '-' && lx.peekByte(1) == '-':
+			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
 				lx.advance()
 			}
 		default:
@@ -100,43 +131,48 @@ func (lx *Lexer) Next() Token {
 	case r == '\'':
 		// Character literal 'x' only when a printable char is followed
 		// by a closing quote; otherwise it is the attribute tick.
-		if lx.peekAt(2) == '\'' && lx.peekAt(1) != 0 {
-			lx.advance()
-			ch := lx.advance()
-			lx.advance()
-			return Token{Kind: TokChar, Text: string(ch), Pos: start}
+		if lx.peekByte(1) != 0 {
+			_, w := utf8.DecodeRuneInString(lx.src[lx.pos+1:])
+			if lx.peekByte(1+w) == '\'' {
+				lx.advance()
+				from := lx.pos
+				lx.advance()
+				text := lx.text(from, lx.pos)
+				lx.advance()
+				return Token{Kind: TokChar, Text: text, Pos: start}
+			}
 		}
 	}
-	rest := string(lx.src[lx.pos:])
+	// Operators are ASCII without newlines, so a match advances bytes
+	// and columns alike.
+	rest := lx.src[lx.pos:]
 	for _, op := range vhdlOps {
 		if strings.HasPrefix(rest, op) {
-			for range op {
-				lx.advance()
-			}
+			lx.pos += len(op)
+			lx.col += len(op)
 			return Token{Kind: TokOp, Text: op, Pos: start}
 		}
 	}
+	from := lx.pos
 	lx.advance()
-	return Token{Kind: TokError, Text: string(r), Pos: start}
+	return Token{Kind: TokError, Text: lx.text(from, lx.pos), Pos: start}
 }
 
-// lexIdentOrBitStr lexes an identifier/keyword, or a based bit string
-// such as x"AF" / b"1010".
+// lexIdentOrBitStr lexes an identifier/keyword, lower-cased, or a based
+// bit string such as x"AF" / b"1010".
 func (lx *Lexer) lexIdentOrBitStr(start Pos) Token {
-	var sb strings.Builder
+	from := lx.pos
 	for lx.pos < len(lx.src) {
 		r := lx.peek()
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			sb.WriteRune(unicode.ToLower(r))
-		} else {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
 			break
 		}
 		lx.advance()
 	}
-	text := sb.String()
+	// ToLower returns already-lower text as is, without copying.
+	text := strings.ToLower(lx.src[from:lx.pos])
 	if (text == "x" || text == "b" || text == "o") && lx.peek() == '"' {
-		t := lx.lexStringOrBitStr(start, text[0])
-		return t
+		return lx.lexStringOrBitStr(start, text[0])
 	}
 	if IsKeyword(text) {
 		return Token{Kind: TokKeyword, Text: text, Pos: start}
@@ -149,12 +185,12 @@ func (lx *Lexer) lexIdentOrBitStr(start Pos) Token {
 // the token is a plain string. kind 'x'/'o' forces based interpretation.
 func (lx *Lexer) lexStringOrBitStr(start Pos, kind byte) Token {
 	lx.advance() // opening quote
-	var sb strings.Builder
+	from := lx.pos
 	for lx.pos < len(lx.src) {
-		r := lx.peek()
-		if r == '"' {
+		c := lx.src[lx.pos]
+		if c == '"' {
+			body := lx.text(from, lx.pos)
 			lx.advance()
-			body := sb.String()
 			if kind == 'x' || kind == 'o' {
 				return Token{Kind: TokBitStr, Text: string(kind) + ":" + body, Pos: start}
 			}
@@ -163,10 +199,10 @@ func (lx *Lexer) lexStringOrBitStr(start Pos, kind byte) Token {
 			}
 			return Token{Kind: TokString, Text: body, Pos: start}
 		}
-		if r == '\n' {
+		if c == '\n' {
 			break
 		}
-		sb.WriteRune(lx.advance())
+		lx.advance()
 	}
 	return Token{Kind: TokError, Text: "unterminated string", Pos: start}
 }
@@ -186,14 +222,10 @@ func isBitBody(s string) bool {
 }
 
 func (lx *Lexer) lexNumber(start Pos) Token {
-	var sb strings.Builder
-	for lx.pos < len(lx.src) {
-		r := lx.peek()
-		if unicode.IsDigit(r) || r == '_' {
-			sb.WriteRune(lx.advance())
-		} else {
-			break
-		}
+	from := lx.pos
+	for lx.pos < len(lx.src) && (unicode.IsDigit(lx.peek()) || lx.src[lx.pos] == '_') {
+		lx.advance()
 	}
-	return Token{Kind: TokInt, Text: strings.ReplaceAll(sb.String(), "_", ""), Pos: start}
+	// ReplaceAll returns text without '_' as is, without copying.
+	return Token{Kind: TokInt, Text: strings.ReplaceAll(lx.src[from:lx.pos], "_", ""), Pos: start}
 }

@@ -1,6 +1,8 @@
 package vhdl
 
 import (
+	"unicode/utf8"
+
 	"repro/internal/diag"
 	"repro/internal/hdl"
 )
@@ -953,7 +955,8 @@ func (p *Parser) parsePrimary() Expr {
 		return &IntLit{Value: v, Pos: t.Pos}
 	case t.Kind == TokChar:
 		p.advance()
-		return &CharLit{Value: hdl.LogicFromRune([]rune(t.Text)[0]), Raw: t.Text, Pos: t.Pos}
+		r, _ := utf8.DecodeRuneInString(t.Text)
+		return &CharLit{Value: hdl.LogicFromRune(r), Raw: t.Text, Pos: t.Pos}
 	case t.Kind == TokBitStr:
 		p.advance()
 		kind := t.Text[0]
