@@ -30,7 +30,7 @@ func main() {
 		list      = flag.Bool("list", false, "list all problem ids and exit")
 		showRTL   = flag.Bool("show-rtl", true, "print the final RTL")
 		elabCache = flag.Bool("elab-cache", true, "reuse parse/elaboration results across repair-loop iterations (speed only; output and checkpoints are unaffected)")
-		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | compiled | interpret (output is byte-identical either way)")
+		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 
 		providerName = flag.String("provider", "offline",
 			"LLM provider: "+strings.Join(provider.DefaultRegistry.Names(), " | "))

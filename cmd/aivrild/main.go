@@ -40,7 +40,7 @@ func main() {
 
 		flakyRate = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
 		flakySeed = flag.Int64("flaky-seed", 1, "flaky provider: fault RNG seed")
-		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | compiled | interpret (output is byte-identical either way)")
+		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 
 		recordTTL = flag.Duration("record-ttl", 0, "garbage-collect terminal job records older than this (0 = keep forever)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight jobs on shutdown")

@@ -45,8 +45,8 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/serve/client"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -61,8 +61,7 @@ func main() {
 		jsonOut    = flag.String("json", "", "also write raw summaries as JSON to this file")
 		every      = flag.Int("every", 1, "evaluate every N-th problem (subsampling)")
 		workers    = flag.Int("workers", 0, "max parallel problems (0 = auto)")
-		simWorkers = flag.Int("sim-workers", 0, "shard each simulation across this many workers (<=1 = serial; output is byte-identical either way)")
-		simMode    = flag.String("sim-mode", "auto", "simulation backend: auto | compiled | interpret (output is byte-identical either way)")
+		simMode    = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 		elabCache  = flag.Bool("elab-cache", true, "share one elaboration/design cache across the whole run (speed only; results and cache keys are unaffected)")
 		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (enables resume)")
 		resume     = flag.Bool("resume", true, "reuse cached cells; -resume=false recomputes and overwrites")
@@ -147,7 +146,6 @@ func main() {
 	opts := exp.Options{
 		Problems:    problems,
 		Runner:      run,
-		SimWorkers:  *simWorkers,
 		SimMode:     backendMode,
 		DesignCache: designCache,
 		Checkpoint:  *checkpoint,

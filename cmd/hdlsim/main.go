@@ -28,8 +28,7 @@ func main() {
 		compileOnly = flag.Bool("compile-only", false, "stop after the syntax/semantic check")
 		maxTime     = flag.Uint64("max-time", 1_000_000, "simulated-time limit (ns)")
 		vcdPath     = flag.String("vcd", "", "write the $dumpvars waveform to this file")
-		workers     = flag.Int("workers", 1, "shard the simulation across this many workers (<=1 = serial; output is byte-identical either way)")
-		simMode     = flag.String("sim-mode", "auto", "simulation backend: auto | compiled | interpret (output is byte-identical either way)")
+		simMode     = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 		showStats   = flag.Bool("stats", false, "print backend statistics (compiled/interpreted process counts, fallbacks) to stderr")
 	)
 	flag.Parse()
@@ -67,7 +66,7 @@ func main() {
 		sources = append(sources, edatool.Source{Name: f, Text: string(text)})
 	}
 
-	tc := edatool.New(edatool.Options{Mode: mode, Workers: *workers})
+	tc := edatool.New(edatool.Options{Mode: mode})
 
 	if *compileOnly {
 		comp := tc.Compile(lang, sources...)

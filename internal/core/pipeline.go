@@ -40,21 +40,16 @@ type Config struct {
 	FreezeTestbench bool
 	// SkipFunctional runs only the syntax loop (RTLFixer-style ablation).
 	SkipFunctional bool
-	// SimWorkers selects the sharded parallel simulation backend for
-	// every simulation this pipeline runs (see edatool.Options).
-	// Simulation output is byte-identical across worker counts, so this
-	// knob deliberately does not enter the experiment cache key.
-	SimWorkers int
 	// SimMode selects the simulation execution backend (see
-	// edatool.Options.Mode): auto/compiled specializes two-state
-	// processes into uint64 closures, interpret forces the 4-state AST
-	// walker. Output is byte-identical across modes, so like SimWorkers
-	// it deliberately does not enter the experiment cache key.
+	// edatool.Options.Mode): auto specializes two-state processes into
+	// uint64 closures, interpret forces the 4-state AST walker. Output
+	// is byte-identical across modes, so it deliberately does not enter
+	// the experiment cache key.
 	SimMode sim.BackendMode
 	// DesignCache shares parsed/elaborated designs across every compile
 	// and simulation this pipeline runs (see edatool.DesignCache): the
 	// repair loop re-elaborates only the module a repair changed, and
-	// identical source sets re-run the retained design. Like SimWorkers
+	// identical source sets re-run the retained design. Like SimMode
 	// it only changes speed, never results, so it deliberately does not
 	// enter the experiment cache key. When nil, New creates a private
 	// per-pipeline cache; sweeps may inject a shared one.
@@ -68,7 +63,7 @@ type Config struct {
 }
 
 // Fingerprint identifies the behavioural configuration: every knob
-// that changes pipeline outcomes, and none that don't (SimWorkers,
+// that changes pipeline outcomes, and none that don't (SimMode,
 // DesignCache, and Trace are deliberately absent). The format is a
 // component of the runner's content-addressed cache keys and of
 // checkpoint identity — changing it orphans every cached sweep, so
@@ -180,9 +175,8 @@ func New(cfg Config) *Pipeline {
 		cfg.DesignCache = edatool.NewDesignCache()
 	}
 	tc := edatool.New(edatool.Options{
-		Mode:    cfg.SimMode,
-		Workers: cfg.SimWorkers,
-		Cache:   cfg.DesignCache,
+		Mode:  cfg.SimMode,
+		Cache: cfg.DesignCache,
 	})
 	return &Pipeline{cfg: cfg, tc: tc}
 }

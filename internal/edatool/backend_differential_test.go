@@ -10,29 +10,42 @@ import (
 
 // Differential harness for the execution backend: the compiled
 // two-state fast path must produce output byte-identical to the
-// 4-state interpreter over real bench problems, in both languages, at
-// every worker count. This is the acceptance gate for the backend
-// seam — everything SimResult reports is compared, including the
-// judged verdict and the latency model.
+// 4-state interpreter over real bench problems, in both languages.
+// This is the acceptance gate for the backend seam — everything
+// SimResult reports is compared, including the judged verdict and the
+// latency model.
 
 // TestBackendDifferentialByteIdentical runs sampled bench problems
 // (golden RTL under the reference testbench) under both backend modes
-// and requires identical output. It also pins that the modes really
-// differ in execution strategy: interpret mode must never bind a
-// compiled program.
+// and requires output identical to a cold interpreted run. The wN
+// subtests run the two modes on N concurrent workers sharing one
+// toolchain cache, as sweep workers do, so retained designs and the
+// compiled programs cached with their elaboration templates are
+// reused across modes and goroutines (CI runs this under -race). It
+// also pins that the modes really differ in execution strategy:
+// interpret mode must never bind a compiled program.
 func TestBackendDifferentialByteIdentical(t *testing.T) {
 	for _, p := range sampleProblems(11) {
 		for _, lang := range []Language{Verilog, VHDL} {
+			srcs := problemSources(p, lang)
+			ref := New(Options{Mode: sim.BackendInterpret}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.ID, lang, workers), func(t *testing.T) {
-					srcs := problemSources(p, lang)
-					compiled := New(Options{Mode: sim.BackendCompiled, Workers: workers}).
-						Simulate(lang, bench.TBName, diffMaxTime, srcs...)
-					interp := New(Options{Mode: sim.BackendInterpret, Workers: workers}).
-						Simulate(lang, bench.TBName, diffMaxTime, srcs...)
-					compareSimResults(t, "compiled vs interpret", interp, compiled)
-					if interp.Backend.CompiledProcs != 0 || interp.Backend.CompiledAssigns != 0 {
-						t.Errorf("interpret mode bound compiled programs: %+v", interp.Backend)
+					cache := NewDesignCache()
+					compiled := New(Options{Cache: cache})
+					interp := New(Options{Mode: sim.BackendInterpret, Cache: cache})
+					runs := concurrently(workers, func(int) [2]*SimResult {
+						return [2]*SimResult{
+							compiled.Simulate(lang, bench.TBName, diffMaxTime, srcs...),
+							interp.Simulate(lang, bench.TBName, diffMaxTime, srcs...),
+						}
+					})
+					for _, r := range runs {
+						compareSimResults(t, "compiled vs interpret", ref, r[0])
+						compareSimResults(t, "warm interpret vs cold", ref, r[1])
+						if r[1].Backend.CompiledProcs != 0 || r[1].Backend.CompiledAssigns != 0 {
+							t.Errorf("interpret mode bound compiled programs: %+v", r[1].Backend)
+						}
 					}
 				})
 			}
@@ -54,7 +67,7 @@ func TestBackendCacheKeyNeutral(t *testing.T) {
 				coldInterp := New(Options{Mode: sim.BackendInterpret}).
 					Simulate(lang, bench.TBName, diffMaxTime, srcs...)
 				// Elaborate + retain under compiled mode...
-				New(Options{Mode: sim.BackendCompiled, Cache: cache}).
+				New(Options{Cache: cache}).
 					Simulate(lang, bench.TBName, diffMaxTime, srcs...)
 				// ...then re-run the retained design under interpret mode.
 				warm := New(Options{Mode: sim.BackendInterpret, Cache: cache}).

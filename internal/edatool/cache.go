@@ -126,63 +126,38 @@ func designKey(lang Language, top string, sources []Source) string {
 	return lang.String() + "|" + top + "|" + strings.Join(parts, "|")
 }
 
-// acquireVerilog checks out a retained design for key, removing it
-// from the cache so no concurrent run can share it.
-func (c *DesignCache) acquireVerilog(key string) (*vsim.Design, bool) {
+// acquireDesign checks out the retained design for key from designs
+// (one of the cache's per-language maps), removing it so no concurrent
+// run can share it.
+func acquireDesign[D any](c *DesignCache, designs map[string]D, key string) (D, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d, ok := c.vdesigns[key]; ok {
-		delete(c.vdesigns, key)
+	d, ok := designs[key]
+	if ok {
+		delete(designs, key)
 		c.stats.DesignHits++
-		return d, true
+	} else {
+		c.stats.DesignMisses++
 	}
-	c.stats.DesignMisses++
-	return nil, false
+	return d, ok
 }
 
-// releaseVerilog returns a checked-out (or freshly elaborated) design.
+// releaseDesign returns a checked-out (or freshly elaborated) design.
 // If another run released the same key first, the incoming design is
 // dropped — the map holds one design per key.
-func (c *DesignCache) releaseVerilog(key string, d *vsim.Design) {
+func releaseDesign[D any](c *DesignCache, designs map[string]D, key string, d D) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.vdesigns[key]; exists {
+	if _, exists := designs[key]; exists {
 		return
 	}
-	if len(c.vdesigns) >= maxDesigns {
-		for k := range c.vdesigns {
-			delete(c.vdesigns, k)
+	if len(designs) >= maxDesigns {
+		for k := range designs {
+			delete(designs, k)
 			break
 		}
 	}
-	c.vdesigns[key] = d
-}
-
-func (c *DesignCache) acquireVHDL(key string) (*vhdlsim.Design, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.hdesigns[key]; ok {
-		delete(c.hdesigns, key)
-		c.stats.DesignHits++
-		return d, true
-	}
-	c.stats.DesignMisses++
-	return nil, false
-}
-
-func (c *DesignCache) releaseVHDL(key string, d *vhdlsim.Design) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.hdesigns[key]; exists {
-		return
-	}
-	if len(c.hdesigns) >= maxDesigns {
-		for k := range c.hdesigns {
-			delete(c.hdesigns, k)
-			break
-		}
-	}
-	c.hdesigns[key] = d
+	designs[key] = d
 }
 
 // parseVerilog parses src through the per-unit cache (identical file

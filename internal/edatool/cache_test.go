@@ -52,20 +52,20 @@ func TestDesignKeyOrderNormalized(t *testing.T) {
 func TestDesignCheckoutExclusive(t *testing.T) {
 	cache := NewDesignCache()
 	srcs := []Source{{Name: "dut.v", Text: cacheTestDUT}, {Name: "tb.v", Text: cacheTestTB}}
-	res := SimulateWith(Verilog, "tb", SimOptions{MaxTime: 1000, Cache: cache}, srcs...)
+	res := New(Options{Cache: cache}).Simulate(Verilog, "tb", 1000, srcs...)
 	if !res.Passed {
 		t.Fatalf("seed run failed:\n%s", res.Log)
 	}
 	key := designKey(Verilog, "tb", srcs)
-	d1, ok := cache.acquireVerilog(key)
+	d1, ok := acquireDesign(cache, cache.vdesigns, key)
 	if !ok || d1 == nil {
 		t.Fatal("design not retained after release")
 	}
-	if d2, ok := cache.acquireVerilog(key); ok || d2 != nil {
+	if d2, ok := acquireDesign(cache, cache.vdesigns, key); ok || d2 != nil {
 		t.Fatal("second acquire returned the checked-out design")
 	}
-	cache.releaseVerilog(key, d1)
-	if _, ok := cache.acquireVerilog(key); !ok {
+	releaseDesign(cache, cache.vdesigns, key, d1)
+	if _, ok := acquireDesign(cache, cache.vdesigns, key); !ok {
 		t.Fatal("design not available after release")
 	}
 }
@@ -104,10 +104,10 @@ func TestCacheStatsSub(t *testing.T) {
 // identically with and without a cache (and never poison it).
 func TestCompileErrorPathUncached(t *testing.T) {
 	bad := []Source{{Name: "dut.v", Text: "module broken(input a; endmodule"}}
-	cold := SimulateWith(Verilog, "tb", SimOptions{MaxTime: 1000}, bad...)
+	cold := New(Options{}).Simulate(Verilog, "tb", 1000, bad...)
 	cache := NewDesignCache()
 	for i := 0; i < 2; i++ {
-		warm := SimulateWith(Verilog, "tb", SimOptions{MaxTime: 1000, Cache: cache}, bad...)
+		warm := New(Options{Cache: cache}).Simulate(Verilog, "tb", 1000, bad...)
 		if warm.Log != cold.Log || warm.Failed != cold.Failed {
 			t.Errorf("run %d: cached compile-error result differs from cold", i)
 		}
@@ -136,7 +136,7 @@ func BenchmarkPipelineSimCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := SimulateWith(Verilog, bench.TBName, SimOptions{MaxTime: 200_000}, srcs...)
+		res := New(Options{}).Simulate(Verilog, bench.TBName, 200_000, srcs...)
 		if !res.Passed {
 			b.Fatalf("run failed:\n%s", res.Log)
 		}
@@ -146,14 +146,14 @@ func BenchmarkPipelineSimCold(b *testing.B) {
 func BenchmarkPipelineSimWarm(b *testing.B) {
 	srcs := benchProblem(b)
 	cache := NewDesignCache()
-	opts := SimOptions{MaxTime: 200_000, Cache: cache}
-	if res := SimulateWith(Verilog, bench.TBName, opts, srcs...); !res.Passed {
+	tc := New(Options{Cache: cache})
+	if res := tc.Simulate(Verilog, bench.TBName, 200_000, srcs...); !res.Passed {
 		b.Fatalf("prime run failed:\n%s", res.Log)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := SimulateWith(Verilog, bench.TBName, opts, srcs...)
+		res := tc.Simulate(Verilog, bench.TBName, 200_000, srcs...)
 		if !res.Passed {
 			b.Fatalf("run failed:\n%s", res.Log)
 		}
@@ -163,8 +163,8 @@ func BenchmarkPipelineSimWarm(b *testing.B) {
 func BenchmarkPipelineRepairIteration(b *testing.B) {
 	srcs := benchProblem(b)
 	cache := NewDesignCache()
-	opts := SimOptions{MaxTime: 200_000, Cache: cache}
-	if res := SimulateWith(Verilog, bench.TBName, opts, srcs...); !res.Passed {
+	tc := New(Options{Cache: cache})
+	if res := tc.Simulate(Verilog, bench.TBName, 200_000, srcs...); !res.Passed {
 		b.Fatalf("prime run failed:\n%s", res.Log)
 	}
 	b.ReportAllocs()
@@ -174,7 +174,7 @@ func BenchmarkPipelineRepairIteration(b *testing.B) {
 			{Name: srcs[0].Name, Text: fmt.Sprintf("// iteration %d\n", i) + srcs[0].Text},
 			srcs[1],
 		}
-		res := SimulateWith(Verilog, bench.TBName, opts, iter...)
+		res := tc.Simulate(Verilog, bench.TBName, 200_000, iter...)
 		if !res.Passed {
 			b.Fatalf("run failed:\n%s", res.Log)
 		}

@@ -13,7 +13,7 @@ import (
 // full-design reuse (reset-and-rerun), incremental re-elaboration
 // under a changed unit, and concurrent shared-cache use — must produce
 // output byte-identical to a cold simulation of the same sources. The
-// comparisons cover everything SimulateWith reports: log, VCD, the
+// comparisons cover everything Simulate reports: log, VCD, the
 // judged verdict, and the latency model.
 
 const diffMaxTime = 200_000 // matches core.DefaultConfig
@@ -64,28 +64,57 @@ func compareSimResults(t *testing.T, label string, cold, warm *SimResult) {
 	}
 }
 
+// concurrently runs fn on n goroutines and returns the results in
+// worker order.
+func concurrently[R any](n int, fn func(worker int) R) []R {
+	out := make([]R, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // TestWarmSimulationByteIdentical runs sampled bench problems cold,
-// then three times through one cache per (problem, language, workers)
-// cell: the first warm run elaborates and retains the design, the
-// later ones are whole-design hits that reset and re-run it. Every run
-// must match the cold output exactly.
+// then three times per worker through one shared cache per (problem,
+// language, workers) cell, with the wN subtests running N workers
+// concurrently. A worker's first warm run elaborates and retains the
+// design unless another worker released it first; later runs are
+// whole-design hits that reset and re-run it. Every run must match the
+// cold output exactly.
 func TestWarmSimulationByteIdentical(t *testing.T) {
 	for _, p := range sampleProblems(13) {
 		for _, lang := range []Language{Verilog, VHDL} {
+			srcs := problemSources(p, lang)
+			cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.ID, lang, workers), func(t *testing.T) {
-					srcs := problemSources(p, lang)
-					cold := SimulateWith(lang, bench.TBName,
-						SimOptions{MaxTime: diffMaxTime, Workers: workers}, srcs...)
 					cache := NewDesignCache()
-					for i := 0; i < 3; i++ {
-						warm := SimulateWith(lang, bench.TBName,
-							SimOptions{MaxTime: diffMaxTime, Workers: workers, Cache: cache}, srcs...)
-						compareSimResults(t, fmt.Sprintf("run %d", i), cold, warm)
+					tc := New(Options{Cache: cache})
+					runs := concurrently(workers, func(int) []*SimResult {
+						var warm []*SimResult
+						for i := 0; i < 3; i++ {
+							warm = append(warm, tc.Simulate(lang, bench.TBName, diffMaxTime, srcs...))
+						}
+						return warm
+					})
+					for w, warm := range runs {
+						for i, r := range warm {
+							compareSimResults(t, fmt.Sprintf("worker %d run %d", w, i), cold, r)
+						}
 					}
+					// Concurrent workers may each miss while another holds
+					// the retained design checked out, so only the single-
+					// worker split is exact.
 					st := cache.Stats()
-					if st.DesignHits != 2 || st.DesignMisses != 1 {
-						t.Errorf("design cache stats = %+v, want 2 hits / 1 miss", st)
+					if st.DesignHits+st.DesignMisses != 3*workers || st.DesignMisses < 1 ||
+						(workers == 1 && st.DesignHits != 2) {
+						t.Errorf("design cache stats = %+v, want %d lookups (2 hits / 1 miss for one worker)", st, 3*workers)
 					}
 				})
 			}
@@ -113,9 +142,8 @@ func TestRepairLoopIncrementalByteIdentical(t *testing.T) {
 						{Name: srcs[0].Name, Text: fmt.Sprintf(comment, i) + srcs[0].Text},
 						srcs[1],
 					}
-					cold := SimulateWith(lang, bench.TBName, SimOptions{MaxTime: diffMaxTime}, iter...)
-					warm := SimulateWith(lang, bench.TBName,
-						SimOptions{MaxTime: diffMaxTime, Cache: cache}, iter...)
+					cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, iter...)
+					warm := New(Options{Cache: cache}).Simulate(lang, bench.TBName, diffMaxTime, iter...)
 					compareSimResults(t, fmt.Sprintf("iteration %d", i), cold, warm)
 				}
 				st := cache.Stats()
@@ -146,8 +174,7 @@ func TestSharedCacheConcurrentIdentical(t *testing.T) {
 	for _, p := range probs {
 		for _, lang := range []Language{Verilog, VHDL} {
 			cells = append(cells, cell{p, lang})
-			colds[p.ID+lang.String()] = SimulateWith(lang, bench.TBName,
-				SimOptions{MaxTime: diffMaxTime}, problemSources(p, lang)...)
+			colds[p.ID+lang.String()] = New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, problemSources(p, lang)...)
 		}
 	}
 	cache := NewDesignCache()
@@ -157,8 +184,7 @@ func TestSharedCacheConcurrentIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(c cell) {
 				defer wg.Done()
-				warm := SimulateWith(c.lang, bench.TBName,
-					SimOptions{MaxTime: diffMaxTime, Cache: cache}, problemSources(c.p, c.lang)...)
+				warm := New(Options{Cache: cache}).Simulate(c.lang, bench.TBName, diffMaxTime, problemSources(c.p, c.lang)...)
 				cold := colds[c.p.ID+c.lang.String()]
 				// Errorf is goroutine-safe; compare inline to keep the
 				// failure attributed to its cell.
@@ -188,7 +214,7 @@ func TestRepairLoopElabAllocRatio(t *testing.T) {
 		return Source{Name: srcs[0].Name, Text: fmt.Sprintf("// iteration %d\n", iter) + srcs[0].Text}
 	}
 	elaborate := func(cache *DesignCache, dut Source) {
-		comp := CompileWith(Verilog, cache, dut, srcs[1])
+		comp := New(Options{Cache: cache}).Compile(Verilog, dut, srcs[1])
 		if !comp.OK {
 			t.Fatalf("compile failed:\n%s", comp.Log)
 		}

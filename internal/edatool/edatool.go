@@ -53,22 +53,6 @@ type CompileResult struct {
 	Units []*vhdl.DesignFile
 }
 
-// Compile parses and semantically checks the sources in order; later
-// sources see modules/entities of earlier ones (DUT first, then TB).
-//
-// Deprecated: use New(Options{}).Compile. Kept as a thin wrapper for
-// existing callers and tests.
-func Compile(lang Language, sources ...Source) *CompileResult {
-	return New(Options{}).Compile(lang, sources...)
-}
-
-// CompileWith is Compile through an optional design cache.
-//
-// Deprecated: use New(Options{Cache: cache}).Compile.
-func CompileWith(lang Language, cache *DesignCache, sources ...Source) *CompileResult {
-	return New(Options{Cache: cache}).Compile(lang, sources...)
-}
-
 // RenderCompileLog renders diagnostics the way xvlog/xvhdl would.
 func RenderCompileLog(lang Language, diags diag.List) string {
 	tool := "xvlog"
@@ -107,44 +91,6 @@ type SimResult struct {
 	VCD          string           // Verilog waveform dump when the bench ran $dumpvars
 	Backend      sim.BackendStats // how the simulation executed (compiled vs interpreted)
 	LatencyModel float64          // EDA wall-clock estimate in seconds (events-based)
-}
-
-// SimOptions configures SimulateWith beyond the required language/top.
-//
-// Deprecated: use Options with New; this struct remains for the
-// SimulateWith wrapper.
-type SimOptions struct {
-	MaxTime uint64
-	// Mode selects the simulation execution backend (see Options.Mode).
-	Mode sim.BackendMode
-	// Workers selects the sharded parallel simulation backend in both
-	// front-ends (see vsim.Options.Workers). Output is byte-identical
-	// for every worker count, so results remain cache-coherent across
-	// settings; <= 1 runs the serial schedule.
-	Workers int
-	// Cache enables elaboration reuse (see DesignCache): identical
-	// source sets skip parse+elaborate and re-run the retained design;
-	// partially changed sets re-elaborate only the changed modules.
-	// Like Workers, it is cache-key-neutral — warm output is
-	// byte-identical to cold, so results stay coherent whether or not
-	// a cache is supplied. Nil runs cold.
-	Cache *DesignCache
-}
-
-// Simulate compiles the sources and, when clean, elaborates `top` and
-// runs the simulation. Compile errors surface in the returned log.
-//
-// Deprecated: use New(Options{}).Simulate.
-func Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
-	return New(Options{}).Simulate(lang, top, maxTime, sources...)
-}
-
-// SimulateWith is Simulate with full option control.
-//
-// Deprecated: use New(Options{...}).Simulate.
-func SimulateWith(lang Language, top string, opt SimOptions, sources ...Source) *SimResult {
-	tc := New(Options{Mode: opt.Mode, Workers: opt.Workers, Cache: opt.Cache})
-	return tc.Simulate(lang, top, opt.MaxTime, sources...)
 }
 
 // latencyFromTime converts simulated time into the activity-dependent

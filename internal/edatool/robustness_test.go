@@ -39,7 +39,7 @@ func TestQuickCompileNeverPanicsVerilog(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := suite.Problems[int(pick)%len(suite.Problems)]
 		src := corrupt(rng, p.GoldenVerilog, 1+int(edits%16))
-		res := Compile(Verilog, Source{Name: "d.v", Text: src})
+		res := New(Options{}).Compile(Verilog, Source{Name: "d.v", Text: src})
 		return res.Log != "" // always produces a log
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -54,7 +54,7 @@ func TestQuickCompileNeverPanicsVHDL(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := suite.Problems[int(pick)%len(suite.Problems)]
 		src := corrupt(rng, p.GoldenVHDL, 1+int(edits%16))
-		res := Compile(VHDL, Source{Name: "d.vhd", Text: src})
+		res := New(Options{}).Compile(VHDL, Source{Name: "d.vhd", Text: src})
 		return res.Log != ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -74,7 +74,7 @@ func TestQuickSimulateNeverPanics(t *testing.T) {
 		p := suite.Problems[int(pick)%len(suite.Problems)]
 		// Light corruption: likelier to compile and reach simulation.
 		src := corrupt(rng, p.GoldenVerilog, 1+rng.Intn(3))
-		res := Simulate(Verilog, bench.TBName, 50_000,
+		res := New(Options{}).Simulate(Verilog, bench.TBName, 50_000,
 			Source{Name: "d.v", Text: src},
 			Source{Name: "tb.v", Text: p.RefTBVerilog})
 		return res.Log != ""

@@ -22,11 +22,6 @@ type Options struct {
 	// not part of any cache key.
 	Mode sim.BackendMode
 
-	// Workers shards each simulation across this many concurrent
-	// kernels (see vsim.Options.Workers); <= 1 runs serially. Output is
-	// byte-identical for every worker count.
-	Workers int
-
 	// Cache shares parse, elaboration, and whole-design reuse across
 	// every compile and simulation this toolchain runs (see
 	// DesignCache). Nil runs everything cold.
@@ -34,10 +29,8 @@ type Options struct {
 }
 
 // Toolchain is the single entry point to the EDA substrate: a
-// compiler/simulator facade bound to one Options value. The zero-value
-// toolchain (and New(Options{})) behaves exactly like the legacy
-// package-level Compile/Simulate free functions, which now delegate
-// here.
+// compiler/simulator facade bound to one Options value. New(Options{})
+// compiles and simulates cold under the default backend.
 type Toolchain struct {
 	opts Options
 }
@@ -116,9 +109,9 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 }
 
 // Simulate compiles the sources and, when clean, elaborates `top` and
-// runs the simulation under the toolchain's backend mode, worker
-// count, and cache. Compile errors surface in the returned log. A
-// maxTime of 0 uses the front-end default limit.
+// runs the simulation under the toolchain's backend mode and cache.
+// Compile errors surface in the returned log. A maxTime of 0 uses the
+// front-end default limit.
 //
 // With a cache set it reuses prior work at every level that still
 // applies: a fully identical source set skips compile and elaboration
@@ -129,95 +122,84 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 // output (the compiled programs themselves are cached per elaboration
 // template and engage only when the run's mode asks for them).
 func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
-	out := &SimResult{}
+	file := sources[len(sources)-1].Name
+	cache := tc.opts.Cache
+	if lang == Verilog {
+		var ec *vsim.ElabCache
+		var designs map[string]*vsim.Design
+		if cache != nil {
+			ec, designs = cache.velab, cache.vdesigns
+		}
+		return simulate(tc, lang, top, sources, designs,
+			func(comp *CompileResult) (*vsim.Design, error) {
+				return vsim.ElaborateWith(ec, comp.Modules, top)
+			},
+			func(d *vsim.Design) (*SimResult, sim.Time) {
+				res := vsim.SimulateDesign(d, vsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode})
+				return &SimResult{
+					Log:      res.Log,
+					TimedOut: res.TimedOut,
+					Fault:    res.Fault,
+					VCD:      res.VCD,
+					Backend:  res.Backend,
+				}, res.EndTime
+			})
+	}
+	var ec *vhdlsim.ElabCache
+	var designs map[string]*vhdlsim.Design
+	if cache != nil {
+		ec, designs = cache.vhelab, cache.hdesigns
+	}
+	return simulate(tc, lang, top, sources, designs,
+		func(comp *CompileResult) (*vhdlsim.Design, error) {
+			return vhdlsim.ElaborateWith(ec, comp.Units, top)
+		},
+		func(d *vhdlsim.Design) (*SimResult, sim.Time) {
+			res := vhdlsim.SimulateDesign(d, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode})
+			return &SimResult{
+				Log:      res.Log,
+				Failed:   res.AssertErrors > 0 || res.Failed,
+				TimedOut: res.TimedOut,
+				Fault:    res.Fault,
+				Backend:  res.Backend,
+			}, res.EndTime
+		})
+}
+
+// simulate is the language-neutral path behind Toolchain.Simulate:
+// acquire a retained design from the cache (designs is the cache's map
+// for this language, nil without a cache), or compile and elaborate
+// one; run it; release it back; judge the log. elaborate and run are
+// the front-end's steps.
+func simulate[D any](tc *Toolchain, lang Language, top string, sources []Source, designs map[string]D,
+	elaborate func(*CompileResult) (D, error), run func(D) (*SimResult, sim.Time)) *SimResult {
+	cache := tc.opts.Cache
+	var key string
+	var d D
+	var hit bool
+	if cache != nil {
+		key = designKey(lang, top, sources)
+		d, hit = acquireDesign(cache, designs, key)
+	}
+	if !hit {
+		comp := tc.Compile(lang, sources...)
+		if !comp.OK {
+			return &SimResult{Log: comp.Log, Failed: true}
+		}
+		var err error
+		if d, err = elaborate(comp); err != nil {
+			return &SimResult{Log: "ERROR: [XSIM 43-3225] elaboration failed: " + err.Error() + "\n", Failed: true}
+		}
+	}
+	out, end := run(d)
+	if cache != nil {
+		releaseDesign(cache, designs, key, d)
+	}
 	simBase := 3.2 // xsim launch + Verilog elaboration estimate, seconds
 	if lang == VHDL {
 		simBase = 4.2 // mixed-language elaboration is slower
 	}
-	file := sources[len(sources)-1].Name
-	cache := tc.opts.Cache
-	var key string
-	if cache != nil {
-		key = designKey(lang, top, sources)
-	}
-	switch lang {
-	case Verilog:
-		var d *vsim.Design
-		if cache != nil {
-			d, _ = cache.acquireVerilog(key)
-		}
-		if d == nil {
-			comp := tc.Compile(lang, sources...)
-			if !comp.OK {
-				return &SimResult{Log: comp.Log, Failed: true}
-			}
-			var ec *vsim.ElabCache
-			if cache != nil {
-				ec = cache.velab
-			}
-			var err error
-			d, err = vsim.ElaborateWith(ec, comp.Modules, top)
-			if err != nil {
-				out.Log = "ERROR: [XSIM 43-3225] elaboration failed: " + err.Error() + "\n"
-				out.Failed = true
-				return out
-			}
-		}
-		res := vsim.SimulateDesign(d, vsim.Options{
-			MaxTime: sim.Time(maxTime),
-			File:    file,
-			Workers: tc.opts.Workers,
-			Backend: tc.opts.Mode,
-		})
-		if cache != nil {
-			cache.releaseVerilog(key, d)
-		}
-		out.Log = res.Log
-		out.TimedOut = res.TimedOut
-		out.Fault = res.Fault
-		out.VCD = res.VCD
-		out.Backend = res.Backend
-		out.LatencyModel = simBase + latencyFromTime(res.EndTime)
-	case VHDL:
-		var d *vhdlsim.Design
-		if cache != nil {
-			d, _ = cache.acquireVHDL(key)
-		}
-		if d == nil {
-			comp := tc.Compile(lang, sources...)
-			if !comp.OK {
-				return &SimResult{Log: comp.Log, Failed: true}
-			}
-			var ec *vhdlsim.ElabCache
-			if cache != nil {
-				ec = cache.vhelab
-			}
-			var err error
-			d, err = vhdlsim.ElaborateWith(ec, comp.Units, top)
-			if err != nil {
-				out.Log = "ERROR: [XSIM 43-3225] elaboration failed: " + err.Error() + "\n"
-				out.Failed = true
-				return out
-			}
-		}
-		res := vhdlsim.SimulateDesign(d, vhdlsim.Options{
-			MaxTime: sim.Time(maxTime),
-			File:    file,
-			Workers: tc.opts.Workers,
-			Backend: tc.opts.Mode,
-		})
-		if cache != nil {
-			cache.releaseVHDL(key, d)
-		}
-		out.Log = res.Log
-		out.TimedOut = res.TimedOut
-		out.Fault = res.Fault
-		out.Backend = res.Backend
-		out.LatencyModel = simBase + latencyFromTime(res.EndTime)
-		if res.AssertErrors > 0 || res.Failed {
-			out.Failed = true
-		}
-	}
+	out.LatencyModel = simBase + latencyFromTime(end)
 	out.Passed = judgeLog(out)
 	return out
 }

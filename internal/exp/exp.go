@@ -118,16 +118,11 @@ type Options struct {
 	Problems   []*bench.Problem // defaults to the full suite
 	Configure  func(*core.Config)
 	MaxWorkers int
-	// SimWorkers selects the sharded parallel simulation backend for
-	// every simulation of the sweep. It is applied before Configure and
-	// deliberately not part of the cache key: simulation output is
-	// byte-identical across worker counts (see internal/sim), so cached
-	// cells stay valid when the setting changes.
-	SimWorkers int
 	// SimMode selects the simulation execution backend for every
-	// simulation of the sweep (see edatool.Options.Mode). Like
-	// SimWorkers it is applied before Configure and stays out of the
-	// cache key: output is byte-identical across modes.
+	// simulation of the sweep (see edatool.Options.Mode). It is applied
+	// before Configure and stays out of the cache key: output is
+	// byte-identical across modes, so cached cells stay valid when the
+	// setting changes.
 	SimMode sim.BackendMode
 	// Runner, when set, orchestrates the sweep: its cache makes runs
 	// resumable, its shard splits the job set across invocations, and
@@ -184,7 +179,6 @@ func configKey(cfg core.Config) string {
 // per-cell runtime failure.
 func (o Options) effectiveConfig(model *llm.Profile, lang edatool.Language) core.Config {
 	cfg := core.DefaultConfig(model, lang)
-	cfg.SimWorkers = o.SimWorkers
 	cfg.SimMode = o.SimMode
 	if o.Provider != "" {
 		p, err := provider.DefaultRegistry.New(o.Provider, model, o.ProviderConfig)

@@ -20,19 +20,14 @@ type BackendMode uint8
 
 const (
 	// BackendAuto lets the front-end choose per process: two-state
-	// eligible processes run compiled, everything else interpreted.
-	// Today this resolves to BackendCompiled; the name leaves room for
-	// smarter policies (e.g. profile-guided) without an API change.
+	// eligible processes are specialized into flat closures over uint64
+	// words, with automatic per-activation fallback to the interpreter
+	// on X/Z values; ineligible processes (wide vectors, delays,
+	// unsupported constructs) stay interpreted.
 	BackendAuto BackendMode = iota
 	// BackendInterpret forces the 4-state AST interpreter for every
 	// process.
 	BackendInterpret
-	// BackendCompiled specializes every eligible process into flat
-	// two-state closures over uint64 words, with automatic per-
-	// activation fallback to the interpreter on X/Z values; ineligible
-	// processes (wide vectors, delays, unsupported constructs) stay
-	// interpreted.
-	BackendCompiled
 )
 
 // Compiled reports whether this mode enables the compiled fast path.
@@ -44,10 +39,18 @@ func (m BackendMode) String() string {
 		return "auto"
 	case BackendInterpret:
 		return "interpret"
-	case BackendCompiled:
-		return "compiled"
 	}
 	return fmt.Sprintf("backend(%d)", uint8(m))
+}
+
+// Label is the name of the strategy a run executed under, as
+// reported in BackendStats.Mode: "compiled" when the fast path was
+// enabled, "interpret" otherwise.
+func (m BackendMode) Label() string {
+	if m.Compiled() {
+		return "compiled"
+	}
+	return "interpret"
 }
 
 // ParseBackendMode parses a -sim-mode flag value.
@@ -57,20 +60,16 @@ func ParseBackendMode(s string) (BackendMode, error) {
 		return BackendAuto, nil
 	case "interpret", "interpreted", "interp":
 		return BackendInterpret, nil
-	case "compiled", "compile":
-		return BackendCompiled, nil
 	}
-	return BackendAuto, fmt.Errorf("unknown backend mode %q (want auto, interpret, or compiled)", s)
+	return BackendAuto, fmt.Errorf("unknown backend mode %q (want auto or interpret)", s)
 }
 
 // BackendStats reports how one simulation run executed: how many
 // behavioural processes and continuous assignments were bound to the
 // compiled fast path vs the interpreter, and how many compiled
 // activations deferred to the interpreter because a guarded input
-// carried X/Z at activation time. The counts are deterministic across
-// worker counts (classification is static per design; fallbacks are
-// per-activation and activations are identical in every
-// configuration).
+// carried X/Z at activation time. The counts are deterministic
+// (classification is static per design; fallbacks are per-activation).
 type BackendStats struct {
 	Mode               string // resolved mode the run executed under
 	CompiledProcs      int    // processes bound to compiled programs

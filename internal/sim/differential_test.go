@@ -1,13 +1,12 @@
 package sim_test
 
-// The differential harness: the sharded parallel backend is shippable
-// only because this file proves it observationally identical to the
-// serial schedule. It runs a corpus of designs — randomly generated
-// multi-component Verilog clusters plus real bench-suite problems in
-// both HDLs — under 1, 2, and 4 workers and asserts byte-identical
-// logs, VCD waveforms, final signal values, and event counts. CI runs
-// it under -race, which also shakes out cross-shard data races the
-// byte comparison cannot see.
+// The differential harness: the compiled two-state backend is
+// shippable only because this file proves it observationally identical
+// to the 4-state interpreter. It runs a corpus of designs — randomly
+// generated multi-cluster Verilog designs plus real bench-suite
+// problems in both HDLs — under both backend modes and asserts
+// byte-identical logs, VCD waveforms, final signal values, and event
+// counts.
 
 import (
 	"fmt"
@@ -22,17 +21,6 @@ import (
 	"repro/internal/vsim"
 )
 
-// workerCounts are the backend configurations every design runs under;
-// 1 is the serial reference.
-var workerCounts = []int{1, 2, 4}
-
-// backendModes are the execution backends the corpus tests cross with
-// the worker counts: the serial reference runs compiled (the default),
-// and every (mode, workers) combination must match it byte for byte —
-// including the forced 4-state interpreter, so compiled-vs-interpreted
-// divergence is caught by the same harness that guards sharding.
-var backendModes = []sim.BackendMode{sim.BackendCompiled, sim.BackendInterpret}
-
 // simOutcome is the full observable outcome of one Verilog run.
 type simOutcome struct {
 	log     string
@@ -41,21 +29,15 @@ type simOutcome struct {
 	endTime uint64
 	final   map[string]string
 	flags   string
-	shards  int
 }
 
-func runVerilog(t *testing.T, name, src string, workers int) simOutcome {
-	return runVerilogMode(t, name, src, workers, sim.BackendAuto)
-}
-
-func runVerilogMode(t *testing.T, name, src string, workers int, mode sim.BackendMode) simOutcome {
+func runVerilog(t *testing.T, name, src string, mode sim.BackendMode) simOutcome {
 	t.Helper()
-	comp := edatool.Compile(edatool.Verilog, edatool.Source{Name: name, Text: src})
+	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: name, Text: src})
 	if !comp.OK {
 		t.Fatalf("%s does not compile:\n%s\nsource:\n%s", name, comp.Log, src)
 	}
 	res, err := vsim.Simulate(comp.Modules, "tb", vsim.Options{
-		Workers:      workers,
 		CaptureFinal: true,
 		Backend:      mode,
 	})
@@ -72,45 +54,43 @@ func runVerilogMode(t *testing.T, name, src string, workers int, mode sim.Backen
 		endTime: uint64(res.EndTime),
 		final:   res.Final,
 		flags:   fmt.Sprintf("fin=%v stop=%v to=%v", res.Finished, res.Stopped, res.TimedOut),
-		shards:  res.Shards,
 	}
 }
 
-func diffOutcomes(t *testing.T, name string, ref, got simOutcome, workers int) {
+func diffOutcomes(t *testing.T, name string, ref, got simOutcome) {
 	t.Helper()
 	if got.log != ref.log {
-		t.Errorf("%s: log differs at %d workers:\n--- serial ---\n%s\n--- %dw ---\n%s",
-			name, workers, ref.log, workers, got.log)
+		t.Errorf("%s: log differs:\n--- reference ---\n%s\n--- got ---\n%s", name, ref.log, got.log)
 	}
 	if got.vcd != ref.vcd {
-		t.Errorf("%s: VCD differs at %d workers", name, workers)
+		t.Errorf("%s: VCD differs", name)
 	}
 	if got.events != ref.events {
-		t.Errorf("%s: event count %d at %d workers, want %d", name, got.events, workers, ref.events)
+		t.Errorf("%s: event count %d, want %d", name, got.events, ref.events)
 	}
 	if got.endTime != ref.endTime {
-		t.Errorf("%s: end time %d at %d workers, want %d", name, got.endTime, workers, ref.endTime)
+		t.Errorf("%s: end time %d, want %d", name, got.endTime, ref.endTime)
 	}
 	if got.flags != ref.flags {
-		t.Errorf("%s: stop flags %q at %d workers, want %q", name, got.flags, workers, ref.flags)
+		t.Errorf("%s: stop flags %q, want %q", name, got.flags, ref.flags)
 	}
 	for sig, want := range ref.final {
 		if got.final[sig] != want {
-			t.Errorf("%s: final %s = %s at %d workers, want %s", name, sig, got.final[sig], workers, want)
+			t.Errorf("%s: final %s = %s, want %s", name, sig, got.final[sig], want)
 		}
 	}
 	if len(got.final) != len(ref.final) {
-		t.Errorf("%s: %d final signals at %d workers, want %d", name, len(got.final), workers, len(ref.final))
+		t.Errorf("%s: %d final signals, want %d", name, len(got.final), len(ref.final))
 	}
 }
 
 // genClusterDesign emits a random Verilog design of several independent
-// clusters — distinct connectivity components with their own clocks,
-// state, logging, and $random streams — plus a finisher process. The
-// shapes cover the interactions most likely to diverge under sharding:
-// NBA vs blocking assignment order, continuous-assignment chains,
-// same-timestamp activity across components, $monitor, zero delays,
-// and a $finish cut that truncates every component at the same delta.
+// clusters — each with its own clock, state, logging, and $random
+// draws — plus a finisher process. The shapes cover the interactions
+// most likely to diverge between backends: NBA vs blocking assignment
+// order, continuous-assignment chains, same-timestamp activity across
+// clusters, $monitor, zero delays, and a $finish cut that truncates
+// every cluster at the same delta.
 func genClusterDesign(rng *rand.Rand) string {
 	var sb strings.Builder
 	nclusters := 2 + rng.Intn(3)
@@ -140,7 +120,7 @@ func genClusterDesign(rng *rand.Rand) string {
 		fmt.Fprintf(&sb, "    $display(\"c%d a=%%0d b=%%0h m=%%0d t=%%0t\", a, b, m, $time);\n", c)
 		sb.WriteString("  end\n")
 		if rng.Intn(3) == 0 {
-			// A second process in the same component, racing the first
+			// A second process in the same cluster, racing the first
 			// through the shared delta schedule.
 			fmt.Fprintf(&sb, "  always @(negedge clk) $display(\"c%d neg a=%%0d\", a);\n", c)
 		}
@@ -162,8 +142,7 @@ func genClusterDesign(rng *rand.Rand) string {
 }
 
 // TestDifferentialRandomClusters is the core of the harness: randomly
-// generated multi-component designs, where sharding actually spreads
-// work, compared across worker counts.
+// generated multi-cluster designs, compiled vs interpreted.
 func TestDifferentialRandomClusters(t *testing.T) {
 	designs := 24
 	if testing.Short() {
@@ -173,25 +152,16 @@ func TestDifferentialRandomClusters(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(9000 + i*131)))
 		src := genClusterDesign(rng)
 		name := fmt.Sprintf("clusters-%d", i)
-		ref := runVerilog(t, name, src, workerCounts[0])
+		ref := runVerilog(t, name, src, sim.BackendAuto)
 		if !strings.Contains(ref.log, "$finish called") {
 			t.Fatalf("%s: reference run did not finish:\n%s", name, ref.log)
 		}
-		for _, mode := range backendModes {
-			for _, w := range workerCounts {
-				if mode == sim.BackendCompiled && w == workerCounts[0] {
-					continue // the reference itself
-				}
-				diffOutcomes(t, fmt.Sprintf("%s/%s", name, mode), ref, runVerilogMode(t, name, src, w, mode), w)
-			}
-		}
+		diffOutcomes(t, name+"/interpret", ref, runVerilog(t, name, src, sim.BackendInterpret))
 	}
 }
 
 // TestDifferentialBenchVerilog replays real bench-suite problems
-// (golden DUT + reference testbench) through the backends. These are
-// mostly single-component designs — the degenerate case the sharded
-// backend must also get exactly right.
+// (golden DUT + reference testbench) through both backends.
 func TestDifferentialBenchVerilog(t *testing.T) {
 	suite := bench.NewSuite()
 	stride := 8
@@ -201,15 +171,8 @@ func TestDifferentialBenchVerilog(t *testing.T) {
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
 		src := p.GoldenVerilog + "\n" + p.RefTBVerilog
-		ref := runVerilog(t, p.ID, src, workerCounts[0])
-		for _, mode := range backendModes {
-			for _, w := range workerCounts {
-				if mode == sim.BackendCompiled && w == workerCounts[0] {
-					continue
-				}
-				diffOutcomes(t, fmt.Sprintf("%s/%s", p.ID, mode), ref, runVerilogMode(t, p.ID, src, w, mode), w)
-			}
-		}
+		ref := runVerilog(t, p.ID, src, sim.BackendAuto)
+		diffOutcomes(t, p.ID+"/interpret", ref, runVerilog(t, p.ID, src, sim.BackendInterpret))
 	}
 }
 
@@ -227,14 +190,13 @@ func TestDifferentialBenchVHDL(t *testing.T) {
 		asserts int
 		final   map[string]string
 	}
-	run := func(p *bench.Problem, workers int, mode sim.BackendMode) vhdlOutcome {
+	run := func(p *bench.Problem, mode sim.BackendMode) vhdlOutcome {
 		src := p.GoldenVHDL + "\n" + p.RefTBVHDL
-		comp := edatool.Compile(edatool.VHDL, edatool.Source{Name: p.ID + ".vhd", Text: src})
+		comp := edatool.New(edatool.Options{}).Compile(edatool.VHDL, edatool.Source{Name: p.ID + ".vhd", Text: src})
 		if !comp.OK {
 			t.Fatalf("%s does not compile:\n%s", p.ID, comp.Log)
 		}
 		res, err := vhdlsim.Simulate(comp.Units, "tb", vhdlsim.Options{
-			Workers:      workers,
 			CaptureFinal: true,
 			Backend:      mode,
 		})
@@ -254,202 +216,31 @@ func TestDifferentialBenchVHDL(t *testing.T) {
 	}
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
-		ref := run(p, workerCounts[0], sim.BackendCompiled)
-		for _, mode := range backendModes {
-			for _, w := range workerCounts {
-				if mode == sim.BackendCompiled && w == workerCounts[0] {
-					continue
-				}
-				got := run(p, w, mode)
-				if got.log != ref.log {
-					t.Errorf("%s: VHDL log differs at %d workers (%s):\n--- serial ---\n%s\n--- %dw ---\n%s",
-						p.ID, w, mode, ref.log, w, got.log)
-				}
-				if got.events != ref.events || got.endTime != ref.endTime || got.asserts != ref.asserts {
-					t.Errorf("%s: VHDL counters differ at %d workers (%s): %+v vs %+v", p.ID, w, mode, got, ref)
-				}
-				for sig, want := range ref.final {
-					if got.final[sig] != want {
-						t.Errorf("%s: VHDL final %s = %s at %d workers (%s), want %s", p.ID, sig, got.final[sig], w, mode, want)
-					}
-				}
+		ref := run(p, sim.BackendAuto)
+		got := run(p, sim.BackendInterpret)
+		if got.log != ref.log {
+			t.Errorf("%s: VHDL log differs (interpret):\n--- compiled ---\n%s\n--- interpret ---\n%s",
+				p.ID, ref.log, got.log)
+		}
+		if got.events != ref.events || got.endTime != ref.endTime || got.asserts != ref.asserts {
+			t.Errorf("%s: VHDL counters differ (interpret): %+v vs %+v", p.ID, got, ref)
+		}
+		for sig, want := range ref.final {
+			if got.final[sig] != want {
+				t.Errorf("%s: VHDL final %s = %s (interpret), want %s", p.ID, sig, got.final[sig], want)
 			}
 		}
 	}
 }
 
-// genPartitionPair emits two behaviourally identical Verilog designs
-// that the connectivity partitioner must treat very differently:
-//
-//   - "shared": every cluster's logic is clocked through one tb-level
-//     clock wire fanned into cluster ports, so a chain of shared
-//     signals forces the whole design into a single component.
-//   - "split": the same clusters duplicate the clock generator locally
-//     (same phase, same period) and ignore the still-connected port,
-//     so each cluster is its own component and the design shards.
-//
-// Cluster hierarchies, signal names, widths, and value evolution are
-// identical in both shapes, so logs, VCD, final values, end time, and
-// stop flags must match byte for byte between the two — fuzzing the
-// partition itself rather than the backend under one partition.
-// $random is deliberately absent: its streams are seeded per component
-// and the two shapes have different component structures by design.
-func genPartitionPair(rng *rand.Rand) (shared, split string) {
-	nclusters := 2 + rng.Intn(3)
-	period := 1 + rng.Intn(3)
-	ops := []string{"+", "-", "^", "&", "|"}
-	clkgen := fmt.Sprintf(`
-module clkgen(output reg clk);
-  initial clk = 0;
-  always #%d clk = ~clk;
-endmodule
-`, period)
-
-	type cluster struct {
-		w, inc, b0 int
-		op1, op2   string
-		edge       string
-		partSel    bool
-	}
-	cs := make([]cluster, nclusters)
-	for i := range cs {
-		cs[i] = cluster{
-			w:       4 + rng.Intn(13),
-			inc:     1 + rng.Intn(7),
-			b0:      rng.Intn(1 << 10),
-			op1:     ops[rng.Intn(len(ops))],
-			op2:     ops[rng.Intn(len(ops))],
-			edge:    []string{"posedge", "negedge"}[rng.Intn(2)],
-			partSel: rng.Intn(3) == 0,
-		}
-	}
-
-	body := func(c int, clkSrc string) string {
-		var sb strings.Builder
-		k := cs[c]
-		sb.WriteString(clkSrc)
-		fmt.Fprintf(&sb, "  reg [%d:0] a, b;\n  wire [%d:0] m;\n", k.w-1, k.w-1)
-		fmt.Fprintf(&sb, "  assign m = a %s b;\n", k.op2)
-		fmt.Fprintf(&sb, "  initial begin a = 0; b = %d; end\n", k.b0)
-		fmt.Fprintf(&sb, "  always @(%s clk) begin\n", k.edge)
-		fmt.Fprintf(&sb, "    a <= a + %d;\n", k.inc)
-		fmt.Fprintf(&sb, "    b <= b %s a;\n", k.op1)
-		if k.partSel {
-			fmt.Fprintf(&sb, "    b[1:0] <= a[1:0];\n")
-		}
-		fmt.Fprintf(&sb, "    $display(\"c%d a=%%0d b=%%0h m=%%0d t=%%0t\", a, b, m, $time);\n", c)
-		sb.WriteString("  end\n")
-		return sb.String()
-	}
-
-	finishAt := 20 + rng.Intn(41)
-	emit := func(dup bool) string {
-		var sb strings.Builder
-		sb.WriteString(clkgen)
-		for c := 0; c < nclusters; c++ {
-			fmt.Fprintf(&sb, "module cluster%d(input clk_in);\n", c)
-			if dup {
-				// Duplicated clock: clk_in stays connected but unread,
-				// so the cluster is its own connectivity component. The
-				// X->0 initialization is emitted AFTER the cluster body so
-				// the edge-sensitive process arms on an X baseline before
-				// the init write lands — exactly the ordering the shared
-				// shape's port-assign cascade produces.
-				sb.WriteString(body(c, fmt.Sprintf("  reg clk;\n  always #%d clk = ~clk;\n", period)))
-				sb.WriteString("  initial clk = 0;\n")
-			} else {
-				sb.WriteString(body(c, "  wire clk;\n  assign clk = clk_in;\n"))
-				// Filler so both shapes have identical line numbering:
-				// $finish reports its source line in the log.
-				sb.WriteString("  // clk mirrors the shared port\n")
-			}
-			sb.WriteString("endmodule\n")
-		}
-		sb.WriteString("module tb;\n  wire clk;\n  clkgen g(.clk(clk));\n")
-		for c := 0; c < nclusters; c++ {
-			fmt.Fprintf(&sb, "  cluster%d u%d(.clk_in(clk));\n", c, c)
-		}
-		sb.WriteString("  initial begin $dumpfile(\"w.vcd\"); $dumpvars; end\n")
-		fmt.Fprintf(&sb, "  initial begin #%d $display(\"tb done t=%%0t\", $time); $finish; end\n", finishAt)
-		sb.WriteString("endmodule\n")
-		return sb.String()
-	}
-
-	// Both emit calls must see identical rng state; the generator only
-	// draws before this point.
-	return emit(false), emit(true)
-}
-
-// TestDifferentialPartitionShapes fuzzes the partition itself: the
-// shared (one-component) and split (many-component) shapes of the same
-// behaviour must produce byte-identical logs, VCD, final values, end
-// times, and stop flags — across each other and across worker counts.
-func TestDifferentialPartitionShapes(t *testing.T) {
-	designs := 12
-	if testing.Short() {
-		designs = 4
-	}
-	for i := 0; i < designs; i++ {
-		rng := rand.New(rand.NewSource(int64(31000 + i*271)))
-		sharedSrc, splitSrc := genPartitionPair(rng)
-		name := fmt.Sprintf("partition-%d", i)
-
-		refShared := runVerilog(t, name+"-shared", sharedSrc, 1)
-		refSplit := runVerilog(t, name+"-split", splitSrc, 1)
-		if !strings.Contains(refShared.log, "$finish called") {
-			t.Fatalf("%s: shared reference did not finish:\n%s", name, refShared.log)
-		}
-
-		// Cross-shape: identical observable behaviour. Event counts are
-		// excluded (the shapes run different processes to produce it).
-		if refShared.log != refSplit.log {
-			t.Errorf("%s: log differs between shapes:\n--- shared ---\n%s\n--- split ---\n%s",
-				name, refShared.log, refSplit.log)
-		}
-		if refShared.vcd != refSplit.vcd {
-			t.Errorf("%s: VCD differs between shapes:\n--- shared ---\n%s\n--- split ---\n%s",
-				name, refShared.vcd, refSplit.vcd)
-		}
-		if refShared.endTime != refSplit.endTime || refShared.flags != refSplit.flags {
-			t.Errorf("%s: end state differs between shapes: (%d, %s) vs (%d, %s)",
-				name, refShared.endTime, refShared.flags, refSplit.endTime, refSplit.flags)
-		}
-		for sig, want := range refShared.final {
-			if got, ok := refSplit.final[sig]; ok && got != want {
-				t.Errorf("%s: final %s = %s in split shape, want %s", name, sig, got, want)
-			}
-		}
-
-		// The shapes must actually partition differently: the clusters
-		// collapse into the clock component in the shared shape (only
-		// the signal-less service initials stay separate) and spread in
-		// the split one, so at 4 workers the split shape must run on
-		// strictly more shards.
-		shShared := runVerilog(t, name+"-shared", sharedSrc, 4)
-		shSplit := runVerilog(t, name+"-split", splitSrc, 4)
-		if shSplit.shards <= shShared.shards {
-			t.Errorf("%s: split shape ran on %d shards vs shared's %d, want strictly more (partition fuzz premise broken)",
-				name, shSplit.shards, shShared.shards)
-		}
-
-		// Within each shape: the standard worker-count sweep.
-		for _, w := range workerCounts[1:] {
-			diffOutcomes(t, name+"-shared", refShared, runVerilog(t, name+"-shared", sharedSrc, w), w)
-			diffOutcomes(t, name+"-split", refSplit, runVerilog(t, name+"-split", splitSrc, w), w)
-		}
-	}
-}
-
-// TestDifferentialRepeatable pins run-to-run determinism of the
-// parallel backend itself: the same design at the same worker count
-// twice must agree byte for byte (goroutine scheduling must never leak
-// into output).
+// TestDifferentialRepeatable pins run-to-run determinism: the same
+// design under the same backend twice must agree byte for byte.
 func TestDifferentialRepeatable(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	src := genClusterDesign(rng)
-	for _, w := range workerCounts {
-		a := runVerilog(t, "repeat", src, w)
-		b := runVerilog(t, "repeat", src, w)
-		diffOutcomes(t, "repeat", a, b, w)
+	for _, mode := range []sim.BackendMode{sim.BackendAuto, sim.BackendInterpret} {
+		a := runVerilog(t, "repeat", src, mode)
+		b := runVerilog(t, "repeat", src, mode)
+		diffOutcomes(t, "repeat/"+mode.String(), a, b)
 	}
 }

@@ -4,7 +4,9 @@
 // The kernel follows the stratified event model of IEEE 1364: each
 // time slot runs active events to exhaustion, then applies
 // nonblocking-assignment (NBA) updates, repeating delta cycles until
-// the slot is quiescent before advancing simulated time.
+// the slot is quiescent before advancing simulated time. Every
+// simulation runs on exactly one Kernel, whose Run is the whole event
+// loop; nothing in this package starts a goroutine.
 //
 // Processes are continuations, not coroutines: a Process is an
 // explicit state value (the front-end keeps a program counter and a
@@ -16,7 +18,7 @@
 // crossings per process step and makes suspended process state an
 // inspectable value rather than a blocked stack. Simulation remains
 // fully deterministic — a property the experiment layer leans on
-// (cached and sharded sweeps must reproduce in-memory results bit for
+// (cached and resumed sweeps must reproduce in-memory results bit for
 // bit) — and is pinned by the front-ends' determinism tests.
 //
 // The kernel knows nothing about HDL syntax. Front-ends elaborate

@@ -95,13 +95,9 @@ func (r StopReason) String() string {
 	}
 }
 
-// Kernel is the event scheduler of one simulation shard.
-//
-// A kernel no longer owns the top-level run loop: it exposes the delta
-// phases (drainActive, applyNBA) and time-wheel steps (nextTime,
-// advanceTo) that an Engine sequences — serially for one kernel, in
-// barrier-synchronized lockstep for many (see engine.go). Kernel.Run
-// remains the single-shard convenience entry point.
+// Kernel is the event scheduler of one simulation: it owns simulated
+// time, the time wheel, and the active and NBA regions, and Run
+// sequences them through the stratified delta-cycle loop.
 //
 // The active and nba regions reuse their backing arrays across delta
 // cycles: active drains through a cursor and is reset to length zero
@@ -118,28 +114,28 @@ type Kernel struct {
 	recFree    []*NBARecord // pooled delayed-update records (see update.go)
 	finished   bool
 
-	// Lockstep position, maintained by the engine: the current delta
-	// index within the time step, the region being executed, and the
-	// run-global delta serial number (identical across all shards of a
-	// run). Output recorded during execution is tagged with
-	// (now, delta, phase) so sharded runs merge deterministically (see
-	// outbuf.go); front-ends use the serial for change-observation
-	// semantics such as VHDL 'event.
-	delta   int32
-	serial  uint64
-	inNBA   bool
-	overrun bool // event budget exhausted mid-drain
+	// Run position: the current delta index within the time step, the
+	// region being executed, and the run-global delta serial number.
+	// VCD output is tagged with (now, delta, phase) (see outbuf.go);
+	// front-ends use the serial for change-observation semantics such
+	// as VHDL 'event.
+	delta  int32
+	serial uint64
+	inNBA  bool
 
 	// Limits guard against runaway simulations of buggy generated RTL.
-	// When the kernel is driven by an Engine, the engine's limits
-	// govern; these are used by the single-kernel Run entry point.
 	MaxTime   Time
 	MaxDeltas int
 	MaxEvents uint64
 
+	// AfterDelta, when non-nil, runs at every delta boundary (after NBA
+	// application, and once more at a finish/limit cut). Front-ends use
+	// it for bookkeeping that must happen between deltas, such as
+	// enabling the VCD dump.
+	AfterDelta func()
+
 	eventCount uint64
 	fault      string
-	self       *Engine // cached single-kernel engine backing Run
 }
 
 // Fault returns the message of a runtime fault raised by a process
@@ -183,9 +179,8 @@ func (k *Kernel) Phase() uint8 {
 func (k *Kernel) Events() uint64 { return k.eventCount }
 
 // DeltaSerial returns the run-global serial number of the delta cycle
-// currently executing. Unlike Delta it never resets, and it is
-// identical across every shard of a run, so it is safe to use for
-// cross-configuration-deterministic change stamps.
+// currently executing. Unlike Delta it never resets, so it is safe to
+// use for change stamps.
 func (k *Kernel) DeltaSerial() uint64 { return k.serial }
 
 // ObserverSerial returns the delta serial at which effects of the
@@ -228,18 +223,68 @@ func (k *Kernel) Finish() { k.finished = true }
 // Finished reports whether Finish has been called.
 func (k *Kernel) Finished() bool { return k.finished }
 
-// Run executes events until quiescence, Finish, or a limit. It is the
-// single-shard entry point: an Engine over one kernel, inheriting the
-// kernel's own limits. The engine is cached so repeated Run calls on a
-// warm kernel stay allocation-free (pinned by TestProcessStepZeroAllocs).
+// Run executes events until quiescence, Finish, or a limit:
+//
+//	for each time step:
+//	  while active events or NBA updates are pending:
+//	    drain the active region
+//	    apply the NBA updates
+//	  advance to the next scheduled time
+//
+// Stop requests (Finish, faults, limits) are honoured at delta
+// boundaries. The event budget is checked per event inside the drain,
+// so an event loop that never reaches a boundary still stops, and
+// again at the boundary, where the run is cut.
 func (k *Kernel) Run() StopReason {
-	if k.self == nil {
-		k.self = &Engine{kernels: []*Kernel{k}}
+	if k.serial == 0 {
+		// Serial 0 is reserved as the "never changed" stamp value
+		// front-ends store in fresh signals.
+		k.serial = 1
 	}
-	k.self.MaxTime = k.MaxTime
-	k.self.MaxDeltas = k.MaxDeltas
-	k.self.MaxEvents = k.MaxEvents
-	return k.self.Run()
+	for {
+		deltas := 0
+		for k.pending() {
+			k.delta = int32(deltas)
+			k.drainActive()
+			if k.eventCount > k.MaxEvents {
+				return k.stop(StopEvents)
+			}
+			if k.finished {
+				return k.stop(StopFinish)
+			}
+			k.applyNBA()
+			if k.finished {
+				return k.stop(StopFinish)
+			}
+			if k.AfterDelta != nil {
+				k.AfterDelta()
+			}
+			deltas++
+			k.serial++
+			if deltas > k.MaxDeltas {
+				return k.stop(StopDeltas)
+			}
+		}
+		if k.future.Len() == 0 {
+			return StopIdle
+		}
+		next := k.future[0].at
+		if next > k.MaxTime {
+			return StopTimeout
+		}
+		k.advanceTo(next)
+	}
+}
+
+// stop runs the boundary hook once more before a mid-time-step abort
+// (finish, delta/event limit) returns. Requests made during the final
+// delta — e.g. a $dumpvars sharing its delta with $finish — must still
+// be honoured at the cut.
+func (k *Kernel) stop(r StopReason) StopReason {
+	if k.AfterDelta != nil {
+		k.AfterDelta()
+	}
+	return r
 }
 
 // pending reports whether the kernel has work left in the current time
@@ -251,18 +296,16 @@ func (k *Kernel) pending() bool {
 // drainActive runs the active-region FIFO to exhaustion; events may
 // append more, which run in the same drain (same delta). A Finish or
 // fault does NOT abort the drain: stop requests take effect at the
-// delta boundary, so every shard of a lockstep run cuts its output at
-// the same, deterministic point regardless of event interleaving. Only
-// the event budget aborts mid-drain, since an event that unconditionally
-// reactivates itself would otherwise never reach the boundary.
-func (k *Kernel) drainActive(budget uint64) {
+// delta boundary. Only the event budget aborts mid-drain, since an
+// event that unconditionally reactivates itself would otherwise never
+// reach the boundary.
+func (k *Kernel) drainActive() {
 	for k.activeHead < len(k.active) {
 		ev := k.active[k.activeHead]
 		k.active[k.activeHead] = nil // release the closure
 		k.activeHead++
 		k.eventCount++
-		if k.eventCount > budget {
-			k.overrun = true
+		if k.eventCount > k.MaxEvents {
 			return
 		}
 		ev()
@@ -295,14 +338,6 @@ func (k *Kernel) applyNBA() {
 	}
 	k.inNBA = false
 	k.nbaSpare = updates[:0]
-}
-
-// nextTime returns the earliest scheduled future time, if any.
-func (k *Kernel) nextTime() (Time, bool) {
-	if k.future.Len() == 0 {
-		return 0, false
-	}
-	return k.future[0].at, true
 }
 
 // advanceTo moves the kernel to time t and pulls every event scheduled

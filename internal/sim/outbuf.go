@@ -1,112 +1,39 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// OutBuf collects observable output (simulation log text, VCD value
-// changes) as chunks tagged with the lockstep coordinates at which they
-// were produced: (time, delta, phase, component). Each shard writes
-// into its own OutBuf with no synchronization; after the run,
-// MergeChunks orders all shards' chunks by their coordinates.
-//
-// Because a component executes on exactly one shard and its events run
-// in the same relative order in every configuration, the per-component
-// chunk subsequences are identical whether the design ran on one kernel
-// or many — so the merged output is byte-identical for any worker
-// count. The component index (not the shard index) is the sort key
-// precisely because it is the stable one.
+// OutBuf collects VCD value-change text as chunks tagged with the
+// kernel coordinates (time, delta, phase) at which they were recorded.
+// The time tag drives the renderer's #time lines; the chunk boundaries
+// are the points at which a capped dump may be cut.
 type OutBuf struct {
 	chunks []Chunk
 }
 
-// Chunk is one run of output produced at a single lockstep coordinate
-// by a single component.
+// Chunk is one run of output produced at a single (time, delta, phase)
+// coordinate.
 type Chunk struct {
 	Time  Time
 	Delta int32
 	Phase uint8
-	Comp  int32
 	Buf   []byte
 }
 
-func (c *Chunk) key(k *Kernel, comp int32) bool {
-	return c.Time == k.now && c.Delta == k.delta && c.Phase == k.Phase() && c.Comp == comp
-}
-
-// buf returns the chunk to append to for component comp at the
-// kernel's current coordinates, extending the chunk list only when the
-// coordinates moved (consecutive writes coalesce, so steady-state
-// logging does not grow the list per write).
-func (o *OutBuf) buf(k *Kernel, comp int32) *Chunk {
-	if n := len(o.chunks); n > 0 && o.chunks[n-1].key(k, comp) {
-		return &o.chunks[n-1]
+// Appendf records formatted text at the kernel's current coordinates
+// and returns the number of bytes written. Consecutive writes at one
+// coordinate coalesce into one chunk, so steady-state recording does
+// not grow the chunk list per write.
+func (o *OutBuf) Appendf(k *Kernel, format string, args ...any) int {
+	n := len(o.chunks)
+	if n == 0 || o.chunks[n-1].Time != k.now || o.chunks[n-1].Delta != k.delta || o.chunks[n-1].Phase != k.Phase() {
+		o.chunks = append(o.chunks, Chunk{Time: k.now, Delta: k.delta, Phase: k.Phase()})
+		n++
 	}
-	o.chunks = append(o.chunks, Chunk{Time: k.now, Delta: k.delta, Phase: k.Phase(), Comp: comp})
-	return &o.chunks[len(o.chunks)-1]
-}
-
-// Append records text for component comp at the kernel's current
-// lockstep coordinates and returns the number of bytes written.
-func (o *OutBuf) Append(k *Kernel, comp int32, text string) int {
-	c := o.buf(k, comp)
-	c.Buf = append(c.Buf, text...)
-	return len(text)
-}
-
-// Appendf records formatted text for component comp and returns the
-// number of bytes written.
-func (o *OutBuf) Appendf(k *Kernel, comp int32, format string, args ...any) int {
-	c := o.buf(k, comp)
+	c := &o.chunks[n-1]
 	before := len(c.Buf)
 	c.Buf = fmt.Appendf(c.Buf, format, args...)
 	return len(c.Buf) - before
 }
 
-// Len returns the total number of buffered bytes.
-func (o *OutBuf) Len() int {
-	n := 0
-	for i := range o.chunks {
-		n += len(o.chunks[i].Buf)
-	}
-	return n
-}
-
-// MergeChunks orders the chunks of all shards' buffers by
-// (time, delta, phase, component). The sort is stable and a component
-// lives on exactly one shard, so chunks of one component keep their
-// execution order.
-func MergeChunks(bufs ...*OutBuf) []Chunk {
-	var all []Chunk
-	for _, b := range bufs {
-		all = append(all, b.chunks...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Delta != b.Delta {
-			return a.Delta < b.Delta
-		}
-		if a.Phase != b.Phase {
-			return a.Phase < b.Phase
-		}
-		return a.Comp < b.Comp
-	})
-	return all
-}
-
-// RenderChunks concatenates merged chunks into the final output text.
-func RenderChunks(chunks []Chunk) string {
-	n := 0
-	for i := range chunks {
-		n += len(chunks[i].Buf)
-	}
-	out := make([]byte, 0, n)
-	for i := range chunks {
-		out = append(out, chunks[i].Buf...)
-	}
-	return string(out)
-}
+// Chunks returns the recorded chunks in recording order.
+func (o *OutBuf) Chunks() []Chunk { return o.chunks }

@@ -23,14 +23,12 @@ type NBARecord struct {
 
 	// Front-end payload. Sig is the resolved target signal; Val the
 	// pending value; Lo/Width the bit range for partial writes; Aux
-	// front-end scratch (e.g. a memory word index); Comp the
-	// connectivity-component index for output attribution.
+	// front-end scratch (e.g. a memory word index).
 	Sig   any
 	Val   hdl.Vector
 	Lo    int
 	Width int
 	Aux   int
-	Comp  int32
 
 	// Pool linkage for delayed records: the owning kernel and the
 	// pre-built future-event closure that applies the record and

@@ -2,6 +2,7 @@ package vhdlsim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,7 @@ import (
 
 // runBoth elaborates src fresh for each backend mode and returns both
 // results, failing the test on parse or elaboration errors.
-func runBoth(t *testing.T, src, top string, workers int) (compiled, interp *Result) {
+func runBoth(t *testing.T, src, top string) (compiled, interp *Result) {
 	t.Helper()
 	f, errs := vhdl.Parse("tb.vhd", src)
 	if len(errs) > 0 {
@@ -21,9 +22,9 @@ func runBoth(t *testing.T, src, top string, workers int) (compiled, interp *Resu
 		if err != nil {
 			t.Fatalf("elab: %v", err)
 		}
-		return SimulateDesign(d, Options{MaxTime: 100000, CaptureFinal: true, Backend: mode, Workers: workers})
+		return SimulateDesign(d, Options{MaxTime: 100000, CaptureFinal: true, Backend: mode})
 	}
-	return run(sim.BackendCompiled), run(sim.BackendInterpret)
+	return run(sim.BackendAuto), run(sim.BackendInterpret)
 }
 
 // requireIdentical asserts the two backends produced byte-identical
@@ -95,7 +96,7 @@ end architecture;
 // the compiled fast path (process and concurrent assignment both
 // specialize) with output byte-identical to the interpreter.
 func TestBackendCompiledEngages(t *testing.T) {
-	rc, ri := runBoth(t, counterSrcVHDL, "tb", 0)
+	rc, ri := runBoth(t, counterSrcVHDL, "tb")
 	requireIdentical(t, rc, ri)
 	if rc.Backend.CompiledProcs == 0 {
 		t.Fatalf("expected compiled procs, got %+v", rc.Backend)
@@ -181,7 +182,7 @@ begin
   end process;
 end architecture;
 `
-	rc, ri := runBoth(t, src, "tb", 0)
+	rc, ri := runBoth(t, src, "tb")
 	requireIdentical(t, rc, ri)
 	if rc.Backend.CompiledProcs == 0 {
 		t.Fatalf("expected a compiled process, got %+v", rc.Backend)
@@ -199,15 +200,43 @@ end architecture;
 	}
 }
 
-// TestBackendWorkersIdentical runs the counter across worker counts in
-// both modes; every combination must agree byte for byte.
+// TestBackendWorkersIdentical runs the counter in both modes on 1, 2
+// and 4 concurrent workers, each elaborating its own design from one
+// shared parse as sweep workers do; every run must agree byte for byte
+// with a lone run.
 func TestBackendWorkersIdentical(t *testing.T) {
-	base, _ := runBoth(t, counterSrcVHDL, "tb", 0)
+	base, _ := runBoth(t, counterSrcVHDL, "tb")
+	f, errs := vhdl.Parse("tb.vhd", counterSrcVHDL)
+	if len(errs) > 0 {
+		t.Fatalf("parse: %v", errs)
+	}
 	for _, workers := range []int{1, 2, 4} {
-		rc, ri := runBoth(t, counterSrcVHDL, "tb", workers)
-		requireIdentical(t, rc, ri)
-		if rc.Log != base.Log {
-			t.Fatalf("workers=%d log diverged from serial", workers)
+		runs := make([][2]*Result, workers)
+		elabErrs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, mode := range []sim.BackendMode{sim.BackendAuto, sim.BackendInterpret} {
+					d, err := Elaborate([]*vhdl.DesignFile{f}, "tb")
+					if err != nil {
+						elabErrs[w] = err
+						return
+					}
+					runs[w][i] = SimulateDesign(d, Options{MaxTime: 100000, CaptureFinal: true, Backend: mode})
+				}
+			}()
+		}
+		wg.Wait()
+		for w, r := range runs {
+			if elabErrs[w] != nil {
+				t.Fatalf("workers=%d: elab: %v", workers, elabErrs[w])
+			}
+			requireIdentical(t, r[0], r[1])
+			if r[0].Log != base.Log {
+				t.Fatalf("workers=%d: worker %d log diverged from a lone run", workers, w)
+			}
 		}
 	}
 }

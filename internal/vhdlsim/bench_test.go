@@ -11,11 +11,10 @@ import (
 // VHDL front-end: parse once, then elaborate + run a clocked 16-bit
 // counter for ~2000 cycles per iteration. Together the two benchmarks
 // feed BENCH_hdl.json so kernel regressions are visible from both
-// interpreters (see docs/PERFORMANCE.md). The Compiled/Interpreted
-// pair pins the same workload under each execution backend so the
-// fast path's advantage is tracked per-HDL.
+// interpreters (see docs/PERFORMANCE.md). BenchmarkVHDLSimCounter runs
+// the default (compiled) mode and the Interpreted variant forces the
+// interpreter, so the fast path's advantage is tracked per-HDL.
 func BenchmarkVHDLSimCounter(b *testing.B)            { benchVHDLCounter(b, sim.BackendAuto) }
-func BenchmarkVHDLSimCounterCompiled(b *testing.B)    { benchVHDLCounter(b, sim.BackendCompiled) }
 func BenchmarkVHDLSimCounterInterpreted(b *testing.B) { benchVHDLCounter(b, sim.BackendInterpret) }
 
 func benchVHDLCounter(b *testing.B, mode sim.BackendMode) {

@@ -43,12 +43,11 @@ type errNoCompile struct{}
 
 func bail() { panic(errNoCompile{}) }
 
-// vcenv is the runtime environment of one compiled program: the shard
-// simulator executing it, the owning component, and the slot-resolved
-// signals the program addresses.
+// vcenv is the runtime environment of one compiled program: the
+// simulator executing it and the slot-resolved signals the program
+// addresses.
 type vcenv struct {
 	s    *Simulator
-	comp *compCtx
 	sigs []*Signal
 }
 
@@ -142,7 +141,6 @@ func vb2u(b bool) uint64 {
 // target width.
 func (t vtarget) schedule(e *vcenv, v uint64) {
 	r := e.s.kernel.ScheduleUpdate(0)
-	r.Comp = e.s.curComp.idx
 	r.Sig = e.sigs[t.slot]
 	r.Val = hdl.FromUint(v&vmask(t.width), t.width)
 	if t.whole {
@@ -903,8 +901,8 @@ func (s *Simulator) progForProcess(inst *Instance, ps *vhdl.ProcessStmt) *vprocP
 
 // bindProcProg resolves a template program's slots against one
 // instance, producing the runtime environment for its machine.
-func bindProcProg(s *Simulator, inst *Instance, comp *compCtx, prog *vprocProg) *vcenv {
-	e := &vcenv{s: s, comp: comp, sigs: make([]*Signal, len(prog.slots))}
+func bindProcProg(s *Simulator, inst *Instance, prog *vprocProg) *vcenv {
+	e := &vcenv{s: s, sigs: make([]*Signal, len(prog.slots))}
 	for i, nm := range prog.slots {
 		e.sigs[i] = inst.Signals[nm]
 	}

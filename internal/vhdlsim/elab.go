@@ -176,7 +176,7 @@ func ElaborateWith(cache *ElabCache, units []*vhdl.DesignFile, top string) (*Des
 // Reset returns an elaborated design to its time-zero state so it can
 // be re-simulated without re-elaborating: values and previous values
 // revert to the elaborated initial value, event stamps clear (the
-// engine's delta serial restarts per run), and watcher registrations
+// kernel's delta serial restarts per run), and watcher registrations
 // drop (each run registers its own).
 func (d *Design) Reset() {
 	for i, sg := range d.all {

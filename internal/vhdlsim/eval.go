@@ -416,8 +416,7 @@ func (s *Simulator) evalAttr(inst *Instance, en *env, x *vhdl.AttrExpr) value {
 
 // eventFlagNow reports whether the signal changed in the delta cycle
 // currently executing (the one its wakeups run in). The stamp is the
-// engine's run-global delta serial, identical across shard
-// configurations; zero means "never changed".
+// kernel's run-global delta serial; zero means "never changed".
 func (sig *Signal) eventFlagNow(s *Simulator) bool {
 	return sig.eventStamp == s.kernel.DeltaSerial()
 }

@@ -34,11 +34,8 @@ func (s *Simulator) rearmWait(r *sim.WaitReg) {
 // delta and notifying watchers. Same-value writes are transactions
 // without events and are ignored.
 //
-// The stamp is the engine's run-global delta serial of the cycle in
-// which awakened processes run, so 'event evaluates identically no
-// matter how components are grouped onto shards (a per-shard batch
-// counter would advance at different rates in different
-// configurations).
+// The stamp is the kernel's run-global delta serial of the cycle in
+// which awakened processes run.
 func (s *Simulator) applyUpdate(sig *Signal, v hdl.Vector) {
 	v = v.Resize(sig.Width)
 	if sig.Val.Equal(v) {
@@ -54,12 +51,9 @@ func (s *Simulator) applyUpdate(sig *Signal, v hdl.Vector) {
 // record: zero delay lands in the next delta (NBA region); positive
 // delays are scheduled in time (VHDL transport-style delivery, applied
 // in the active region of the target time step, exactly where the
-// closure-based scheduling delivered them). The apply hook restores
-// the component context, since it runs from the kernel regions rather
-// than through a process step.
+// closure-based scheduling delivered them).
 func (s *Simulator) scheduleUpdate(sig *Signal, v hdl.Vector, delay sim.Time) {
 	r := s.kernel.ScheduleUpdate(delay)
-	r.Comp = s.curComp.idx
 	r.Sig = sig
 	r.Val = v
 	r.Apply = s.updFull
@@ -67,7 +61,6 @@ func (s *Simulator) scheduleUpdate(sig *Signal, v hdl.Vector, delay sim.Time) {
 
 // applyFullUpdate commits a pooled whole-signal update record.
 func (s *Simulator) applyFullUpdate(r *sim.NBARecord) {
-	s.curComp = s.sh.comps[r.Comp]
 	s.applyUpdate(r.Sig.(*Signal), r.Val)
 }
 
@@ -75,7 +68,6 @@ func (s *Simulator) applyFullUpdate(r *sim.NBARecord) {
 // read-modify-write against the value the signal holds when the update
 // applies.
 func (s *Simulator) applyPartUpdate(r *sim.NBARecord) {
-	s.curComp = s.sh.comps[r.Comp]
 	sig := r.Sig.(*Signal)
 	s.applyUpdate(sig, sig.Val.SetSlice(r.Lo, r.Val))
 }
@@ -159,7 +151,6 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 	// will hold when the update applies; we approximate with current
 	// value captured at apply time.
 	r := s.kernel.ScheduleUpdate(delay)
-	r.Comp = s.curComp.idx
 	r.Sig = t.sig
 	r.Val = val.v.Resize(t.width)
 	r.Lo = t.lo
@@ -170,12 +161,10 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 
 const stmtBudget = 20_000_000
 
-// tick charges one interpreter step against the current component's
-// budget. Budgets are per component (not per shard), so they exhaust
-// at the same point in every worker configuration.
+// tick charges one interpreter step against the run's statement budget.
 func (s *Simulator) tick() {
-	s.curComp.steps++
-	if s.curComp.steps > stmtBudget {
+	s.steps++
+	if s.steps > stmtBudget {
 		panic(faultf("statement budget exceeded (possible infinite loop)"))
 	}
 }
@@ -216,7 +205,6 @@ type procMachine struct {
 	s        *Simulator
 	inst     *Instance
 	p        *sim.Process
-	comp     *compCtx // connectivity component this process belongs to
 	ps       *vhdl.ProcessStmt
 	en       *env
 	stack    []frame
@@ -235,7 +223,6 @@ type procMachine struct {
 
 // step is the process continuation the kernel dispatches.
 func (m *procMachine) step(p *sim.Process) {
-	m.s.curComp = m.comp
 	defer m.s.procRecover()
 	for {
 		for len(m.stack) > 0 {
@@ -277,7 +264,7 @@ func (m *procMachine) startIteration() bool {
 				m.prog.run(m.penv)
 				return false
 			}
-			m.comp.fallbacks++
+			m.s.fallbacks++
 		}
 		return m.execBody()
 	}

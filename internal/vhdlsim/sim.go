@@ -14,13 +14,6 @@ type Options struct {
 	File      string
 	MaxOutput int
 
-	// Workers selects the sharded parallel backend (see vsim.Options
-	// and internal/sim): the design partitions into connectivity
-	// components executed on up to Workers concurrent shard kernels in
-	// delta lockstep, with byte-identical observable output for every
-	// worker count. Values <= 1 run the serial schedule.
-	Workers int
-
 	// CaptureFinal populates Result.Final with the post-run value of
 	// every signal (used by the differential harness).
 	CaptureFinal bool
@@ -40,75 +33,40 @@ type Result struct {
 	TimedOut     bool
 	Fault        string
 	EndTime      sim.Time
-	Events       uint64            // kernel events executed, summed over shards
-	Shards       int               // shard kernels the run executed on
+	Events       uint64            // kernel events executed
 	Final        map[string]string // hierarchical name -> final value
 	Backend      sim.BackendStats  // execution-strategy accounting
 }
 
-// shared is the cross-shard state of one run.
-type shared struct {
+// Simulator runs one elaborated VHDL design on its own event kernel.
+// Exactly one activity executes at a time, so the per-run state below
+// needs no locks.
+type Simulator struct {
 	design *Design
-	comps  []*compCtx
+	kernel *sim.Kernel
 	file   string
 	logCap int
 
-	// Backend bookkeeping. The counters are written during binding,
-	// which is single-threaded (SimulateDesign binds every shard's
-	// machinery serially before the engine starts). Port bindings
-	// count as interpreted assignments: they never compile.
+	log       []byte
+	steps     uint64 // interpreter statement budget spent
+	fault     string // first runtime fault
+	fallbacks uint64 // compiled activations deferred to the interpreter (X/Z guard)
+
+	assertErrors int
+	failed       bool
+
+	// Backend bookkeeping, counted while binding. Port bindings count
+	// as interpreted assignments: they never compile.
 	backend         sim.BackendMode
 	compiledProcs   int
 	interpProcs     int
 	compiledAssigns int
 	interpAssigns   int
-}
-
-// resolvedMode is the concrete strategy auto resolved to.
-func (sh *shared) resolvedMode() sim.BackendMode {
-	if sh.backend.Compiled() {
-		return sim.BackendCompiled
-	}
-	return sim.BackendInterpret
-}
-
-// compCtx is the per-connectivity-component state, keyed by the stable
-// component index so budgets, caps, and fault attribution are
-// identical in every worker configuration.
-type compCtx struct {
-	idx       int32
-	steps     uint64
-	logLen    int
-	fault     string
-	fallbacks uint64 // compiled activations deferred to the interpreter (X/Z guard)
-}
-
-// Simulator interprets one shard of an elaborated VHDL design on its
-// own event kernel; a serial run is a one-shard simulation. See
-// vsim.Simulator for the sharding architecture notes.
-type Simulator struct {
-	sh     *shared
-	kernel *sim.Kernel
-
-	logBuf  sim.OutBuf
-	curComp *compCtx
-
-	assertErrors int
-	failed       bool
 
 	// updFull/updPart are the pre-bound scheduled-update apply hooks
 	// (method values created once; one per update would allocate).
 	updFull func(*sim.NBARecord)
 	updPart func(*sim.NBARecord)
-}
-
-// newSimulator returns a shard simulator with its kernel and pre-bound
-// update hooks.
-func newSimulator(sh *shared) *Simulator {
-	s := &Simulator{sh: sh, kernel: sim.NewKernel()}
-	s.updFull = s.applyFullUpdate
-	s.updPart = s.applyPartUpdate
-	return s
 }
 
 // Simulate elaborates the entity named top from the units and runs it.
@@ -140,83 +98,58 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		opts.File = "tb.vhd"
 	}
 
-	plan := partitionDesign(d)
-	maxShards := 1
-	if opts.Workers > 1 {
-		maxShards = opts.Workers
+	s := &Simulator{
+		design:  d,
+		kernel:  sim.NewKernel(),
+		file:    opts.File,
+		logCap:  opts.MaxOutput,
+		backend: opts.Backend,
 	}
-	shardOf, nshards := sim.AssignShards(plan.weights, maxShards)
+	s.updFull = s.applyFullUpdate
+	s.updPart = s.applyPartUpdate
 
-	sh := &shared{design: d, file: opts.File, logCap: opts.MaxOutput, backend: opts.Backend}
-	for i := 0; i < plan.ncomps; i++ {
-		sh.comps = append(sh.comps, &compCtx{idx: int32(i)})
-	}
-	sims := make([]*Simulator, nshards)
-	kernels := make([]*sim.Kernel, nshards)
-	for i := range sims {
-		sims[i] = newSimulator(sh)
-		kernels[i] = sims[i].kernel
-	}
-
-	// Bind runtime machinery in global elaboration order, each item
-	// onto the shard that owns its component.
+	// Bind runtime machinery in elaboration order, which fixes the
+	// order of the time-zero activations.
 	for i := range d.portBinds {
-		c := plan.portComp[i]
-		sims[shardOf[c]].bindPort(&d.portBinds[i], sh.comps[c])
+		s.bindPort(&d.portBinds[i])
 	}
 	for i := range d.concAssigns {
-		c := plan.concComp[i]
-		sims[shardOf[c]].bindConcAssign(i, &d.concAssigns[i], sh.comps[c])
+		s.bindConcAssign(i, &d.concAssigns[i])
 	}
 	for i := range d.processes {
-		c := plan.procComp[i]
-		sims[shardOf[c]].bindProcess(&d.processes[i], sh.comps[c])
+		s.bindProcess(&d.processes[i])
 	}
 
-	eng := sim.NewEngine(kernels, opts.Workers)
-	eng.MaxTime = opts.MaxTime
-	reason := eng.Run()
+	k := s.kernel
+	k.MaxTime = opts.MaxTime
+	reason := k.Run()
 
-	logs := make([]*sim.OutBuf, len(sims))
 	res := &Result{
-		EndTime: eng.Now(),
-		Events:  eng.Events(),
-		Shards:  nshards,
+		Log:          string(s.log),
+		AssertErrors: s.assertErrors,
+		Failed:       s.failed,
+		Fault:        s.fault,
+		EndTime:      k.Now(),
+		Events:       k.Events(),
 	}
-	for i, ss := range sims {
-		logs[i] = &ss.logBuf
-		res.AssertErrors += ss.assertErrors
-		res.Failed = res.Failed || ss.failed
-	}
-	// Per-component caps bound buffering during the run; truncating the
-	// deterministic merged stream restores the global MaxOutput bound.
-	res.Log = sim.RenderChunks(sim.MergeChunks(logs...))
-	if len(res.Log) > sh.logCap {
-		res.Log = res.Log[:sh.logCap]
-	}
-	for _, c := range sh.comps {
-		if c.fault != "" {
-			res.Fault = c.fault
-			break
-		}
+	if len(res.Log) > s.logCap {
+		res.Log = res.Log[:s.logCap]
 	}
 	switch reason {
 	case sim.StopTimeout, sim.StopDeltas, sim.StopEvents:
 		res.TimedOut = true
-		res.Log += fmt.Sprintf("SIMULATOR: run aborted (%v) at time %d\n", reason, eng.Now())
+		res.Log += fmt.Sprintf("SIMULATOR: run aborted (%v) at time %d\n", reason, k.Now())
 	}
 	if res.Fault != "" && !strings.Contains(res.Log, res.Fault) {
 		res.Log += "SIMULATOR: " + res.Fault + "\n"
 	}
 	res.Backend = sim.BackendStats{
-		Mode:               sh.resolvedMode().String(),
-		CompiledProcs:      sh.compiledProcs,
-		InterpretedProcs:   sh.interpProcs,
-		CompiledAssigns:    sh.compiledAssigns,
-		InterpretedAssigns: sh.interpAssigns,
-	}
-	for _, c := range sh.comps {
-		res.Backend.Fallbacks += c.fallbacks
+		Mode:               s.backend.Label(),
+		CompiledProcs:      s.compiledProcs,
+		InterpretedProcs:   s.interpProcs,
+		CompiledAssigns:    s.compiledAssigns,
+		InterpretedAssigns: s.interpAssigns,
+		Fallbacks:          s.fallbacks,
 	}
 	if opts.CaptureFinal {
 		res.Final = map[string]string{}
@@ -237,10 +170,9 @@ func SimulateDesign(d *Design, opts Options) *Result {
 // bindPort wires one port association: in-ports copy parent actual to
 // the child port signal; out-ports copy the child port to the parent
 // actual (which must be an assignable name).
-func (s *Simulator) bindPort(pb *portBind, comp *compCtx) {
-	s.sh.interpAssigns++
+func (s *Simulator) bindPort(pb *portBind) {
+	s.interpAssigns++
 	update := func() {
-		s.curComp = comp
 		defer s.recoverFault()
 		if pb.dir == vhdl.DirIn {
 			val := s.eval(pb.parentScope, nil, pb.actual)
@@ -261,7 +193,6 @@ func (s *Simulator) bindPort(pb *portBind, comp *compCtx) {
 		}
 	}
 	fire := func() { s.kernel.Active(update) }
-	s.curComp = comp
 	func() {
 		defer s.recoverFault()
 		if pb.dir == vhdl.DirIn {
@@ -276,31 +207,30 @@ func (s *Simulator) bindPort(pb *portBind, comp *compCtx) {
 	s.kernel.Active(update)
 }
 
-func (s *Simulator) bindConcAssign(idx int, bc *boundConc, comp *compCtx) {
+func (s *Simulator) bindConcAssign(idx int, bc *boundConc) {
 	inst, ca := bc.scope, bc.ca
 	// Compiled fast path: specialize once per design; every update
 	// first tries the two-state program and falls back to the
 	// interpreter for activations that fail the guard.
 	var prog *vconcProg
 	var penv *vcenv
-	if s.sh.backend.Compiled() {
-		if prog = s.sh.design.concProgFor(s, idx); prog != nil {
-			penv = &vcenv{s: s, comp: comp, sigs: prog.sigs}
+	if s.backend.Compiled() {
+		if prog = s.design.concProgFor(s, idx); prog != nil {
+			penv = &vcenv{s: s, sigs: prog.sigs}
 		}
 	}
 	if prog != nil {
-		s.sh.compiledAssigns++
+		s.compiledAssigns++
 	} else {
-		s.sh.interpAssigns++
+		s.interpAssigns++
 	}
 	update := func() {
-		s.curComp = comp
 		if prog != nil {
 			if penv.ready(prog.guards) {
 				prog.run(penv)
 				return
 			}
-			comp.fallbacks++
+			s.fallbacks++
 		}
 		defer s.recoverFault()
 		for _, w := range ca.Waves {
@@ -312,7 +242,6 @@ func (s *Simulator) bindConcAssign(idx int, bc *boundConc, comp *compCtx) {
 		}
 	}
 	fire := func() { s.kernel.Active(update) }
-	s.curComp = comp
 	func() {
 		defer s.recoverFault()
 		seen := map[*Signal]bool{}
@@ -336,23 +265,23 @@ func (s *Simulator) bindConcAssign(idx int, bc *boundConc, comp *compCtx) {
 	s.kernel.Active(update)
 }
 
-func (s *Simulator) bindProcess(bp *boundProcess, comp *compCtx) {
+func (s *Simulator) bindProcess(bp *boundProcess) {
 	inst, ps := bp.scope, bp.ps
 	name := inst.Path + "." + ps.Label
 	if ps.Label == "" {
 		name = inst.Path + ".process"
 	}
-	m := &procMachine{s: s, inst: inst, ps: ps, en: newEnv(), comp: comp}
-	if s.sh.backend.Compiled() && len(ps.Sens) > 0 {
+	m := &procMachine{s: s, inst: inst, ps: ps, en: newEnv()}
+	if s.backend.Compiled() && len(ps.Sens) > 0 {
 		if prog := s.progForProcess(inst, ps); prog != nil {
 			m.prog = prog
-			m.penv = bindProcProg(s, inst, comp, prog)
+			m.penv = bindProcProg(s, inst, prog)
 		}
 	}
 	if m.prog != nil {
-		s.sh.compiledProcs++
+		s.compiledProcs++
 	} else {
-		s.sh.interpProcs++
+		s.interpProcs++
 	}
 	m.p = s.kernel.NewProcess(name, m.step)
 	m.activate = m.p.Activate
@@ -372,11 +301,11 @@ func (s *Simulator) makeVarSlot(inst *Instance, en *env, vd *vhdl.VarDecl) (*var
 	return slot, nil
 }
 
-// setFault records a runtime fault against the current component (the
-// stable attribution the merged Result reports) and stops the shard.
+// setFault records a runtime fault (the first one is the one Result
+// reports) and stops the run.
 func (s *Simulator) setFault(msg string) {
-	if c := s.curComp; c != nil && c.fault == "" {
-		c.fault = msg
+	if s.fault == "" {
+		s.fault = msg
 	}
 	s.kernel.SetFault(msg)
 }
@@ -404,11 +333,10 @@ func (s *Simulator) procRecover() {
 }
 
 func (s *Simulator) logf(format string, args ...any) {
-	c := s.curComp
-	if c.logLen > s.sh.logCap {
+	if len(s.log) > s.logCap {
 		return
 	}
-	c.logLen += s.logBuf.Appendf(s.kernel, c.idx, format, args...)
+	s.log = fmt.Appendf(s.log, format, args...)
 }
 
 // reportSeverity renders an assert/report message in xsim style and
@@ -427,7 +355,7 @@ func (s *Simulator) reportSeverity(severity, msg string, pos vhdl.Pos) {
 		s.assertErrors++
 		s.failed = true
 		s.logf("Failure: %s\n", msg)
-		s.logf("%s:%d: severity FAILURE at %d ns\n", s.sh.file, pos.Line, s.kernel.Now())
+		s.logf("%s:%d: severity FAILURE at %d ns\n", s.file, pos.Line, s.kernel.Now())
 		s.kernel.Finish()
 		panic(sim.TerminateProcess{})
 	default:

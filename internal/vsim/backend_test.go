@@ -2,6 +2,7 @@ package vsim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,7 @@ import (
 
 // runBothModes simulates src under the compiled and interpreted
 // backends and returns both results.
-func runBothModes(t *testing.T, src, top string, workers int) (compiled, interp *Result) {
+func runBothModes(t *testing.T, src, top string) (compiled, interp *Result) {
 	t.Helper()
 	sf, diags := verilog.Parse("src.v", src)
 	if diags.HasErrors() {
@@ -21,13 +22,13 @@ func runBothModes(t *testing.T, src, top string, workers int) (compiled, interp 
 		mods[m.Name] = m
 	}
 	do := func(mode sim.BackendMode) *Result {
-		res, err := Simulate(mods, top, Options{CaptureFinal: true, Backend: mode, Workers: workers})
+		res, err := Simulate(mods, top, Options{CaptureFinal: true, Backend: mode})
 		if err != nil {
 			t.Fatalf("simulate: %v", err)
 		}
 		return res
 	}
-	return do(sim.BackendCompiled), do(sim.BackendInterpret)
+	return do(sim.BackendAuto), do(sim.BackendInterpret)
 }
 
 // requireSameOutput asserts the two backends produced byte-identical
@@ -80,7 +81,7 @@ endmodule`
 // on the compiled fast path with output byte-identical to the
 // interpreter, and that the stats distinguish the modes.
 func TestVsimBackendCompiledEngages(t *testing.T) {
-	rc, ri := runBothModes(t, backendCounterSrc, "tb", 0)
+	rc, ri := runBothModes(t, backendCounterSrc, "tb")
 	requireSameOutput(t, rc, ri)
 	if rc.Backend.CompiledProcs == 0 {
 		t.Fatalf("expected compiled procs, got %+v", rc.Backend)
@@ -140,7 +141,7 @@ module tb;
     $finish;
   end
 endmodule`
-	rc, ri := runBothModes(t, src, "tb", 0)
+	rc, ri := runBothModes(t, src, "tb")
 	requireSameOutput(t, rc, ri)
 	if rc.Backend.CompiledProcs == 0 {
 		t.Fatalf("expected a compiled process, got %+v", rc.Backend)
@@ -156,15 +157,37 @@ endmodule`
 	}
 }
 
-// TestVsimBackendWorkersIdentical runs the counter across worker
-// counts in both modes; every combination must agree byte for byte.
+// TestVsimBackendWorkersIdentical runs the counter in both modes on 1,
+// 2 and 4 concurrent workers, each elaborating its own design from one
+// shared parse as sweep workers do; every run must agree byte for byte
+// with a lone run.
 func TestVsimBackendWorkersIdentical(t *testing.T) {
-	base, _ := runBothModes(t, backendCounterSrc, "tb", 0)
+	base, _ := runBothModes(t, backendCounterSrc, "tb")
+	mods := parseTestDesign(t, backendCounterSrc)
 	for _, workers := range []int{1, 2, 4} {
-		rc, ri := runBothModes(t, backendCounterSrc, "tb", workers)
-		requireSameOutput(t, rc, ri)
-		if rc.Log != base.Log {
-			t.Fatalf("workers=%d log diverged from serial", workers)
+		runs := make([][2]*Result, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, mode := range []sim.BackendMode{sim.BackendAuto, sim.BackendInterpret} {
+					if runs[w][i], errs[w] = Simulate(mods, "tb", Options{CaptureFinal: true, Backend: mode}); errs[w] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for w, r := range runs {
+			if errs[w] != nil {
+				t.Fatalf("workers=%d: %v", workers, errs[w])
+			}
+			requireSameOutput(t, r[0], r[1])
+			if r[0].Log != base.Log {
+				t.Fatalf("workers=%d: worker %d log diverged from a lone run", workers, w)
+			}
 		}
 	}
 }

@@ -14,69 +14,9 @@ import (
 // cycles per iteration. This is the same shape as the generated
 // testbenches the evaluation pipeline executes, so it tracks the
 // simulator's real hot loop (eval, signal update, kernel scheduling).
-func BenchmarkSimCounter(b *testing.B) {
-	src := `
-module counter(input clk, input reset, output reg [15:0] count);
-  always @(posedge clk) begin
-    if (reset) count <= 0;
-    else count <= count + 1;
-  end
-endmodule
-module tb;
-  reg clk, reset;
-  wire [15:0] count;
-  counter dut(.clk(clk), .reset(reset), .count(count));
-  initial begin
-    clk = 0; reset = 1;
-    #2 reset = 0;
-    #4000;
-    if (count < 16'd1000) $display("FAIL count=%d", count);
-    $finish;
-  end
-  always #1 clk = ~clk;
-endmodule`
-	sf, diags := verilog.Parse("bench.v", src)
-	if diags.HasErrors() {
-		b.Fatalf("parse: %v", diags)
-	}
-	mods := map[string]*verilog.Module{}
-	for _, m := range sf.Modules {
-		mods[m.Name] = m
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(mods, "tb", Options{})
-		if err != nil {
-			b.Fatalf("simulate: %v", err)
-		}
-		if !res.Finished {
-			b.Fatalf("did not finish: %s", res.Log)
-		}
-	}
-}
+func BenchmarkSimCounter(b *testing.B) { benchCounter(b, sim.BackendAuto) }
 
-// BenchmarkSimCounterParallel runs the counter bench through the
-// sharded backend at 4 workers. The design is one connectivity
-// component, so this measures the lockstep engine's overhead over the
-// serial schedule — the floor the parallel backend pays when a design
-// cannot shard.
-func BenchmarkSimCounterParallel(b *testing.B) {
-	mods := parseBenchDesign(b, counterSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(mods, "tb", Options{Workers: 4})
-		if err != nil {
-			b.Fatalf("simulate: %v", err)
-		}
-		if !res.Finished {
-			b.Fatalf("did not finish: %s", res.Log)
-		}
-	}
-}
-
-// benchCounter runs the counter bench under a forced backend mode.
+// benchCounter runs the counter bench under a backend mode.
 func benchCounter(b *testing.B, mode sim.BackendMode) {
 	mods := parseBenchDesign(b, counterSrc)
 	b.ReportAllocs()
@@ -92,12 +32,12 @@ func benchCounter(b *testing.B, mode sim.BackendMode) {
 	}
 }
 
-// BenchmarkSimCounterCompiled/Interpreted pin the backend mode on the
-// counter bench. The counter's always block compiles, but the design's
-// hot loop is split with the interpreted testbench clock generator
-// (`always #1`), so the spread here shows the compiled share only; the
-// datapath pair below isolates the compiled backend's real win.
-func BenchmarkSimCounterCompiled(b *testing.B)    { benchCounter(b, sim.BackendCompiled) }
+// BenchmarkSimCounterInterpreted forces the interpreter on the counter
+// bench, against BenchmarkSimCounter's default (compiled) mode. The
+// counter's always block compiles, but the design's hot loop is split
+// with the interpreted testbench clock generator (`always #1`), so the
+// spread here shows the compiled share only; the datapath pair below
+// isolates the compiled backend's real win.
 func BenchmarkSimCounterInterpreted(b *testing.B) { benchCounter(b, sim.BackendInterpret) }
 
 // datapathSrc is a two-state-eligible 64-bit datapath: four clocked
@@ -158,7 +98,7 @@ func benchDatapath(b *testing.B, mode sim.BackendMode) {
 
 // BenchmarkSimDatapathCompiled/Interpreted isolate the compiled
 // two-state fast path on eligible work (see datapathSrc).
-func BenchmarkSimDatapathCompiled(b *testing.B)    { benchDatapath(b, sim.BackendCompiled) }
+func BenchmarkSimDatapathCompiled(b *testing.B)    { benchDatapath(b, sim.BackendAuto) }
 func BenchmarkSimDatapathInterpreted(b *testing.B) { benchDatapath(b, sim.BackendInterpret) }
 
 const counterSrc = `
@@ -184,9 +124,7 @@ endmodule`
 
 // wideSrc is a wide multi-module design: 16 self-contained clusters,
 // each with its own clock and a compute-heavy clocked process, plus a
-// finisher. The clusters are independent connectivity components, so
-// the partitioner spreads them across shards and the parallel backend
-// can actually win (see BENCH_hdl.json for the recorded speedup).
+// finisher.
 func wideSrc() string {
 	var sb strings.Builder
 	const clusters = 16
@@ -227,12 +165,13 @@ func parseBenchDesign(b *testing.B, src string) map[string]*verilog.Module {
 	return mods
 }
 
-func benchWide(b *testing.B, workers int) {
+// BenchmarkSimWide runs the wide design (see wideSrc).
+func BenchmarkSimWide(b *testing.B) {
 	mods := parseBenchDesign(b, wideSrc())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(mods, "tb", Options{Workers: workers})
+		res, err := Simulate(mods, "tb", Options{})
 		if err != nil {
 			b.Fatalf("simulate: %v", err)
 		}
@@ -241,10 +180,3 @@ func benchWide(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkSimWide is the serial baseline for the wide design.
-func BenchmarkSimWide(b *testing.B) { benchWide(b, 1) }
-
-// BenchmarkSimWideParallel runs the wide design on the sharded backend
-// at 4 workers; the acceptance bar is >= 1.5x over BenchmarkSimWide.
-func BenchmarkSimWideParallel(b *testing.B) { benchWide(b, 4) }

@@ -61,13 +61,12 @@ import (
 var errNoCompile = errors.New("not compilable")
 
 // cenv is the per-run binding of a compiled program: the slot table
-// resolved to this instance's signals plus the simulator/component the
+// resolved to this instance's signals plus the simulator the
 // activation runs under. Compiled closures receive it as their only
 // argument, so programs themselves stay shareable across instances,
 // runs, and designs.
 type cenv struct {
 	s    *Simulator
-	comp *compCtx
 	sigs []*Signal
 }
 
@@ -159,7 +158,6 @@ func scheduleParts(e *cenv, parts []cpart, total int, v uint64) {
 			continue
 		}
 		r := e.s.kernel.NBAPut()
-		r.Comp = e.comp.idx
 		r.Sig = e.sigs[p.slot]
 		r.Val = hdl.FromUint(v>>uint(lo), p.width)
 		r.Lo = p.lo
@@ -1197,12 +1195,12 @@ func progForAlways(s *Simulator, inst *Instance, alw *verilog.AlwaysBlock) *proc
 }
 
 // bindProg resolves a template program's slots against one instance.
-func bindProg(s *Simulator, inst *Instance, comp *compCtx, p *procProg) *cenv {
+func bindProg(s *Simulator, inst *Instance, p *procProg) *cenv {
 	sigs := make([]*Signal, len(p.slots))
 	for i, name := range p.slots {
 		sigs[i] = inst.Signals[name]
 	}
-	return &cenv{s: s, comp: comp, sigs: sigs}
+	return &cenv{s: s, sigs: sigs}
 }
 
 // compileContAssign builds the design-scoped program for one continuous

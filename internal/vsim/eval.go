@@ -576,12 +576,9 @@ func (sim *Simulator) evalSysFunc(inst *Instance, x *verilog.SysFuncCall) hdl.Ve
 	case "$time", "$stime", "$realtime":
 		return hdl.FromUint(uint64(sim.kernel.Now()), 64)
 	case "$random", "$urandom":
-		// One stream per connectivity component, seeded from the stable
-		// component index, so sequences are identical regardless of how
-		// components are grouped onto shards.
-		c := sim.curComp
-		c.rng = c.rng*6364136223846793005 + 1442695040888963407
-		return hdl.FromUint(c.rng>>16, 32)
+		// One stream per run, drawn in execution order.
+		sim.rng = sim.rng*6364136223846793005 + 1442695040888963407
+		return hdl.FromUint(sim.rng>>16, 32)
 	case "$clog2":
 		if len(x.Args) != 1 {
 			panic(faultf("$clog2 expects 1 argument"))

@@ -252,7 +252,7 @@ func (s *Simulator) applyTargets(ts []target, total int, val hdl.Vector) {
 // buffer and the target list is either a cached static binding or the
 // simulator's scratch, so a steady-state nonblocking assignment
 // performs no allocation at all.
-func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector, comp *compCtx) {
+func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector) {
 	val = val.Resize(total)
 	hi := total
 	for i := range ts {
@@ -264,7 +264,6 @@ func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector, comp *co
 			continue
 		}
 		r := s.kernel.NBAPut()
-		r.Comp = comp.idx
 		r.Sig = t.sig
 		r.Val = part
 		if t.isMem {
@@ -278,13 +277,8 @@ func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector, comp *co
 	}
 }
 
-// applyVecNBA commits one pooled vector-target update. It runs from
-// the kernel's NBA region, not through a process step, so it restores
-// the component context first: observable effects (VCD changes,
-// watcher-driven output) must be attributed to the scheduling
-// component.
+// applyVecNBA commits one pooled vector-target update.
 func (s *Simulator) applyVecNBA(r *sim.NBARecord) {
-	s.curComp = s.sh.comps[r.Comp]
 	sig := r.Sig.(*Signal)
 	if r.Lo == 0 && r.Width == sig.Width {
 		s.setSignal(sig, r.Val)
@@ -295,7 +289,6 @@ func (s *Simulator) applyVecNBA(r *sim.NBARecord) {
 
 // applyMemNBA commits one pooled memory-word update.
 func (s *Simulator) applyMemNBA(r *sim.NBARecord) {
-	s.curComp = s.sh.comps[r.Comp]
 	s.setMemWord(r.Sig.(*Signal), r.Aux, r.Val)
 }
 
@@ -479,12 +472,10 @@ func (s *Simulator) expandStar(body verilog.Stmt) *verilog.SensList {
 
 const stmtBudget = 20_000_000
 
-// tick charges one interpreter step against the current component's
-// budget. Budgets are per component (not per shard), so they exhaust
-// at the same point in every worker configuration.
+// tick charges one interpreter step against the run's statement budget.
 func (s *Simulator) tick() {
-	s.curComp.steps++
-	if s.curComp.steps > stmtBudget {
+	s.steps++
+	if s.steps > stmtBudget {
 		panic(faultf("statement budget exceeded (possible infinite loop in RTL)"))
 	}
 }
@@ -525,7 +516,6 @@ type procMachine struct {
 	s        *Simulator
 	inst     *Instance
 	p        *sim.Process
-	comp     *compCtx // connectivity component this process belongs to
 	body     verilog.Stmt
 	sens     *verilog.SensList // non-nil for always @(...) blocks
 	stack    []frame
@@ -582,7 +572,6 @@ func (m *procMachine) lhsTargets(x *verilog.Assign) ([]target, int) {
 
 // step is the process continuation the kernel dispatches.
 func (m *procMachine) step(p *sim.Process) {
-	m.s.curComp = m.comp
 	defer m.s.procRecover()
 	for {
 		for len(m.stack) > 0 {
@@ -624,7 +613,7 @@ func (m *procMachine) startIteration() bool {
 				m.prog.body(m.penv)
 				return false
 			}
-			m.comp.fallbacks++
+			m.s.fallbacks++
 		}
 		return m.exec(m.body)
 	}
@@ -770,7 +759,7 @@ func (m *procMachine) exec(st verilog.Stmt) bool {
 			// NBA updates apply later, as typed kernel records carrying
 			// their own copy of the resolved target bounds — nothing from
 			// the scratch resolution is retained.
-			s.scheduleNBA(ts, total, val, m.comp)
+			s.scheduleNBA(ts, total, val)
 		}
 	case *verilog.DelayStmt:
 		av := s.eval(inst, x.Amount)

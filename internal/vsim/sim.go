@@ -14,16 +14,7 @@ type Options struct {
 	MaxTime   sim.Time // simulated-time limit (default 1,000,000)
 	Seed      uint64   // $random seed
 	File      string   // logical source file name used in $finish/$stop lines
-	MaxOutput int      // cap on captured log bytes per component (default 1 MiB)
-
-	// Workers selects the sharded parallel backend: the design is
-	// partitioned into connectivity components (see partition.go) and
-	// executed on up to Workers concurrent shard kernels in delta
-	// lockstep. Observable output — log, VCD, final signal values —
-	// is byte-identical for every worker count (pinned by the
-	// differential harness in internal/sim). Values <= 1 run the
-	// single-kernel serial schedule.
-	Workers int
+	MaxOutput int      // cap on captured log bytes (default 1 MiB)
 
 	// CaptureFinal populates Result.Final with the post-run value of
 	// every non-memory signal (used by the differential harness).
@@ -46,65 +37,38 @@ type Result struct {
 	Fault    string
 	EndTime  sim.Time
 	VCD      string            // waveform dump when the bench ran $dumpvars
-	Events   uint64            // kernel events executed, summed over shards
-	Shards   int               // shard kernels the run executed on
+	Events   uint64            // kernel events executed
 	Final    map[string]string // hierarchical name -> final value (CaptureFinal)
 	Backend  sim.BackendStats  // how processes executed (compiled vs interpreted)
 }
 
-// shared is the cross-shard state of one run: the elaborated design,
-// the per-component contexts, and the VCD dump. Everything here is
-// either immutable during the run or mutated only at delta barriers.
-type shared struct {
+// Simulator runs one elaborated design on its own event kernel. Exactly
+// one activity executes at a time, so the per-run state below needs no
+// locks.
+type Simulator struct {
 	design *Design
-	comps  []*compCtx
+	kernel *sim.Kernel
 	file   string
 	logCap int
-	vcd    vcdShared
 
-	// Backend bookkeeping. The counters are written during binding,
-	// which is single-threaded (SimulateDesign binds every shard's
-	// entities serially before the engine starts).
+	log       []byte
+	vcd       vcdDump
+	rng       uint64 // $random stream
+	steps     uint64 // interpreter statement budget spent
+	fault     string // first runtime fault
+	fallbacks uint64 // compiled activations deferred to the interpreter (X/Z guard)
+
+	finished bool
+	stopped  bool
+	dumpReq  bool   // $dumpvars executed; honoured at the delta boundary
+	vcdFile  string // $dumpfile argument (informational)
+
+	// Backend bookkeeping, counted while binding.
 	backend         sim.BackendMode
 	compiledProcs   int
 	interpProcs     int
 	compiledAssigns int
 	interpAssigns   int
-}
-
-// compCtx is the per-connectivity-component state. A component runs on
-// exactly one shard, but this state is keyed by the component index —
-// stable across worker counts — so $random streams, statement budgets,
-// output caps, and fault attribution are identical in every
-// configuration.
-type compCtx struct {
-	idx       int32
-	rng       uint64
-	steps     uint64
-	logLen    int
-	vcdLen    int
-	fault     string
-	fallbacks uint64 // compiled activations deferred to the interpreter (X/Z guard)
-}
-
-// Simulator interprets one shard of an elaborated design on its own
-// event kernel. A serial run is simply a one-shard simulation; the
-// interpreter code is identical. Within a shard exactly one activity
-// executes at a time (the engine's phases are the only concurrency),
-// so per-shard state needs no locks, and shards share no signals by
-// construction of the partition.
-type Simulator struct {
-	sh     *shared
-	kernel *sim.Kernel
-
-	logBuf  sim.OutBuf
-	vcdBuf  sim.OutBuf
-	curComp *compCtx // component of the activity currently executing
-
-	finished bool
-	stopped  bool
-	dumpReq  bool   // $dumpvars executed; honoured at the delta barrier
-	vcdFile  string // $dumpfile argument (informational)
 
 	// targetScratch backs resolveTargetsScratch for assignments whose
 	// targets are consumed immediately (blocking assigns, continuous
@@ -117,15 +81,6 @@ type Simulator struct {
 	// allocate).
 	nbaVec func(*sim.NBARecord)
 	nbaMem func(*sim.NBARecord)
-}
-
-// newSimulator returns a shard simulator with its kernel and pre-bound
-// update hooks.
-func newSimulator(sh *shared) *Simulator {
-	s := &Simulator{sh: sh, kernel: sim.NewKernel()}
-	s.nbaVec = s.applyVecNBA
-	s.nbaMem = s.applyMemNBA
-	return s
 }
 
 // Simulate elaborates top from modules and runs it to completion.
@@ -157,99 +112,57 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		opts.File = "tb.v"
 	}
 
-	plan := partitionDesign(d)
-	maxShards := 1
-	if opts.Workers > 1 {
-		maxShards = opts.Workers
+	s := &Simulator{
+		design:  d,
+		kernel:  sim.NewKernel(),
+		file:    opts.File,
+		logCap:  opts.MaxOutput,
+		backend: opts.Backend,
+		rng:     opts.Seed ^ 0x9E3779B97F4A7C15,
 	}
-	shardOf, nshards := sim.AssignShards(plan.weights, maxShards)
+	s.nbaVec = s.applyVecNBA
+	s.nbaMem = s.applyMemNBA
 
-	sh := &shared{design: d, file: opts.File, logCap: opts.MaxOutput, backend: opts.Backend}
-	seedBase := opts.Seed ^ 0x9E3779B97F4A7C15
-	for i := 0; i < plan.ncomps; i++ {
-		// Component 0 keeps the historical single-stream seed; the
-		// others derive theirs from the stable component index.
-		sh.comps = append(sh.comps, &compCtx{
-			idx: int32(i),
-			rng: seedBase ^ (uint64(i) * 0xA24BAED4963EE407),
-		})
-	}
-
-	sims := make([]*Simulator, nshards)
-	kernels := make([]*sim.Kernel, nshards)
-	for i := range sims {
-		sims[i] = newSimulator(sh)
-		kernels[i] = sims[i].kernel
-	}
-
-	// Bind runtime machinery in global elaboration order, each entity
-	// onto the shard that owns its component, so every component's
-	// initial activations keep their serial relative order.
+	// Bind runtime machinery in elaboration order, which fixes the
+	// order of the time-zero activations.
 	for i := range d.contAssigns {
-		c := plan.assignComp[i]
-		sims[shardOf[c]].bindContAssign(i, &d.contAssigns[i], sh.comps[c])
+		s.bindContAssign(i, &d.contAssigns[i])
 	}
-	for i := range d.procs {
-		c := plan.procComp[i]
-		bp := d.procs[i]
-		ss := sims[shardOf[c]]
+	for _, bp := range d.procs {
 		switch {
 		case bp.always != nil:
-			ss.bindAlways(bp.scope, bp.always, sh.comps[c])
+			s.bindAlways(bp.scope, bp.always)
 		case bp.initial != nil:
-			ss.bindInitial(bp.scope, bp.initial, sh.comps[c])
+			s.bindInitial(bp.scope, bp.initial)
 		}
 	}
 
-	eng := sim.NewEngine(kernels, opts.Workers)
-	eng.MaxTime = opts.MaxTime
-	eng.AfterDelta = func() {
-		// $dumpvars takes effect at the delta boundary: a deterministic
-		// point in every configuration, with all shards paused so the
-		// whole design can be sampled for the initial dump.
-		if sh.vcd.enabled {
-			return
-		}
-		for _, ss := range sims {
-			if ss.dumpReq {
-				sh.vcd.enable(d, eng.Now())
-				return
-			}
+	k := s.kernel
+	k.MaxTime = opts.MaxTime
+	k.AfterDelta = func() {
+		// $dumpvars takes effect at the delta boundary, where the whole
+		// design can be sampled for the initial dump.
+		if s.dumpReq && !s.vcd.enabled {
+			s.vcd.enable(d, k.Now())
 		}
 	}
-	reason := eng.Run()
+	reason := k.Run()
 
-	logs := make([]*sim.OutBuf, len(sims))
-	vcds := make([]*sim.OutBuf, len(sims))
 	res := &Result{
-		EndTime: eng.Now(),
-		Events:  eng.Events(),
-		Shards:  nshards,
+		Log:      truncateTo(string(s.log), s.logCap),
+		Finished: s.finished,
+		Stopped:  s.stopped,
+		Fault:    s.fault,
+		EndTime:  k.Now(),
+		Events:   k.Events(),
 	}
-	for i, ss := range sims {
-		logs[i] = &ss.logBuf
-		vcds[i] = &ss.vcdBuf
-		res.Finished = res.Finished || ss.finished
-		res.Stopped = res.Stopped || ss.stopped
-	}
-	// Per-component caps bound each component's buffered output (a
-	// deterministic, configuration-independent cut); truncating the
-	// merged stream restores the old global MaxOutput bound on the
-	// rendered log, equally deterministically.
-	res.Log = truncateTo(sim.RenderChunks(sim.MergeChunks(logs...)), sh.logCap)
-	for _, c := range sh.comps {
-		if c.fault != "" {
-			res.Fault = c.fault
-			break
-		}
-	}
-	if sh.vcd.enabled {
-		res.VCD = sh.vcd.render(vcds)
+	if s.vcd.enabled {
+		res.VCD = s.vcd.render()
 	}
 	switch reason {
 	case sim.StopTimeout, sim.StopDeltas, sim.StopEvents:
 		res.TimedOut = true
-		res.Log += fmt.Sprintf("SIMULATOR: run aborted (%v) at time %d\n", reason, eng.Now())
+		res.Log += fmt.Sprintf("SIMULATOR: run aborted (%v) at time %d\n", reason, k.Now())
 	}
 	if res.Fault != "" && !strings.Contains(res.Log, res.Fault) {
 		res.Log += "SIMULATOR: " + res.Fault + "\n"
@@ -263,28 +176,18 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		}
 	}
 	res.Backend = sim.BackendStats{
-		Mode:               sh.resolvedMode().String(),
-		CompiledProcs:      sh.compiledProcs,
-		InterpretedProcs:   sh.interpProcs,
-		CompiledAssigns:    sh.compiledAssigns,
-		InterpretedAssigns: sh.interpAssigns,
-	}
-	for _, c := range sh.comps {
-		res.Backend.Fallbacks += c.fallbacks
+		Mode:               s.backend.Label(),
+		CompiledProcs:      s.compiledProcs,
+		InterpretedProcs:   s.interpProcs,
+		CompiledAssigns:    s.compiledAssigns,
+		InterpretedAssigns: s.interpAssigns,
+		Fallbacks:          s.fallbacks,
 	}
 	return res
 }
 
-// resolvedMode is the concrete strategy auto resolved to.
-func (sh *shared) resolvedMode() sim.BackendMode {
-	if sh.backend.Compiled() {
-		return sim.BackendCompiled
-	}
-	return sim.BackendInterpret
-}
-
 // truncateTo bounds s to limit bytes (the abort/fault summary lines
-// callers append afterwards stay visible, as they always did).
+// appended afterwards stay visible).
 func truncateTo(s string, limit int) string {
 	if len(s) <= limit {
 		return s
@@ -296,7 +199,6 @@ func truncateTo(s string, limit int) string {
 type contAssignRT struct {
 	s       *Simulator
 	a       *boundAssign
-	comp    *compCtx
 	pending bool
 	run     func() // pre-built event closure: scheduling must not allocate
 
@@ -320,7 +222,6 @@ func (c *contAssignRT) schedule() {
 }
 
 func (c *contAssignRT) update() {
-	c.s.curComp = c.comp
 	if p := c.prog; p != nil {
 		// Compiled path: no fault recovery needed — a compiled update
 		// cannot fault (no division, no budget charge, static targets).
@@ -328,7 +229,7 @@ func (c *contAssignRT) update() {
 			applyParts(e, p.parts, p.total, p.rhs.fn(e))
 			return
 		}
-		c.comp.fallbacks++
+		c.s.fallbacks++
 	}
 	defer c.s.recoverFault()
 	var ts []target
@@ -349,25 +250,24 @@ func (c *contAssignRT) update() {
 	c.s.applyTargets(ts, total, val)
 }
 
-func (s *Simulator) bindContAssign(idx int, a *boundAssign, comp *compCtx) {
-	rt := &contAssignRT{s: s, a: a, comp: comp}
-	if s.sh.backend.Compiled() {
-		if prog := s.sh.design.caProgFor(s, idx); prog != nil {
+func (s *Simulator) bindContAssign(idx int, a *boundAssign) {
+	rt := &contAssignRT{s: s, a: a}
+	if s.backend.Compiled() {
+		if prog := s.design.caProgFor(s, idx); prog != nil {
 			rt.prog = prog
-			rt.penv = &cenv{s: s, comp: comp, sigs: prog.sigs}
+			rt.penv = &cenv{s: s, sigs: prog.sigs}
 		}
 	}
 	if rt.prog != nil {
-		s.sh.compiledAssigns++
+		s.compiledAssigns++
 	} else {
-		s.sh.interpAssigns++
+		s.interpAssigns++
 	}
 	rt.run = func() {
 		rt.pending = false
 		rt.update()
 	}
 	// Persistent watchers on every RHS signal.
-	s.curComp = comp
 	func() {
 		defer s.recoverFault()
 		for _, sig := range collectSignals(a.rhsScope, a.rhs) {
@@ -378,11 +278,11 @@ func (s *Simulator) bindContAssign(idx int, a *boundAssign, comp *compCtx) {
 	rt.schedule()
 }
 
-// setFault records a runtime fault against the current component (the
-// stable attribution the merged Result reports) and stops the shard.
+// setFault records a runtime fault (the first one is the one Result
+// reports) and stops the run.
 func (s *Simulator) setFault(msg string) {
-	if c := s.curComp; c != nil && c.fault == "" {
-		c.fault = msg
+	if s.fault == "" {
+		s.fault = msg
 	}
 	s.kernel.SetFault(msg)
 }
@@ -398,30 +298,30 @@ func (s *Simulator) recoverFault() {
 	}
 }
 
-func (s *Simulator) bindAlways(inst *Instance, alw *verilog.AlwaysBlock, comp *compCtx) {
-	m := &procMachine{s: s, inst: inst, body: alw.Body, sens: alw.Sens, always: true, comp: comp}
+func (s *Simulator) bindAlways(inst *Instance, alw *verilog.AlwaysBlock) {
+	m := &procMachine{s: s, inst: inst, body: alw.Body, sens: alw.Sens, always: true}
 	// Only sensitivity-driven always blocks take the compiled path: the
 	// armed wakeup runs the body once to completion, which is exactly
 	// the shape a compiled (suspension-free) body has. Bare `always`
 	// blocks must contain delays, so they stay interpreted.
-	if s.sh.backend.Compiled() && alw.Sens != nil {
+	if s.backend.Compiled() && alw.Sens != nil {
 		if prog := progForAlways(s, inst, alw); prog != nil {
 			m.prog = prog
-			m.penv = bindProg(s, inst, comp, prog)
+			m.penv = bindProg(s, inst, prog)
 		}
 	}
 	if m.prog != nil {
-		s.sh.compiledProcs++
+		s.compiledProcs++
 	} else {
-		s.sh.interpProcs++
+		s.interpProcs++
 	}
 	m.p = s.kernel.NewProcess(inst.Path+".always", m.step)
 	m.activate = m.p.Activate
 }
 
-func (s *Simulator) bindInitial(inst *Instance, ib *verilog.InitialBlock, comp *compCtx) {
-	m := &procMachine{s: s, inst: inst, body: ib.Body, comp: comp}
-	s.sh.interpProcs++ // initial blocks run once; always interpreted
+func (s *Simulator) bindInitial(inst *Instance, ib *verilog.InitialBlock) {
+	m := &procMachine{s: s, inst: inst, body: ib.Body}
+	s.interpProcs++ // initial blocks run once; always interpreted
 	m.p = s.kernel.NewProcess(inst.Path+".initial", m.step)
 	m.activate = m.p.Activate
 }
@@ -445,11 +345,10 @@ func (s *Simulator) procRecover() {
 // ---------------------------------------------------------------- tasks
 
 func (s *Simulator) logf(format string, args ...any) {
-	c := s.curComp
-	if c.logLen > s.sh.logCap {
+	if len(s.log) > s.logCap {
 		return
 	}
-	c.logLen += s.logBuf.Appendf(s.kernel, c.idx, format, args...)
+	s.log = fmt.Appendf(s.log, format, args...)
 }
 
 func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
@@ -467,12 +366,12 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 		s.installMonitor(inst, x.Args)
 	case "$finish":
 		s.finished = true
-		s.logf("%s:%d: $finish called at %d (1ns)\n", s.sh.file, x.Pos.Line, s.kernel.Now())
+		s.logf("%s:%d: $finish called at %d (1ns)\n", s.file, x.Pos.Line, s.kernel.Now())
 		s.kernel.Finish()
 		panic(sim.TerminateProcess{})
 	case "$stop":
 		s.stopped = true
-		s.logf("%s:%d: $stop called at %d (1ns)\n", s.sh.file, x.Pos.Line, s.kernel.Now())
+		s.logf("%s:%d: $stop called at %d (1ns)\n", s.file, x.Pos.Line, s.kernel.Now())
 		s.kernel.Finish()
 		panic(sim.TerminateProcess{})
 	case "$fatal":
@@ -500,9 +399,7 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 // installMonitor implements $monitor: print now, then re-print whenever
 // any referenced signal changes (at most one line per delta batch).
 func (s *Simulator) installMonitor(inst *Instance, args []verilog.Expr) {
-	comp := s.curComp
 	print := func() {
-		s.curComp = comp
 		defer s.recoverFault()
 		s.logf("%s\n", s.formatArgs(inst, args))
 	}

@@ -8,21 +8,21 @@ import (
 	"repro/internal/sim"
 )
 
-// vcdShared records value changes in IEEE 1364 VCD format once the
-// testbench executes $dumpvars. The dump is cross-shard state: the
-// header and identifier table are built exactly once, at the delta
-// boundary following the $dumpvars call (a deterministic point with
-// every shard paused, so the whole design can be sampled for the
-// initial dump). Subsequent changes are recorded per shard into
-// lockstep-tagged chunk buffers and merged after the run, so the final
-// document is byte-identical for every worker count.
-type vcdShared struct {
+// vcdDump records value changes in IEEE 1364 VCD format once the
+// testbench executes $dumpvars. The header and identifier table are
+// built exactly once, at the delta boundary following the $dumpvars
+// call, where the whole design can be sampled for the initial dump.
+// Subsequent changes are recorded into time-tagged chunks and rendered
+// under the header after the run.
+type vcdDump struct {
 	enabled   bool
 	ids       map[*Signal]string
 	order     []*Signal // header order, for the deterministic initial dump
 	header    strings.Builder
 	startTime sim.Time
-	cap       int // per-component cap on recorded change bytes
+	cap       int // cap on recorded change bytes
+	changes   sim.OutBuf
+	n         int // change bytes recorded so far
 }
 
 // vcdID generates the printable short identifier for the n-th signal.
@@ -41,7 +41,7 @@ func vcdID(n int) string {
 
 // enable emits the header covering every signal of the design and
 // starts change recording. It runs at a delta boundary.
-func (v *vcdShared) enable(d *Design, now sim.Time) {
+func (v *vcdDump) enable(d *Design, now sim.Time) {
 	if v.enabled {
 		return
 	}
@@ -87,10 +87,9 @@ func (v *vcdShared) enable(d *Design, now sim.Time) {
 	v.header.WriteString("$end\n")
 }
 
-// vcdChange records one signal transition into the shard's chunk
-// buffer, charged against the owning component's cap.
+// vcdChange records one signal transition, up to the dump's cap.
 func (s *Simulator) vcdChange(sig *Signal) {
-	v := &s.sh.vcd
+	v := &s.vcd
 	if !v.enabled {
 		return
 	}
@@ -98,38 +97,33 @@ func (s *Simulator) vcdChange(sig *Signal) {
 	if !ok {
 		return
 	}
-	c := s.curComp
-	if c.vcdLen > v.cap {
+	if v.n > v.cap {
 		return
 	}
 	if sig.Width == 1 {
-		c.vcdLen += s.vcdBuf.Appendf(s.kernel, c.idx, "%c%s\n", sig.Val.Bit(0).Rune(), id)
+		v.n += v.changes.Appendf(s.kernel, "%c%s\n", sig.Val.Bit(0).Rune(), id)
 	} else {
-		c.vcdLen += s.vcdBuf.Appendf(s.kernel, c.idx, "b%s %s\n", sig.Val.BinString(), id)
+		v.n += v.changes.Appendf(s.kernel, "b%s %s\n", sig.Val.BinString(), id)
 	}
 }
 
-// render merges the shards' change chunks under the header, emitting a
-// #time line whenever the merged stream crosses a time step. The body
-// is bounded by the global cap (per-component caps bound buffering
-// during the run; this restores the old total-document bound, applied
-// to the deterministic merged stream so every configuration truncates
-// at the same byte).
-func (v *vcdShared) render(bufs []*sim.OutBuf) string {
-	chunks := sim.MergeChunks(bufs...)
+// render writes the recorded changes under the header, emitting a
+// #time line whenever the stream crosses a time step. The body is
+// bounded by the cap, cut at a chunk boundary.
+func (v *vcdDump) render() string {
 	var sb strings.Builder
 	sb.WriteString(v.header.String())
 	limit := sb.Len() + v.cap
 	last := v.startTime
-	for i := range chunks {
+	for _, c := range v.changes.Chunks() {
 		if sb.Len() > limit {
 			break
 		}
-		if chunks[i].Time != last {
-			fmt.Fprintf(&sb, "#%d\n", chunks[i].Time)
-			last = chunks[i].Time
+		if c.Time != last {
+			fmt.Fprintf(&sb, "#%d\n", c.Time)
+			last = c.Time
 		}
-		sb.Write(chunks[i].Buf)
+		sb.Write(c.Buf)
 	}
 	return sb.String()
 }
