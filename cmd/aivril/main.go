@@ -29,7 +29,6 @@ func main() {
 		langName  = flag.String("lang", "verilog", "target language: verilog | vhdl")
 		list      = flag.Bool("list", false, "list all problem ids and exit")
 		showRTL   = flag.Bool("show-rtl", true, "print the final RTL")
-		elabCache = flag.Bool("elab-cache", true, "reuse parse/elaboration results across repair-loop iterations (speed only; output and checkpoints are unaffected)")
 		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 
 		providerName = flag.String("provider", "offline",
@@ -77,7 +76,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig(model, lang)
-	cfg.DisableDesignCache = !*elabCache
 	cfg.SimMode = mode
 	cfg.Trace = func(stage, detail string) {
 		fmt.Printf("[%-9s] %s\n", stage, detail)

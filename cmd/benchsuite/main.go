@@ -62,7 +62,6 @@ func main() {
 		every      = flag.Int("every", 1, "evaluate every N-th problem (subsampling)")
 		workers    = flag.Int("workers", 0, "max parallel problems (0 = auto)")
 		simMode    = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
-		elabCache  = flag.Bool("elab-cache", true, "share one elaboration/design cache across the whole run (speed only; results and cache keys are unaffected)")
 		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (enables resume)")
 		resume     = flag.Bool("resume", true, "reuse cached cells; -resume=false recomputes and overwrites")
 		checkpoint = flag.Bool("checkpoints", true, "with -cache-dir: checkpoint every cell after each pipeline state so aborted cells resume mid-run")
@@ -137,17 +136,12 @@ func main() {
 	stack.BreakerThreshold = *llmBreaker
 	// One design cache for every sweep in this invocation: a Table 1 run
 	// followed by the ablation re-simulates many identical (problem, RTL)
-	// pairs, and the cache turns those into elaboration reuse. Disabling
-	// it only removes the sharing — each exp.Run then builds its own.
-	var designCache *edatool.DesignCache
-	if *elabCache {
-		designCache = edatool.NewDesignCache()
-	}
+	// pairs, and the cache turns those into reruns of retained designs.
 	opts := exp.Options{
 		Problems:    problems,
 		Runner:      run,
 		SimMode:     backendMode,
-		DesignCache: designCache,
+		DesignCache: edatool.NewDesignCache(),
 		Checkpoint:  *checkpoint,
 		Provider:    *providerName,
 		ProviderConfig: provider.BuildConfig{

@@ -48,18 +48,13 @@ type Config struct {
 	SimMode sim.BackendMode
 	// DesignCache shares parsed/elaborated designs across every compile
 	// and simulation this pipeline runs (see edatool.DesignCache): the
-	// repair loop re-elaborates only the module a repair changed, and
+	// repair loop re-parses only the unit a repair changed, and
 	// identical source sets re-run the retained design. Like SimMode
 	// it only changes speed, never results, so it deliberately does not
 	// enter the experiment cache key. When nil, New creates a private
 	// per-pipeline cache; sweeps may inject a shared one.
 	DesignCache *edatool.DesignCache
-	// DisableDesignCache suppresses that private cache, forcing every
-	// compile and simulation to parse and elaborate from scratch. A
-	// diagnostic knob (cold-vs-warm comparisons); ignored when
-	// DesignCache is set explicitly.
-	DisableDesignCache bool
-	Trace              func(stage, detail string) // optional transcript sink
+	Trace       func(stage, detail string) // optional transcript sink
 }
 
 // Fingerprint identifies the behavioural configuration: every knob
@@ -171,7 +166,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.Provider == nil && cfg.Model != nil {
 		cfg.Provider = provider.NewStack(provider.NewOffline(cfg.Model), provider.DefaultStackConfig())
 	}
-	if cfg.DesignCache == nil && !cfg.DisableDesignCache {
+	if cfg.DesignCache == nil {
 		cfg.DesignCache = edatool.NewDesignCache()
 	}
 	tc := edatool.New(edatool.Options{

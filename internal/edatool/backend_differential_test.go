@@ -20,8 +20,8 @@ import (
 // and requires output identical to a cold interpreted run. The wN
 // subtests run the two modes on N concurrent workers sharing one
 // toolchain cache, as sweep workers do, so retained designs and the
-// compiled programs cached with their elaboration templates are
-// reused across modes and goroutines (CI runs this under -race). It
+// compiled programs cached on them are reused across modes and
+// goroutines (CI runs this under -race). It
 // also pins that the modes really differ in execution strategy:
 // interpret mode must never bind a compiled program.
 func TestBackendDifferentialByteIdentical(t *testing.T) {

@@ -1,6 +1,8 @@
 package edatool
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"strings"
 	"sync"
@@ -12,23 +14,19 @@ import (
 	"repro/internal/vsim"
 )
 
-// DesignCache is the in-process elaboration-reuse layer spanning both
-// front-ends. It stacks three caches, coarsest first:
+// DesignCache is the in-process reuse layer spanning both front-ends.
+// It stacks two levels, coarsest first:
 //
-//  1. A full-design cache keyed by (language, top, sorted name:hash
-//     unit set): an identical source set skips parse, check, and
-//     elaborate entirely and re-simulates the retained design after a
-//     reset to time zero. Entries are checked out exclusively — an
+//  1. Whole-design retention keyed by (language, top, sorted
+//     name:hash unit set): an identical source set skips parse, check,
+//     and elaborate entirely and re-simulates the retained design after
+//     a reset to time zero. Entries are checked out exclusively — an
 //     acquire removes the design, the post-run release returns it — so
 //     concurrent simulations never share one Design.
-//  2. Per-unit parse caches keyed by (file name, content hash): in the
+//  2. A per-unit parse memo keyed by (file name, content hash): in the
 //     repair loop only the candidate RTL changes, so the testbench and
-//     stub units skip re-parsing. Returning the *same* AST pointers is
-//     also what feeds cache 3 (ASTs are immutable after parse).
-//  3. The front-end elaboration template caches (vsim.ElabCache /
-//     vhdlsim.ElabCache), keyed by AST pointer + parameter/generic
-//     valuation: unchanged modules of a changed design skip their
-//     elaboration walk and re-link against the changed ones.
+//     stub units skip re-parsing (the reference testbenches dwarf the
+//     RTL they check).
 //
 // The cache is strictly key-neutral: it changes how fast a result is
 // produced, never the result. Warm, incremental, and reset-and-rerun
@@ -42,32 +40,24 @@ import (
 type DesignCache struct {
 	mu sync.Mutex
 
-	vparse map[string]*vparseEntry
-	hparse map[string]*hparseEntry
+	vparse map[string]parsedUnit[*verilog.SourceFile]
+	hparse map[string]parsedUnit[*vhdl.DesignFile]
 
 	vdesigns map[string]*vsim.Design
 	hdesigns map[string]*vhdlsim.Design
 
-	velab  *vsim.ElabCache
-	vhelab *vhdlsim.ElabCache
-
 	stats CacheStats
 }
 
-type vparseEntry struct {
-	sf    *verilog.SourceFile
-	diags diag.List
-}
-
-type hparseEntry struct {
-	df    *vhdl.DesignFile
+// parsedUnit is one memoized parse: the AST and its parse diagnostics.
+type parsedUnit[F any] struct {
+	file  F
 	diags diag.List
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 // Design counts track whole-design reuse (skip everything), parse
-// counts per-unit reuse (skip parsing; unchanged units also hit the
-// elaboration template caches through AST pointer identity).
+// counts per-unit reuse (skip parsing).
 type CacheStats struct {
 	DesignHits   int
 	DesignMisses int
@@ -85,21 +75,31 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	}
 }
 
-// maxDesigns bounds the retained-design maps per language; overflow
+// maxDesigns bounds each retained-design and parse-memo map; overflow
 // evicts an arbitrary entry (eviction is invisible in results — only
 // in speed).
 const maxDesigns = 256
+
+// makeRoom evicts an arbitrary entry from a full cache map. The caller
+// holds the cache's lock.
+func makeRoom[V any](m map[string]V) {
+	if len(m) < maxDesigns {
+		return
+	}
+	for k := range m {
+		delete(m, k)
+		return
+	}
+}
 
 // NewDesignCache returns an empty cache, safe for concurrent use by
 // any number of simulations.
 func NewDesignCache() *DesignCache {
 	return &DesignCache{
-		vparse:   make(map[string]*vparseEntry),
-		hparse:   make(map[string]*hparseEntry),
+		vparse:   make(map[string]parsedUnit[*verilog.SourceFile]),
+		hparse:   make(map[string]parsedUnit[*vhdl.DesignFile]),
 		vdesigns: make(map[string]*vsim.Design),
 		hdesigns: make(map[string]*vhdlsim.Design),
-		velab:    vsim.NewElabCache(),
-		vhelab:   vhdlsim.NewElabCache(),
 	}
 }
 
@@ -111,16 +111,19 @@ func (c *DesignCache) Stats() CacheStats {
 	return s
 }
 
+// hashSource is the content hash both cache levels key units on:
+// hex-encoded SHA-256 of the exact source text.
+func hashSource(text string) string {
+	sum := sha256.Sum256([]byte(text))
+	return hex.EncodeToString(sum[:])
+}
+
 // designKey builds the full-design cache key: language, top, and the
 // sorted (name, content hash) set of the source units.
 func designKey(lang Language, top string, sources []Source) string {
 	parts := make([]string, 0, len(sources))
 	for _, src := range sources {
-		h := verilog.HashSource(src.Text)
-		if lang == VHDL {
-			h = vhdl.HashSource(src.Text)
-		}
-		parts = append(parts, src.Name+":"+h)
+		parts = append(parts, src.Name+":"+hashSource(src.Text))
 	}
 	sort.Strings(parts)
 	return lang.String() + "|" + top + "|" + strings.Join(parts, "|")
@@ -151,59 +154,28 @@ func releaseDesign[D any](c *DesignCache, designs map[string]D, key string, d D)
 	if _, exists := designs[key]; exists {
 		return
 	}
-	if len(designs) >= maxDesigns {
-		for k := range designs {
-			delete(designs, k)
-			break
-		}
-	}
+	makeRoom(designs)
 	designs[key] = d
 }
 
-// parseVerilog parses src through the per-unit cache (identical file
-// name and content return the retained AST and diagnostics).
-func (c *DesignCache) parseVerilog(src Source) (*verilog.SourceFile, diag.List) {
-	key := src.Name + "\x00" + verilog.HashSource(src.Text)
+// parseUnit parses src through memo (one of the cache's per-language
+// parse maps): identical file name and content return the retained AST
+// and diagnostics.
+func parseUnit[F any](c *DesignCache, memo map[string]parsedUnit[F], src Source,
+	parse func(file, src string) (F, diag.List)) (F, diag.List) {
+	key := src.Name + "\x00" + hashSource(src.Text)
 	c.mu.Lock()
-	if e, ok := c.vparse[key]; ok {
+	if e, ok := memo[key]; ok {
 		c.stats.ParseHits++
 		c.mu.Unlock()
-		return e.sf, e.diags
+		return e.file, e.diags
 	}
 	c.stats.ParseMisses++
 	c.mu.Unlock()
-	sf, pd := verilog.Parse(src.Name, src.Text)
+	f, pd := parse(src.Name, src.Text)
 	c.mu.Lock()
-	if len(c.vparse) >= maxDesigns {
-		for k := range c.vparse {
-			delete(c.vparse, k)
-			break
-		}
-	}
-	c.vparse[key] = &vparseEntry{sf: sf, diags: pd}
+	makeRoom(memo)
+	memo[key] = parsedUnit[F]{file: f, diags: pd}
 	c.mu.Unlock()
-	return sf, pd
-}
-
-func (c *DesignCache) parseVHDL(src Source) (*vhdl.DesignFile, diag.List) {
-	key := src.Name + "\x00" + vhdl.HashSource(src.Text)
-	c.mu.Lock()
-	if e, ok := c.hparse[key]; ok {
-		c.stats.ParseHits++
-		c.mu.Unlock()
-		return e.df, e.diags
-	}
-	c.stats.ParseMisses++
-	c.mu.Unlock()
-	df, pd := vhdl.Parse(src.Name, src.Text)
-	c.mu.Lock()
-	if len(c.hparse) >= maxDesigns {
-		for k := range c.hparse {
-			delete(c.hparse, k)
-			break
-		}
-	}
-	c.hparse[key] = &hparseEntry{df: df, diags: pd}
-	c.mu.Unlock()
-	return df, pd
+	return f, pd
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/verilog"
+	"repro/internal/vhdl"
 )
 
 const cacheTestDUT = `
@@ -72,21 +74,31 @@ func TestDesignCheckoutExclusive(t *testing.T) {
 
 func TestParseCacheCountsAndPointerIdentity(t *testing.T) {
 	cache := NewDesignCache()
+	parse := func(src Source) *verilog.SourceFile {
+		sf, _ := parseUnit(cache, cache.vparse, src, verilog.Parse)
+		return sf
+	}
 	src := Source{Name: "dut.v", Text: cacheTestDUT}
-	sf1, _ := cache.parseVerilog(src)
-	sf2, _ := cache.parseVerilog(src)
+	sf1 := parse(src)
+	sf2 := parse(src)
 	if sf1 != sf2 {
 		t.Error("identical source did not return the retained AST pointer")
 	}
 	// Same content under a different file name parses fresh (positions
 	// embed the file name).
-	sf3, _ := cache.parseVerilog(Source{Name: "other.v", Text: cacheTestDUT})
-	if sf3 == sf1 {
+	if sf3 := parse(Source{Name: "other.v", Text: cacheTestDUT}); sf3 == sf1 {
 		t.Error("different file name shared an AST")
 	}
+	// The VHDL memo is separate and counts into the same stats.
+	vsrc := Source{Name: "dut.vhd", Text: "entity e is end entity;\narchitecture a of e is begin end architecture;\n"}
+	df1, _ := parseUnit(cache, cache.hparse, vsrc, vhdl.Parse)
+	df2, _ := parseUnit(cache, cache.hparse, vsrc, vhdl.Parse)
+	if df1 != df2 {
+		t.Error("identical VHDL source did not return the retained AST pointer")
+	}
 	st := cache.Stats()
-	if st.ParseHits != 1 || st.ParseMisses != 2 {
-		t.Errorf("stats = %+v, want 1 hit / 2 misses", st)
+	if st.ParseHits != 2 || st.ParseMisses != 3 {
+		t.Errorf("stats = %+v, want 2 hits / 3 misses", st)
 	}
 }
 

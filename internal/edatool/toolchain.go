@@ -22,9 +22,9 @@ type Options struct {
 	// not part of any cache key.
 	Mode sim.BackendMode
 
-	// Cache shares parse, elaboration, and whole-design reuse across
-	// every compile and simulation this toolchain runs (see
-	// DesignCache). Nil runs everything cold.
+	// Cache shares parse and whole-design reuse across every compile
+	// and simulation this toolchain runs (see DesignCache). Nil runs
+	// everything cold.
 	Cache *DesignCache
 }
 
@@ -67,7 +67,7 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 			var sf *verilog.SourceFile
 			var pd diag.List
 			if cache != nil {
-				sf, pd = cache.parseVerilog(src)
+				sf, pd = parseUnit(cache, cache.vparse, src, verilog.Parse)
 			} else {
 				sf, pd = verilog.Parse(src.Name, src.Text)
 			}
@@ -87,7 +87,7 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 			var df *vhdl.DesignFile
 			var pd diag.List
 			if cache != nil {
-				df, pd = cache.parseVHDL(src)
+				df, pd = parseUnit(cache, cache.hparse, src, vhdl.Parse)
 			} else {
 				df, pd = vhdl.Parse(src.Name, src.Text)
 			}
@@ -116,23 +116,22 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 // With a cache set it reuses prior work at every level that still
 // applies: a fully identical source set skips compile and elaboration
 // and re-runs the retained design from time zero; a partially changed
-// set reuses unchanged units' parses and elaboration templates.
-// Backend mode is not part of the design key — a design elaborated
-// under one mode is re-simulated under another with byte-identical
-// output (the compiled programs themselves are cached per elaboration
-// template and engage only when the run's mode asks for them).
+// set reuses unchanged units' parses. Backend mode is not part of the
+// design key — a design elaborated under one mode is re-simulated under
+// another with byte-identical output (the compiled programs themselves
+// are cached on the design and engage only when the run's mode asks
+// for them).
 func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
 	file := sources[len(sources)-1].Name
 	cache := tc.opts.Cache
 	if lang == Verilog {
-		var ec *vsim.ElabCache
 		var designs map[string]*vsim.Design
 		if cache != nil {
-			ec, designs = cache.velab, cache.vdesigns
+			designs = cache.vdesigns
 		}
 		return simulate(tc, lang, top, sources, designs,
 			func(comp *CompileResult) (*vsim.Design, error) {
-				return vsim.ElaborateWith(ec, comp.Modules, top)
+				return vsim.Elaborate(comp.Modules, top)
 			},
 			func(d *vsim.Design) (*SimResult, sim.Time) {
 				res := vsim.SimulateDesign(d, vsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode})
@@ -145,14 +144,13 @@ func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources
 				}, res.EndTime
 			})
 	}
-	var ec *vhdlsim.ElabCache
 	var designs map[string]*vhdlsim.Design
 	if cache != nil {
-		ec, designs = cache.vhelab, cache.hdesigns
+		designs = cache.hdesigns
 	}
 	return simulate(tc, lang, top, sources, designs,
 		func(comp *CompileResult) (*vhdlsim.Design, error) {
-			return vhdlsim.ElaborateWith(ec, comp.Units, top)
+			return vhdlsim.Elaborate(comp.Units, top)
 		},
 		func(d *vhdlsim.Design) (*SimResult, sim.Time) {
 			res := vhdlsim.SimulateDesign(d, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode})

@@ -156,10 +156,10 @@ type Options struct {
 	// artefacts, outcome and cache entry an uninterrupted run would
 	// have.
 	Checkpoint bool
-	// DesignCache shares one elaboration-reuse cache across every cell
-	// of the sweep (see edatool.DesignCache): repair-loop iterations
-	// re-elaborate only the changed module, and the per-problem
-	// reference testbenches parse once per sweep. Cache-key-neutral —
+	// DesignCache shares one design cache across every cell of the
+	// sweep (see edatool.DesignCache): identical (problem, RTL) pairs
+	// re-run a retained design, and the per-problem reference
+	// testbenches parse once per sweep. Cache-key-neutral —
 	// warm results are byte-identical to cold, so cached cells and
 	// golden pins are unaffected. When nil, Run creates a sweep-private
 	// cache; pass one to share across sweeps (e.g. a daemon).
@@ -306,9 +306,9 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 		r = &runner.Runner{Workers: opts.MaxWorkers}
 	}
 	cfg := opts.effectiveConfig(model, lang)
-	// One elaboration cache for the whole sweep (unless the Configure
-	// hook pinned its own): warm cells skip re-parsing the unchanged
-	// testbenches and re-elaborating unchanged modules. Stats deltas
+	// One design cache for the whole sweep (unless the Configure hook
+	// pinned its own): warm cells skip re-parsing the unchanged
+	// testbenches and re-run identical designs. Stats deltas
 	// land in the run manifest next to the runner cache stats.
 	if cfg.DesignCache == nil {
 		cfg.DesignCache = opts.DesignCache

@@ -169,7 +169,7 @@ type Server struct {
 	pool  *runner.Pool
 	st    *stats
 	prov  *provider.Metrics
-	// elab is the server-wide elaboration-reuse cache, shared by every
+	// elab is the server-wide design cache, shared by every
 	// job (see edatool.DesignCache). It is cache-key-neutral — warm
 	// simulations are byte-identical to cold — so job IDs and cached
 	// results are unaffected by sharing it across jobs and workers.

@@ -780,33 +780,39 @@ func TestSlowLorisDefence(t *testing.T) {
 // earlier process.
 func TestRecordTTLGC(t *testing.T) {
 	dir := t.TempDir()
+	const ttl = 100 * time.Millisecond
+	// The GC ticker is parked for the first server: collection is driven
+	// through gc with explicit times, so a record cannot expire before
+	// the assertions that must see it run.
 	cfg := Config{
 		CacheDir:   dir,
 		Workers:    1,
 		Stack:      provider.DefaultStackConfig(),
-		RecordTTL:  100 * time.Millisecond,
-		GCInterval: 20 * time.Millisecond,
+		RecordTTL:  ttl,
+		GCInterval: time.Hour,
 	}
 	s := newServer(t, cfg)
 	rec, err := s.Submit(spec("gate_xor"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, s, rec.ID, StatusCompleted)
+	done := waitStatus(t, s, rec.ID, StatusCompleted)
 	cell := filepath.Join(dir, rec.ID[:2], rec.ID+".json")
 	if _, err := os.Stat(cell); err != nil {
 		t.Fatalf("result cell missing after completion: %v", err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := s.Get(rec.ID); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("completed record never expired")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := s.gc(done.Updated.Add(ttl - time.Nanosecond)); n != 0 {
+		t.Fatalf("gc before the TTL expired %d record(s)", n)
+	}
+	if _, ok := s.Get(rec.ID); !ok {
+		t.Fatal("record collected before its TTL")
+	}
+	if n := s.gc(time.Now().Add(ttl)); n != 1 {
+		t.Fatalf("gc at the TTL expired %d record(s), want 1", n)
+	}
+	if _, ok := s.Get(rec.ID); ok {
+		t.Fatal("expired record still served")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "jobs", rec.ID+".json")); !os.IsNotExist(err) {
 		t.Errorf("expired record file still on disk: %v", err)
@@ -814,8 +820,8 @@ func TestRecordTTLGC(t *testing.T) {
 	if _, err := os.Stat(cell); err != nil {
 		t.Errorf("GC removed the shared result cell: %v", err)
 	}
-	if snap := s.Metrics(); snap.RecordsExpired < 1 {
-		t.Errorf("RecordsExpired = %d, want >= 1", snap.RecordsExpired)
+	if snap := s.Metrics(); snap.RecordsExpired != 1 {
+		t.Errorf("RecordsExpired = %d, want 1", snap.RecordsExpired)
 	}
 
 	// Resubmission of the expired job is served from the result cell.
@@ -847,6 +853,26 @@ func TestRecordTTLGC(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "jobs", old.ID+".json")); !os.IsNotExist(err) {
 		t.Errorf("stale record file survived startup GC: %v", err)
+	}
+	s2.Shutdown()
+
+	// The ticker collects on its own: with it running, a finished job's
+	// record disappears without any explicit gc call.
+	cfg.GCInterval = 20 * time.Millisecond
+	s3 := newServer(t, cfg)
+	rec3, err := s3.Submit(spec("gate_xor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := s3.Get(rec3.ID); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("completed record never expired")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -5,10 +5,6 @@ import "repro/internal/hdl"
 // SourceFile is the root of a parsed compilation unit.
 type SourceFile struct {
 	Modules []*Module
-	// Hash is the content hash of the source text this file was parsed
-	// from (HashSource). Cache layers key on it to recognise unchanged
-	// compilation units without re-parsing.
-	Hash string
 }
 
 // Module is a Verilog module definition.

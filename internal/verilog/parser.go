@@ -23,7 +23,7 @@ type Parser struct {
 // when diags contains errors.
 func Parse(file, src string) (*SourceFile, diag.List) {
 	p := &Parser{toks: Tokens(src), file: file}
-	sf := &SourceFile{Hash: HashSource(src)}
+	sf := &SourceFile{}
 	for !p.at(TokEOF) {
 		if p.atKeyword("module") {
 			if m := p.parseModule(); m != nil {

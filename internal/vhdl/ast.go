@@ -6,10 +6,6 @@ import "repro/internal/hdl"
 type DesignFile struct {
 	Entities []*Entity
 	Archs    []*Architecture
-	// Hash is the content hash of the source text this file was parsed
-	// from (HashSource). Cache layers key on it to recognise unchanged
-	// compilation units without re-parsing.
-	Hash string
 }
 
 // PortDir is a port mode.

@@ -20,7 +20,7 @@ type Parser struct {
 // Parse parses src and returns the design file plus diagnostics.
 func Parse(file, src string) (*DesignFile, diag.List) {
 	p := &Parser{toks: Tokens(src), file: file}
-	df := &DesignFile{Hash: HashSource(src)}
+	df := &DesignFile{}
 	for !p.at(TokEOF) {
 		switch {
 		case p.atKeyword("library"), p.atKeyword("use"):

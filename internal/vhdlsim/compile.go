@@ -879,15 +879,13 @@ func compileProcess(s *Simulator, inst *Instance, ps *vhdl.ProcessStmt) (prog *v
 }
 
 // progForProcess memoizes process compilation on the entity template
-// (shared across instances and concurrent simulations; a nil entry is
-// the negative-classification cache).
+// (shared by the template's instances; a nil entry is the
+// negative-classification cache).
 func (s *Simulator) progForProcess(inst *Instance, ps *vhdl.ProcessStmt) *vprocProg {
 	tmpl := inst.tmpl
 	if tmpl == nil {
 		return compileProcess(s, inst, ps)
 	}
-	tmpl.progMu.Lock()
-	defer tmpl.progMu.Unlock()
 	if tmpl.progs == nil {
 		tmpl.progs = make(map[*vhdl.ProcessStmt]*vprocProg)
 	}

@@ -82,8 +82,8 @@ type Design struct {
 	concAssigns []boundConc
 	portBinds   []portBind
 
-	cache *ElabCache // template source during elaboration
-	arena sigArena   // chunked Signal storage
+	templates map[tmplKey]*entityTemplate // per-(entity, generics) shapes; see template.go
+	arena     sigArena                    // chunked Signal storage
 
 	// Reset-and-rerun state: all lists every signal in elaboration
 	// order, initVals their elaborated initial values, and ran marks a
@@ -132,22 +132,10 @@ func elabErrf(pos vhdl.Pos, format string, args ...any) *ElabError {
 
 // Elaborate builds the design rooted at the entity named top.
 func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
-	return ElaborateWith(nil, units, top)
-}
-
-// ElaborateWith builds the design rooted at top, reusing entity
-// templates from cache where the (entity, architecture, generic
-// valuation) triple is already known. A nil cache elaborates cold
-// through a private throwaway cache — the same code path, so warm
-// results are byte-identical to cold by construction.
-func ElaborateWith(cache *ElabCache, units []*vhdl.DesignFile, top string) (*Design, error) {
-	if cache == nil {
-		cache = NewElabCache()
-	}
 	d := &Design{
-		entities: map[string]*vhdl.Entity{},
-		archs:    map[string]*vhdl.Architecture{},
-		cache:    cache,
+		entities:  map[string]*vhdl.Entity{},
+		archs:     map[string]*vhdl.Architecture{},
+		templates: map[tmplKey]*entityTemplate{},
 	}
 	for _, u := range units {
 		for _, e := range u.Entities {
@@ -205,7 +193,7 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		Parent: parent,
 	}
 	// Generics resolve live: the valuation is part of the template
-	// cache key. The map is built lazily — most entities have no
+	// key. The map is built lazily — most entities have no
 	// generics, and nil lookups behave like an empty valuation.
 	for _, g := range ent.Generics {
 		if inst.Generics == nil {
@@ -225,19 +213,19 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		inst.Generics[g.Name] = v
 	}
 
-	// Declarations and statements are memoized per (entity, arch,
-	// generic valuation); see elabcache.go. On a hit the instance
-	// adopts the template's constant map (generics + architecture
-	// constants, read-only after elaboration).
-	key := tmplKey{ent: ent, arch: arch, generics: fingerprintGenerics(ent, inst.Generics)}
-	tmpl := d.cache.lookup(key)
+	// Declarations and statements are resolved once per (entity,
+	// generic valuation); see template.go. On a hit the instance adopts
+	// the template's constant map (generics + architecture constants,
+	// read-only after elaboration).
+	key := tmplKey{ent: ent, generics: fingerprintGenerics(ent, inst.Generics)}
+	tmpl := d.templates[key]
 	if tmpl == nil {
 		var err error
 		tmpl, err = buildTemplate(ent, arch, inst)
 		if err != nil {
 			return nil, err
 		}
-		d.cache.store(key, tmpl)
+		d.templates[key] = tmpl
 	} else {
 		inst.Generics = tmpl.generics
 	}
@@ -264,8 +252,7 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		case opConc:
 			d.concAssigns = append(d.concAssigns, boundConc{scope: inst, ca: op.ca})
 		case opChild:
-			// Child entities resolve against the current unit set, so
-			// a cached parent re-links against a changed child.
+			// Child entities resolve against the design's unit set.
 			if err := d.elabChild(inst, op.child); err != nil {
 				return nil, err
 			}

@@ -2,68 +2,32 @@ package vhdlsim
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/hdl"
 	"repro/internal/vhdl"
 )
 
-// Entity-level elaboration cache, mirroring vsim's module templates
-// (see internal/vsim/elabcache.go for the design rationale). A template
-// memoizes everything about elaborating one entity/architecture pair
-// under one generic valuation that is independent of the instance
-// path: the resolved constants, the signal layout (type dispatch,
-// range bounds, initial values), and the ordered statement list.
-// Instantiation replays the template and resolves child entities
-// against the current unit set, so a cached parent re-links against a
-// changed child.
+// Entity templates, mirroring vsim's module templates (see
+// internal/vsim/template.go for the design rationale). A template holds
+// everything about elaborating one entity under one generic valuation
+// that is independent of the instance path: the resolved constants, the
+// signal layout (type dispatch, range bounds, initial values), and the
+// ordered statement list. Instantiation replays the template and
+// resolves child entities against the design's unit set.
 //
-// The key includes the architecture pointer, not just the entity:
-// architecture resolution is last-wins per unit set, so the same
-// entity AST can pair with different architectures across runs.
-//
-// Cold elaboration runs through a throwaway cache — one code path, so
-// warm output is byte-identical to cold by construction.
-
-// ElabCache memoizes per-entity elaboration templates across runs.
-// Safe for concurrent use; concurrent misses may both build and one
-// result wins (templates are pure functions of the key).
-type ElabCache struct {
-	mu        sync.Mutex
-	templates map[tmplKey]*entityTemplate
-}
+// Templates live in a per-Design map keyed by entity AST pointer +
+// generic fingerprint (an entity's architecture is fixed within one
+// design: the last one in the unit set), and host the compiled process
+// programs, so same-key instances of one design share them. A design
+// is simulated by one run at a time, so nothing here needs a lock.
 
 type tmplKey struct {
 	ent      *vhdl.Entity
-	arch     *vhdl.Architecture
 	generics string
 }
 
-const maxTemplates = 4096
-
-// NewElabCache returns an empty template cache.
-func NewElabCache() *ElabCache {
-	return &ElabCache{templates: make(map[tmplKey]*entityTemplate)}
-}
-
-func (c *ElabCache) lookup(k tmplKey) *entityTemplate {
-	c.mu.Lock()
-	t := c.templates[k]
-	c.mu.Unlock()
-	return t
-}
-
-func (c *ElabCache) store(k tmplKey, t *entityTemplate) {
-	c.mu.Lock()
-	if len(c.templates) >= maxTemplates {
-		clear(c.templates)
-	}
-	c.templates[k] = t
-	c.mu.Unlock()
-}
-
-// entityTemplate is the memoized shape of one entity/architecture pair
-// under one generic valuation.
+// entityTemplate is the resolved shape of one entity (with its
+// architecture) under one generic valuation.
 type entityTemplate struct {
 	// generics is the complete elaboration-scope constant map —
 	// entity generics plus architecture constants. It is read-only
@@ -75,11 +39,9 @@ type entityTemplate struct {
 	// Compiled two-state programs, one per process, built on first
 	// demand (see compile.go). Programs address signals by local-name
 	// slot and bake generic values as constants — both functions of the
-	// template key — so every instance of this template (across
-	// concurrent simulations sharing the ElabCache, hence the mutex)
-	// shares one program. A nil map entry is the negative cache.
-	progMu sync.Mutex
-	progs  map[*vhdl.ProcessStmt]*vprocProg
+	// template key — so every instance of this template shares one
+	// program. A nil map entry is the negative cache.
+	progs map[*vhdl.ProcessStmt]*vprocProg
 }
 
 // sigSpec is one signal's resolved declaration; init is the elaborated

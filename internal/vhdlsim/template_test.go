@@ -3,11 +3,12 @@ package vhdlsim
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
 
-// Warm elaboration and reset-and-rerun must be invisible in results;
-// these mirror the vsim cache tests for the VHDL front-end.
+// Template replay and reset-and-rerun must be invisible in results;
+// these mirror the vsim template tests for the VHDL front-end.
 
 const elabCounterEnt = `
 entity counter is
@@ -97,24 +98,6 @@ func compareRuns(t *testing.T, label string, cold, warm *Result) {
 	}
 }
 
-func TestWarmElaborationIdentical(t *testing.T) {
-	units := parseElabUnits(t, elabCounterEnt, elabCounterTB)
-	cd, err := Elaborate(units, "tb")
-	if err != nil {
-		t.Fatalf("cold elaborate: %v", err)
-	}
-	cold := mustSimDesign(t, cd)
-
-	cache := NewElabCache()
-	for i := 0; i < 3; i++ {
-		d, err := ElaborateWith(cache, units, "tb")
-		if err != nil {
-			t.Fatalf("warm elaborate %d: %v", i, err)
-		}
-		compareRuns(t, "warm", cold, mustSimDesign(t, d))
-	}
-}
-
 func TestResetAndRerunIdentical(t *testing.T) {
 	units := parseElabUnits(t, elabCounterEnt, elabCounterTB)
 	d, err := Elaborate(units, "tb")
@@ -128,9 +111,9 @@ func TestResetAndRerunIdentical(t *testing.T) {
 }
 
 // TestIncrementalReelaboration swaps the DUT unit under a fixed
-// testbench AST: the testbench template is reused by pointer identity,
-// the swapped DUT rebuilds, and both configurations keep their cold
-// output.
+// testbench AST, as edatool's parse memo does in the repair loop:
+// re-elaborating either configuration, alternately, keeps producing
+// that configuration's first output.
 func TestIncrementalReelaboration(t *testing.T) {
 	const dutDown = `
 entity counter is
@@ -156,79 +139,124 @@ end architecture;
 	up := []*vhdl.DesignFile{parseElabUnits(t, elabCounterEnt)[0], tbUnit}
 	down := []*vhdl.DesignFile{parseElabUnits(t, dutDown)[0], tbUnit}
 
-	coldUp, err := Elaborate(up, "tb")
-	if err != nil {
-		t.Fatalf("cold elaborate up: %v", err)
+	elabSim := func(units []*vhdl.DesignFile) *Result {
+		d, err := Elaborate(units, "tb")
+		if err != nil {
+			t.Fatalf("elaborate: %v", err)
+		}
+		return mustSimDesign(t, d)
 	}
-	coldDown, err := Elaborate(down, "tb")
-	if err != nil {
-		t.Fatalf("cold elaborate down: %v", err)
-	}
-	upRes, downRes := mustSimDesign(t, coldUp), mustSimDesign(t, coldDown)
+	upRes, downRes := elabSim(up), elabSim(down)
 	if upRes.Final["tb.count"] == downRes.Final["tb.count"] {
 		t.Fatalf("test is vacuous: both DUT variants end at count=%q", upRes.Final["tb.count"])
 	}
-
-	cache := NewElabCache()
 	for i := 0; i < 2; i++ {
-		d, err := ElaborateWith(cache, up, "tb")
-		if err != nil {
-			t.Fatalf("warm elaborate up: %v", err)
-		}
-		compareRuns(t, "incremental up", upRes, mustSimDesign(t, d))
-		d, err = ElaborateWith(cache, down, "tb")
-		if err != nil {
-			t.Fatalf("warm elaborate down: %v", err)
-		}
-		compareRuns(t, "incremental down", downRes, mustSimDesign(t, d))
+		compareRuns(t, "incremental up", upRes, elabSim(up))
+		compareRuns(t, "incremental down", downRes, elabSim(down))
 	}
 }
 
-// TestWarmElaborationAllocRatio bounds the template-build share of
-// elaboration cost, as in vsim (the repair loop's 2x end-to-end bar is
-// pinned in internal/edatool).
-func TestWarmElaborationAllocRatio(t *testing.T) {
-	units := parseElabUnits(t, elabCounterEnt, elabCounterTB)
-	cold := testing.AllocsPerRun(50, func() {
-		if _, err := Elaborate(units, "tb"); err != nil {
-			t.Fatal(err)
+// TestSharedTemplateInstances instantiates one entity twice under equal
+// generics and once under different ones. The equal pair shares one
+// template, hence one compiled process program, yet each instance must
+// keep its own state (u1 leaves reset later than u0); the third gets
+// its own template. Auto and interpret runs must agree byte for byte on
+// log and final values.
+func TestSharedTemplateInstances(t *testing.T) {
+	const acc = `
+entity acc is
+  generic (STEP : integer := 1);
+  port (clk : in std_logic; reset : in std_logic; q : out std_logic_vector(7 downto 0));
+end entity;
+architecture rtl of acc is
+  signal r : unsigned(7 downto 0) := (others => '0');
+begin
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if reset = '1' then
+        r <= (others => '0');
+      else
+        r <= r + STEP;
+      end if;
+    end if;
+  end process;
+  q <= std_logic_vector(r);
+end architecture;
+`
+	const tb = `
+entity tb is end entity;
+architecture sim of tb is
+  signal clk : std_logic := '0';
+  signal r0 : std_logic := '1';
+  signal r1 : std_logic := '1';
+  signal done : std_logic := '0';
+  signal a, b, c : std_logic_vector(7 downto 0);
+begin
+  clk <= not clk after 1 ns when done = '0' else '0';
+  u0: entity work.acc generic map (STEP => 1) port map (clk => clk, reset => r0, q => a);
+  u1: entity work.acc generic map (STEP => 1) port map (clk => clk, reset => r1, q => b);
+  u2: entity work.acc generic map (STEP => 3) port map (clk => clk, reset => r0, q => c);
+  stim: process
+  begin
+    wait for 3 ns;
+    r0 <= '0';
+    wait for 8 ns;
+    r1 <= '0';
+    wait for 20 ns;
+    report "done";
+    done <= '1';
+    wait;
+  end process;
+end architecture;`
+	units := parseElabUnits(t, acc, tb)
+	run := func(mode sim.BackendMode) (*Design, *Result) {
+		d, err := Elaborate(units, "tb")
+		if err != nil {
+			t.Fatalf("elaborate: %v", err)
 		}
-	})
-	cache := NewElabCache()
-	if _, err := ElaborateWith(cache, units, "tb"); err != nil {
-		t.Fatal(err)
+		res := SimulateDesign(d, Options{MaxTime: 100000, CaptureFinal: true, Backend: mode})
+		if res.Fault != "" {
+			t.Fatalf("fault: %s\nlog:\n%s", res.Fault, res.Log)
+		}
+		return d, res
 	}
-	warm := testing.AllocsPerRun(50, func() {
-		if _, err := ElaborateWith(cache, units, "tb"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if warm > cold*3/4 {
-		t.Errorf("warm elaboration allocs %.0f not 25%% below cold %.0f", warm, cold)
+	d, auto := run(sim.BackendAuto)
+	_, interp := run(sim.BackendInterpret)
+
+	u := d.Top.Children
+	if len(u) != 3 {
+		t.Fatalf("got %d instances, want 3", len(u))
+	}
+	if u[0].tmpl != u[1].tmpl {
+		t.Error("equal-generic instances u0/u1 do not share a template")
+	}
+	if u[2].tmpl == u[0].tmpl {
+		t.Error("u2 (STEP=3) shares u0's template")
+	}
+	if auto.Backend.CompiledProcs != 3 {
+		t.Errorf("auto compiled %d of the three acc processes, want 3", auto.Backend.CompiledProcs)
+	}
+	if interp.Backend.CompiledProcs != 0 {
+		t.Errorf("interpret mode bound %d compiled programs", interp.Backend.CompiledProcs)
+	}
+	compareRuns(t, "auto vs interpret", interp, auto)
+	if a, b := auto.Final["tb.u0.r"], auto.Final["tb.u1.r"]; a == b {
+		t.Errorf("u0 and u1 ended in the same state %q; instance state leaked through the shared template", a)
+	}
+	if a, c := auto.Final["tb.u0.r"], auto.Final["tb.u2.r"]; a == c {
+		t.Errorf("u0 and u2 ended in the same state %q despite different STEP", a)
 	}
 }
 
+// BenchmarkElaborateCold is the elaboration cost a design-cache miss
+// pays on top of compile.
 func BenchmarkElaborateCold(b *testing.B) {
 	units := parseElabUnits(b, elabCounterEnt, elabCounterTB)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Elaborate(units, "tb"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkElaborateWarm(b *testing.B) {
-	units := parseElabUnits(b, elabCounterEnt, elabCounterTB)
-	cache := NewElabCache()
-	if _, err := ElaborateWith(cache, units, "tb"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ElaborateWith(cache, units, "tb"); err != nil {
 			b.Fatal(err)
 		}
 	}

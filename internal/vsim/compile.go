@@ -46,13 +46,13 @@ import (
 // to completion without suspending.
 //
 // Programs for always-blocks are compiled once per module template
-// (elabcache.go) and keyed by the always-block's AST pointer: every
+// (template.go) and keyed by the always-block's AST pointer: every
 // instance of a template shares widths and parameter values, so the
-// slot-addressed program is instance-independent and survives across
-// runs and designs through the shared ElabCache. Continuous assignments
-// bind cross-instance scopes, so their programs capture *Signal
-// pointers directly and are cached per Design (signals persist across
-// Reset).
+// slot-addressed program is instance-independent and serves every
+// same-key instance and every re-run of the design. Continuous
+// assignments bind cross-instance scopes, so their programs capture
+// *Signal pointers directly and are cached per Design (signals persist
+// across Reset).
 
 // errNoCompile marks an always-block/assignment as outside the
 // compiled subset; the caller falls back to the interpreter for the
@@ -63,8 +63,8 @@ var errNoCompile = errors.New("not compilable")
 // cenv is the per-run binding of a compiled program: the slot table
 // resolved to this instance's signals plus the simulator the
 // activation runs under. Compiled closures receive it as their only
-// argument, so programs themselves stay shareable across instances,
-// runs, and designs.
+// argument, so programs themselves stay shareable across instances
+// and runs.
 type cenv struct {
 	s    *Simulator
 	sigs []*Signal
@@ -1174,15 +1174,13 @@ func compileAlways(s *Simulator, inst *Instance, alw *verilog.AlwaysBlock) (prog
 // progForAlways returns the cached compiled program for alw under
 // inst's module template, compiling on first demand. A nil cache entry
 // records ineligibility so classification runs once per template.
-// Templates are shared across concurrent simulations through the
-// ElabCache, hence the mutex.
+// Templates belong to one design, which one run binds at a time, so no
+// lock is needed.
 func progForAlways(s *Simulator, inst *Instance, alw *verilog.AlwaysBlock) *procProg {
 	t := inst.tmpl
 	if t == nil {
 		return nil
 	}
-	t.progMu.Lock()
-	defer t.progMu.Unlock()
 	if t.progs == nil {
 		t.progs = map[*verilog.AlwaysBlock]*procProg{}
 	}

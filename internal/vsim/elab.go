@@ -82,8 +82,8 @@ type Design struct {
 	contAssigns []boundAssign
 	procs       []boundProc
 
-	cache *ElabCache // template source during elaboration
-	arena sigArena   // chunked Signal storage
+	templates map[tmplKey]*moduleTemplate // per-(module, params) shapes; see template.go
+	arena     sigArena                    // chunked Signal storage
 
 	// Reset-and-rerun state: initVals snapshots every signal's
 	// elaborated initial value (parallel to All), ran marks a design
@@ -148,23 +148,11 @@ func elabErrf(pos verilog.Pos, format string, args ...any) *ElabError {
 
 // Elaborate builds the design rooted at top from the given module set.
 func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) {
-	return ElaborateWith(nil, modules, top)
-}
-
-// ElaborateWith builds the design rooted at top, reusing module
-// templates from cache where the (module AST, parameter valuation)
-// pair is already known. A nil cache elaborates cold through a private
-// throwaway cache — the same code path, so warm results are
-// byte-identical to cold by construction.
-func ElaborateWith(cache *ElabCache, modules map[string]*verilog.Module, top string) (*Design, error) {
 	m, ok := modules[top]
 	if !ok {
 		return nil, fmt.Errorf("top module %q not found", top)
 	}
-	if cache == nil {
-		cache = NewElabCache()
-	}
-	d := &Design{modules: modules, cache: cache}
+	d := &Design{modules: modules, templates: map[tmplKey]*moduleTemplate{}}
 	inst, err := d.elabInstance(nil, m, top, nil, verilog.Pos{})
 	if err != nil {
 		return nil, err
@@ -222,7 +210,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 
 	// Pass 1: parameters (in declaration order, allowing dependencies).
 	// This runs live because the resolved valuation is part of the
-	// template cache key. The map is built lazily — most modules have no
+	// template key. The map is built lazily — most modules have no
 	// parameters, and nil lookups behave like an empty valuation.
 	for _, it := range m.Items {
 		pd, ok := it.(*verilog.ParamDecl)
@@ -246,19 +234,18 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 		inst.Params[pd.Name] = v
 	}
 
-	// Passes 2–4 are memoized per (module, parameter valuation): the
-	// template holds the resolved signal layout and an ordered op list
-	// (see elabcache.go); replaying it reproduces a cold elaboration's
-	// append order exactly.
+	// Passes 2–4 are resolved once per (module, parameter valuation):
+	// the template holds the signal layout and an ordered op list (see
+	// template.go) that every same-key instance replays.
 	key := tmplKey{mod: m, params: fingerprintParams(m, inst.Params)}
-	tmpl := d.cache.lookup(key)
+	tmpl := d.templates[key]
 	if tmpl == nil {
 		var err error
 		tmpl, err = buildTemplate(m, inst)
 		if err != nil {
 			return nil, err
 		}
-		d.cache.store(key, tmpl)
+		d.templates[key] = tmpl
 	}
 	inst.tmpl = tmpl
 
@@ -289,8 +276,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 		case opInitial:
 			d.procs = append(d.procs, boundProc{scope: inst, initial: op.initial})
 		case opChild:
-			// Child modules resolve against the current module set, so
-			// a cached parent re-links against a changed child.
+			// Child modules resolve against the design's module set.
 			if err := d.elabChild(inst, op.child); err != nil {
 				return nil, err
 			}

@@ -2,97 +2,45 @@ package vsim
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/hdl"
 	"repro/internal/verilog"
 )
 
-// This file is the module-level elaboration cache. Elaboration used to
-// re-walk the AST of every module on every run, which made it the only
-// remaining per-simulation allocation cost once the steady state went
-// allocation-free. The repair loop makes that cost recurrent: each
-// iteration changes exactly one module (the candidate RTL) while the
-// testbench and every other unit are byte-identical, so their
-// elaborated forms are re-derivable from cache.
+// This file holds the module templates elaboration replays. A design
+// that instantiates one module several times under one parameter
+// valuation resolves that module's shape once and replays it per
+// instance.
 //
 // The split is template vs instantiation:
 //
-//   - A moduleTemplate memoizes everything about elaborating one
-//     module under one parameter valuation that does not depend on the
+//   - A moduleTemplate holds everything about elaborating one module
+//     under one parameter valuation that does not depend on the
 //     instance path: the resolved signal layout (widths, ranges, kinds,
-//     initial values, memory bounds — passes 2 and 3 of the old
-//     elaborator, including the non-ANSI port/decl merge) and an
-//     ordered op list (lowered non-constant initializers, continuous
-//     assignments, always/initial blocks, child instantiations —
-//     pass 3's lowering interleaved with pass 4).
+//     initial values, memory bounds, including the non-ANSI port/decl
+//     merge) and an ordered op list (lowered non-constant
+//     initializers, continuous assignments, always/initial blocks,
+//     child instantiations).
 //   - Instantiation replays the template: allocate signals from the
-//     design's arena in template order (this reproduces the exact
-//     d.All / contAssigns / procs append order of a cold elaboration,
-//     which the VCD writer and partitioner depend on for byte-identical
-//     output), then resolve child modules against the *current* module
-//     set so a cached parent re-links against a freshly changed child.
+//     design's arena in template order (the d.All / contAssigns /
+//     procs append order the VCD writer depends on for byte-identical
+//     output), then resolve child modules against the design's module
+//     set. Child references stay unresolved in the template (the op
+//     stores the *verilog.Instance AST node), which keeps error
+//     precedence (missing module before bad override) in source order.
 //
-// Templates are keyed by AST pointer + parameter fingerprint. Pointer
-// identity is what makes the cache incremental: edatool's parse cache
-// returns the same *verilog.Module for unchanged source text, so
-// unchanged units hit here while a re-parsed (changed) unit misses and
-// rebuilds only its own template. ASTs are immutable after parse, so a
-// template never goes stale under its key.
-//
-// Child references deliberately stay unresolved in the template (the
-// op stores the *verilog.Instance AST node, not the child module or
-// its port/parameter mappings): the repair loop changes child modules
-// under an unchanged parent, and resolution against d.modules at
-// instantiation time is what keeps the cached parent correct — and
-// keeps error precedence (missing module before bad override) exactly
-// as cold elaboration reports it.
-//
-// Cold elaboration uses this same machinery against a throwaway cache,
-// so warm and cold runs execute one code path and byte-identical
-// output holds by construction, not just by test.
-
-// ElabCache memoizes per-module elaboration templates across runs. It
-// is safe for concurrent use; concurrent misses on one key may both
-// build (templates are pure functions of the key, so either result is
-// valid and one wins).
-type ElabCache struct {
-	mu        sync.Mutex
-	templates map[tmplKey]*moduleTemplate
-}
+// Templates live in a per-Design map keyed by AST pointer + parameter
+// fingerprint, and host the compiled always-block programs, so
+// same-key instances of one design also share their programs. A design
+// is simulated by one run at a time (edatool checks retained designs
+// out exclusively), so neither the map nor the programs need a lock.
 
 type tmplKey struct {
 	mod    *verilog.Module
 	params string
 }
 
-// maxTemplates bounds the cache; overflow clears it wholesale (keys
-// are AST pointers, so a long-lived process that churns through many
-// parsed designs would otherwise retain every dead AST).
-const maxTemplates = 4096
-
-// NewElabCache returns an empty template cache.
-func NewElabCache() *ElabCache {
-	return &ElabCache{templates: make(map[tmplKey]*moduleTemplate)}
-}
-
-func (c *ElabCache) lookup(k tmplKey) *moduleTemplate {
-	c.mu.Lock()
-	t := c.templates[k]
-	c.mu.Unlock()
-	return t
-}
-
-func (c *ElabCache) store(k tmplKey, t *moduleTemplate) {
-	c.mu.Lock()
-	if len(c.templates) >= maxTemplates {
-		clear(c.templates)
-	}
-	c.templates[k] = t
-	c.mu.Unlock()
-}
-
-// moduleTemplate is the memoized shape of one module under one
+// moduleTemplate is the resolved shape of one module under one
 // parameter valuation.
 type moduleTemplate struct {
 	sigs []sigSpec
@@ -101,12 +49,10 @@ type moduleTemplate struct {
 	// Compiled two-state programs, one per always block, built on first
 	// demand (see compile.go). Programs address signals by slot and bake
 	// parameter values as constants, both of which are functions of the
-	// template key, so every instance of this template — across
-	// concurrent simulations sharing the ElabCache, hence the mutex —
-	// shares one program. A nil map entry records ineligibility, so
-	// classification also runs once per template.
-	progMu sync.Mutex
-	progs  map[*verilog.AlwaysBlock]*procProg
+	// template key, so every instance of this template shares one
+	// program. A nil map entry records ineligibility, so classification
+	// also runs once per template.
+	progs map[*verilog.AlwaysBlock]*procProg
 }
 
 // sigSpec is one signal's resolved declaration. init is the value the
@@ -171,9 +117,7 @@ func fingerprintParams(m *verilog.Module, params map[string]hdl.Vector) string {
 
 // buildTemplate resolves passes 2–4 of elaboration for module m under
 // the parameter valuation held by inst (pass 1 runs live in
-// elabInstance, since the valuation is the cache key). The pass
-// structure, error order, and merge semantics mirror the original
-// elaborator exactly.
+// elabInstance, since the valuation is part of the template key).
 func buildTemplate(m *verilog.Module, inst *Instance) (*moduleTemplate, error) {
 	t := &moduleTemplate{}
 	index := make(map[string]int, len(m.Ports))
