@@ -33,7 +33,6 @@ import (
 	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
@@ -73,13 +72,8 @@ func main() {
 		providerName = flag.String("provider", "offline",
 			"LLM provider: "+strings.Join(provider.DefaultRegistry.Names(), " | ")+
 				" (non-default providers occupy their own cache cells)")
-		llmTimeout = flag.Duration("llm-timeout", 30*time.Second, "per-attempt LLM call timeout (0 disables)")
-		llmRetries = flag.Int("llm-retries", 3, "total LLM attempt budget per call (1 disables retries)")
-		llmRPS     = flag.Float64("llm-rps", 0, "LLM token-bucket rate limit in calls/s (0 disables)")
-		llmBurst   = flag.Int("llm-burst", 1, "LLM rate-limiter burst capacity")
-		llmBreaker = flag.Int("llm-breaker-threshold", 8, "consecutive infrastructure failures that open the circuit breaker (0 disables)")
-		flakyRate  = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
-		flakySeed  = flag.Int64("flaky-seed", 1, "flaky provider: fault RNG seed")
+		flakyRate = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
+		flakySeed = flag.Int64("flaky-seed", 1, "flaky provider: fault RNG seed")
 	)
 	flag.Parse()
 	if !slices.Contains(provider.DefaultRegistry.Names(), *providerName) {
@@ -128,12 +122,6 @@ func main() {
 	fmt.Printf("Benchmark suite: %d problems (%d categories)\n", len(problems), len(suite.Categories()))
 	fmt.Printf("LLM provider: %s\n\n", *providerName)
 
-	stack := provider.DefaultStackConfig()
-	stack.Timeout = *llmTimeout
-	stack.Attempts = *llmRetries
-	stack.RPS = *llmRPS
-	stack.Burst = *llmBurst
-	stack.BreakerThreshold = *llmBreaker
 	// One design cache for every sweep in this invocation: a Table 1 run
 	// followed by the ablation re-simulates many identical (problem, RTL)
 	// pairs, and the cache turns those into reruns of retained designs.
@@ -145,7 +133,7 @@ func main() {
 		Checkpoint:  *checkpoint,
 		Provider:    *providerName,
 		ProviderConfig: provider.BuildConfig{
-			Stack: stack,
+			Stack: provider.DefaultStackConfig(),
 			Flaky: provider.FlakyConfig{Seed: *flakySeed, ErrorRate: *flakyRate},
 		},
 	}

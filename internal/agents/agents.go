@@ -26,8 +26,8 @@ import (
 
 // CodeAgent is the single source of generated code in the pipeline.
 // It speaks to the model through the provider layer, so every call can
-// fail with a classified error once rate limits, timeouts or circuit
-// breakers intervene.
+// fail with a classified error once the provider's faults outlast the
+// retry budget.
 type CodeAgent struct {
 	Session provider.Session
 

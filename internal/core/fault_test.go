@@ -12,17 +12,16 @@ import (
 )
 
 // faultConfig builds a pipeline config whose LLM calls go through the
-// flaky provider behind the full default middleware stack, all driven
-// by an auto-advancing mock clock: retry backoffs and breaker
-// cooldowns consume zero wall-clock, so even pathological error rates
-// finish instantly and deterministically.
+// flaky provider behind the full default middleware stack, driven by
+// an auto-advancing mock clock: retry backoffs consume zero
+// wall-clock, so even pathological error rates finish instantly and
+// deterministically.
 func faultConfig(t *testing.T, model *llm.Profile, lang edatool.Language, fc provider.FlakyConfig) Config {
 	t.Helper()
-	clock := provider.NewAutoClock()
 	sc := provider.DefaultStackConfig()
-	sc.Clock = clock
+	sc.Clock = provider.NewAutoClock()
 	cfg := DefaultConfig(model, lang)
-	cfg.Provider = provider.NewStack(provider.NewFlaky(provider.NewOffline(model), clock, fc), sc)
+	cfg.Provider = provider.NewStack(provider.NewFlaky(provider.NewOffline(model), fc), sc)
 	return cfg
 }
 
@@ -57,7 +56,7 @@ func checkConsistent(t *testing.T, res *Result) {
 	}
 	class := provider.ClassOf(res.Err)
 	switch class {
-	case provider.ClassExhausted, provider.ClassCircuitOpen, provider.ClassTimeout,
+	case provider.ClassExhausted, provider.ClassTimeout,
 		provider.ClassCanceled, provider.ClassInvalid, provider.ClassUnavailable,
 		provider.ClassRateLimited:
 	default:
@@ -115,7 +114,7 @@ func TestPipelineAbortsOnPersistentOutage(t *testing.T) {
 
 // TestPipelineZeroErrorRateMatchesOffline is the bridge between the
 // fault harness and the determinism guarantee: the flaky provider at
-// rate 0 with no injected latency is transparent, so the whole
+// rate 0 is transparent, so the whole
 // pipeline result matches a plain offline run field for field.
 func TestPipelineZeroErrorRateMatchesOffline(t *testing.T) {
 	model := llm.ProfileByName("claude-3.5-sonnet")

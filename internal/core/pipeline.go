@@ -116,8 +116,8 @@ type Result struct {
 	Backend sim.BackendStats
 
 	// Aborted reports that the run terminated early on an
-	// unrecoverable LLM provider failure (retries exhausted, circuit
-	// open, cancellation); Err carries the classified error. An
+	// unrecoverable LLM provider failure (retries exhausted,
+	// cancellation); Err carries the classified error. An
 	// aborted run is a clean job failure: no loop hangs and no
 	// partially applied artefacts — the fields above reflect the last
 	// consistent state.

@@ -12,7 +12,7 @@ import (
 
 // flakyOptions builds sweep options routing every LLM call through the
 // flaky provider (behind the default stack) on an auto clock, so
-// injected backoffs and cooldowns consume no wall-clock.
+// retry backoffs consume no wall-clock.
 func flakyOptions(fc provider.FlakyConfig, r *runner.Runner, probs []*bench.Problem) Options {
 	sc := provider.DefaultStackConfig()
 	sc.Clock = provider.NewAutoClock()

@@ -2,29 +2,19 @@ package provider
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Clock abstracts time for the middleware stack. Every middleware
-// takes an injected Clock, so refill math, cooldowns, backoff and
-// deadlines are all unit-testable with MockClock and zero real sleeps.
+// Clock abstracts time for the middleware stack. Retry backoff sleeps
+// and the tracing/metrics wall-clock readings go through an injected
+// Clock, so they are unit-testable with MockClock and zero real sleeps.
 type Clock interface {
 	Now() time.Time
 	// Sleep blocks for d or until ctx is done, returning ctx.Err() in
 	// the latter case and nil after a full sleep.
 	Sleep(ctx context.Context, d time.Duration) error
-	// AfterFunc arms f to run once after d. f runs on an unspecified
-	// goroutine (real clock) or inside an Advance call (mock clock).
-	AfterFunc(d time.Duration, f func()) Timer
-}
-
-// Timer is the stoppable handle returned by Clock.AfterFunc.
-// Stop reports whether it prevented the function from running —
-// exactly time.Timer semantics, so *time.Timer satisfies it.
-type Timer interface {
-	Stop() bool
-	Reset(d time.Duration) bool
 }
 
 // RealClock returns the process wall clock.
@@ -51,19 +41,22 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (realClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
-
 // MockClock is a deterministic Clock for tests. Time moves only when
-// the test calls Advance/AdvanceToNext — or, in auto mode, when a
-// Sleep consumes its own duration — so no middleware test ever waits
-// on the wall clock.
+// the test calls Advance — or, in auto mode, when a Sleep consumes its
+// own duration — so no middleware test ever waits on the wall clock.
 type MockClock struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	now    time.Time
-	seq    int
-	timers []*mockTimer
-	auto   bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	now      time.Time
+	sleepers []*sleeper
+	auto     bool
+}
+
+// sleeper is one goroutine blocked in Sleep until the clock reaches
+// its deadline.
+type sleeper struct {
+	deadline time.Time
+	wake     chan struct{}
 }
 
 // NewMockClock returns a manually advanced mock clock at a fixed
@@ -75,22 +68,12 @@ func NewMockClock() *MockClock {
 }
 
 // NewAutoClock returns a mock clock whose Sleep calls advance the
-// clock themselves (firing any timers that come due on the way). A
-// single-threaded pipeline run over sleeping providers then completes
-// instantly and deterministically with no driver goroutine.
+// clock themselves. A pipeline run over retrying middleware then
+// completes instantly and deterministically with no driver goroutine.
 func NewAutoClock() *MockClock {
 	c := NewMockClock()
 	c.auto = true
 	return c
-}
-
-type mockTimer struct {
-	clk      *MockClock
-	deadline time.Time
-	seq      int
-	fn       func()        // AfterFunc callback (nil for sleepers)
-	ch       chan struct{} // sleeper wakeup (nil for AfterFunc timers)
-	armed    bool
 }
 
 // Now returns the mock time.
@@ -100,116 +83,39 @@ func (c *MockClock) Now() time.Time {
 	return c.now
 }
 
-// Pending returns the number of armed timers and blocked sleepers.
+// Pending returns the number of blocked sleepers.
 func (c *MockClock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.timers)
+	return len(c.sleepers)
 }
 
-// BlockUntil blocks until at least n timers/sleepers are pending —
-// the rendezvous a test needs before advancing past a sleeping
-// goroutine.
+// BlockUntil blocks until at least n sleepers are pending — the
+// rendezvous a test needs before advancing past a sleeping goroutine.
 func (c *MockClock) BlockUntil(n int) {
 	c.mu.Lock()
-	for len(c.timers) < n {
+	for len(c.sleepers) < n {
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
 }
 
-// Advance moves the clock forward by d, firing due timers in deadline
-// order (ties broken by arm order).
+// Advance moves the clock forward by d and wakes every sleeper whose
+// deadline it reaches.
 func (c *MockClock) Advance(d time.Duration) {
 	c.mu.Lock()
-	c.advanceTo(c.now.Add(d), nil)
-	c.mu.Unlock()
-}
-
-// AdvanceToNext jumps to the earliest pending deadline and fires it
-// (plus anything sharing that instant). It reports whether a timer was
-// pending.
-func (c *MockClock) AdvanceToNext() bool {
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.earliestDue(farFuture)
-	if t == nil {
-		return false
-	}
-	c.advanceTo(t.deadline, nil)
-	return true
-}
-
-var farFuture = time.Unix(1<<60, 0)
-
-// advanceTo fires due timers in order up to target. Callbacks run with
-// the lock released. When stop is non-nil, firing halts early once it
-// reports true (auto Sleep honouring context cancellation).
-// Caller holds c.mu.
-func (c *MockClock) advanceTo(target time.Time, stop func() bool) {
-	for {
-		t := c.earliestDue(target)
-		if t == nil {
-			break
-		}
-		if t.deadline.After(c.now) {
-			c.now = t.deadline
-		}
-		c.remove(t)
-		if t.fn != nil {
-			c.mu.Unlock()
-			t.fn()
-			c.mu.Lock()
+	c.now = c.now.Add(d)
+	kept := c.sleepers[:0]
+	for _, s := range c.sleepers {
+		if s.deadline.After(c.now) {
+			kept = append(kept, s)
 		} else {
-			close(t.ch)
-		}
-		if stop != nil && stop() {
-			return
+			close(s.wake)
 		}
 	}
-	if target.After(c.now) {
-		c.now = target
-	}
-}
-
-// earliestDue returns the armed timer with the smallest
-// (deadline, seq) at or before target, or nil. Caller holds c.mu.
-func (c *MockClock) earliestDue(target time.Time) *mockTimer {
-	var best *mockTimer
-	for _, t := range c.timers {
-		if t.deadline.After(target) {
-			continue
-		}
-		if best == nil || t.deadline.Before(best.deadline) ||
-			(t.deadline.Equal(best.deadline) && t.seq < best.seq) {
-			best = t
-		}
-	}
-	return best
-}
-
-// arm registers a timer. Caller holds c.mu.
-func (c *MockClock) arm(d time.Duration, fn func(), ch chan struct{}) *mockTimer {
-	c.seq++
-	t := &mockTimer{clk: c, deadline: c.now.Add(d), seq: c.seq, fn: fn, ch: ch, armed: true}
-	c.timers = append(c.timers, t)
-	c.cond.Broadcast()
-	return t
-}
-
-// remove disarms a timer. Caller holds c.mu.
-func (c *MockClock) remove(t *mockTimer) {
-	if !t.armed {
-		return
-	}
-	t.armed = false
-	for i, x := range c.timers {
-		if x == t {
-			c.timers[i] = c.timers[len(c.timers)-1]
-			c.timers = c.timers[:len(c.timers)-1]
-			return
-		}
-	}
+	clear(c.sleepers[len(kept):])
+	c.sleepers = kept
 }
 
 // Sleep implements Clock. In auto mode it advances the clock itself;
@@ -222,58 +128,24 @@ func (c *MockClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
-	c.mu.Lock()
 	if c.auto {
-		c.advanceTo(c.now.Add(d), func() bool { return ctx.Err() != nil })
-		c.mu.Unlock()
+		c.Advance(d)
 		return ctx.Err()
 	}
-	t := c.arm(d, nil, make(chan struct{}))
+	c.mu.Lock()
+	s := &sleeper{deadline: c.now.Add(d), wake: make(chan struct{})}
+	c.sleepers = append(c.sleepers, s)
+	c.cond.Broadcast()
 	c.mu.Unlock()
 	select {
-	case <-t.ch:
+	case <-s.wake:
 		return nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		c.remove(t)
-		c.mu.Unlock()
+		defer c.mu.Unlock()
+		if i := slices.Index(c.sleepers, s); i >= 0 {
+			c.sleepers = slices.Delete(c.sleepers, i, i+1)
+		}
 		return ctx.Err()
 	}
-}
-
-// AfterFunc implements Clock.
-func (c *MockClock) AfterFunc(d time.Duration, f func()) Timer {
-	c.mu.Lock()
-	t := c.arm(d, f, nil)
-	c.mu.Unlock()
-	return t
-}
-
-// Stop implements Timer.
-func (t *mockTimer) Stop() bool {
-	c := t.clk
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !t.armed {
-		return false
-	}
-	c.remove(t)
-	return true
-}
-
-// Reset implements Timer.
-func (t *mockTimer) Reset(d time.Duration) bool {
-	c := t.clk
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	was := t.armed
-	t.deadline = c.now.Add(d)
-	c.seq++
-	t.seq = c.seq
-	if !was {
-		t.armed = true
-		c.timers = append(c.timers, t)
-		c.cond.Broadcast()
-	}
-	return was
 }

@@ -2,110 +2,9 @@ package provider
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestMockClockAdvanceFiresInDeadlineOrder(t *testing.T) {
-	c := NewMockClock()
-	var order []string
-	var mu sync.Mutex
-	note := func(s string) func() {
-		return func() { mu.Lock(); order = append(order, s); mu.Unlock() }
-	}
-	c.AfterFunc(30*time.Millisecond, note("c"))
-	c.AfterFunc(10*time.Millisecond, note("a"))
-	c.AfterFunc(20*time.Millisecond, note("b"))
-	c.Advance(time.Second)
-	if got := order; len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("fire order = %v, want [a b c]", got)
-	}
-	if c.Pending() != 0 {
-		t.Errorf("pending = %d after full advance", c.Pending())
-	}
-}
-
-func TestMockClockTiesFireInArmOrder(t *testing.T) {
-	c := NewMockClock()
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		c.AfterFunc(5*time.Millisecond, func() { order = append(order, i) })
-	}
-	c.Advance(5 * time.Millisecond)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order = %v, want arm order", order)
-		}
-	}
-}
-
-func TestMockClockCallbackSeesAdvancedNow(t *testing.T) {
-	c := NewMockClock()
-	start := c.Now()
-	var at time.Time
-	c.AfterFunc(7*time.Millisecond, func() { at = c.Now() })
-	c.Advance(time.Second)
-	if want := start.Add(7 * time.Millisecond); !at.Equal(want) {
-		t.Errorf("callback saw now=%v, want %v", at, want)
-	}
-	if want := start.Add(time.Second); !c.Now().Equal(want) {
-		t.Errorf("now = %v, want %v", c.Now(), want)
-	}
-}
-
-func TestMockClockAdvanceToNext(t *testing.T) {
-	c := NewMockClock()
-	start := c.Now()
-	fired := 0
-	c.AfterFunc(50*time.Millisecond, func() { fired++ })
-	if !c.AdvanceToNext() {
-		t.Fatal("AdvanceToNext found no timer")
-	}
-	if fired != 1 {
-		t.Errorf("fired = %d", fired)
-	}
-	if want := start.Add(50 * time.Millisecond); !c.Now().Equal(want) {
-		t.Errorf("now = %v, want %v", c.Now(), want)
-	}
-	if c.AdvanceToNext() {
-		t.Error("AdvanceToNext reported a timer on an empty clock")
-	}
-}
-
-func TestMockClockTimerStopPreventsFiring(t *testing.T) {
-	c := NewMockClock()
-	fired := false
-	tm := c.AfterFunc(time.Millisecond, func() { fired = true })
-	if !tm.Stop() {
-		t.Error("Stop on an armed timer must report true")
-	}
-	if tm.Stop() {
-		t.Error("second Stop must report false")
-	}
-	c.Advance(time.Second)
-	if fired {
-		t.Error("stopped timer fired")
-	}
-}
-
-func TestMockClockTimerReset(t *testing.T) {
-	c := NewMockClock()
-	fired := 0
-	tm := c.AfterFunc(10*time.Millisecond, func() { fired++ })
-	c.Advance(10 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired = %d", fired)
-	}
-	if tm.Reset(10 * time.Millisecond) {
-		t.Error("Reset of an expired timer must report false")
-	}
-	c.Advance(10 * time.Millisecond)
-	if fired != 2 {
-		t.Errorf("fired = %d after reset", fired)
-	}
-}
 
 func TestMockClockSleepBlocksUntilAdvance(t *testing.T) {
 	c := NewMockClock()
@@ -120,6 +19,33 @@ func TestMockClockSleepBlocksUntilAdvance(t *testing.T) {
 	c.Advance(100 * time.Millisecond)
 	if err := <-done; err != nil {
 		t.Errorf("Sleep = %v", err)
+	}
+}
+
+func TestMockClockAdvanceWakesOnlyDueSleepers(t *testing.T) {
+	c := NewMockClock()
+	short, long := make(chan error, 1), make(chan error, 1)
+	go func() { short <- c.Sleep(context.Background(), 10*time.Millisecond) }()
+	go func() { long <- c.Sleep(context.Background(), 30*time.Millisecond) }()
+	c.BlockUntil(2)
+	c.Advance(20 * time.Millisecond)
+	if err := <-short; err != nil {
+		t.Errorf("short Sleep = %v", err)
+	}
+	if c.Pending() != 1 {
+		t.Errorf("pending = %d after partial advance, want 1", c.Pending())
+	}
+	select {
+	case <-long:
+		t.Fatal("sleeper woke before its deadline")
+	default:
+	}
+	c.Advance(10 * time.Millisecond)
+	if err := <-long; err != nil {
+		t.Errorf("long Sleep = %v", err)
+	}
+	if c.Pending() != 0 {
+		t.Errorf("pending = %d after full advance", c.Pending())
 	}
 }
 
@@ -146,16 +72,6 @@ func TestAutoClockSleepAdvancesItself(t *testing.T) {
 	}
 	if want := start.Add(250 * time.Millisecond); !c.Now().Equal(want) {
 		t.Errorf("now = %v, want %v", c.Now(), want)
-	}
-}
-
-func TestAutoClockSleepFiresTimersOnTheWay(t *testing.T) {
-	c := NewAutoClock()
-	fired := false
-	c.AfterFunc(10*time.Millisecond, func() { fired = true })
-	c.Sleep(context.Background(), 20*time.Millisecond)
-	if !fired {
-		t.Error("timer due mid-sleep did not fire")
 	}
 }
 

@@ -21,8 +21,9 @@ const (
 	// ClassUnavailable is a transient provider failure (5xx shape,
 	// dropped connection). Retryable.
 	ClassUnavailable
-	// ClassTimeout is a per-attempt deadline expiry. Retryable: the
-	// next attempt gets a fresh deadline.
+	// ClassTimeout is a deadline expiry (context.DeadlineExceeded or a
+	// backend's own timeout). Retryable: a fresh attempt may finish in
+	// time.
 	ClassTimeout
 	// ClassCanceled is caller-initiated cancellation. Not retryable:
 	// the caller no longer wants the result.
@@ -30,15 +31,11 @@ const (
 	// ClassInvalid is a malformed or unsupported request. Not
 	// retryable: the same request will fail the same way.
 	ClassInvalid
-	// ClassCircuitOpen is a local refusal by the circuit breaker. Not
-	// retryable within the call: the breaker's cooldown, not a backoff
-	// loop, decides when traffic may flow again.
-	ClassCircuitOpen
 	// ClassExhausted wraps the last attempt's error once the retry
 	// budget is spent. Not retryable: the budget IS the retry policy.
 	ClassExhausted
 
-	numClasses = 8
+	numClasses = 7
 )
 
 func (c Class) String() string {
@@ -55,8 +52,6 @@ func (c Class) String() string {
 		return "canceled"
 	case ClassInvalid:
 		return "invalid"
-	case ClassCircuitOpen:
-		return "circuit-open"
 	case ClassExhausted:
 		return "exhausted"
 	}
@@ -126,15 +121,14 @@ func Retryable(err error) bool { return ClassOf(err).Retryable() }
 // ResumableAfter reports whether a pipeline run that aborted on err is
 // worth resuming later from its checkpoint. It is the per-state
 // retry-vs-abort decision the job service applies: transient classes
-// (rate-limited, unavailable, timeout) resume; an open circuit resumes
-// (the breaker only opens on repeated infrastructure failures, which
-// clear); an exhausted retry budget resumes when the attempts it spent
-// were on a transient cause (the outage may be over by the time the
-// job is re-queued); cancellation and invalid requests do not — the
-// same request would fail the same way.
+// (rate-limited, unavailable, timeout) resume; an exhausted retry
+// budget resumes when the attempts it spent were on a transient cause
+// (the outage may be over by the time the job is re-queued);
+// cancellation and invalid requests do not — the same request would
+// fail the same way.
 func ResumableAfter(err error) bool {
 	class := ClassOf(err)
-	if class.Retryable() || class == ClassCircuitOpen {
+	if class.Retryable() {
 		return true
 	}
 	if class != ClassExhausted {
@@ -145,5 +139,5 @@ func ResumableAfter(err error) bool {
 		return true // exhausted with unknown cause: assume transient
 	}
 	cause := ClassOf(pe.Err)
-	return cause.Retryable() || cause == ClassExhausted || cause == ClassCircuitOpen
+	return cause.Retryable() || cause == ClassExhausted
 }

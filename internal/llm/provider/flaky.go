@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/llm"
 )
@@ -22,10 +21,6 @@ type FlakyConfig struct {
 	// Classes are the failure classes sampled uniformly per injected
 	// error. Nil defaults to {ClassUnavailable, ClassRateLimited}.
 	Classes []Class
-	// MeanLatency, when > 0, injects an exponentially distributed
-	// wall-clock delay (through the injected clock) before each call —
-	// the knob that exercises the timeout middleware.
-	MeanLatency time.Duration
 }
 
 // DefaultFlakyConfig returns the fault profile the CLIs use when the
@@ -35,13 +30,11 @@ func DefaultFlakyConfig() FlakyConfig {
 }
 
 // Flaky wraps another provider with seeded, configurable fault
-// injection: classified errors at ErrorRate and optional latency drawn
-// from an exponential distribution. It exists to prove the middleware
-// stack and the pipeline degrade gracefully; it is deterministic for a
-// fixed seed and call order.
+// injection: classified errors at ErrorRate. It exists to prove the
+// middleware stack and the pipeline degrade gracefully; it is
+// deterministic for a fixed seed and call order.
 type Flaky struct {
 	inner Provider
-	clock Clock
 	cfg   FlakyConfig
 
 	mu  sync.Mutex
@@ -49,11 +42,11 @@ type Flaky struct {
 }
 
 // NewFlaky wraps inner with the given fault profile.
-func NewFlaky(inner Provider, clock Clock, cfg FlakyConfig) *Flaky {
+func NewFlaky(inner Provider, cfg FlakyConfig) *Flaky {
 	if cfg.Classes == nil {
 		cfg.Classes = []Class{ClassUnavailable, ClassRateLimited}
 	}
-	return &Flaky{inner: inner, clock: clock, cfg: cfg,
+	return &Flaky{inner: inner, cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
@@ -76,18 +69,15 @@ func (f *Flaky) NewSession(req llm.GenRequest) (Session, error) {
 	return &flakySession{f: f, inner: s}, nil
 }
 
-// roll draws (latency, fault class) for one call in a fixed RNG order.
-func (f *Flaky) roll() (time.Duration, Class, bool) {
+// roll draws the fault class for one call (ClassOK = no fault) in a
+// fixed RNG order.
+func (f *Flaky) roll() Class {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var lat time.Duration
-	if f.cfg.MeanLatency > 0 {
-		lat = time.Duration(f.rng.ExpFloat64() * float64(f.cfg.MeanLatency))
-	}
 	if f.cfg.ErrorRate > 0 && f.rng.Float64() < f.cfg.ErrorRate {
-		return lat, f.cfg.Classes[f.rng.Intn(len(f.cfg.Classes))], true
+		return f.cfg.Classes[f.rng.Intn(len(f.cfg.Classes))]
 	}
-	return lat, ClassOK, false
+	return ClassOK
 }
 
 type flakySession struct {
@@ -104,17 +94,10 @@ func (s *flakySession) Snapshot() ([]byte, error) { return SnapshotSession(s.inn
 // Restore implements Resumable.
 func (s *flakySession) Restore(data []byte) error { return RestoreSession(s.inner, data) }
 
-// Do implements Session: sleep the injected latency (honouring ctx, so
-// the timeout middleware can cut it short), then either fail with the
-// injected class or delegate to the wrapped provider.
+// Do implements Session: either fail with the injected class or
+// delegate to the wrapped provider.
 func (s *flakySession) Do(ctx context.Context, req *Request) (Response, error) {
-	lat, class, fail := s.f.roll()
-	if lat > 0 {
-		if err := s.f.clock.Sleep(ctx, lat); err != nil {
-			return Response{}, &Error{Class: ClassOf(err), Op: req.Op, Provider: "flaky", Err: err}
-		}
-	}
-	if fail {
+	if class := s.f.roll(); class != ClassOK {
 		return Response{}, &Error{Class: class, Op: req.Op, Provider: "flaky", Err: errInjected}
 	}
 	return s.inner.Do(ctx, req)

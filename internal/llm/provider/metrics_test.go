@@ -2,6 +2,7 @@ package provider
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -124,7 +125,7 @@ func TestClassTaxonomy(t *testing.T) {
 	retryable := map[Class]bool{
 		ClassOK: false, ClassRateLimited: true, ClassUnavailable: true,
 		ClassTimeout: true, ClassCanceled: false, ClassInvalid: false,
-		ClassCircuitOpen: false, ClassExhausted: false,
+		ClassExhausted: false,
 	}
 	if len(retryable) != numClasses {
 		t.Fatalf("taxonomy drifted: %d classes, test covers %d", numClasses, len(retryable))
@@ -148,5 +149,48 @@ func TestClassTaxonomy(t *testing.T) {
 	}
 	if ClassOf(errInjected) != ClassInvalid {
 		t.Error("unknown errors must classify as invalid (never retried)")
+	}
+}
+
+// TestResumableAfter pins the job service's resume-or-fail decision:
+// transient failures (directly, or as the cause of an exhausted retry
+// budget) leave a job resumable; cancellation, invalid requests and
+// unknown errors do not.
+func TestResumableAfter(t *testing.T) {
+	classed := func(c Class, cause error) error { return &Error{Class: c, Err: cause} }
+	exhausted := func(cause error) error { return classed(ClassExhausted, cause) }
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"ok", nil, false},
+		{"rate-limited", classed(ClassRateLimited, errInjected), true},
+		{"unavailable", classed(ClassUnavailable, errInjected), true},
+		{"timeout", classed(ClassTimeout, errInjected), true},
+		{"canceled", classed(ClassCanceled, errInjected), false},
+		{"invalid", classed(ClassInvalid, errInjected), false},
+		{"unknown error", errInjected, false},
+		{"raw deadline exceeded", context.DeadlineExceeded, true},
+		{"raw canceled", context.Canceled, false},
+		{"wrapped unavailable", fmt.Errorf("turn 3: %w", classed(ClassUnavailable, errInjected)), true},
+		{"wrapped invalid", fmt.Errorf("turn 3: %w", classed(ClassInvalid, errInjected)), false},
+		{"exhausted on transient", exhausted(classed(ClassUnavailable, errInjected)), true},
+		{"exhausted on deadline", exhausted(context.DeadlineExceeded), true},
+		{"exhausted on invalid", exhausted(classed(ClassInvalid, errInjected)), false},
+		{"exhausted on canceled", exhausted(context.Canceled), false},
+		{"exhausted, nil cause", exhausted(nil), true},
+		{"exhausted on exhausted", exhausted(exhausted(classed(ClassRateLimited, errInjected))), true},
+		{"wrapped exhausted on transient", fmt.Errorf("state: %w", exhausted(classed(ClassTimeout, errInjected))), true},
+	}
+	covered := map[Class]bool{}
+	for _, tc := range cases {
+		covered[ClassOf(tc.err)] = true
+		if got := ResumableAfter(tc.err); got != tc.want {
+			t.Errorf("%s: ResumableAfter(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
+	}
+	if len(covered) != numClasses {
+		t.Errorf("table covers %d of %d classes", len(covered), numClasses)
 	}
 }

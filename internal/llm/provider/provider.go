@@ -5,13 +5,12 @@
 // internal/llm is re-homed here as the default "offline" provider; a
 // seeded fault-injecting "flaky" provider exercises the failure paths.
 //
-// Around any provider, a composable middleware stack supplies the
-// resilience a real deployment needs: token-bucket rate limiting, a
-// circuit breaker, retry with full jitter, per-attempt timeouts, and
-// metrics/tracing. Every middleware takes an injected Clock, so all
-// time-dependent behavior is unit-testable with a mock clock and no
-// real sleeps. See docs/PROVIDERS.md for the interface contract, the
-// error classification and the middleware ordering rules.
+// Around any provider, a composable middleware stack supplies retry
+// with full jitter for transient failures plus metrics and tracing.
+// Every middleware takes an injected Clock, so backoff and wall-clock
+// readings are unit-testable with a mock clock and no real sleeps. See
+// docs/PROVIDERS.md for the interface contract, the error
+// classification and the middleware ordering rules.
 package provider
 
 import (
@@ -94,8 +93,8 @@ type DoFunc func(ctx context.Context, req *Request) (Response, error)
 // Middleware wraps the call path of every session minted by the
 // provider it is installed on. One middleware value is shared across
 // all sessions (and all worker goroutines) of that provider, so
-// stateful middleware — the rate limiter, the circuit breaker —
-// naturally throttles per provider, not per conversation.
+// stateful middleware — the metrics counters, the retry jitter source —
+// aggregates per provider, not per conversation.
 type Middleware interface {
 	Name() string
 	// Wrap returns the wrapped call path. Wrap is invoked once per

@@ -77,11 +77,7 @@ var DefaultRegistry = func() *Registry {
 		return NewStack(NewOffline(model), cfg.Stack), nil
 	})
 	r.Register("flaky", func(model llm.Model, cfg BuildConfig) (Provider, error) {
-		clock := cfg.Stack.Clock
-		if clock == nil {
-			clock = RealClock()
-		}
-		return NewStack(NewFlaky(NewOffline(model), clock, cfg.Flaky), cfg.Stack), nil
+		return NewStack(NewFlaky(NewOffline(model), cfg.Flaky), cfg.Stack), nil
 	})
 	return r
 }()

@@ -7,6 +7,18 @@ import (
 	"time"
 )
 
+// okDo is the innermost no-op call for middleware-in-isolation tests.
+func okDo(ctx context.Context, req *Request) (Response, error) {
+	return Response{Latency: 1}, nil
+}
+
+// failDo returns a DoFunc failing with the given class.
+func failDo(class Class) DoFunc {
+	return func(ctx context.Context, req *Request) (Response, error) {
+		return Response{}, &Error{Class: class, Op: req.Op, Err: errInjected}
+	}
+}
+
 func TestRetrySucceedsFirstAttempt(t *testing.T) {
 	c := NewAutoClock()
 	r := NewRetry(c, 3, 100*time.Millisecond, time.Second, 1)

@@ -2,13 +2,21 @@ package provider
 
 import "time"
 
-// StackConfig parameterises the standard middleware chain. The zero
-// value of each knob disables that middleware; DefaultStackConfig
-// returns production-shaped settings that leave the offline provider's
-// behavior untouched (no limiter, budgets the deterministic path never
-// hits).
+// Retry backoff constants of the standard stack: full jitter over
+// [0, min(retryCap, retryBase<<attempt)), drawn from a seed-0 source.
+const (
+	retryBase = 100 * time.Millisecond
+	retryCap  = 2 * time.Second
+)
+
+// StackConfig parameterises the standard middleware chain. A nil Trace
+// or Metrics, or Attempts <= 1, leaves that middleware out;
+// DefaultStackConfig returns settings that leave the offline
+// provider's behavior untouched (retry never fires on a call that
+// never fails).
 type StackConfig struct {
-	// Clock drives every time-dependent middleware; nil = RealClock.
+	// Clock drives retry backoff and the tracing/metrics wall-clock
+	// readings; nil = RealClock.
 	Clock Clock
 	// Trace, when non-nil, installs the tracing middleware feeding the
 	// pipeline transcript hook.
@@ -16,50 +24,21 @@ type StackConfig struct {
 	// Metrics, when non-nil, is installed as the metrics sink (shared
 	// across providers if the caller wishes).
 	Metrics *Metrics
-
-	// RPS > 0 installs the token-bucket rate limiter.
-	RPS          float64
-	Burst        int
-	RateFailFast bool // reject instead of waiting when the bucket is empty
-
-	// Attempts > 1 installs retry-with-full-jitter.
-	Attempts  int
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	RetrySeed int64
-
-	// BreakerThreshold > 0 installs the circuit breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	BreakerProbes    int
-
-	// Timeout > 0 installs the per-attempt timeout.
-	Timeout time.Duration
+	// Attempts > 1 installs retry-with-full-jitter with that total
+	// attempt budget per call.
+	Attempts int
 }
 
-// DefaultStackConfig returns the full production-shaped stack: 30s
-// per-attempt timeout, 3 attempts with 100ms–2s full-jitter backoff,
-// and a breaker opening after 8 consecutive infrastructure failures
-// with a 10s cooldown and 2 half-open probes. The rate limiter is off
-// by default — a deliberate choice for the offline provider, whose
-// calls are wall-clock instant and must not be slowed to a synthetic
-// rate.
+// DefaultStackConfig returns the standard stack: 3 attempts per call
+// with 100ms–2s full-jitter backoff between them.
 func DefaultStackConfig() StackConfig {
-	return StackConfig{
-		Timeout:          30 * time.Second,
-		Attempts:         3,
-		RetryBase:        100 * time.Millisecond,
-		RetryCap:         2 * time.Second,
-		BreakerThreshold: 8,
-		BreakerCooldown:  10 * time.Second,
-		BreakerProbes:    2,
-	}
+	return StackConfig{Attempts: 3}
 }
 
 // NewStack wraps p in the configured middleware chain. Ordering,
 // outermost first (see docs/PROVIDERS.md for the rationale):
 //
-//	tracing -> metrics -> rate limiter -> retry -> breaker -> timeout -> provider
+//	tracing -> metrics -> retry -> provider
 func NewStack(p Provider, cfg StackConfig) Provider {
 	clock := cfg.Clock
 	if clock == nil {
@@ -72,21 +51,8 @@ func NewStack(p Provider, cfg StackConfig) Provider {
 	if cfg.Metrics != nil {
 		mws = append(mws, cfg.Metrics)
 	}
-	if cfg.RPS > 0 {
-		l := NewRateLimiter(clock, cfg.RPS, cfg.Burst)
-		if cfg.RateFailFast {
-			l.FailFast()
-		}
-		mws = append(mws, l)
-	}
 	if cfg.Attempts > 1 {
-		mws = append(mws, NewRetry(clock, cfg.Attempts, cfg.RetryBase, cfg.RetryCap, cfg.RetrySeed))
-	}
-	if cfg.BreakerThreshold > 0 {
-		mws = append(mws, NewCircuitBreaker(clock, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.BreakerProbes))
-	}
-	if cfg.Timeout > 0 {
-		mws = append(mws, NewTimeout(clock, cfg.Timeout))
+		mws = append(mws, NewRetry(clock, cfg.Attempts, retryBase, retryCap, 0))
 	}
 	return Chain(p, mws...)
 }

@@ -508,7 +508,6 @@ func TestFlakyProviderInterruptsThenResumes(t *testing.T) {
 	// Strip retries so injected faults surface as job interruptions
 	// instead of being absorbed by the middleware.
 	stack.Attempts = 1
-	stack.BreakerThreshold = 0
 
 	sp := spec("cmp_lt_w4")
 	sp.Provider = "flaky"
