@@ -19,7 +19,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/llm/provider"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 		langName  = flag.String("lang", "verilog", "target language: verilog | vhdl")
 		list      = flag.Bool("list", false, "list all problem ids and exit")
 		showRTL   = flag.Bool("show-rtl", true, "print the final RTL")
-		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 
 		providerName = flag.String("provider", "offline",
 			"LLM provider: "+strings.Join(provider.DefaultRegistry.Names(), " | "))
@@ -69,14 +67,7 @@ func main() {
 	fmt.Printf("=== AIVRIL 2: %s / %s / %s / provider %s ===\n\n", prob.ID, model.Name(), lang, *providerName)
 	fmt.Printf("Specification:\n  %s\n\n", prob.Spec)
 
-	mode, err := sim.ParseBackendMode(*simMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aivril: %v\n", err)
-		os.Exit(2)
-	}
-
 	cfg := core.DefaultConfig(model, lang)
-	cfg.SimMode = mode
 	cfg.Trace = func(stage, detail string) {
 		fmt.Printf("[%-9s] %s\n", stage, detail)
 	}
@@ -101,7 +92,9 @@ func main() {
 	cfg.Provider = p
 	pipe := core.New(cfg)
 
-	var res *core.Result
+	// -checkpoint-dir only picks the store: the run is one checkpointed
+	// loop either way, and without a store it checkpoints nothing.
+	var store core.CheckpointStore
 	if *checkpointDir != "" {
 		cache, err := runner.OpenCache(*checkpointDir)
 		if err != nil {
@@ -112,30 +105,29 @@ func main() {
 		if *providerName != "offline" {
 			tag = *providerName
 		}
-		job := runner.Job{Problem: prob.ID, Model: model.Name(), Language: lang.String(),
-			Config: cfg.Fingerprint(), Provider: tag}
-		m := pipe.NewMachine(prob)
-		var cp core.Checkpoint
-		if *resume && cache.LoadCheckpoint(job, &cp) {
-			if rm, rerr := pipe.Restore(&cp, prob); rerr == nil {
-				m = rm
-				fmt.Printf("[resume   ] continuing from state %s (step %d)\n", m.State(), m.Steps())
-			} else {
-				fmt.Fprintf(os.Stderr, "aivril: checkpoint unusable (%v); starting over\n", rerr)
-			}
+		store = cache.Checkpoints(runner.Job{Problem: prob.ID, Model: model.Name(), Language: lang.String(),
+			Config: cfg.Fingerprint(), Provider: tag})
+	}
+	resumeFrom := store
+	if !*resume {
+		resumeFrom = nil
+	}
+	m, _ := pipe.Resume(prob, resumeFrom)
+	res, err := m.RunCheckpointed(context.Background(), store, func(cp *core.Checkpoint) error {
+		if store == nil || cp != nil {
+			return nil
 		}
-		res, err = m.RunCheckpointed(context.Background(), func(c *core.Checkpoint) error {
-			return cache.StoreCheckpoint(job, c)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aivril: checkpointing failed: %v\n", err)
-			os.Exit(1)
+		// The loop could not persist this boundary. Retry once: the
+		// write either lands or reports the cause that stops the run.
+		c, err := m.Checkpoint()
+		if err == nil {
+			err = store.Store(c)
 		}
-		if !res.Aborted {
-			cache.DeleteCheckpoint(job)
-		}
-	} else {
-		res = pipe.Run(prob)
+		return err
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "aivril: checkpointing failed: %v\n", err)
+		os.Exit(1)
 	}
 
 	if res.Aborted {
@@ -145,7 +137,7 @@ func main() {
 		// The abort is the program's failure: classified verdict and
 		// cause on stderr, non-zero exit for scripts and CI.
 		fmt.Fprintf(os.Stderr, "aivril: run aborted: %s: %v\n", res.Verdict(), res.Err)
-		if *checkpointDir != "" {
+		if store != nil && store.Load(&core.Checkpoint{}) {
 			fmt.Fprintf(os.Stderr, "aivril: checkpoint kept in %s; re-run with the same flags to resume\n", *checkpointDir)
 		}
 		os.Exit(1)

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/llm/provider"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -40,7 +39,6 @@ func main() {
 
 		flakyRate = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
 		flakySeed = flag.Int64("flaky-seed", 1, "flaky provider: fault RNG seed")
-		simMode   = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 
 		recordTTL = flag.Duration("record-ttl", 0, "garbage-collect terminal job records older than this (0 = keep forever)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight jobs on shutdown")
@@ -49,11 +47,6 @@ func main() {
 
 	if *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "aivrild: -cache-dir is required (checkpoints and job state must land somewhere durable)")
-		os.Exit(2)
-	}
-	mode, err := sim.ParseBackendMode(*simMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aivrild: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -67,7 +60,6 @@ func main() {
 		Stack:      provider.DefaultStackConfig(),
 		Flaky:      provider.FlakyConfig{Seed: *flakySeed, ErrorRate: *flakyRate},
 		StepDelay:  *stepDelay,
-		SimMode:    mode,
 		RecordTTL:  *recordTTL,
 		Logf:       logf,
 	})

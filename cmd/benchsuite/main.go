@@ -45,7 +45,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -60,10 +59,8 @@ func main() {
 		jsonOut    = flag.String("json", "", "also write raw summaries as JSON to this file")
 		every      = flag.Int("every", 1, "evaluate every N-th problem (subsampling)")
 		workers    = flag.Int("workers", 0, "max parallel problems (0 = auto)")
-		simMode    = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (enables resume)")
 		resume     = flag.Bool("resume", true, "reuse cached cells; -resume=false recomputes and overwrites")
-		checkpoint = flag.Bool("checkpoints", true, "with -cache-dir: checkpoint every cell after each pipeline state so aborted cells resume mid-run")
 		shardSpec  = flag.String("shard", "", "evaluate only shard \"i/n\" of each sweep (e.g. \"0/2\")")
 		progress   = flag.Bool("progress", false, "stream per-cell progress and ETA to stderr")
 		server     = flag.String("server", "", "dispatch cache-miss cells to an aivrild job service at this base URL (results land in the shared cache cells an in-process run would use)")
@@ -86,11 +83,6 @@ func main() {
 		os.Exit(2)
 	}
 	shard, err := runner.ParseShard(*shardSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		os.Exit(2)
-	}
-	backendMode, err := sim.ParseBackendMode(*simMode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
 		os.Exit(2)
@@ -128,9 +120,7 @@ func main() {
 	opts := exp.Options{
 		Problems:    problems,
 		Runner:      run,
-		SimMode:     backendMode,
 		DesignCache: edatool.NewDesignCache(),
-		Checkpoint:  *checkpoint,
 		Provider:    *providerName,
 		ProviderConfig: provider.BuildConfig{
 			Stack: provider.DefaultStackConfig(),

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/edatool"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -28,15 +27,9 @@ func main() {
 		compileOnly = flag.Bool("compile-only", false, "stop after the syntax/semantic check")
 		maxTime     = flag.Uint64("max-time", 1_000_000, "simulated-time limit (ns)")
 		vcdPath     = flag.String("vcd", "", "write the $dumpvars waveform to this file")
-		simMode     = flag.String("sim-mode", "auto", "simulation backend: auto | interpret (output is byte-identical either way)")
 		showStats   = flag.Bool("stats", false, "print backend statistics (compiled/interpreted process counts, fallbacks) to stderr")
 	)
 	flag.Parse()
-	mode, err := sim.ParseBackendMode(*simMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hdlsim: %v\n", err)
-		os.Exit(2)
-	}
 	files := flag.Args()
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: hdlsim [-top tb] [-lang verilog|vhdl] file.v [more files...]")
@@ -66,7 +59,7 @@ func main() {
 		sources = append(sources, edatool.Source{Name: f, Text: string(text)})
 	}
 
-	tc := edatool.New(edatool.Options{Mode: mode})
+	tc := edatool.New(edatool.Options{})
 
 	if *compileOnly {
 		comp := tc.Compile(lang, sources...)

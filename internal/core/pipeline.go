@@ -40,29 +40,22 @@ type Config struct {
 	FreezeTestbench bool
 	// SkipFunctional runs only the syntax loop (RTLFixer-style ablation).
 	SkipFunctional bool
-	// SimMode selects the simulation execution backend (see
-	// edatool.Options.Mode): auto specializes two-state processes into
-	// uint64 closures, interpret forces the 4-state AST walker. Output
-	// is byte-identical across modes, so it deliberately does not enter
-	// the experiment cache key.
-	SimMode sim.BackendMode
 	// DesignCache shares parsed/elaborated designs across every compile
 	// and simulation this pipeline runs (see edatool.DesignCache): the
 	// repair loop re-parses only the unit a repair changed, and
-	// identical source sets re-run the retained design. Like SimMode
-	// it only changes speed, never results, so it deliberately does not
-	// enter the experiment cache key. When nil, New creates a private
-	// per-pipeline cache; sweeps may inject a shared one.
+	// identical source sets re-run the retained design. It only changes
+	// speed, never results, so it deliberately does not enter the
+	// experiment cache key. When nil, New creates a private per-pipeline
+	// cache; sweeps may inject a shared one.
 	DesignCache *edatool.DesignCache
 	Trace       func(stage, detail string) // optional transcript sink
 }
 
 // Fingerprint identifies the behavioural configuration: every knob
-// that changes pipeline outcomes, and none that don't (SimMode,
-// DesignCache, and Trace are deliberately absent). The format is a
-// component of the runner's content-addressed cache keys and of
-// checkpoint identity — changing it orphans every cached sweep, so
-// keep it stable.
+// that changes pipeline outcomes, and none that don't (DesignCache and
+// Trace are deliberately absent). The format is a component of the
+// runner's content-addressed cache keys and of checkpoint identity —
+// changing it orphans every cached sweep, so keep it stable.
 func (c Config) Fingerprint() string {
 	return fmt.Sprintf("syn%d,fun%d,sim%d,freeze=%t,skipf=%t",
 		c.MaxSyntaxIters, c.MaxFuncIters, c.MaxSimTime, c.FreezeTestbench, c.SkipFunctional)
@@ -169,11 +162,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.DesignCache == nil {
 		cfg.DesignCache = edatool.NewDesignCache()
 	}
-	tc := edatool.New(edatool.Options{
-		Mode:  cfg.SimMode,
-		Cache: cfg.DesignCache,
-	})
-	return &Pipeline{cfg: cfg, tc: tc}
+	return &Pipeline{cfg: cfg, tc: edatool.New(edatool.Options{Cache: cfg.DesignCache})}
 }
 
 func (p *Pipeline) trace(stage, format string, args ...any) {
@@ -235,21 +224,12 @@ func (p *Pipeline) Run(prob *bench.Problem) *Result {
 
 // RunContext executes the full flow on one problem under ctx: caller
 // cancellation aborts the run between (and, through the provider
-// layer, inside) LLM calls with a classified verdict. It drives the
-// explicit state machine (statemachine.go) to completion; callers that
-// need checkpoints between states use NewMachine/RunCheckpointed
-// directly.
+// layer, inside) LLM calls with a classified verdict. It is
+// RunCheckpointed without a store or a per-step hook; callers that
+// checkpoint or resume use Resume and RunCheckpointed directly.
 func (p *Pipeline) RunContext(ctx context.Context, prob *bench.Problem) *Result {
-	m := p.NewMachine(prob)
-	for {
-		done, err := m.Step(ctx)
-		if err != nil {
-			return m.Abort(err)
-		}
-		if done {
-			return m.res
-		}
-	}
+	res, _ := p.NewMachine(prob).RunCheckpointed(ctx, nil, nil)
+	return res
 }
 
 // EvaluateFunctional runs the final, reference-bench judgement: the

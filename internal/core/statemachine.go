@@ -162,8 +162,8 @@ func (m *Machine) ensureAgent() error {
 
 // Step executes one transition. It returns done=true once the machine
 // has passed Verdict; a non-nil error is an unrecoverable provider
-// failure the caller finalises via Abort (or discards, when the job
-// layer plans to resume from the last checkpoint instead).
+// failure the caller finalises via Abort. RunCheckpointed is the one
+// loop over Step.
 func (m *Machine) Step(ctx context.Context) (bool, error) {
 	if m.state == StateDone {
 		return true, nil
@@ -412,8 +412,8 @@ func (m *Machine) modelName() string {
 }
 
 // Checkpoint serializes the machine at the current step boundary. It
-// fails when the provider's sessions do not support checkpointing; the
-// job layer then runs the job without resumability rather than not at
+// fails when the provider's sessions do not support checkpointing;
+// RunCheckpointed then runs on without resumability rather than not at
 // all.
 func (m *Machine) Checkpoint() (*Checkpoint, error) {
 	cp := &Checkpoint{
@@ -515,30 +515,83 @@ func (p *Pipeline) Restore(cp *Checkpoint, prob *bench.Problem) (*Machine, error
 	return m, nil
 }
 
-// RunCheckpointed drives the machine to completion, handing sink a
-// fresh checkpoint after every step. A provider failure finalises the
-// result through the classified abort path (first return), exactly
-// like RunContext; a sink or serialization error stops the machine
-// immediately and is returned raw (second return) — the caller decides
-// whether checkpointing trouble is fatal. The checkpoint for the step
-// that failed is never written: resume restarts from the previous
-// boundary, whose session snapshot makes the replay deterministic.
-func (m *Machine) RunCheckpointed(ctx context.Context, sink func(*Checkpoint) error) (*Result, error) {
+// CheckpointStore is one run's checkpoint slot: RunCheckpointed
+// persists a Checkpoint into it after every step and deletes it once
+// it can no longer pay off, and Resume restores from it. Load reports
+// a missing or undecodable checkpoint as false. runner.Cache.Checkpoints
+// binds a job's on-disk slot to this interface.
+type CheckpointStore interface {
+	Load(v any) bool
+	Store(v any) error
+	Delete() error
+}
+
+// Resume returns the machine for one run of prob: restored from the
+// store's checkpoint when it holds one for this pipeline, fresh when
+// the store is nil, empty, or holds a checkpoint that does not match.
+// resumed reports which. Both outcomes of a found checkpoint are
+// reported through cfg.Trace under stage "job".
+func (p *Pipeline) Resume(prob *bench.Problem, store CheckpointStore) (m *Machine, resumed bool) {
+	if store == nil {
+		return p.NewMachine(prob), false
+	}
+	// Declared past the nil check: Load takes it as an interface, so it
+	// lives on the heap, and a run without a store must not pay for it.
+	var cp Checkpoint
+	if !store.Load(&cp) {
+		return p.NewMachine(prob), false
+	}
+	m, err := p.Restore(&cp, prob)
+	if err != nil {
+		p.trace("job", "checkpoint unusable (%v); starting over", err)
+		return p.NewMachine(prob), false
+	}
+	p.trace("job", "resumed from checkpoint at state %s (step %d)", m.State(), m.Steps())
+	return m, true
+}
+
+// RunCheckpointed drives the machine to completion. After every step
+// it persists a checkpoint into store (when non-nil) and then calls
+// after (when non-nil) with that checkpoint, or with nil when none was
+// persisted: no store, a session that cannot snapshot, or a failed
+// write. An error from after stops the machine at that boundary, keeps
+// the checkpoint, and is returned raw; the caller decides whether it is
+// fatal.
+//
+// A provider failure finalises the result through the classified abort
+// path (first return). The store keeps its checkpoint only while a
+// later run can use it: a completed run deletes it, and so does an
+// abort that was not a cancellation and that provider.ResumableAfter
+// rejects, since the same request would fail the same way. A failed
+// delete is not reported: the checkpoint it leaves resumes to the same
+// end. The step that failed is never checkpointed: resume restarts
+// from the previous boundary, whose session snapshot makes the replay
+// deterministic.
+func (m *Machine) RunCheckpointed(ctx context.Context, store CheckpointStore, after func(*Checkpoint) error) (*Result, error) {
 	for {
 		done, err := m.Step(ctx)
 		if err != nil {
-			return m.Abort(err), nil
-		}
-		if sink != nil {
-			cp, err := m.Checkpoint()
-			if err == nil {
-				err = sink(cp)
+			res := m.Abort(err)
+			if store != nil && provider.ClassOf(err) != provider.ClassCanceled && !provider.ResumableAfter(err) {
+				store.Delete()
 			}
-			if err != nil {
+			return res, nil
+		}
+		var cp *Checkpoint
+		if store != nil {
+			if c, err := m.Checkpoint(); err == nil && store.Store(c) == nil {
+				cp = c
+			}
+		}
+		if after != nil {
+			if err := after(cp); err != nil {
 				return nil, err
 			}
 		}
 		if done {
+			if store != nil {
+				store.Delete()
+			}
 			return m.res, nil
 		}
 	}

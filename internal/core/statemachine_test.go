@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -66,9 +67,34 @@ func assertSameResult(t *testing.T, got, want *Result) {
 	}
 }
 
+// memStore is an in-memory CheckpointStore holding the JSON bytes of
+// the last stored checkpoint, as the on-disk store does. With failing
+// set every Store fails.
+type memStore struct {
+	data    []byte
+	failing bool
+}
+
+func (s *memStore) Load(v any) bool { return s.data != nil && json.Unmarshal(s.data, v) == nil }
+
+func (s *memStore) Store(v any) error {
+	if s.failing {
+		return errors.New("store: disk full")
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	s.data = data
+	return nil
+}
+
+func (s *memStore) Delete() error { s.data = nil; return nil }
+
 // TestMachineMatchesRunContext: driving the state machine with a
-// checkpoint sink produces the exact result of the monolithic path,
-// and the sink sees a checkpoint per step.
+// checkpoint store produces the exact result of the monolithic path,
+// the per-step hook sees a persisted checkpoint per step, and the
+// completed run leaves the store empty.
 func TestMachineMatchesRunContext(t *testing.T) {
 	model := machineModel(t)
 	for _, id := range machineProblems {
@@ -77,9 +103,13 @@ func TestMachineMatchesRunContext(t *testing.T) {
 			want := New(DefaultConfig(model, lang)).RunContext(context.Background(), prob)
 
 			m := New(DefaultConfig(model, lang)).NewMachine(prob)
+			store := &memStore{}
 			steps := 0
-			got, err := m.RunCheckpointed(context.Background(), func(cp *Checkpoint) error {
+			got, err := m.RunCheckpointed(context.Background(), store, func(cp *Checkpoint) error {
 				steps++
+				if cp == nil {
+					t.Fatalf("%s/%s: step %d persisted no checkpoint", id, lang, steps)
+				}
 				if cp.Problem != prob.ID {
 					t.Fatalf("checkpoint problem %q", cp.Problem)
 				}
@@ -89,7 +119,10 @@ func TestMachineMatchesRunContext(t *testing.T) {
 				t.Fatalf("%s/%s: RunCheckpointed: %v", id, lang, err)
 			}
 			if steps != m.Steps() || steps == 0 {
-				t.Errorf("%s/%s: sink saw %d checkpoints, machine ran %d steps", id, lang, steps, m.Steps())
+				t.Errorf("%s/%s: hook saw %d checkpoints, machine ran %d steps", id, lang, steps, m.Steps())
+			}
+			if store.data != nil {
+				t.Errorf("%s/%s: completed run left its checkpoint behind", id, lang)
 			}
 			assertSameResult(t, got, want)
 		}
@@ -101,13 +134,10 @@ func TestMachineMatchesRunContext(t *testing.T) {
 func collectCheckpoints(t *testing.T, model *llm.Profile, lang edatool.Language, prob *bench.Problem) ([][]byte, *Result) {
 	t.Helper()
 	m := New(DefaultConfig(model, lang)).NewMachine(prob)
+	store := &memStore{}
 	var cps [][]byte
-	res, err := m.RunCheckpointed(context.Background(), func(cp *Checkpoint) error {
-		data, err := json.Marshal(cp)
-		if err != nil {
-			return err
-		}
-		cps = append(cps, data)
+	res, err := m.RunCheckpointed(context.Background(), store, func(*Checkpoint) error {
+		cps = append(cps, store.data)
 		return nil
 	})
 	if err != nil {
@@ -144,7 +174,7 @@ func TestResumeAtEveryBoundary(t *testing.T) {
 			for i, data := range cps {
 				p2 := New(DefaultConfig(model, lang))
 				m2 := restoreFromJSON(t, p2, prob, data)
-				got, err := m2.RunCheckpointed(context.Background(), nil)
+				got, err := m2.RunCheckpointed(context.Background(), nil, nil)
 				if err != nil {
 					t.Fatalf("%s/%s boundary %d: %v", id, lang, i, err)
 				}
@@ -207,7 +237,7 @@ func TestCancellationAtEveryBoundary(t *testing.T) {
 			// resume with a live context and finish identically.
 			p2 := New(DefaultConfig(model, lang))
 			m2 := restoreFromJSON(t, p2, prob, data)
-			got, rerr := m2.RunCheckpointed(context.Background(), nil)
+			got, rerr := m2.RunCheckpointed(context.Background(), nil, nil)
 			if rerr != nil {
 				t.Fatalf("%s boundary %d: resume: %v", id, i, rerr)
 			}
@@ -221,6 +251,140 @@ func TestCancellationAtEveryBoundary(t *testing.T) {
 					t.Errorf("%s: no boundary in state %s was exercised", id, st)
 				}
 			}
+		}
+	}
+}
+
+// TestRunCheckpointedStorePolicy pins the one keep-or-discard rule for
+// a run's checkpoint. Each case resumes from a checkpoint two steps
+// into the run, then ends one way: a checkpoint survives only where a
+// later run can still use it.
+func TestRunCheckpointedStorePolicy(t *testing.T) {
+	model := machineModel(t)
+	lang := edatool.Verilog
+	prob := requireProblem(t, "cmp_lt_w4")
+	errStop := errors.New("stop")
+	failing := func(c provider.Class) provider.FlakyConfig {
+		return provider.FlakyConfig{Seed: 1, ErrorRate: 1, Classes: []provider.Class{c}}
+	}
+	cases := []struct {
+		name      string
+		flaky     provider.FlakyConfig
+		cancel    bool
+		failStore bool
+		afterErr  bool
+		wantAbort provider.Class // ClassOK: the run completes
+		wantKept  bool
+	}{
+		{name: "completed", wantKept: false},
+		{name: "canceled", cancel: true, wantAbort: provider.ClassCanceled, wantKept: true},
+		{name: "exhausted on a transient cause", flaky: failing(provider.ClassUnavailable),
+			wantAbort: provider.ClassExhausted, wantKept: true},
+		{name: "invalid", flaky: failing(provider.ClassInvalid), wantAbort: provider.ClassInvalid, wantKept: false},
+		{name: "after returns an error", afterErr: true, wantKept: true},
+		{name: "store write fails", failStore: true, wantKept: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Seed: a healthy run stopped by its hook after two steps
+			// leaves the second boundary in the store.
+			store := &memStore{}
+			seed := New(faultConfig(t, model, lang, provider.FlakyConfig{Seed: 1})).NewMachine(prob)
+			n := 0
+			if _, err := seed.RunCheckpointed(context.Background(), store, func(*Checkpoint) error {
+				if n++; n == 2 {
+					return errStop
+				}
+				return nil
+			}); err != errStop || store.data == nil {
+				t.Fatalf("seed run: err %v, checkpoint kept %v", err, store.data != nil)
+			}
+			seeded := string(store.data)
+
+			m, resumed := New(faultConfig(t, model, lang, tc.flaky)).Resume(prob, store)
+			if !resumed || m.Steps() != 2 {
+				t.Fatalf("Resume: resumed %v at step %d, want step 2", resumed, m.Steps())
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			if tc.cancel {
+				cancel()
+			}
+			defer cancel()
+			store.failing = tc.failStore
+			hooks, persisted := 0, 0
+			res, err := m.RunCheckpointed(ctx, store, func(cp *Checkpoint) error {
+				hooks++
+				if cp != nil {
+					persisted++
+				}
+				if tc.afterErr {
+					return errStop
+				}
+				return nil
+			})
+			switch {
+			case tc.afterErr:
+				if err != errStop || res != nil {
+					t.Fatalf("hook error: got (%v, %v), want (nil, stop)", res, err)
+				}
+				if string(store.data) == seeded {
+					t.Error("the boundary before the hook error was not persisted")
+				}
+			case err != nil:
+				t.Fatalf("RunCheckpointed: %v", err)
+			case tc.wantAbort == provider.ClassOK && res.Aborted:
+				t.Fatalf("run aborted: %v", res.Err)
+			case tc.wantAbort != provider.ClassOK && provider.ClassOf(res.Err) != tc.wantAbort:
+				t.Fatalf("abort class %v (%v), want %v", provider.ClassOf(res.Err), res.Err, tc.wantAbort)
+			}
+			if tc.failStore && (hooks == 0 || persisted != 0) {
+				t.Errorf("failing store: hook ran %d times and saw %d checkpoints, want nil each time", hooks, persisted)
+			}
+			if !tc.failStore && persisted != hooks {
+				t.Errorf("hook saw %d checkpoints in %d calls", persisted, hooks)
+			}
+			if kept := store.data != nil; kept != tc.wantKept {
+				t.Errorf("checkpoint kept = %v, want %v", kept, tc.wantKept)
+			}
+		})
+	}
+}
+
+// TestResumeFallsBackToFresh: Resume restores only a matching
+// checkpoint and reports both outcomes of a found one under stage
+// "job"; a nil or empty store starts fresh without a word.
+func TestResumeFallsBackToFresh(t *testing.T) {
+	model := machineModel(t)
+	prob := requireProblem(t, "gate_or")
+	cps, _ := collectCheckpoints(t, model, edatool.Verilog, prob)
+	for _, tc := range []struct {
+		name        string
+		lang        edatool.Language
+		store       CheckpointStore
+		wantResumed bool
+		wantTrace   string
+	}{
+		{"nil store", edatool.Verilog, nil, false, ""},
+		{"empty store", edatool.Verilog, &memStore{}, false, ""},
+		{"matching checkpoint", edatool.Verilog, &memStore{data: cps[1]}, true, "resumed from checkpoint at state "},
+		{"mismatched checkpoint", edatool.VHDL, &memStore{data: cps[1]}, false, "checkpoint unusable ("},
+	} {
+		cfg := DefaultConfig(model, tc.lang)
+		var lines []string
+		cfg.Trace = func(stage, detail string) {
+			if stage == "job" {
+				lines = append(lines, detail)
+			}
+		}
+		m, resumed := New(cfg).Resume(prob, tc.store)
+		if resumed != tc.wantResumed || (m.Steps() > 0) != tc.wantResumed {
+			t.Errorf("%s: resumed %v at step %d, want resumed %v", tc.name, resumed, m.Steps(), tc.wantResumed)
+		}
+		switch {
+		case tc.wantTrace == "" && len(lines) != 0:
+			t.Errorf("%s: unexpected job trace %q", tc.name, lines)
+		case tc.wantTrace != "" && (len(lines) != 1 || !strings.HasPrefix(lines[0], tc.wantTrace)):
+			t.Errorf("%s: job trace %q, want one line starting %q", tc.name, lines, tc.wantTrace)
 		}
 	}
 }

@@ -19,7 +19,9 @@ type Options struct {
 	// flat uint64 closures with per-activation fallback to the 4-state
 	// interpreter; BackendInterpret forces the interpreter everywhere.
 	// Output is byte-identical across modes, so Mode is deliberately
-	// not part of any cache key.
+	// not part of any cache key. No CLI or pipeline sets it: it is the
+	// test seam through which the differential harness runs the
+	// interpreter as the reference for the compiled backend.
 	Mode sim.BackendMode
 
 	// Cache shares parse and whole-design reuse across every compile

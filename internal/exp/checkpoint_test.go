@@ -5,11 +5,33 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/edatool"
 	"repro/internal/llm"
+	"repro/internal/llm/provider"
 	"repro/internal/runner"
 )
+
+// seedCheckpoint drives a fresh machine for prob the given number of
+// states in under cfg and stores the boundary checkpoint as job's,
+// exactly what a killed invocation leaves behind.
+func seedCheckpoint(t *testing.T, cache *runner.Cache, job runner.Job, cfg core.Config, prob *bench.Problem, states int) {
+	t.Helper()
+	m := core.New(cfg).NewMachine(prob)
+	for i := 0; i < states; i++ {
+		if done, err := m.Step(context.Background()); err != nil || done {
+			t.Fatalf("pre-seed step %d: done=%v err=%v", i, done, err)
+		}
+	}
+	cp, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Checkpoints(job).Store(cp); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestCheckpointedSweepMatchesPlain: running every cell through the
 // checkpointed state machine must not change a single outcome relative
@@ -22,7 +44,7 @@ func TestCheckpointedSweepMatchesPlain(t *testing.T) {
 
 	cache := mustCache(t)
 	r := &runner.Runner{Cache: cache}
-	got := Run(model, edatool.Verilog, Options{Problems: problems, Runner: r, Checkpoint: true})
+	got := Run(model, edatool.Verilog, Options{Problems: problems, Runner: r})
 	if !reflect.DeepEqual(want.Outcomes, got.Outcomes) {
 		t.Fatal("checkpointed sweep outcomes diverged from plain sweep")
 	}
@@ -59,24 +81,11 @@ func TestCheckpointedSweepResumesPreseededCell(t *testing.T) {
 	job := runner.Job{Problem: target.ID, Model: model.Name(),
 		Language: lang.String(), Config: cfg.Fingerprint()}
 
-	// Simulate the crash: drive the machine two states in and persist
-	// the boundary checkpoint, exactly what a killed process leaves.
-	m := core.New(core.DefaultConfig(model, lang)).NewMachine(target)
-	for i := 0; i < 2; i++ {
-		if done, err := m.Step(context.Background()); err != nil || done {
-			t.Fatalf("pre-seed step %d: done=%v err=%v", i, done, err)
-		}
-	}
-	cp, err := m.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.StoreCheckpoint(job, cp); err != nil {
-		t.Fatal(err)
-	}
+	// Simulate the crash: a checkpoint two states in.
+	seedCheckpoint(t, cache, job, cfg, target, 2)
 
 	r := &runner.Runner{Cache: cache}
-	got := Run(model, lang, Options{Problems: problems, Runner: r, Checkpoint: true})
+	got := Run(model, lang, Options{Problems: problems, Runner: r})
 	st := r.Stats()
 	if st.JobsResumed != 1 {
 		t.Errorf("JobsResumed = %d, want 1", st.JobsResumed)
@@ -95,14 +104,14 @@ func TestCheckpointedSweepResumesPreseededCell(t *testing.T) {
 	}
 }
 
-// TestCheckpointIgnoredWithoutCache: Options.Checkpoint without a
-// runner cache is a no-op, not a crash.
+// TestCheckpointIgnoredWithoutCache: a runner without a cache writes no
+// checkpoints and changes no outcome.
 func TestCheckpointIgnoredWithoutCache(t *testing.T) {
 	problems := sampleProblems(40)
 	model := llm.ProfileByName("gpt-4o")
 	want := Run(model, edatool.Verilog, Options{Problems: problems})
 	r := &runner.Runner{}
-	got := Run(model, edatool.Verilog, Options{Problems: problems, Runner: r, Checkpoint: true})
+	got := Run(model, edatool.Verilog, Options{Problems: problems, Runner: r})
 	if !reflect.DeepEqual(want.Outcomes, got.Outcomes) {
 		t.Fatal("Checkpoint without cache changed outcomes")
 	}
@@ -125,24 +134,44 @@ func TestCorruptCheckpointIsCleanMiss(t *testing.T) {
 		Language: lang.String(), Config: cfg.Fingerprint()}
 	// A syntactically valid checkpoint for the wrong cell: Restore must
 	// reject it and the sweep must fall back to a fresh run.
-	other := core.New(core.DefaultConfig(model, edatool.Verilog)).NewMachine(problems[0])
-	if _, err := other.Step(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := other.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.StoreCheckpoint(job, cp); err != nil {
-		t.Fatal(err)
-	}
+	seedCheckpoint(t, cache, job, core.DefaultConfig(model, edatool.Verilog), problems[0], 1)
 
 	r := &runner.Runner{Cache: cache}
-	got := Run(model, lang, Options{Problems: problems, Runner: r, Checkpoint: true})
+	got := Run(model, lang, Options{Problems: problems, Runner: r})
 	if st := r.Stats(); st.JobsResumed != 0 {
 		t.Errorf("mismatched checkpoint was resumed: %+v", st)
 	}
 	if !reflect.DeepEqual(want.Outcomes, got.Outcomes) {
 		t.Fatal("rejected checkpoint changed the sweep outcome")
+	}
+}
+
+// TestInvalidAbortDiscardsCheckpoint: a cell that resumes from its
+// checkpoint and then aborts on an invalid request fails the same way
+// on every retry, so the sweep must not leave the checkpoint behind
+// for the next invocation to resume into the same failure.
+func TestInvalidAbortDiscardsCheckpoint(t *testing.T) {
+	model := llm.ProfileByName("claude-3.5-sonnet")
+	lang := edatool.Verilog
+	problems := sampleProblems(24)[:1]
+	cache := mustCache(t)
+
+	// Pre-seed the cell two states in, through a healthy flaky
+	// provider so the checkpoint matches the failing sweep's identity.
+	healthy := flakyOptions(provider.FlakyConfig{Seed: 1}, nil, problems)
+	cfg := healthy.effectiveConfig(model, lang)
+	job := runner.Job{Problem: problems[0].ID, Model: model.Name(),
+		Language: lang.String(), Config: cfg.Fingerprint(), Provider: healthy.providerTag()}
+	seedCheckpoint(t, cache, job, cfg, problems[0], 2)
+
+	r := &runner.Runner{Cache: cache}
+	invalid := provider.FlakyConfig{Seed: 1, ErrorRate: 1, Classes: []provider.Class{provider.ClassInvalid}}
+	Run(model, lang, flakyOptions(invalid, r, problems))
+	st := r.Stats()
+	if st.JobsResumed != 1 || st.Failed != 1 {
+		t.Fatalf("stats = %+v, want the seeded cell resumed and failed", st)
+	}
+	if cache.HasCheckpoint(job) {
+		t.Error("invalid abort left its checkpoint behind")
 	}
 }

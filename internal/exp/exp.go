@@ -16,7 +16,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/llm/provider"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // ProblemOutcome captures one problem's measurements. It is the
@@ -118,16 +117,12 @@ type Options struct {
 	Problems   []*bench.Problem // defaults to the full suite
 	Configure  func(*core.Config)
 	MaxWorkers int
-	// SimMode selects the simulation execution backend for every
-	// simulation of the sweep (see edatool.Options.Mode). It is applied
-	// before Configure and stays out of the cache key: output is
-	// byte-identical across modes, so cached cells stay valid when the
-	// setting changes.
-	SimMode sim.BackendMode
 	// Runner, when set, orchestrates the sweep: its cache makes runs
-	// resumable, its shard splits the job set across invocations, and
-	// its progress reporter streams per-cell outcomes. When nil the
-	// sweep runs on a private in-memory runner (MaxWorkers workers).
+	// resumable (finished cells are served from it, unfinished ones
+	// resume from their last pipeline-state checkpoint), its shard
+	// splits the job set across invocations, and its progress reporter
+	// streams per-cell outcomes. When nil the sweep runs on a private
+	// in-memory runner (MaxWorkers workers).
 	Runner *runner.Runner
 	// Provider selects a named provider from provider.DefaultRegistry
 	// ("" = the offline default with the default middleware stack —
@@ -143,19 +138,9 @@ type Options struct {
 	// -server). The runner's local cache still short-circuits known
 	// cells first, and because the service persists the same payload
 	// into the same content-addressed cells, remote and in-process
-	// sweeps merge through a shared cache directory. Checkpointing
-	// happens server-side; the local Checkpoint option is ignored for
-	// dispatched cells.
+	// sweeps merge through a shared cache directory. Dispatched cells
+	// checkpoint server-side, not in the local cache.
 	Dispatch Dispatch
-	// Checkpoint runs every cell through the checkpointed state machine
-	// when the Runner has a cache: the machine persists a checkpoint
-	// after each state transition, an aborted cell leaves its checkpoint
-	// behind, and the next invocation resumes the cell from that
-	// boundary instead of starting over. Ignored without a Runner cache.
-	// Deterministic guarantee: a resumed cell produces the same
-	// artefacts, outcome and cache entry an uninterrupted run would
-	// have.
-	Checkpoint bool
 	// DesignCache shares one design cache across every cell of the
 	// sweep (see edatool.DesignCache): identical (problem, RTL) pairs
 	// re-run a retained design, and the per-problem reference
@@ -179,7 +164,6 @@ func configKey(cfg core.Config) string {
 // per-cell runtime failure.
 func (o Options) effectiveConfig(model *llm.Profile, lang edatool.Language) core.Config {
 	cfg := core.DefaultConfig(model, lang)
-	cfg.SimMode = o.SimMode
 	if o.Provider != "" {
 		p, err := provider.DefaultRegistry.New(o.Provider, model, o.ProviderConfig)
 		if err != nil {
@@ -204,13 +188,35 @@ func (o Options) providerTag() string {
 }
 
 // evaluate runs the pipeline and both judgements for one cell. This is
-// the unit of work the runner executes, caches, and shards. Aborted
-// runs (provider gave up after exhausting its resilience budget)
-// surface as an error so the runner marks the cell Failed and — key
-// for resumability — never caches it: the next invocation recomputes
-// the cell instead of serving a poisoned result.
-func evaluate(r *runner.Runner, prob *bench.Problem, lang edatool.Language, cfg core.Config, tag string) (ProblemOutcome, error) {
-	res := core.New(cfg).Run(prob)
+// the unit of work the runner executes, caches, and shards. When the
+// runner has a cache, the cell checkpoints into it after every
+// pipeline state: a checkpoint left by a crashed or aborted invocation
+// resumes the cell mid-run, with the artefacts, outcome and cache
+// entry an uninterrupted run would have. Aborted runs (provider gave
+// up after exhausting its resilience budget) surface as an error so
+// the runner marks the cell Failed and — key for resumability — never
+// caches it: the next invocation recomputes the cell instead of
+// serving a poisoned result.
+func evaluate(r *runner.Runner, job runner.Job, prob *bench.Problem, lang edatool.Language, cfg core.Config, tag string) (ProblemOutcome, error) {
+	var store core.CheckpointStore
+	if r.Cache != nil {
+		store = r.Cache.Checkpoints(job)
+	}
+	m, resumed := core.New(cfg).Resume(prob, store)
+	base, written := m.Steps(), 0
+	// A checkpoint that cannot be written only degrades resumability,
+	// never the sweep, so the hook only counts.
+	res, _ := m.RunCheckpointed(context.Background(), store, func(cp *core.Checkpoint) error {
+		if cp != nil {
+			written++
+		}
+		return nil
+	})
+	if resumed {
+		r.AddResume(written, 1, m.Steps()-base)
+	} else if written > 0 {
+		r.AddResume(written, 0, 0)
+	}
 	if res.Aborted {
 		return ProblemOutcome{}, fmt.Errorf("cell %s/%s aborted: %w", prob.ID, lang, res.Err)
 	}
@@ -242,53 +248,6 @@ func Outcome(prob *bench.Problem, lang edatool.Language, cfg core.Config, tag st
 		out.LoopFuncOK = core.EvaluateFunctionalWith(cfg.DesignCache, lang, prob, res.FinalRTL, cfg.MaxSimTime)
 	}
 	return out
-}
-
-// evaluateResumable runs one cell through the checkpointed state
-// machine: a checkpoint is persisted after every state transition, a
-// prior checkpoint (left by a crashed or aborted invocation) resumes
-// the cell mid-run, and a completed cell deletes its checkpoint. An
-// aborted cell keeps the last checkpoint on disk so the next
-// invocation picks up where the provider gave out.
-func evaluateResumable(ctx context.Context, r *runner.Runner, job runner.Job, prob *bench.Problem, lang edatool.Language, cfg core.Config, tag string) (ProblemOutcome, error) {
-	p := core.New(cfg)
-	m := p.NewMachine(prob)
-	resumed := 0
-	var cp core.Checkpoint
-	if r.Cache.LoadCheckpoint(job, &cp) {
-		if rm, err := p.Restore(&cp, prob); err == nil {
-			m = rm
-			resumed = 1
-		}
-		// A stale or mismatched checkpoint is a clean miss: run fresh.
-	}
-	base := m.Steps()
-	written := 0
-	res, err := m.RunCheckpointed(ctx, func(c *core.Checkpoint) error {
-		// Best-effort durability: a failed write only degrades
-		// resumability, never the sweep.
-		if r.Cache.StoreCheckpoint(job, c) == nil {
-			written++
-		}
-		return nil
-	})
-	if err != nil {
-		// Checkpointing itself is broken (e.g. a non-resumable
-		// session). The pipeline is deterministic, so fall back to a
-		// plain uncheckpointed run.
-		return evaluate(r, prob, lang, cfg, tag)
-	}
-	replayed := 0
-	if resumed > 0 {
-		replayed = m.Steps() - base
-	}
-	r.AddResume(written, resumed, replayed)
-	if res.Aborted {
-		return ProblemOutcome{}, fmt.Errorf("cell %s/%s aborted: %w", prob.ID, lang, res.Err)
-	}
-	r.AddBackend(res.Backend)
-	r.Cache.DeleteCheckpoint(job)
-	return Outcome(prob, lang, cfg, tag, res), nil
 }
 
 // Run sweeps one model over one language by submitting one job per
@@ -329,7 +288,6 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 			Provider: tag,
 		}
 	}
-	checkpointed := opts.Checkpoint && r.Cache != nil && opts.Dispatch == nil
 	results := runner.Execute(r, jobs, func(i int, job runner.Job) (ProblemOutcome, error) {
 		if opts.Dispatch != nil {
 			return opts.Dispatch(job, RemoteCell{
@@ -344,10 +302,7 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 				SkipFunctional: cfg.SkipFunctional,
 			})
 		}
-		if checkpointed {
-			return evaluateResumable(context.Background(), r, job, problems[i], lang, cfg, tag)
-		}
-		return evaluate(r, problems[i], lang, cfg, tag)
+		return evaluate(r, job, problems[i], lang, cfg, tag)
 	})
 	elab := cfg.DesignCache.Stats().Sub(elabBefore)
 	r.AddElab(elab.DesignHits, elab.DesignMisses, elab.ParseHits, elab.ParseMisses)

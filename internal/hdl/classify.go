@@ -15,10 +15,3 @@ package hdl
 // domain, !ok means the process must fall back to the 4-state
 // interpreter for this activation.
 func (v Vector) Known64() (uint64, bool) { return v.known64() }
-
-// TwoState reports whether v carries no X/Z bits at any width. It is
-// IsKnown under its classification name: the compiled backend uses
-// Known64 (which additionally bounds the width), while callers that
-// only care about 4-state content (e.g. case-pattern classification)
-// use this.
-func (v Vector) TwoState() bool { return v.IsKnown() }

@@ -24,7 +24,7 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add([]byte{65, 63, 0b1110, 0xe4, 0xe4, 0x1b, 0x00, 0xff})
 	f.Add([]byte{128, 32, 0xde, 0xad, 0xbe, 0xef, 0xe4, 0xe4, 0xe4, 0xe4})
 	f.Add([]byte{33, 97, 0x00})
-	// Two-state/four-state classification boundary (Known64/TwoState):
+	// Two-state/four-state classification boundary (Known64/IsKnown):
 	// a fully known 64-bit value (widest classifiable), a fully known
 	// 65-bit value (width excludes it), a 64-bit value with a single X
 	// in the top bit, and a 1-bit Z.
@@ -150,7 +150,7 @@ func FuzzVectorOps(f *testing.F) {
 		// Two-state classification: Known64 must accept exactly the
 		// fully known <= 64-bit values (the compiled backend's guard
 		// condition), and the value it returns must match the per-bit
-		// reference. TwoState must agree with the per-bit known test at
+		// reference. IsKnown must agree with the per-bit known test at
 		// every width.
 		for _, v := range []Vector{a, b} {
 			ref := refFromVector(v)
@@ -169,8 +169,8 @@ func FuzzVectorOps(f *testing.F) {
 					t.Fatalf("Known64(%v) = %#x, want %#x", v, u, want)
 				}
 			}
-			if got := v.TwoState(); got != ref.isKnown() {
-				t.Fatalf("TwoState(%v) = %v, want %v", v, got, ref.isKnown())
+			if got := v.IsKnown(); got != ref.isKnown() {
+				t.Fatalf("IsKnown(%v) = %v, want %v", v, got, ref.isKnown())
 			}
 		}
 

@@ -92,34 +92,41 @@ func (c *Cache) Store(j Job, v any) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(c.path(j), data, true)
+	return WriteFileAtomic(c.path(j), data, true)
 }
 
-// StoreCheckpoint atomically replaces the job's checkpoint.
-func (c *Cache) StoreCheckpoint(j Job, v any) error {
-	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(c.ckptPath(j), data, false)
-}
+// Checkpoints returns the job's checkpoint slot. Its Load, Store and
+// Delete have the shape of core.CheckpointStore, so a checkpointed
+// pipeline run persists and resumes through the cache without knowing
+// its layout.
+func (c *Cache) Checkpoints(j Job) JobCheckpoints { return JobCheckpoints{path: c.ckptPath(j)} }
 
-// LoadCheckpoint reads the job's checkpoint into v. A missing — or
-// corrupt — checkpoint is a clean miss: a torn write from a crash
-// degrades to "restart this job from scratch", never to an error that
-// wedges the job.
-func (c *Cache) LoadCheckpoint(j Job, v any) bool {
-	data, err := os.ReadFile(c.ckptPath(j))
+// JobCheckpoints is one job's checkpoint file in a Cache.
+type JobCheckpoints struct{ path string }
+
+// Load reads the checkpoint into v. A missing — or corrupt — checkpoint
+// is a clean miss: a torn write from a crash degrades to "restart this
+// job from scratch", never to an error that wedges the job.
+func (s JobCheckpoints) Load(v any) bool {
+	data, err := os.ReadFile(s.path)
 	if err != nil {
 		return false
 	}
 	return json.Unmarshal(data, v) == nil
 }
 
-// DeleteCheckpoint removes the job's checkpoint (a completed job no
-// longer needs one). Missing checkpoints are not an error.
-func (c *Cache) DeleteCheckpoint(j Job) error {
-	err := os.Remove(c.ckptPath(j))
+// Store atomically replaces the checkpoint.
+func (s JobCheckpoints) Store(v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(s.path, data, false)
+}
+
+// Delete removes the checkpoint. A missing checkpoint is not an error.
+func (s JobCheckpoints) Delete() error {
+	err := os.Remove(s.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
@@ -132,13 +139,14 @@ func (c *Cache) HasCheckpoint(j Job) bool {
 	return err == nil
 }
 
-// writeFileAtomic writes data to path via a temp file in the same
-// directory and an atomic rename. With durable set it additionally
+// WriteFileAtomic writes data to path via a temp file in the same
+// directory and an atomic rename: no kill point leaves a torn file
+// under the final name. With durable set it additionally
 // fsyncs the file before the rename and the parent directory after,
 // closing the two kill windows rename alone leaves open (a zero-length
 // file under the final name on some filesystems, and a rename that
 // never reaches the journal).
-func writeFileAtomic(path string, data []byte, durable bool) error {
+func WriteFileAtomic(path string, data []byte, durable bool) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -176,9 +184,9 @@ func writeFileAtomic(path string, data []byte, durable bool) error {
 	return nil
 }
 
-// Len counts the result entries currently on disk (used by tests and
-// the manifest; O(entries)). Checkpoints are not results and are
-// excluded.
+// Len counts the result entries currently on disk (O(entries); tests
+// use it to assert what a sweep cached). Checkpoints are not results
+// and are excluded.
 func (c *Cache) Len() int {
 	n := 0
 	ckptRoot := filepath.Join(c.dir, ckptDirName)

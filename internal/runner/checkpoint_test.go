@@ -21,46 +21,46 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	j := ckptJob("gate_and")
 
 	var miss map[string]int
-	if c.LoadCheckpoint(j, &miss) {
-		t.Fatal("LoadCheckpoint hit on empty cache")
+	if c.Checkpoints(j).Load(&miss) {
+		t.Fatal("Load hit on empty cache")
 	}
 	if c.HasCheckpoint(j) {
 		t.Fatal("HasCheckpoint true on empty cache")
 	}
 
 	want := map[string]int{"state": 3, "steps": 7}
-	if err := c.StoreCheckpoint(j, want); err != nil {
+	if err := c.Checkpoints(j).Store(want); err != nil {
 		t.Fatal(err)
 	}
 	if !c.HasCheckpoint(j) {
 		t.Fatal("HasCheckpoint false after store")
 	}
 	var got map[string]int
-	if !c.LoadCheckpoint(j, &got) {
-		t.Fatal("LoadCheckpoint missed after store")
+	if !c.Checkpoints(j).Load(&got) {
+		t.Fatal("Load missed after store")
 	}
 	if got["state"] != 3 || got["steps"] != 7 {
 		t.Fatalf("round trip lost data: %v", got)
 	}
 
 	// Overwrite replaces, not appends.
-	if err := c.StoreCheckpoint(j, map[string]int{"state": 4}); err != nil {
+	if err := c.Checkpoints(j).Store(map[string]int{"state": 4}); err != nil {
 		t.Fatal(err)
 	}
 	got = nil
-	c.LoadCheckpoint(j, &got)
+	c.Checkpoints(j).Load(&got)
 	if got["state"] != 4 || got["steps"] != 0 {
 		t.Fatalf("overwrite did not replace: %v", got)
 	}
 
-	if err := c.DeleteCheckpoint(j); err != nil {
+	if err := c.Checkpoints(j).Delete(); err != nil {
 		t.Fatal(err)
 	}
 	if c.HasCheckpoint(j) {
 		t.Fatal("checkpoint survived delete")
 	}
 	// Deleting a missing checkpoint is not an error.
-	if err := c.DeleteCheckpoint(j); err != nil {
+	if err := c.Checkpoints(j).Delete(); err != nil {
 		t.Fatalf("second delete: %v", err)
 	}
 }
@@ -72,14 +72,14 @@ func TestCheckpointCorruptIsCleanMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := OpenCache(dir)
 	j := ckptJob("gate_or")
-	if err := c.StoreCheckpoint(j, map[string]int{"x": 1}); err != nil {
+	if err := c.Checkpoints(j).Store(map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(c.ckptPath(j), []byte("{\"trunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var v map[string]int
-	if c.LoadCheckpoint(j, &v) {
+	if c.Checkpoints(j).Load(&v) {
 		t.Fatal("corrupt checkpoint loaded")
 	}
 }
@@ -92,10 +92,10 @@ func TestCheckpointsExcludedFromLen(t *testing.T) {
 	if err := c.Store(j, map[string]bool{"pass": true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StoreCheckpoint(j, map[string]int{"state": 1}); err != nil {
+	if err := c.Checkpoints(j).Store(map[string]int{"state": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StoreCheckpoint(ckptJob("gate_and"), map[string]int{"state": 2}); err != nil {
+	if err := c.Checkpoints(ckptJob("gate_and")).Store(map[string]int{"state": 2}); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Len(); n != 1 {
@@ -111,7 +111,7 @@ func TestCheckpointIndependentOfResult(t *testing.T) {
 	if err := c.Store(j, "result"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StoreCheckpoint(j, "checkpoint"); err != nil {
+	if err := c.Checkpoints(j).Store("checkpoint"); err != nil {
 		t.Fatal(err)
 	}
 	var res, cp string
@@ -119,13 +119,13 @@ func TestCheckpointIndependentOfResult(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Load: %v %v", ok, err)
 	}
-	if !c.LoadCheckpoint(j, &cp) {
-		t.Fatal("LoadCheckpoint miss")
+	if !c.Checkpoints(j).Load(&cp) {
+		t.Fatal("Load miss")
 	}
 	if res != "result" || cp != "checkpoint" {
 		t.Fatalf("cells collided: %q %q", res, cp)
 	}
-	if err := c.DeleteCheckpoint(j); err != nil {
+	if err := c.Checkpoints(j).Delete(); err != nil {
 		t.Fatal(err)
 	}
 	ok, _ = c.Load(j, &res)
@@ -144,7 +144,7 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 		if err := c.Store(ckptJob(p), p); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.StoreCheckpoint(ckptJob(p), p); err != nil {
+		if err := c.Checkpoints(ckptJob(p)).Store(p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/llm/provider"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // Job statuses. queued and running are live; interrupted means the job
@@ -115,10 +114,6 @@ type Config struct {
 	// delay gives crash/drain tests (and the CI smoke script) a window
 	// to kill the server mid-job.
 	StepDelay time.Duration
-	// SimMode selects the simulation execution backend for every job
-	// (see edatool.Options.Mode). Output is byte-identical across
-	// modes, so it never enters job IDs or cache cells.
-	SimMode sim.BackendMode
 	// StepHook, when set, runs after each checkpoint write with the job
 	// id and the checkpoint. A non-nil return interrupts the job — the
 	// in-process stand-in for SIGKILL in crash-resume tests.
@@ -296,7 +291,7 @@ func (s *Server) gc(now time.Time) int {
 		delete(s.jobs, id)
 		os.Remove(filepath.Join(s.cfg.CacheDir, "jobs", id+".json"))
 		if r, err := s.resolve(j.rec.Spec); err == nil {
-			s.cache.DeleteCheckpoint(r.rjob)
+			s.cache.Checkpoints(r.rjob).Delete()
 		}
 		j.hub.close()
 		n++
@@ -418,7 +413,6 @@ func (s *Server) resolve(spec Spec) (resolved, error) {
 	}
 	cfg.FreezeTestbench = !spec.CoGenTestbench
 	cfg.SkipFunctional = spec.SkipFunctional
-	cfg.SimMode = s.cfg.SimMode // performance-only; not in the fingerprint
 	r.cfg = cfg
 	r.rjob = runner.Job{
 		Problem:  r.prob.ID,
@@ -575,25 +569,15 @@ func (s *Server) Shutdown() {
 // Long-lived handlers and clients select on it to exit promptly.
 func (s *Server) ShuttingDown() <-chan struct{} { return s.shutdownc }
 
-// persist writes a job record atomically (temp file + rename). Caller
-// holds s.mu.
+// persist writes a job record atomically (temp file + rename, not
+// fsynced). Caller holds s.mu.
 func (s *Server) persist(j *job) {
 	j.rec.Updated = time.Now()
 	data, err := json.MarshalIndent(j.rec, "", " ")
 	if err != nil {
 		return
 	}
-	path := filepath.Join(s.cfg.CacheDir, "jobs", j.rec.ID+".json")
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".rec*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err == nil && tmp.Close() == nil {
-		os.Rename(tmp.Name(), path)
-	} else {
-		tmp.Close()
-	}
-	os.Remove(tmp.Name())
+	runner.WriteFileAtomic(filepath.Join(s.cfg.CacheDir, "jobs", j.rec.ID+".json"), data, false)
 }
 
 // verdictOf reconstructs the pipeline verdict from a cached outcome.
@@ -674,79 +658,71 @@ func (s *Server) run(id string) {
 	cfg.DesignCache = s.elab
 	cfg.Trace = func(stage, detail string) { hub.publish(stage, detail) }
 
-	pipe := core.New(cfg)
-	m := pipe.NewMachine(r.prob)
-	var cp core.Checkpoint
-	if s.cache.LoadCheckpoint(r.rjob, &cp) {
-		if rm, rerr := pipe.Restore(&cp, r.prob); rerr == nil {
-			m = rm
-			s.st.resumed()
-			s.mu.Lock()
-			j.rec.Resumes++
-			s.mu.Unlock()
-			hub.publish("job", fmt.Sprintf("resumed from checkpoint at state %s (step %d)", m.State(), m.Steps()))
-		} else {
-			hub.publish("job", fmt.Sprintf("checkpoint unusable (%v); starting over", rerr))
-		}
+	store := s.cache.Checkpoints(r.rjob)
+	m, resumed := core.New(cfg).Resume(r.prob, store)
+	if resumed {
+		s.st.resumed()
+		s.mu.Lock()
+		j.rec.Resumes++
+		s.mu.Unlock()
 	}
-	resumed := m.Steps() > 0
 
-	for {
-		st := m.State()
-		t0 := time.Now()
-		done, serr := m.Step(ctx)
+	// The per-job work at each state boundary, after the checkpoint
+	// write: counters, the crash-test hook, the state event and the
+	// step delay. A state's wall time includes its checkpoint write.
+	st, t0 := m.State(), time.Now()
+	res, herr := m.RunCheckpointed(ctx, store, func(cp *core.Checkpoint) error {
 		s.st.observe(st, time.Since(t0))
-		if serr != nil {
-			s.finishStep(j, r, m, serr)
-			return
-		}
 		if resumed {
 			s.st.replayed()
-			s.mu.Lock()
-			j.rec.StatesReplayed++
-			s.mu.Unlock()
 		}
-		if c, cerr := m.Checkpoint(); cerr == nil {
-			if s.cache.StoreCheckpoint(r.rjob, c) == nil {
-				s.st.checkpointed()
-				s.mu.Lock()
-				j.rec.CheckpointsWritten++
-				s.mu.Unlock()
-			}
-			if hook := s.cfg.StepHook; hook != nil {
-				if herr := hook(id, c); herr != nil {
-					// Injected crash: the checkpoint is on disk, the
-					// job stays resumable.
-					s.finish(j, func(rec *Record) {
-						rec.Status = StatusInterrupted
-						rec.Error = herr.Error()
-						rec.State = m.State().String()
-					})
-					return
-				}
-			}
+		if cp != nil {
+			s.st.checkpointed()
 		}
+		st = m.State()
 		s.mu.Lock()
-		j.rec.State = m.State().String()
-		s.mu.Unlock()
-		hub.publish("state", m.State().String())
-		if done {
-			break
+		if resumed {
+			j.rec.StatesReplayed++
 		}
-		if d := s.cfg.StepDelay; d > 0 {
+		if cp != nil {
+			j.rec.CheckpointsWritten++
+		}
+		j.rec.State = st.String()
+		s.mu.Unlock()
+		if hook := s.cfg.StepHook; hook != nil && cp != nil {
+			if err := hook(id, cp); err != nil {
+				return err
+			}
+		}
+		hub.publish("state", st.String())
+		if d := s.cfg.StepDelay; d > 0 && st != core.StateDone {
 			select {
 			case <-ctx.Done():
 			case <-time.After(d):
 			}
 		}
+		t0 = time.Now()
+		return nil
+	})
+	if herr != nil {
+		// Injected crash: the checkpoint is on disk, the job stays
+		// resumable.
+		s.finish(j, func(rec *Record) {
+			rec.Status = StatusInterrupted
+			rec.Error = herr.Error()
+		})
+		return
+	}
+	if res.Aborted {
+		s.st.observe(st, time.Since(t0))
+		s.finishStep(j, m.State(), res)
+		return
 	}
 
-	res := m.Result()
 	out := exp.Outcome(r.prob, r.lang, cfg, r.tag, res)
 	if err := s.cache.Store(r.rjob, out); err != nil {
 		s.cfg.Logf("serve: job %s: result store failed: %v", id, err)
 	}
-	s.cache.DeleteCheckpoint(r.rjob)
 	hub.publish("job", "completed: "+res.Verdict())
 	s.finish(j, func(rec *Record) {
 		rec.Status = StatusCompleted
@@ -755,34 +731,32 @@ func (s *Server) run(id string) {
 	})
 }
 
-// finishStep classifies a state-machine error into the job's terminal
-// (or resumable) status: cancellation during drain and transient
-// provider failures leave the job interrupted with its checkpoint
-// intact; a user cancel is canceled; everything else is failed and the
-// checkpoint is discarded (the same request would fail the same way).
-func (s *Server) finishStep(j *job, r resolved, m *core.Machine, err error) {
-	res := m.Abort(err)
-	class := provider.ClassOf(err)
+// finishStep classifies an aborted run into the job's terminal (or
+// resumable) status: cancellation during drain and transient provider
+// failures leave the job interrupted, a user cancel is canceled, and
+// everything else is failed. Whether the checkpoint survives is core's
+// policy (Machine.RunCheckpointed), which keeps it in exactly the
+// interrupted and canceled cases.
+func (s *Server) finishStep(j *job, state core.State, res *core.Result) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
+	class := provider.ClassOf(res.Err)
 	status := StatusFailed
 	switch {
 	case class == provider.ClassCanceled && draining:
 		status = StatusInterrupted
 	case class == provider.ClassCanceled:
 		status = StatusCanceled
-	case provider.ResumableAfter(err):
+	case provider.ResumableAfter(res.Err):
 		status = StatusInterrupted
-	default:
-		s.cache.DeleteCheckpoint(r.rjob)
 	}
 	j.hub.publish("job", fmt.Sprintf("%s: %s", status, res.Verdict()))
 	s.finish(j, func(rec *Record) {
 		rec.Status = status
 		rec.Verdict = res.Verdict()
-		rec.Error = err.Error()
-		rec.State = m.State().String()
+		rec.Error = res.Err.Error()
+		rec.State = state.String()
 	})
 }
 

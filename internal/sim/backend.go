@@ -8,8 +8,9 @@ import "fmt"
 // process whose step closure runs specialized straight-line code
 // instead of walking an AST. This file contributes the shared
 // vocabulary for choosing and reporting that execution strategy, used
-// by both front-ends (vsim, vhdlsim) and surfaced through
-// edatool.Toolchain and the CLIs.
+// by both front-ends (vsim, vhdlsim) and selectable through
+// edatool.Options.Mode. Every CLI and pipeline runs the default (auto);
+// forcing the interpreter is a test seam for the differential harness.
 //
 // The backend is strictly output-neutral: for any mode, logs, VCD and
 // final values are byte-identical (pinned by the differential
@@ -51,17 +52,6 @@ func (m BackendMode) Label() string {
 		return "compiled"
 	}
 	return "interpret"
-}
-
-// ParseBackendMode parses a -sim-mode flag value.
-func ParseBackendMode(s string) (BackendMode, error) {
-	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "interpret", "interpreted", "interp":
-		return BackendInterpret, nil
-	}
-	return BackendAuto, fmt.Errorf("unknown backend mode %q (want auto or interpret)", s)
 }
 
 // BackendStats reports how one simulation run executed: how many
