@@ -8,12 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Differential harness for the execution backend: the compiled
-// two-state fast path must produce output byte-identical to the
-// 4-state interpreter over real bench problems, in both languages.
-// This is the acceptance gate for the backend seam — everything
-// SimResult reports is compared, including the judged verdict and the
-// latency model.
+// Differential harness for the execution backend: VHDL's compiled
+// two-state fast path must produce output byte-identical to the 4-state
+// interpreter over real bench problems. Everything SimResult reports is
+// compared, including the judged verdict and the latency model. Verilog
+// has one executor, the interpreter, and ignores Options.Mode; its
+// subtests pin that both modes run it, report it as "interpret", and
+// share one retained design.
 
 // TestBackendDifferentialByteIdentical runs sampled bench problems
 // (golden RTL under the reference testbench) under both backend modes
@@ -21,9 +22,9 @@ import (
 // subtests run the two modes on N concurrent workers sharing one
 // toolchain cache, as sweep workers do, so retained designs and the
 // compiled programs cached on them are reused across modes and
-// goroutines (CI runs this under -race). It
-// also pins that the modes really differ in execution strategy:
-// interpret mode must never bind a compiled program.
+// goroutines (CI runs this under -race). It also pins that interpret
+// mode never binds a compiled program, and that a Verilog run reports
+// the interpreter under either mode.
 func TestBackendDifferentialByteIdentical(t *testing.T) {
 	for _, p := range sampleProblems(11) {
 		for _, lang := range []Language{Verilog, VHDL} {
@@ -32,19 +33,22 @@ func TestBackendDifferentialByteIdentical(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.ID, lang, workers), func(t *testing.T) {
 					cache := NewDesignCache()
-					compiled := New(Options{Cache: cache})
+					auto := New(Options{Cache: cache})
 					interp := New(Options{Mode: sim.BackendInterpret, Cache: cache})
 					runs := concurrently(workers, func(int) [2]*SimResult {
 						return [2]*SimResult{
-							compiled.Simulate(lang, bench.TBName, diffMaxTime, srcs...),
+							auto.Simulate(lang, bench.TBName, diffMaxTime, srcs...),
 							interp.Simulate(lang, bench.TBName, diffMaxTime, srcs...),
 						}
 					})
 					for _, r := range runs {
-						compareSimResults(t, "compiled vs interpret", ref, r[0])
+						compareSimResults(t, "auto vs interpret", ref, r[0])
 						compareSimResults(t, "warm interpret vs cold", ref, r[1])
 						if r[1].Backend.CompiledProcs != 0 || r[1].Backend.CompiledAssigns != 0 {
 							t.Errorf("interpret mode bound compiled programs: %+v", r[1].Backend)
+						}
+						if lang == Verilog && r[0].Backend.Mode != "interpret" {
+							t.Errorf("Verilog auto run reports backend %+v, want interpret", r[0].Backend)
 						}
 					}
 				})
@@ -66,7 +70,7 @@ func TestBackendCacheKeyNeutral(t *testing.T) {
 				cache := NewDesignCache()
 				coldInterp := New(Options{Mode: sim.BackendInterpret}).
 					Simulate(lang, bench.TBName, diffMaxTime, srcs...)
-				// Elaborate + retain under compiled mode...
+				// Elaborate + retain under auto mode...
 				New(Options{Cache: cache}).
 					Simulate(lang, bench.TBName, diffMaxTime, srcs...)
 				// ...then re-run the retained design under interpret mode.

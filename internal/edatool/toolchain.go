@@ -14,14 +14,16 @@ import (
 // compile or simulation output, and none enters the design cache key
 // or the runner's experiment fingerprints.
 type Options struct {
-	// Mode selects the simulation execution backend (see internal/sim):
-	// the zero value (auto) compiles two-state-eligible processes into
-	// flat uint64 closures with per-activation fallback to the 4-state
-	// interpreter; BackendInterpret forces the interpreter everywhere.
-	// Output is byte-identical across modes, so Mode is deliberately
-	// not part of any cache key. No CLI or pipeline sets it: it is the
-	// test seam through which the differential harness runs the
-	// interpreter as the reference for the compiled backend.
+	// Mode selects the VHDL simulation execution backend (see
+	// internal/sim): the zero value (auto) compiles two-state-eligible
+	// processes into flat uint64 closures with per-activation fallback
+	// to the 4-state interpreter; BackendInterpret forces the
+	// interpreter everywhere. Verilog always runs on the 4-state
+	// interpreter and ignores Mode. Output is byte-identical across
+	// modes, so Mode is deliberately not part of any cache key. No CLI
+	// or pipeline sets it: it is the test seam through which the
+	// differential harness runs the VHDL interpreter as the reference
+	// for the VHDL compiled backend.
 	Mode sim.BackendMode
 
 	// Cache shares parse and whole-design reuse across every compile
@@ -119,10 +121,10 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 // applies: a fully identical source set skips compile and elaboration
 // and re-runs the retained design from time zero; a partially changed
 // set reuses unchanged units' parses. Backend mode is not part of the
-// design key — a design elaborated under one mode is re-simulated under
-// another with byte-identical output (the compiled programs themselves
-// are cached on the design and engage only when the run's mode asks
-// for them).
+// design key — a VHDL design elaborated under one mode is re-simulated
+// under another with byte-identical output (the compiled programs
+// themselves are cached on the design and engage only when the run's
+// mode asks for them).
 func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
 	file := sources[len(sources)-1].Name
 	cache := tc.opts.Cache
@@ -136,7 +138,7 @@ func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources
 				return vsim.Elaborate(comp.Modules, top)
 			},
 			func(d *vsim.Design) (*SimResult, sim.Time) {
-				res := vsim.SimulateDesign(d, vsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode})
+				res := vsim.SimulateDesign(d, vsim.Options{MaxTime: sim.Time(maxTime), File: file})
 				return &SimResult{
 					Log:      res.Log,
 					TimedOut: res.TimedOut,

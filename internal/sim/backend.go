@@ -7,10 +7,12 @@ import "fmt"
 // already coexist in one event loop: a "compiled" process is simply a
 // process whose step closure runs specialized straight-line code
 // instead of walking an AST. This file contributes the shared
-// vocabulary for choosing and reporting that execution strategy, used
-// by both front-ends (vsim, vhdlsim) and selectable through
-// edatool.Options.Mode. Every CLI and pipeline runs the default (auto);
-// forcing the interpreter is a test seam for the differential harness.
+// vocabulary for choosing and reporting that execution strategy. Only
+// vhdlsim has a compiled backend, selectable through
+// edatool.Options.Mode; vsim always interprets and reports its runs
+// with BackendStats under the "interpret" label. Every CLI and
+// pipeline runs the default (auto); forcing the interpreter is a test
+// seam for the differential harness.
 //
 // The backend is strictly output-neutral: for any mode, logs, VCD and
 // final values are byte-identical (pinned by the differential
@@ -70,7 +72,9 @@ type BackendStats struct {
 }
 
 // Add accumulates o into s (summing runs; Mode keeps the first
-// non-empty label and degrades to "mixed" on disagreement).
+// non-empty label and degrades to "mixed" on disagreement, as in any
+// sweep over both HDLs under auto: Verilog runs are labelled
+// "interpret", VHDL runs "compiled").
 func (s *BackendStats) Add(o BackendStats) {
 	if s.Mode == "" {
 		s.Mode = o.Mode

@@ -1,12 +1,13 @@
 package sim_test
 
-// The differential harness: the compiled two-state backend is
-// shippable only because this file proves it observationally identical
-// to the 4-state interpreter. It runs a corpus of designs — randomly
-// generated multi-cluster Verilog designs plus real bench-suite
-// problems in both HDLs — under both backend modes and asserts
-// byte-identical logs, VCD waveforms, final signal values, and event
-// counts.
+// The differential harness. Verilog runs on one executor, the 4-state
+// interpreter, so its axis is reuse: a randomly generated multi-cluster
+// design or a real bench problem simulated cold must match, byte for
+// byte, a rerun of the same retained design after Design.Reset and a
+// warm rerun through a shared edatool.DesignCache (logs, VCD waveforms,
+// final signal values, event counts and end times). VHDL keeps a
+// compiled two-state backend, so its bench problems still compare the
+// default backend against the 4-state interpreter.
 
 import (
 	"fmt"
@@ -31,19 +32,8 @@ type simOutcome struct {
 	flags   string
 }
 
-func runVerilog(t *testing.T, name, src string, mode sim.BackendMode) simOutcome {
+func outcomeOf(t *testing.T, name, src string, res *vsim.Result) simOutcome {
 	t.Helper()
-	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: name, Text: src})
-	if !comp.OK {
-		t.Fatalf("%s does not compile:\n%s\nsource:\n%s", name, comp.Log, src)
-	}
-	res, err := vsim.Simulate(comp.Modules, "tb", vsim.Options{
-		CaptureFinal: true,
-		Backend:      mode,
-	})
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
 	if res.Fault != "" {
 		t.Fatalf("%s faulted (harness designs must be valid): %s\nsource:\n%s", name, res.Fault, src)
 	}
@@ -54,6 +44,50 @@ func runVerilog(t *testing.T, name, src string, mode sim.BackendMode) simOutcome
 		endTime: uint64(res.EndTime),
 		final:   res.Final,
 		flags:   fmt.Sprintf("fin=%v stop=%v to=%v", res.Finished, res.Stopped, res.TimedOut),
+	}
+}
+
+// runVerilog elaborates and simulates src cold, then resets the
+// retained design and simulates it again, returning both outcomes.
+func runVerilog(t *testing.T, name, src string) (cold, rerun simOutcome) {
+	t.Helper()
+	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: name, Text: src})
+	if !comp.OK {
+		t.Fatalf("%s does not compile:\n%s\nsource:\n%s", name, comp.Log, src)
+	}
+	d, err := vsim.Elaborate(comp.Modules, bench.TBName)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	opts := vsim.Options{CaptureFinal: true}
+	cold = outcomeOf(t, name, src, vsim.SimulateDesign(d, opts))
+	d.Reset()
+	rerun = outcomeOf(t, name, src, vsim.SimulateDesign(d, opts))
+	return cold, rerun
+}
+
+// diffWarmCache simulates src twice through tc, whose cache the caller
+// shares across designs: the first run elaborates and retains the
+// design, the second must re-run the retained design and report what
+// the first did.
+func diffWarmCache(t *testing.T, tc *edatool.Toolchain, name, src string) {
+	t.Helper()
+	unit := edatool.Source{Name: name + ".v", Text: src}
+	cold := tc.Simulate(edatool.Verilog, bench.TBName, 0, unit)
+	before := tc.CacheStats()
+	warm := tc.Simulate(edatool.Verilog, bench.TBName, 0, unit)
+	if hits := tc.CacheStats().Sub(before).DesignHits; hits != 1 {
+		t.Errorf("%s: warm rerun made %d design-cache hits, want 1", name, hits)
+	}
+	if warm.Log != cold.Log {
+		t.Errorf("%s: warm-cache log differs:\n--- cold ---\n%s\n--- warm ---\n%s", name, cold.Log, warm.Log)
+	}
+	if warm.VCD != cold.VCD {
+		t.Errorf("%s: warm-cache VCD differs", name)
+	}
+	// The latency model is a function of the run's end time.
+	if warm.LatencyModel != cold.LatencyModel || warm.Passed != cold.Passed || warm.TimedOut != cold.TimedOut {
+		t.Errorf("%s: warm-cache result %+v, cold %+v", name, warm, cold)
 	}
 }
 
@@ -87,10 +121,10 @@ func diffOutcomes(t *testing.T, name string, ref, got simOutcome) {
 // genClusterDesign emits a random Verilog design of several independent
 // clusters — each with its own clock, state, logging, and $random
 // draws — plus a finisher process. The shapes cover the interactions
-// most likely to diverge between backends: NBA vs blocking assignment
-// order, continuous-assignment chains, same-timestamp activity across
-// clusters, $monitor, zero delays, and a $finish cut that truncates
-// every cluster at the same delta.
+// most likely to diverge on a rerun: NBA vs blocking assignment order,
+// continuous-assignment chains, same-timestamp activity across
+// clusters, $monitor, zero delays, the $random stream, and a $finish
+// cut that truncates every cluster at the same delta.
 func genClusterDesign(rng *rand.Rand) string {
 	var sb strings.Builder
 	nclusters := 2 + rng.Intn(3)
@@ -142,37 +176,43 @@ func genClusterDesign(rng *rand.Rand) string {
 }
 
 // TestDifferentialRandomClusters is the core of the harness: randomly
-// generated multi-cluster designs, compiled vs interpreted.
+// generated multi-cluster designs, cold vs reset-and-rerun vs a warm
+// shared design cache.
 func TestDifferentialRandomClusters(t *testing.T) {
 	designs := 24
 	if testing.Short() {
 		designs = 8
 	}
+	tc := edatool.New(edatool.Options{Cache: edatool.NewDesignCache()})
 	for i := 0; i < designs; i++ {
 		rng := rand.New(rand.NewSource(int64(9000 + i*131)))
 		src := genClusterDesign(rng)
 		name := fmt.Sprintf("clusters-%d", i)
-		ref := runVerilog(t, name, src, sim.BackendAuto)
-		if !strings.Contains(ref.log, "$finish called") {
-			t.Fatalf("%s: reference run did not finish:\n%s", name, ref.log)
+		cold, rerun := runVerilog(t, name, src)
+		if !strings.Contains(cold.log, "$finish called") {
+			t.Fatalf("%s: cold run did not finish:\n%s", name, cold.log)
 		}
-		diffOutcomes(t, name+"/interpret", ref, runVerilog(t, name, src, sim.BackendInterpret))
+		diffOutcomes(t, name+"/rerun", cold, rerun)
+		diffWarmCache(t, tc, name, src)
 	}
 }
 
 // TestDifferentialBenchVerilog replays real bench-suite problems
-// (golden DUT + reference testbench) through both backends.
+// (golden DUT + reference testbench) cold, reset-and-rerun, and through
+// a warm shared design cache.
 func TestDifferentialBenchVerilog(t *testing.T) {
 	suite := bench.NewSuite()
 	stride := 8
 	if testing.Short() {
 		stride = 32
 	}
+	tc := edatool.New(edatool.Options{Cache: edatool.NewDesignCache()})
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
 		src := p.GoldenVerilog + "\n" + p.RefTBVerilog
-		ref := runVerilog(t, p.ID, src, sim.BackendAuto)
-		diffOutcomes(t, p.ID+"/interpret", ref, runVerilog(t, p.ID, src, sim.BackendInterpret))
+		cold, rerun := runVerilog(t, p.ID, src)
+		diffOutcomes(t, p.ID+"/rerun", cold, rerun)
+		diffWarmCache(t, tc, p.ID, src)
 	}
 }
 
@@ -233,14 +273,15 @@ func TestDifferentialBenchVHDL(t *testing.T) {
 	}
 }
 
-// TestDifferentialRepeatable pins run-to-run determinism: the same
-// design under the same backend twice must agree byte for byte.
+// TestDifferentialRepeatable pins run-to-run determinism: two
+// independent cold runs of the same design, and the rerun of each,
+// must agree byte for byte.
 func TestDifferentialRepeatable(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	src := genClusterDesign(rng)
-	for _, mode := range []sim.BackendMode{sim.BackendAuto, sim.BackendInterpret} {
-		a := runVerilog(t, "repeat", src, mode)
-		b := runVerilog(t, "repeat", src, mode)
-		diffOutcomes(t, "repeat/"+mode.String(), a, b)
-	}
+	a, aRerun := runVerilog(t, "repeat", src)
+	b, bRerun := runVerilog(t, "repeat", src)
+	diffOutcomes(t, "repeat/cold", a, b)
+	diffOutcomes(t, "repeat/rerun", a, aRerun)
+	diffOutcomes(t, "repeat/rerun", b, bRerun)
 }

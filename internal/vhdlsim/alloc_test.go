@@ -1,6 +1,9 @@
 package vhdlsim
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/vhdl"
@@ -75,5 +78,82 @@ end architecture;`
 	// per-cycle allocation (2000 cycles would add >= 2000).
 	if avg > 600 {
 		t.Errorf("VHDL counter run allocations = %v, want <= 600 (per-cycle allocation regression)", avg)
+	}
+}
+
+// chainSrc returns the sources of a testbench driving a chain of n
+// instances of one small clocked entity, each feeding the next, for ten
+// clock cycles.
+func chainSrc(n int) []string {
+	const stage = `
+entity stage is
+  port (clk : in std_logic; d : in std_logic_vector(7 downto 0); q : out std_logic_vector(7 downto 0));
+end entity;
+architecture rtl of stage is
+begin
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      q <= std_logic_vector(unsigned(d) + 1);
+    end if;
+  end process;
+end architecture;
+`
+	var sb strings.Builder
+	sb.WriteString(`
+entity tb is end entity;
+architecture sim of tb is
+  signal clk : std_logic := '0';
+`)
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&sb, "  signal w%d : std_logic_vector(7 downto 0) := (others => '0');\n", i)
+	}
+	sb.WriteString("begin\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  s%d: entity work.stage port map (clk => clk, d => w%d, q => w%d);\n", i, i, i+1)
+	}
+	sb.WriteString(`  stim: process
+  begin
+    for i in 1 to 20 loop
+      wait for 1 ns;
+      clk <= not clk;
+    end loop;
+    report "done";
+    wait;
+  end process;
+end architecture;
+`)
+	return []string{stage, sb.String()}
+}
+
+// elabSimAllocBytes returns the heap bytes one Elaborate plus
+// SimulateDesign of units allocates.
+func elabSimAllocBytes(t *testing.T, units []*vhdl.DesignFile) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := Elaborate(units, "tb")
+	if err != nil {
+		t.Fatalf("elaborate: %v", err)
+	}
+	res := SimulateDesign(d, Options{MaxTime: 100000})
+	runtime.ReadMemStats(&after)
+	if res.TimedOut || res.AssertErrors != 0 || res.Fault != "" {
+		t.Fatalf("chain did not finish cleanly: %s", res.Log)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestElaborateAllocLinear guards elaboration and simulation against
+// superlinear cost in design size: a chain of 8N instances may
+// allocate at most 10x the heap bytes of a chain of N. Parsing is
+// outside the measurement (TestLexParseAllocLinear guards it).
+func TestElaborateAllocLinear(t *testing.T) {
+	const n = 50
+	small := elabSimAllocBytes(t, parseElabUnits(t, chainSrc(n)...))
+	large := elabSimAllocBytes(t, parseElabUnits(t, chainSrc(8*n)...))
+	t.Logf("%d instances: %d bytes; %d instances: %d bytes", n, small, 8*n, large)
+	if large > 10*small {
+		t.Errorf("%d instances allocated %d bytes, more than 10x the %d of %d instances", 8*n, large, small, n)
 	}
 }

@@ -1,7 +1,7 @@
 package vhdlsim
 
 // Compiled two-state fast path for VHDL processes and concurrent
-// assignments, mirroring internal/vsim/compile.go. A sensitivity-list
+// assignments. A sensitivity-list
 // process whose body falls inside the compilable subset specializes
 // into a flat sequence of Go closures over single-plane uint64 words;
 // a per-activation guard checks that every signal the body reads is
@@ -13,9 +13,9 @@ package vhdlsim
 // scheduled values — so logs, waveforms, and final state are
 // byte-identical by construction whichever path runs.
 //
-// The VHDL subset is narrower than the Verilog one because the value
-// model is richer (the loose integer/vector tag drives numeric_std
-// width adaptation) and variables persist across activations:
+// The subset is kept narrow because the value model is rich (the loose
+// integer/vector tag drives numeric_std width adaptation) and variables
+// persist across activations:
 //
 //   - processes must have a sensitivity list and no declarations
 //     (variables would extend the guard across activations);

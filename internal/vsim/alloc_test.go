@@ -1,6 +1,8 @@
 package vsim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -143,5 +145,66 @@ endmodule`)
 	// cycles would add >= 2000).
 	if avg > 600 {
 		t.Errorf("counter run allocations = %v, want <= 600 (per-cycle allocation regression)", avg)
+	}
+}
+
+// chainSrc is a testbench driving a chain of n instances of one small
+// clocked module, each feeding the next, for ten clock cycles.
+func chainSrc(n int) string {
+	var sb strings.Builder
+	sb.WriteString(`
+module stage(input clk, input [7:0] d, output reg [7:0] q);
+  always @(posedge clk) q <= d + 8'd1;
+endmodule
+module tb;
+  reg clk;
+`)
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&sb, "  wire [7:0] w%d;\n", i)
+	}
+	sb.WriteString("  assign w0 = 8'd0;\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  stage s%d(.clk(clk), .d(w%d), .q(w%d));\n", i, i, i+1)
+	}
+	fmt.Fprintf(&sb, `  initial begin
+    clk = 0;
+    repeat (20) #1 clk = ~clk;
+    $display("out=%%d", w%d);
+    $finish;
+  end
+endmodule
+`, n)
+	return sb.String()
+}
+
+// elabSimAllocBytes returns the heap bytes one Elaborate plus
+// SimulateDesign of mods allocates.
+func elabSimAllocBytes(t *testing.T, mods map[string]*verilog.Module) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := Elaborate(mods, "tb")
+	if err != nil {
+		t.Fatalf("elaborate: %v", err)
+	}
+	res := SimulateDesign(d, Options{})
+	runtime.ReadMemStats(&after)
+	if !res.Finished || res.Fault != "" {
+		t.Fatalf("chain did not finish cleanly: %s", res.Log)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestElaborateAllocLinear guards elaboration and simulation against
+// superlinear cost in design size: a chain of 8N instances may
+// allocate at most 10x the heap bytes of a chain of N. Parsing is
+// outside the measurement (TestLexParseAllocLinear guards it).
+func TestElaborateAllocLinear(t *testing.T) {
+	const n = 50
+	small := elabSimAllocBytes(t, mustParse(t, chainSrc(n)))
+	large := elabSimAllocBytes(t, mustParse(t, chainSrc(8*n)))
+	t.Logf("%d instances: %d bytes; %d instances: %d bytes", n, small, 8*n, large)
+	if large > 10*small {
+		t.Errorf("%d instances allocated %d bytes, more than 10x the %d of %d instances", 8*n, large, small, n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
@@ -14,15 +13,16 @@ import (
 // cycles per iteration. This is the same shape as the generated
 // testbenches the evaluation pipeline executes, so it tracks the
 // simulator's real hot loop (eval, signal update, kernel scheduling).
-func BenchmarkSimCounter(b *testing.B) { benchCounter(b, sim.BackendAuto) }
+func BenchmarkSimCounter(b *testing.B) { benchSim(b, counterSrc) }
 
-// benchCounter runs the counter bench under a backend mode.
-func benchCounter(b *testing.B, mode sim.BackendMode) {
-	mods := parseBenchDesign(b, counterSrc)
+// benchSim parses src once, then elaborates and runs its tb per
+// iteration.
+func benchSim(b *testing.B, src string) {
+	mods := parseBenchDesign(b, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(mods, "tb", Options{Backend: mode})
+		res, err := Simulate(mods, "tb", Options{})
 		if err != nil {
 			b.Fatalf("simulate: %v", err)
 		}
@@ -32,21 +32,11 @@ func benchCounter(b *testing.B, mode sim.BackendMode) {
 	}
 }
 
-// BenchmarkSimCounterInterpreted forces the interpreter on the counter
-// bench, against BenchmarkSimCounter's default (compiled) mode. The
-// counter's always block compiles, but the design's hot loop is split
-// with the interpreted testbench clock generator (`always #1`), so the
-// spread here shows the compiled share only; the datapath pair below
-// isolates the compiled backend's real win.
-func BenchmarkSimCounterInterpreted(b *testing.B) { benchCounter(b, sim.BackendInterpret) }
-
-// datapathSrc is a two-state-eligible 64-bit datapath: four clocked
-// pipeline stages of straight-line arithmetic (adds, xors, shifts,
-// muxes, compares — no division, no loops, no memories) plus a
-// combinational reduction network. Every process except the clock
-// generator and the finisher compiles, so per-cycle work is dominated
-// by the compiled fast path; this is the benchmark pair the benchjson
-// gate pins the >= 2x compiled-vs-interpreted speedup on.
+// datapathSrc is a 64-bit datapath: four instances of a clocked
+// pipeline of straight-line arithmetic (adds, xors, shifts, muxes,
+// compares — no division, no loops, no memories) plus a combinational
+// reduction network, so per-cycle work is dominated by expression
+// evaluation rather than kernel bookkeeping.
 const datapathSrc = `
 module dp(input clk, input [63:0] seed, output reg [63:0] out);
   reg [63:0] s0, s1, s2, s3;
@@ -81,25 +71,8 @@ module tb;
   always #1 clk = ~clk;
 endmodule`
 
-func benchDatapath(b *testing.B, mode sim.BackendMode) {
-	mods := parseBenchDesign(b, datapathSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(mods, "tb", Options{Backend: mode})
-		if err != nil {
-			b.Fatalf("simulate: %v", err)
-		}
-		if !res.Finished {
-			b.Fatalf("did not finish: %s", res.Log)
-		}
-	}
-}
-
-// BenchmarkSimDatapathCompiled/Interpreted isolate the compiled
-// two-state fast path on eligible work (see datapathSrc).
-func BenchmarkSimDatapathCompiled(b *testing.B)    { benchDatapath(b, sim.BackendAuto) }
-func BenchmarkSimDatapathInterpreted(b *testing.B) { benchDatapath(b, sim.BackendInterpret) }
+// BenchmarkSimDatapath runs the datapath design (see datapathSrc).
+func BenchmarkSimDatapath(b *testing.B) { benchSim(b, datapathSrc) }
 
 const counterSrc = `
 module counter(input clk, input reset, output reg [15:0] count);
@@ -166,17 +139,4 @@ func parseBenchDesign(b *testing.B, src string) map[string]*verilog.Module {
 }
 
 // BenchmarkSimWide runs the wide design (see wideSrc).
-func BenchmarkSimWide(b *testing.B) {
-	mods := parseBenchDesign(b, wideSrc())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(mods, "tb", Options{})
-		if err != nil {
-			b.Fatalf("simulate: %v", err)
-		}
-		if !res.Finished {
-			b.Fatalf("did not finish: %s", res.Log)
-		}
-	}
-}
+func BenchmarkSimWide(b *testing.B) { benchSim(b, wideSrc()) }

@@ -68,8 +68,6 @@ type Instance struct {
 	Params   map[string]hdl.Vector
 	Children []*Instance
 	Parent   *Instance
-
-	tmpl *moduleTemplate // elaboration template; carries compiled programs
 }
 
 // Design is a fully elaborated hierarchy.
@@ -91,31 +89,6 @@ type Design struct {
 	// next one.
 	initVals []hdl.Vector
 	ran      bool
-
-	// Compiled continuous-assignment programs, parallel to contAssigns
-	// and built on first compiled-mode bind. Unlike always-block programs
-	// (template-scoped, slot-addressed) these capture *Signal pointers
-	// directly — port bindings cross instance scopes — so they are cached
-	// per design; signals persist across Reset, keeping them valid for
-	// re-runs. caTried records classification so ineligible assignments
-	// are not re-classified every run.
-	caProgs []*caProg
-	caTried []bool
-}
-
-// caProgFor returns the cached compiled program for contAssigns[i],
-// classifying and compiling on first request. Binding is single-threaded
-// (SimulateDesign binds serially), so no lock is needed.
-func (d *Design) caProgFor(s *Simulator, i int) *caProg {
-	if d.caTried == nil {
-		d.caTried = make([]bool, len(d.contAssigns))
-		d.caProgs = make([]*caProg, len(d.contAssigns))
-	}
-	if !d.caTried[i] {
-		d.caTried[i] = true
-		d.caProgs[i] = compileContAssign(s, &d.contAssigns[i])
-	}
-	return d.caProgs[i]
 }
 
 // boundAssign is a continuous assignment whose sides may live in
@@ -247,7 +220,6 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 		}
 		d.templates[key] = tmpl
 	}
-	inst.tmpl = tmpl
 
 	inst.Signals = make(map[string]*Signal, len(tmpl.sigs))
 	for i := range tmpl.sigs {

@@ -526,15 +526,6 @@ type procMachine struct {
 	waits    map[verilog.Stmt]*sim.WaitReg   // cached per-stmt inner wait registrations
 	lhs      map[*verilog.Assign]*lhsBinding // pre-bound static assignment targets
 	activate func()                          // pre-built resume hook shared by all waits
-
-	// Compiled two-state fast path (nil when the body is ineligible or
-	// the backend forces interpretation): prog is the template-shared
-	// program, penv its slot table resolved to this instance. Each
-	// armed-wakeup body execution runs compiled when every guarded
-	// signal classifies two-state, and falls back to the interpreter
-	// (sharing all state) for that activation otherwise.
-	prog *procProg
-	penv *cenv
 }
 
 // lhsBinding is the cached resolution of a static assignment target
@@ -605,16 +596,6 @@ func (m *procMachine) startIteration() bool {
 	}
 	if m.armed {
 		m.armed = false
-		if m.prog != nil {
-			if m.penv.ready(m.prog.guards) {
-				// Eligible bodies never suspend; returning false re-enters
-				// startIteration, which re-arms — the same flow as an
-				// interpreted body that ran to completion.
-				m.prog.body(m.penv)
-				return false
-			}
-			m.s.fallbacks++
-		}
 		return m.exec(m.body)
 	}
 	if m.topReg == nil {

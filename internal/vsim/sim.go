@@ -19,13 +19,6 @@ type Options struct {
 	// CaptureFinal populates Result.Final with the post-run value of
 	// every non-memory signal (used by the differential harness).
 	CaptureFinal bool
-
-	// Backend selects the execution strategy (see internal/sim): the
-	// zero value (auto) compiles two-state-eligible processes into flat
-	// uint64 closures with per-activation interpreter fallback;
-	// BackendInterpret forces the 4-state AST interpreter everywhere.
-	// Observable output is byte-identical across modes.
-	Backend sim.BackendMode
 }
 
 // Result is the outcome of a simulation run.
@@ -39,7 +32,7 @@ type Result struct {
 	VCD      string            // waveform dump when the bench ran $dumpvars
 	Events   uint64            // kernel events executed
 	Final    map[string]string // hierarchical name -> final value (CaptureFinal)
-	Backend  sim.BackendStats  // how processes executed (compiled vs interpreted)
+	Backend  sim.BackendStats  // process/assign counts; every Verilog run interprets
 }
 
 // Simulator runs one elaborated design on its own event kernel. Exactly
@@ -51,24 +44,21 @@ type Simulator struct {
 	file   string
 	logCap int
 
-	log       []byte
-	vcd       vcdDump
-	rng       uint64 // $random stream
-	steps     uint64 // interpreter statement budget spent
-	fault     string // first runtime fault
-	fallbacks uint64 // compiled activations deferred to the interpreter (X/Z guard)
+	log   []byte
+	vcd   vcdDump
+	rng   uint64 // $random stream
+	steps uint64 // interpreter statement budget spent
+	fault string // first runtime fault
 
 	finished bool
 	stopped  bool
 	dumpReq  bool   // $dumpvars executed; honoured at the delta boundary
 	vcdFile  string // $dumpfile argument (informational)
 
-	// Backend bookkeeping, counted while binding.
-	backend         sim.BackendMode
-	compiledProcs   int
-	interpProcs     int
-	compiledAssigns int
-	interpAssigns   int
+	// Process and assignment counts for Result.Backend, counted while
+	// binding.
+	procs   int
+	assigns int
 
 	// targetScratch backs resolveTargetsScratch for assignments whose
 	// targets are consumed immediately (blocking assigns, continuous
@@ -113,12 +103,11 @@ func SimulateDesign(d *Design, opts Options) *Result {
 	}
 
 	s := &Simulator{
-		design:  d,
-		kernel:  sim.NewKernel(),
-		file:    opts.File,
-		logCap:  opts.MaxOutput,
-		backend: opts.Backend,
-		rng:     opts.Seed ^ 0x9E3779B97F4A7C15,
+		design: d,
+		kernel: sim.NewKernel(),
+		file:   opts.File,
+		logCap: opts.MaxOutput,
+		rng:    opts.Seed ^ 0x9E3779B97F4A7C15,
 	}
 	s.nbaVec = s.applyVecNBA
 	s.nbaMem = s.applyMemNBA
@@ -126,7 +115,7 @@ func SimulateDesign(d *Design, opts Options) *Result {
 	// Bind runtime machinery in elaboration order, which fixes the
 	// order of the time-zero activations.
 	for i := range d.contAssigns {
-		s.bindContAssign(i, &d.contAssigns[i])
+		s.bindContAssign(&d.contAssigns[i])
 	}
 	for _, bp := range d.procs {
 		switch {
@@ -176,12 +165,9 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		}
 	}
 	res.Backend = sim.BackendStats{
-		Mode:               s.backend.Label(),
-		CompiledProcs:      s.compiledProcs,
-		InterpretedProcs:   s.interpProcs,
-		CompiledAssigns:    s.compiledAssigns,
-		InterpretedAssigns: s.interpAssigns,
-		Fallbacks:          s.fallbacks,
+		Mode:               sim.BackendInterpret.Label(),
+		InterpretedProcs:   s.procs,
+		InterpretedAssigns: s.assigns,
 	}
 	return res
 }
@@ -206,11 +192,6 @@ type contAssignRT struct {
 	// target carries runtime indexes and must re-resolve per update.
 	bound   *lhsBinding
 	dynamic bool // LHS classified dynamic; skip re-classification
-
-	// Compiled two-state fast path (see compile.go); nil when the
-	// assignment is ineligible or the backend forces interpretation.
-	prog *caProg
-	penv *cenv
 }
 
 func (c *contAssignRT) schedule() {
@@ -222,15 +203,6 @@ func (c *contAssignRT) schedule() {
 }
 
 func (c *contAssignRT) update() {
-	if p := c.prog; p != nil {
-		// Compiled path: no fault recovery needed — a compiled update
-		// cannot fault (no division, no budget charge, static targets).
-		if e := c.penv; e.ready(p.guards) {
-			applyParts(e, p.parts, p.total, p.rhs.fn(e))
-			return
-		}
-		c.s.fallbacks++
-	}
 	defer c.s.recoverFault()
 	var ts []target
 	var total int
@@ -250,19 +222,9 @@ func (c *contAssignRT) update() {
 	c.s.applyTargets(ts, total, val)
 }
 
-func (s *Simulator) bindContAssign(idx int, a *boundAssign) {
+func (s *Simulator) bindContAssign(a *boundAssign) {
 	rt := &contAssignRT{s: s, a: a}
-	if s.backend.Compiled() {
-		if prog := s.design.caProgFor(s, idx); prog != nil {
-			rt.prog = prog
-			rt.penv = &cenv{s: s, sigs: prog.sigs}
-		}
-	}
-	if rt.prog != nil {
-		s.compiledAssigns++
-	} else {
-		s.interpAssigns++
-	}
+	s.assigns++
 	rt.run = func() {
 		rt.pending = false
 		rt.update()
@@ -300,28 +262,14 @@ func (s *Simulator) recoverFault() {
 
 func (s *Simulator) bindAlways(inst *Instance, alw *verilog.AlwaysBlock) {
 	m := &procMachine{s: s, inst: inst, body: alw.Body, sens: alw.Sens, always: true}
-	// Only sensitivity-driven always blocks take the compiled path: the
-	// armed wakeup runs the body once to completion, which is exactly
-	// the shape a compiled (suspension-free) body has. Bare `always`
-	// blocks must contain delays, so they stay interpreted.
-	if s.backend.Compiled() && alw.Sens != nil {
-		if prog := progForAlways(s, inst, alw); prog != nil {
-			m.prog = prog
-			m.penv = bindProg(s, inst, prog)
-		}
-	}
-	if m.prog != nil {
-		s.compiledProcs++
-	} else {
-		s.interpProcs++
-	}
+	s.procs++
 	m.p = s.kernel.NewProcess(inst.Path+".always", m.step)
 	m.activate = m.p.Activate
 }
 
 func (s *Simulator) bindInitial(inst *Instance, ib *verilog.InitialBlock) {
 	m := &procMachine{s: s, inst: inst, body: ib.Body}
-	s.interpProcs++ // initial blocks run once; always interpreted
+	s.procs++
 	m.p = s.kernel.NewProcess(inst.Path+".initial", m.step)
 	m.activate = m.p.Activate
 }

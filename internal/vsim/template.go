@@ -30,10 +30,9 @@ import (
 //     precedence (missing module before bad override) in source order.
 //
 // Templates live in a per-Design map keyed by AST pointer + parameter
-// fingerprint, and host the compiled always-block programs, so
-// same-key instances of one design also share their programs. A design
-// is simulated by one run at a time (edatool checks retained designs
-// out exclusively), so neither the map nor the programs need a lock.
+// fingerprint. A design is elaborated and simulated by one goroutine at
+// a time (edatool checks retained designs out exclusively), so the map
+// needs no lock.
 
 type tmplKey struct {
 	mod    *verilog.Module
@@ -45,14 +44,6 @@ type tmplKey struct {
 type moduleTemplate struct {
 	sigs []sigSpec
 	ops  []elabOp
-
-	// Compiled two-state programs, one per always block, built on first
-	// demand (see compile.go). Programs address signals by slot and bake
-	// parameter values as constants, both of which are functions of the
-	// template key, so every instance of this template shares one
-	// program. A nil map entry records ineligibility, so classification
-	// also runs once per template.
-	progs map[*verilog.AlwaysBlock]*procProg
 }
 
 // sigSpec is one signal's resolved declaration. init is the value the
