@@ -15,10 +15,9 @@
 //	-cache-dir d   persist one JSON result per evaluated cell under d;
 //	               later runs skip completed cells, so a crashed sweep
 //	               resumes where it died and re-renders are near-free
-//	-resume=false  recompute in-shard cells and overwrite their cache
-//	               entries (default true: reuse what the cache holds)
-//	-shard i/n     evaluate only this invocation's deterministic slice
-//	               of each sweep; shards merge through a shared -cache-dir
+//	-resume=false  recompute every cell and overwrite its cache entry
+//	               (default true: reuse what the cache holds)
+//	-server url    dispatch cache-miss cells to an aivrild job service
 //	-progress      stream per-cell outcomes with a cache-hit rate and ETA
 //	               to stderr
 package main
@@ -61,10 +60,8 @@ func main() {
 		workers    = flag.Int("workers", 0, "max parallel problems (0 = auto)")
 		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (enables resume)")
 		resume     = flag.Bool("resume", true, "reuse cached cells; -resume=false recomputes and overwrites")
-		shardSpec  = flag.String("shard", "", "evaluate only shard \"i/n\" of each sweep (e.g. \"0/2\")")
 		progress   = flag.Bool("progress", false, "stream per-cell progress and ETA to stderr")
 		server     = flag.String("server", "", "dispatch cache-miss cells to an aivrild job service at this base URL (results land in the shared cache cells an in-process run would use)")
-		priority   = flag.Int("priority", 0, "with -server: dequeue priority band for dispatched jobs (0 = default, 9 = highest)")
 
 		providerName = flag.String("provider", "offline",
 			"LLM provider: "+strings.Join(provider.DefaultRegistry.Names(), " | ")+
@@ -82,19 +79,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	shard, err := runner.ParseShard(*shardSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-		os.Exit(2)
-	}
-	run := &runner.Runner{Workers: *workers, Shard: shard, Refresh: !*resume}
+	run := &runner.Runner{Workers: *workers, Refresh: !*resume}
 	if *cacheDir != "" {
+		var err error
 		if run.Cache, err = runner.OpenCache(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "benchsuite: opening cache: %v\n", err)
 			os.Exit(1)
 		}
-	} else if shard.Enabled() {
-		fmt.Fprintln(os.Stderr, "benchsuite: warning: -shard without -cache-dir cannot merge results across invocations")
 	}
 	if *progress {
 		run.Progress = runner.NewProgress(os.Stderr)
@@ -129,13 +120,9 @@ func main() {
 	}
 
 	if *server != "" {
-		if *priority < runner.MinPriority || *priority > runner.MaxPriority {
-			fmt.Fprintf(os.Stderr, "benchsuite: -priority %d out of range [%d, %d]\n", *priority, runner.MinPriority, runner.MaxPriority)
-			os.Exit(2)
-		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
-		ccfg := client.Config{Priority: *priority}
+		var ccfg client.Config
 		if *progress {
 			// Live per-job transcript lines from the service's event
 			// stream, alongside the runner's own per-cell progress.
@@ -162,7 +149,7 @@ func main() {
 		opts.Dispatch = func(job runner.Job, cell exp.RemoteCell) (exp.ProblemOutcome, error) {
 			return cl.Evaluate(ctx, job, cell)
 		}
-		fmt.Printf("Dispatch: job service %s (priority %d)\n", *server, *priority)
+		fmt.Printf("Dispatch: job service %s\n", *server)
 	}
 
 	var matrix []*exp.Summary

@@ -119,10 +119,9 @@ type Options struct {
 	MaxWorkers int
 	// Runner, when set, orchestrates the sweep: its cache makes runs
 	// resumable (finished cells are served from it, unfinished ones
-	// resume from their last pipeline-state checkpoint), its shard
-	// splits the job set across invocations, and its progress reporter
-	// streams per-cell outcomes. When nil the sweep runs on a private
-	// in-memory runner (MaxWorkers workers).
+	// resume from their last pipeline-state checkpoint) and its
+	// progress reporter streams per-cell outcomes. When nil the sweep
+	// runs on a private in-memory runner (MaxWorkers workers).
 	Runner *runner.Runner
 	// Provider selects a named provider from provider.DefaultRegistry
 	// ("" = the offline default with the default middleware stack —
@@ -188,9 +187,9 @@ func (o Options) providerTag() string {
 }
 
 // evaluate runs the pipeline and both judgements for one cell. This is
-// the unit of work the runner executes, caches, and shards. When the
-// runner has a cache, the cell checkpoints into it after every
-// pipeline state: a checkpoint left by a crashed or aborted invocation
+// the unit of work the runner executes and caches. When the runner
+// has a cache, the cell checkpoints into it after every pipeline
+// state: a checkpoint left by a crashed or aborted invocation
 // resumes the cell mid-run, with the artefacts, outcome and cache
 // entry an uninterrupted run would have. Aborted runs (provider gave
 // up after exhausting its resilience budget) surface as an error so
@@ -251,10 +250,8 @@ func Outcome(prob *bench.Problem, lang edatool.Language, cfg core.Config, tag st
 }
 
 // Run sweeps one model over one language by submitting one job per
-// problem to the runner. In a sharded invocation, cells owned by other
-// shards are included only when the cache can supply them; the summary
-// then covers the cells that have results (N reflects that), and a
-// follow-up run against the same cache merges the shards.
+// problem to the runner. Failed cells are left out of the summary, so
+// N counts the cells that have results.
 func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 	problems := opts.Problems
 	if problems == nil {
@@ -314,7 +311,7 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 		Provider: tag,
 	}
 	for _, res := range results {
-		if res.Status == runner.Skipped || res.Status == runner.Failed {
+		if res.Status == runner.Failed {
 			continue
 		}
 		sum.Outcomes = append(sum.Outcomes, res.Value)

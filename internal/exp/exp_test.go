@@ -159,31 +159,3 @@ func TestConfigureChangesCacheCell(t *testing.T) {
 		t.Fatalf("ablation hit default-config cells: %+v", st)
 	}
 }
-
-// TestShardedRunsMergeViaCache: shard 0/2 then shard 1/2 over a shared
-// cache must together reproduce the unsharded summary exactly.
-func TestShardedRunsMergeViaCache(t *testing.T) {
-	problems := sampleProblems(16)
-	model := llm.ProfileByName("llama3-70b")
-	want := Run(model, edatool.Verilog, Options{Problems: problems})
-
-	cache := mustCache(t)
-	r0 := &runner.Runner{Cache: cache, Shard: runner.Shard{Index: 0, Count: 2}}
-	partial := Run(model, edatool.Verilog, Options{Problems: problems, Runner: r0})
-	st0 := r0.Stats()
-	if st0.Skipped == 0 || st0.Executed == 0 {
-		t.Fatalf("shard 0 did not partition: %+v", st0)
-	}
-	if partial.N != st0.Executed {
-		t.Fatalf("partial summary N = %d, executed = %d", partial.N, st0.Executed)
-	}
-
-	r1 := &runner.Runner{Cache: cache, Shard: runner.Shard{Index: 1, Count: 2}}
-	got := Run(model, edatool.Verilog, Options{Problems: problems, Runner: r1})
-	if st1 := r1.Stats(); st1.Skipped != 0 || st1.Executed+st1.CacheHits != len(problems) {
-		t.Fatalf("shard 1 stats: %+v", st1)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("sharded union differs from unsharded run:\n  want %+v\n  got  %+v", want, got)
-	}
-}

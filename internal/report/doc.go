@@ -13,5 +13,5 @@
 // Beyond the paper: CategoryTable breaks pass@1F down per problem
 // category, and Manifest summarises what the orchestration layer
 // (internal/runner) did on an invocation — cells executed vs served
-// from cache, shard coverage, and wall-clock.
+// from cache, and wall-clock.
 package report

@@ -8,21 +8,18 @@ import (
 )
 
 // Manifest renders the run manifest: what the orchestration layer did
-// on this invocation — cells executed vs served from cache, cells left
-// to other shards, and wall-clock. It is the at-a-glance answer to
-// "did the cache work?" and "is this shard done?".
+// on this invocation — cells executed vs served from cache, and
+// wall-clock. It is the at-a-glance answer to "did the cache work?".
 func Manifest(st runner.Stats) string {
 	var sb strings.Builder
 	sb.WriteString("Run manifest\n")
 	sb.WriteString(strings.Repeat("-", 44) + "\n")
-	fmt.Fprintf(&sb, "  %-22s %s\n", "shard", st.Shard)
 	if st.Remote != "" {
 		fmt.Fprintf(&sb, "  %-22s job service %s\n", "dispatch", st.Remote)
 	}
 	fmt.Fprintf(&sb, "  %-22s %d\n", "jobs submitted", st.Total)
 	fmt.Fprintf(&sb, "  %-22s %d\n", "executed", st.Executed)
 	fmt.Fprintf(&sb, "  %-22s %d (%.1f%% hit rate)\n", "cache hits", st.CacheHits, 100*st.HitRate())
-	fmt.Fprintf(&sb, "  %-22s %d\n", "skipped (other shard)", st.Skipped)
 	if st.Failed > 0 {
 		fmt.Fprintf(&sb, "  %-22s %d\n", "failed", st.Failed)
 	}

@@ -3,10 +3,7 @@ package runner
 import (
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func ckptJob(p string) Job {
@@ -154,71 +151,4 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestPoolRunsSubmittedWork(t *testing.T) {
-	p := NewPool(4, 16)
-	var n atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		if err := p.TrySubmit(func() { n.Add(1); wg.Done() }); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	wg.Wait()
-	p.Close()
-	if n.Load() != 16 {
-		t.Fatalf("ran %d tasks, want 16", n.Load())
-	}
-}
-
-// TestPoolQueueFull: with one blocked worker and a full queue,
-// TrySubmit must reject immediately with ErrQueueFull — this is the
-// signal the job service converts into HTTP 429 backpressure.
-func TestPoolQueueFull(t *testing.T) {
-	p := NewPool(1, 2)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	if err := p.TrySubmit(func() { close(started); <-release }); err != nil {
-		t.Fatal(err)
-	}
-	<-started // the worker now holds the first task
-	if err := p.TrySubmit(func() { <-release }); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TrySubmit(func() { <-release }); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TrySubmit(func() {}); err != ErrQueueFull {
-		t.Fatalf("submit beyond depth: %v, want ErrQueueFull", err)
-	}
-	if d := p.Depth(); d != 2 {
-		t.Errorf("Depth = %d, want 2", d)
-	}
-	close(release)
-	p.Close()
-}
-
-// TestPoolCloseDrains: Close must run everything already accepted
-// before returning, and reject submissions afterwards.
-func TestPoolCloseDrains(t *testing.T) {
-	p := NewPool(2, 8)
-	var n atomic.Int32
-	for i := 0; i < 8; i++ {
-		if err := p.TrySubmit(func() {
-			time.Sleep(5 * time.Millisecond)
-			n.Add(1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close()
-	if n.Load() != 8 {
-		t.Fatalf("Close returned with %d/8 tasks done", n.Load())
-	}
-	if err := p.TrySubmit(func() {}); err != ErrPoolClosed {
-		t.Fatalf("submit after close: %v, want ErrPoolClosed", err)
-	}
-	p.Close() // idempotent
 }

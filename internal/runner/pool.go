@@ -13,36 +13,6 @@ var ErrQueueFull = errors.New("runner: queue full")
 // ErrPoolClosed reports submission to a pool that is draining.
 var ErrPoolClosed = errors.New("runner: pool closed")
 
-// Priority bands for Pool submissions. Higher values dequeue more
-// often; within one band service is strict submit-order FIFO.
-const (
-	MinPriority = 0 // the default band
-	MaxPriority = 9
-)
-
-// band is one priority class: a FIFO of pending tasks plus the
-// deficit-round-robin credit that meters its share of dequeues.
-type band struct {
-	fns    []func()
-	head   int
-	credit int
-}
-
-func (b *band) len() int { return len(b.fns) - b.head }
-
-func (b *band) push(fn func()) { b.fns = append(b.fns, fn) }
-
-func (b *band) pop() func() {
-	fn := b.fns[b.head]
-	b.fns[b.head] = nil
-	b.head++
-	if b.head == len(b.fns) {
-		b.fns = b.fns[:0]
-		b.head = 0
-	}
-	return fn
-}
-
 // Pool is a long-lived worker pool with a bounded queue, the serving-
 // shaped sibling of Execute's per-call pool: Execute fans a known job
 // slice out and returns when the batch completes; a Pool accepts work
@@ -50,17 +20,12 @@ func (b *band) pop() func() {
 // depth instead of buffering without bound, and drains cleanly on
 // shutdown.
 //
-// Submissions carry a priority band (MinPriority..MaxPriority).
-// Dequeue is weighted-fair across backlogged bands — band p holds p+1
-// credits per replenish cycle, so a priority-9 backlog is served 10x
-// as often as a priority-0 backlog but can never starve it — and
-// strict submit-order FIFO within a band.
+// Tasks start in strict submit order.
 type Pool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	bands  [MaxPriority + 1]band
-	size   int // queued (not yet started) tasks across all bands
-	depth  int
+	mu sync.Mutex // guards closed against a send on the closed queue
+	// queue holds the tasks not yet started; its capacity is the queue
+	// depth, beyond which TrySubmit rejects.
+	queue  chan func()
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -74,23 +39,12 @@ func NewPool(workers, depth int) *Pool {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &Pool{depth: depth}
-	p.cond = sync.NewCond(&p.mu)
+	p := &Pool{queue: make(chan func(), depth)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
-			for {
-				p.mu.Lock()
-				for p.size == 0 && !p.closed {
-					p.cond.Wait()
-				}
-				if p.size == 0 {
-					p.mu.Unlock()
-					return // closed and drained
-				}
-				fn := p.dequeueLocked()
-				p.mu.Unlock()
+			for fn := range p.queue {
 				fn()
 			}
 		}()
@@ -98,69 +52,24 @@ func NewPool(workers, depth int) *Pool {
 	return p
 }
 
-// dequeueLocked picks the next task under weighted-fair scheduling:
-// the highest backlogged band holding credit is served; when every
-// backlogged band is out of credit, credits replenish to each band's
-// weight (priority+1) and the cycle restarts. Caller holds p.mu.
-func (p *Pool) dequeueLocked() func() {
-	for pri := MaxPriority; pri >= MinPriority; pri-- {
-		if b := &p.bands[pri]; b.len() > 0 && b.credit > 0 {
-			b.credit--
-			p.size--
-			return b.pop()
-		}
-	}
-	for pri := MaxPriority; pri >= MinPriority; pri-- {
-		if b := &p.bands[pri]; b.len() > 0 {
-			b.credit = pri + 1
-		}
-	}
-	for pri := MaxPriority; pri >= MinPriority; pri-- {
-		if b := &p.bands[pri]; b.len() > 0 {
-			b.credit--
-			p.size--
-			return b.pop()
-		}
-	}
-	panic("runner: dequeue on empty pool") // unreachable: caller checked size > 0
-}
-
-// TrySubmit enqueues fn at the default priority without blocking. It
-// returns ErrQueueFull when the queue is at depth and ErrPoolClosed
-// after Close.
+// TrySubmit enqueues fn without blocking. It returns ErrQueueFull when
+// the queue is at depth and ErrPoolClosed after Close.
 func (p *Pool) TrySubmit(fn func()) error {
-	return p.TrySubmitPriority(MinPriority, fn)
-}
-
-// TrySubmitPriority enqueues fn in the given priority band without
-// blocking. Priorities outside [MinPriority, MaxPriority] are clamped.
-func (p *Pool) TrySubmitPriority(priority int, fn func()) error {
-	if priority < MinPriority {
-		priority = MinPriority
-	}
-	if priority > MaxPriority {
-		priority = MaxPriority
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrPoolClosed
 	}
-	if p.size >= p.depth {
+	select {
+	case p.queue <- fn:
+		return nil
+	default:
 		return ErrQueueFull
 	}
-	p.bands[priority].push(fn)
-	p.size++
-	p.cond.Signal()
-	return nil
 }
 
 // Depth returns the number of queued (not yet started) tasks.
-func (p *Pool) Depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.size
-}
+func (p *Pool) Depth() int { return len(p.queue) }
 
 // Close stops accepting work and waits for queued and in-flight tasks
 // to finish. Tasks that should stop early must watch their own
@@ -169,7 +78,7 @@ func (p *Pool) Close() {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		p.cond.Broadcast()
+		close(p.queue)
 	}
 	p.mu.Unlock()
 	p.wg.Wait()

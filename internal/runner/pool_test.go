@@ -2,136 +2,135 @@ package runner
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// prioPool returns a single-worker pool whose worker is parked inside
-// a blocker task, so tests can stage a backlog and then observe the
-// exact dequeue order when the blocker releases.
-func prioPool(t *testing.T, depth int) (p *Pool, release chan struct{}) {
-	t.Helper()
-	p = NewPool(1, depth)
-	release = make(chan struct{})
+func TestPoolRunsSubmittedWork(t *testing.T) {
+	p := NewPool(4, 16)
+	var n atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		if err := p.TrySubmit(func() { n.Add(1); wg.Done() }); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	p.Close()
+	if n.Load() != 16 {
+		t.Fatalf("ran %d tasks, want 16", n.Load())
+	}
+}
+
+// TestPoolQueueFull: with one blocked worker and a full queue,
+// TrySubmit must reject immediately with ErrQueueFull — this is the
+// signal the job service converts into HTTP 429 backpressure.
+func TestPoolQueueFull(t *testing.T) {
+	p := NewPool(1, 2)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	if err := p.TrySubmit(func() { close(started); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the worker now holds the first task
+	if err := p.TrySubmit(func() { <-release }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrySubmit(func() { <-release }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrySubmit(func() {}); err != ErrQueueFull {
+		t.Fatalf("submit beyond depth: %v, want ErrQueueFull", err)
+	}
+	if d := p.Depth(); d != 2 {
+		t.Errorf("Depth = %d, want 2", d)
+	}
+	close(release)
+	p.Close()
+}
+
+// TestPoolCloseDrains: Close must run everything already accepted
+// before returning, and reject submissions afterwards.
+func TestPoolCloseDrains(t *testing.T) {
+	p := NewPool(2, 8)
+	var n atomic.Int32
+	for i := 0; i < 8; i++ {
+		if err := p.TrySubmit(func() {
+			time.Sleep(5 * time.Millisecond)
+			n.Add(1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	if n.Load() != 8 {
+		t.Fatalf("Close returned with %d/8 tasks done", n.Load())
+	}
+	if err := p.TrySubmit(func() {}); err != ErrPoolClosed {
+		t.Fatalf("submit after close: %v, want ErrPoolClosed", err)
+	}
+	p.Close() // idempotent
+}
+
+// TestPoolFIFO: with the single worker parked, a staged backlog runs
+// in strict submit order once the worker is released.
+func TestPoolFIFO(t *testing.T) {
+	p := NewPool(1, 16)
+	release := make(chan struct{})
 	started := make(chan struct{})
 	if err := p.TrySubmit(func() { close(started); <-release }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	return p, release
-}
-
-// runOrder drains the staged backlog and returns the order labels ran.
-func runOrder(t *testing.T, p *Pool, release chan struct{}, submitted int, order *[]string, mu *sync.Mutex) []string {
-	t.Helper()
-	close(release)
-	p.Close() // drains everything already accepted
-	mu.Lock()
-	defer mu.Unlock()
-	if len(*order) != submitted {
-		t.Fatalf("ran %d tasks, want %d", len(*order), submitted)
-	}
-	return *order
-}
-
-// TestPoolPriorityFIFOWithinBand: one band is strict submit-order FIFO.
-func TestPoolPriorityFIFOWithinBand(t *testing.T) {
-	p, release := prioPool(t, 16)
 	var mu sync.Mutex
 	var order []string
 	labels := []string{"a", "b", "c", "d", "e"}
 	for _, l := range labels {
-		l := l
-		if err := p.TrySubmitPriority(3, func() { mu.Lock(); order = append(order, l); mu.Unlock() }); err != nil {
+		if err := p.TrySubmit(func() { mu.Lock(); order = append(order, l); mu.Unlock() }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := runOrder(t, p, release, len(labels), &order, &mu)
+	close(release)
+	p.Close() // drains everything already accepted
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != len(labels) {
+		t.Fatalf("ran %d tasks, want %d", len(order), len(labels))
+	}
 	for i, l := range labels {
-		if got[i] != l {
-			t.Fatalf("band order %v, want submit order %v", got, labels)
+		if order[i] != l {
+			t.Fatalf("order %v, want submit order %v", order, labels)
 		}
 	}
 }
 
-// TestPoolPriorityPreempts: a later high-priority submission dequeues
-// before an earlier low-priority backlog.
-func TestPoolPriorityPreempts(t *testing.T) {
-	p, release := prioPool(t, 16)
-	var mu sync.Mutex
-	var order []string
-	sub := func(pri int, l string) {
-		t.Helper()
-		if err := p.TrySubmitPriority(pri, func() { mu.Lock(); order = append(order, l); mu.Unlock() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sub(0, "low")
-	sub(9, "high")
-	got := runOrder(t, p, release, 2, &order, &mu)
-	if got[0] != "high" || got[1] != "low" {
-		t.Fatalf("order %v, want [high low]", got)
-	}
-}
-
-// TestPoolWeightedFairDequeue pins the deficit-round-robin schedule:
-// with bands 4 (weight 5) and 0 (weight 1) both backlogged, each
-// replenish cycle serves five priority-4 tasks then one priority-0
-// task — proportional service, no starvation, FIFO within each band.
-func TestPoolWeightedFairDequeue(t *testing.T) {
-	p, release := prioPool(t, 32)
-	var mu sync.Mutex
-	var order []string
-	for i := 0; i < 10; i++ {
-		if err := p.TrySubmitPriority(4, func() { mu.Lock(); order = append(order, "H"); mu.Unlock() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if err := p.TrySubmitPriority(0, func() { mu.Lock(); order = append(order, "L"); mu.Unlock() }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := runOrder(t, p, release, 20, &order, &mu)
-	want := []string{
-		"H", "H", "H", "H", "H", "L", // cycle 1: credits 5 and 1
-		"H", "H", "H", "H", "H", "L", // cycle 2
-		"L", "L", "L", "L", "L", "L", "L", "L", // high band empty
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("schedule %v,\nwant     %v", got, want)
-		}
-	}
-}
-
-// TestPoolPriorityClamped: out-of-range priorities are clamped, not
-// rejected — a submission never fails on the priority value alone.
-func TestPoolPriorityClamped(t *testing.T) {
-	p := NewPool(1, 4)
+// TestPoolSubmitRacesClose: submissions racing Close each either run
+// or are refused — never a send on the closed queue — and Close
+// returns only after every accepted task ran.
+func TestPoolSubmitRacesClose(t *testing.T) {
+	p := NewPool(2, 4)
+	var accepted, ran atomic.Int32
 	var wg sync.WaitGroup
-	wg.Add(2)
-	if err := p.TrySubmitPriority(-100, func() { wg.Done() }); err != nil {
-		t.Fatal(err)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				switch err := p.TrySubmit(func() { ran.Add(1) }); err {
+				case nil:
+					accepted.Add(1)
+				case ErrQueueFull, ErrPoolClosed:
+				default:
+					t.Errorf("TrySubmit: %v", err)
+				}
+			}
+		}()
 	}
-	if err := p.TrySubmitPriority(100, func() { wg.Done() }); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
 	p.Close()
-}
-
-// TestPoolQueueFullAcrossBands: the depth bound covers the sum of all
-// bands, not each band separately.
-func TestPoolQueueFullAcrossBands(t *testing.T) {
-	p, release := prioPool(t, 2)
-	defer func() { close(release); p.Close() }()
-	if err := p.TrySubmitPriority(1, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TrySubmitPriority(7, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TrySubmitPriority(9, func() {}); err != ErrQueueFull {
-		t.Fatalf("submit beyond depth: %v, want ErrQueueFull", err)
+	wg.Wait()
+	if ran.Load() != accepted.Load() {
+		t.Fatalf("ran %d of %d accepted tasks", ran.Load(), accepted.Load())
 	}
 }

@@ -1,17 +1,15 @@
 // Package runner is the experiment orchestration layer: it turns a
 // sweep of independent pipeline evaluations into addressable Jobs and
-// executes them on a worker pool with deterministic sharding, a
-// content-addressed on-disk result cache, and streaming progress.
+// executes them on a worker pool with a content-addressed on-disk
+// result cache and streaming progress.
 //
 // A Job is keyed by a hash of (problem ID, model, language, config
-// fingerprint), so the same cell always lands in the same shard and
-// the same cache file no matter which invocation runs it. That makes
-// three workflows cheap that the in-memory sweep could not support:
+// fingerprint), so the same cell always lands in the same cache file
+// no matter which invocation runs it. That makes two workflows cheap
+// that the in-memory sweep could not support:
 //
-//   - resuming a crashed sweep (completed cells are cache hits),
-//   - re-running a report without recomputing identical cells, and
-//   - splitting one sweep across machines with -shard i/n and merging
-//     the halves through a shared cache directory.
+//   - resuming a crashed sweep (completed cells are cache hits), and
+//   - re-running a report without recomputing identical cells.
 //
 // The package is deliberately independent of the experiment types: the
 // executor is generic over the payload, and the cache stores payloads
@@ -36,9 +34,6 @@ const (
 	Executed Status = iota
 	// Cached means the result was loaded from the on-disk cache.
 	Cached
-	// Skipped means the job belongs to another shard and no cached
-	// result was available; it has no value.
-	Skipped
 	// Failed means the job ran and returned an error.
 	Failed
 )
@@ -49,8 +44,6 @@ func (s Status) String() string {
 		return "run"
 	case Cached:
 		return "hit"
-	case Skipped:
-		return "skip"
 	default:
 		return "fail"
 	}
@@ -73,11 +66,9 @@ type Stats struct {
 	Total       int           // jobs submitted
 	Executed    int           // computed on this invocation
 	CacheHits   int           // loaded from the result cache
-	Skipped     int           // other shard's jobs with no cached result
 	Failed      int           // executed but returned an error
 	StoreErrors int           // results that could not be written to the cache
 	Wall        time.Duration // wall-clock spent inside Execute
-	Shard       Shard         // shard this invocation is responsible for
 	// Remote labels the job service executed cells were dispatched to
 	// ("" = cells ran in-process). Cache hits still resolve locally;
 	// only misses travel to the service.
@@ -109,8 +100,8 @@ type Stats struct {
 	Backend sim.BackendStats
 }
 
-// Misses returns the number of jobs this shard had to compute because
-// the cache could not supply them.
+// Misses returns the number of jobs this invocation had to compute
+// because the cache could not supply them.
 func (s Stats) Misses() int { return s.Executed + s.Failed }
 
 // HitRate returns the cache hit fraction over the jobs that had a
@@ -124,7 +115,7 @@ func (s Stats) HitRate() float64 {
 }
 
 // Runner executes job sets. The zero value is a valid runner: no
-// cache, no sharding, no progress, auto-sized worker pool.
+// cache, no progress, auto-sized worker pool.
 type Runner struct {
 	// Workers caps the number of concurrently executing jobs.
 	// Values <= 0 select min(NumCPU, 8).
@@ -132,13 +123,8 @@ type Runner struct {
 	// Cache, when non-nil, is consulted before executing a job and
 	// updated after; it is what makes sweeps resumable.
 	Cache *Cache
-	// Shard restricts execution to this invocation's slice of the job
-	// set. Out-of-shard jobs are still served from the cache when
-	// possible, so shards merge through a shared cache directory.
-	Shard Shard
-	// Refresh forces in-shard jobs to recompute and overwrite their
-	// cache entries (-resume=false). Out-of-shard cached results are
-	// still honoured.
+	// Refresh forces every job to recompute and overwrite its cache
+	// entry (-resume=false).
 	Refresh bool
 	// Progress, when non-nil, receives one event per completed job.
 	Progress *Progress
@@ -156,7 +142,6 @@ func (r *Runner) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.stats
-	st.Shard = r.Shard
 	st.Remote = r.Remote
 	return st
 }
@@ -211,11 +196,10 @@ func (r *Runner) AddBackend(b sim.BackendStats) {
 // input slice alongside the job itself, so callers can recover the
 // richer objects the job was derived from.
 //
-// For each job the runner resolves, in order: an out-of-shard job is
-// served from the cache or skipped; an in-shard job is served from the
-// cache (unless Refresh is set) or executed, and a freshly executed
-// result is written back to the cache. Execute is itself
-// goroutine-safe, but sequential calls are the intended use.
+// Each job is served from the cache (unless Refresh is set) or
+// executed, and a freshly executed result is written back to the
+// cache. Execute is itself goroutine-safe, but sequential calls are
+// the intended use.
 func Execute[T any](r *Runner, jobs []Job, fn func(i int, job Job) (T, error)) []Result[T] {
 	start := time.Now()
 	results := make([]Result[T], len(jobs))
@@ -245,22 +229,13 @@ func Execute[T any](r *Runner, jobs []Job, fn func(i int, job Job) (T, error)) [
 
 func executeOne[T any](r *Runner, i int, job Job, fn func(int, Job) (T, error)) Result[T] {
 	res := Result[T]{Job: job}
-	owned := r.Shard.Owns(job)
-
-	// The cache can satisfy any job; only in-shard jobs may bypass it
-	// via Refresh.
-	if r.Cache != nil && (!owned || !r.Refresh) {
+	if r.Cache != nil && !r.Refresh {
 		ok, err := r.Cache.Load(job, &res.Value)
 		if err == nil && ok {
 			res.Status = Cached
 			r.record(func(s *Stats) { s.CacheHits++ })
 			return res
 		}
-	}
-	if !owned {
-		res.Status = Skipped
-		r.record(func(s *Stats) { s.Skipped++ })
-		return res
 	}
 
 	t0 := time.Now()

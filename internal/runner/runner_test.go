@@ -166,73 +166,6 @@ func TestExecuteRefreshOverwrites(t *testing.T) {
 	}
 }
 
-func TestShardPartitionDeterministicAndComplete(t *testing.T) {
-	jobs := testJobs(200)
-	for _, n := range []int{2, 3, 5} {
-		counts := make([]int, n)
-		for _, j := range jobs {
-			owners := 0
-			for i := 0; i < n; i++ {
-				sh := Shard{Index: i, Count: n}
-				if sh.Owns(j) != sh.Owns(j) {
-					t.Fatal("Owns not deterministic")
-				}
-				if sh.Owns(j) {
-					owners++
-					counts[i]++
-				}
-			}
-			if owners != 1 {
-				t.Fatalf("job %s owned by %d shards of %d", j, owners, n)
-			}
-		}
-		// Hash-based assignment should be roughly balanced.
-		for i, c := range counts {
-			if c == 0 {
-				t.Fatalf("shard %d/%d received no jobs", i, n)
-			}
-		}
-	}
-}
-
-func TestShardedRunsMergeThroughCache(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := testJobs(30)
-	run := func(i int, j Job) (payload, error) { return payload{ID: j.Problem, Value: i}, nil }
-
-	r0 := &Runner{Cache: cache, Shard: Shard{Index: 0, Count: 2}}
-	res0 := Execute(r0, jobs, run)
-	st0 := r0.Stats()
-	if st0.Executed == 0 || st0.Skipped == 0 || st0.Executed+st0.Skipped != len(jobs) {
-		t.Fatalf("shard 0 stats: %+v", st0)
-	}
-	for _, re := range res0 {
-		if re.Status == Skipped && r0.Shard.Owns(re.Job) {
-			t.Fatal("owned job skipped")
-		}
-	}
-
-	// Shard 1 executes its half and picks the rest up from the cache:
-	// together the two invocations cover the sweep.
-	r1 := &Runner{Cache: cache, Shard: Shard{Index: 1, Count: 2}}
-	res1 := Execute(r1, jobs, run)
-	st1 := r1.Stats()
-	if st1.Skipped != 0 {
-		t.Fatalf("shard 1 after shard 0 skipped %d jobs", st1.Skipped)
-	}
-	if st1.Executed+st1.CacheHits != len(jobs) {
-		t.Fatalf("shard 1 stats: %+v", st1)
-	}
-	for i, re := range res1 {
-		if re.Value.Value != i {
-			t.Fatalf("merged job %d carries value %d", i, re.Value.Value)
-		}
-	}
-}
-
 func TestExecuteFailurePropagates(t *testing.T) {
 	boom := errors.New("boom")
 	r := &Runner{}
@@ -282,33 +215,6 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "\n"); got != len(jobs) {
 		t.Fatalf("progress printed %d lines, want %d", got, len(jobs))
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/y", "1"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted", bad)
-		}
-	}
-	sh, err := ParseShard("1/4")
-	if err != nil || sh.Index != 1 || sh.Count != 4 || !sh.Enabled() {
-		t.Fatalf("ParseShard(1/4) = %+v, %v", sh, err)
-	}
-	if sh.String() != "1/4" {
-		t.Fatalf("String = %q", sh.String())
-	}
-	empty, err := ParseShard("")
-	if err != nil || empty.Enabled() {
-		t.Fatalf("empty shard: %+v, %v", empty, err)
-	}
-}
-
-func TestParseShardRejectsTrailingGarbage(t *testing.T) {
-	for _, bad := range []string{"1/2/3", "1/2x", "a1/2", "1 /2", "1/"} {
-		if sh, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted as %+v", bad, sh)
-		}
 	}
 }
 

@@ -44,13 +44,6 @@ type Config struct {
 	// 100ms / 5s.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// MaxRetries caps retries per call; 0 retries until the context is
-	// cancelled (the right default for sweep dispatch: a full queue is
-	// backpressure, not failure).
-	MaxRetries int
-	// Priority is the dequeue band submitted with every dispatched
-	// cell (0-9; see serve.Spec.Priority).
-	Priority int
 	// OnEvent, when set, receives every transcript event observed
 	// while awaiting a job — the live-progress feed for sweeps.
 	OnEvent func(jobID string, ev serve.Event)
@@ -132,8 +125,10 @@ func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
 
 // doJSON issues one request with retry/backoff and decodes the
 // response into out. Retryable: transport errors, 429 (honouring
-// Retry-After) and 503 (a draining or restarting server). Anything
-// else non-2xx fails with a StatusError.
+// Retry-After) and 503 (a draining or restarting server); these retry
+// until ctx ends, because for sweep dispatch a full queue is
+// backpressure, not failure. Anything else non-2xx fails with a
+// StatusError.
 func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
@@ -176,9 +171,6 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, o
 				}
 				return &StatusError{Code: resp.StatusCode, Msg: ae.Error}
 			}
-		}
-		if c.cfg.MaxRetries > 0 && attempt >= c.cfg.MaxRetries {
-			return fmt.Errorf("client: %s %s: retries exhausted: %w", method, path, err)
 		}
 		if serr := sleep(ctx, c.backoff(attempt, retryAfter)); serr != nil {
 			return fmt.Errorf("client: %s %s: %w (last: %v)", method, path, serr, err)
@@ -329,7 +321,6 @@ func (c *Client) Evaluate(ctx context.Context, job runner.Job, cell exp.RemoteCe
 		MaxSimTime:     cell.MaxSimTime,
 		CoGenTestbench: cell.CoGenTestbench,
 		SkipFunctional: cell.SkipFunctional,
-		Priority:       c.cfg.Priority,
 	}
 	wantID := job.Key()
 	for {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,12 +57,6 @@ type Spec struct {
 	MaxSyntaxIters int    `json:"max_syntax_iters,omitempty"`
 	MaxFuncIters   int    `json:"max_func_iters,omitempty"`
 	MaxSimTime     uint64 `json:"max_sim_time,omitempty"`
-	// Priority places the job in a pool dequeue band (0 = default,
-	// lowest; 9 = highest). Scheduling only: it never enters the
-	// content-addressed job ID, so identical specs at different
-	// priorities share one job — and the first submission's priority
-	// wins for a job that is already queued.
-	Priority int `json:"priority,omitempty"`
 	// CoGenTestbench regenerates the bench every functional iteration
 	// (the AIVRIL 1 ablation); default keeps it frozen.
 	CoGenTestbench bool `json:"cogen_testbench,omitempty"`
@@ -335,7 +330,7 @@ func (s *Server) recover() error {
 			j.rec.Status = StatusQueued
 			s.jobs[rec.ID] = j
 			id := rec.ID
-			if err := s.pool.TrySubmitPriority(rec.Spec.Priority, func() { s.run(id) }); err != nil {
+			if err := s.pool.TrySubmit(func() { s.run(id) }); err != nil {
 				// Queue smaller than the backlog: leave the job
 				// interrupted; a resubmission re-enqueues it.
 				j.rec.Status = StatusInterrupted
@@ -379,9 +374,6 @@ func (s *Server) resolve(spec Spec) (resolved, error) {
 		r.lang = edatool.VHDL
 	default:
 		return r, specErrf("unknown language %q (verilog | vhdl)", spec.Language)
-	}
-	if spec.Priority < runner.MinPriority || spec.Priority > runner.MaxPriority {
-		return r, specErrf("priority %d out of range [%d, %d]", spec.Priority, runner.MinPriority, runner.MaxPriority)
 	}
 	name := spec.Provider
 	if name == "" {
@@ -457,7 +449,7 @@ func (s *Server) Submit(spec Spec) (Record, error) {
 	prev := j.rec.Status
 	j.rec.Status = StatusQueued
 	j.rec.Error = ""
-	if err := s.pool.TrySubmitPriority(j.rec.Spec.Priority, func() { s.run(id) }); err != nil {
+	if err := s.pool.TrySubmit(func() { s.run(id) }); err != nil {
 		j.rec.Status = prev
 		return Record{}, err
 	}
@@ -481,21 +473,22 @@ func (s *Server) Get(id string) (Record, bool) {
 	return j.rec, true
 }
 
-// List returns every job record, newest first.
+// List returns every job record, newest first (ties by ID). The
+// records are copied under the lock and sorted after it is released,
+// so a long listing never stalls submissions or state updates.
 func (s *Server) List() []Record {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Record, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		out = append(out, j.rec)
 	}
-	for i := 0; i < len(out); i++ {
-		for k := i + 1; k < len(out); k++ {
-			if out[k].Created.After(out[i].Created) {
-				out[i], out[k] = out[k], out[i]
-			}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b Record) int {
+		if c := b.Created.Compare(a.Created); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.ID, b.ID)
+	})
 	return out
 }
 

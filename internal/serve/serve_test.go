@@ -13,8 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -584,6 +584,94 @@ func TestRecoverSkipsTornRecord(t *testing.T) {
 	}
 }
 
+// TestListNewestFirst: List orders records newest Created first and
+// breaks Created ties by ID.
+func TestListNewestFirst(t *testing.T) {
+	s := newServer(t, testConfig(t))
+	var ids []string
+	for _, p := range []string{"gate_xor", "gate_or", "gate_and", "gate_nor"} {
+		rec, err := s.Submit(spec(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	for _, id := range ids {
+		waitStatus(t, s, id, StatusCompleted)
+	}
+	listIDs := func() []string {
+		var out []string
+		for _, rec := range s.List() {
+			out = append(out, rec.ID)
+		}
+		return out
+	}
+	want := []string{ids[3], ids[2], ids[1], ids[0]}
+	if got := listIDs(); !slices.Equal(got, want) {
+		t.Fatalf("List order %v, want reverse submit order %v", got, want)
+	}
+
+	// Give the two oldest jobs one timestamp: their order falls to ID.
+	s.mu.Lock()
+	s.jobs[ids[1]].rec.Created = s.jobs[ids[0]].rec.Created
+	s.mu.Unlock()
+	tied := []string{ids[0], ids[1]}
+	slices.Sort(tied)
+	want = []string{ids[3], ids[2], tied[0], tied[1]}
+	if got := listIDs(); !slices.Equal(got, want) {
+		t.Fatalf("List order with a Created tie %v, want %v", got, want)
+	}
+}
+
+// TestLegacyPriorityFieldIgnored: specs and persisted records written
+// while jobs still carried a "priority" field decode and run, and the
+// field does not change the job ID.
+func TestLegacyPriorityFieldIgnored(t *testing.T) {
+	cfg := testConfig(t)
+	s1 := newServer(t, cfg)
+	ts := httptest.NewServer(s1.Handler())
+	legacy := `{"problem":"gate_or","model":"claude-3.5-sonnet","language":"verilog","priority":9}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Record
+	json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	ts.Close()
+	plain, err := s1.Submit(spec("gate_or"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || got.ID != plain.ID {
+		t.Fatalf("legacy spec: %d id %s, want 202 id %s", resp.StatusCode, got.ID, plain.ID)
+	}
+	waitStatus(t, s1, plain.ID, StatusCompleted)
+	s1.Shutdown()
+
+	// Rewrite the record as an unfinished one from before the field was
+	// dropped; recovery must pick it up and finish it under the same ID.
+	path := filepath.Join(cfg.CacheDir, "jobs", plain.ID+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["status"] = StatusQueued
+	rec["spec"].(map[string]any)["priority"] = 9
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newServer(t, cfg)
+	waitStatus(t, s2, plain.ID, StatusCompleted)
+}
+
 // TestVerdictOf pins the cached-outcome verdict reconstruction.
 func TestVerdictOf(t *testing.T) {
 	cases := []struct {
@@ -872,78 +960,5 @@ func TestRecordTTLGC(t *testing.T) {
 			t.Fatal("completed record never expired")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestPriorityScheduling: with the single worker parked, a priority-9
-// submission dequeues before an earlier priority-0 one, and an
-// out-of-range priority is rejected as a spec error.
-func TestPriorityScheduling(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	var mu sync.Mutex
-	var order []string
-	seen := map[string]bool{}
-	cfg := testConfig(t)
-	cfg.Workers = 1
-	cfg.QueueDepth = 8
-	cfg.StepHook = func(id string, _ *core.Checkpoint) error {
-		mu.Lock()
-		if !seen[id] {
-			seen[id] = true
-			order = append(order, id)
-		}
-		mu.Unlock()
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-		return nil
-	}
-	s := newServer(t, cfg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	blocker, err := s.Submit(spec("gate_xor"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered // worker parked inside the blocker
-
-	low := spec("gate_or") // priority 0, submitted first
-	lowRec, err := s.Submit(low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high := spec("gate_and")
-	high.Priority = 9
-	highRec, err := s.Submit(high)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	close(release)
-	waitStatus(t, s, blocker.ID, StatusCompleted)
-	waitStatus(t, s, lowRec.ID, StatusCompleted)
-	waitStatus(t, s, highRec.ID, StatusCompleted)
-
-	mu.Lock()
-	got := append([]string(nil), order...)
-	mu.Unlock()
-	want := []string{blocker.ID, highRec.ID, lowRec.ID}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("dequeue order %v, want %v (high priority must jump the queue)", got, want)
-	}
-
-	// Out-of-range priority: SpecError in-process, 400 over HTTP.
-	bad := spec("vec_and_w8")
-	bad.Priority = 10
-	var se *SpecError
-	if _, err := s.Submit(bad); !errors.As(err, &se) {
-		t.Errorf("priority 10: %v, want SpecError", err)
-	}
-	if code := postJob(t, ts.URL, bad); code != http.StatusBadRequest {
-		t.Errorf("priority 10 over HTTP: %d, want 400", code)
 	}
 }

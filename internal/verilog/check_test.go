@@ -1,6 +1,8 @@
 package verilog
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -167,5 +169,58 @@ endmodule`)
 	}
 	if !strings.Contains(msgs, "parameter") {
 		t.Errorf("message: %s", msgs)
+	}
+}
+
+// checkChainSrc is a module instantiating a chain of n copies of one
+// small clocked module, each feeding the next.
+func checkChainSrc(n int) string {
+	var sb strings.Builder
+	sb.WriteString(`
+module stage(input clk, input [7:0] d, output reg [7:0] q);
+  always @(posedge clk) q <= d + 8'd1;
+endmodule
+module top(input clk, output [7:0] y);
+`)
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&sb, "  wire [7:0] w%d;\n", i)
+	}
+	sb.WriteString("  assign w0 = 8'd0;\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  stage s%d(.clk(clk), .d(w%d), .q(w%d));\n", i, i, i+1)
+	}
+	fmt.Fprintf(&sb, "  assign y = w%d;\nendmodule\n", n)
+	return sb.String()
+}
+
+// checkAllocBytes returns the heap bytes one Check of src allocates;
+// parsing is outside the measurement.
+func checkAllocBytes(t *testing.T, src string) uint64 {
+	t.Helper()
+	sf, pd := Parse("chain.v", src)
+	if pd.HasErrors() {
+		t.Fatalf("parse: %v", pd)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	diags := Check("chain.v", sf, nil)
+	runtime.ReadMemStats(&after)
+	if diags.HasErrors() {
+		t.Fatalf("check: %v", diags)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckAllocLinear guards semantic checking against superlinear
+// cost in design size: a chain of 8N instances may allocate at most
+// 10x the heap bytes of a chain of N (TestLexParseAllocLinear guards
+// parsing).
+func TestCheckAllocLinear(t *testing.T) {
+	const n = 50
+	small := checkAllocBytes(t, checkChainSrc(n))
+	large := checkAllocBytes(t, checkChainSrc(8*n))
+	t.Logf("%d instances: %d bytes; %d instances: %d bytes", n, small, 8*n, large)
+	if large > 10*small {
+		t.Errorf("%d instances allocated %d bytes, more than 10x the %d of %d instances", 8*n, large, small, n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // deterministic only because exactly one goroutine ever ran; the
 // direct-dispatch kernel must preserve that ordering exactly (FIFO
 // active region, stable NBA application, heap tiebreak by sequence),
-// since the experiment layer caches and shards simulation results and
+// since the experiment layer caches simulation results and
 // replays must match bit for bit.
 func TestSimulateDeterministicVCD(t *testing.T) {
 	src := `

@@ -143,7 +143,7 @@ go build -o "$WORK/benchsuite" ./cmd/benchsuite
 "$WORK/aivrild" -addr "$ADDR" -cache-dir "$WORK/sweep-remote" -workers 4 -queue 8 &
 PID=$!
 wait_healthy
-"$WORK/benchsuite" -server "$BASE" -priority 5 -table1 -every 31 \
+"$WORK/benchsuite" -server "$BASE" -table1 -every 31 \
     -cache-dir "$WORK/sweep-client" -json "$WORK/remote.json" >"$WORK/remote.out"
 grep -q "dispatch" "$WORK/remote.out" || die "remote manifest missing dispatch line"
 stop_server
