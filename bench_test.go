@@ -179,6 +179,34 @@ func BenchmarkPipelineSingle(b *testing.B) {
 	}
 }
 
+// BenchmarkJudgeSuite measures functional judging, the dominant cost
+// of a sweep cell: every golden design in both HDLs simulated under its
+// reference testbench through core's functional judge, on a fresh
+// design cache per op so each simulation misses and runs.
+func BenchmarkJudgeSuite(b *testing.B) {
+	suite := bench.NewSuite()
+	maxSimTime := core.DefaultConfig(llm.ProfileByName("claude-3.5-sonnet"), edatool.Verilog).MaxSimTime
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := edatool.NewDesignCache()
+		for _, p := range suite.Problems {
+			for _, lang := range []edatool.Language{edatool.Verilog, edatool.VHDL} {
+				rtl := p.GoldenVerilog
+				if lang == edatool.VHDL {
+					rtl = p.GoldenVHDL
+				}
+				if !core.EvaluateFunctionalWith(cache, lang, p, rtl, maxSimTime) {
+					b.Fatalf("%s/%s: golden design fails its reference testbench", p.ID, langName(lang))
+				}
+			}
+		}
+		if st := cache.Stats(); st.DesignHits != 0 {
+			b.Fatalf("judge suite hit the result memo: %+v", st)
+		}
+	}
+}
+
 // BenchmarkSimulatorVerilog measures raw event-driven simulation of a
 // counter testbench (EDA substrate cost).
 func BenchmarkSimulatorVerilog(b *testing.B) {

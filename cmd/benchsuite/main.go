@@ -107,7 +107,7 @@ func main() {
 
 	// One design cache for every sweep in this invocation: a Table 1 run
 	// followed by the ablation re-simulates many identical (problem, RTL)
-	// pairs, and the cache turns those into reruns of retained designs.
+	// pairs, and the cache turns those into memoized-result lookups.
 	opts := exp.Options{
 		Problems:    problems,
 		Runner:      run,

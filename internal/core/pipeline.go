@@ -40,10 +40,10 @@ type Config struct {
 	FreezeTestbench bool
 	// SkipFunctional runs only the syntax loop (RTLFixer-style ablation).
 	SkipFunctional bool
-	// DesignCache shares parsed/elaborated designs across every compile
-	// and simulation this pipeline runs (see edatool.DesignCache): the
-	// repair loop re-parses only the unit a repair changed, and
-	// identical source sets re-run the retained design. It only changes
+	// DesignCache shares parses and simulation results across every
+	// compile and simulation this pipeline runs (see
+	// edatool.DesignCache): the repair loop re-parses only the unit a
+	// repair changed, and a repeated simulation is a memo lookup. It only changes
 	// speed, never results, so it deliberately does not enter the
 	// experiment cache key. When nil, New creates a private per-pipeline
 	// cache; sweeps may inject a shared one.
@@ -240,7 +240,8 @@ func EvaluateFunctional(lang edatool.Language, prob *bench.Problem, rtl string, 
 
 // EvaluateFunctionalWith is EvaluateFunctional through an optional
 // design cache: the reference testbench never changes per problem, so
-// repeated judgements (sweeps, pass@k) reuse its parse and elaboration.
+// repeated judgements (sweeps, pass@k) reuse its parse, and judging the
+// same RTL again reuses the memoized result.
 func EvaluateFunctionalWith(cache *edatool.DesignCache, lang edatool.Language, prob *bench.Problem, rtl string, maxSimTime uint64) bool {
 	if strings.TrimSpace(rtl) == "" {
 		return false

@@ -1,40 +1,41 @@
 package edatool
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/diag"
+	"repro/internal/sim"
 	"repro/internal/verilog"
 	"repro/internal/vhdl"
-	"repro/internal/vhdlsim"
-	"repro/internal/vsim"
 )
 
 // DesignCache is the in-process reuse layer spanning both front-ends.
 // It stacks two levels, coarsest first:
 //
-//  1. Whole-design retention keyed by (language, top, sorted
-//     name:hash unit set): an identical source set skips parse, check,
-//     and elaborate entirely and re-simulates the retained design after
-//     a reset to time zero. Entries are checked out exclusively — an
-//     acquire removes the design, the post-run release returns it — so
-//     concurrent simulations never share one Design.
+//  1. A simulation-result memo keyed by (language, top, name-sorted
+//     unit set, max time, backend mode): a simulation is a pure
+//     function of those inputs, so an identical request returns a copy
+//     of the finished SimResult — verdict and latency model included —
+//     without compiling, elaborating or simulating anything. The memo
+//     is bounded by entry count and by retained Log+VCD bytes.
 //  2. A per-unit parse memo keyed by (file name, content hash): in the
 //     repair loop only the candidate RTL changes, so the testbench and
 //     stub units skip re-parsing (the reference testbenches dwarf the
 //     RTL they check).
 //
-// The cache is strictly key-neutral: it changes how fast a result is
-// produced, never the result. Warm, incremental, and reset-and-rerun
-// paths are proven byte-identical to cold runs by the differential
-// tests in this package, and runner/job cache keys do not include it.
+// The cache is strictly output-neutral: it changes how fast a result
+// is produced, never the result. Memoized and incremental paths are
+// proven byte-identical to cold runs by the tests in this package, and
+// runner/job cache keys do not include it.
 //
-// Source sets are treated as order-normalized (the unit hashes are
-// sorted into the key): the pipeline always passes units with distinct
+// Source sets are treated as order-normalized (units are sorted by
+// name into the key): the pipeline always passes units with distinct
 // names and distinct module/entity names, where order cannot change
 // the compiled design.
 type DesignCache struct {
@@ -43,8 +44,8 @@ type DesignCache struct {
 	vparse map[string]parsedUnit[*verilog.SourceFile]
 	hparse map[string]parsedUnit[*vhdl.DesignFile]
 
-	vdesigns map[string]*vsim.Design
-	hdesigns map[string]*vhdlsim.Design
+	results     map[resultKey]SimResult
+	resultBytes int // retained Log+VCD bytes across results
 
 	stats CacheStats
 }
@@ -55,8 +56,18 @@ type parsedUnit[F any] struct {
 	diags diag.List
 }
 
+// resultKey identifies one simulation request. Mode is part of it: the
+// backends agree byte for byte, but the differential harness runs the
+// interpreter as a reference and must never be served another mode's
+// result.
+type resultKey struct {
+	design  [sha256.Size]byte
+	maxTime uint64
+	mode    sim.BackendMode
+}
+
 // CacheStats is a point-in-time snapshot of cache effectiveness.
-// Design counts track whole-design reuse (skip everything), parse
+// Design counts track simulation-result reuse (skip everything), parse
 // counts per-unit reuse (skip parsing).
 type CacheStats struct {
 	DesignHits   int
@@ -75,31 +86,24 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	}
 }
 
-// maxDesigns bounds each retained-design and parse-memo map; overflow
-// evicts an arbitrary entry (eviction is invisible in results — only
-// in speed).
-const maxDesigns = 256
-
-// makeRoom evicts an arbitrary entry from a full cache map. The caller
-// holds the cache's lock.
-func makeRoom[V any](m map[string]V) {
-	if len(m) < maxDesigns {
-		return
-	}
-	for k := range m {
-		delete(m, k)
-		return
-	}
-}
+// Cache bounds. Overflow evicts arbitrary entries: eviction is
+// invisible in results, only in speed. The result bounds cover a
+// whole perfbench table1-cold pass (at most 494 distinct simulations,
+// 0.27 MB of output) while keeping a server-wide cache from being
+// pinned by a few runs that log up to their output cap.
+const (
+	maxParses      = 256
+	maxResults     = 512
+	maxResultBytes = 16 << 20
+)
 
 // NewDesignCache returns an empty cache, safe for concurrent use by
 // any number of simulations.
 func NewDesignCache() *DesignCache {
 	return &DesignCache{
-		vparse:   make(map[string]parsedUnit[*verilog.SourceFile]),
-		hparse:   make(map[string]parsedUnit[*vhdl.DesignFile]),
-		vdesigns: make(map[string]*vsim.Design),
-		hdesigns: make(map[string]*vhdlsim.Design),
+		vparse:  make(map[string]parsedUnit[*verilog.SourceFile]),
+		hparse:  make(map[string]parsedUnit[*vhdl.DesignFile]),
+		results: make(map[resultKey]SimResult),
 	}
 }
 
@@ -111,51 +115,74 @@ func (c *DesignCache) Stats() CacheStats {
 	return s
 }
 
-// hashSource is the content hash both cache levels key units on:
-// hex-encoded SHA-256 of the exact source text.
-func hashSource(text string) string {
-	sum := sha256.Sum256([]byte(text))
-	return hex.EncodeToString(sum[:])
-}
-
-// designKey builds the full-design cache key: language, top, and the
-// sorted (name, content hash) set of the source units.
-func designKey(lang Language, top string, sources []Source) string {
-	parts := make([]string, 0, len(sources))
-	for _, src := range sources {
-		parts = append(parts, src.Name+":"+hashSource(src.Text))
+// designKey hashes the full-design identity: language, top, and the
+// name-sorted (name, content) units, each field length-prefixed so no
+// two distinct inputs share an encoding. Fields are written without a
+// []byte copy (io.Writer implementations must not modify p): on a memo
+// hit this hash is the whole cost, and the units include reference
+// testbenches of tens of KB.
+func designKey(lang Language, top string, sources []Source) [sha256.Size]byte {
+	units := slices.Clone(sources)
+	slices.SortFunc(units, func(a, b Source) int {
+		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Text, b.Text))
+	})
+	h := sha256.New()
+	var buf [8]byte
+	field := func(s string) {
+		h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s))))
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
-	sort.Strings(parts)
-	return lang.String() + "|" + top + "|" + strings.Join(parts, "|")
+	h.Write([]byte{byte(lang)})
+	field(top)
+	for _, u := range units {
+		field(u.Name)
+		field(u.Text)
+	}
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
 }
 
-// acquireDesign checks out the retained design for key from designs
-// (one of the cache's per-language maps), removing it so no concurrent
-// run can share it.
-func acquireDesign[D any](c *DesignCache, designs map[string]D, key string) (D, bool) {
+// lookupResult returns a copy of the memoized result for key.
+func (c *DesignCache) lookupResult(key resultKey) (*SimResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := designs[key]
-	if ok {
-		delete(designs, key)
-		c.stats.DesignHits++
-	} else {
+	r, ok := c.results[key]
+	if !ok {
 		c.stats.DesignMisses++
+		return nil, false
 	}
-	return d, ok
+	c.stats.DesignHits++
+	return &r, true
 }
 
-// releaseDesign returns a checked-out (or freshly elaborated) design.
-// If another run released the same key first, the incoming design is
-// dropped — the map holds one design per key.
-func releaseDesign[D any](c *DesignCache, designs map[string]D, key string, d D) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := designs[key]; exists {
+// storeResult memoizes a copy of r under key, evicting arbitrary
+// entries until both bounds hold. A result larger than the byte bound
+// is not retained; a key another run stored first is left as is.
+func (c *DesignCache) storeResult(key resultKey, r *SimResult) {
+	size := resultSize(r)
+	if size > maxResultBytes {
 		return
 	}
-	makeRoom(designs)
-	designs[key] = d
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.results[key]; ok {
+		return
+	}
+	for k, old := range c.results {
+		if len(c.results) < maxResults && c.resultBytes+size <= maxResultBytes {
+			break
+		}
+		delete(c.results, k)
+		c.resultBytes -= resultSize(&old)
+	}
+	c.results[key] = *r
+	c.resultBytes += size
+}
+
+// resultSize is what a memoized result counts against maxResultBytes.
+func resultSize(r *SimResult) int {
+	return len(r.Log) + len(r.VCD)
 }
 
 // parseUnit parses src through memo (one of the cache's per-language
@@ -163,7 +190,8 @@ func releaseDesign[D any](c *DesignCache, designs map[string]D, key string, d D)
 // and diagnostics.
 func parseUnit[F any](c *DesignCache, memo map[string]parsedUnit[F], src Source,
 	parse func(file, src string) (F, diag.List)) (F, diag.List) {
-	key := src.Name + "\x00" + hashSource(src.Text)
+	sum := sha256.Sum256([]byte(src.Text))
+	key := src.Name + "\x00" + hex.EncodeToString(sum[:])
 	c.mu.Lock()
 	if e, ok := memo[key]; ok {
 		c.stats.ParseHits++
@@ -174,7 +202,12 @@ func parseUnit[F any](c *DesignCache, memo map[string]parsedUnit[F], src Source,
 	c.mu.Unlock()
 	f, pd := parse(src.Name, src.Text)
 	c.mu.Lock()
-	makeRoom(memo)
+	if len(memo) >= maxParses {
+		for k := range memo {
+			delete(memo, k)
+			break
+		}
+	}
 	memo[key] = parsedUnit[F]{file: f, diags: pd}
 	c.mu.Unlock()
 	return f, pd

@@ -2,9 +2,11 @@ package edatool
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/sim"
 	"repro/internal/verilog"
 	"repro/internal/vhdl"
 )
@@ -48,27 +50,111 @@ func TestDesignKeyOrderNormalized(t *testing.T) {
 	}
 }
 
-// TestDesignCheckoutExclusive pins the checkout discipline: an acquire
-// removes the design so a concurrent run can never share it, and a
-// release returns it (dropping duplicates rather than stacking them).
-func TestDesignCheckoutExclusive(t *testing.T) {
+// sameResult requires got to equal want in every SimResult field.
+func sameResult(t *testing.T, label string, want, got *SimResult) {
+	t.Helper()
+	if *got != *want {
+		t.Errorf("%s: result differs\nwant %+v\ngot  %+v", label, *want, *got)
+	}
+}
+
+// TestSimResultMemo pins the result memo over every golden design in
+// both HDLs under its reference testbench: the cold run, the first
+// cached run (a miss) and the second (a hit) agree in every field. The
+// same sources under another max time or backend mode are different
+// requests and must miss rather than be served the stored result.
+func TestSimResultMemo(t *testing.T) {
+	suite := bench.NewSuite()
 	cache := NewDesignCache()
-	srcs := []Source{{Name: "dut.v", Text: cacheTestDUT}, {Name: "tb.v", Text: cacheTestTB}}
-	res := New(Options{Cache: cache}).Simulate(Verilog, "tb", 1000, srcs...)
-	if !res.Passed {
-		t.Fatalf("seed run failed:\n%s", res.Log)
+	tc := New(Options{Cache: cache})
+	for _, p := range suite.Problems {
+		for _, lang := range []Language{Verilog, VHDL} {
+			srcs := problemSources(p, lang)
+			cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			before := cache.Stats()
+			miss := tc.Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			afterMiss := cache.Stats().Sub(before)
+			hit := tc.Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			afterHit := cache.Stats().Sub(before)
+			label := p.ID + "/" + lang.String()
+			sameResult(t, label+" miss", cold, miss)
+			sameResult(t, label+" hit", cold, hit)
+			if afterMiss.DesignHits != 0 || afterMiss.DesignMisses != 1 ||
+				afterHit.DesignHits != 1 || afterHit.DesignMisses != 1 {
+				t.Errorf("%s: stats after miss %+v, after hit %+v; want 0/1 then 1/1 hits/misses",
+					label, afterMiss, afterHit)
+			}
+		}
 	}
-	key := designKey(Verilog, "tb", srcs)
-	d1, ok := acquireDesign(cache, cache.vdesigns, key)
-	if !ok || d1 == nil {
-		t.Fatal("design not retained after release")
+
+	// maxTime keys the result: the testbench times out under a small
+	// limit and passes under the default one.
+	srcs := problemSources(suite.ByID("counter_up_w4"), Verilog)
+	const short = 20
+	coldShort := New(Options{}).Simulate(Verilog, bench.TBName, short, srcs...)
+	if !coldShort.TimedOut {
+		t.Fatalf("counter_up_w4 did not time out at max time %d", short)
 	}
-	if d2, ok := acquireDesign(cache, cache.vdesigns, key); ok || d2 != nil {
-		t.Fatal("second acquire returned the checked-out design")
+	before := cache.Stats()
+	warmShort := tc.Simulate(Verilog, bench.TBName, short, srcs...)
+	if d := cache.Stats().Sub(before); d.DesignHits != 0 || d.DesignMisses != 1 {
+		t.Errorf("a different max time did not miss: %+v", d)
 	}
-	releaseDesign(cache, cache.vdesigns, key, d1)
-	if _, ok := acquireDesign(cache, cache.vdesigns, key); !ok {
-		t.Fatal("design not available after release")
+	sameResult(t, "short max time", coldShort, warmShort)
+
+	// Mode keys the result too.
+	for _, lang := range []Language{Verilog, VHDL} {
+		srcs := problemSources(suite.ByID("counter_up_w4"), lang)
+		cold := New(Options{Mode: sim.BackendInterpret}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+		before := cache.Stats()
+		warm := New(Options{Mode: sim.BackendInterpret, Cache: cache}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+		if d := cache.Stats().Sub(before); d.DesignHits != 0 || d.DesignMisses != 1 {
+			t.Errorf("%s: a different backend mode did not miss: %+v", lang, d)
+		}
+		sameResult(t, lang.String()+" interpret mode", cold, warm)
+	}
+}
+
+// TestSimResultMemoBounds fills the memo past both bounds: many small
+// distinct designs overflow the entry bound, and testbenches that log
+// up to the output cap overflow the byte bound. After every store the
+// memo stays within both bounds with a consistent byte count, and
+// every result, stored or served, equals its cold run.
+func TestSimResultMemoBounds(t *testing.T) {
+	cache := NewDesignCache()
+	tc := New(Options{Cache: cache})
+	check := func(label string, src Source) *SimResult {
+		cold := New(Options{}).Simulate(Verilog, bench.TBName, 0, src)
+		for _, run := range []string{"miss", "hit"} {
+			sameResult(t, label+" "+run, cold, tc.Simulate(Verilog, bench.TBName, 0, src))
+		}
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		sum := 0
+		for _, r := range cache.results {
+			sum += resultSize(&r)
+		}
+		if len(cache.results) > maxResults || cache.resultBytes > maxResultBytes || sum != cache.resultBytes {
+			t.Fatalf("%s: %d entries, %d bytes (recount %d), bounds %d entries / %d bytes",
+				label, len(cache.results), cache.resultBytes, sum, maxResults, maxResultBytes)
+		}
+		return cold
+	}
+	for i := 0; i < maxResults+50; i++ {
+		check(fmt.Sprintf("small %d", i), Source{Name: "tb.v", Text: fmt.Sprintf(
+			"module tb; initial $display(\"variant %d\"); endmodule\n", i)})
+	}
+	const loud = `module tb;
+  integer i;
+  initial for (i = 0; i < 6000; i = i + 1)
+    $display("variant %d line %%0d: %s", i);
+endmodule
+`
+	for i := 0; i < maxResultBytes>>20+4; i++ {
+		src := Source{Name: "tb.v", Text: fmt.Sprintf(loud, i, strings.Repeat("padding ", 24))}
+		if res := check(fmt.Sprintf("loud %d", i), src); len(res.Log) != 1<<20 {
+			t.Fatalf("loud %d logged %d bytes, want the 1 MiB output cap", i, len(res.Log))
+		}
 	}
 }
 
@@ -113,7 +199,8 @@ func TestCacheStatsSub(t *testing.T) {
 }
 
 // TestCompileErrorPathUncached pins that compile failures behave
-// identically with and without a cache (and never poison it).
+// identically with and without a cache: the memoized failure a second
+// run is served equals the cold one.
 func TestCompileErrorPathUncached(t *testing.T) {
 	bad := []Source{{Name: "dut.v", Text: "module broken(input a; endmodule"}}
 	cold := New(Options{}).Simulate(Verilog, "tb", 1000, bad...)
@@ -127,9 +214,10 @@ func TestCompileErrorPathUncached(t *testing.T) {
 }
 
 // Whole-pipeline benchmarks: what one simulation costs the repair loop
-// cold, fully warm (identical sources — the reset-and-rerun path), and
-// per repair iteration (changed RTL under a frozen testbench). These
-// feed BENCH_hdl.json alongside the front-end kernel benchmarks.
+// cold, fully warm (identical sources — a result-memo hit that runs
+// nothing), and per repair iteration (changed RTL under a frozen
+// testbench). These feed BENCH_hdl.json alongside the front-end kernel
+// benchmarks.
 
 func benchProblem(b *testing.B) []Source {
 	b.Helper()

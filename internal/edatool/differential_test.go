@@ -10,8 +10,8 @@ import (
 )
 
 // Differential harness for the design cache: every cached path — warm
-// full-design reuse (reset-and-rerun), incremental re-elaboration
-// under a changed unit, and concurrent shared-cache use — must produce
+// simulation-result reuse, incremental re-elaboration under a changed
+// unit, and concurrent shared-cache use — must produce
 // output byte-identical to a cold simulation of the same sources. The
 // comparisons cover everything Simulate reports: log, VCD, the
 // judged verdict, and the latency model.
@@ -83,10 +83,9 @@ func concurrently[R any](n int, fn func(worker int) R) []R {
 // TestWarmSimulationByteIdentical runs sampled bench problems cold,
 // then three times per worker through one shared cache per (problem,
 // language, workers) cell, with the wN subtests running N workers
-// concurrently. A worker's first warm run elaborates and retains the
-// design unless another worker released it first; later runs are
-// whole-design hits that reset and re-run it. Every run must match the
-// cold output exactly.
+// concurrently. A worker's first warm run simulates and memoizes the
+// result unless another worker stored it first; later runs are memo
+// hits. Every run must match the cold output exactly.
 func TestWarmSimulationByteIdentical(t *testing.T) {
 	for _, p := range sampleProblems(13) {
 		for _, lang := range []Language{Verilog, VHDL} {
@@ -108,9 +107,9 @@ func TestWarmSimulationByteIdentical(t *testing.T) {
 							compareSimResults(t, fmt.Sprintf("worker %d run %d", w, i), cold, r)
 						}
 					}
-					// Concurrent workers may each miss while another holds
-					// the retained design checked out, so only the single-
-					// worker split is exact.
+					// Concurrent workers may each miss before another
+					// stores the result, so only the single-worker split
+					// is exact.
 					st := cache.Stats()
 					if st.DesignHits+st.DesignMisses != 3*workers || st.DesignMisses < 1 ||
 						(workers == 1 && st.DesignHits != 2) {
@@ -160,9 +159,9 @@ func TestRepairLoopIncrementalByteIdentical(t *testing.T) {
 }
 
 // TestSharedCacheConcurrentIdentical exercises one cache from many
-// goroutines, mixing languages and problems, under the checkout
-// discipline (run with -race to check the locking). Results must match
-// the cold baselines regardless of interleaving.
+// goroutines, mixing languages and problems (run with -race to check
+// the locking). Results must match the cold baselines regardless of
+// interleaving.
 func TestSharedCacheConcurrentIdentical(t *testing.T) {
 	probs := sampleProblems(17)
 	type cell struct {

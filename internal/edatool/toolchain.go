@@ -11,8 +11,8 @@ import (
 
 // Options is the single configuration point for a Toolchain. Every
 // knob here is performance-only: none of them changes observable
-// compile or simulation output, and none enters the design cache key
-// or the runner's experiment fingerprints.
+// compile or simulation output, and none enters the runner's
+// experiment fingerprints.
 type Options struct {
 	// Mode selects the VHDL simulation execution backend (see
 	// internal/sim): the zero value (auto) compiles two-state-eligible
@@ -20,15 +20,16 @@ type Options struct {
 	// to the 4-state interpreter; BackendInterpret forces the
 	// interpreter everywhere. Verilog always runs on the 4-state
 	// interpreter and ignores Mode. Output is byte-identical across
-	// modes, so Mode is deliberately not part of any cache key. No CLI
-	// or pipeline sets it: it is the test seam through which the
-	// differential harness runs the VHDL interpreter as the reference
-	// for the VHDL compiled backend.
+	// modes, but Mode keys the cache's result memo so a run under one
+	// mode is never served another mode's result. No CLI or pipeline
+	// sets it: it is the test seam through which the differential
+	// harness runs the VHDL interpreter as the reference for the VHDL
+	// compiled backend.
 	Mode sim.BackendMode
 
-	// Cache shares parse and whole-design reuse across every compile
-	// and simulation this toolchain runs (see DesignCache). Nil runs
-	// everything cold.
+	// Cache shares parse and simulation-result reuse across every
+	// compile and simulation this toolchain runs (see DesignCache).
+	// Nil runs everything cold.
 	Cache *DesignCache
 }
 
@@ -113,95 +114,58 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 }
 
 // Simulate compiles the sources and, when clean, elaborates `top` and
-// runs the simulation under the toolchain's backend mode and cache.
-// Compile errors surface in the returned log. A maxTime of 0 uses the
+// runs the simulation under the toolchain's backend mode. Compile
+// errors surface in the returned log. A maxTime of 0 uses the
 // front-end default limit.
 //
-// With a cache set it reuses prior work at every level that still
-// applies: a fully identical source set skips compile and elaboration
-// and re-runs the retained design from time zero; a partially changed
-// set reuses unchanged units' parses. Backend mode is not part of the
-// design key — a VHDL design elaborated under one mode is re-simulated
-// under another with byte-identical output (the compiled programs
-// themselves are cached on the design and engage only when the run's
-// mode asks for them).
+// With a cache set, a request identical in language, top, sources,
+// maxTime and backend mode returns a copy of the memoized result
+// without compiling or simulating; any other request runs cold, reusing
+// unchanged units' parses, and its result is memoized.
 func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
-	file := sources[len(sources)-1].Name
 	cache := tc.opts.Cache
-	if lang == Verilog {
-		var designs map[string]*vsim.Design
-		if cache != nil {
-			designs = cache.vdesigns
-		}
-		return simulate(tc, lang, top, sources, designs,
-			func(comp *CompileResult) (*vsim.Design, error) {
-				return vsim.Elaborate(comp.Modules, top)
-			},
-			func(d *vsim.Design) (*SimResult, sim.Time) {
-				res := vsim.SimulateDesign(d, vsim.Options{MaxTime: sim.Time(maxTime), File: file})
-				return &SimResult{
-					Log:      res.Log,
-					TimedOut: res.TimedOut,
-					Fault:    res.Fault,
-					VCD:      res.VCD,
-					Backend:  res.Backend,
-				}, res.EndTime
-			})
+	if cache == nil {
+		return tc.simulate(lang, top, maxTime, sources)
 	}
-	var designs map[string]*vhdlsim.Design
-	if cache != nil {
-		designs = cache.hdesigns
+	key := resultKey{design: designKey(lang, top, sources), maxTime: maxTime, mode: tc.opts.Mode}
+	if res, ok := cache.lookupResult(key); ok {
+		return res
 	}
-	return simulate(tc, lang, top, sources, designs,
-		func(comp *CompileResult) (*vhdlsim.Design, error) {
-			return vhdlsim.Elaborate(comp.Units, top)
-		},
-		func(d *vhdlsim.Design) (*SimResult, sim.Time) {
-			res := vhdlsim.SimulateDesign(d, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode})
-			return &SimResult{
-				Log:      res.Log,
-				Failed:   res.AssertErrors > 0 || res.Failed,
-				TimedOut: res.TimedOut,
-				Fault:    res.Fault,
-				Backend:  res.Backend,
-			}, res.EndTime
-		})
+	res := tc.simulate(lang, top, maxTime, sources)
+	cache.storeResult(key, res)
+	return res
 }
 
-// simulate is the language-neutral path behind Toolchain.Simulate:
-// acquire a retained design from the cache (designs is the cache's map
-// for this language, nil without a cache), or compile and elaborate
-// one; run it; release it back; judge the log. elaborate and run are
-// the front-end's steps.
-func simulate[D any](tc *Toolchain, lang Language, top string, sources []Source, designs map[string]D,
-	elaborate func(*CompileResult) (D, error), run func(D) (*SimResult, sim.Time)) *SimResult {
-	cache := tc.opts.Cache
-	var key string
-	var d D
-	var hit bool
-	if cache != nil {
-		key = designKey(lang, top, sources)
-		d, hit = acquireDesign(cache, designs, key)
+// simulate is the uncached path behind Simulate: compile, elaborate,
+// run, and judge the log.
+func (tc *Toolchain) simulate(lang Language, top string, maxTime uint64, sources []Source) *SimResult {
+	comp := tc.Compile(lang, sources...)
+	if !comp.OK {
+		return &SimResult{Log: comp.Log, Failed: true}
 	}
-	if !hit {
-		comp := tc.Compile(lang, sources...)
-		if !comp.OK {
-			return &SimResult{Log: comp.Log, Failed: true}
-		}
-		var err error
-		if d, err = elaborate(comp); err != nil {
-			return &SimResult{Log: "ERROR: [XSIM 43-3225] elaboration failed: " + err.Error() + "\n", Failed: true}
-		}
-	}
-	out, end := run(d)
-	if cache != nil {
-		releaseDesign(cache, designs, key, d)
-	}
+	file := sources[len(sources)-1].Name
+	var out SimResult
+	var end sim.Time
+	var err error
 	simBase := 3.2 // xsim launch + Verilog elaboration estimate, seconds
-	if lang == VHDL {
+	if lang == Verilog {
+		var res *vsim.Result
+		if res, err = vsim.Simulate(comp.Modules, top, vsim.Options{MaxTime: sim.Time(maxTime), File: file}); err == nil {
+			out = SimResult{Log: res.Log, TimedOut: res.TimedOut, Fault: res.Fault, VCD: res.VCD, Backend: res.Backend}
+			end = res.EndTime
+		}
+	} else {
 		simBase = 4.2 // mixed-language elaboration is slower
+		var res *vhdlsim.Result
+		if res, err = vhdlsim.Simulate(comp.Units, top, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode}); err == nil {
+			out = SimResult{Log: res.Log, Failed: res.AssertErrors > 0 || res.Failed, TimedOut: res.TimedOut, Fault: res.Fault, Backend: res.Backend}
+			end = res.EndTime
+		}
+	}
+	if err != nil {
+		return &SimResult{Log: "ERROR: [XSIM 43-3225] elaboration failed: " + err.Error() + "\n", Failed: true}
 	}
 	out.LatencyModel = simBase + latencyFromTime(end)
-	out.Passed = judgeLog(out)
-	return out
+	out.Passed = judgeLog(&out)
+	return &out
 }

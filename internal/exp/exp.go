@@ -142,7 +142,7 @@ type Options struct {
 	Dispatch Dispatch
 	// DesignCache shares one design cache across every cell of the
 	// sweep (see edatool.DesignCache): identical (problem, RTL) pairs
-	// re-run a retained design, and the per-problem reference
+	// reuse a memoized simulation result, and the per-problem reference
 	// testbenches parse once per sweep. Cache-key-neutral —
 	// warm results are byte-identical to cold, so cached cells and
 	// golden pins are unaffected. When nil, Run creates a sweep-private

@@ -34,7 +34,7 @@ func Manifest(st runner.Stats) string {
 	if st.ElabDesignHits+st.ElabDesignMisses+st.ElabParseHits+st.ElabParseMisses > 0 {
 		dn := st.ElabDesignHits + st.ElabDesignMisses
 		pn := st.ElabParseHits + st.ElabParseMisses
-		fmt.Fprintf(&sb, "  %-22s %d/%d hits\n", "elab designs reused", st.ElabDesignHits, dn)
+		fmt.Fprintf(&sb, "  %-22s %d/%d hits\n", "simulations reused", st.ElabDesignHits, dn)
 		fmt.Fprintf(&sb, "  %-22s %d/%d hits\n", "elab parses reused", st.ElabParseHits, pn)
 	}
 	if b := st.Backend; b.CompiledProcs+b.InterpretedProcs+b.CompiledAssigns+b.InterpretedAssigns > 0 {

@@ -3,7 +3,7 @@ package sim_test
 // The differential harness. Verilog runs on one executor, the 4-state
 // interpreter, so its axis is reuse: a randomly generated multi-cluster
 // design or a real bench problem simulated cold must match, byte for
-// byte, a rerun of the same retained design after Design.Reset and a
+// byte, a rerun of the same elaborated design after Design.Reset and a
 // warm rerun through a shared edatool.DesignCache (logs, VCD waveforms,
 // final signal values, event counts and end times). VHDL keeps a
 // compiled two-state backend, so its bench problems still compare the
@@ -67,9 +67,9 @@ func runVerilog(t *testing.T, name, src string) (cold, rerun simOutcome) {
 }
 
 // diffWarmCache simulates src twice through tc, whose cache the caller
-// shares across designs: the first run elaborates and retains the
-// design, the second must re-run the retained design and report what
-// the first did.
+// shares across designs: the first run simulates and memoizes its
+// result, the second must be a cache hit that reports what the first
+// did.
 func diffWarmCache(t *testing.T, tc *edatool.Toolchain, name, src string) {
 	t.Helper()
 	unit := edatool.Source{Name: name + ".v", Text: src}
