@@ -27,7 +27,6 @@ func main() {
 		compileOnly = flag.Bool("compile-only", false, "stop after the syntax/semantic check")
 		maxTime     = flag.Uint64("max-time", 1_000_000, "simulated-time limit (ns)")
 		vcdPath     = flag.String("vcd", "", "write the $dumpvars waveform to this file")
-		showStats   = flag.Bool("stats", false, "print backend statistics (compiled/interpreted process counts, fallbacks) to stderr")
 	)
 	flag.Parse()
 	files := flag.Args()
@@ -72,12 +71,6 @@ func main() {
 
 	res := tc.Simulate(lang, *top, *maxTime, sources...)
 	fmt.Print(res.Log)
-	if *showStats {
-		b := res.Backend
-		fmt.Fprintf(os.Stderr, "hdlsim: backend=%s procs=%d/%d assigns=%d/%d fallbacks=%d\n",
-			b.Mode, b.CompiledProcs, b.CompiledProcs+b.InterpretedProcs,
-			b.CompiledAssigns, b.CompiledAssigns+b.InterpretedAssigns, b.Fallbacks)
-	}
 	if *vcdPath != "" && res.VCD != "" {
 		if err := os.WriteFile(*vcdPath, []byte(res.VCD), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hdlsim: writing VCD: %v\n", err)

@@ -102,10 +102,8 @@ type Result struct {
 	FuncIters   int
 	Latency     Latency
 
-	// Backend accumulates simulation-backend statistics over every
-	// functional-loop simulation of this run (see sim.BackendStats).
-	// Telemetry only: it is deterministic for a given run but is not
-	// checkpointed, so a resumed run reports only its own simulations.
+	// Backend is always zero: nothing writes it. It remains only for
+	// the perfbench module, which still reads it (see sim.BackendStats).
 	Backend sim.BackendStats
 
 	// Aborted reports that the run terminated early on an

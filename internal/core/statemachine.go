@@ -349,7 +349,6 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 		edatool.Source{Name: tbFile(lang), Text: m.res.Testbench},
 	)
 	m.res.Latency.Func += sim.LatencyModel
-	m.res.Backend.Add(sim.Backend)
 	// The Verification Agent analyses every simulation log, also the
 	// passing one that lets it declare success.
 	alat, err := m.code.AnalysisLatency(ctx, llm.FunctionalFeedback, 0)

@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"repro/internal/diag"
-	"repro/internal/sim"
 	"repro/internal/verilog"
 	"repro/internal/vhdl"
 )
@@ -19,7 +18,7 @@ import (
 // It stacks two levels, coarsest first:
 //
 //  1. A simulation-result memo keyed by (language, top, name-sorted
-//     unit set, max time, backend mode): a simulation is a pure
+//     unit set, max time): a simulation is a pure
 //     function of those inputs, so an identical request returns a copy
 //     of the finished SimResult — verdict and latency model included —
 //     without compiling, elaborating or simulating anything. The memo
@@ -56,14 +55,10 @@ type parsedUnit[F any] struct {
 	diags diag.List
 }
 
-// resultKey identifies one simulation request. Mode is part of it: the
-// backends agree byte for byte, but the differential harness runs the
-// interpreter as a reference and must never be served another mode's
-// result.
+// resultKey identifies one simulation request.
 type resultKey struct {
 	design  [sha256.Size]byte
 	maxTime uint64
-	mode    sim.BackendMode
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/sim"
 	"repro/internal/verilog"
 	"repro/internal/vhdl"
 )
@@ -61,8 +60,8 @@ func sameResult(t *testing.T, label string, want, got *SimResult) {
 // TestSimResultMemo pins the result memo over every golden design in
 // both HDLs under its reference testbench: the cold run, the first
 // cached run (a miss) and the second (a hit) agree in every field. The
-// same sources under another max time or backend mode are different
-// requests and must miss rather than be served the stored result.
+// same sources under another max time are a different request and must
+// miss rather than be served the stored result.
 func TestSimResultMemo(t *testing.T) {
 	suite := bench.NewSuite()
 	cache := NewDesignCache()
@@ -101,17 +100,31 @@ func TestSimResultMemo(t *testing.T) {
 		t.Errorf("a different max time did not miss: %+v", d)
 	}
 	sameResult(t, "short max time", coldShort, warmShort)
+}
 
-	// Mode keys the result too.
-	for _, lang := range []Language{Verilog, VHDL} {
-		srcs := problemSources(suite.ByID("counter_up_w4"), lang)
-		cold := New(Options{Mode: sim.BackendInterpret}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
-		before := cache.Stats()
-		warm := New(Options{Mode: sim.BackendInterpret, Cache: cache}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
-		if d := cache.Stats().Sub(before); d.DesignHits != 0 || d.DesignMisses != 1 {
-			t.Errorf("%s: a different backend mode did not miss: %+v", lang, d)
+// TestBackendModeKeysResults pins that max time keys the result memo
+// for sampled problems in both HDLs: the same sources under the default
+// and a short max time through one cache are two misses, a repeat of
+// the default request is a hit, and each result equals the cold run of
+// its own request.
+func TestBackendModeKeysResults(t *testing.T) {
+	const short = 20
+	for _, p := range sampleProblems(29) {
+		for _, lang := range []Language{Verilog, VHDL} {
+			t.Run(fmt.Sprintf("%s/%s", p.ID, lang), func(t *testing.T) {
+				srcs := problemSources(p, lang)
+				cache := NewDesignCache()
+				tc := New(Options{Cache: cache})
+				for _, maxTime := range []uint64{diffMaxTime, short, diffMaxTime} {
+					cold := New(Options{}).Simulate(lang, bench.TBName, maxTime, srcs...)
+					sameResult(t, fmt.Sprintf("max time %d", maxTime), cold,
+						tc.Simulate(lang, bench.TBName, maxTime, srcs...))
+				}
+				if st := cache.Stats(); st.DesignHits != 1 || st.DesignMisses != 2 {
+					t.Errorf("stats = %+v, want 1 hit / 2 misses", st)
+				}
+			})
 		}
-		sameResult(t, lang.String()+" interpret mode", cold, warm)
 	}
 }
 

@@ -158,6 +158,45 @@ func TestRepairLoopIncrementalByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBackendDifferentialByteIdentical runs N concurrent repair
+// iterations (the wN subtests) over sampled bench problems through one
+// shared cache: each worker simulates its own DUT variant under the
+// frozen reference testbench, so every run misses the result memo and
+// elaborates from a testbench AST the parse memo may share with the
+// other workers (CI runs this under -race). Every result must match a
+// cold run of the same variant byte for byte.
+func TestBackendDifferentialByteIdentical(t *testing.T) {
+	for _, p := range sampleProblems(11) {
+		for _, lang := range []Language{Verilog, VHDL} {
+			srcs := problemSources(p, lang)
+			comment := "// worker %d\n"
+			if lang == VHDL {
+				comment = "-- worker %d\n"
+			}
+			variant := func(w int) []Source {
+				return []Source{{Name: srcs[0].Name, Text: fmt.Sprintf(comment, w) + srcs[0].Text}, srcs[1]}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", p.ID, lang, workers), func(t *testing.T) {
+					cache := NewDesignCache()
+					tc := New(Options{Cache: cache})
+					runs := concurrently(workers, func(w int) *SimResult {
+						return tc.Simulate(lang, bench.TBName, diffMaxTime, variant(w)...)
+					})
+					for w, r := range runs {
+						cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, variant(w)...)
+						compareSimResults(t, fmt.Sprintf("worker %d", w), cold, r)
+					}
+					if st := cache.Stats(); st.DesignHits != 0 || st.DesignMisses != workers ||
+						st.ParseHits+st.ParseMisses != 2*workers {
+						t.Errorf("design cache stats = %+v, want %d design misses and %d parse lookups", st, workers, 2*workers)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestSharedCacheConcurrentIdentical exercises one cache from many
 // goroutines, mixing languages and problems (run with -race to check
 // the locking). Results must match the cold baselines regardless of

@@ -88,9 +88,8 @@ type SimResult struct {
 	Failed       bool // explicit test failure observed
 	TimedOut     bool
 	Fault        string
-	VCD          string           // Verilog waveform dump when the bench ran $dumpvars
-	Backend      sim.BackendStats // how the simulation executed (compiled vs interpreted)
-	LatencyModel float64          // EDA wall-clock estimate in seconds (events-based)
+	VCD          string  // Verilog waveform dump when the bench ran $dumpvars
+	LatencyModel float64 // EDA wall-clock estimate in seconds (events-based)
 }
 
 // latencyFromTime converts simulated time into the activity-dependent

@@ -63,23 +63,25 @@ func TestQuickCompileNeverPanicsVHDL(t *testing.T) {
 }
 
 // TestQuickSimulateNeverPanics: even when corrupted source slips past
-// the checker, simulation converts interpreter trouble into faults.
+// the checker, simulation in either HDL converts interpreter trouble
+// into faults and always produces a log.
 func TestQuickSimulateNeverPanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation fuzzing")
 	}
 	suite := bench.NewSuite()
-	f := func(seed int64, pick uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := suite.Problems[int(pick)%len(suite.Problems)]
-		// Light corruption: likelier to compile and reach simulation.
-		src := corrupt(rng, p.GoldenVerilog, 1+rng.Intn(3))
-		res := New(Options{}).Simulate(Verilog, bench.TBName, 50_000,
-			Source{Name: "d.v", Text: src},
-			Source{Name: "tb.v", Text: p.RefTBVerilog})
-		return res.Log != ""
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
+	for _, lang := range []Language{Verilog, VHDL} {
+		f := func(seed int64, pick uint16) bool {
+			rng := rand.New(rand.NewSource(seed))
+			p := suite.Problems[int(pick)%len(suite.Problems)]
+			srcs := problemSources(p, lang)
+			// Light corruption: likelier to compile and reach simulation.
+			srcs[0].Text = corrupt(rng, srcs[0].Text, 1+rng.Intn(3))
+			res := New(Options{}).Simulate(lang, bench.TBName, 50_000, srcs...)
+			return res.Log != ""
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+			t.Errorf("%s: %v", lang, err)
+		}
 	}
 }

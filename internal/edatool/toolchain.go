@@ -9,24 +9,11 @@ import (
 	"repro/internal/vsim"
 )
 
-// Options is the single configuration point for a Toolchain. Every
-// knob here is performance-only: none of them changes observable
-// compile or simulation output, and none enters the runner's
-// experiment fingerprints.
+// Options is the single configuration point for a Toolchain. Its one
+// field is performance-only: it never changes observable compile or
+// simulation output, and it never enters the runner's experiment
+// fingerprints.
 type Options struct {
-	// Mode selects the VHDL simulation execution backend (see
-	// internal/sim): the zero value (auto) compiles two-state-eligible
-	// processes into flat uint64 closures with per-activation fallback
-	// to the 4-state interpreter; BackendInterpret forces the
-	// interpreter everywhere. Verilog always runs on the 4-state
-	// interpreter and ignores Mode. Output is byte-identical across
-	// modes, but Mode keys the cache's result memo so a run under one
-	// mode is never served another mode's result. No CLI or pipeline
-	// sets it: it is the test seam through which the differential
-	// harness runs the VHDL interpreter as the reference for the VHDL
-	// compiled backend.
-	Mode sim.BackendMode
-
 	// Cache shares parse and simulation-result reuse across every
 	// compile and simulation this toolchain runs (see DesignCache).
 	// Nil runs everything cold.
@@ -35,7 +22,7 @@ type Options struct {
 
 // Toolchain is the single entry point to the EDA substrate: a
 // compiler/simulator facade bound to one Options value. New(Options{})
-// compiles and simulates cold under the default backend.
+// compiles and simulates cold.
 type Toolchain struct {
 	opts Options
 }
@@ -114,12 +101,12 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 }
 
 // Simulate compiles the sources and, when clean, elaborates `top` and
-// runs the simulation under the toolchain's backend mode. Compile
+// runs the simulation on the front-end's 4-state interpreter. Compile
 // errors surface in the returned log. A maxTime of 0 uses the
 // front-end default limit.
 //
-// With a cache set, a request identical in language, top, sources,
-// maxTime and backend mode returns a copy of the memoized result
+// With a cache set, a request identical in language, top, sources and
+// maxTime returns a copy of the memoized result
 // without compiling or simulating; any other request runs cold, reusing
 // unchanged units' parses, and its result is memoized.
 func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
@@ -127,7 +114,7 @@ func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources
 	if cache == nil {
 		return tc.simulate(lang, top, maxTime, sources)
 	}
-	key := resultKey{design: designKey(lang, top, sources), maxTime: maxTime, mode: tc.opts.Mode}
+	key := resultKey{design: designKey(lang, top, sources), maxTime: maxTime}
 	if res, ok := cache.lookupResult(key); ok {
 		return res
 	}
@@ -151,14 +138,14 @@ func (tc *Toolchain) simulate(lang Language, top string, maxTime uint64, sources
 	if lang == Verilog {
 		var res *vsim.Result
 		if res, err = vsim.Simulate(comp.Modules, top, vsim.Options{MaxTime: sim.Time(maxTime), File: file}); err == nil {
-			out = SimResult{Log: res.Log, TimedOut: res.TimedOut, Fault: res.Fault, VCD: res.VCD, Backend: res.Backend}
+			out = SimResult{Log: res.Log, TimedOut: res.TimedOut, Fault: res.Fault, VCD: res.VCD}
 			end = res.EndTime
 		}
 	} else {
 		simBase = 4.2 // mixed-language elaboration is slower
 		var res *vhdlsim.Result
-		if res, err = vhdlsim.Simulate(comp.Units, top, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file, Backend: tc.opts.Mode}); err == nil {
-			out = SimResult{Log: res.Log, Failed: res.AssertErrors > 0 || res.Failed, TimedOut: res.TimedOut, Fault: res.Fault, Backend: res.Backend}
+		if res, err = vhdlsim.Simulate(comp.Units, top, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file}); err == nil {
+			out = SimResult{Log: res.Log, Failed: res.AssertErrors > 0 || res.Failed, TimedOut: res.TimedOut, Fault: res.Fault}
 			end = res.EndTime
 		}
 	}

@@ -219,7 +219,6 @@ func evaluate(r *runner.Runner, job runner.Job, prob *bench.Problem, lang edatoo
 	if res.Aborted {
 		return ProblemOutcome{}, fmt.Errorf("cell %s/%s aborted: %w", prob.ID, lang, res.Err)
 	}
-	r.AddBackend(res.Backend)
 	return Outcome(prob, lang, cfg, tag, res), nil
 }
 

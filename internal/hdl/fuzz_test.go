@@ -24,7 +24,7 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add([]byte{65, 63, 0b1110, 0xe4, 0xe4, 0x1b, 0x00, 0xff})
 	f.Add([]byte{128, 32, 0xde, 0xad, 0xbe, 0xef, 0xe4, 0xe4, 0xe4, 0xe4})
 	f.Add([]byte{33, 97, 0x00})
-	// Two-state/four-state classification boundary (Known64/IsKnown):
+	// Two-state/four-state classification boundary (known64/IsKnown):
 	// a fully known 64-bit value (widest classifiable), a fully known
 	// 65-bit value (width excludes it), a 64-bit value with a single X
 	// in the top bit, and a 1-bit Z.
@@ -147,16 +147,16 @@ func FuzzVectorOps(f *testing.F) {
 			}
 		}
 
-		// Two-state classification: Known64 must accept exactly the
-		// fully known <= 64-bit values (the compiled backend's guard
-		// condition), and the value it returns must match the per-bit
+		// Two-state classification: known64 must accept exactly the
+		// fully known <= 64-bit values (the guard of the arithmetic
+		// fast paths), and the value it returns must match the per-bit
 		// reference. IsKnown must agree with the per-bit known test at
 		// every width.
 		for _, v := range []Vector{a, b} {
 			ref := refFromVector(v)
-			u, ok := v.Known64()
+			u, ok := v.known64()
 			if wantOK := ref.isKnown() && v.Width() <= 64; ok != wantOK {
-				t.Fatalf("Known64(%v) ok = %v, want %v", v, ok, wantOK)
+				t.Fatalf("known64(%v) ok = %v, want %v", v, ok, wantOK)
 			}
 			if ok {
 				var want uint64
@@ -166,7 +166,7 @@ func FuzzVectorOps(f *testing.F) {
 					}
 				}
 				if u != want {
-					t.Fatalf("Known64(%v) = %#x, want %#x", v, u, want)
+					t.Fatalf("known64(%v) = %#x, want %#x", v, u, want)
 				}
 			}
 			if got := v.IsKnown(); got != ref.isKnown() {

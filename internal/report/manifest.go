@@ -37,13 +37,6 @@ func Manifest(st runner.Stats) string {
 		fmt.Fprintf(&sb, "  %-22s %d/%d hits\n", "simulations reused", st.ElabDesignHits, dn)
 		fmt.Fprintf(&sb, "  %-22s %d/%d hits\n", "elab parses reused", st.ElabParseHits, pn)
 	}
-	if b := st.Backend; b.CompiledProcs+b.InterpretedProcs+b.CompiledAssigns+b.InterpretedAssigns > 0 {
-		fmt.Fprintf(&sb, "  %-22s %s\n", "sim backend", b.Mode)
-		fmt.Fprintf(&sb, "  %-22s %d/%d procs, %d/%d assigns\n", "compiled",
-			b.CompiledProcs, b.CompiledProcs+b.InterpretedProcs,
-			b.CompiledAssigns, b.CompiledAssigns+b.InterpretedAssigns)
-		fmt.Fprintf(&sb, "  %-22s %d activations\n", "x/z fallbacks", b.Fallbacks)
-	}
 	fmt.Fprintf(&sb, "  %-22s %.2fs\n", "wall-clock", st.Wall.Seconds())
 	return sb.String()
 }

@@ -21,8 +21,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Status classifies how a job's result was obtained.
@@ -90,14 +88,6 @@ type Stats struct {
 	ElabDesignMisses int
 	ElabParseHits    int
 	ElabParseMisses  int
-
-	// Backend accumulates simulation execution-backend telemetry from
-	// executors that run simulations: how many processes/assignments
-	// ran on the compiled two-state fast path vs the 4-state
-	// interpreter, and how many compiled activations fell back on X/Z
-	// (see sim.BackendStats). Performance telemetry only — it never
-	// affects job identity or cached results.
-	Backend sim.BackendStats
 }
 
 // Misses returns the number of jobs this invocation had to compute
@@ -183,12 +173,6 @@ func (r *Runner) AddElab(designHits, designMisses, parseHits, parseMisses int) {
 		s.ElabParseHits += parseHits
 		s.ElabParseMisses += parseMisses
 	})
-}
-
-// AddBackend accumulates simulation-backend telemetry from executors
-// that run simulations (goroutine-safe).
-func (r *Runner) AddBackend(b sim.BackendStats) {
-	r.record(func(s *Stats) { s.Backend.Add(b) })
 }
 
 // Execute runs every job through fn on the runner's worker pool and

@@ -1,13 +1,13 @@
 package sim_test
 
-// The differential harness. Verilog runs on one executor, the 4-state
-// interpreter, so its axis is reuse: a randomly generated multi-cluster
-// design or a real bench problem simulated cold must match, byte for
-// byte, a rerun of the same elaborated design after Design.Reset and a
-// warm rerun through a shared edatool.DesignCache (logs, VCD waveforms,
-// final signal values, event counts and end times). VHDL keeps a
-// compiled two-state backend, so its bench problems still compare the
-// default backend against the 4-state interpreter.
+// The differential harness. Each HDL runs on one executor, its 4-state
+// interpreter, so the axes are elaboration and reuse: a randomly
+// generated multi-cluster Verilog design or a real bench problem in
+// either HDL simulated cold must match, byte for byte, a fresh design
+// elaborated a second time from the same parse (logs, VCD waveforms,
+// final signal values, event counts, end times and stop flags) and a
+// warm memo hit through a shared edatool.DesignCache (log, VCD, verdict
+// and latency model).
 
 import (
 	"fmt"
@@ -17,12 +17,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/edatool"
-	"repro/internal/sim"
 	"repro/internal/vhdlsim"
 	"repro/internal/vsim"
 )
 
-// simOutcome is the full observable outcome of one Verilog run.
+// simOutcome is the full observable outcome of one run in either HDL.
 type simOutcome struct {
 	log     string
 	vcd     string
@@ -47,35 +46,75 @@ func outcomeOf(t *testing.T, name, src string, res *vsim.Result) simOutcome {
 	}
 }
 
-// runVerilog elaborates and simulates src cold, then resets the
-// retained design and simulates it again, returning both outcomes.
-func runVerilog(t *testing.T, name, src string) (cold, rerun simOutcome) {
+func vhdlOutcomeOf(t *testing.T, name string, res *vhdlsim.Result) simOutcome {
 	t.Helper()
-	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: name, Text: src})
+	if res.Fault != "" {
+		t.Fatalf("%s faulted: %s", name, res.Fault)
+	}
+	return simOutcome{
+		log:     res.Log,
+		events:  res.Events,
+		endTime: uint64(res.EndTime),
+		final:   res.Final,
+		flags:   fmt.Sprintf("asserts=%d failed=%v to=%v", res.AssertErrors, res.Failed, res.TimedOut),
+	}
+}
+
+// compileOne compiles src as a single unit and fails the test on
+// diagnostics.
+func compileOne(t *testing.T, lang edatool.Language, name, src string) *edatool.CompileResult {
+	t.Helper()
+	comp := edatool.New(edatool.Options{}).Compile(lang, edatool.Source{Name: name, Text: src})
 	if !comp.OK {
 		t.Fatalf("%s does not compile:\n%s\nsource:\n%s", name, comp.Log, src)
 	}
-	d, err := vsim.Elaborate(comp.Modules, bench.TBName)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+	return comp
+}
+
+// runVerilog elaborates and simulates src cold, then elaborates the
+// same parse a second time and simulates that fresh design, returning
+// both outcomes.
+func runVerilog(t *testing.T, name, src string) (cold, fresh simOutcome) {
+	t.Helper()
+	comp := compileOne(t, edatool.Verilog, name, src)
+	run := func() simOutcome {
+		res, err := vsim.Simulate(comp.Modules, bench.TBName, vsim.Options{CaptureFinal: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return outcomeOf(t, name, src, res)
 	}
-	opts := vsim.Options{CaptureFinal: true}
-	cold = outcomeOf(t, name, src, vsim.SimulateDesign(d, opts))
-	d.Reset()
-	rerun = outcomeOf(t, name, src, vsim.SimulateDesign(d, opts))
-	return cold, rerun
+	return run(), run()
+}
+
+// runVHDL is runVerilog through the VHDL front-end.
+func runVHDL(t *testing.T, name, src string) (cold, fresh simOutcome) {
+	t.Helper()
+	comp := compileOne(t, edatool.VHDL, name, src)
+	run := func() simOutcome {
+		res, err := vhdlsim.Simulate(comp.Units, bench.TBName, vhdlsim.Options{CaptureFinal: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return vhdlOutcomeOf(t, name, res)
+	}
+	return run(), run()
 }
 
 // diffWarmCache simulates src twice through tc, whose cache the caller
 // shares across designs: the first run simulates and memoizes its
 // result, the second must be a cache hit that reports what the first
 // did.
-func diffWarmCache(t *testing.T, tc *edatool.Toolchain, name, src string) {
+func diffWarmCache(t *testing.T, tc *edatool.Toolchain, lang edatool.Language, name, src string) {
 	t.Helper()
-	unit := edatool.Source{Name: name + ".v", Text: src}
-	cold := tc.Simulate(edatool.Verilog, bench.TBName, 0, unit)
+	ext := ".v"
+	if lang == edatool.VHDL {
+		ext = ".vhd"
+	}
+	unit := edatool.Source{Name: name + ext, Text: src}
+	cold := tc.Simulate(lang, bench.TBName, 0, unit)
 	before := tc.CacheStats()
-	warm := tc.Simulate(edatool.Verilog, bench.TBName, 0, unit)
+	warm := tc.Simulate(lang, bench.TBName, 0, unit)
 	if hits := tc.CacheStats().Sub(before).DesignHits; hits != 1 {
 		t.Errorf("%s: warm rerun made %d design-cache hits, want 1", name, hits)
 	}
@@ -86,7 +125,8 @@ func diffWarmCache(t *testing.T, tc *edatool.Toolchain, name, src string) {
 		t.Errorf("%s: warm-cache VCD differs", name)
 	}
 	// The latency model is a function of the run's end time.
-	if warm.LatencyModel != cold.LatencyModel || warm.Passed != cold.Passed || warm.TimedOut != cold.TimedOut {
+	if warm.LatencyModel != cold.LatencyModel || warm.Passed != cold.Passed ||
+		warm.Failed != cold.Failed || warm.TimedOut != cold.TimedOut {
 		t.Errorf("%s: warm-cache result %+v, cold %+v", name, warm, cold)
 	}
 }
@@ -176,8 +216,8 @@ func genClusterDesign(rng *rand.Rand) string {
 }
 
 // TestDifferentialRandomClusters is the core of the harness: randomly
-// generated multi-cluster designs, cold vs reset-and-rerun vs a warm
-// shared design cache.
+// generated multi-cluster designs, cold vs a fresh re-elaboration vs a
+// warm shared design cache.
 func TestDifferentialRandomClusters(t *testing.T) {
 	designs := 24
 	if testing.Short() {
@@ -188,18 +228,18 @@ func TestDifferentialRandomClusters(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(9000 + i*131)))
 		src := genClusterDesign(rng)
 		name := fmt.Sprintf("clusters-%d", i)
-		cold, rerun := runVerilog(t, name, src)
+		cold, fresh := runVerilog(t, name, src)
 		if !strings.Contains(cold.log, "$finish called") {
 			t.Fatalf("%s: cold run did not finish:\n%s", name, cold.log)
 		}
-		diffOutcomes(t, name+"/rerun", cold, rerun)
-		diffWarmCache(t, tc, name, src)
+		diffOutcomes(t, name+"/fresh", cold, fresh)
+		diffWarmCache(t, tc, edatool.Verilog, name, src)
 	}
 }
 
 // TestDifferentialBenchVerilog replays real bench-suite problems
-// (golden DUT + reference testbench) cold, reset-and-rerun, and through
-// a warm shared design cache.
+// (golden DUT + reference testbench) cold, freshly re-elaborated, and
+// through a warm shared design cache.
 func TestDifferentialBenchVerilog(t *testing.T) {
 	suite := bench.NewSuite()
 	stride := 8
@@ -210,78 +250,39 @@ func TestDifferentialBenchVerilog(t *testing.T) {
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
 		src := p.GoldenVerilog + "\n" + p.RefTBVerilog
-		cold, rerun := runVerilog(t, p.ID, src)
-		diffOutcomes(t, p.ID+"/rerun", cold, rerun)
-		diffWarmCache(t, tc, p.ID, src)
+		cold, fresh := runVerilog(t, p.ID, src)
+		diffOutcomes(t, p.ID+"/fresh", cold, fresh)
+		diffWarmCache(t, tc, edatool.Verilog, p.ID, src)
 	}
 }
 
-// TestDifferentialBenchVHDL does the same through the VHDL front-end.
+// TestDifferentialBenchVHDL does the same through the VHDL front-end:
+// cold, freshly re-elaborated, and through a warm shared design cache.
 func TestDifferentialBenchVHDL(t *testing.T) {
 	suite := bench.NewSuite()
 	stride := 12
 	if testing.Short() {
 		stride = 48
 	}
-	type vhdlOutcome struct {
-		log     string
-		events  uint64
-		endTime uint64
-		asserts int
-		final   map[string]string
-	}
-	run := func(p *bench.Problem, mode sim.BackendMode) vhdlOutcome {
-		src := p.GoldenVHDL + "\n" + p.RefTBVHDL
-		comp := edatool.New(edatool.Options{}).Compile(edatool.VHDL, edatool.Source{Name: p.ID + ".vhd", Text: src})
-		if !comp.OK {
-			t.Fatalf("%s does not compile:\n%s", p.ID, comp.Log)
-		}
-		res, err := vhdlsim.Simulate(comp.Units, "tb", vhdlsim.Options{
-			CaptureFinal: true,
-			Backend:      mode,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", p.ID, err)
-		}
-		if res.Fault != "" {
-			t.Fatalf("%s faulted: %s", p.ID, res.Fault)
-		}
-		return vhdlOutcome{
-			log:     res.Log,
-			events:  res.Events,
-			endTime: uint64(res.EndTime),
-			asserts: res.AssertErrors,
-			final:   res.Final,
-		}
-	}
+	tc := edatool.New(edatool.Options{Cache: edatool.NewDesignCache()})
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
-		ref := run(p, sim.BackendAuto)
-		got := run(p, sim.BackendInterpret)
-		if got.log != ref.log {
-			t.Errorf("%s: VHDL log differs (interpret):\n--- compiled ---\n%s\n--- interpret ---\n%s",
-				p.ID, ref.log, got.log)
-		}
-		if got.events != ref.events || got.endTime != ref.endTime || got.asserts != ref.asserts {
-			t.Errorf("%s: VHDL counters differ (interpret): %+v vs %+v", p.ID, got, ref)
-		}
-		for sig, want := range ref.final {
-			if got.final[sig] != want {
-				t.Errorf("%s: VHDL final %s = %s (interpret), want %s", p.ID, sig, got.final[sig], want)
-			}
-		}
+		src := p.GoldenVHDL + "\n" + p.RefTBVHDL
+		cold, fresh := runVHDL(t, p.ID, src)
+		diffOutcomes(t, p.ID+"/fresh", cold, fresh)
+		diffWarmCache(t, tc, edatool.VHDL, p.ID, src)
 	}
 }
 
 // TestDifferentialRepeatable pins run-to-run determinism: two
-// independent cold runs of the same design, and the rerun of each,
-// must agree byte for byte.
+// independent cold compiles of the same design, and the fresh
+// re-elaboration of each, must agree byte for byte.
 func TestDifferentialRepeatable(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	src := genClusterDesign(rng)
-	a, aRerun := runVerilog(t, "repeat", src)
-	b, bRerun := runVerilog(t, "repeat", src)
+	a, aFresh := runVerilog(t, "repeat", src)
+	b, bFresh := runVerilog(t, "repeat", src)
 	diffOutcomes(t, "repeat/cold", a, b)
-	diffOutcomes(t, "repeat/rerun", a, aRerun)
-	diffOutcomes(t, "repeat/rerun", b, bRerun)
+	diffOutcomes(t, "repeat/fresh", a, aFresh)
+	diffOutcomes(t, "repeat/fresh", b, bFresh)
 }

@@ -1,5 +1,9 @@
 // Package sim implements the language-neutral event-driven simulation
 // kernel shared by the Verilog (vsim) and VHDL (vhdlsim) interpreters.
+// Each HDL has one execution path: every process runs on its
+// front-end's 4-state AST interpreter, so nothing selects or reports an
+// execution backend (BackendStats survives only as a zero-valued shim;
+// see backend.go).
 //
 // The kernel follows the stratified event model of IEEE 1364: each
 // time slot runs active events to exhaustion, then applies

@@ -98,20 +98,6 @@ func (l *WatchList) Watch(fire func()) {
 	l.persistent = append(l.persistent, fire)
 }
 
-// Reset detaches every watcher and persistent observer, returning the
-// list to its just-elaborated state while keeping the backing arrays
-// for reuse. Reset-and-rerun paths call it on every signal before
-// binding a fresh simulation to a retained design: watchers and
-// persistent callbacks both close over per-run simulator state, so a
-// new run must register its own.
-func (l *WatchList) Reset() {
-	for _, w := range l.watchers {
-		w.attached = false
-	}
-	l.watchers = l.watchers[:0]
-	l.persistent = l.persistent[:0]
-}
-
 // WaitReg is a reusable wait registration: the group, its watchers,
 // and the list each watcher attaches to.
 type WaitReg struct {

@@ -3,7 +3,6 @@ package vhdlsim
 import (
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
 
@@ -11,13 +10,8 @@ import (
 // VHDL front-end: parse once, then elaborate + run a clocked 16-bit
 // counter for ~2000 cycles per iteration. Together the two benchmarks
 // feed BENCH_hdl.json so kernel regressions are visible from both
-// interpreters (see docs/PERFORMANCE.md). BenchmarkVHDLSimCounter runs
-// the default (compiled) mode and the Interpreted variant forces the
-// interpreter, so the fast path's advantage is tracked per-HDL.
-func BenchmarkVHDLSimCounter(b *testing.B)            { benchVHDLCounter(b, sim.BackendAuto) }
-func BenchmarkVHDLSimCounterInterpreted(b *testing.B) { benchVHDLCounter(b, sim.BackendInterpret) }
-
-func benchVHDLCounter(b *testing.B, mode sim.BackendMode) {
+// interpreters (see docs/PERFORMANCE.md).
+func BenchmarkVHDLSimCounter(b *testing.B) {
 	src := `
 entity counter is
   port (clk : in std_logic; reset : in std_logic; count : out std_logic_vector(15 downto 0));
@@ -69,7 +63,7 @@ end architecture;`
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Simulate(units, "tb", Options{MaxTime: 100000, Backend: mode})
+		res, err := Simulate(units, "tb", Options{MaxTime: 100000})
 		if err != nil {
 			b.Fatalf("simulate: %v", err)
 		}

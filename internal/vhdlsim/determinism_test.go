@@ -1,6 +1,7 @@
 package vhdlsim
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/vhdl"
@@ -59,5 +60,90 @@ end architecture;`
 	}
 	if r1.EndTime != r2.EndTime {
 		t.Errorf("end time differs: %d vs %d", r1.EndTime, r2.EndTime)
+	}
+}
+
+const counterSrcVHDL = `
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity counter is
+  port (clk : in std_logic; rst : in std_logic; count : out unsigned(15 downto 0));
+end entity;
+
+architecture rtl of counter is
+  signal c : unsigned(15 downto 0) := (others => '0');
+begin
+  count <= c;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if rst = '1' then
+        c <= (others => '0');
+      else
+        c <= c + 1;
+      end if;
+    end if;
+  end process;
+end architecture;
+
+entity tb is end entity;
+architecture sim of tb is
+  signal clk : std_logic := '0';
+  signal rst : std_logic := '1';
+  signal count : unsigned(15 downto 0);
+begin
+  dut : entity work.counter port map (clk => clk, rst => rst, count => count);
+  process
+  begin
+    rst <= '0';
+    for i in 0 to 200 loop
+      clk <= '1'; wait for 1 ns;
+      clk <= '0'; wait for 1 ns;
+    end loop;
+    report "done" severity note;
+    wait;
+  end process;
+end architecture;
+`
+
+// TestWorkersIdentical runs the counter on 1, 2 and 4 concurrent
+// workers, each elaborating its own design from one shared parse as
+// sweep workers do; every run must agree byte for byte with a lone run.
+func TestWorkersIdentical(t *testing.T) {
+	f, diags := vhdl.Parse("tb.vhd", counterSrcVHDL)
+	if diags.HasErrors() {
+		t.Fatalf("parse: %v", diags)
+	}
+	run := func() (*Result, error) {
+		d, err := Elaborate([]*vhdl.DesignFile{f}, "tb")
+		if err != nil {
+			return nil, err
+		}
+		return SimulateDesign(d, Options{MaxTime: 100000, CaptureFinal: true}), nil
+	}
+	base, err := run()
+	if err != nil {
+		t.Fatalf("elab: %v", err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		runs := make([]*Result, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs[w], errs[w] = run()
+			}()
+		}
+		wg.Wait()
+		for w, r := range runs {
+			if errs[w] != nil {
+				t.Fatalf("workers=%d: elab: %v", workers, errs[w])
+			}
+			compareRuns(t, "concurrent worker vs lone run", base, r)
+		}
 	}
 }

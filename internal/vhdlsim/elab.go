@@ -28,7 +28,6 @@ const (
 // Signal is one elaborated VHDL signal.
 type Signal struct {
 	Name  string
-	Local string
 	Kind  SigKind
 	Width int
 	MSB   int // left bound for downto; for `to` ranges MSB < LSB
@@ -66,10 +65,6 @@ type Instance struct {
 	Generics map[string]hdl.Vector
 	Children []*Instance
 	Parent   *Instance
-
-	// tmpl is the elaboration template this instance was replayed
-	// from; the compiled backend caches per-process programs on it.
-	tmpl *entityTemplate
 }
 
 // Design is the elaborated hierarchy plus bound behaviour.
@@ -84,19 +79,6 @@ type Design struct {
 
 	templates map[tmplKey]*entityTemplate // per-(entity, generics) shapes; see template.go
 	arena     sigArena                    // chunked Signal storage
-
-	// Reset-and-rerun state: all lists every signal in elaboration
-	// order, initVals their elaborated initial values, and ran marks a
-	// design that must be Reset before its next simulation.
-	all      []*Signal
-	initVals []hdl.Vector
-	ran      bool
-
-	// Compiled concurrent-assignment programs, lazily built per design
-	// (signal pointers are design-scoped, so the programs survive
-	// Reset and re-simulation). concTried is the negative cache.
-	concProgs []*vconcProg
-	concTried []bool
 }
 
 type boundProcess struct {
@@ -154,26 +136,7 @@ func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
 		return nil, err
 	}
 	d.Top = inst
-	d.initVals = make([]hdl.Vector, len(d.all))
-	for i, sg := range d.all {
-		d.initVals[i] = sg.Val
-	}
 	return d, nil
-}
-
-// Reset returns an elaborated design to its time-zero state so it can
-// be re-simulated without re-elaborating: values and previous values
-// revert to the elaborated initial value, event stamps clear (the
-// kernel's delta serial restarts per run), and watcher registrations
-// drop (each run registers its own).
-func (d *Design) Reset() {
-	for i, sg := range d.all {
-		sg.Val = d.initVals[i]
-		sg.Prev = d.initVals[i].Clone()
-		sg.eventStamp = 0
-		sg.watch.Reset()
-	}
-	d.ran = false
 }
 
 func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, genOverrides map[string]hdl.Vector) (*Instance, error) {
@@ -229,19 +192,16 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 	} else {
 		inst.Generics = tmpl.generics
 	}
-	inst.tmpl = tmpl
 
 	inst.Signals = make(map[string]*Signal, len(tmpl.sigs))
 	for i := range tmpl.sigs {
 		sp := &tmpl.sigs[i]
 		sig := d.arena.alloc()
 		sig.Name = path + "." + sp.local
-		sig.Local = sp.local
 		sig.Kind, sig.Width, sig.MSB, sig.LSB = sp.kind, sp.width, sp.msb, sp.lsb
 		sig.Val = sp.init
 		sig.Prev = sp.init.Clone()
 		inst.Signals[sp.local] = sig
-		d.all = append(d.all, sig)
 	}
 
 	for i := range tmpl.ops {

@@ -213,12 +213,6 @@ type procMachine struct {
 	topReg   *sim.WaitReg
 	waits    map[*vhdl.WaitStmt]*sim.WaitReg
 	activate func() // pre-built resume hook shared by all waits
-
-	// Compiled fast path (nil when the process is ineligible or the
-	// backend is interpret-only): prog is the template-shared two-state
-	// program, penv its slot-resolved runtime environment.
-	prog *vprocProg
-	penv *vcenv
 }
 
 // step is the process continuation the kernel dispatches.
@@ -256,16 +250,6 @@ func (m *procMachine) startIteration() bool {
 	}
 	if m.armed {
 		m.armed = false
-		// Compiled fast path: when every guarded signal classifies
-		// two-state, run the specialized body (it never suspends);
-		// otherwise charge a fallback and interpret this activation.
-		if m.prog != nil {
-			if m.penv.ready(m.prog.guards) {
-				m.prog.run(m.penv)
-				return false
-			}
-			m.s.fallbacks++
-		}
 		return m.execBody()
 	}
 	m.armed = true

@@ -17,12 +17,6 @@ type Options struct {
 	// CaptureFinal populates Result.Final with the post-run value of
 	// every signal (used by the differential harness).
 	CaptureFinal bool
-
-	// Backend selects the execution strategy (see internal/sim): the
-	// zero value (auto) enables the compiled two-state fast path with
-	// per-activation fallback; BackendInterpret forces the 4-state
-	// interpreter everywhere. Both produce byte-identical output.
-	Backend sim.BackendMode
 }
 
 // Result is the outcome of a simulation.
@@ -35,7 +29,6 @@ type Result struct {
 	EndTime      sim.Time
 	Events       uint64            // kernel events executed
 	Final        map[string]string // hierarchical name -> final value
-	Backend      sim.BackendStats  // execution-strategy accounting
 }
 
 // Simulator runs one elaborated VHDL design on its own event kernel.
@@ -47,21 +40,12 @@ type Simulator struct {
 	file   string
 	logCap int
 
-	log       []byte
-	steps     uint64 // interpreter statement budget spent
-	fault     string // first runtime fault
-	fallbacks uint64 // compiled activations deferred to the interpreter (X/Z guard)
+	log   []byte
+	steps uint64 // interpreter statement budget spent
+	fault string // first runtime fault
 
 	assertErrors int
 	failed       bool
-
-	// Backend bookkeeping, counted while binding. Port bindings count
-	// as interpreted assignments: they never compile.
-	backend         sim.BackendMode
-	compiledProcs   int
-	interpProcs     int
-	compiledAssigns int
-	interpAssigns   int
 
 	// updFull/updPart are the pre-bound scheduled-update apply hooks
 	// (method values created once; one per update would allocate).
@@ -78,16 +62,11 @@ func Simulate(units []*vhdl.DesignFile, top string, opts Options) (*Result, erro
 	return SimulateDesign(d, opts), nil
 }
 
-// SimulateDesign runs an already-elaborated design to completion. A
-// design that has run before is Reset to time zero first, so callers
-// can re-simulate a retained design without re-elaborating. The design
-// is bound to one simulation at a time; concurrent calls on one Design
-// are a caller bug.
+// SimulateDesign runs an already-elaborated design to completion. The
+// run mutates the design's signals, so a Design is simulated at most
+// once: its callers are Simulate and the perfbench replay, each of
+// which elaborates a fresh Design per run.
 func SimulateDesign(d *Design, opts Options) *Result {
-	if d.ran {
-		d.Reset()
-	}
-	d.ran = true
 	if opts.MaxTime == 0 {
 		opts.MaxTime = 1_000_000
 	}
@@ -99,11 +78,10 @@ func SimulateDesign(d *Design, opts Options) *Result {
 	}
 
 	s := &Simulator{
-		design:  d,
-		kernel:  sim.NewKernel(),
-		file:    opts.File,
-		logCap:  opts.MaxOutput,
-		backend: opts.Backend,
+		design: d,
+		kernel: sim.NewKernel(),
+		file:   opts.File,
+		logCap: opts.MaxOutput,
 	}
 	s.updFull = s.applyFullUpdate
 	s.updPart = s.applyPartUpdate
@@ -114,7 +92,7 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		s.bindPort(&d.portBinds[i])
 	}
 	for i := range d.concAssigns {
-		s.bindConcAssign(i, &d.concAssigns[i])
+		s.bindConcAssign(&d.concAssigns[i])
 	}
 	for i := range d.processes {
 		s.bindProcess(&d.processes[i])
@@ -143,14 +121,6 @@ func SimulateDesign(d *Design, opts Options) *Result {
 	if res.Fault != "" && !strings.Contains(res.Log, res.Fault) {
 		res.Log += "SIMULATOR: " + res.Fault + "\n"
 	}
-	res.Backend = sim.BackendStats{
-		Mode:               s.backend.Label(),
-		CompiledProcs:      s.compiledProcs,
-		InterpretedProcs:   s.interpProcs,
-		CompiledAssigns:    s.compiledAssigns,
-		InterpretedAssigns: s.interpAssigns,
-		Fallbacks:          s.fallbacks,
-	}
 	if opts.CaptureFinal {
 		res.Final = map[string]string{}
 		var walk func(inst *Instance)
@@ -171,7 +141,6 @@ func SimulateDesign(d *Design, opts Options) *Result {
 // the child port signal; out-ports copy the child port to the parent
 // actual (which must be an assignable name).
 func (s *Simulator) bindPort(pb *portBind) {
-	s.interpAssigns++
 	update := func() {
 		defer s.recoverFault()
 		if pb.dir == vhdl.DirIn {
@@ -207,31 +176,9 @@ func (s *Simulator) bindPort(pb *portBind) {
 	s.kernel.Active(update)
 }
 
-func (s *Simulator) bindConcAssign(idx int, bc *boundConc) {
+func (s *Simulator) bindConcAssign(bc *boundConc) {
 	inst, ca := bc.scope, bc.ca
-	// Compiled fast path: specialize once per design; every update
-	// first tries the two-state program and falls back to the
-	// interpreter for activations that fail the guard.
-	var prog *vconcProg
-	var penv *vcenv
-	if s.backend.Compiled() {
-		if prog = s.design.concProgFor(s, idx); prog != nil {
-			penv = &vcenv{s: s, sigs: prog.sigs}
-		}
-	}
-	if prog != nil {
-		s.compiledAssigns++
-	} else {
-		s.interpAssigns++
-	}
 	update := func() {
-		if prog != nil {
-			if penv.ready(prog.guards) {
-				prog.run(penv)
-				return
-			}
-			s.fallbacks++
-		}
 		defer s.recoverFault()
 		for _, w := range ca.Waves {
 			if w.Cond != nil && !s.truthy(s.eval(inst, nil, w.Cond)) {
@@ -272,17 +219,6 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 		name = inst.Path + ".process"
 	}
 	m := &procMachine{s: s, inst: inst, ps: ps, en: newEnv()}
-	if s.backend.Compiled() && len(ps.Sens) > 0 {
-		if prog := s.progForProcess(inst, ps); prog != nil {
-			m.prog = prog
-			m.penv = bindProcProg(s, inst, prog)
-		}
-	}
-	if m.prog != nil {
-		s.compiledProcs++
-	} else {
-		s.interpProcs++
-	}
 	m.p = s.kernel.NewProcess(name, m.step)
 	m.activate = m.p.Activate
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
 
@@ -311,5 +312,98 @@ begin
 end architecture;`)
 	if res.AssertErrors != 0 || !strings.Contains(res.Log, "All tests passed successfully!") {
 		t.Errorf("errors=%d log:\n%s", res.AssertErrors, res.Log)
+	}
+}
+
+// TestClockedProcessXWindow drives X through a clocked process: the
+// accumulator's data input is released to a known value, forced to 'X'
+// mid-run, then cleared and released again. A run stopped inside the
+// X window must leave the accumulator all-X; the full run must recover
+// to the fully known count of the second phase.
+func TestClockedProcessXWindow(t *testing.T) {
+	src := `
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity acc is
+  port (clk : in std_logic; clr : in std_logic; d : in unsigned(7 downto 0); q : out unsigned(7 downto 0));
+end entity;
+
+architecture rtl of acc is
+  signal r : unsigned(7 downto 0) := (others => '0');
+begin
+  q <= r;
+  process(clk)
+  begin
+    if rising_edge(clk) then
+      if clr = '1' then
+        r <= (others => '0');
+      else
+        r <= r + d;
+      end if;
+    end if;
+  end process;
+end architecture;
+
+entity tb is end entity;
+architecture sim of tb is
+  signal clk : std_logic := '0';
+  signal clr : std_logic := '0';
+  signal d : unsigned(7 downto 0);
+  signal q : unsigned(7 downto 0);
+begin
+  dut : entity work.acc port map (clk => clk, clr => clr, d => d, q => q);
+  process
+  begin
+    d <= to_unsigned(3, 8);
+    for i in 0 to 9 loop
+      clk <= '1'; wait for 1 ns;
+      clk <= '0'; wait for 1 ns;
+    end loop;
+    -- Force the datapath back into the 4-state domain mid-run.
+    d <= (others => 'X');
+    for i in 0 to 4 loop
+      clk <= '1'; wait for 1 ns;
+      clk <= '0'; wait for 1 ns;
+    end loop;
+    -- Clear the contaminated accumulator, then resume two-state.
+    clr <= '1';
+    clk <= '1'; wait for 1 ns;
+    clk <= '0'; wait for 1 ns;
+    clr <= '0';
+    d <= to_unsigned(1, 8);
+    for i in 0 to 9 loop
+      clk <= '1'; wait for 1 ns;
+      clk <= '0'; wait for 1 ns;
+    end loop;
+    report "fallback done" severity note;
+    wait;
+  end process;
+end architecture;
+`
+	f, diags := vhdl.Parse("tb.vhd", src)
+	if diags.HasErrors() {
+		t.Fatalf("parse: %v", diags)
+	}
+	run := func(maxTime sim.Time) *Result {
+		res, err := Simulate([]*vhdl.DesignFile{f}, "tb", Options{MaxTime: maxTime, CaptureFinal: true})
+		if err != nil {
+			t.Fatalf("simulate: %v", err)
+		}
+		if res.Fault != "" {
+			t.Fatalf("fault: %s", res.Fault)
+		}
+		return res
+	}
+	if got := run(25).Final["tb.dut.r"]; got != "xxxxxxxx" {
+		t.Errorf("accumulator inside the X window = %q, want xxxxxxxx", got)
+	}
+	full := run(100000)
+	if got := full.Final["tb.dut.r"]; got != "00001010" {
+		t.Errorf("accumulator after recovery = %q, want 00001010", got)
+	}
+	if full.Log != "Note: fallback done\n" || full.TimedOut || full.AssertErrors != 0 {
+		t.Errorf("full run: timedOut=%v asserts=%d log %q", full.TimedOut, full.AssertErrors, full.Log)
 	}
 }

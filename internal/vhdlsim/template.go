@@ -17,9 +17,9 @@ import (
 //
 // Templates live in a per-Design map keyed by entity AST pointer +
 // generic fingerprint (an entity's architecture is fixed within one
-// design: the last one in the unit set), and host the compiled process
-// programs, so same-key instances of one design share them. A design
-// is simulated by one run at a time, so nothing here needs a lock.
+// design: the last one in the unit set), so same-key instances of one
+// design share them. A design is simulated by one run at a time, so
+// nothing here needs a lock.
 
 type tmplKey struct {
 	ent      *vhdl.Entity
@@ -35,13 +35,6 @@ type entityTemplate struct {
 	generics map[string]hdl.Vector
 	sigs     []sigSpec
 	ops      []elabOp
-
-	// Compiled two-state programs, one per process, built on first
-	// demand (see compile.go). Programs address signals by local-name
-	// slot and bake generic values as constants — both functions of the
-	// template key — so every instance of this template shares one
-	// program. A nil map entry is the negative cache.
-	progs map[*vhdl.ProcessStmt]*vprocProg
 }
 
 // sigSpec is one signal's resolved declaration; init is the elaborated

@@ -82,13 +82,6 @@ type Design struct {
 
 	templates map[tmplKey]*moduleTemplate // per-(module, params) shapes; see template.go
 	arena     sigArena                    // chunked Signal storage
-
-	// Reset-and-rerun state: initVals snapshots every signal's
-	// elaborated initial value (parallel to All), ran marks a design
-	// that has been bound to a simulation and must be Reset before the
-	// next one.
-	initVals []hdl.Vector
-	ran      bool
 }
 
 // boundAssign is a continuous assignment whose sides may live in
@@ -131,27 +124,7 @@ func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) 
 		return nil, err
 	}
 	d.Top = inst
-	d.initVals = make([]hdl.Vector, len(d.All))
-	for i, sg := range d.All {
-		d.initVals[i] = sg.Val
-	}
 	return d, nil
-}
-
-// Reset returns an elaborated design to its time-zero state so it can
-// be re-simulated without re-elaborating: every signal's value reverts
-// to its elaborated initial value, memories empty, and all watcher
-// registrations drop (each run registers its own, since they close
-// over per-run simulator state).
-func (d *Design) Reset() {
-	for i, sg := range d.All {
-		sg.Val = d.initVals[i]
-		if sg.IsMem {
-			clear(sg.Mem)
-		}
-		sg.watch.Reset()
-	}
-	d.ran = false
 }
 
 const maxInstances = 4096

@@ -32,7 +32,6 @@ type Result struct {
 	VCD      string            // waveform dump when the bench ran $dumpvars
 	Events   uint64            // kernel events executed
 	Final    map[string]string // hierarchical name -> final value (CaptureFinal)
-	Backend  sim.BackendStats  // process/assign counts; every Verilog run interprets
 }
 
 // Simulator runs one elaborated design on its own event kernel. Exactly
@@ -54,11 +53,6 @@ type Simulator struct {
 	stopped  bool
 	dumpReq  bool   // $dumpvars executed; honoured at the delta boundary
 	vcdFile  string // $dumpfile argument (informational)
-
-	// Process and assignment counts for Result.Backend, counted while
-	// binding.
-	procs   int
-	assigns int
 
 	// targetScratch backs resolveTargetsScratch for assignments whose
 	// targets are consumed immediately (blocking assigns, continuous
@@ -82,16 +76,11 @@ func Simulate(modules map[string]*verilog.Module, top string, opts Options) (*Re
 	return SimulateDesign(d, opts), nil
 }
 
-// SimulateDesign runs an already-elaborated design to completion. A
-// design that has run before is Reset to time zero first, so callers
-// can re-simulate a retained design (cache hits, multi-seed reruns)
-// without re-elaborating. The design is bound to one simulation at a
-// time; concurrent calls on one Design are a caller bug.
+// SimulateDesign runs an already-elaborated design to completion. The
+// run mutates the design's signals, so a Design is simulated at most
+// once: its callers are Simulate and the perfbench replay, each of
+// which elaborates a fresh Design per run.
 func SimulateDesign(d *Design, opts Options) *Result {
-	if d.ran {
-		d.Reset()
-	}
-	d.ran = true
 	if opts.MaxTime == 0 {
 		opts.MaxTime = 1_000_000
 	}
@@ -164,11 +153,6 @@ func SimulateDesign(d *Design, opts Options) *Result {
 			}
 		}
 	}
-	res.Backend = sim.BackendStats{
-		Mode:               sim.BackendInterpret.Label(),
-		InterpretedProcs:   s.procs,
-		InterpretedAssigns: s.assigns,
-	}
 	return res
 }
 
@@ -224,7 +208,6 @@ func (c *contAssignRT) update() {
 
 func (s *Simulator) bindContAssign(a *boundAssign) {
 	rt := &contAssignRT{s: s, a: a}
-	s.assigns++
 	rt.run = func() {
 		rt.pending = false
 		rt.update()
@@ -262,14 +245,12 @@ func (s *Simulator) recoverFault() {
 
 func (s *Simulator) bindAlways(inst *Instance, alw *verilog.AlwaysBlock) {
 	m := &procMachine{s: s, inst: inst, body: alw.Body, sens: alw.Sens, always: true}
-	s.procs++
 	m.p = s.kernel.NewProcess(inst.Path+".always", m.step)
 	m.activate = m.p.Activate
 }
 
 func (s *Simulator) bindInitial(inst *Instance, ib *verilog.InitialBlock) {
 	m := &procMachine{s: s, inst: inst, body: ib.Body}
-	s.procs++
 	m.p = s.kernel.NewProcess(inst.Path+".initial", m.step)
 	m.activate = m.p.Activate
 }

@@ -1,14 +1,11 @@
 package vsim
 
 import (
-	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/sim"
 )
 
-const backendCounterSrc = `
+const workersCounterSrc = `
 module counter(input clk, input rst, output reg [15:0] count);
   always @(posedge clk) begin
     if (rst) count <= 0;
@@ -31,32 +28,12 @@ module tb;
   end
 endmodule`
 
-// TestVsimBackendReportsInterpret pins the backend report of a Verilog
-// run: every process and continuous assignment is counted as
-// interpreted, the run is labelled "interpret", and nothing is counted
-// as compiled or as a fallback.
-func TestVsimBackendReportsInterpret(t *testing.T) {
-	res, err := Simulate(parseTestDesign(t, backendCounterSrc), "tb", Options{})
-	if err != nil {
-		t.Fatalf("simulate: %v", err)
-	}
-	if !strings.Contains(res.Log, "count=") {
-		t.Fatalf("testbench did not run: %q", res.Log)
-	}
-	// One always block plus one initial block; the three port bindings
-	// of dut are continuous assignments.
-	want := sim.BackendStats{Mode: "interpret", InterpretedProcs: 2, InterpretedAssigns: 3}
-	if res.Backend != want {
-		t.Fatalf("backend report %+v, want %+v", res.Backend, want)
-	}
-}
-
 // TestVsimBackendWorkersIdentical runs the counter on 1, 2 and 4
 // concurrent workers, each elaborating its own design from one shared
 // parse as sweep workers do; every run must agree byte for byte with a
 // lone run.
 func TestVsimBackendWorkersIdentical(t *testing.T) {
-	mods := parseTestDesign(t, backendCounterSrc)
+	mods := parseTestDesign(t, workersCounterSrc)
 	base, err := Simulate(mods, "tb", Options{CaptureFinal: true})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
