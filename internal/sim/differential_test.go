@@ -31,19 +31,36 @@ type simOutcome struct {
 	flags   string
 }
 
-func outcomeOf(t *testing.T, name, src string, res *vsim.Result) simOutcome {
-	t.Helper()
-	if res.Fault != "" {
-		t.Fatalf("%s faulted (harness designs must be valid): %s\nsource:\n%s", name, res.Fault, src)
-	}
+// verilogOutcome and vhdlOutcome record a run as it ended, fault
+// included; outcomeOf and vhdlOutcomeOf additionally require that it
+// did not fault.
+func verilogOutcome(res *vsim.Result) simOutcome {
 	return simOutcome{
 		log:     res.Log,
 		vcd:     res.VCD,
 		events:  res.Events,
 		endTime: uint64(res.EndTime),
 		final:   res.Final,
-		flags:   fmt.Sprintf("fin=%v stop=%v to=%v", res.Finished, res.Stopped, res.TimedOut),
+		flags:   fmt.Sprintf("fin=%v stop=%v to=%v fault=%q", res.Finished, res.Stopped, res.TimedOut, res.Fault),
 	}
+}
+
+func vhdlOutcome(res *vhdlsim.Result) simOutcome {
+	return simOutcome{
+		log:     res.Log,
+		events:  res.Events,
+		endTime: uint64(res.EndTime),
+		final:   res.Final,
+		flags:   fmt.Sprintf("asserts=%d failed=%v to=%v fault=%q", res.AssertErrors, res.Failed, res.TimedOut, res.Fault),
+	}
+}
+
+func outcomeOf(t *testing.T, name, src string, res *vsim.Result) simOutcome {
+	t.Helper()
+	if res.Fault != "" {
+		t.Fatalf("%s faulted (harness designs must be valid): %s\nsource:\n%s", name, res.Fault, src)
+	}
+	return verilogOutcome(res)
 }
 
 func vhdlOutcomeOf(t *testing.T, name string, res *vhdlsim.Result) simOutcome {
@@ -51,13 +68,7 @@ func vhdlOutcomeOf(t *testing.T, name string, res *vhdlsim.Result) simOutcome {
 	if res.Fault != "" {
 		t.Fatalf("%s faulted: %s", name, res.Fault)
 	}
-	return simOutcome{
-		log:     res.Log,
-		events:  res.Events,
-		endTime: uint64(res.EndTime),
-		final:   res.Final,
-		flags:   fmt.Sprintf("asserts=%d failed=%v to=%v", res.AssertErrors, res.Failed, res.TimedOut),
-	}
+	return vhdlOutcome(res)
 }
 
 // compileOne compiles src as a single unit and fails the test on
