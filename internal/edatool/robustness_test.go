@@ -1,7 +1,9 @@
 package edatool
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +84,48 @@ func TestQuickSimulateNeverPanics(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 			t.Errorf("%s: %v", lang, err)
+		}
+	}
+}
+
+// fanOutSource is a chain of levels+1 modules (VHDL: entities) in which
+// each level instantiates the one below twice, topped by a testbench
+// that does the same: 2^(levels+2)-1 instances, far past the instance
+// bound, at a depth well inside the depth limit.
+func fanOutSource(lang Language, levels int) Source {
+	var sb strings.Builder
+	if lang == Verilog {
+		sb.WriteString("module m0; endmodule\n")
+		for i := 1; i <= levels; i++ {
+			fmt.Fprintf(&sb, "module m%d; m%d a(); m%d b(); endmodule\n", i, i-1, i-1)
+		}
+		fmt.Fprintf(&sb, "module %s; m%d a(); m%d b(); endmodule\n", bench.TBName, levels, levels)
+		return Source{Name: "fanout.v", Text: sb.String()}
+	}
+	sb.WriteString("entity e0 is end entity;\narchitecture a of e0 is begin end architecture;\n")
+	for i := 1; i <= levels+1; i++ {
+		name := fmt.Sprintf("e%d", i)
+		if i == levels+1 {
+			name = bench.TBName
+		}
+		fmt.Fprintf(&sb, "entity %s is end entity;\narchitecture a of %s is begin\n  a: entity work.e%d;\n  b: entity work.e%d;\nend architecture;\n", name, name, i-1, i-1)
+	}
+	return Source{Name: "fanout.vhd", Text: sb.String()}
+}
+
+// TestElabFanOutBounded: a design whose instance count doubles per
+// level fails elaboration with a classified diagnostic in both HDLs,
+// instead of elaborating 2^18 instances.
+func TestElabFanOutBounded(t *testing.T) {
+	for _, lang := range []Language{Verilog, VHDL} {
+		src := fanOutSource(lang, 16)
+		if comp := New(Options{}).Compile(lang, src); !comp.OK {
+			t.Fatalf("%s: fan-out design does not compile:\n%s", lang, comp.Log)
+		}
+		res := New(Options{}).Simulate(lang, bench.TBName, 1000, src)
+		if !strings.HasPrefix(res.Log, "ERROR: [XSIM 43-3225] elaboration failed: ") ||
+			!strings.Contains(res.Log, "design exceeds 4096 instances") || !res.Failed {
+			t.Errorf("%s: want a failed elaboration over the instance bound, got failed=%v log:\n%s", lang, res.Failed, res.Log)
 		}
 	}
 }

@@ -77,8 +77,8 @@ type Design struct {
 	concAssigns []boundConc
 	portBinds   []portBind
 
-	templates map[tmplKey]*entityTemplate // per-(entity, generics) shapes; see template.go
-	arena     sigArena                    // chunked Signal storage
+	arena     sigArena // chunked Signal storage
+	instances int      // elaborated so far, bounded by maxInstances
 }
 
 type boundProcess struct {
@@ -115,9 +115,8 @@ func elabErrf(pos vhdl.Pos, format string, args ...any) *ElabError {
 // Elaborate builds the design rooted at the entity named top.
 func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
 	d := &Design{
-		entities:  map[string]*vhdl.Entity{},
-		archs:     map[string]*vhdl.Architecture{},
-		templates: map[tmplKey]*entityTemplate{},
+		entities: map[string]*vhdl.Entity{},
+		archs:    map[string]*vhdl.Architecture{},
 	}
 	for _, u := range units {
 		for _, e := range u.Entities {
@@ -139,7 +138,53 @@ func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
 	return d, nil
 }
 
+// maxInstances bounds the instances one design may elaborate, so an
+// entity that instantiates another several times per level cannot
+// multiply into unbounded work below the depth limit.
+const maxInstances = 4096
+
+// sigArena hands out Signal storage in fixed-capacity chunks so an
+// elaboration performs O(signals/chunk) allocations instead of one per
+// signal; pointers stay stable because a chunk is never grown past its
+// capacity.
+type sigArena struct {
+	chunk []Signal
+}
+
+const sigArenaChunk = 256
+
+func (a *sigArena) alloc() *Signal {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]Signal, 0, sigArenaChunk)
+	}
+	a.chunk = append(a.chunk, Signal{})
+	return &a.chunk[len(a.chunk)-1]
+}
+
+// newSignal resolves one signal declaration of inst against its
+// generics and allocates it.
+func (d *Design) newSignal(inst *Instance, name string, tr vhdl.TypeRef, init vhdl.Expr) error {
+	sp, err := inst.makeSigSpec(name, tr, init)
+	if err != nil {
+		return err
+	}
+	sig := d.arena.alloc()
+	sig.Name = inst.Path + "." + name
+	sig.Kind, sig.Width, sig.MSB, sig.LSB = sp.kind, sp.width, sp.msb, sp.lsb
+	sig.Val = sp.init
+	sig.Prev = sp.init.Clone()
+	inst.Signals[name] = sig
+	return nil
+}
+
+// elabInstance instantiates entity ent (with its architecture) as path:
+// generics, then signals and constants in declaration order (ports
+// first), then processes, concurrent assignments and children in
+// statement order.
 func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, genOverrides map[string]hdl.Vector) (*Instance, error) {
+	if d.instances++; d.instances > maxInstances {
+		return nil, elabErrf(ent.Pos, "design exceeds %d instances", maxInstances)
+	}
 	depth := 0
 	for p := parent; p != nil; p = p.Parent {
 		depth++
@@ -155,8 +200,7 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		Path: path, Entity: ent, Arch: arch,
 		Parent: parent,
 	}
-	// Generics resolve live: the valuation is part of the template
-	// key. The map is built lazily — most entities have no
+	// The generics map is built lazily — most entities have no
 	// generics, and nil lookups behave like an empty valuation.
 	for _, g := range ent.Generics {
 		if inst.Generics == nil {
@@ -176,44 +220,41 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		inst.Generics[g.Name] = v
 	}
 
-	// Declarations and statements are resolved once per (entity,
-	// generic valuation); see template.go. On a hit the instance adopts
-	// the template's constant map (generics + architecture constants,
-	// read-only after elaboration).
-	key := tmplKey{ent: ent, generics: fingerprintGenerics(ent, inst.Generics)}
-	tmpl := d.templates[key]
-	if tmpl == nil {
-		var err error
-		tmpl, err = buildTemplate(ent, arch, inst)
-		if err != nil {
+	inst.Signals = make(map[string]*Signal, len(ent.Ports))
+	for _, p := range ent.Ports {
+		if err := d.newSignal(inst, p.Name, p.Type, nil); err != nil {
 			return nil, err
 		}
-		d.templates[key] = tmpl
-	} else {
-		inst.Generics = tmpl.generics
+	}
+	for _, dec := range arch.Decls {
+		switch x := dec.(type) {
+		case *vhdl.SignalDecl:
+			for _, nm := range x.Names {
+				if err := d.newSignal(inst, nm, x.Type, x.Init); err != nil {
+					return nil, err
+				}
+			}
+		case *vhdl.ConstDecl:
+			v, err := inst.evalConst(x.Value)
+			if err != nil {
+				return nil, err
+			}
+			if inst.Generics == nil {
+				inst.Generics = map[string]hdl.Vector{}
+			}
+			inst.Generics[x.Name] = v // constants live with generics
+		}
 	}
 
-	inst.Signals = make(map[string]*Signal, len(tmpl.sigs))
-	for i := range tmpl.sigs {
-		sp := &tmpl.sigs[i]
-		sig := d.arena.alloc()
-		sig.Name = path + "." + sp.local
-		sig.Kind, sig.Width, sig.MSB, sig.LSB = sp.kind, sp.width, sp.msb, sp.lsb
-		sig.Val = sp.init
-		sig.Prev = sp.init.Clone()
-		inst.Signals[sp.local] = sig
-	}
-
-	for i := range tmpl.ops {
-		op := &tmpl.ops[i]
-		switch op.kind {
-		case opProcess:
-			d.processes = append(d.processes, boundProcess{scope: inst, ps: op.ps})
-		case opConc:
-			d.concAssigns = append(d.concAssigns, boundConc{scope: inst, ca: op.ca})
-		case opChild:
-			// Child entities resolve against the design's unit set.
-			if err := d.elabChild(inst, op.child); err != nil {
+	// Child entities resolve against the design's unit set.
+	for _, cs := range arch.Stmts {
+		switch x := cs.(type) {
+		case *vhdl.ProcessStmt:
+			d.processes = append(d.processes, boundProcess{scope: inst, ps: x})
+		case *vhdl.ConcAssign:
+			d.concAssigns = append(d.concAssigns, boundConc{scope: inst, ca: x})
+		case *vhdl.InstanceStmt:
+			if err := d.elabChild(inst, x); err != nil {
 				return nil, err
 			}
 		}
@@ -288,6 +329,75 @@ func (d *Design) elabChild(parent *Instance, x *vhdl.InstanceStmt) error {
 		})
 	}
 	return nil
+}
+
+// sigSpec is one signal or variable declaration's resolved type; init
+// is the elaborated initial value.
+type sigSpec struct {
+	kind  SigKind
+	width int
+	msb   int
+	lsb   int
+	init  hdl.Vector
+}
+
+// makeSigSpec resolves one declaration to a spec, evaluating range
+// bounds and initializers against the instance generics. An
+// initializer that does not evaluate leaves the type's default value.
+func (inst *Instance) makeSigSpec(name string, tr vhdl.TypeRef, init vhdl.Expr) (sigSpec, error) {
+	var sp sigSpec
+	switch tr.Name {
+	case "std_logic", "std_ulogic", "bit":
+		sp.kind, sp.width = KindLogic, 1
+	case "boolean":
+		sp.kind, sp.width = KindBool, 1
+	case "integer", "natural", "positive", "time":
+		sp.kind, sp.width = KindInt, 32
+		sp.msb, sp.lsb = 31, 0
+	case "std_logic_vector", "unsigned", "signed", "bit_vector":
+		sp.kind = KindVector
+		if !tr.HasRange {
+			return sigSpec{}, elabErrf(tr.Pos, "type %s requires a range", tr.Name)
+		}
+		lv, err := inst.evalConst(tr.Left)
+		if err != nil {
+			return sigSpec{}, err
+		}
+		rv, err := inst.evalConst(tr.Right)
+		if err != nil {
+			return sigSpec{}, err
+		}
+		l64, ok1 := lv.Int()
+		r64, ok2 := rv.Int()
+		if !ok1 || !ok2 {
+			return sigSpec{}, elabErrf(tr.Pos, "range bounds of %q are not computable", name)
+		}
+		left, right := int(l64), int(r64)
+		w := left - right
+		if w < 0 {
+			w = -w
+		}
+		w++
+		if w > 1<<16 {
+			return sigSpec{}, elabErrf(tr.Pos, "vector %q too wide (%d bits)", name, w)
+		}
+		sp.width = w
+		sp.msb, sp.lsb = left, right // MSB<LSB encodes ascending
+	default:
+		return sigSpec{}, elabErrf(tr.Pos, "unsupported type %q", tr.Name)
+	}
+	if sp.kind == KindLogic || sp.kind == KindVector {
+		sp.init = hdl.XFill(sp.width)
+	} else {
+		sp.init = hdl.NewVector(sp.width, hdl.L0)
+	}
+	if init != nil {
+		v, err := inst.evalConstCtx(init, sp.width)
+		if err == nil {
+			sp.init = v.Resize(sp.width)
+		}
+	}
+	return sp, nil
 }
 
 // evalConst evaluates an elaboration-time constant (generics only).

@@ -80,8 +80,8 @@ type Design struct {
 	contAssigns []boundAssign
 	procs       []boundProc
 
-	templates map[tmplKey]*moduleTemplate // per-(module, params) shapes; see template.go
-	arena     sigArena                    // chunked Signal storage
+	arena     sigArena // chunked Signal storage
+	instances int      // elaborated so far, bounded by maxInstances
 }
 
 // boundAssign is a continuous assignment whose sides may live in
@@ -118,7 +118,7 @@ func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) 
 	if !ok {
 		return nil, fmt.Errorf("top module %q not found", top)
 	}
-	d := &Design{modules: modules, templates: map[tmplKey]*moduleTemplate{}}
+	d := &Design{modules: modules}
 	inst, err := d.elabInstance(nil, m, top, nil, verilog.Pos{})
 	if err != nil {
 		return nil, err
@@ -127,18 +127,51 @@ func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) 
 	return d, nil
 }
 
+// maxInstances bounds the instances one design may elaborate, so a
+// module that instantiates another several times per level cannot
+// multiply into unbounded work below the depth limit.
 const maxInstances = 4096
 
-func (d *Design) countInstances(i *Instance) int {
-	n := 1
-	for _, c := range i.Children {
-		n += d.countInstances(c)
-	}
-	return n
+// sigArena hands out Signal storage in fixed-capacity chunks so an
+// elaboration performs O(signals/chunk) allocations instead of one per
+// signal. Chunks are never grown past their capacity, so handed-out
+// pointers stay stable; retiring a full chunk just drops the arena's
+// reference (the signals keep it alive through the Design).
+type sigArena struct {
+	chunk []Signal
 }
 
-// elabInstance instantiates module m as path, with parameter overrides.
+const sigArenaChunk = 256
+
+func (a *sigArena) alloc() *Signal {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]Signal, 0, sigArenaChunk)
+	}
+	a.chunk = append(a.chunk, Signal{})
+	return &a.chunk[len(a.chunk)-1]
+}
+
+// newSignal allocates local as a signal of inst, X-filled, and appends
+// it to d.All (the order the VCD writer numbers identifiers in).
+func (d *Design) newSignal(inst *Instance, local string, width, msb, lsb int, kind verilog.NetKind, signed bool) *Signal {
+	sig := d.arena.alloc()
+	sig.Name = inst.Path + "." + local
+	sig.Local = local
+	sig.Width, sig.MSB, sig.LSB = width, msb, lsb
+	sig.Kind, sig.Signed = kind, signed
+	sig.Val = hdl.XFill(width)
+	inst.Signals[local] = sig
+	d.All = append(d.All, sig)
+	return sig
+}
+
+// elabInstance instantiates module m as path, with parameter overrides:
+// parameters, then signals (ports, then net declarations), then
+// continuous assignments, processes and children in item order.
 func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, paramOverrides map[string]hdl.Vector, pos verilog.Pos) (*Instance, error) {
+	if d.instances++; d.instances > maxInstances {
+		return nil, elabErrf(pos, "design exceeds %d instances", maxInstances)
+	}
 	if parent != nil {
 		depth := 0
 		for p := parent; p != nil; p = p.Parent {
@@ -154,10 +187,9 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 		Parent: parent,
 	}
 
-	// Pass 1: parameters (in declaration order, allowing dependencies).
-	// This runs live because the resolved valuation is part of the
-	// template key. The map is built lazily — most modules have no
-	// parameters, and nil lookups behave like an empty valuation.
+	// Parameters, in declaration order (later ones may use earlier
+	// ones). The map is built lazily — most modules have no parameters,
+	// and nil lookups behave like an empty valuation.
 	for _, it := range m.Items {
 		pd, ok := it.(*verilog.ParamDecl)
 		if !ok {
@@ -180,55 +212,104 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 		inst.Params[pd.Name] = v
 	}
 
-	// Passes 2–4 are resolved once per (module, parameter valuation):
-	// the template holds the signal layout and an ordered op list (see
-	// template.go) that every same-key instance replays.
-	key := tmplKey{mod: m, params: fingerprintParams(m, inst.Params)}
-	tmpl := d.templates[key]
-	if tmpl == nil {
-		var err error
-		tmpl, err = buildTemplate(m, inst)
-		if err != nil {
-			return nil, err
-		}
-		d.templates[key] = tmpl
-	}
-
-	inst.Signals = make(map[string]*Signal, len(tmpl.sigs))
-	for i := range tmpl.sigs {
-		sp := &tmpl.sigs[i]
-		sig := d.arena.alloc()
-		sig.Name = path + "." + sp.local
-		sig.Local = sp.local
-		sig.Width, sig.MSB, sig.LSB = sp.width, sp.msb, sp.lsb
-		sig.Kind, sig.Signed = sp.kind, sp.signed
-		sig.Val = sp.init
-		if sp.isMem {
-			sig.IsMem, sig.MemLo, sig.MemHi = true, sp.memLo, sp.memHi
-			sig.Mem = map[int]hdl.Vector{}
-		}
-		inst.Signals[sp.local] = sig
-		d.All = append(d.All, sig)
-	}
-
-	for i := range tmpl.ops {
-		op := &tmpl.ops[i]
-		switch op.kind {
-		case opAssign:
-			d.contAssigns = append(d.contAssigns, boundAssign{lhsScope: inst, rhsScope: inst, lhs: op.lhs, rhs: op.rhs})
-		case opAlways:
-			d.procs = append(d.procs, boundProc{scope: inst, always: op.always})
-		case opInitial:
-			d.procs = append(d.procs, boundProc{scope: inst, initial: op.initial})
-		case opChild:
-			// Child modules resolve against the design's module set.
-			if err := d.elabChild(inst, op.child); err != nil {
+	// Ports become signals.
+	inst.Signals = make(map[string]*Signal, len(m.Ports))
+	for _, p := range m.Ports {
+		w, msb, lsb := 1, 0, 0
+		if p.Range != nil {
+			var err error
+			w, msb, lsb, err = inst.evalRange(p.Range)
+			if err != nil {
 				return nil, err
 			}
 		}
+		kind := verilog.KindWire
+		if p.IsReg {
+			kind = verilog.KindReg
+		}
+		d.newSignal(inst, p.Name, w, msb, lsb, kind, p.Signed)
 	}
-	if d.Top == nil && d.countInstances(inst) > maxInstances {
-		return nil, elabErrf(m.Pos, "design exceeds %d instances", maxInstances)
+
+	// Net declarations. Non-constant initializers become continuous
+	// assignments here, ahead of the module's own.
+	for _, it := range m.Items {
+		nd, ok := it.(*verilog.NetDecl)
+		if !ok {
+			continue
+		}
+		w, msb, lsb := 1, 0, 0
+		if nd.Kind == verilog.KindInteger {
+			w, msb, lsb = 32, 31, 0
+		}
+		if nd.Range != nil {
+			var err error
+			w, msb, lsb, err = inst.evalRange(nd.Range)
+			if err != nil {
+				return nil, err
+			}
+		}
+		for _, n := range nd.Names {
+			if sig, dup := inst.Signals[n.Name]; dup {
+				// Non-ANSI port + body decl merge: adopt kind and range.
+				sig.Kind = nd.Kind
+				if nd.Range != nil {
+					sig.Width, sig.MSB, sig.LSB = w, msb, lsb
+					sig.Val = hdl.XFill(w)
+				}
+				continue
+			}
+			var lo, hi int
+			if n.Array != nil {
+				loV, err1 := inst.evalConst(n.Array.MSB)
+				hiV, err2 := inst.evalConst(n.Array.LSB)
+				if err1 != nil {
+					return nil, err1
+				}
+				if err2 != nil {
+					return nil, err2
+				}
+				lo64, _ := loV.Uint()
+				hi64, _ := hiV.Uint()
+				lo, hi = int(lo64), int(hi64)
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				if hi-lo > 1<<20 {
+					return nil, elabErrf(n.Pos, "memory %q too large (%d words)", n.Name, hi-lo+1)
+				}
+			}
+			sig := d.newSignal(inst, n.Name, w, msb, lsb, nd.Kind, nd.Signed || nd.Kind == verilog.KindInteger)
+			if n.Array != nil {
+				sig.IsMem, sig.MemLo, sig.MemHi = true, lo, hi
+				sig.Mem = map[int]hdl.Vector{}
+			} else if n.Init != nil {
+				if v, err := inst.evalConst(n.Init); err == nil {
+					sig.Val = v.Resize(w)
+				} else {
+					d.contAssigns = append(d.contAssigns, boundAssign{
+						lhsScope: inst, rhsScope: inst,
+						lhs: &verilog.Ident{Name: n.Name, Pos: n.Pos}, rhs: n.Init,
+					})
+				}
+			}
+		}
+	}
+
+	// Behavioural items and children, in item order. Child modules
+	// resolve against the design's module set.
+	for _, it := range m.Items {
+		switch x := it.(type) {
+		case *verilog.ContAssign:
+			d.contAssigns = append(d.contAssigns, boundAssign{lhsScope: inst, rhsScope: inst, lhs: x.LHS, rhs: x.RHS})
+		case *verilog.AlwaysBlock:
+			d.procs = append(d.procs, boundProc{scope: inst, always: x})
+		case *verilog.InitialBlock:
+			d.procs = append(d.procs, boundProc{scope: inst, initial: x})
+		case *verilog.Instance:
+			if err := d.elabChild(inst, x); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return inst, nil
 }

@@ -6,9 +6,9 @@ import (
 	"repro/internal/verilog"
 )
 
-// Template replay must be invisible in results: a module instantiated
-// several times from one template, and a design sharing AST pointers
-// with another, both produce the output a fresh elaboration would.
+// Elaboration must be invisible in results: a module instantiated
+// several times, and a design sharing AST pointers with another, both
+// produce the output a fresh elaboration would.
 
 func mustSimDesign(t testing.TB, d *Design) *Result {
 	t.Helper()
@@ -106,10 +106,11 @@ endmodule`
 	}
 }
 
-// TestSharedTemplateInstances instantiates one module twice under equal
-// parameters and once under different ones. The equal pair shares one
-// template, yet each instance must keep its own state (u1 leaves reset
-// later than u0); the third gets its own template.
+// TestSharedTemplateInstances: multi-instance elaboration keeps
+// per-instance state. One module is instantiated twice under equal
+// parameters and once under different ones; the equal pair must still
+// end in different states (u1 leaves reset later than u0), and the
+// third must differ by its STEP.
 func TestSharedTemplateInstances(t *testing.T) {
 	const src = `
 module acc #(parameter W = 4, parameter STEP = 1)
@@ -144,17 +145,8 @@ endmodule`
 	if u := d.Top.Children; len(u) != 3 {
 		t.Fatalf("got %d instances, want 3", len(u))
 	}
-	accTemplates := 0
-	for key := range d.templates {
-		if key.mod.Name == "acc" {
-			accTemplates++
-		}
-	}
-	if accTemplates != 2 {
-		t.Errorf("three acc instances under two parameter valuations built %d templates, want 2", accTemplates)
-	}
 	if a, b := res.Final["tb.u0.q"], res.Final["tb.u1.q"]; a == b {
-		t.Errorf("u0 and u1 ended in the same state %q; instance state leaked through the shared template", a)
+		t.Errorf("u0 and u1 ended in the same state %q; instance state leaked between instances", a)
 	}
 	if a, c := res.Final["tb.u0.q"], res.Final["tb.u2.q"]; a == c {
 		t.Errorf("u0 and u2 ended in the same state %q despite different STEP", a)
