@@ -246,7 +246,8 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		}
 	}
 
-	// Child entities resolve against the design's unit set.
+	// Statements in order; child entities resolve against the design's
+	// unit set.
 	for _, cs := range arch.Stmts {
 		switch x := cs.(type) {
 		case *vhdl.ProcessStmt:
