@@ -214,7 +214,7 @@ func BenchmarkSimulatorVerilog(b *testing.B) {
 	prob := suite.ByID("counter_up_w8")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		edatool.New(edatool.Options{}).Simulate(edatool.Verilog, bench.TBName, 200_000,
+		edatool.Simulate(nil, edatool.Verilog, bench.TBName, 200_000,
 			edatool.Source{Name: "d.v", Text: prob.GoldenVerilog},
 			edatool.Source{Name: "tb.v", Text: prob.RefTBVerilog})
 	}
@@ -226,7 +226,7 @@ func BenchmarkSimulatorVHDL(b *testing.B) {
 	prob := suite.ByID("counter_up_w8")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		edatool.New(edatool.Options{}).Simulate(edatool.VHDL, bench.TBName, 200_000,
+		edatool.Simulate(nil, edatool.VHDL, bench.TBName, 200_000,
 			edatool.Source{Name: "d.vhd", Text: prob.GoldenVHDL},
 			edatool.Source{Name: "tb.vhd", Text: prob.RefTBVHDL})
 	}
@@ -238,7 +238,7 @@ func BenchmarkCompilerVerilog(b *testing.B) {
 	prob := suite.ByID("alu8op_w8")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "d.v", Text: prob.GoldenVerilog})
+		edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "d.v", Text: prob.GoldenVerilog})
 	}
 }
 
@@ -248,7 +248,7 @@ func BenchmarkCompilerVHDL(b *testing.B) {
 	prob := suite.ByID("alu8op_w8")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		edatool.New(edatool.Options{}).Compile(edatool.VHDL, edatool.Source{Name: "d.vhd", Text: prob.GoldenVHDL})
+		edatool.Compile(nil, edatool.VHDL, edatool.Source{Name: "d.vhd", Text: prob.GoldenVHDL})
 	}
 }
 

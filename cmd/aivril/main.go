@@ -41,6 +41,10 @@ func main() {
 		resume = flag.Bool("resume", true, "resume from an existing checkpoint in -checkpoint-dir")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "aivril: unexpected argument %q (flags take no positional arguments)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	suite := bench.NewSuite()
 	if *list {

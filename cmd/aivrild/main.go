@@ -44,6 +44,10 @@ func main() {
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for in-flight jobs on shutdown")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "aivrild: unexpected argument %q (flags take no positional arguments)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "aivrild: -cache-dir is required (checkpoints and job state must land somewhere durable)")

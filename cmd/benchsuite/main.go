@@ -70,6 +70,10 @@ func main() {
 		flakySeed = flag.Int64("flaky-seed", 1, "flaky provider: fault RNG seed")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "benchsuite: unexpected argument %q (flags take no positional arguments)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if !slices.Contains(provider.DefaultRegistry.Names(), *providerName) {
 		fmt.Fprintf(os.Stderr, "benchsuite: unknown provider %q (have: %s)\n",
 			*providerName, strings.Join(provider.DefaultRegistry.Names(), ", "))

@@ -58,10 +58,8 @@ func main() {
 		sources = append(sources, edatool.Source{Name: f, Text: string(text)})
 	}
 
-	tc := edatool.New(edatool.Options{})
-
 	if *compileOnly {
-		comp := tc.Compile(lang, sources...)
+		comp := edatool.Compile(nil, lang, sources...)
 		fmt.Print(comp.Log)
 		if !comp.OK {
 			os.Exit(1)
@@ -69,7 +67,7 @@ func main() {
 		return
 	}
 
-	res := tc.Simulate(lang, *top, *maxTime, sources...)
+	res := edatool.Simulate(nil, lang, *top, *maxTime, sources...)
 	fmt.Print(res.Log)
 	if *vcdPath != "" && res.VCD != "" {
 		if err := os.WriteFile(*vcdPath, []byte(res.VCD), 0o644); err != nil {

@@ -41,7 +41,7 @@ func main() {
 	fmt.Println(indent(firstLines(res.Testbench, 12)))
 
 	// Demonstrate the log artefacts the agents consume.
-	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog,
+	comp := edatool.Compile(nil, edatool.Verilog,
 		edatool.Source{Name: "design.v", Text: res.FinalRTL})
 	fmt.Println("\nFinal compiler log (Review Agent input):")
 	fmt.Println(indent(comp.Log))

@@ -71,7 +71,7 @@ begin
   end process;
 end architecture;
 `
-	sim := edatool.New(edatool.Options{}).Simulate(edatool.VHDL, "tb", 10_000,
+	sim := edatool.Simulate(nil, edatool.VHDL, "tb", 10_000,
 		edatool.Source{Name: "blinker.vhd", Text: design},
 		edatool.Source{Name: "tb.vhd", Text: tb},
 	)

@@ -15,7 +15,7 @@ func TestParseCompileLogExtractsErrors(t *testing.T) {
 	src := `module m(input a, output y);
   assign y = a & ghost;
 endmodule`
-	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "design.v", Text: src})
+	comp := edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "design.v", Text: src})
 	if comp.OK {
 		t.Fatal("fixture should not compile")
 	}
@@ -43,7 +43,7 @@ endmodule`
 }
 
 func TestParseCompileLogCleanIsEmpty(t *testing.T) {
-	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog,
+	comp := edatool.Compile(nil, edatool.Verilog,
 		edatool.Source{Name: "d.v", Text: "module m(input a, output y); assign y = a; endmodule"})
 	var review ReviewAgent
 	fb := review.ParseCompileLog(comp.Log)
@@ -60,7 +60,7 @@ func TestParseCompileLogMultipleErrors(t *testing.T) {
   assign y = a & ghost;
   wire w
 endmodule`
-	comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "design.v", Text: src})
+	comp := edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "design.v", Text: src})
 	var review ReviewAgent
 	fb := review.ParseCompileLog(comp.Log)
 	if len(fb.Items) < 2 {

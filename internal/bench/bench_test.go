@@ -68,7 +68,7 @@ func TestGoldenVerilogSelfConsistent(t *testing.T) {
 	for _, p := range s.Problems {
 		p := p
 		t.Run(p.ID, func(t *testing.T) {
-			res := edatool.New(edatool.Options{}).Simulate(edatool.Verilog, TBName, 0,
+			res := edatool.Simulate(nil, edatool.Verilog, TBName, 0,
 				edatool.Source{Name: "design.v", Text: p.GoldenVerilog},
 				edatool.Source{Name: "tb.v", Text: p.RefTBVerilog},
 			)
@@ -86,7 +86,7 @@ func TestGoldenVHDLSelfConsistent(t *testing.T) {
 	for _, p := range s.Problems {
 		p := p
 		t.Run(p.ID, func(t *testing.T) {
-			res := edatool.New(edatool.Options{}).Simulate(edatool.VHDL, TBName, 0,
+			res := edatool.Simulate(nil, edatool.VHDL, TBName, 0,
 				edatool.Source{Name: "design.vhd", Text: p.GoldenVHDL},
 				edatool.Source{Name: "tb.vhd", Text: p.RefTBVHDL},
 			)

@@ -135,7 +135,6 @@ func (r *Result) Verdict() string {
 // Pipeline executes the AIVRIL 2 flow.
 type Pipeline struct {
 	cfg    Config
-	tc     *edatool.Toolchain
 	review agents.ReviewAgent
 	verify agents.VerificationAgent
 }
@@ -160,7 +159,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.DesignCache == nil {
 		cfg.DesignCache = edatool.NewDesignCache()
 	}
-	return &Pipeline{cfg: cfg, tc: edatool.New(edatool.Options{Cache: cfg.DesignCache})}
+	return &Pipeline{cfg: cfg}
 }
 
 func (p *Pipeline) trace(stage, format string, args ...any) {
@@ -248,7 +247,7 @@ func EvaluateFunctionalWith(cache *edatool.DesignCache, lang edatool.Language, p
 	if lang == edatool.VHDL {
 		refTB = prob.RefTBVHDL
 	}
-	res := edatool.New(edatool.Options{Cache: cache}).Simulate(lang, bench.TBName, maxSimTime,
+	res := edatool.Simulate(cache, lang, bench.TBName, maxSimTime,
 		edatool.Source{Name: designFile(lang), Text: rtl},
 		edatool.Source{Name: tbFile(lang), Text: refTB},
 	)
@@ -266,5 +265,5 @@ func EvaluateSyntaxWith(cache *edatool.DesignCache, lang edatool.Language, rtl s
 	if strings.TrimSpace(rtl) == "" {
 		return false
 	}
-	return edatool.New(edatool.Options{Cache: cache}).Compile(lang, edatool.Source{Name: designFile(lang), Text: rtl}).OK
+	return edatool.Compile(cache, lang, edatool.Source{Name: designFile(lang), Text: rtl}).OK
 }

@@ -213,7 +213,7 @@ func (m *Machine) stepTestbenchSyntax(ctx context.Context) error {
 	cfg := m.p.cfg
 	lang := cfg.Language
 	if m.tbIter < cfg.MaxSyntaxIters {
-		comp := m.p.tc.Compile(lang, stubDUT(m.prob, lang), edatool.Source{Name: tbFile(lang), Text: m.tb})
+		comp := edatool.Compile(cfg.DesignCache, lang, stubDUT(m.prob, lang), edatool.Source{Name: tbFile(lang), Text: m.tb})
 		m.res.Latency.Syntax += compileLatency(stubDUT(m.prob, lang), edatool.Source{Text: m.tb})
 		if !comp.OK {
 			fb := m.p.review.ParseCompileLog(comp.Log)
@@ -270,7 +270,7 @@ func (m *Machine) stepSyntaxLoop(ctx context.Context) error {
 		latAcc = &m.res.Latency.Func
 	}
 	src := edatool.Source{Name: designFile(cfg.Language), Text: m.rtl}
-	comp := m.p.tc.Compile(cfg.Language, src)
+	comp := edatool.Compile(cfg.DesignCache, cfg.Language, src)
 	*latAcc += compileLatency(src)
 	if comp.OK {
 		return m.finishSyntaxLoop(true)
@@ -344,7 +344,7 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 		m.state = StateVerdict
 		return nil
 	}
-	sim := m.p.tc.Simulate(lang, bench.TBName, cfg.MaxSimTime,
+	sim := edatool.Simulate(cfg.DesignCache, lang, bench.TBName, cfg.MaxSimTime,
 		edatool.Source{Name: designFile(lang), Text: m.rtl},
 		edatool.Source{Name: tbFile(lang), Text: m.res.Testbench},
 	)

@@ -65,15 +65,14 @@ func sameResult(t *testing.T, label string, want, got *SimResult) {
 func TestSimResultMemo(t *testing.T) {
 	suite := bench.NewSuite()
 	cache := NewDesignCache()
-	tc := New(Options{Cache: cache})
 	for _, p := range suite.Problems {
 		for _, lang := range []Language{Verilog, VHDL} {
 			srcs := problemSources(p, lang)
-			cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			cold := Simulate(nil, lang, bench.TBName, diffMaxTime, srcs...)
 			before := cache.Stats()
-			miss := tc.Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			miss := Simulate(cache, lang, bench.TBName, diffMaxTime, srcs...)
 			afterMiss := cache.Stats().Sub(before)
-			hit := tc.Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			hit := Simulate(cache, lang, bench.TBName, diffMaxTime, srcs...)
 			afterHit := cache.Stats().Sub(before)
 			label := p.ID + "/" + lang.String()
 			sameResult(t, label+" miss", cold, miss)
@@ -90,12 +89,12 @@ func TestSimResultMemo(t *testing.T) {
 	// limit and passes under the default one.
 	srcs := problemSources(suite.ByID("counter_up_w4"), Verilog)
 	const short = 20
-	coldShort := New(Options{}).Simulate(Verilog, bench.TBName, short, srcs...)
+	coldShort := Simulate(nil, Verilog, bench.TBName, short, srcs...)
 	if !coldShort.TimedOut {
 		t.Fatalf("counter_up_w4 did not time out at max time %d", short)
 	}
 	before := cache.Stats()
-	warmShort := tc.Simulate(Verilog, bench.TBName, short, srcs...)
+	warmShort := Simulate(cache, Verilog, bench.TBName, short, srcs...)
 	if d := cache.Stats().Sub(before); d.DesignHits != 0 || d.DesignMisses != 1 {
 		t.Errorf("a different max time did not miss: %+v", d)
 	}
@@ -114,11 +113,10 @@ func TestBackendModeKeysResults(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", p.ID, lang), func(t *testing.T) {
 				srcs := problemSources(p, lang)
 				cache := NewDesignCache()
-				tc := New(Options{Cache: cache})
 				for _, maxTime := range []uint64{diffMaxTime, short, diffMaxTime} {
-					cold := New(Options{}).Simulate(lang, bench.TBName, maxTime, srcs...)
+					cold := Simulate(nil, lang, bench.TBName, maxTime, srcs...)
 					sameResult(t, fmt.Sprintf("max time %d", maxTime), cold,
-						tc.Simulate(lang, bench.TBName, maxTime, srcs...))
+						Simulate(cache, lang, bench.TBName, maxTime, srcs...))
 				}
 				if st := cache.Stats(); st.DesignHits != 1 || st.DesignMisses != 2 {
 					t.Errorf("stats = %+v, want 1 hit / 2 misses", st)
@@ -135,11 +133,10 @@ func TestBackendModeKeysResults(t *testing.T) {
 // every result, stored or served, equals its cold run.
 func TestSimResultMemoBounds(t *testing.T) {
 	cache := NewDesignCache()
-	tc := New(Options{Cache: cache})
 	check := func(label string, src Source) *SimResult {
-		cold := New(Options{}).Simulate(Verilog, bench.TBName, 0, src)
+		cold := Simulate(nil, Verilog, bench.TBName, 0, src)
 		for _, run := range []string{"miss", "hit"} {
-			sameResult(t, label+" "+run, cold, tc.Simulate(Verilog, bench.TBName, 0, src))
+			sameResult(t, label+" "+run, cold, Simulate(cache, Verilog, bench.TBName, 0, src))
 		}
 		cache.mu.Lock()
 		defer cache.mu.Unlock()
@@ -216,10 +213,10 @@ func TestCacheStatsSub(t *testing.T) {
 // run is served equals the cold one.
 func TestCompileErrorPathUncached(t *testing.T) {
 	bad := []Source{{Name: "dut.v", Text: "module broken(input a; endmodule"}}
-	cold := New(Options{}).Simulate(Verilog, "tb", 1000, bad...)
+	cold := Simulate(nil, Verilog, "tb", 1000, bad...)
 	cache := NewDesignCache()
 	for i := 0; i < 2; i++ {
-		warm := New(Options{Cache: cache}).Simulate(Verilog, "tb", 1000, bad...)
+		warm := Simulate(cache, Verilog, "tb", 1000, bad...)
 		if warm.Log != cold.Log || warm.Failed != cold.Failed {
 			t.Errorf("run %d: cached compile-error result differs from cold", i)
 		}
@@ -249,7 +246,7 @@ func BenchmarkPipelineSimCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := New(Options{}).Simulate(Verilog, bench.TBName, 200_000, srcs...)
+		res := Simulate(nil, Verilog, bench.TBName, 200_000, srcs...)
 		if !res.Passed {
 			b.Fatalf("run failed:\n%s", res.Log)
 		}
@@ -259,14 +256,13 @@ func BenchmarkPipelineSimCold(b *testing.B) {
 func BenchmarkPipelineSimWarm(b *testing.B) {
 	srcs := benchProblem(b)
 	cache := NewDesignCache()
-	tc := New(Options{Cache: cache})
-	if res := tc.Simulate(Verilog, bench.TBName, 200_000, srcs...); !res.Passed {
+	if res := Simulate(cache, Verilog, bench.TBName, 200_000, srcs...); !res.Passed {
 		b.Fatalf("prime run failed:\n%s", res.Log)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := tc.Simulate(Verilog, bench.TBName, 200_000, srcs...)
+		res := Simulate(cache, Verilog, bench.TBName, 200_000, srcs...)
 		if !res.Passed {
 			b.Fatalf("run failed:\n%s", res.Log)
 		}
@@ -276,8 +272,7 @@ func BenchmarkPipelineSimWarm(b *testing.B) {
 func BenchmarkPipelineRepairIteration(b *testing.B) {
 	srcs := benchProblem(b)
 	cache := NewDesignCache()
-	tc := New(Options{Cache: cache})
-	if res := tc.Simulate(Verilog, bench.TBName, 200_000, srcs...); !res.Passed {
+	if res := Simulate(cache, Verilog, bench.TBName, 200_000, srcs...); !res.Passed {
 		b.Fatalf("prime run failed:\n%s", res.Log)
 	}
 	b.ReportAllocs()
@@ -287,7 +282,7 @@ func BenchmarkPipelineRepairIteration(b *testing.B) {
 			{Name: srcs[0].Name, Text: fmt.Sprintf("// iteration %d\n", i) + srcs[0].Text},
 			srcs[1],
 		}
-		res := tc.Simulate(Verilog, bench.TBName, 200_000, iter...)
+		res := Simulate(cache, Verilog, bench.TBName, 200_000, iter...)
 		if !res.Passed {
 			b.Fatalf("run failed:\n%s", res.Log)
 		}

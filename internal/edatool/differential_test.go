@@ -90,15 +90,14 @@ func TestWarmSimulationByteIdentical(t *testing.T) {
 	for _, p := range sampleProblems(13) {
 		for _, lang := range []Language{Verilog, VHDL} {
 			srcs := problemSources(p, lang)
-			cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, srcs...)
+			cold := Simulate(nil, lang, bench.TBName, diffMaxTime, srcs...)
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.ID, lang, workers), func(t *testing.T) {
 					cache := NewDesignCache()
-					tc := New(Options{Cache: cache})
 					runs := concurrently(workers, func(int) []*SimResult {
 						var warm []*SimResult
 						for i := 0; i < 3; i++ {
-							warm = append(warm, tc.Simulate(lang, bench.TBName, diffMaxTime, srcs...))
+							warm = append(warm, Simulate(cache, lang, bench.TBName, diffMaxTime, srcs...))
 						}
 						return warm
 					})
@@ -141,8 +140,8 @@ func TestRepairLoopIncrementalByteIdentical(t *testing.T) {
 						{Name: srcs[0].Name, Text: fmt.Sprintf(comment, i) + srcs[0].Text},
 						srcs[1],
 					}
-					cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, iter...)
-					warm := New(Options{Cache: cache}).Simulate(lang, bench.TBName, diffMaxTime, iter...)
+					cold := Simulate(nil, lang, bench.TBName, diffMaxTime, iter...)
+					warm := Simulate(cache, lang, bench.TBName, diffMaxTime, iter...)
 					compareSimResults(t, fmt.Sprintf("iteration %d", i), cold, warm)
 				}
 				st := cache.Stats()
@@ -179,12 +178,11 @@ func TestBackendDifferentialByteIdentical(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.ID, lang, workers), func(t *testing.T) {
 					cache := NewDesignCache()
-					tc := New(Options{Cache: cache})
 					runs := concurrently(workers, func(w int) *SimResult {
-						return tc.Simulate(lang, bench.TBName, diffMaxTime, variant(w)...)
+						return Simulate(cache, lang, bench.TBName, diffMaxTime, variant(w)...)
 					})
 					for w, r := range runs {
-						cold := New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, variant(w)...)
+						cold := Simulate(nil, lang, bench.TBName, diffMaxTime, variant(w)...)
 						compareSimResults(t, fmt.Sprintf("worker %d", w), cold, r)
 					}
 					if st := cache.Stats(); st.DesignHits != 0 || st.DesignMisses != workers ||
@@ -212,7 +210,7 @@ func TestSharedCacheConcurrentIdentical(t *testing.T) {
 	for _, p := range probs {
 		for _, lang := range []Language{Verilog, VHDL} {
 			cells = append(cells, cell{p, lang})
-			colds[p.ID+lang.String()] = New(Options{}).Simulate(lang, bench.TBName, diffMaxTime, problemSources(p, lang)...)
+			colds[p.ID+lang.String()] = Simulate(nil, lang, bench.TBName, diffMaxTime, problemSources(p, lang)...)
 		}
 	}
 	cache := NewDesignCache()
@@ -222,7 +220,7 @@ func TestSharedCacheConcurrentIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(c cell) {
 				defer wg.Done()
-				warm := New(Options{Cache: cache}).Simulate(c.lang, bench.TBName, diffMaxTime, problemSources(c.p, c.lang)...)
+				warm := Simulate(cache, c.lang, bench.TBName, diffMaxTime, problemSources(c.p, c.lang)...)
 				cold := colds[c.p.ID+c.lang.String()]
 				// Errorf is goroutine-safe; compare inline to keep the
 				// failure attributed to its cell.
@@ -253,7 +251,7 @@ func TestRepairLoopElabAllocRatio(t *testing.T) {
 		return Source{Name: srcs[0].Name, Text: fmt.Sprintf("// iteration %d\n", iter) + srcs[0].Text}
 	}
 	elaborate := func(cache *DesignCache, dut Source) {
-		comp := New(Options{Cache: cache}).Compile(Verilog, dut, srcs[1])
+		comp := Compile(cache, Verilog, dut, srcs[1])
 		if !comp.OK {
 			t.Fatalf("compile failed:\n%s", comp.Log)
 		}

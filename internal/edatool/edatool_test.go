@@ -14,7 +14,7 @@ const badVerilog = `module top(input a, output y);
 endmodule`
 
 func TestCompileCleanVerilog(t *testing.T) {
-	res := New(Options{}).Compile(Verilog, Source{Name: "d.v", Text: goodVerilog})
+	res := Compile(nil, Verilog, Source{Name: "d.v", Text: goodVerilog})
 	if !res.OK {
 		t.Fatalf("log:\n%s", res.Log)
 	}
@@ -28,7 +28,7 @@ func TestCompileCleanVerilog(t *testing.T) {
 }
 
 func TestCompileBadVerilogLogFormat(t *testing.T) {
-	res := New(Options{}).Compile(Verilog, Source{Name: "design.v", Text: badVerilog})
+	res := Compile(nil, Verilog, Source{Name: "design.v", Text: badVerilog})
 	if res.OK {
 		t.Fatal("should fail")
 	}
@@ -53,14 +53,14 @@ func TestCompileMultiFileOrdering(t *testing.T) {
   top u0(.a(a), .y(y));
   initial begin a = 0; #1; $finish; end
 endmodule`}
-	res := New(Options{}).Compile(Verilog, dut, tb)
+	res := Compile(nil, Verilog, dut, tb)
 	if !res.OK {
 		t.Fatalf("TB should see DUT module:\n%s", res.Log)
 	}
 }
 
 func TestCompileVHDL(t *testing.T) {
-	res := New(Options{}).Compile(VHDL, Source{Name: "d.vhd", Text: `
+	res := Compile(nil, VHDL, Source{Name: "d.vhd", Text: `
 entity inv is port (a : in std_logic; y : out std_logic); end entity;
 architecture rtl of inv is begin y <= not a; end architecture;`})
 	if !res.OK {
@@ -82,7 +82,7 @@ func TestSimulatePassAndJudge(t *testing.T) {
     $finish;
   end
 endmodule`}
-	res := New(Options{}).Simulate(Verilog, "tb", 0, Source{Name: "d.v", Text: goodVerilog}, tb)
+	res := Simulate(nil, Verilog, "tb", 0, Source{Name: "d.v", Text: goodVerilog}, tb)
 	if !res.Passed {
 		t.Errorf("log:\n%s", res.Log)
 	}
@@ -105,7 +105,7 @@ endmodule`}
     $finish;
   end
 endmodule`}
-	res := New(Options{}).Simulate(Verilog, "tb", 0, buggy, tb)
+	res := Simulate(nil, Verilog, "tb", 0, buggy, tb)
 	if res.Passed {
 		t.Errorf("buggy design judged passed:\n%s", res.Log)
 	}
@@ -115,7 +115,7 @@ endmodule`}
 }
 
 func TestSimulateCompileErrorShortCircuits(t *testing.T) {
-	res := New(Options{}).Simulate(Verilog, "tb", 0, Source{Name: "d.v", Text: badVerilog})
+	res := Simulate(nil, Verilog, "tb", 0, Source{Name: "d.v", Text: badVerilog})
 	if res.Passed || !res.Failed {
 		t.Error("compile failure must fail the simulation result")
 	}
@@ -143,7 +143,7 @@ begin
     wait;
   end process;
 end architecture;`}
-	res := New(Options{}).Simulate(VHDL, "tb", 0, design, tb)
+	res := Simulate(nil, VHDL, "tb", 0, design, tb)
 	// The assert fires (y='1'), so even though the pass marker prints,
 	// the run must be judged failed.
 	if res.Passed {

@@ -3,6 +3,7 @@ package edatool
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,7 +42,7 @@ func TestQuickCompileNeverPanicsVerilog(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := suite.Problems[int(pick)%len(suite.Problems)]
 		src := corrupt(rng, p.GoldenVerilog, 1+int(edits%16))
-		res := New(Options{}).Compile(Verilog, Source{Name: "d.v", Text: src})
+		res := Compile(nil, Verilog, Source{Name: "d.v", Text: src})
 		return res.Log != "" // always produces a log
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -56,7 +57,7 @@ func TestQuickCompileNeverPanicsVHDL(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := suite.Problems[int(pick)%len(suite.Problems)]
 		src := corrupt(rng, p.GoldenVHDL, 1+int(edits%16))
-		res := New(Options{}).Compile(VHDL, Source{Name: "d.vhd", Text: src})
+		res := Compile(nil, VHDL, Source{Name: "d.vhd", Text: src})
 		return res.Log != ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -79,7 +80,7 @@ func TestQuickSimulateNeverPanics(t *testing.T) {
 			srcs := problemSources(p, lang)
 			// Light corruption: likelier to compile and reach simulation.
 			srcs[0].Text = corrupt(rng, srcs[0].Text, 1+rng.Intn(3))
-			res := New(Options{}).Simulate(lang, bench.TBName, 50_000, srcs...)
+			res := Simulate(nil, lang, bench.TBName, 50_000, srcs...)
 			return res.Log != ""
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -91,15 +92,19 @@ func TestQuickSimulateNeverPanics(t *testing.T) {
 // fanOutSource is a chain of levels+1 modules (VHDL: entities) in which
 // each level instantiates the one below twice, topped by a testbench
 // that does the same: 2^(levels+2)-1 instances, far past the instance
-// bound, at a depth well inside the depth limit.
+// bound, at a depth well inside the depth limit. Every instantiation
+// statement has a line of its own.
 func fanOutSource(lang Language, levels int) Source {
 	var sb strings.Builder
 	if lang == Verilog {
 		sb.WriteString("module m0; endmodule\n")
-		for i := 1; i <= levels; i++ {
-			fmt.Fprintf(&sb, "module m%d; m%d a(); m%d b(); endmodule\n", i, i-1, i-1)
+		for i := 1; i <= levels+1; i++ {
+			name := fmt.Sprintf("m%d", i)
+			if i == levels+1 {
+				name = bench.TBName
+			}
+			fmt.Fprintf(&sb, "module %s;\n  m%d a();\n  m%d b();\nendmodule\n", name, i-1, i-1)
 		}
-		fmt.Fprintf(&sb, "module %s; m%d a(); m%d b(); endmodule\n", bench.TBName, levels, levels)
 		return Source{Name: "fanout.v", Text: sb.String()}
 	}
 	sb.WriteString("entity e0 is end entity;\narchitecture a of e0 is begin end architecture;\n")
@@ -115,17 +120,34 @@ func fanOutSource(lang Language, levels int) Source {
 
 // TestElabFanOutBounded: a design whose instance count doubles per
 // level fails elaboration with a classified diagnostic in both HDLs,
-// instead of elaborating 2^18 instances.
+// instead of elaborating 2^18 instances, and the diagnostic points at
+// the instantiation statement that crossed the bound, not at the
+// declaration of the unit it instantiates.
 func TestElabFanOutBounded(t *testing.T) {
+	const prefix = "ERROR: [XSIM 43-3225] elaboration failed: "
+	instLine := map[Language]*regexp.Regexp{
+		Verilog: regexp.MustCompile(`^  m\d+ [ab]\(\);$`),
+		VHDL:    regexp.MustCompile(`^  [ab]: entity work\.e\d+;$`),
+	}
 	for _, lang := range []Language{Verilog, VHDL} {
 		src := fanOutSource(lang, 16)
-		if comp := New(Options{}).Compile(lang, src); !comp.OK {
+		if comp := Compile(nil, lang, src); !comp.OK {
 			t.Fatalf("%s: fan-out design does not compile:\n%s", lang, comp.Log)
 		}
-		res := New(Options{}).Simulate(lang, bench.TBName, 1000, src)
-		if !strings.HasPrefix(res.Log, "ERROR: [XSIM 43-3225] elaboration failed: ") ||
+		res := Simulate(nil, lang, bench.TBName, 1000, src)
+		if !strings.HasPrefix(res.Log, prefix) ||
 			!strings.Contains(res.Log, "design exceeds 4096 instances") || !res.Failed {
 			t.Errorf("%s: want a failed elaboration over the instance bound, got failed=%v log:\n%s", lang, res.Failed, res.Log)
+			continue
+		}
+		var line, col int
+		if _, err := fmt.Sscanf(strings.TrimPrefix(res.Log, prefix), "%d:%d:", &line, &col); err != nil {
+			t.Errorf("%s: no position in %q: %v", lang, res.Log, err)
+			continue
+		}
+		lines := strings.Split(src.Text, "\n")
+		if line < 1 || line > len(lines) || !instLine[lang].MatchString(lines[line-1]) {
+			t.Errorf("%s: error points at line %d, which is not an instantiation statement:\n%s", lang, line, res.Log)
 		}
 	}
 }

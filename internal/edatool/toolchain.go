@@ -9,48 +9,14 @@ import (
 	"repro/internal/vsim"
 )
 
-// Options is the single configuration point for a Toolchain. Its one
-// field is performance-only: it never changes observable compile or
-// simulation output, and it never enters the runner's experiment
-// fingerprints.
-type Options struct {
-	// Cache shares parse and simulation-result reuse across every
-	// compile and simulation this toolchain runs (see DesignCache).
-	// Nil runs everything cold.
-	Cache *DesignCache
-}
-
-// Toolchain is the single entry point to the EDA substrate: a
-// compiler/simulator facade bound to one Options value. New(Options{})
-// compiles and simulates cold.
-type Toolchain struct {
-	opts Options
-}
-
-// New returns a toolchain for the given options. Toolchains are
-// stateless beyond Options and safe for concurrent use (the cache, if
-// any, is internally synchronized).
-func New(opts Options) *Toolchain {
-	return &Toolchain{opts: opts}
-}
-
-// CacheStats snapshots the toolchain cache's hit/miss counters; a
-// cache-less toolchain reports the zero value.
-func (tc *Toolchain) CacheStats() CacheStats {
-	if tc.opts.Cache == nil {
-		return CacheStats{}
-	}
-	return tc.opts.Cache.Stats()
-}
-
 // Compile parses and semantically checks the sources in order; later
 // sources see modules/entities of earlier ones (DUT first, then TB).
-// Unchanged units (same file name and content) reuse their parsed ASTs
-// and parse diagnostics through the cache, if set. Semantic checks
-// still run per call — they see the whole source set, which may differ
-// even when one unit is unchanged.
-func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
-	cache := tc.opts.Cache
+// With a cache, unchanged units (same file name and content) reuse
+// their parsed ASTs and parse diagnostics; a nil cache compiles cold.
+// Semantic checks still run per call — they see the whole source set,
+// which may differ even when one unit is unchanged. The cache never
+// changes the result.
+func Compile(cache *DesignCache, lang Language, sources ...Source) *CompileResult {
 	res := &CompileResult{}
 	switch lang {
 	case Verilog:
@@ -105,46 +71,46 @@ func (tc *Toolchain) Compile(lang Language, sources ...Source) *CompileResult {
 // errors surface in the returned log. A maxTime of 0 uses the
 // front-end default limit.
 //
-// With a cache set, a request identical in language, top, sources and
-// maxTime returns a copy of the memoized result
-// without compiling or simulating; any other request runs cold, reusing
-// unchanged units' parses, and its result is memoized.
-func (tc *Toolchain) Simulate(lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
-	cache := tc.opts.Cache
+// With a cache, a request identical in language, top, sources and
+// maxTime returns a copy of the memoized result without compiling or
+// simulating; any other request runs cold, reusing unchanged units'
+// parses, and its result is memoized. A nil cache runs everything cold.
+func Simulate(cache *DesignCache, lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
 	if cache == nil {
-		return tc.simulate(lang, top, maxTime, sources)
+		return simulate(nil, lang, top, maxTime, sources)
 	}
 	key := resultKey{design: designKey(lang, top, sources), maxTime: maxTime}
 	if res, ok := cache.lookupResult(key); ok {
 		return res
 	}
-	res := tc.simulate(lang, top, maxTime, sources)
+	res := simulate(cache, lang, top, maxTime, sources)
 	cache.storeResult(key, res)
 	return res
 }
 
-// simulate is the uncached path behind Simulate: compile, elaborate,
+// simulate is the unmemoized path behind Simulate: compile, elaborate,
 // run, and judge the log.
-func (tc *Toolchain) simulate(lang Language, top string, maxTime uint64, sources []Source) *SimResult {
-	comp := tc.Compile(lang, sources...)
+func simulate(cache *DesignCache, lang Language, top string, maxTime uint64, sources []Source) *SimResult {
+	comp := Compile(cache, lang, sources...)
 	if !comp.OK {
 		return &SimResult{Log: comp.Log, Failed: true}
 	}
 	file := sources[len(sources)-1].Name
+	opts := sim.Options{MaxTime: sim.Time(maxTime), File: file}
 	var out SimResult
 	var end sim.Time
 	var err error
 	simBase := 3.2 // xsim launch + Verilog elaboration estimate, seconds
 	if lang == Verilog {
 		var res *vsim.Result
-		if res, err = vsim.Simulate(comp.Modules, top, vsim.Options{MaxTime: sim.Time(maxTime), File: file}); err == nil {
+		if res, err = vsim.Simulate(comp.Modules, top, opts); err == nil {
 			out = SimResult{Log: res.Log, TimedOut: res.TimedOut, Fault: res.Fault, VCD: res.VCD}
 			end = res.EndTime
 		}
 	} else {
 		simBase = 4.2 // mixed-language elaboration is slower
 		var res *vhdlsim.Result
-		if res, err = vhdlsim.Simulate(comp.Units, top, vhdlsim.Options{MaxTime: sim.Time(maxTime), File: file}); err == nil {
+		if res, err = vhdlsim.Simulate(comp.Units, top, opts); err == nil {
 			out = SimResult{Log: res.Log, Failed: res.AssertErrors > 0 || res.Failed, TimedOut: res.TimedOut, Fault: res.Fault}
 			end = res.EndTime
 		}

@@ -26,12 +26,12 @@ func TestReferenceBenchMutationAdequacy(t *testing.T) {
 		muts := sampleMutations(rng, p.GoldenVerilog, true, MutFunctional, 2)
 		for _, m := range muts {
 			src := m.Apply(p.GoldenVerilog)
-			comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "d.v", Text: src})
+			comp := edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "d.v", Text: src})
 			if !comp.OK {
 				continue // miscategorised mutant; counted elsewhere
 			}
 			total++
-			res := edatool.New(edatool.Options{}).Simulate(edatool.Verilog, bench.TBName, 200_000,
+			res := edatool.Simulate(nil, edatool.Verilog, bench.TBName, 200_000,
 				edatool.Source{Name: "d.v", Text: src},
 				edatool.Source{Name: "tb.v", Text: p.RefTBVerilog})
 			if res.Passed {
@@ -75,17 +75,17 @@ func TestAgentBenchWeakerThanReference(t *testing.T) {
 		muts := sampleMutations(rng, p.GoldenVerilog, true, MutFunctional, 2)
 		for _, m := range muts {
 			src := m.Apply(p.GoldenVerilog)
-			if !edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "d.v", Text: src}).OK {
+			if !edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "d.v", Text: src}).OK {
 				continue
 			}
 			total++
-			ref := edatool.New(edatool.Options{}).Simulate(edatool.Verilog, bench.TBName, 200_000,
+			ref := edatool.Simulate(nil, edatool.Verilog, bench.TBName, 200_000,
 				edatool.Source{Name: "d.v", Text: src},
 				edatool.Source{Name: "tb.v", Text: p.RefTBVerilog})
 			if !ref.Passed {
 				refKills++
 			}
-			ag := edatool.New(edatool.Options{}).Simulate(edatool.Verilog, bench.TBName, 200_000,
+			ag := edatool.Simulate(nil, edatool.Verilog, bench.TBName, 200_000,
 				edatool.Source{Name: "d.v", Text: src},
 				edatool.Source{Name: "tb.v", Text: agentTB})
 			if !ag.Passed {

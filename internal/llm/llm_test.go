@@ -84,7 +84,7 @@ func TestGenerationErrorRatesOrdering(t *testing.T) {
 		for _, p := range testSuite.Problems {
 			s := model.NewSession(GenRequest{Problem: p, Language: edatool.Verilog})
 			code, _ := s.GenerateRTL(nil)
-			comp := edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "d.v", Text: code})
+			comp := edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "d.v", Text: code})
 			if comp.OK {
 				ok++
 			}
@@ -105,7 +105,7 @@ func TestVHDLLlamaMostlyBroken(t *testing.T) {
 	for _, p := range testSuite.Problems {
 		s := model.NewSession(GenRequest{Problem: p, Language: edatool.VHDL})
 		code, _ := s.GenerateRTL(nil)
-		if edatool.New(edatool.Options{}).Compile(edatool.VHDL, edatool.Source{Name: "d.vhd", Text: code}).OK {
+		if edatool.Compile(nil, edatool.VHDL, edatool.Source{Name: "d.vhd", Text: code}).OK {
 			ok++
 		}
 	}
@@ -183,7 +183,7 @@ func TestFunctionalMutationsStillCompile(t *testing.T) {
 		for _, m := range muts {
 			total++
 			src := m.Apply(p.GoldenVerilog)
-			if !edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "d.v", Text: src}).OK {
+			if !edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "d.v", Text: src}).OK {
 				bad++
 				t.Logf("%s: functional mutation %q broke compilation", p.ID, m.Desc)
 			}
@@ -203,7 +203,7 @@ func TestSyntaxMutationsBreakCompilation(t *testing.T) {
 		for _, m := range muts {
 			total++
 			src := m.Apply(p.GoldenVerilog)
-			if edatool.New(edatool.Options{}).Compile(edatool.Verilog, edatool.Source{Name: "d.v", Text: src}).OK {
+			if edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "d.v", Text: src}).OK {
 				silent++
 				t.Logf("%s: syntax mutation %q compiled cleanly", p.ID, m.Desc)
 			}

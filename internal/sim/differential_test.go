@@ -75,7 +75,7 @@ func vhdlOutcomeOf(t *testing.T, name string, res *vhdlsim.Result) simOutcome {
 // diagnostics.
 func compileOne(t *testing.T, lang edatool.Language, name, src string) *edatool.CompileResult {
 	t.Helper()
-	comp := edatool.New(edatool.Options{}).Compile(lang, edatool.Source{Name: name, Text: src})
+	comp := edatool.Compile(nil, lang, edatool.Source{Name: name, Text: src})
 	if !comp.OK {
 		t.Fatalf("%s does not compile:\n%s\nsource:\n%s", name, comp.Log, src)
 	}
@@ -112,21 +112,21 @@ func runVHDL(t *testing.T, name, src string) (cold, fresh simOutcome) {
 	return run(), run()
 }
 
-// diffWarmCache simulates src twice through tc, whose cache the caller
+// diffWarmCache simulates src twice through cache, which the caller
 // shares across designs: the first run simulates and memoizes its
 // result, the second must be a cache hit that reports what the first
 // did.
-func diffWarmCache(t *testing.T, tc *edatool.Toolchain, lang edatool.Language, name, src string) {
+func diffWarmCache(t *testing.T, cache *edatool.DesignCache, lang edatool.Language, name, src string) {
 	t.Helper()
 	ext := ".v"
 	if lang == edatool.VHDL {
 		ext = ".vhd"
 	}
 	unit := edatool.Source{Name: name + ext, Text: src}
-	cold := tc.Simulate(lang, bench.TBName, 0, unit)
-	before := tc.CacheStats()
-	warm := tc.Simulate(lang, bench.TBName, 0, unit)
-	if hits := tc.CacheStats().Sub(before).DesignHits; hits != 1 {
+	cold := edatool.Simulate(cache, lang, bench.TBName, 0, unit)
+	before := cache.Stats()
+	warm := edatool.Simulate(cache, lang, bench.TBName, 0, unit)
+	if hits := cache.Stats().Sub(before).DesignHits; hits != 1 {
 		t.Errorf("%s: warm rerun made %d design-cache hits, want 1", name, hits)
 	}
 	if warm.Log != cold.Log {
@@ -234,7 +234,7 @@ func TestDifferentialRandomClusters(t *testing.T) {
 	if testing.Short() {
 		designs = 8
 	}
-	tc := edatool.New(edatool.Options{Cache: edatool.NewDesignCache()})
+	cache := edatool.NewDesignCache()
 	for i := 0; i < designs; i++ {
 		rng := rand.New(rand.NewSource(int64(9000 + i*131)))
 		src := genClusterDesign(rng)
@@ -244,7 +244,7 @@ func TestDifferentialRandomClusters(t *testing.T) {
 			t.Fatalf("%s: cold run did not finish:\n%s", name, cold.log)
 		}
 		diffOutcomes(t, name+"/fresh", cold, fresh)
-		diffWarmCache(t, tc, edatool.Verilog, name, src)
+		diffWarmCache(t, cache, edatool.Verilog, name, src)
 	}
 }
 
@@ -257,13 +257,13 @@ func TestDifferentialBenchVerilog(t *testing.T) {
 	if testing.Short() {
 		stride = 32
 	}
-	tc := edatool.New(edatool.Options{Cache: edatool.NewDesignCache()})
+	cache := edatool.NewDesignCache()
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
 		src := p.GoldenVerilog + "\n" + p.RefTBVerilog
 		cold, fresh := runVerilog(t, p.ID, src)
 		diffOutcomes(t, p.ID+"/fresh", cold, fresh)
-		diffWarmCache(t, tc, edatool.Verilog, p.ID, src)
+		diffWarmCache(t, cache, edatool.Verilog, p.ID, src)
 	}
 }
 
@@ -275,13 +275,13 @@ func TestDifferentialBenchVHDL(t *testing.T) {
 	if testing.Short() {
 		stride = 48
 	}
-	tc := edatool.New(edatool.Options{Cache: edatool.NewDesignCache()})
+	cache := edatool.NewDesignCache()
 	for i := 0; i < len(suite.Problems); i += stride {
 		p := suite.Problems[i]
 		src := p.GoldenVHDL + "\n" + p.RefTBVHDL
 		cold, fresh := runVHDL(t, p.ID, src)
 		diffOutcomes(t, p.ID+"/fresh", cold, fresh)
-		diffWarmCache(t, tc, edatool.VHDL, p.ID, src)
+		diffWarmCache(t, cache, edatool.VHDL, p.ID, src)
 	}
 }
 

@@ -25,6 +25,17 @@
 // (cached and resumed sweeps must reproduce in-memory results bit for
 // bit) — and is pinned by the front-ends' determinism tests.
 //
+// Both front-ends run inside one shell, Runtime (runtime.go), which a
+// Simulator embeds: the kernel, the testbench file name, the capped log
+// (Logf), the statement budget (Tick) and fault handling. Interpreters
+// panic with a Fault on malformed RTL; Recover and ProcRecover record it
+// in the kernel's fault slot, where the first fault wins. Execute runs
+// the kernel and returns the Outcome both Result types embed: the log
+// cut at its cap, then one abort line for a limit stop, then one
+// SIMULATOR line for the fault. Options, the elaboration bounds, the
+// signal Arena and DeclIndexToBit are shared the same way; each
+// front-end keeps only its own message texts.
+//
 // The kernel knows nothing about HDL syntax. Front-ends elaborate
 // their ASTs into nets, processes, and sensitivity lists; the kernel
 // owns time, the event queues, and value propagation (4-state logic

@@ -43,19 +43,6 @@ type Signal struct {
 	watch sim.WatchList
 }
 
-func (s *Signal) declIndexToBit(idx int) (int, bool) {
-	if s.MSB >= s.LSB { // downto
-		if idx < s.LSB || idx > s.MSB {
-			return 0, false
-		}
-		return idx - s.LSB, true
-	}
-	if idx < s.MSB || idx > s.LSB { // to
-		return 0, false
-	}
-	return s.LSB - idx, true
-}
-
 // Instance is one node of the elaborated hierarchy.
 type Instance struct {
 	Path     string
@@ -77,8 +64,8 @@ type Design struct {
 	concAssigns []boundConc
 	portBinds   []portBind
 
-	arena     sigArena // chunked Signal storage
-	instances int      // elaborated so far, bounded by maxInstances
+	arena     sim.Arena[Signal] // chunked Signal storage
+	instances int               // elaborated so far, bounded by sim.MaxInstances
 }
 
 type boundProcess struct {
@@ -130,35 +117,12 @@ func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
 	if !ok {
 		return nil, fmt.Errorf("top entity %q not found", top)
 	}
-	inst, err := d.elabInstance(nil, ent, top, nil)
+	inst, err := d.elabInstance(nil, ent, top, nil, ent.Pos)
 	if err != nil {
 		return nil, err
 	}
 	d.Top = inst
 	return d, nil
-}
-
-// maxInstances bounds the instances one design may elaborate, so an
-// entity that instantiates another several times per level cannot
-// multiply into unbounded work below the depth limit.
-const maxInstances = 4096
-
-// sigArena hands out Signal storage in fixed-capacity chunks so an
-// elaboration performs O(signals/chunk) allocations instead of one per
-// signal; pointers stay stable because a chunk is never grown past its
-// capacity.
-type sigArena struct {
-	chunk []Signal
-}
-
-const sigArenaChunk = 256
-
-func (a *sigArena) alloc() *Signal {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]Signal, 0, sigArenaChunk)
-	}
-	a.chunk = append(a.chunk, Signal{})
-	return &a.chunk[len(a.chunk)-1]
 }
 
 // newSignal resolves one signal declaration of inst against its
@@ -168,7 +132,7 @@ func (d *Design) newSignal(inst *Instance, name string, tr vhdl.TypeRef, init vh
 	if err != nil {
 		return err
 	}
-	sig := d.arena.alloc()
+	sig := d.arena.Alloc()
 	sig.Name = inst.Path + "." + name
 	sig.Kind, sig.Width, sig.MSB, sig.LSB = sp.kind, sp.width, sp.msb, sp.lsb
 	sig.Val = sp.init
@@ -180,21 +144,22 @@ func (d *Design) newSignal(inst *Instance, name string, tr vhdl.TypeRef, init vh
 // elabInstance instantiates entity ent (with its architecture) as path:
 // generics, then signals and constants in declaration order (ports
 // first), then processes, concurrent assignments and children in
-// statement order.
-func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, genOverrides map[string]hdl.Vector) (*Instance, error) {
-	if d.instances++; d.instances > maxInstances {
-		return nil, elabErrf(ent.Pos, "design exceeds %d instances", maxInstances)
+// statement order. pos is the instantiation statement (the entity
+// declaration for the top), where bound and architecture errors point.
+func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, genOverrides map[string]hdl.Vector, pos vhdl.Pos) (*Instance, error) {
+	if d.instances++; d.instances > sim.MaxInstances {
+		return nil, elabErrf(pos, "design exceeds %d instances", sim.MaxInstances)
 	}
 	depth := 0
 	for p := parent; p != nil; p = p.Parent {
 		depth++
 	}
-	if depth > 64 {
-		return nil, elabErrf(ent.Pos, "instantiation depth exceeds 64")
+	if depth > sim.MaxDepth {
+		return nil, elabErrf(pos, "instantiation depth exceeds %d", sim.MaxDepth)
 	}
 	arch, ok := d.archs[ent.Name]
 	if !ok {
-		return nil, elabErrf(ent.Pos, "entity %q has no architecture", ent.Name)
+		return nil, elabErrf(pos, "entity %q has no architecture", ent.Name)
 	}
 	inst := &Instance{
 		Path: path, Entity: ent, Arch: arch,
@@ -293,7 +258,7 @@ func (d *Design) elabChild(parent *Instance, x *vhdl.InstanceStmt) error {
 	if label == "" {
 		label = fmt.Sprintf("u%d", len(parent.Children))
 	}
-	child, err := d.elabInstance(parent, ent, parent.Path+"."+label, overrides)
+	child, err := d.elabInstance(parent, ent, parent.Path+"."+label, overrides, x.Pos)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,8 @@
 package vhdlsim
 
 import (
-	"fmt"
-
 	"repro/internal/hdl"
+	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
 
@@ -32,13 +31,6 @@ func indexValue(v value) (int64, bool) {
 }
 func vecVal(v hdl.Vector) value { return value{v: v} }
 func boolVal(b bool) value      { return value{v: hdl.FromBool(b)} }
-
-// runtimeFault unwinds interpretation into a simulation fatal.
-type runtimeFault struct{ msg string }
-
-func faultf(format string, args ...any) runtimeFault {
-	return runtimeFault{msg: fmt.Sprintf(format, args...)}
-}
 
 // env is the per-process variable environment.
 type env struct {
@@ -88,7 +80,7 @@ func (s *Simulator) evalCtx(inst *Instance, en *env, e vhdl.Expr, ctx int) value
 	case *vhdl.BoolLit:
 		return boolVal(x.Value)
 	case *vhdl.StrLit:
-		panic(faultf("string literal in a value context at %v", x.Pos))
+		panic(sim.Faultf("string literal in a value context at %v", x.Pos))
 	case *vhdl.Name:
 		sig, vs, gv, kind := s.lookupValue(inst, en, x.Ident)
 		switch kind {
@@ -99,11 +91,11 @@ func (s *Simulator) evalCtx(inst *Instance, en *env, e vhdl.Expr, ctx int) value
 		case 3:
 			return value{v: vs.val, isInt: vs.isInt}
 		default:
-			panic(faultf("reference to undeclared name %q", x.Ident))
+			panic(sim.Faultf("reference to undeclared name %q", x.Ident))
 		}
 	case *vhdl.AggregateExpr:
 		if ctx <= 0 {
-			panic(faultf("aggregate used without a sized context at %v", x.Pos))
+			panic(sim.Faultf("aggregate used without a sized context at %v", x.Pos))
 		}
 		fill := s.eval(inst, en, x.Others)
 		return vecVal(hdl.NewVector(ctx, fill.v.Bit(0)))
@@ -117,7 +109,7 @@ func (s *Simulator) evalCtx(inst *Instance, en *env, e vhdl.Expr, ctx int) value
 		case "+":
 			return v
 		}
-		panic(faultf("unsupported unary operator %q", x.Op))
+		panic(sim.Faultf("unsupported unary operator %q", x.Op))
 	case *vhdl.BinaryExpr:
 		return s.evalBinary(inst, en, x, ctx)
 	case *vhdl.CallOrIndex:
@@ -125,7 +117,7 @@ func (s *Simulator) evalCtx(inst *Instance, en *env, e vhdl.Expr, ctx int) value
 	case *vhdl.AttrExpr:
 		return s.evalAttr(inst, en, x)
 	default:
-		panic(faultf("unsupported expression at %v", e.ExprPos()))
+		panic(sim.Faultf("unsupported expression at %v", e.ExprPos()))
 	}
 }
 
@@ -224,7 +216,7 @@ func (s *Simulator) evalBinary(inst *Instance, en *env, x *vhdl.BinaryExpr, ctx 
 	case ">=":
 		return boolVal(lv.Ge(rv).Equal(hdl.FromBool(true)))
 	}
-	panic(faultf("unsupported operator %q at %v", x.Op, x.Pos))
+	panic(sim.Faultf("unsupported operator %q at %v", x.Op, x.Pos))
 }
 
 func (s *Simulator) evalCallOrIndex(inst *Instance, en *env, x *vhdl.CallOrIndex, ctx int) value {
@@ -237,15 +229,15 @@ func (s *Simulator) evalCallOrIndex(inst *Instance, en *env, x *vhdl.CallOrIndex
 	switch x.Name {
 	case "rising_edge", "falling_edge":
 		if len(x.Args) != 1 {
-			panic(faultf("%s expects 1 argument", x.Name))
+			panic(sim.Faultf("%s expects 1 argument", x.Name))
 		}
 		nm, ok := x.Args[0].(*vhdl.Name)
 		if !ok {
-			panic(faultf("%s expects a signal name", x.Name))
+			panic(sim.Faultf("%s expects a signal name", x.Name))
 		}
 		sg, _, _, k := s.lookupValue(inst, nil, nm.Ident)
 		if k != 1 {
-			panic(faultf("%s argument %q is not a signal", x.Name, nm.Ident))
+			panic(sim.Faultf("%s argument %q is not a signal", x.Name, nm.Ident))
 		}
 		if !sg.eventFlagNow(s) {
 			return boolVal(false)
@@ -257,36 +249,36 @@ func (s *Simulator) evalCallOrIndex(inst *Instance, en *env, x *vhdl.CallOrIndex
 		return boolVal(cur == hdl.L0 && prev == hdl.L1)
 	case "to_unsigned", "to_signed", "conv_std_logic_vector":
 		if len(x.Args) != 2 {
-			panic(faultf("%s expects 2 arguments", x.Name))
+			panic(sim.Faultf("%s expects 2 arguments", x.Name))
 		}
 		v := s.eval(inst, en, x.Args[0])
 		wV := s.eval(inst, en, x.Args[1])
 		w64, ok := wV.v.Uint()
 		if !ok || w64 == 0 || w64 > 1<<16 {
-			panic(faultf("bad width in %s", x.Name))
+			panic(sim.Faultf("bad width in %s", x.Name))
 		}
 		return vecVal(v.v.Resize(int(w64)))
 	case "to_integer", "conv_integer":
 		if len(x.Args) != 1 {
-			panic(faultf("%s expects 1 argument", x.Name))
+			panic(sim.Faultf("%s expects 1 argument", x.Name))
 		}
 		v := s.eval(inst, en, x.Args[0])
 		return value{v: v.v.Resize(32), isInt: true}
 	case "std_logic_vector", "unsigned", "signed", "to_01":
 		if len(x.Args) != 1 {
-			panic(faultf("%s expects 1 argument", x.Name))
+			panic(sim.Faultf("%s expects 1 argument", x.Name))
 		}
 		v := s.eval(inst, en, x.Args[0])
 		return vecVal(v.v)
 	case "resize":
 		if len(x.Args) != 2 {
-			panic(faultf("resize expects 2 arguments"))
+			panic(sim.Faultf("resize expects 2 arguments"))
 		}
 		v := s.eval(inst, en, x.Args[0])
 		wV := s.eval(inst, en, x.Args[1])
 		w64, ok := wV.v.Uint()
 		if !ok || w64 == 0 || w64 > 1<<16 {
-			panic(faultf("bad width in resize"))
+			panic(sim.Faultf("bad width in resize"))
 		}
 		if isSignedExpr(x.Args[0]) {
 			return vecVal(v.v.SignExtend(int(w64)))
@@ -294,12 +286,12 @@ func (s *Simulator) evalCallOrIndex(inst *Instance, en *env, x *vhdl.CallOrIndex
 		return vecVal(v.v.Resize(int(w64)))
 	case "shift_left":
 		if len(x.Args) != 2 {
-			panic(faultf("shift_left expects 2 arguments"))
+			panic(sim.Faultf("shift_left expects 2 arguments"))
 		}
 		return vecVal(s.eval(inst, en, x.Args[0]).v.Shl(s.eval(inst, en, x.Args[1]).v))
 	case "shift_right":
 		if len(x.Args) != 2 {
-			panic(faultf("shift_right expects 2 arguments"))
+			panic(sim.Faultf("shift_right expects 2 arguments"))
 		}
 		lv := s.eval(inst, en, x.Args[0]).v
 		rv := s.eval(inst, en, x.Args[1]).v
@@ -310,11 +302,11 @@ func (s *Simulator) evalCallOrIndex(inst *Instance, en *env, x *vhdl.CallOrIndex
 		return vecVal(lv.Shr(rv))
 	case "abs", "integer":
 		if len(x.Args) != 1 {
-			panic(faultf("%s expects 1 argument", x.Name))
+			panic(sim.Faultf("%s expects 1 argument", x.Name))
 		}
 		return s.eval(inst, en, x.Args[0])
 	default:
-		panic(faultf("call to undefined function %q at %v", x.Name, x.Pos))
+		panic(sim.Faultf("call to undefined function %q at %v", x.Name, x.Pos))
 	}
 }
 
@@ -360,7 +352,7 @@ func (s *Simulator) evalSelect(inst *Instance, en *env, x *vhdl.CallOrIndex, sig
 		return vecVal(base.Slice(lb, rb-lb+1))
 	}
 	if len(x.Args) != 1 {
-		panic(faultf("bad index on %q at %v", x.Name, x.Pos))
+		panic(sim.Faultf("bad index on %q at %v", x.Name, x.Pos))
 	}
 	i64, ok := indexValue(s.eval(inst, en, x.Args[0]))
 	if !ok {
@@ -398,7 +390,7 @@ func (s *Simulator) evalAttr(inst *Instance, en *env, x *vhdl.AttrExpr) value {
 	switch x.Attr {
 	case "event":
 		if kind != 1 {
-			panic(faultf("'event on non-signal %q", x.Base))
+			panic(sim.Faultf("'event on non-signal %q", x.Base))
 		}
 		return boolVal(sig.eventFlagNow(s))
 	case "length":
@@ -411,12 +403,12 @@ func (s *Simulator) evalAttr(inst *Instance, en *env, x *vhdl.AttrExpr) value {
 			return intVal(int64(gv.Width()))
 		}
 	}
-	panic(faultf("unsupported attribute %q'%s", x.Base, x.Attr))
+	panic(sim.Faultf("unsupported attribute %q'%s", x.Base, x.Attr))
 }
 
 // eventFlagNow reports whether the signal changed in the delta cycle
 // currently executing (the one its wakeups run in). The stamp is the
 // kernel's run-global delta serial; zero means "never changed".
 func (sig *Signal) eventFlagNow(s *Simulator) bool {
-	return sig.eventStamp == s.kernel.DeltaSerial()
+	return sig.eventStamp == s.Kernel.DeltaSerial()
 }

@@ -43,7 +43,7 @@ func (s *Simulator) applyUpdate(sig *Signal, v hdl.Vector) {
 	}
 	sig.Prev = sig.Val
 	sig.Val = v
-	sig.eventStamp = s.kernel.ObserverSerial()
+	sig.eventStamp = s.Kernel.ObserverSerial()
 	sig.watch.Notify()
 }
 
@@ -53,7 +53,7 @@ func (s *Simulator) applyUpdate(sig *Signal, v hdl.Vector) {
 // in the active region of the target time step, exactly where the
 // closure-based scheduling delivered them).
 func (s *Simulator) scheduleUpdate(sig *Signal, v hdl.Vector, delay sim.Time) {
-	r := s.kernel.ScheduleUpdate(delay)
+	r := s.Kernel.ScheduleUpdate(delay)
 	r.Sig = sig
 	r.Val = v
 	r.Apply = s.updFull
@@ -86,13 +86,13 @@ func (s *Simulator) resolveSigTarget(inst *Instance, en *env, target vhdl.Expr) 
 	case *vhdl.Name:
 		sig, _, _, kind := s.lookupValue(inst, nil, x.Ident)
 		if kind != 1 {
-			panic(faultf("assignment target %q is not a signal", x.Ident))
+			panic(sim.Faultf("assignment target %q is not a signal", x.Ident))
 		}
 		return sigTarget{sig: sig, lo: 0, width: sig.Width, ok: true}
 	case *vhdl.CallOrIndex:
 		sig, _, _, kind := s.lookupValue(inst, nil, x.Name)
 		if kind != 1 {
-			panic(faultf("assignment target %q is not a signal", x.Name))
+			panic(sim.Faultf("assignment target %q is not a signal", x.Name))
 		}
 		if x.IsSlice {
 			l64, ok1 := indexValue(s.eval(inst, en, x.Left))
@@ -100,8 +100,8 @@ func (s *Simulator) resolveSigTarget(inst *Instance, en *env, target vhdl.Expr) 
 			if !ok1 || !ok2 {
 				return sigTarget{ok: false, width: 1}
 			}
-			lb, okL := sig.declIndexToBit(int(l64))
-			rb, okR := sig.declIndexToBit(int(r64))
+			lb, okL := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(l64))
+			rb, okR := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(r64))
 			if !okL || !okR {
 				return sigTarget{ok: false, width: 1}
 			}
@@ -111,19 +111,19 @@ func (s *Simulator) resolveSigTarget(inst *Instance, en *env, target vhdl.Expr) 
 			return sigTarget{sig: sig, lo: lb, width: rb - lb + 1, ok: true}
 		}
 		if len(x.Args) != 1 {
-			panic(faultf("bad index on assignment target %q", x.Name))
+			panic(sim.Faultf("bad index on assignment target %q", x.Name))
 		}
 		i64, ok := indexValue(s.eval(inst, en, x.Args[0]))
 		if !ok {
 			return sigTarget{ok: false, width: 1}
 		}
-		bit, inRange := sig.declIndexToBit(int(i64))
+		bit, inRange := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
 		if !inRange {
 			return sigTarget{ok: false, width: 1}
 		}
 		return sigTarget{sig: sig, lo: bit, width: 1, ok: true}
 	default:
-		panic(faultf("unsupported assignment target at %v", target.ExprPos()))
+		panic(sim.Faultf("unsupported assignment target at %v", target.ExprPos()))
 	}
 }
 
@@ -136,7 +136,7 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 		dv := s.eval(inst, en, afterNs)
 		d64, ok := dv.v.Uint()
 		if !ok {
-			panic(faultf("unknown delay value"))
+			panic(sim.Faultf("unknown delay value"))
 		}
 		delay = sim.Time(d64)
 	}
@@ -150,7 +150,7 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 	// Partial write: read-modify-write against the value the signal
 	// will hold when the update applies; we approximate with current
 	// value captured at apply time.
-	r := s.kernel.ScheduleUpdate(delay)
+	r := s.Kernel.ScheduleUpdate(delay)
 	r.Sig = t.sig
 	r.Val = val.v.Resize(t.width)
 	r.Lo = t.lo
@@ -158,16 +158,6 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 }
 
 // ---------------------------------------------------------------- exec
-
-const stmtBudget = 20_000_000
-
-// tick charges one interpreter step against the run's statement budget.
-func (s *Simulator) tick() {
-	s.steps++
-	if s.steps > stmtBudget {
-		panic(faultf("statement budget exceeded (possible infinite loop)"))
-	}
-}
 
 // frameKind discriminates procMachine continuation frames.
 type frameKind uint8
@@ -217,7 +207,7 @@ type procMachine struct {
 
 // step is the process continuation the kernel dispatches.
 func (m *procMachine) step(p *sim.Process) {
-	defer m.s.procRecover()
+	defer m.s.ProcRecover()
 	for {
 		for len(m.stack) > 0 {
 			if m.runTopFrame() {
@@ -245,7 +235,7 @@ func (m *procMachine) startIteration() bool {
 		// No sensitivity list: the body must contain waits; if it ran
 		// to completion without waiting it loops, and the statement
 		// budget catches runaway processes.
-		m.s.tick()
+		m.s.Tick()
 		return m.execBody()
 	}
 	if m.armed {
@@ -266,7 +256,7 @@ func (m *procMachine) initDecls() {
 			for _, nm := range vd.Names {
 				slot, err := m.s.makeVarSlot(m.inst, m.en, vd)
 				if err != nil {
-					panic(faultf("%v", err))
+					panic(sim.Faultf("%v", err))
 				}
 				m.en.vars[nm] = slot
 			}
@@ -321,7 +311,7 @@ func (m *procMachine) runTopFrame() bool {
 			m.pop()
 			return false
 		}
-		m.s.tick()
+		m.s.Tick()
 		f.slot.val = hdl.FromInt(f.cur, 32)
 		if f.down {
 			f.cur--
@@ -336,7 +326,7 @@ func (m *procMachine) runTopFrame() bool {
 			m.pop()
 			return false
 		}
-		m.s.tick()
+		m.s.Tick()
 		m.pushSeq(x.Body)
 		return false
 	default: // fWaitUntil
@@ -346,7 +336,7 @@ func (m *procMachine) runTopFrame() bool {
 			return false
 		}
 		f.phase = 1
-		m.s.tick()
+		m.s.Tick()
 		m.s.rearmWait(m.untilRegFor(x))
 		return true
 	}
@@ -357,7 +347,7 @@ func (m *procMachine) runTopFrame() bool {
 // the step must unwind.
 func (m *procMachine) exec(st vhdl.Stmt) bool {
 	s, inst, en := m.s, m.inst, m.en
-	s.tick()
+	s.Tick()
 	switch x := st.(type) {
 	case *vhdl.SigAssign:
 		s.assignSignal(inst, en, x.Target, x.Value, x.AfterNs)
@@ -411,7 +401,7 @@ func (m *procMachine) pushFor(x *vhdl.ForStmt) {
 	l64, ok1 := lV.v.Int()
 	r64, ok2 := rV.v.Int()
 	if !ok1 || !ok2 {
-		panic(faultf("for-loop bounds are not computable"))
+		panic(sim.Faultf("for-loop bounds are not computable"))
 	}
 	slot := &varSlot{val: hdl.FromInt(l64, 32), isInt: true}
 	prev, had := m.en.vars[x.Var]
@@ -446,7 +436,7 @@ func (m *procMachine) exitLoop() {
 			return
 		}
 	}
-	panic(faultf("exit statement outside a loop"))
+	panic(sim.Faultf("exit statement outside a loop"))
 }
 
 // execCase pushes the matching case arm; the arm body may suspend.
@@ -488,7 +478,7 @@ func (m *procMachine) execWait(x *vhdl.WaitStmt) bool {
 		dv := m.s.eval(m.inst, m.en, x.ForNs)
 		d64, ok := dv.v.Uint()
 		if !ok {
-			panic(faultf("unknown wait duration"))
+			panic(sim.Faultf("unknown wait duration"))
 		}
 		m.p.Delay(sim.Time(d64))
 		return true
@@ -509,7 +499,7 @@ func (m *procMachine) untilRegFor(x *vhdl.WaitStmt) *sim.WaitReg {
 	}
 	sigs := collectSignals(m.inst, x.Until)
 	if len(sigs) == 0 {
-		panic(faultf("wait until condition references no signals"))
+		panic(sim.Faultf("wait until condition references no signals"))
 	}
 	r := m.s.buildWaitReg(sigs, m.activate)
 	m.cacheWait(x, r)
@@ -527,7 +517,7 @@ func (m *procMachine) onRegFor(x *vhdl.WaitStmt) *sim.WaitReg {
 		sigs = append(sigs, collectSignals(m.inst, nm)...)
 	}
 	if len(sigs) == 0 {
-		panic(faultf("wait on references no signals"))
+		panic(sim.Faultf("wait on references no signals"))
 	}
 	r := m.s.buildWaitReg(sigs, m.activate)
 	m.cacheWait(x, r)
@@ -558,14 +548,14 @@ func (s *Simulator) execVarAssign(inst *Instance, en *env, x *vhdl.VarAssign) {
 	case *vhdl.Name:
 		vs, ok := en.vars[t.Ident]
 		if !ok {
-			panic(faultf("assignment target %q is not a variable", t.Ident))
+			panic(sim.Faultf("assignment target %q is not a variable", t.Ident))
 		}
 		val := s.evalCtx(inst, en, x.Value, vs.val.Width())
 		vs.val = val.v.Resize(vs.val.Width())
 	case *vhdl.CallOrIndex:
 		vs, ok := en.vars[t.Name]
 		if !ok {
-			panic(faultf("assignment target %q is not a variable", t.Name))
+			panic(sim.Faultf("assignment target %q is not a variable", t.Name))
 		}
 		if t.IsSlice {
 			l64, ok1 := indexValue(s.eval(inst, en, t.Left))
@@ -582,7 +572,7 @@ func (s *Simulator) execVarAssign(inst *Instance, en *env, x *vhdl.VarAssign) {
 			return
 		}
 		if len(t.Args) != 1 {
-			panic(faultf("bad index on variable %q", t.Name))
+			panic(sim.Faultf("bad index on variable %q", t.Name))
 		}
 		i64, ok2 := indexValue(s.eval(inst, en, t.Args[0]))
 		if !ok2 {
@@ -591,7 +581,7 @@ func (s *Simulator) execVarAssign(inst *Instance, en *env, x *vhdl.VarAssign) {
 		val := s.evalCtx(inst, en, x.Value, 1)
 		vs.val = vs.val.SetSlice(int(i64), val.v.Resize(1))
 	default:
-		panic(faultf("unsupported variable assignment target"))
+		panic(sim.Faultf("unsupported variable assignment target"))
 	}
 }
 

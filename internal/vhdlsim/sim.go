@@ -1,48 +1,25 @@
 package vhdlsim
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
 
 // Options configures a VHDL simulation run.
-type Options struct {
-	MaxTime   sim.Time
-	File      string
-	MaxOutput int
-
-	// CaptureFinal populates Result.Final with the post-run value of
-	// every signal (used by the differential harness).
-	CaptureFinal bool
-}
+type Options = sim.Options
 
 // Result is the outcome of a simulation.
 type Result struct {
-	Log          string
+	sim.Outcome
 	AssertErrors int  // severity error/failure asserts that fired
 	Failed       bool // severity failure terminated the run
-	TimedOut     bool
-	Fault        string
-	EndTime      sim.Time
-	Events       uint64            // kernel events executed
-	Final        map[string]string // hierarchical name -> final value
 }
 
-// Simulator runs one elaborated VHDL design on its own event kernel.
-// Exactly one activity executes at a time, so the per-run state below
-// needs no locks.
+// Simulator runs one elaborated VHDL design on its own event kernel,
+// inside the shared run shell. Exactly one activity executes at a
+// time, so the per-run state below needs no locks.
 type Simulator struct {
-	design *Design
-	kernel *sim.Kernel
-	file   string
-	logCap int
-
-	log   []byte
-	steps uint64 // interpreter statement budget spent
-	fault string // first runtime fault
+	sim.Runtime
 
 	assertErrors int
 	failed       bool
@@ -67,22 +44,7 @@ func Simulate(units []*vhdl.DesignFile, top string, opts Options) (*Result, erro
 // once: its callers are Simulate and the perfbench replay, each of
 // which elaborates a fresh Design per run.
 func SimulateDesign(d *Design, opts Options) *Result {
-	if opts.MaxTime == 0 {
-		opts.MaxTime = 1_000_000
-	}
-	if opts.MaxOutput == 0 {
-		opts.MaxOutput = 1 << 20
-	}
-	if opts.File == "" {
-		opts.File = "tb.vhd"
-	}
-
-	s := &Simulator{
-		design: d,
-		kernel: sim.NewKernel(),
-		file:   opts.File,
-		logCap: opts.MaxOutput,
-	}
+	s := &Simulator{Runtime: sim.NewRuntime(opts, "tb.vhd", "statement budget exceeded (possible infinite loop)")}
 	s.updFull = s.applyFullUpdate
 	s.updPart = s.applyPartUpdate
 
@@ -98,29 +60,7 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		s.bindProcess(&d.processes[i])
 	}
 
-	k := s.kernel
-	k.MaxTime = opts.MaxTime
-	reason := k.Run()
-
-	res := &Result{
-		Log:          string(s.log),
-		AssertErrors: s.assertErrors,
-		Failed:       s.failed,
-		Fault:        s.fault,
-		EndTime:      k.Now(),
-		Events:       k.Events(),
-	}
-	if len(res.Log) > s.logCap {
-		res.Log = res.Log[:s.logCap]
-	}
-	switch reason {
-	case sim.StopTimeout, sim.StopDeltas, sim.StopEvents:
-		res.TimedOut = true
-		res.Log += fmt.Sprintf("SIMULATOR: run aborted (%v) at time %d\n", reason, k.Now())
-	}
-	if res.Fault != "" && !strings.Contains(res.Log, res.Fault) {
-		res.Log += "SIMULATOR: " + res.Fault + "\n"
-	}
+	res := &Result{Outcome: s.Execute(), AssertErrors: s.assertErrors, Failed: s.failed}
 	if opts.CaptureFinal {
 		res.Final = map[string]string{}
 		var walk func(inst *Instance)
@@ -142,7 +82,7 @@ func SimulateDesign(d *Design, opts Options) *Result {
 // actual (which must be an assignable name).
 func (s *Simulator) bindPort(pb *portBind) {
 	update := func() {
-		defer s.recoverFault()
+		defer s.Recover()
 		if pb.dir == vhdl.DirIn {
 			val := s.eval(pb.parentScope, nil, pb.actual)
 			sig := pb.childScope.Signals[pb.portName]
@@ -161,9 +101,9 @@ func (s *Simulator) bindPort(pb *portBind) {
 			s.applyUpdate(t.sig, t.sig.Val.SetSlice(t.lo, src.Val.Resize(t.width)))
 		}
 	}
-	fire := func() { s.kernel.Active(update) }
+	fire := func() { s.Kernel.Active(update) }
 	func() {
-		defer s.recoverFault()
+		defer s.Recover()
 		if pb.dir == vhdl.DirIn {
 			for _, sg := range collectSignals(pb.parentScope, pb.actual) {
 				sg.watch.Watch(fire)
@@ -173,13 +113,13 @@ func (s *Simulator) bindPort(pb *portBind) {
 			src.watch.Watch(fire)
 		}
 	}()
-	s.kernel.Active(update)
+	s.Kernel.Active(update)
 }
 
 func (s *Simulator) bindConcAssign(bc *boundConc) {
 	inst, ca := bc.scope, bc.ca
 	update := func() {
-		defer s.recoverFault()
+		defer s.Recover()
 		for _, w := range ca.Waves {
 			if w.Cond != nil && !s.truthy(s.eval(inst, nil, w.Cond)) {
 				continue
@@ -188,9 +128,9 @@ func (s *Simulator) bindConcAssign(bc *boundConc) {
 			return
 		}
 	}
-	fire := func() { s.kernel.Active(update) }
+	fire := func() { s.Kernel.Active(update) }
 	func() {
-		defer s.recoverFault()
+		defer s.Recover()
 		seen := map[*Signal]bool{}
 		for _, w := range ca.Waves {
 			for _, sg := range collectSignals(inst, w.Value) {
@@ -209,7 +149,7 @@ func (s *Simulator) bindConcAssign(bc *boundConc) {
 			}
 		}
 	}()
-	s.kernel.Active(update)
+	s.Kernel.Active(update)
 }
 
 func (s *Simulator) bindProcess(bp *boundProcess) {
@@ -219,7 +159,7 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 		name = inst.Path + ".process"
 	}
 	m := &procMachine{s: s, inst: inst, ps: ps, en: newEnv()}
-	m.p = s.kernel.NewProcess(name, m.step)
+	m.p = s.Kernel.NewProcess(name, m.step)
 	m.activate = m.p.Activate
 }
 
@@ -237,64 +177,26 @@ func (s *Simulator) makeVarSlot(inst *Instance, en *env, vd *vhdl.VarDecl) (*var
 	return slot, nil
 }
 
-// setFault records a runtime fault (the first one is the one Result
-// reports) and stops the run.
-func (s *Simulator) setFault(msg string) {
-	if s.fault == "" {
-		s.fault = msg
-	}
-	s.kernel.SetFault(msg)
-}
-
-func (s *Simulator) recoverFault() {
-	if r := recover(); r != nil {
-		if f, ok := r.(runtimeFault); ok {
-			s.setFault(f.msg)
-			return
-		}
-		panic(r)
-	}
-}
-
-func (s *Simulator) procRecover() {
-	if r := recover(); r != nil {
-		switch f := r.(type) {
-		case runtimeFault:
-			s.setFault(f.msg)
-			panic(sim.TerminateProcess{})
-		default:
-			panic(r)
-		}
-	}
-}
-
-func (s *Simulator) logf(format string, args ...any) {
-	if len(s.log) > s.logCap {
-		return
-	}
-	s.log = fmt.Appendf(s.log, format, args...)
-}
-
 // reportSeverity renders an assert/report message in xsim style and
 // applies severity semantics: error counts; failure stops the run.
 func (s *Simulator) reportSeverity(severity, msg string, pos vhdl.Pos) {
 	switch severity {
 	case "note", "":
-		s.logf("Note: %s\n", msg)
+		s.Logf("Note: %s\n", msg)
 	case "warning":
-		s.logf("Warning: %s\n", msg)
+		s.Logf("Warning: %s\n", msg)
 	case "error":
 		s.assertErrors++
-		s.logf("Error: %s\n", msg)
-		s.logf("Time: %d ns  Iteration: 0  Process: line_%d\n", s.kernel.Now(), pos.Line)
+		s.Logf("Error: %s\n", msg)
+		s.Logf("Time: %d ns  Iteration: 0  Process: line_%d\n", s.Kernel.Now(), pos.Line)
 	case "failure":
 		s.assertErrors++
 		s.failed = true
-		s.logf("Failure: %s\n", msg)
-		s.logf("%s:%d: severity FAILURE at %d ns\n", s.file, pos.Line, s.kernel.Now())
-		s.kernel.Finish()
+		s.Logf("Failure: %s\n", msg)
+		s.Logf("%s:%d: severity FAILURE at %d ns\n", s.File, pos.Line, s.Kernel.Now())
+		s.Kernel.Finish()
 		panic(sim.TerminateProcess{})
 	default:
-		s.logf("Note: %s\n", msg)
+		s.Logf("Note: %s\n", msg)
 	}
 }

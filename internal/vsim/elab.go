@@ -33,22 +33,6 @@ type Signal struct {
 	watch sim.WatchList
 }
 
-// declIndexToBit maps a declared index (e.g. 5 in x[5]) to a storage bit
-// offset, honouring ascending and descending ranges. ok is false when
-// the index is out of the declared range.
-func (s *Signal) declIndexToBit(idx int) (int, bool) {
-	if s.MSB >= s.LSB {
-		if idx < s.LSB || idx > s.MSB {
-			return 0, false
-		}
-		return idx - s.LSB, true
-	}
-	if idx < s.MSB || idx > s.LSB {
-		return 0, false
-	}
-	return s.LSB - idx, true
-}
-
 // MemWord returns memory word idx (X-filled when unwritten or out of range).
 func (s *Signal) MemWord(idx int) hdl.Vector {
 	if !s.IsMem || idx < s.MemLo || idx > s.MemHi {
@@ -80,8 +64,8 @@ type Design struct {
 	contAssigns []boundAssign
 	procs       []boundProc
 
-	arena     sigArena // chunked Signal storage
-	instances int      // elaborated so far, bounded by maxInstances
+	arena     sim.Arena[Signal] // chunked Signal storage
+	instances int               // elaborated so far, bounded by sim.MaxInstances
 }
 
 // boundAssign is a continuous assignment whose sides may live in
@@ -127,34 +111,10 @@ func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) 
 	return d, nil
 }
 
-// maxInstances bounds the instances one design may elaborate, so a
-// module that instantiates another several times per level cannot
-// multiply into unbounded work below the depth limit.
-const maxInstances = 4096
-
-// sigArena hands out Signal storage in fixed-capacity chunks so an
-// elaboration performs O(signals/chunk) allocations instead of one per
-// signal. Chunks are never grown past their capacity, so handed-out
-// pointers stay stable; retiring a full chunk just drops the arena's
-// reference (the signals keep it alive through the Design).
-type sigArena struct {
-	chunk []Signal
-}
-
-const sigArenaChunk = 256
-
-func (a *sigArena) alloc() *Signal {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]Signal, 0, sigArenaChunk)
-	}
-	a.chunk = append(a.chunk, Signal{})
-	return &a.chunk[len(a.chunk)-1]
-}
-
 // newSignal allocates local as a signal of inst, X-filled, and appends
 // it to d.All (the order the VCD writer numbers identifiers in).
 func (d *Design) newSignal(inst *Instance, local string, width, msb, lsb int, kind verilog.NetKind, signed bool) *Signal {
-	sig := d.arena.alloc()
+	sig := d.arena.Alloc()
 	sig.Name = inst.Path + "." + local
 	sig.Local = local
 	sig.Width, sig.MSB, sig.LSB = width, msb, lsb
@@ -169,16 +129,16 @@ func (d *Design) newSignal(inst *Instance, local string, width, msb, lsb int, ki
 // parameters, then signals (ports, then net declarations), then
 // continuous assignments, processes and children in item order.
 func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, paramOverrides map[string]hdl.Vector, pos verilog.Pos) (*Instance, error) {
-	if d.instances++; d.instances > maxInstances {
-		return nil, elabErrf(pos, "design exceeds %d instances", maxInstances)
+	if d.instances++; d.instances > sim.MaxInstances {
+		return nil, elabErrf(pos, "design exceeds %d instances", sim.MaxInstances)
 	}
 	if parent != nil {
 		depth := 0
 		for p := parent; p != nil; p = p.Parent {
 			depth++
 		}
-		if depth > 64 {
-			return nil, elabErrf(pos, "instantiation depth exceeds 64 (recursive instantiation of %q?)", m.Name)
+		if depth > sim.MaxDepth {
+			return nil, elabErrf(pos, "instantiation depth exceeds %d (recursive instantiation of %q?)", sim.MaxDepth, m.Name)
 		}
 	}
 	inst := &Instance{

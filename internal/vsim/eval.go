@@ -1,9 +1,8 @@
 package vsim
 
 import (
-	"fmt"
-
 	"repro/internal/hdl"
+	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
@@ -177,14 +176,6 @@ func hdlMax(a, b int) int {
 	return b
 }
 
-// runtimeFault unwinds interpretation with a simulation-fatal message;
-// the simulator converts it into a log entry rather than a crash.
-type runtimeFault struct{ msg string }
-
-func faultf(format string, args ...any) runtimeFault {
-	return runtimeFault{msg: fmt.Sprintf(format, args...)}
-}
-
 // lookup resolves a name in the instance scope: signals first, then
 // parameters. Returns (signal, paramValue, kind): kind 0 none, 1 signal,
 // 2 param.
@@ -200,7 +191,7 @@ func (inst *Instance) lookup(name string) (*Signal, hdl.Vector, int) {
 
 // natWidth infers the self-determined bit width of an expression, per
 // the IEEE 1364 expression sizing rules.
-func (sim *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
+func (s *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
 	switch x := e.(type) {
 	case *verilog.Number:
 		return x.Value.Width()
@@ -221,32 +212,32 @@ func (sim *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
 	case *verilog.Unary:
 		switch x.Op {
 		case "~", "-", "+":
-			return sim.natWidth(inst, x.X)
+			return s.natWidth(inst, x.X)
 		}
 		return 1
 	case *verilog.Binary:
 		switch x.Op {
 		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			return hdlMax(sim.natWidth(inst, x.L), sim.natWidth(inst, x.R))
+			return hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R))
 		case "<<", ">>", "<<<", ">>>", "**":
-			return sim.natWidth(inst, x.L)
+			return s.natWidth(inst, x.L)
 		}
 		return 1
 	case *verilog.Ternary:
-		return hdlMax(sim.natWidth(inst, x.Then), sim.natWidth(inst, x.Else))
+		return hdlMax(s.natWidth(inst, x.Then), s.natWidth(inst, x.Else))
 	case *verilog.ConcatExpr:
 		total := 0
 		for _, p := range x.Parts {
-			total += sim.natWidth(inst, p)
+			total += s.natWidth(inst, p)
 		}
 		return total
 	case *verilog.ReplicateExpr:
-		nv := sim.eval(inst, x.Count)
+		nv := s.eval(inst, x.Count)
 		n, ok := nv.Uint()
 		if !ok || n > 4096 {
 			return 1
 		}
-		return int(n) * sim.natWidth(inst, x.Value)
+		return int(n) * s.natWidth(inst, x.Value)
 	case *verilog.Index:
 		if base, ok := x.Base.(*verilog.Ident); ok {
 			if sig, _, kind := inst.lookup(base.Name); kind == 1 && sig.IsMem {
@@ -255,8 +246,8 @@ func (sim *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
 		}
 		return 1
 	case *verilog.PartSelect:
-		mV := sim.eval(inst, x.MSB)
-		lV := sim.eval(inst, x.LSB)
+		mV := s.eval(inst, x.MSB)
+		lV := s.eval(inst, x.LSB)
 		m64, ok1 := mV.Int()
 		l64, ok2 := lV.Int()
 		if !ok1 || !ok2 {
@@ -273,7 +264,7 @@ func (sim *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
 			return 64
 		case "$signed", "$unsigned":
 			if len(x.Args) == 1 {
-				return sim.natWidth(inst, x.Args[0])
+				return s.natWidth(inst, x.Args[0])
 			}
 		}
 		return 32
@@ -282,8 +273,8 @@ func (sim *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
 }
 
 // eval evaluates an expression self-determined.
-func (sim *Simulator) eval(inst *Instance, e verilog.Expr) hdl.Vector {
-	return sim.evalCtx(inst, e, 0)
+func (s *Simulator) eval(inst *Instance, e verilog.Expr) hdl.Vector {
+	return s.evalCtx(inst, e, 0)
 }
 
 // evalCtx evaluates an expression with a context width: operands of
@@ -291,7 +282,7 @@ func (sim *Simulator) eval(inst *Instance, e verilog.Expr) hdl.Vector {
 // context and their natural widths before the operation, matching
 // Verilog's context-determined expression sizing. ctx 0 means
 // self-determined.
-func (sim *Simulator) evalCtx(inst *Instance, e verilog.Expr, ctx int) hdl.Vector {
+func (s *Simulator) evalCtx(inst *Instance, e verilog.Expr, ctx int) hdl.Vector {
 	switch x := e.(type) {
 	case *verilog.Number:
 		// Safe to share the AST literal's storage: Vectors are
@@ -323,13 +314,13 @@ func (sim *Simulator) evalCtx(inst *Instance, e verilog.Expr, ctx int) hdl.Vecto
 		switch kind {
 		case 1:
 			if sig.IsMem {
-				panic(faultf("memory %q used without an index", x.Name))
+				panic(sim.Faultf("memory %q used without an index", x.Name))
 			}
 			v = sig.Val
 		case 2:
 			v = pv
 		default:
-			panic(faultf("reference to undeclared identifier %q", x.Name))
+			panic(sim.Faultf("reference to undeclared identifier %q", x.Name))
 		}
 		if ctx > v.Width() {
 			v = v.Resize(ctx)
@@ -338,43 +329,43 @@ func (sim *Simulator) evalCtx(inst *Instance, e verilog.Expr, ctx int) hdl.Vecto
 	case *verilog.Unary:
 		switch x.Op {
 		case "~", "-", "+":
-			w := hdlMax(ctx, sim.natWidth(inst, x.X))
-			return applyUnary(x.Op, sim.evalCtx(inst, x.X, w))
+			w := hdlMax(ctx, s.natWidth(inst, x.X))
+			return applyUnary(x.Op, s.evalCtx(inst, x.X, w))
 		}
-		return applyUnary(x.Op, sim.eval(inst, x.X))
+		return applyUnary(x.Op, s.eval(inst, x.X))
 	case *verilog.Binary:
 		switch x.Op {
 		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			w := hdlMax(ctx, hdlMax(sim.natWidth(inst, x.L), sim.natWidth(inst, x.R)))
-			return applyBinary(x.Op, sim.evalCtx(inst, x.L, w), sim.evalCtx(inst, x.R, w))
+			w := hdlMax(ctx, hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R)))
+			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.evalCtx(inst, x.R, w))
 		case "<<", ">>", "<<<", ">>>", "**":
-			w := hdlMax(ctx, sim.natWidth(inst, x.L))
-			return applyBinary(x.Op, sim.evalCtx(inst, x.L, w), sim.eval(inst, x.R))
+			w := hdlMax(ctx, s.natWidth(inst, x.L))
+			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.eval(inst, x.R))
 		case "==", "!=", "===", "!==":
-			w := hdlMax(sim.natWidth(inst, x.L), sim.natWidth(inst, x.R))
-			return applyBinary(x.Op, sim.evalCtx(inst, x.L, w), sim.evalCtx(inst, x.R, w))
+			w := hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R))
+			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.evalCtx(inst, x.R, w))
 		case "<", "<=", ">", ">=":
 			// Per IEEE 1364, the comparison is signed only when both
 			// operands are signed (integers, signed regs, plain decimals).
-			if sim.exprSigned(inst, x.L) && sim.exprSigned(inst, x.R) {
-				return signedCompare(x.Op, sim.eval(inst, x.L), sim.eval(inst, x.R))
+			if s.exprSigned(inst, x.L) && s.exprSigned(inst, x.R) {
+				return signedCompare(x.Op, s.eval(inst, x.L), s.eval(inst, x.R))
 			}
-			w := hdlMax(sim.natWidth(inst, x.L), sim.natWidth(inst, x.R))
-			return applyBinary(x.Op, sim.evalCtx(inst, x.L, w), sim.evalCtx(inst, x.R, w))
+			w := hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R))
+			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.evalCtx(inst, x.R, w))
 		}
-		return applyBinary(x.Op, sim.eval(inst, x.L), sim.eval(inst, x.R))
+		return applyBinary(x.Op, s.eval(inst, x.L), s.eval(inst, x.R))
 	case *verilog.Ternary:
-		branchW := hdlMax(ctx, hdlMax(sim.natWidth(inst, x.Then), sim.natWidth(inst, x.Else)))
-		c := sim.eval(inst, x.Cond).ToBool()
+		branchW := hdlMax(ctx, hdlMax(s.natWidth(inst, x.Then), s.natWidth(inst, x.Else)))
+		c := s.eval(inst, x.Cond).ToBool()
 		switch c {
 		case hdl.L1:
-			return sim.evalCtx(inst, x.Then, branchW)
+			return s.evalCtx(inst, x.Then, branchW)
 		case hdl.L0:
-			return sim.evalCtx(inst, x.Else, branchW)
+			return s.evalCtx(inst, x.Else, branchW)
 		default:
 			// X condition: bitwise merge per Verilog semantics.
-			t := sim.evalCtx(inst, x.Then, branchW)
-			f := sim.evalCtx(inst, x.Else, branchW)
+			t := s.evalCtx(inst, x.Then, branchW)
+			f := s.evalCtx(inst, x.Else, branchW)
 			w := hdlMax(t.Width(), f.Width())
 			t, f = t.Resize(w), f.Resize(w)
 			out := hdl.NewVector(w, hdl.LX)
@@ -388,31 +379,31 @@ func (sim *Simulator) evalCtx(inst *Instance, e verilog.Expr, ctx int) hdl.Vecto
 	case *verilog.ConcatExpr:
 		parts := make([]hdl.Vector, 0, len(x.Parts))
 		for _, p := range x.Parts {
-			parts = append(parts, sim.eval(inst, p))
+			parts = append(parts, s.eval(inst, p))
 		}
 		return hdl.Concat(parts...)
 	case *verilog.ReplicateExpr:
-		nv := sim.eval(inst, x.Count)
+		nv := s.eval(inst, x.Count)
 		n, ok := nv.Uint()
 		if !ok || n > 4096 {
-			panic(faultf("bad replication count"))
+			panic(sim.Faultf("bad replication count"))
 		}
-		return hdl.Replicate(int(n), sim.eval(inst, x.Value))
+		return hdl.Replicate(int(n), s.eval(inst, x.Value))
 	case *verilog.Index:
-		return sim.evalIndex(inst, x)
+		return s.evalIndex(inst, x)
 	case *verilog.PartSelect:
-		return sim.evalPartSelect(inst, x)
+		return s.evalPartSelect(inst, x)
 	case *verilog.SysFuncCall:
-		return sim.evalSysFuncCtx(inst, x, ctx)
+		return s.evalSysFuncCtx(inst, x, ctx)
 	default:
-		panic(faultf("unsupported expression at %v", e.ExprPos()))
+		panic(sim.Faultf("unsupported expression at %v", e.ExprPos()))
 	}
 }
 
 // evalSysFuncCtx applies context width to $signed/$unsigned results:
 // $signed sign-extends into a wider context, $unsigned zero-extends.
-func (sim *Simulator) evalSysFuncCtx(inst *Instance, x *verilog.SysFuncCall, ctx int) hdl.Vector {
-	v := sim.evalSysFunc(inst, x)
+func (s *Simulator) evalSysFuncCtx(inst *Instance, x *verilog.SysFuncCall, ctx int) hdl.Vector {
+	v := s.evalSysFunc(inst, x)
 	if ctx > v.Width() {
 		if x.Name == "$signed" {
 			return v.SignExtend(ctx)
@@ -426,9 +417,9 @@ func (sim *Simulator) evalSysFuncCtx(inst *Instance, x *verilog.SysFuncCall, ctx
 // signedness: unsigned vectors index as non-negative values (a 2-bit
 // address holding 2 must not sign-extend to -2), while signed integers
 // may legitimately produce negative (out-of-range) indices.
-func (sim *Simulator) evalIndexValue(inst *Instance, e verilog.Expr) (int64, bool) {
-	v := sim.eval(inst, e)
-	if sim.exprSigned(inst, e) {
+func (s *Simulator) evalIndexValue(inst *Instance, e verilog.Expr) (int64, bool) {
+	v := s.eval(inst, e)
+	if s.exprSigned(inst, e) {
 		return v.Int()
 	}
 	u, ok := v.Uint()
@@ -438,19 +429,19 @@ func (sim *Simulator) evalIndexValue(inst *Instance, e verilog.Expr) (int64, boo
 	return int64(u), ok
 }
 
-func (sim *Simulator) evalIndex(inst *Instance, x *verilog.Index) hdl.Vector {
+func (s *Simulator) evalIndex(inst *Instance, x *verilog.Index) hdl.Vector {
 	base, ok := x.Base.(*verilog.Ident)
 	if !ok {
 		// Index of a computed value: evaluate then select bit.
-		v := sim.eval(inst, x.Base)
-		i64, known := sim.evalIndexValue(inst, x.Idx)
+		v := s.eval(inst, x.Base)
+		i64, known := s.evalIndexValue(inst, x.Idx)
 		if !known {
 			return hdl.XFill(1)
 		}
 		return hdl.Scalar(v.Bit(int(i64)))
 	}
 	sig, pv, kind := inst.lookup(base.Name)
-	i64, known := sim.evalIndexValue(inst, x.Idx)
+	i64, known := s.evalIndexValue(inst, x.Idx)
 	switch kind {
 	case 1:
 		if !known {
@@ -462,7 +453,7 @@ func (sim *Simulator) evalIndex(inst *Instance, x *verilog.Index) hdl.Vector {
 		if sig.IsMem {
 			return sig.MemWord(int(i64))
 		}
-		bit, inRange := sig.declIndexToBit(int(i64))
+		bit, inRange := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
 		if !inRange {
 			return hdl.XFill(1)
 		}
@@ -473,18 +464,18 @@ func (sim *Simulator) evalIndex(inst *Instance, x *verilog.Index) hdl.Vector {
 		}
 		return hdl.Scalar(pv.Bit(int(i64)))
 	default:
-		panic(faultf("reference to undeclared identifier %q", base.Name))
+		panic(sim.Faultf("reference to undeclared identifier %q", base.Name))
 	}
 }
 
-func (sim *Simulator) evalPartSelect(inst *Instance, x *verilog.PartSelect) hdl.Vector {
+func (s *Simulator) evalPartSelect(inst *Instance, x *verilog.PartSelect) hdl.Vector {
 	base, ok := x.Base.(*verilog.Ident)
 	if !ok {
-		panic(faultf("part select requires a simple name at %v", x.Pos))
+		panic(sim.Faultf("part select requires a simple name at %v", x.Pos))
 	}
 	sig, pv, kind := inst.lookup(base.Name)
-	m64, ok1 := sim.evalIndexValue(inst, x.MSB)
-	l64, ok2 := sim.evalIndexValue(inst, x.LSB)
+	m64, ok1 := s.evalIndexValue(inst, x.MSB)
+	l64, ok2 := s.evalIndexValue(inst, x.LSB)
 	if !ok1 || !ok2 {
 		return hdl.XFill(1)
 	}
@@ -492,10 +483,10 @@ func (sim *Simulator) evalPartSelect(inst *Instance, x *verilog.PartSelect) hdl.
 	switch kind {
 	case 1:
 		if sig.IsMem {
-			panic(faultf("part select on memory %q", base.Name))
+			panic(sim.Faultf("part select on memory %q", base.Name))
 		}
-		loBit, ok1 := sig.declIndexToBit(l)
-		hiBit, ok2 := sig.declIndexToBit(m)
+		loBit, ok1 := sim.DeclIndexToBit(sig.MSB, sig.LSB, l)
+		hiBit, ok2 := sim.DeclIndexToBit(sig.MSB, sig.LSB, m)
 		if !ok1 || !ok2 {
 			w := m - l
 			if w < 0 {
@@ -513,14 +504,14 @@ func (sim *Simulator) evalPartSelect(inst *Instance, x *verilog.PartSelect) hdl.
 		}
 		return pv.Slice(l, m-l+1)
 	default:
-		panic(faultf("reference to undeclared identifier %q", base.Name))
+		panic(sim.Faultf("reference to undeclared identifier %q", base.Name))
 	}
 }
 
 // exprSigned infers whether an expression is signed under the IEEE 1364
 // self-determined typing rules (subset: idents, literals, arithmetic,
 // $signed/$unsigned, parenthesised combinations).
-func (sim *Simulator) exprSigned(inst *Instance, e verilog.Expr) bool {
+func (s *Simulator) exprSigned(inst *Instance, e verilog.Expr) bool {
 	switch x := e.(type) {
 	case *verilog.Number:
 		return x.Signed
@@ -533,17 +524,17 @@ func (sim *Simulator) exprSigned(inst *Instance, e verilog.Expr) bool {
 	case *verilog.Unary:
 		switch x.Op {
 		case "~", "-", "+":
-			return sim.exprSigned(inst, x.X)
+			return s.exprSigned(inst, x.X)
 		}
 		return false
 	case *verilog.Binary:
 		switch x.Op {
 		case "+", "-", "*", "/", "%", "**":
-			return sim.exprSigned(inst, x.L) && sim.exprSigned(inst, x.R)
+			return s.exprSigned(inst, x.L) && s.exprSigned(inst, x.R)
 		}
 		return false
 	case *verilog.Ternary:
-		return sim.exprSigned(inst, x.Then) && sim.exprSigned(inst, x.Else)
+		return s.exprSigned(inst, x.Then) && s.exprSigned(inst, x.Else)
 	case *verilog.SysFuncCall:
 		return x.Name == "$signed"
 	}
@@ -571,19 +562,19 @@ func signedCompare(op string, l, r hdl.Vector) hdl.Vector {
 	return hdl.FromBool(res)
 }
 
-func (sim *Simulator) evalSysFunc(inst *Instance, x *verilog.SysFuncCall) hdl.Vector {
+func (s *Simulator) evalSysFunc(inst *Instance, x *verilog.SysFuncCall) hdl.Vector {
 	switch x.Name {
 	case "$time", "$stime", "$realtime":
-		return hdl.FromUint(uint64(sim.kernel.Now()), 64)
+		return hdl.FromUint(uint64(s.Kernel.Now()), 64)
 	case "$random", "$urandom":
 		// One stream per run, drawn in execution order.
-		sim.rng = sim.rng*6364136223846793005 + 1442695040888963407
-		return hdl.FromUint(sim.rng>>16, 32)
+		s.rng = s.rng*6364136223846793005 + 1442695040888963407
+		return hdl.FromUint(s.rng>>16, 32)
 	case "$clog2":
 		if len(x.Args) != 1 {
-			panic(faultf("$clog2 expects 1 argument"))
+			panic(sim.Faultf("$clog2 expects 1 argument"))
 		}
-		v := sim.eval(inst, x.Args[0])
+		v := s.eval(inst, x.Args[0])
 		n, ok := v.Uint()
 		if !ok {
 			return hdl.XFill(32)
@@ -595,10 +586,10 @@ func (sim *Simulator) evalSysFunc(inst *Instance, x *verilog.SysFuncCall) hdl.Ve
 		return hdl.FromUint(uint64(c), 32)
 	case "$signed", "$unsigned":
 		if len(x.Args) != 1 {
-			panic(faultf("%s expects 1 argument", x.Name))
+			panic(sim.Faultf("%s expects 1 argument", x.Name))
 		}
-		return sim.eval(inst, x.Args[0])
+		return s.eval(inst, x.Args[0])
 	default:
-		panic(faultf("unsupported system function %s", x.Name))
+		panic(sim.Faultf("unsupported system function %s", x.Name))
 	}
 }

@@ -83,20 +83,20 @@ func (s *Simulator) appendTargets(buf []target, inst *Instance, lhs verilog.Expr
 	case *verilog.Ident:
 		sig, _, kind := inst.lookup(x.Name)
 		if kind != 1 {
-			panic(faultf("assignment to non-signal %q", x.Name))
+			panic(sim.Faultf("assignment to non-signal %q", x.Name))
 		}
 		if sig.IsMem {
-			panic(faultf("assignment to memory %q without an index", x.Name))
+			panic(sim.Faultf("assignment to memory %q without an index", x.Name))
 		}
 		return append(buf, target{sig: sig, lo: 0, width: sig.Width, ok: true}), sig.Width
 	case *verilog.Index:
 		base, okb := x.Base.(*verilog.Ident)
 		if !okb {
-			panic(faultf("unsupported assignment target at %v", x.Pos))
+			panic(sim.Faultf("unsupported assignment target at %v", x.Pos))
 		}
 		sig, _, kind := inst.lookup(base.Name)
 		if kind != 1 {
-			panic(faultf("assignment to non-signal %q", base.Name))
+			panic(sim.Faultf("assignment to non-signal %q", base.Name))
 		}
 		i64, known := s.evalIndexValue(inst, x.Idx)
 		if sig.IsMem {
@@ -108,7 +108,7 @@ func (s *Simulator) appendTargets(buf []target, inst *Instance, lhs verilog.Expr
 		if !known {
 			return append(buf, target{ok: false, width: 1}), 1
 		}
-		bit, inRange := sig.declIndexToBit(int(i64))
+		bit, inRange := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
 		if !inRange {
 			return append(buf, target{ok: false, width: 1}), 1
 		}
@@ -116,19 +116,19 @@ func (s *Simulator) appendTargets(buf []target, inst *Instance, lhs verilog.Expr
 	case *verilog.PartSelect:
 		base, okb := x.Base.(*verilog.Ident)
 		if !okb {
-			panic(faultf("unsupported assignment target at %v", x.Pos))
+			panic(sim.Faultf("unsupported assignment target at %v", x.Pos))
 		}
 		sig, _, kind := inst.lookup(base.Name)
 		if kind != 1 || sig.IsMem {
-			panic(faultf("bad part-select assignment target %q", base.Name))
+			panic(sim.Faultf("bad part-select assignment target %q", base.Name))
 		}
 		m64, ok1 := s.evalIndexValue(inst, x.MSB)
 		l64, ok2 := s.evalIndexValue(inst, x.LSB)
 		if !ok1 || !ok2 {
 			return append(buf, target{ok: false, width: 1}), 1
 		}
-		loBit, okLo := sig.declIndexToBit(int(l64))
-		hiBit, okHi := sig.declIndexToBit(int(m64))
+		loBit, okLo := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(l64))
+		hiBit, okHi := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(m64))
 		if !okLo || !okHi {
 			w := int(m64 - l64)
 			if w < 0 {
@@ -150,7 +150,7 @@ func (s *Simulator) appendTargets(buf []target, inst *Instance, lhs verilog.Expr
 		}
 		return buf, total
 	default:
-		panic(faultf("unsupported assignment target at %v", lhs.ExprPos()))
+		panic(sim.Faultf("unsupported assignment target at %v", lhs.ExprPos()))
 	}
 }
 
@@ -263,7 +263,7 @@ func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector) {
 		if !t.ok {
 			continue
 		}
-		r := s.kernel.NBAPut()
+		r := s.Kernel.NBAPut()
 		r.Sig = t.sig
 		r.Val = part
 		if t.isMem {
@@ -303,7 +303,7 @@ func (s *Simulator) applyMemNBA(r *sim.NBARecord) {
 // per-watcher baseline.
 func (s *Simulator) buildWait(inst *Instance, sens *verilog.SensList, resume func()) *sim.WaitReg {
 	if sens.Star {
-		panic(faultf("internal: @* must be expanded before registerWait"))
+		panic(sim.Faultf("internal: @* must be expanded before registerWait"))
 	}
 	r := sim.NewWaitReg(resume)
 	for _, item := range sens.Items {
@@ -341,7 +341,7 @@ func (s *Simulator) rearmWait(r *sim.WaitReg) {
 	r.Rearm()
 	if r.Empty() {
 		// Nothing to wait on: resume immediately to avoid deadlock.
-		s.kernel.Active(r.Resume())
+		s.Kernel.Active(r.Resume())
 	}
 }
 
@@ -470,16 +470,6 @@ func (s *Simulator) expandStar(body verilog.Stmt) *verilog.SensList {
 
 // ---------------------------------------------------------------- exec
 
-const stmtBudget = 20_000_000
-
-// tick charges one interpreter step against the run's statement budget.
-func (s *Simulator) tick() {
-	s.steps++
-	if s.steps > stmtBudget {
-		panic(faultf("statement budget exceeded (possible infinite loop in RTL)"))
-	}
-}
-
 // frameKind discriminates procMachine continuation frames.
 type frameKind uint8
 
@@ -563,7 +553,7 @@ func (m *procMachine) lhsTargets(x *verilog.Assign) ([]target, int) {
 
 // step is the process continuation the kernel dispatches.
 func (m *procMachine) step(p *sim.Process) {
-	defer m.s.procRecover()
+	defer m.s.ProcRecover()
 	for {
 		for len(m.stack) > 0 {
 			if m.runTopFrame() {
@@ -591,7 +581,7 @@ func (m *procMachine) startIteration() bool {
 	if m.sens == nil {
 		// always without @: must contain delays; the statement budget
 		// catches zero-delay loops.
-		m.s.tick()
+		m.s.Tick()
 		return m.exec(m.body)
 	}
 	if m.armed {
@@ -662,7 +652,7 @@ func (m *procMachine) runTopFrame() bool {
 				m.pop()
 				return false
 			}
-			m.s.tick()
+			m.s.Tick()
 			f.phase = 2
 			return m.exec(x.Body)
 		default:
@@ -675,7 +665,7 @@ func (m *procMachine) runTopFrame() bool {
 			m.pop()
 			return false
 		}
-		m.s.tick()
+		m.s.Tick()
 		return m.exec(x.Body)
 	case fRepeat:
 		if f.n == 0 {
@@ -683,10 +673,10 @@ func (m *procMachine) runTopFrame() bool {
 			return false
 		}
 		f.n--
-		m.s.tick()
+		m.s.Tick()
 		return m.exec(f.st.(*verilog.Repeat).Body)
 	case fForever:
-		m.s.tick()
+		m.s.Tick()
 		return m.exec(f.st.(*verilog.Forever).Body)
 	default: // fWait
 		x := f.st.(*verilog.WaitStmt)
@@ -694,7 +684,7 @@ func (m *procMachine) runTopFrame() bool {
 			m.pop()
 			return m.exec(x.Body)
 		}
-		m.s.tick()
+		m.s.Tick()
 		m.s.rearmWait(m.condRegFor(x))
 		return true
 	}
@@ -705,7 +695,7 @@ func (m *procMachine) runTopFrame() bool {
 // the step must unwind.
 func (m *procMachine) exec(st verilog.Stmt) bool {
 	s, inst := m.s, m.inst
-	s.tick()
+	s.Tick()
 	switch x := st.(type) {
 	case *verilog.Block:
 		if len(x.Stmts) > 0 {
@@ -746,7 +736,7 @@ func (m *procMachine) exec(st verilog.Stmt) bool {
 		av := s.eval(inst, x.Amount)
 		n, ok := av.Uint()
 		if !ok {
-			panic(faultf("delay amount is unknown"))
+			panic(sim.Faultf("delay amount is unknown"))
 		}
 		m.pushBody(x.Body)
 		m.p.Delay(sim.Time(n))
@@ -815,7 +805,7 @@ func (m *procMachine) condRegFor(x *verilog.WaitStmt) *sim.WaitReg {
 	sl := &verilog.SensList{Items: []verilog.SensItem{{Edge: verilog.EdgeLevel, Sig: x.Cond}}}
 	r := m.s.buildWait(m.inst, sl, m.activate)
 	if r.Empty() {
-		panic(faultf("wait condition can never change"))
+		panic(sim.Faultf("wait condition can never change"))
 	}
 	m.cacheWait(x, r)
 	return r

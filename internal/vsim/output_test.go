@@ -102,7 +102,7 @@ func TestRandomOneStreamExecutionOrder(t *testing.T) {
 module tb;
   reg [31:0] x, y;
   initial begin x = $random; y = $random; $display("a=%0d", x); $display("b=%0d", y); end
-endmodule`), "tb", Options{Seed: 7})
+endmodule`), "tb", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ module tb;
   reg [31:0] a;
   initial begin a = $random; $display("a=%0d", a); end
   initial begin b = $random; $display("b=%0d", b); end
-endmodule`), "tb", Options{Seed: 7})
+endmodule`), "tb", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,49 +10,28 @@ import (
 )
 
 // Options configures one simulation run.
-type Options struct {
-	MaxTime   sim.Time // simulated-time limit (default 1,000,000)
-	Seed      uint64   // $random seed
-	File      string   // logical source file name used in $finish/$stop lines
-	MaxOutput int      // cap on captured log bytes (default 1 MiB)
-
-	// CaptureFinal populates Result.Final with the post-run value of
-	// every non-memory signal (used by the differential harness).
-	CaptureFinal bool
-}
+type Options = sim.Options
 
 // Result is the outcome of a simulation run.
 type Result struct {
-	Log      string
-	Finished bool // $finish executed
-	Stopped  bool // $stop executed
-	TimedOut bool // hit MaxTime or event/delta limits
-	Fault    string
-	EndTime  sim.Time
-	VCD      string            // waveform dump when the bench ran $dumpvars
-	Events   uint64            // kernel events executed
-	Final    map[string]string // hierarchical name -> final value (CaptureFinal)
+	sim.Outcome
+	Finished bool   // $finish executed
+	Stopped  bool   // $stop executed
+	VCD      string // waveform dump when the bench ran $dumpvars
 }
 
-// Simulator runs one elaborated design on its own event kernel. Exactly
-// one activity executes at a time, so the per-run state below needs no
-// locks.
+// Simulator runs one elaborated design on its own event kernel, inside
+// the shared run shell. Exactly one activity executes at a time, so
+// the per-run state below needs no locks.
 type Simulator struct {
-	design *Design
-	kernel *sim.Kernel
-	file   string
-	logCap int
+	sim.Runtime
 
-	log   []byte
-	vcd   vcdDump
-	rng   uint64 // $random stream
-	steps uint64 // interpreter statement budget spent
-	fault string // first runtime fault
+	vcd vcdDump
+	rng uint64 // $random stream, from a fixed seed
 
 	finished bool
 	stopped  bool
-	dumpReq  bool   // $dumpvars executed; honoured at the delta boundary
-	vcdFile  string // $dumpfile argument (informational)
+	dumpReq  bool // $dumpvars executed; honoured at the delta boundary
 
 	// targetScratch backs resolveTargetsScratch for assignments whose
 	// targets are consumed immediately (blocking assigns, continuous
@@ -81,22 +60,9 @@ func Simulate(modules map[string]*verilog.Module, top string, opts Options) (*Re
 // once: its callers are Simulate and the perfbench replay, each of
 // which elaborates a fresh Design per run.
 func SimulateDesign(d *Design, opts Options) *Result {
-	if opts.MaxTime == 0 {
-		opts.MaxTime = 1_000_000
-	}
-	if opts.MaxOutput == 0 {
-		opts.MaxOutput = 1 << 20
-	}
-	if opts.File == "" {
-		opts.File = "tb.v"
-	}
-
 	s := &Simulator{
-		design: d,
-		kernel: sim.NewKernel(),
-		file:   opts.File,
-		logCap: opts.MaxOutput,
-		rng:    opts.Seed ^ 0x9E3779B97F4A7C15,
+		Runtime: sim.NewRuntime(opts, "tb.v", "statement budget exceeded (possible infinite loop in RTL)"),
+		rng:     0x9E3779B97F4A7C15,
 	}
 	s.nbaVec = s.applyVecNBA
 	s.nbaMem = s.applyMemNBA
@@ -115,8 +81,7 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		}
 	}
 
-	k := s.kernel
-	k.MaxTime = opts.MaxTime
+	k := s.Kernel
 	k.AfterDelta = func() {
 		// $dumpvars takes effect at the delta boundary, where the whole
 		// design can be sampled for the initial dump.
@@ -124,26 +89,9 @@ func SimulateDesign(d *Design, opts Options) *Result {
 			s.vcd.enable(d, k.Now())
 		}
 	}
-	reason := k.Run()
-
-	res := &Result{
-		Log:      truncateTo(string(s.log), s.logCap),
-		Finished: s.finished,
-		Stopped:  s.stopped,
-		Fault:    s.fault,
-		EndTime:  k.Now(),
-		Events:   k.Events(),
-	}
+	res := &Result{Outcome: s.Execute(), Finished: s.finished, Stopped: s.stopped}
 	if s.vcd.enabled {
 		res.VCD = s.vcd.render()
-	}
-	switch reason {
-	case sim.StopTimeout, sim.StopDeltas, sim.StopEvents:
-		res.TimedOut = true
-		res.Log += fmt.Sprintf("SIMULATOR: run aborted (%v) at time %d\n", reason, k.Now())
-	}
-	if res.Fault != "" && !strings.Contains(res.Log, res.Fault) {
-		res.Log += "SIMULATOR: " + res.Fault + "\n"
 	}
 	if opts.CaptureFinal {
 		res.Final = map[string]string{}
@@ -154,15 +102,6 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		}
 	}
 	return res
-}
-
-// truncateTo bounds s to limit bytes (the abort/fault summary lines
-// appended afterwards stay visible).
-func truncateTo(s string, limit int) string {
-	if len(s) <= limit {
-		return s
-	}
-	return s[:limit]
 }
 
 // contAssignRT is the runtime state of one continuous assignment.
@@ -183,11 +122,11 @@ func (c *contAssignRT) schedule() {
 		return
 	}
 	c.pending = true
-	c.s.kernel.Active(c.run)
+	c.s.Kernel.Active(c.run)
 }
 
 func (c *contAssignRT) update() {
-	defer c.s.recoverFault()
+	defer c.s.Recover()
 	var ts []target
 	var total int
 	switch {
@@ -214,7 +153,7 @@ func (s *Simulator) bindContAssign(a *boundAssign) {
 	}
 	// Persistent watchers on every RHS signal.
 	func() {
-		defer s.recoverFault()
+		defer s.Recover()
 		for _, sig := range collectSignals(a.rhsScope, a.rhs) {
 			sig.watch.Watch(rt.schedule)
 		}
@@ -223,62 +162,19 @@ func (s *Simulator) bindContAssign(a *boundAssign) {
 	rt.schedule()
 }
 
-// setFault records a runtime fault (the first one is the one Result
-// reports) and stops the run.
-func (s *Simulator) setFault(msg string) {
-	if s.fault == "" {
-		s.fault = msg
-	}
-	s.kernel.SetFault(msg)
-}
-
-// recoverFault converts a runtimeFault panic into a kernel fault.
-func (s *Simulator) recoverFault() {
-	if r := recover(); r != nil {
-		if f, ok := r.(runtimeFault); ok {
-			s.setFault(f.msg)
-			return
-		}
-		panic(r)
-	}
-}
-
 func (s *Simulator) bindAlways(inst *Instance, alw *verilog.AlwaysBlock) {
 	m := &procMachine{s: s, inst: inst, body: alw.Body, sens: alw.Sens, always: true}
-	m.p = s.kernel.NewProcess(inst.Path+".always", m.step)
+	m.p = s.Kernel.NewProcess(inst.Path+".always", m.step)
 	m.activate = m.p.Activate
 }
 
 func (s *Simulator) bindInitial(inst *Instance, ib *verilog.InitialBlock) {
 	m := &procMachine{s: s, inst: inst, body: ib.Body}
-	m.p = s.kernel.NewProcess(inst.Path+".initial", m.step)
+	m.p = s.Kernel.NewProcess(inst.Path+".initial", m.step)
 	m.activate = m.p.Activate
 }
 
-// procRecover converts runtimeFault panics raised inside a process step
-// into kernel faults and unwinds the process cleanly; the kernel's
-// dispatch boundary treats the TerminateProcess re-panic as a clean
-// termination and marks the process dead.
-func (s *Simulator) procRecover() {
-	if r := recover(); r != nil {
-		switch f := r.(type) {
-		case runtimeFault:
-			s.setFault(f.msg)
-			panic(sim.TerminateProcess{})
-		default:
-			panic(r)
-		}
-	}
-}
-
 // ---------------------------------------------------------------- tasks
-
-func (s *Simulator) logf(format string, args ...any) {
-	if len(s.log) > s.logCap {
-		return
-	}
-	s.log = fmt.Appendf(s.log, format, args...)
-}
 
 func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 	switch x.Name {
@@ -287,41 +183,35 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 		if x.Name == "$error" {
 			text = "ERROR: " + text
 		}
-		s.logf("%s", text)
+		s.Logf("%s", text)
 		if x.Name != "$write" {
-			s.logf("\n")
+			s.Logf("\n")
 		}
 	case "$monitor":
 		s.installMonitor(inst, x.Args)
 	case "$finish":
 		s.finished = true
-		s.logf("%s:%d: $finish called at %d (1ns)\n", s.file, x.Pos.Line, s.kernel.Now())
-		s.kernel.Finish()
+		s.Logf("%s:%d: $finish called at %d (1ns)\n", s.File, x.Pos.Line, s.Kernel.Now())
+		s.Kernel.Finish()
 		panic(sim.TerminateProcess{})
 	case "$stop":
 		s.stopped = true
-		s.logf("%s:%d: $stop called at %d (1ns)\n", s.file, x.Pos.Line, s.kernel.Now())
-		s.kernel.Finish()
+		s.Logf("%s:%d: $stop called at %d (1ns)\n", s.File, x.Pos.Line, s.Kernel.Now())
+		s.Kernel.Finish()
 		panic(sim.TerminateProcess{})
 	case "$fatal":
-		s.logf("FATAL: %s\n", s.formatArgs(inst, x.Args))
+		s.Logf("FATAL: %s\n", s.formatArgs(inst, x.Args))
 		s.finished = true
-		s.kernel.Finish()
+		s.Kernel.Finish()
 		panic(sim.TerminateProcess{})
-	case "$dumpfile":
-		if len(x.Args) == 1 {
-			if lit, ok := x.Args[0].(*verilog.StringLit); ok {
-				s.vcdFile = lit.Value
-			}
-		}
 	case "$dumpvars":
 		s.dumpReq = true
-	case "$timeformat", "$dumpon", "$dumpoff":
-		// Accepted and ignored.
+	case "$dumpfile", "$timeformat", "$dumpon", "$dumpoff":
+		// Accepted and ignored: the dump is returned in Result.VCD.
 	case "$readmemh", "$readmemb":
-		panic(faultf("%s is not supported by this simulator", x.Name))
+		panic(sim.Faultf("%s is not supported by this simulator", x.Name))
 	default:
-		panic(faultf("unsupported system task %s", x.Name))
+		panic(sim.Faultf("unsupported system task %s", x.Name))
 	}
 }
 
@@ -329,8 +219,8 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 // any referenced signal changes (at most one line per delta batch).
 func (s *Simulator) installMonitor(inst *Instance, args []verilog.Expr) {
 	print := func() {
-		defer s.recoverFault()
-		s.logf("%s\n", s.formatArgs(inst, args))
+		defer s.Recover()
+		s.Logf("%s\n", s.formatArgs(inst, args))
 	}
 	pending := false
 	run := func() {
@@ -342,10 +232,10 @@ func (s *Simulator) installMonitor(inst *Instance, args []verilog.Expr) {
 			return
 		}
 		pending = true
-		s.kernel.Active(run)
+		s.Kernel.Active(run)
 	}
 	func() {
-		defer s.recoverFault()
+		defer s.Recover()
 		for _, a := range args {
 			for _, sig := range collectSignals(inst, a) {
 				sig.watch.Watch(firePrint)

@@ -101,9 +101,9 @@ func (s *Simulator) vcdChange(sig *Signal) {
 		return
 	}
 	if sig.Width == 1 {
-		v.n += v.changes.Appendf(s.kernel, "%c%s\n", sig.Val.Bit(0).Rune(), id)
+		v.n += v.changes.Appendf(s.Kernel, "%c%s\n", sig.Val.Bit(0).Rune(), id)
 	} else {
-		v.n += v.changes.Appendf(s.kernel, "b%s %s\n", sig.Val.BinString(), id)
+		v.n += v.changes.Appendf(s.Kernel, "b%s %s\n", sig.Val.BinString(), id)
 	}
 }
 
