@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/sim"
 )
 
 // Port describes one port of a problem's module interface.
@@ -58,6 +60,13 @@ type Problem struct {
 
 	RefTBVerilog string // reference testbench (suite-side judge)
 	RefTBVHDL    string
+
+	// The suite judgement runs the judge shell — the reference
+	// testbench without its per-vector stimulus block — with Stimulus
+	// (the same vectors as data) driven natively.
+	ShellTBVerilog string
+	ShellTBVHDL    string
+	Stimulus       *sim.Stimulus
 
 	Vectors []Vec // generated deterministically at suite build time
 }
@@ -248,8 +257,7 @@ func NewSuite() *Suite {
 	for i, p := range ps {
 		p.Index = i
 		p.genVectors(int64(1000 + i*7919))
-		p.RefTBVerilog = verilogTB(p)
-		p.RefTBVHDL = vhdlTB(p)
+		p.shellTBs()
 	}
 	return &Suite{Problems: ps}
 }

@@ -3,14 +3,22 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/sim"
 )
 
-// verilogTB emits the reference Verilog testbench for a problem from its
-// precomputed test vectors.
-func verilogTB(p *Problem) string { return p.VerilogTBForVectors(p.Vectors) }
+// The reference testbenches come from one renderer per HDL: a head
+// (declarations, the DUT instantiation and, for sequential problems,
+// the clock), a per-vector stimulus block, and a tail. The head plus
+// the tail is the judge shell (ShellTB*), which the suite judgement
+// runs with the stimulus driven natively (Stimulus); the full text is
+// the textual testbench (RefTB*, and self-generated testbenches over
+// vector subsets). Sharing the head keeps the two from drifting.
 
-// vhdlTB emits the reference VHDL testbench.
-func vhdlTB(p *Problem) string { return p.VHDLTBForVectors(p.Vectors) }
+const (
+	verilogTail = "endmodule\n"
+	vhdlTail    = "end architecture;\n"
+)
 
 // VerilogTBForVectors emits a self-checking Verilog testbench exercising
 // the given vectors: it prints numbered failure messages and the
@@ -18,8 +26,16 @@ func vhdlTB(p *Problem) string { return p.VHDLTBForVectors(p.Vectors) }
 // to model self-generated testbenches of varying coverage.
 func (p *Problem) VerilogTBForVectors(vectors []Vec) string {
 	var sb strings.Builder
+	p.verilogHead(&sb)
+	p.verilogStim(&sb, vectors)
+	sb.WriteString(verilogTail)
+	return sb.String()
+}
+
+// verilogHead writes the testbench module up to its initial block.
+func (p *Problem) verilogHead(sb *strings.Builder) {
 	sb.WriteString("`timescale 1ns/1ps\n")
-	fmt.Fprintf(&sb, "module %s;\n", TBName)
+	fmt.Fprintf(sb, "module %s;\n", TBName)
 	// Declarations.
 	for _, pt := range p.Ports {
 		rng := ""
@@ -27,59 +43,55 @@ func (p *Problem) VerilogTBForVectors(vectors []Vec) string {
 			rng = fmt.Sprintf(" [%d:0]", pt.Width-1)
 		}
 		if pt.In {
-			fmt.Fprintf(&sb, "  reg%s %s;\n", rng, pt.Name)
+			fmt.Fprintf(sb, "  reg%s %s;\n", rng, pt.Name)
 		} else {
-			fmt.Fprintf(&sb, "  wire%s %s;\n", rng, pt.Name)
+			fmt.Fprintf(sb, "  wire%s %s;\n", rng, pt.Name)
 		}
 	}
 	sb.WriteString("  integer errors;\n")
 	// Instantiation.
-	fmt.Fprintf(&sb, "  %s dut(", TopName)
+	fmt.Fprintf(sb, "  %s dut(", TopName)
 	for i, pt := range p.Ports {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, ".%s(%s)", pt.Name, pt.Name)
+		fmt.Fprintf(sb, ".%s(%s)", pt.Name, pt.Name)
 	}
 	sb.WriteString(");\n")
 	if p.Seq {
 		sb.WriteString("  always #5 clk = ~clk;\n")
 	}
+}
+
+// verilogStim writes the initial block that applies and checks vectors.
+func (p *Problem) verilogStim(sb *strings.Builder, vectors []Vec) {
 	sb.WriteString("  initial begin\n    errors = 0;\n")
 	if p.Seq {
 		sb.WriteString("    clk = 0;\n")
 		for _, pt := range p.Inputs() {
-			fmt.Fprintf(&sb, "    %s = 0;\n", pt.Name)
-		}
-		for i, v := range vectors {
-			// Drive inputs, clock the design, then check outputs.
-			for _, pt := range p.Inputs() {
-				fmt.Fprintf(&sb, "    %s = %d'd%d;\n", pt.Name, pt.Width, v.In[pt.Name])
-			}
-			sb.WriteString("    @(posedge clk); #1;\n")
-			for _, pt := range p.Outputs() {
-				fmt.Fprintf(&sb, "    if (%s !== %d'd%d) begin errors = errors + 1; "+
-					"$display(\"Test Case %d Failed: %s expected %d got %%d\", %s); end\n",
-					pt.Name, pt.Width, v.Out[pt.Name], i+1, pt.Name, v.Out[pt.Name], pt.Name)
-			}
-		}
-	} else {
-		for i, v := range vectors {
-			for _, pt := range p.Inputs() {
-				fmt.Fprintf(&sb, "    %s = %d'd%d;\n", pt.Name, pt.Width, v.In[pt.Name])
-			}
-			sb.WriteString("    #1;\n")
-			for _, pt := range p.Outputs() {
-				fmt.Fprintf(&sb, "    if (%s !== %d'd%d) begin errors = errors + 1; "+
-					"$display(\"Test Case %d Failed: %s expected %d got %%d\", %s); end\n",
-					pt.Name, pt.Width, v.Out[pt.Name], i+1, pt.Name, v.Out[pt.Name], pt.Name)
-			}
+			fmt.Fprintf(sb, "    %s = 0;\n", pt.Name)
 		}
 	}
-	sb.WriteString("    if (errors == 0) $display(\"All tests passed successfully!\");\n")
+	for i, v := range vectors {
+		// Drive inputs, clock the design (or let it settle), then
+		// check outputs.
+		for _, pt := range p.Inputs() {
+			fmt.Fprintf(sb, "    %s = %d'd%d;\n", pt.Name, pt.Width, v.In[pt.Name])
+		}
+		if p.Seq {
+			sb.WriteString("    @(posedge clk); #1;\n")
+		} else {
+			sb.WriteString("    #1;\n")
+		}
+		for _, pt := range p.Outputs() {
+			fmt.Fprintf(sb, "    if (%s !== %d'd%d) begin errors = errors + 1; "+
+				"$display(\"Test Case %d Failed: %s expected %d got %%d\", %s); end\n",
+				pt.Name, pt.Width, v.Out[pt.Name], i+1, pt.Name, v.Out[pt.Name], pt.Name)
+		}
+	}
+	sb.WriteString("    if (errors == 0) $display(\"" + sim.PassMarker + "\");\n")
 	sb.WriteString("    else $display(\"%0d test case(s) failed.\", errors);\n")
-	sb.WriteString("    $finish;\n  end\nendmodule\n")
-	return sb.String()
+	sb.WriteString("    $finish;\n  end\n")
 }
 
 // vhdlBin renders v as a VHDL literal for a port of width w: '0'/'1'
@@ -106,9 +118,17 @@ func vhdlBin(v uint64, w int) string {
 // given vectors.
 func (p *Problem) VHDLTBForVectors(vectors []Vec) string {
 	var sb strings.Builder
+	p.vhdlHead(&sb)
+	p.vhdlStim(&sb, vectors)
+	sb.WriteString(vhdlTail)
+	return sb.String()
+}
+
+// vhdlHead writes the testbench architecture up to its stim process.
+func (p *Problem) vhdlHead(sb *strings.Builder) {
 	sb.WriteString("library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n")
-	fmt.Fprintf(&sb, "entity %s is end entity;\n\n", TBName)
-	fmt.Fprintf(&sb, "architecture sim of %s is\n", TBName)
+	fmt.Fprintf(sb, "entity %s is end entity;\n\n", TBName)
+	fmt.Fprintf(sb, "architecture sim of %s is\n", TBName)
 	for _, pt := range p.Ports {
 		ty := "std_logic"
 		if pt.Width > 1 {
@@ -116,52 +136,84 @@ func (p *Problem) VHDLTBForVectors(vectors []Vec) string {
 		}
 		init := " := '0'"
 		if pt.Width > 1 {
-			init = fmt.Sprintf(" := (others => '0')")
+			init = " := (others => '0')"
 		}
 		if !pt.In {
 			init = ""
 		}
-		fmt.Fprintf(&sb, "  signal %s : %s%s;\n", pt.Name, ty, init)
+		fmt.Fprintf(sb, "  signal %s : %s%s;\n", pt.Name, ty, init)
 	}
 	sb.WriteString("  signal done : std_logic := '0';\nbegin\n")
 	if p.Seq {
 		sb.WriteString("  clk <= not clk after 5 ns when done = '0' else '0';\n")
 	}
-	fmt.Fprintf(&sb, "  uut: entity work.%s port map (", TopName)
+	fmt.Fprintf(sb, "  uut: entity work.%s port map (", TopName)
 	for i, pt := range p.Ports {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "%s => %s", pt.Name, pt.Name)
+		fmt.Fprintf(sb, "%s => %s", pt.Name, pt.Name)
 	}
 	sb.WriteString(");\n")
+}
+
+// vhdlStim writes the stim process that applies and checks vectors.
+func (p *Problem) vhdlStim(sb *strings.Builder, vectors []Vec) {
 	sb.WriteString("  stim: process\n    variable errors : integer := 0;\n  begin\n")
-	if p.Seq {
-		for i, v := range vectors {
-			for _, pt := range p.Inputs() {
-				fmt.Fprintf(&sb, "    %s <= %s;\n", pt.Name, vhdlBin(v.In[pt.Name], pt.Width))
-			}
-			sb.WriteString("    wait until rising_edge(clk);\n    wait for 1 ns;\n")
-			for _, pt := range p.Outputs() {
-				fmt.Fprintf(&sb, "    if %s /= %s then errors := errors + 1; "+
-					"report \"Test Case %d Failed: %s expected %d\" severity error; end if;\n",
-					pt.Name, vhdlBin(v.Out[pt.Name], pt.Width), i+1, pt.Name, v.Out[pt.Name])
-			}
+	for i, v := range vectors {
+		for _, pt := range p.Inputs() {
+			fmt.Fprintf(sb, "    %s <= %s;\n", pt.Name, vhdlBin(v.In[pt.Name], pt.Width))
 		}
-	} else {
-		for i, v := range vectors {
-			for _, pt := range p.Inputs() {
-				fmt.Fprintf(&sb, "    %s <= %s;\n", pt.Name, vhdlBin(v.In[pt.Name], pt.Width))
-			}
-			sb.WriteString("    wait for 1 ns;\n")
-			for _, pt := range p.Outputs() {
-				fmt.Fprintf(&sb, "    if %s /= %s then errors := errors + 1; "+
-					"report \"Test Case %d Failed: %s expected %d\" severity error; end if;\n",
-					pt.Name, vhdlBin(v.Out[pt.Name], pt.Width), i+1, pt.Name, v.Out[pt.Name])
-			}
+		if p.Seq {
+			sb.WriteString("    wait until rising_edge(clk);\n")
+		}
+		sb.WriteString("    wait for 1 ns;\n")
+		for _, pt := range p.Outputs() {
+			fmt.Fprintf(sb, "    if %s /= %s then errors := errors + 1; "+
+				"report \"Test Case %d Failed: %s expected %d\" severity error; end if;\n",
+				pt.Name, vhdlBin(v.Out[pt.Name], pt.Width), i+1, pt.Name, v.Out[pt.Name])
 		}
 	}
-	sb.WriteString("    if errors = 0 then\n      report \"All tests passed successfully!\";\n")
-	sb.WriteString("    end if;\n    done <= '1';\n    wait;\n  end process;\nend architecture;\n")
-	return sb.String()
+	sb.WriteString("    if errors = 0 then\n      report \"" + sim.PassMarker + "\";\n")
+	sb.WriteString("    end if;\n    done <= '1';\n    wait;\n  end process;\n")
+}
+
+// shellTBs renders the judge shells, the reference testbenches and the
+// stimulus the shells run with.
+func (p *Problem) shellTBs() {
+	var sb strings.Builder
+	p.verilogHead(&sb)
+	head := sb.String()
+	p.ShellTBVerilog = head + verilogTail
+	p.verilogStim(&sb, p.Vectors)
+	sb.WriteString(verilogTail)
+	p.RefTBVerilog = sb.String()
+
+	sb.Reset()
+	p.vhdlHead(&sb)
+	head = sb.String()
+	p.ShellTBVHDL = head + vhdlTail
+	p.vhdlStim(&sb, p.Vectors)
+	sb.WriteString(vhdlTail)
+	p.RefTBVHDL = sb.String()
+
+	ins, outs := p.Inputs(), p.Outputs()
+	var inNames, outNames []string
+	for _, pt := range ins {
+		inNames = append(inNames, pt.Name)
+	}
+	for _, pt := range outs {
+		outNames = append(outNames, pt.Name)
+	}
+	in := make([]uint64, 0, len(ins)*len(p.Vectors))
+	out := make([]uint64, 0, len(outs)*len(p.Vectors))
+	for _, v := range p.Vectors {
+		for _, pt := range ins {
+			in = append(in, v.In[pt.Name])
+		}
+		for _, pt := range outs {
+			out = append(out, v.Out[pt.Name])
+		}
+	}
+	p.Stimulus = sim.NewStimulus(inNames, outNames, p.Seq, len(p.Vectors), in, out)
 }

@@ -231,25 +231,29 @@ func (p *Pipeline) RunContext(ctx context.Context, prob *bench.Problem) *Result 
 
 // EvaluateFunctional runs the final, reference-bench judgement: the
 // suite's own testbench decides pass@1F, never the self-generated one.
+// The judgement runs the problem's judge shell with its reference
+// vectors driven natively (edatool.Judge), which reaches the verdict
+// the full textual reference testbench does.
 func EvaluateFunctional(lang edatool.Language, prob *bench.Problem, rtl string, maxSimTime uint64) bool {
 	return EvaluateFunctionalWith(nil, lang, prob, rtl, maxSimTime)
 }
 
 // EvaluateFunctionalWith is EvaluateFunctional through an optional
-// design cache: the reference testbench never changes per problem, so
-// repeated judgements (sweeps, pass@k) reuse its parse, and judging the
-// same RTL again reuses the memoized result.
+// design cache: the judge shell never changes per problem, so repeated
+// judgements (sweeps, pass@k) reuse its parse, and judging the same RTL
+// again reuses the memoized result.
 func EvaluateFunctionalWith(cache *edatool.DesignCache, lang edatool.Language, prob *bench.Problem, rtl string, maxSimTime uint64) bool {
 	if strings.TrimSpace(rtl) == "" {
 		return false
 	}
-	refTB := prob.RefTBVerilog
+	shell := prob.ShellTBVerilog
 	if lang == edatool.VHDL {
-		refTB = prob.RefTBVHDL
+		shell = prob.ShellTBVHDL
 	}
-	res := edatool.Simulate(cache, lang, bench.TBName, maxSimTime,
+	res := edatool.Judge(cache, lang, bench.TBName, maxSimTime,
 		edatool.Source{Name: designFile(lang), Text: rtl},
-		edatool.Source{Name: tbFile(lang), Text: refTB},
+		edatool.Source{Name: tbFile(lang), Text: shell},
+		prob.Stimulus,
 	)
 	return res.Passed
 }

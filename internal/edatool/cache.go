@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/diag"
+	"repro/internal/sim"
 	"repro/internal/verilog"
 	"repro/internal/vhdl"
 )
@@ -136,6 +137,40 @@ func designKey(lang Language, top string, sources []Source) [sha256.Size]byte {
 	var key [sha256.Size]byte
 	h.Sum(key[:0])
 	return key
+}
+
+// judgeKey is designKey for a Judge request: the shell and the RTL
+// by content, the stimulus by its digest.
+func judgeKey(lang Language, top string, rtl, shell Source, stim *sim.Stimulus) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [8]byte
+	field := func(s string) {
+		h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s))))
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
+	}
+	// A lead byte no designKey starts with keeps the two key spaces
+	// apart.
+	h.Write([]byte{0xff, byte(lang)})
+	field(top)
+	field(rtl.Name)
+	field(rtl.Text)
+	field(shell.Name)
+	field(shell.Text)
+	h.Write(stim.Digest[:])
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
+}
+
+// memo returns a copy of the result memoized under key, or runs run
+// and memoizes its result.
+func (c *DesignCache) memo(key resultKey, run func() *SimResult) *SimResult {
+	if res, ok := c.lookupResult(key); ok {
+		return res
+	}
+	res := run()
+	c.storeResult(key, res)
+	return res
 }
 
 // lookupResult returns a copy of the memoized result for key.

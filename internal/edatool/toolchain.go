@@ -77,20 +77,35 @@ func Compile(cache *DesignCache, lang Language, sources ...Source) *CompileResul
 // parses, and its result is memoized. A nil cache runs everything cold.
 func Simulate(cache *DesignCache, lang Language, top string, maxTime uint64, sources ...Source) *SimResult {
 	if cache == nil {
-		return simulate(nil, lang, top, maxTime, sources)
+		return simulate(nil, lang, top, maxTime, sources, nil)
 	}
-	key := resultKey{design: designKey(lang, top, sources), maxTime: maxTime}
-	if res, ok := cache.lookupResult(key); ok {
-		return res
-	}
-	res := simulate(cache, lang, top, maxTime, sources)
-	cache.storeResult(key, res)
-	return res
+	return cache.memo(resultKey{design: designKey(lang, top, sources), maxTime: maxTime}, func() *SimResult {
+		return simulate(cache, lang, top, maxTime, sources, nil)
+	})
 }
 
-// simulate is the unmemoized path behind Simulate: compile, elaborate,
-// run, and judge the log.
-func simulate(cache *DesignCache, lang Language, top string, maxTime uint64, sources []Source) *SimResult {
+// Judge is Simulate for the suite judgement: rtl is compiled with
+// shell, a reference testbench without its per-vector stimulus block
+// (declarations, the DUT instantiation and, for a sequential design,
+// the clock), and the shell's top runs with stim driven natively where
+// that block would run. Port binding, width adaptation, the compile
+// and elaboration diagnostics, the DUT's own output, the log cap,
+// limits and faults are those of the textual testbench, and so is the
+// verdict. The memo keys on stim's digest, never on testbench text.
+func Judge(cache *DesignCache, lang Language, top string, maxTime uint64, rtl, shell Source, stim *sim.Stimulus) *SimResult {
+	sources := []Source{rtl, shell}
+	if cache == nil {
+		return simulate(nil, lang, top, maxTime, sources, stim)
+	}
+	return cache.memo(resultKey{design: judgeKey(lang, top, rtl, shell, stim), maxTime: maxTime}, func() *SimResult {
+		return simulate(cache, lang, top, maxTime, sources, stim)
+	})
+}
+
+// simulate is the unmemoized path behind Simulate and Judge: compile,
+// elaborate, run (with stim driven natively when non-nil), and judge
+// the log.
+func simulate(cache *DesignCache, lang Language, top string, maxTime uint64, sources []Source, stim *sim.Stimulus) *SimResult {
 	comp := Compile(cache, lang, sources...)
 	if !comp.OK {
 		return &SimResult{Log: comp.Log, Failed: true}
@@ -103,14 +118,24 @@ func simulate(cache *DesignCache, lang Language, top string, maxTime uint64, sou
 	simBase := 3.2 // xsim launch + Verilog elaboration estimate, seconds
 	if lang == Verilog {
 		var res *vsim.Result
-		if res, err = vsim.Simulate(comp.Modules, top, opts); err == nil {
+		if stim != nil {
+			res, err = vsim.SimulateStimulus(comp.Modules, top, stim, opts)
+		} else {
+			res, err = vsim.Simulate(comp.Modules, top, opts)
+		}
+		if err == nil {
 			out = SimResult{Log: res.Log, TimedOut: res.TimedOut, Fault: res.Fault, VCD: res.VCD}
 			end = res.EndTime
 		}
 	} else {
 		simBase = 4.2 // mixed-language elaboration is slower
 		var res *vhdlsim.Result
-		if res, err = vhdlsim.Simulate(comp.Units, top, opts); err == nil {
+		if stim != nil {
+			res, err = vhdlsim.SimulateStimulus(comp.Units, top, stim, opts)
+		} else {
+			res, err = vhdlsim.Simulate(comp.Units, top, opts)
+		}
+		if err == nil {
 			out = SimResult{Log: res.Log, Failed: res.AssertErrors > 0 || res.Failed, TimedOut: res.TimedOut, Fault: res.Fault}
 			end = res.EndTime
 		}

@@ -43,9 +43,15 @@ func verdict(r *edatool.SimResult) string {
 }
 
 // judge runs the suite judgement of c.rtl the way
-// core.EvaluateFunctionalWith does.
+// core.EvaluateFunctionalWith does: the judge shell with the stimulus
+// driven natively.
 func judge(c judgeCase) *edatool.SimResult {
-	return judgeText(c)
+	design, tb, shell := "design.v", "tb.v", c.prob.ShellTBVerilog
+	if c.lang == edatool.VHDL {
+		design, tb, shell = "design.vhd", "tb.vhd", c.prob.ShellTBVHDL
+	}
+	return edatool.Judge(nil, c.lang, bench.TBName, c.maxTime,
+		edatool.Source{Name: design, Text: c.rtl}, edatool.Source{Name: tb, Text: shell}, c.prob.Stimulus)
 }
 
 // judgeText judges c against the problem's textual reference

@@ -44,6 +44,12 @@ func Simulate(units []*vhdl.DesignFile, top string, opts Options) (*Result, erro
 // once: its callers are Simulate and the perfbench replay, each of
 // which elaborates a fresh Design per run.
 func SimulateDesign(d *Design, opts Options) *Result {
+	return simulateDesign(d, opts, nil)
+}
+
+// simulateDesign is SimulateDesign with an optional stimulus shell,
+// whose harness process is bound after the design's own processes.
+func simulateDesign(d *Design, opts Options, sh *stimShell) *Result {
 	s := &Simulator{Runtime: sim.NewRuntime(opts, "tb.vhd", "statement budget exceeded (possible infinite loop)")}
 	s.updFull = s.applyFullUpdate
 	s.updPart = s.applyPartUpdate
@@ -58,6 +64,10 @@ func SimulateDesign(d *Design, opts Options) *Result {
 	}
 	for i := range d.processes {
 		s.bindProcess(&d.processes[i])
+	}
+	if sh != nil {
+		sh.s = s
+		s.StartStimulus(sh.stim, sh)
 	}
 
 	res := &Result{Outcome: s.Execute(), AssertErrors: s.assertErrors, Failed: s.failed}

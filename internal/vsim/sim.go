@@ -60,6 +60,12 @@ func Simulate(modules map[string]*verilog.Module, top string, opts Options) (*Re
 // once: its callers are Simulate and the perfbench replay, each of
 // which elaborates a fresh Design per run.
 func SimulateDesign(d *Design, opts Options) *Result {
+	return simulateDesign(d, opts, nil)
+}
+
+// simulateDesign is SimulateDesign with an optional stimulus shell,
+// whose harness process is bound after the design's own processes.
+func simulateDesign(d *Design, opts Options, sh *stimShell) *Result {
 	s := &Simulator{
 		Runtime: sim.NewRuntime(opts, "tb.v", "statement budget exceeded (possible infinite loop in RTL)"),
 		rng:     0x9E3779B97F4A7C15,
@@ -79,6 +85,10 @@ func SimulateDesign(d *Design, opts Options) *Result {
 		case bp.initial != nil:
 			s.bindInitial(bp.scope, bp.initial)
 		}
+	}
+	if sh != nil {
+		sh.s = s
+		s.StartStimulus(sh.stim, sh)
 	}
 
 	k := s.Kernel
