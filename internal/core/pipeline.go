@@ -168,6 +168,14 @@ func (p *Pipeline) trace(stage, format string, args ...any) {
 	}
 }
 
+// tracePrompt traces the corrective prompt render makes of fb,
+// rendering it only when a trace sink is set.
+func (p *Pipeline) tracePrompt(render func(*llm.Feedback) string, fb *llm.Feedback) {
+	if p.cfg.Trace != nil {
+		p.cfg.Trace("prompt", render(fb))
+	}
+}
+
 // compileLatency models EDA compile wall-clock (tool launch + parse).
 func compileLatency(sources ...edatool.Source) float64 {
 	n := 0

@@ -213,8 +213,9 @@ func (m *Machine) stepTestbenchSyntax(ctx context.Context) error {
 	cfg := m.p.cfg
 	lang := cfg.Language
 	if m.tbIter < cfg.MaxSyntaxIters {
-		comp := edatool.Compile(cfg.DesignCache, lang, stubDUT(m.prob, lang), edatool.Source{Name: tbFile(lang), Text: m.tb})
-		m.res.Latency.Syntax += compileLatency(stubDUT(m.prob, lang), edatool.Source{Text: m.tb})
+		stub, tb := stubDUT(m.prob, lang), edatool.Source{Name: tbFile(lang), Text: m.tb}
+		comp := edatool.Compile(cfg.DesignCache, lang, stub, tb)
+		m.res.Latency.Syntax += compileLatency(stub, tb)
 		if !comp.OK {
 			fb := m.p.review.ParseCompileLog(comp.Log)
 			alat, err := m.code.AnalysisLatency(ctx, llm.SyntaxFeedback, len(fb.Items))
@@ -223,7 +224,7 @@ func (m *Machine) stepTestbenchSyntax(ctx context.Context) error {
 			}
 			m.res.Latency.Syntax += alat
 			m.p.trace("review", "testbench syntax errors: %d", len(fb.Items))
-			m.p.trace("prompt", "%s", m.p.review.CorrectivePrompt(fb))
+			m.p.tracePrompt(m.p.review.CorrectivePrompt, fb)
 			tb, lat, err := m.code.RepairTestbench(ctx, fb)
 			m.tb = tb
 			if err != nil {
@@ -286,7 +287,7 @@ func (m *Machine) stepSyntaxLoop(ctx context.Context) error {
 	}
 	*latAcc += alat
 	m.p.trace("review", "syntax errors: %d", len(fb.Items))
-	m.p.trace("prompt", "%s", m.p.review.CorrectivePrompt(fb))
+	m.p.tracePrompt(m.p.review.CorrectivePrompt, fb)
 	rtl, lat, err := m.code.GenerateRTL(ctx, fb)
 	m.rtl = rtl
 	if err != nil {
@@ -366,7 +367,7 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 	fb := m.p.verify.ParseSimLog(sim.Log)
 	m.res.Latency.Func += 0.35 * float64(len(fb.Items))
 	m.p.trace("verify", "functional failures: %d", len(fb.Items))
-	m.p.trace("prompt", "%s", m.p.verify.CorrectivePrompt(fb))
+	m.p.tracePrompt(m.p.verify.CorrectivePrompt, fb)
 	m.res.FuncIters++
 	rtl, lat, err := m.code.GenerateRTL(ctx, fb)
 	m.rtl = rtl
