@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -136,5 +138,34 @@ func TestCategoriesCoverPaperMix(t *testing.T) {
 		if !found {
 			t.Errorf("category %q missing (have %v)", w, cats)
 		}
+	}
+}
+
+// TestTestbenchTextDigest pins every testbench text the suite renders:
+// both reference testbenches, both judge shells, and self-generated
+// testbenches over the vector subsets the Code Agent's benches take
+// (prefixes, strided picks, single vectors). The reference texts feed
+// hdlsim and the textual judge, and the self-generated ones feed
+// compile latency and agent feedback, so a renderer change must leave
+// them byte-identical.
+func TestTestbenchTextDigest(t *testing.T) {
+	const want = "56b42bc8214564cb5ed668360badfda4c6ee311c2a6264d00dec0d9fc4706eb3"
+	h := sha256.New()
+	for _, p := range NewSuite().Problems {
+		for _, s := range []string{p.RefTBVerilog, p.RefTBVHDL, p.ShellTBVerilog, p.ShellTBVHDL} {
+			fmt.Fprintf(h, "%d\n%s", len(s), s)
+		}
+		n := len(p.Vectors)
+		var strided []Vec
+		for i := 0; i < n; i += 3 {
+			strided = append(strided, p.Vectors[i])
+		}
+		for _, vs := range [][]Vec{p.Vectors[:(n+1)/2], strided, p.Vectors[n-1:]} {
+			v, h2 := p.VerilogTBForVectors(vs), p.VHDLTBForVectors(vs)
+			fmt.Fprintf(h, "%d\n%s%d\n%s", len(v), v, len(h2), h2)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("testbench text digest %s, want %s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sim"
@@ -64,29 +65,52 @@ func (p *Problem) verilogHead(sb *strings.Builder) {
 }
 
 // verilogStim writes the initial block that applies and checks vectors.
+// Lines are assembled with strconv appends into one reused buffer: the
+// reference testbenches alone are 1.6 MB of this text, rendered at
+// every suite build, and the Code Agent renders a subset per bench.
 func (p *Problem) verilogStim(sb *strings.Builder, vectors []Vec) {
+	ins, outs := p.Inputs(), p.Outputs()
+	sb.Grow(len(vectors) * (24*len(ins) + 112*len(outs) + 24))
 	sb.WriteString("  initial begin\n    errors = 0;\n")
 	if p.Seq {
 		sb.WriteString("    clk = 0;\n")
-		for _, pt := range p.Inputs() {
-			fmt.Fprintf(sb, "    %s = 0;\n", pt.Name)
+		for _, pt := range ins {
+			sb.WriteString("    " + pt.Name + " = 0;\n")
 		}
 	}
+	var line []byte
 	for i, v := range vectors {
 		// Drive inputs, clock the design (or let it settle), then
 		// check outputs.
-		for _, pt := range p.Inputs() {
-			fmt.Fprintf(sb, "    %s = %d'd%d;\n", pt.Name, pt.Width, v.In[pt.Name])
+		for _, pt := range ins {
+			line = append(line[:0], "    "...)
+			line = append(line, pt.Name...)
+			line = append(line, " = "...)
+			line = appendSized(line, pt.Width, v.In[pt.Name])
+			line = append(line, ";\n"...)
+			sb.Write(line)
 		}
 		if p.Seq {
 			sb.WriteString("    @(posedge clk); #1;\n")
 		} else {
 			sb.WriteString("    #1;\n")
 		}
-		for _, pt := range p.Outputs() {
-			fmt.Fprintf(sb, "    if (%s !== %d'd%d) begin errors = errors + 1; "+
-				"$display(\"Test Case %d Failed: %s expected %d got %%d\", %s); end\n",
-				pt.Name, pt.Width, v.Out[pt.Name], i+1, pt.Name, v.Out[pt.Name], pt.Name)
+		for _, pt := range outs {
+			want := v.Out[pt.Name]
+			line = append(line[:0], "    if ("...)
+			line = append(line, pt.Name...)
+			line = append(line, " !== "...)
+			line = appendSized(line, pt.Width, want)
+			line = append(line, ") begin errors = errors + 1; $display(\"Test Case "...)
+			line = strconv.AppendInt(line, int64(i+1), 10)
+			line = append(line, " Failed: "...)
+			line = append(line, pt.Name...)
+			line = append(line, " expected "...)
+			line = strconv.AppendUint(line, want, 10)
+			line = append(line, " got %d\", "...)
+			line = append(line, pt.Name...)
+			line = append(line, "); end\n"...)
+			sb.Write(line)
 		}
 	}
 	sb.WriteString("    if (errors == 0) $display(\"" + sim.PassMarker + "\");\n")
@@ -94,24 +118,34 @@ func (p *Problem) verilogStim(sb *strings.Builder, vectors []Vec) {
 	sb.WriteString("    $finish;\n  end\n")
 }
 
+// appendSized appends v as a sized Verilog decimal literal, w'dv.
+func appendSized(b []byte, w int, v uint64) []byte {
+	b = strconv.AppendInt(b, int64(w), 10)
+	b = append(b, "'d"...)
+	return strconv.AppendUint(b, v, 10)
+}
+
 // vhdlBin renders v as a VHDL literal for a port of width w: '0'/'1'
 // for scalars, a binary bit-string otherwise.
-func vhdlBin(v uint64, w int) string {
+func vhdlBin(v uint64, w int) string { return string(appendVHDLBin(nil, v, w)) }
+
+// appendVHDLBin appends vhdlBin(v, w).
+func appendVHDLBin(b []byte, v uint64, w int) []byte {
 	if w == 1 {
 		if v&1 == 1 {
-			return "'1'"
+			return append(b, "'1'"...)
 		}
-		return "'0'"
+		return append(b, "'0'"...)
 	}
-	bits := make([]byte, w)
+	b = append(b, '"')
 	for i := 0; i < w; i++ {
 		if v&(1<<uint(w-1-i)) != 0 {
-			bits[i] = '1'
+			b = append(b, '1')
 		} else {
-			bits[i] = '0'
+			b = append(b, '0')
 		}
 	}
-	return "\"" + string(bits) + "\""
+	return append(b, '"')
 }
 
 // VHDLTBForVectors emits a self-checking VHDL testbench exercising the
@@ -157,21 +191,40 @@ func (p *Problem) vhdlHead(sb *strings.Builder) {
 	sb.WriteString(");\n")
 }
 
-// vhdlStim writes the stim process that applies and checks vectors.
+// vhdlStim writes the stim process that applies and checks vectors,
+// assembling lines as verilogStim does.
 func (p *Problem) vhdlStim(sb *strings.Builder, vectors []Vec) {
+	ins, outs := p.Inputs(), p.Outputs()
+	sb.Grow(len(vectors) * (24*len(ins) + 112*len(outs) + 48))
 	sb.WriteString("  stim: process\n    variable errors : integer := 0;\n  begin\n")
+	var line []byte
 	for i, v := range vectors {
-		for _, pt := range p.Inputs() {
-			fmt.Fprintf(sb, "    %s <= %s;\n", pt.Name, vhdlBin(v.In[pt.Name], pt.Width))
+		for _, pt := range ins {
+			line = append(line[:0], "    "...)
+			line = append(line, pt.Name...)
+			line = append(line, " <= "...)
+			line = appendVHDLBin(line, v.In[pt.Name], pt.Width)
+			line = append(line, ";\n"...)
+			sb.Write(line)
 		}
 		if p.Seq {
 			sb.WriteString("    wait until rising_edge(clk);\n")
 		}
 		sb.WriteString("    wait for 1 ns;\n")
-		for _, pt := range p.Outputs() {
-			fmt.Fprintf(sb, "    if %s /= %s then errors := errors + 1; "+
-				"report \"Test Case %d Failed: %s expected %d\" severity error; end if;\n",
-				pt.Name, vhdlBin(v.Out[pt.Name], pt.Width), i+1, pt.Name, v.Out[pt.Name])
+		for _, pt := range outs {
+			want := v.Out[pt.Name]
+			line = append(line[:0], "    if "...)
+			line = append(line, pt.Name...)
+			line = append(line, " /= "...)
+			line = appendVHDLBin(line, want, pt.Width)
+			line = append(line, " then errors := errors + 1; report \"Test Case "...)
+			line = strconv.AppendInt(line, int64(i+1), 10)
+			line = append(line, " Failed: "...)
+			line = append(line, pt.Name...)
+			line = append(line, " expected "...)
+			line = strconv.AppendUint(line, want, 10)
+			line = append(line, "\" severity error; end if;\n"...)
+			sb.Write(line)
 		}
 	}
 	sb.WriteString("    if errors = 0 then\n      report \"" + sim.PassMarker + "\";\n")
