@@ -179,10 +179,11 @@ func BenchmarkPipelineSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkJudgeSuite measures functional judging, the dominant cost
-// of a sweep cell: every golden design in both HDLs simulated under its
-// reference testbench through core's functional judge, on a fresh
-// design cache per op so each simulation misses and runs.
+// BenchmarkJudgeSuite measures functional judging, a large cost of a
+// cold sweep cell: every golden design in both HDLs judged through
+// core's functional judge (its judge shell with the reference vectors
+// driven natively), on a fresh design cache per op so each judgement
+// misses and runs.
 func BenchmarkJudgeSuite(b *testing.B) {
 	suite := bench.NewSuite()
 	maxSimTime := core.DefaultConfig(llm.ProfileByName("claude-3.5-sonnet"), edatool.Verilog).MaxSimTime

@@ -257,7 +257,7 @@ func NewSuite() *Suite {
 	for i, p := range ps {
 		p.Index = i
 		p.genVectors(int64(1000 + i*7919))
-		p.shellTBs()
+		p.renderTestbenches()
 	}
 	return &Suite{Problems: ps}
 }

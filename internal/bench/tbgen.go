@@ -231,9 +231,9 @@ func (p *Problem) vhdlStim(sb *strings.Builder, vectors []Vec) {
 	sb.WriteString("    end if;\n    done <= '1';\n    wait;\n  end process;\n")
 }
 
-// shellTBs renders the judge shells, the reference testbenches and the
-// stimulus the shells run with.
-func (p *Problem) shellTBs() {
+// renderTestbenches renders the reference testbenches, the judge
+// shells and the stimulus the shells run with.
+func (p *Problem) renderTestbenches() {
 	var sb strings.Builder
 	p.verilogHead(&sb)
 	head := sb.String()

@@ -19,15 +19,16 @@ import (
 // It stacks two levels, coarsest first:
 //
 //  1. A simulation-result memo keyed by (language, top, name-sorted
-//     unit set, max time): a simulation is a pure
-//     function of those inputs, so an identical request returns a copy
-//     of the finished SimResult — verdict and latency model included —
-//     without compiling, elaborating or simulating anything. The memo
-//     is bounded by entry count and by retained Log+VCD bytes.
+//     unit set, max time), or for a Judge request by (language, top,
+//     RTL, judge shell, stimulus digest, max time): a simulation is a
+//     pure function of those inputs, so an identical request returns a
+//     copy of the finished SimResult — verdict and latency model
+//     included — without compiling, elaborating or simulating anything.
+//     The memo is bounded by entry count and by retained Log+VCD bytes.
 //  2. A per-unit parse memo keyed by (file name, content hash): in the
-//     repair loop only the candidate RTL changes, so the testbench and
-//     stub units skip re-parsing (the reference testbenches dwarf the
-//     RTL they check).
+//     repair loop only the candidate RTL changes, so the testbench,
+//     judge shell and stub units skip re-parsing (a self-generated
+//     testbench dwarfs the RTL it checks).
 //
 // The cache is strictly output-neutral: it changes how fast a result
 // is produced, never the result. Memoized and incremental paths are
@@ -115,8 +116,8 @@ func (c *DesignCache) Stats() CacheStats {
 // name-sorted (name, content) units, each field length-prefixed so no
 // two distinct inputs share an encoding. Fields are written without a
 // []byte copy (io.Writer implementations must not modify p): on a memo
-// hit this hash is the whole cost, and the units include reference
-// testbenches of tens of KB.
+// hit this hash is the whole cost, and the units include testbenches
+// of tens of KB.
 func designKey(lang Language, top string, sources []Source) [sha256.Size]byte {
 	units := slices.Clone(sources)
 	slices.SortFunc(units, func(a, b Source) int {

@@ -36,6 +36,23 @@
 // signal Arena and DeclIndexToBit are shared the same way; each
 // front-end keeps only its own message texts.
 //
+// The suite judge runs on the same shell (stimulus.go). Instead of a
+// textual reference testbench, a front-end elaborates a judge shell —
+// the testbench's declarations, the DUT instantiation and, for
+// sequential designs, its clock — and StartStimulus binds a harness
+// process where the textual stimulus block's process would be bound.
+// The harness's continuation is data, (vector index, phase): per
+// vector it drives the inputs through the front-end's Shell (Verilog
+// blocking writes, VHDL delta-delayed assignments), waits one time
+// unit or a rising clk edge and one time unit, and compares every
+// output case-equal; at the end the Shell prints PassMarker through
+// Logf and finishes the run ($finish, or done <= '1'). Each step
+// charges the statement budget what the interpreter would charge the
+// textual statements, and the waits use the same watch lists, so the
+// run keeps the textual testbench's timeline event for event. Compile
+// diagnostics, port binding, the clock, the DUT's own output, the log
+// cap, limits and faults all still run through the text and the shell.
+//
 // The kernel knows nothing about HDL syntax. Front-ends elaborate
 // their ASTs into nets, processes, and sensitivity lists; the kernel
 // owns time, the event queues, and value propagation (4-state logic

@@ -116,7 +116,7 @@ type stimulusRun struct {
 // time-zero activation order is unchanged.
 func (r *Runtime) StartStimulus(st *Stimulus, sh Shell) {
 	h := &stimulusRun{rt: r, st: st, sh: sh}
-	h.p = r.Kernel.NewProcess("tb.stimulus", h.step)
+	h.p = r.Kernel.NewProcess("stimulus", h.step)
 }
 
 // step is the harness continuation the kernel dispatches.
