@@ -117,3 +117,19 @@ func TestJudgeMatchesTextualJudgement(t *testing.T) {
 		t.Errorf("second judgements never hit the memo: %+v", st)
 	}
 }
+
+// TestJudgeShellMissingSignal: a stimulus port the shell does not
+// declare fails the judgement as an elaboration error naming it.
+func TestJudgeShellMissingSignal(t *testing.T) {
+	p := bench.NewSuite().ByID("counter_up_w4")
+	stim := sim.NewStimulus([]string{"nope"}, p.Stimulus.Outputs, p.Seq, 0, nil, nil)
+	for _, c := range []struct {
+		lang       Language
+		rtl, shell string
+	}{{Verilog, p.GoldenVerilog, p.ShellTBVerilog}, {VHDL, p.GoldenVHDL, p.ShellTBVHDL}} {
+		res := Judge(nil, c.lang, bench.TBName, diffMaxTime, Source{Name: "design", Text: c.rtl}, Source{Name: "tb", Text: c.shell}, stim)
+		if res.Passed || !res.Failed || !strings.Contains(res.Log, `no signal "nope"`) {
+			t.Errorf("%s: passed=%v failed=%v log:\n%s", c.lang, res.Passed, res.Failed, res.Log)
+		}
+	}
+}

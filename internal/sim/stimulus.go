@@ -62,6 +62,27 @@ func NewStimulus(inputs, outputs []string, seq bool, vectors int, in, out []uint
 	return st
 }
 
+// Signals resolves the stimulus's input and output signals, in drive
+// and check order, through a front-end's lookup.
+func Signals[S any](st *Stimulus, lookup func(name string) (S, error)) (in, out []S, err error) {
+	resolve := func(names []string) ([]S, error) {
+		sigs := make([]S, len(names))
+		for i, n := range names {
+			if sigs[i], err = lookup(n); err != nil {
+				return nil, err
+			}
+		}
+		return sigs, nil
+	}
+	if in, err = resolve(st.Inputs); err != nil {
+		return nil, nil, err
+	}
+	if out, err = resolve(st.Outputs); err != nil {
+		return nil, nil, err
+	}
+	return in, out, nil
+}
+
 // Shell is one front-end's side of a stimulus run: the judge shell's
 // signals on the running design, written and read with that HDL's
 // semantics, and the parts of the textual stimulus block whose

@@ -20,7 +20,6 @@ func SimulateStimulus(units []*vhdl.DesignFile, top string, stim *sim.Stimulus, 
 	if err != nil {
 		return nil, err
 	}
-	sh := &stimShell{stim: stim}
 	lookup := func(name string) (*Signal, error) {
 		sig, ok := d.Top.Signals[name]
 		if !ok {
@@ -28,19 +27,9 @@ func SimulateStimulus(units []*vhdl.DesignFile, top string, stim *sim.Stimulus, 
 		}
 		return sig, nil
 	}
-	for _, n := range stim.Inputs {
-		sig, err := lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		sh.in = append(sh.in, sig)
-	}
-	for _, n := range stim.Outputs {
-		sig, err := lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		sh.out = append(sh.out, sig)
+	sh := &stimShell{stim: stim}
+	if sh.in, sh.out, err = sim.Signals(stim, lookup); err != nil {
+		return nil, err
 	}
 	if sh.done, err = lookup("done"); err != nil {
 		return nil, err

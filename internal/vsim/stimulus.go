@@ -19,7 +19,6 @@ func SimulateStimulus(modules map[string]*verilog.Module, top string, stim *sim.
 	if err != nil {
 		return nil, err
 	}
-	sh := &stimShell{stim: stim}
 	lookup := func(name string) (*Signal, error) {
 		sig, ok := d.Top.Signals[name]
 		if !ok || sig.IsMem {
@@ -27,19 +26,9 @@ func SimulateStimulus(modules map[string]*verilog.Module, top string, stim *sim.
 		}
 		return sig, nil
 	}
-	for _, n := range stim.Inputs {
-		sig, err := lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		sh.in = append(sh.in, sig)
-	}
-	for _, n := range stim.Outputs {
-		sig, err := lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		sh.out = append(sh.out, sig)
+	sh := &stimShell{stim: stim}
+	if sh.in, sh.out, err = sim.Signals(stim, lookup); err != nil {
+		return nil, err
 	}
 	if stim.Seq {
 		if sh.clk, err = lookup("clk"); err != nil {
