@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -134,5 +136,26 @@ func TestJobKeyProviderExtension(t *testing.T) {
 	}
 	if string(b) != `{"problem":"p","model":"m","language":"Verilog","config":"c"}` {
 		t.Errorf("legacy job JSON gained fields: %s", b)
+	}
+}
+
+// TestMatrixDigest pins every byte of the full evaluation matrix: the
+// JSON `benchsuite -all -json` writes (all 156 problems, 3 profiles x 2
+// languages, offline provider behind the default stack). A refactor
+// that moves one RNG draw, one latency or one outcome field changes the
+// digest; TestSeedGoldenDeterminism samples only every 12th problem.
+func TestMatrixDigest(t *testing.T) {
+	const (
+		wantLen    = 391885
+		wantDigest = "5173bfd2ad0c0acfbf79bcf285dbef9ac976430b9eb3368f266f46ed9b059c1e"
+	)
+	data, err := json.MarshalIndent(Matrix(Options{}), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantDigest {
+		t.Errorf("matrix JSON is %d bytes, sha256 %s; want %d bytes, sha256 %s",
+			len(data), got, wantLen, wantDigest)
 	}
 }
