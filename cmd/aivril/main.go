@@ -30,7 +30,7 @@ func main() {
 		showRTL   = flag.Bool("show-rtl", true, "print the final RTL")
 
 		providerName = flag.String("provider", "offline",
-			"LLM provider: "+strings.Join(provider.DefaultRegistry.Names(), " | "))
+			"LLM provider: "+strings.Join(provider.Names(), " | "))
 		traceLLM   = flag.Bool("trace-llm", false, "interleave one transcript line per LLM call")
 		llmMetrics = flag.Bool("llm-metrics", false, "print per-op LLM call metrics at the end")
 		flakyRate  = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
@@ -85,7 +85,7 @@ func main() {
 		metrics = provider.NewMetrics(provider.RealClock())
 		stack.Metrics = metrics
 	}
-	p, err := provider.DefaultRegistry.New(*providerName, model, provider.BuildConfig{
+	p, err := provider.New(*providerName, model, provider.BuildConfig{
 		Stack: stack,
 		Flaky: provider.FlakyConfig{Seed: *flakySeed, ErrorRate: *flakyRate},
 	})

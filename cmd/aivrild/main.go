@@ -75,7 +75,7 @@ func main() {
 	httpSrv := serve.NewHTTPServer(*addr, srv.Handler(), serve.DefaultHTTPTimeouts())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logf("listening on %s (providers: %s)", *addr, strings.Join(provider.DefaultRegistry.Names(), ", "))
+	logf("listening on %s (providers: %s)", *addr, strings.Join(provider.Names(), ", "))
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -64,7 +64,7 @@ func main() {
 		server     = flag.String("server", "", "dispatch cache-miss cells to an aivrild job service at this base URL (results land in the shared cache cells an in-process run would use)")
 
 		providerName = flag.String("provider", "offline",
-			"LLM provider: "+strings.Join(provider.DefaultRegistry.Names(), " | ")+
+			"LLM provider: "+strings.Join(provider.Names(), " | ")+
 				" (non-default providers occupy their own cache cells)")
 		flakyRate = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
 		flakySeed = flag.Int64("flaky-seed", 1, "flaky provider: fault RNG seed")
@@ -74,9 +74,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchsuite: unexpected argument %q (flags take no positional arguments)\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	if !slices.Contains(provider.DefaultRegistry.Names(), *providerName) {
+	if !slices.Contains(provider.Names(), *providerName) {
 		fmt.Fprintf(os.Stderr, "benchsuite: unknown provider %q (have: %s)\n",
-			*providerName, strings.Join(provider.DefaultRegistry.Names(), ", "))
+			*providerName, strings.Join(provider.Names(), ", "))
 		os.Exit(2)
 	}
 	if !*table1 && !*fig3 && !*table2 && !*ablation && !*sweep && !*categories && !*all {

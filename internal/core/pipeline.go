@@ -24,7 +24,7 @@ type Config struct {
 	// Model is the calibrated profile the default offline provider
 	// serves. It identifies the model for reports even when Provider
 	// is set explicitly.
-	Model llm.Model
+	Model *llm.Profile
 	// Provider routes every LLM call through the provider/middleware
 	// layer (internal/llm/provider). When nil, New wraps Model in the
 	// offline provider behind the default middleware stack — byte-for-
@@ -61,16 +61,24 @@ func (c Config) Fingerprint() string {
 		c.MaxSyntaxIters, c.MaxFuncIters, c.MaxSimTime, c.FreezeTestbench, c.SkipFunctional)
 }
 
+// The paper's loop budgets and simulation limit: DefaultConfig's
+// values, and what New fills in for a zero field.
+const (
+	defaultSyntaxIters = 5
+	defaultFuncIters   = 5
+	defaultSimTime     = 200_000
+)
+
 // DefaultConfig returns the configuration used for the headline
 // results: the offline provider behind the default middleware stack.
-func DefaultConfig(model llm.Model, lang edatool.Language) Config {
+func DefaultConfig(model *llm.Profile, lang edatool.Language) Config {
 	return Config{
 		Model:           model,
 		Provider:        provider.NewStack(provider.NewOffline(model), provider.DefaultStackConfig()),
 		Language:        lang,
-		MaxSyntaxIters:  5,
-		MaxFuncIters:    5,
-		MaxSimTime:      200_000,
+		MaxSyntaxIters:  defaultSyntaxIters,
+		MaxFuncIters:    defaultFuncIters,
+		MaxSimTime:      defaultSimTime,
 		FreezeTestbench: true,
 	}
 }
@@ -145,13 +153,13 @@ var errNoProvider = errors.New("core: config has no provider and no model")
 // New returns a pipeline for the given configuration.
 func New(cfg Config) *Pipeline {
 	if cfg.MaxSyntaxIters <= 0 {
-		cfg.MaxSyntaxIters = 5
+		cfg.MaxSyntaxIters = defaultSyntaxIters
 	}
 	if cfg.MaxFuncIters <= 0 {
-		cfg.MaxFuncIters = 5
+		cfg.MaxFuncIters = defaultFuncIters
 	}
 	if cfg.MaxSimTime == 0 {
-		cfg.MaxSimTime = 200_000
+		cfg.MaxSimTime = defaultSimTime
 	}
 	if cfg.Provider == nil && cfg.Model != nil {
 		cfg.Provider = provider.NewStack(provider.NewOffline(cfg.Model), provider.DefaultStackConfig())

@@ -392,7 +392,7 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 	return nil
 }
 
-// providerName returns the cfg's provider registry name ("" when only
+// providerName returns the cfg's provider name ("" when only
 // a bare model is configured).
 func (m *Machine) providerName() string {
 	if m.p.cfg.Provider != nil {
@@ -412,9 +412,8 @@ func (m *Machine) modelName() string {
 }
 
 // Checkpoint serializes the machine at the current step boundary. It
-// fails when the provider's sessions do not support checkpointing;
-// RunCheckpointed then runs on without resumability rather than not at
-// all.
+// fails when the session snapshot fails; RunCheckpointed then runs on
+// without resumability rather than not at all.
 func (m *Machine) Checkpoint() (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Schema:   CheckpointSchema,
@@ -444,7 +443,7 @@ func (m *Machine) Checkpoint() (*Checkpoint, error) {
 		Latency:      m.res.Latency,
 	}
 	if m.code != nil {
-		snap, err := provider.SnapshotSession(m.code.Session)
+		snap, err := m.code.Session.Snapshot()
 		if err != nil {
 			return nil, err
 		}
@@ -490,7 +489,7 @@ func (p *Pipeline) Restore(cp *Checkpoint, prob *bench.Problem) (*Machine, error
 		return nil, err
 	}
 	if cp.Session != nil {
-		if err := provider.RestoreSession(m.code.Session, cp.Session); err != nil {
+		if err := m.code.Session.Restore(cp.Session); err != nil {
 			return nil, err
 		}
 	} else if state != StateTestbenchGen && state != StateVerdict && state != StateDone {
@@ -553,8 +552,7 @@ func (p *Pipeline) Resume(prob *bench.Problem, store CheckpointStore) (m *Machin
 // RunCheckpointed drives the machine to completion. After every step
 // it persists a checkpoint into store (when non-nil) and then calls
 // after (when non-nil) with that checkpoint, or with nil when none was
-// persisted: no store, a session that cannot snapshot, or a failed
-// write. An error from after stops the machine at that boundary, keeps
+// persisted: no store, a failed session snapshot, or a failed write. An error from after stops the machine at that boundary, keeps
 // the checkpoint, and is returned raw; the caller decides whether it is
 // fatal.
 //

@@ -123,7 +123,7 @@ type Options struct {
 	// progress reporter streams per-cell outcomes. When nil the sweep
 	// runs on a private in-memory runner (MaxWorkers workers).
 	Runner *runner.Runner
-	// Provider selects a named provider from provider.DefaultRegistry
+	// Provider names the provider provider.New builds
 	// ("" = the offline default with the default middleware stack —
 	// byte-identical to the pre-provider harness). Non-default
 	// providers join the job cache key, so their cells never collide
@@ -164,7 +164,7 @@ func configKey(cfg core.Config) string {
 func (o Options) effectiveConfig(model *llm.Profile, lang edatool.Language) core.Config {
 	cfg := core.DefaultConfig(model, lang)
 	if o.Provider != "" {
-		p, err := provider.DefaultRegistry.New(o.Provider, model, o.ProviderConfig)
+		p, err := provider.New(o.Provider, model, o.ProviderConfig)
 		if err != nil {
 			panic(fmt.Sprintf("exp: %v", err))
 		}

@@ -55,17 +55,6 @@ type GenRequest struct {
 	Language edatool.Language
 }
 
-// Model is the LLM-agnostic interface the agents program against —
-// the reproduction's analogue of "any chat-completion endpoint".
-type Model interface {
-	Name() string
-	License() string
-	// NewSession opens a per-(problem, language) conversation. The Code
-	// Agent holds one session for the whole optimization pipeline, so
-	// the model can track its own revision state.
-	NewSession(req GenRequest) Session
-}
-
 // Session is one conversation: testbench generation, RTL generation,
 // and feedback-driven regeneration. Latencies are in seconds, modelling
 // API wall-clock per the profile's token-rate.
@@ -77,6 +66,14 @@ type Session interface {
 	// AnalysisLatency models the Review/Verification agent's own LLM
 	// call for a corrective prompt with the given number of findings.
 	AnalysisLatency(kind FeedbackKind, items int) float64
+	// Snapshot serializes the full conversation state as of now. The
+	// simulated model records its RNG position and active defect sets;
+	// a real API model would record the conversation history.
+	Snapshot() ([]byte, error)
+	// Restore replaces the conversation state with a snapshot taken
+	// from a session of the same (model, problem, language) task.
+	// Restoring a snapshot from a different task is an error.
+	Restore(data []byte) error
 }
 
 // LangSkill calibrates one model on one language.
@@ -109,7 +106,8 @@ type LangSkill struct {
 	VerifyLatency float64 // Verification Agent log-analysis call
 }
 
-// Profile is one simulated LLM.
+// Profile is one simulated LLM: the calibrated model every provider
+// serves.
 type Profile struct {
 	ModelName    string
 	ModelLicense string
@@ -117,10 +115,10 @@ type Profile struct {
 	VHDL         LangSkill
 }
 
-// Name implements Model.
+// Name is the model name recorded in reports and cache keys.
 func (p *Profile) Name() string { return p.ModelName }
 
-// License implements Model.
+// License of the model (Table 1 column).
 func (p *Profile) License() string { return p.ModelLicense }
 
 // skill returns the language-specific calibration.
@@ -131,10 +129,12 @@ func (p *Profile) skill(lang edatool.Language) LangSkill {
 	return p.VHDL
 }
 
-// NewSession implements Model. The session RNG sits behind a counted
-// source so the conversation state — including the exact position in
-// the deterministic defect stream — can be checkpointed and restored
-// (see snapshot.go).
+// NewSession opens a per-(problem, language) conversation. The Code
+// Agent holds one session for the whole optimization pipeline, so the
+// model can track its own revision state. The session RNG sits behind
+// a counted source so the conversation state — including the exact
+// position in the deterministic defect stream — can be checkpointed
+// and restored (see snapshot.go).
 func (p *Profile) NewSession(req GenRequest) Session {
 	h := fnv.New64a()
 	h.Write([]byte(p.ModelName))

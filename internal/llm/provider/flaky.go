@@ -23,12 +23,6 @@ type FlakyConfig struct {
 	Classes []Class
 }
 
-// DefaultFlakyConfig returns the fault profile the CLIs use when the
-// flaky provider is selected without explicit knobs.
-func DefaultFlakyConfig() FlakyConfig {
-	return FlakyConfig{Seed: 1, ErrorRate: 0.25}
-}
-
 // Flaky wraps another provider with seeded, configurable fault
 // injection: classified errors at ErrorRate. It exists to prove the
 // middleware stack and the pipeline degrade gracefully; it is
@@ -56,9 +50,6 @@ func (f *Flaky) Name() string { return "flaky" }
 // ModelName implements Provider.
 func (f *Flaky) ModelName() string { return f.inner.ModelName() }
 
-// License implements Provider.
-func (f *Flaky) License() string { return f.inner.License() }
-
 // NewSession implements Provider. All sessions share the provider's
 // fault RNG, like real outages that hit every conversation at once.
 func (f *Flaky) NewSession(req llm.GenRequest) (Session, error) {
@@ -66,7 +57,7 @@ func (f *Flaky) NewSession(req llm.GenRequest) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &flakySession{f: f, inner: s}, nil
+	return &flakySession{Session: s, f: f}, nil
 }
 
 // roll draws the fault class for one call (ClassOK = no fault) in a
@@ -80,19 +71,14 @@ func (f *Flaky) roll() Class {
 	return ClassOK
 }
 
-type flakySession struct {
-	f     *Flaky
-	inner Session
-}
-
-// Snapshot implements Resumable by delegating to the wrapped session:
+// flakySession delegates Snapshot and Restore to the wrapped session:
 // the fault RNG is infrastructure noise, not conversation state, so a
 // resumed run may see a different fault pattern but — through the
 // retry stack — the same model outputs.
-func (s *flakySession) Snapshot() ([]byte, error) { return SnapshotSession(s.inner) }
-
-// Restore implements Resumable.
-func (s *flakySession) Restore(data []byte) error { return RestoreSession(s.inner, data) }
+type flakySession struct {
+	Session
+	f *Flaky
+}
 
 // Do implements Session: either fail with the injected class or
 // delegate to the wrapped provider.
@@ -100,5 +86,5 @@ func (s *flakySession) Do(ctx context.Context, req *Request) (Response, error) {
 	if class := s.f.roll(); class != ClassOK {
 		return Response{}, &Error{Class: class, Op: req.Op, Provider: "flaky", Err: errInjected}
 	}
-	return s.inner.Do(ctx, req)
+	return s.Session.Do(ctx, req)
 }

@@ -29,9 +29,6 @@ type Metrics struct {
 // NewMetrics returns an empty metrics sink.
 func NewMetrics(clock Clock) *Metrics { return &Metrics{clock: clock} }
 
-// Name implements Middleware.
-func (m *Metrics) Name() string { return "metrics" }
-
 // Wrap implements Middleware.
 func (m *Metrics) Wrap(next DoFunc) DoFunc {
 	return func(ctx context.Context, req *Request) (Response, error) {

@@ -40,9 +40,6 @@ func NewRetry(clock Clock, attempts int, base, cap time.Duration, seed int64) *R
 		rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements Middleware.
-func (r *Retry) Name() string { return "retry" }
-
 // Wrap implements Middleware.
 func (r *Retry) Wrap(next DoFunc) DoFunc {
 	return func(ctx context.Context, req *Request) (Response, error) {

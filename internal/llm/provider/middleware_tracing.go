@@ -20,9 +20,6 @@ func NewTracing(clock Clock, hook func(stage, detail string)) *Tracing {
 	return &Tracing{clock: clock, hook: hook}
 }
 
-// Name implements Middleware.
-func (t *Tracing) Name() string { return "tracing" }
-
 // Wrap implements Middleware.
 func (t *Tracing) Wrap(next DoFunc) DoFunc {
 	if t.hook == nil {

@@ -9,17 +9,17 @@ import (
 
 var errUnknownOp = errors.New("unknown op")
 
-// Offline re-homes the calibrated deterministic llm.Model as the
+// Offline re-homes the calibrated deterministic llm.Profile as the
 // default provider. Calls are synchronous, never fail, and consume the
 // session's seeded RNG in exactly the order the seed pipeline did, so
 // results — and therefore experiment cache keys — are byte-for-byte
 // identical with or without the middleware stack around it.
 type Offline struct {
-	model llm.Model
+	model *llm.Profile
 }
 
 // NewOffline wraps a calibrated model profile.
-func NewOffline(model llm.Model) *Offline { return &Offline{model: model} }
+func NewOffline(model *llm.Profile) *Offline { return &Offline{model: model} }
 
 // Name implements Provider.
 func (o *Offline) Name() string { return "offline" }
@@ -27,37 +27,18 @@ func (o *Offline) Name() string { return "offline" }
 // ModelName implements Provider.
 func (o *Offline) ModelName() string { return o.model.Name() }
 
-// License implements Provider.
-func (o *Offline) License() string { return o.model.License() }
-
 // NewSession implements Provider.
 func (o *Offline) NewSession(req llm.GenRequest) (Session, error) {
-	return &offlineSession{s: o.model.NewSession(req)}, nil
+	return &offlineSession{o.model.NewSession(req)}, nil
 }
 
+// offlineSession serves the request-shaped calls from the simulated
+// conversation. Snapshot and Restore come from it unchanged: the
+// calibrated model's sessions carry their full conversation state (RNG
+// position, active defect sets), so checkpointed pipeline runs restore
+// to the exact defect stream an uninterrupted run would have consumed.
 type offlineSession struct {
-	s llm.Session
-}
-
-// Snapshot implements Resumable: the calibrated model's sessions carry
-// their full conversation state (RNG position, active defect sets), so
-// checkpointed pipeline runs restore to the exact defect stream an
-// uninterrupted run would have consumed.
-func (s *offlineSession) Snapshot() ([]byte, error) {
-	r, ok := s.s.(llm.ResumableSession)
-	if !ok {
-		return nil, &Error{Class: ClassInvalid, Provider: "offline", Err: errNotResumable}
-	}
-	return r.Snapshot()
-}
-
-// Restore implements Resumable.
-func (s *offlineSession) Restore(data []byte) error {
-	r, ok := s.s.(llm.ResumableSession)
-	if !ok {
-		return &Error{Class: ClassInvalid, Provider: "offline", Err: errNotResumable}
-	}
-	return r.Restore(data)
+	llm.Session
 }
 
 // Do implements Session by dispatching onto the simulated
@@ -70,16 +51,16 @@ func (s *offlineSession) Do(ctx context.Context, req *Request) (Response, error)
 	}
 	switch req.Op {
 	case OpGenerateTestbench:
-		code, lat := s.s.GenerateTestbench()
+		code, lat := s.GenerateTestbench()
 		return Response{Code: code, Latency: lat}, nil
 	case OpGenerateRTL:
-		code, lat := s.s.GenerateRTL(req.Feedback)
+		code, lat := s.GenerateRTL(req.Feedback)
 		return Response{Code: code, Latency: lat}, nil
 	case OpRepairTestbench:
-		code, lat := s.s.RepairTestbench(req.Feedback)
+		code, lat := s.RepairTestbench(req.Feedback)
 		return Response{Code: code, Latency: lat}, nil
 	case OpAnalysis:
-		return Response{Latency: s.s.AnalysisLatency(req.Kind, req.Items)}, nil
+		return Response{Latency: s.AnalysisLatency(req.Kind, req.Items)}, nil
 	}
 	return Response{}, &Error{Class: ClassInvalid, Op: req.Op, Provider: "offline", Err: errUnknownOp}
 }

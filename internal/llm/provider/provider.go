@@ -15,7 +15,6 @@ package provider
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/llm"
 )
@@ -71,18 +70,22 @@ type Response struct {
 // Implementations must honour ctx cancellation while blocked.
 type Session interface {
 	Do(ctx context.Context, req *Request) (Response, error)
+	// Snapshot serializes the conversation state, and Restore rewinds
+	// a fresh session of the same task to it. The pipeline state
+	// machine checkpoints runs with them: a restored session continues
+	// the conversation exactly where the snapshot left it.
+	Snapshot() ([]byte, error)
+	Restore(data []byte) error
 }
 
 // Provider mints sessions and identifies itself for reports and cache
 // keys.
 type Provider interface {
-	// Name is the registry name recorded in reports ("offline",
-	// "flaky", ...). It is NOT the model name.
+	// Name is the provider name recorded in reports ("offline",
+	// "flaky"). It is NOT the model name.
 	Name() string
 	// ModelName is the underlying model profile the provider serves.
 	ModelName() string
-	// License of the underlying model (Table 1 column).
-	License() string
 	// NewSession opens a conversation for one generation task.
 	NewSession(req llm.GenRequest) (Session, error)
 }
@@ -96,7 +99,6 @@ type DoFunc func(ctx context.Context, req *Request) (Response, error)
 // stateful middleware — the metrics counters, the retry jitter source —
 // aggregates per provider, not per conversation.
 type Middleware interface {
-	Name() string
 	// Wrap returns the wrapped call path. Wrap is invoked once per
 	// session; per-call state must live in the returned DoFunc's frame
 	// and shared state in the Middleware value itself.
@@ -119,7 +121,6 @@ type chained struct {
 
 func (c *chained) Name() string      { return c.inner.Name() }
 func (c *chained) ModelName() string { return c.inner.ModelName() }
-func (c *chained) License() string   { return c.inner.License() }
 
 func (c *chained) NewSession(req llm.GenRequest) (Session, error) {
 	s, err := c.inner.NewSession(req)
@@ -130,7 +131,7 @@ func (c *chained) NewSession(req llm.GenRequest) (Session, error) {
 	for i := len(c.mws) - 1; i >= 0; i-- {
 		do = c.mws[i].Wrap(do)
 	}
-	return doSession{do: do, inner: s}, nil
+	return doSession{Session: s, do: do}, nil
 }
 
 // doSession keeps the innermost session alongside the wrapped call
@@ -138,47 +139,10 @@ func (c *chained) NewSession(req llm.GenRequest) (Session, error) {
 // middleware chain: middleware state is resilience policy, not
 // conversation state, and is deliberately not part of a snapshot.
 type doSession struct {
-	do    DoFunc
-	inner Session
+	Session
+	do DoFunc
 }
 
 func (s doSession) Do(ctx context.Context, req *Request) (Response, error) {
 	return s.do(ctx, req)
-}
-
-func (s doSession) Snapshot() ([]byte, error) { return SnapshotSession(s.inner) }
-
-func (s doSession) Restore(data []byte) error { return RestoreSession(s.inner, data) }
-
-// Resumable is a provider Session whose conversation state can be
-// checkpointed and restored (the provider-layer mirror of
-// llm.ResumableSession). The pipeline state machine uses it to make
-// runs crash-resumable: a checkpoint carries the session snapshot, and
-// a restored session continues the conversation exactly where the
-// snapshot left it.
-type Resumable interface {
-	Snapshot() ([]byte, error)
-	Restore(data []byte) error
-}
-
-var errNotResumable = errors.New("session does not support checkpointing")
-
-// SnapshotSession snapshots s when it is resumable and reports a
-// classified invalid error otherwise.
-func SnapshotSession(s Session) ([]byte, error) {
-	r, ok := s.(Resumable)
-	if !ok {
-		return nil, &Error{Class: ClassInvalid, Err: errNotResumable}
-	}
-	return r.Snapshot()
-}
-
-// RestoreSession restores a snapshot into s when it is resumable and
-// reports a classified invalid error otherwise.
-func RestoreSession(s Session, data []byte) error {
-	r, ok := s.(Resumable)
-	if !ok {
-		return &Error{Class: ClassInvalid, Err: errNotResumable}
-	}
-	return r.Restore(data)
 }

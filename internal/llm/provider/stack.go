@@ -1,6 +1,12 @@
 package provider
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"repro/internal/llm"
+)
 
 // Retry backoff constants of the standard stack: full jitter over
 // [0, min(retryCap, retryBase<<attempt)), drawn from a seed-0 source.
@@ -55,4 +61,27 @@ func NewStack(p Provider, cfg StackConfig) Provider {
 		mws = append(mws, NewRetry(clock, cfg.Attempts, retryBase, retryCap, 0))
 	}
 	return Chain(p, mws...)
+}
+
+// BuildConfig carries everything New may need: the middleware stack
+// knobs and, for the flaky provider, the fault profile.
+type BuildConfig struct {
+	Stack StackConfig
+	Flaky FlakyConfig
+}
+
+// Names lists the built-in providers, sorted.
+func Names() []string { return []string{"flaky", "offline"} }
+
+// New builds the named provider for model, wrapped in the configured
+// middleware stack: "offline" is the calibrated deterministic model,
+// "flaky" is seeded fault injection over it.
+func New(name string, model *llm.Profile, cfg BuildConfig) (Provider, error) {
+	switch name {
+	case "offline":
+		return NewStack(NewOffline(model), cfg.Stack), nil
+	case "flaky":
+		return NewStack(NewFlaky(NewOffline(model), cfg.Flaky), cfg.Stack), nil
+	}
+	return nil, fmt.Errorf("unknown provider %q (have: %s)", name, strings.Join(Names(), ", "))
 }

@@ -26,7 +26,6 @@ type namedMW struct {
 	trail *[]string
 }
 
-func (m namedMW) Name() string { return m.id }
 func (m namedMW) Wrap(next DoFunc) DoFunc {
 	return func(ctx context.Context, req *Request) (Response, error) {
 		*m.trail = append(*m.trail, m.id)
@@ -168,36 +167,101 @@ func TestFlakyZeroRateIsTransparent(t *testing.T) {
 	}
 }
 
-func TestRegistryBuildsBuiltins(t *testing.T) {
+func TestNewBuildsBuiltins(t *testing.T) {
 	model := llm.ProfileByName("gpt-4o")
-	names := DefaultRegistry.Names()
+	names := Names()
 	if len(names) != 2 || names[0] != "flaky" || names[1] != "offline" {
 		t.Fatalf("builtin names = %v", names)
 	}
 	for _, name := range names {
-		p, err := DefaultRegistry.New(name, model, BuildConfig{Stack: DefaultStackConfig()})
+		p, err := New(name, model, BuildConfig{Stack: DefaultStackConfig()})
 		if err != nil {
 			t.Fatalf("New(%s): %v", name, err)
 		}
-		if p.ModelName() != "gpt-4o" {
-			t.Errorf("%s model = %s", name, p.ModelName())
+		if p.Name() != name || p.ModelName() != "gpt-4o" {
+			t.Errorf("New(%s) identity = %s/%s", name, p.Name(), p.ModelName())
 		}
 	}
-	if _, err := DefaultRegistry.New("gpt-live", model, BuildConfig{}); err == nil {
-		t.Error("unknown provider must error")
-	} else if !strings.Contains(err.Error(), "offline") {
-		t.Errorf("unknown-provider error should list known names: %v", err)
+	_, err := New("gpt-live", model, BuildConfig{})
+	if want := `unknown provider "gpt-live" (have: flaky, offline)`; err == nil || err.Error() != want {
+		t.Errorf("unknown provider error = %v, want %q", err, want)
 	}
 }
 
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	r := NewRegistry()
-	f := func(model llm.Model, cfg BuildConfig) (Provider, error) { return nil, nil }
-	if err := r.Register("x", f); err != nil {
-		t.Fatal(err)
+// TestSessionCheckpointContract checks Snapshot/Restore where the
+// contract is defined: for every built-in provider under the default
+// stack, and once more behind an extra middleware, a session snapshot
+// after k ops restored into a fresh session of the same provider
+// continues with exactly the responses the uninterrupted session gave.
+func TestSessionCheckpointContract(t *testing.T) {
+	model := llm.ProfileByName("claude-3.5-sonnet")
+	syntaxFB := &llm.Feedback{Kind: llm.SyntaxFeedback, Items: []llm.FeedbackItem{{Line: 3, Message: "syntax error near x"}}}
+	funcFB := &llm.Feedback{Kind: llm.FunctionalFeedback, Items: []llm.FeedbackItem{{Line: 7, Message: "mismatch"}}}
+	reqs := []Request{
+		{Op: OpGenerateTestbench},
+		{Op: OpRepairTestbench, Feedback: syntaxFB},
+		{Op: OpGenerateRTL},
+		{Op: OpAnalysis, Kind: llm.SyntaxFeedback, Items: 1},
+		{Op: OpGenerateRTL, Feedback: syntaxFB},
+		{Op: OpGenerateRTL, Feedback: funcFB},
+		{Op: OpAnalysis, Kind: llm.FunctionalFeedback, Items: 2},
+		{Op: OpGenerateRTL, Feedback: syntaxFB},
 	}
-	if err := r.Register("x", f); err == nil {
-		t.Error("duplicate registration must error")
+	ctx := context.Background()
+	play := func(s Session, from int) []Response {
+		var out []Response
+		for i := from; i < len(reqs); i++ {
+			resp, err := s.Do(ctx, &reqs[i])
+			if err != nil {
+				t.Fatalf("op %d (%v): %v", i, reqs[i].Op, err)
+			}
+			out = append(out, resp)
+		}
+		return out
+	}
+	task := genReq(t)
+	open := func(p Provider) Session {
+		s, err := p.NewSession(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	var trail []string
+	for _, name := range Names() {
+		p, err := New(name, model, BuildConfig{Stack: DefaultStackConfig(), Flaky: FlakyConfig{ErrorRate: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prov := range []Provider{p, Chain(p, namedMW{"extra", &trail})} {
+			want := play(open(prov), 0)
+			for k := 0; k <= len(reqs); k++ {
+				pre := open(prov)
+				for i := 0; i < k; i++ {
+					if _, err := pre.Do(ctx, &reqs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap, err := pre.Snapshot()
+				if err != nil {
+					t.Fatalf("%s: snapshot after %d ops: %v", name, k, err)
+				}
+				post := open(prov)
+				if err := post.Restore(snap); err != nil {
+					t.Fatalf("%s: restore after %d ops: %v", name, k, err)
+				}
+				got := play(post, k)
+				for i := range got {
+					if got[i] != want[k+i] {
+						t.Errorf("%s: resumed after %d ops, op %d diverged:\nresumed:       %+v\nuninterrupted: %+v",
+							name, k, k+i, got[i], want[k+i])
+					}
+				}
+			}
+		}
+	}
+	if len(trail) == 0 {
+		t.Error("the extra middleware never ran")
 	}
 }
 

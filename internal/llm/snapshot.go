@@ -6,21 +6,6 @@ import (
 	"math/rand"
 )
 
-// ResumableSession is a Session whose full conversation state can be
-// serialized and later restored into a fresh session for the same
-// (model, problem, language) task. The simulated model implements it
-// by recording its RNG position and active defect sets; a real API
-// provider would implement it by recording the conversation history.
-type ResumableSession interface {
-	Session
-	// Snapshot serializes the session state as of now.
-	Snapshot() ([]byte, error)
-	// Restore replaces the session state with a snapshot previously
-	// taken from a session of the same task. Restoring a snapshot from
-	// a different task is an error.
-	Restore(data []byte) error
-}
-
 // countedSource wraps math/rand's seeded source and counts the draws
 // consumed. Both Int63 and Uint64 advance the underlying generator by
 // exactly one step, so (seed, draws) fully determines the generator
@@ -126,7 +111,7 @@ func restoreMuts(snaps []mutSnapshot, baseSrc string, verilog bool) ([]Mutation,
 	return out, nil
 }
 
-// Snapshot implements ResumableSession.
+// Snapshot implements Session.
 func (s *simSession) Snapshot() ([]byte, error) {
 	return json.Marshal(sessionSnapshot{
 		Seed:    s.seed,
@@ -139,7 +124,7 @@ func (s *simSession) Snapshot() ([]byte, error) {
 	})
 }
 
-// Restore implements ResumableSession: it rewinds the session to the
+// Restore implements Session: it rewinds the session to the
 // snapshotted conversation state, including the exact RNG position, so
 // every subsequent call produces the same output an uninterrupted
 // session would have.

@@ -52,7 +52,7 @@ type Spec struct {
 	Problem  string `json:"problem"`
 	Model    string `json:"model"`
 	Language string `json:"language"`           // "verilog" (default) or "vhdl"
-	Provider string `json:"provider,omitempty"` // registry name; "" = "offline"
+	Provider string `json:"provider,omitempty"` // provider.Names entry; "" = "offline"
 
 	MaxSyntaxIters int    `json:"max_syntax_iters,omitempty"`
 	MaxFuncIters   int    `json:"max_func_iters,omitempty"`
@@ -96,9 +96,6 @@ type Config struct {
 	// QueueDepth bounds the submission queue; a full queue answers 429
 	// (default 16).
 	QueueDepth int
-	// Registry resolves job provider names (default
-	// provider.DefaultRegistry).
-	Registry *provider.Registry
 	// Stack is the base middleware configuration for every job's
 	// provider; the server installs its own shared metrics sink on top.
 	Stack provider.StackConfig
@@ -188,9 +185,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = provider.DefaultRegistry
 	}
 	if cfg.SubmitTimeout <= 0 {
 		cfg.SubmitTimeout = 10 * time.Second
@@ -355,8 +349,8 @@ type resolved struct {
 }
 
 // resolve validates a spec and derives the job identity. The provider
-// is NOT built here (it needs per-job trace plumbing); registry
-// membership is checked so submission fails fast.
+// is NOT built here (it needs per-job trace plumbing); its name is
+// checked against provider.Names so submission fails fast.
 func (s *Server) resolve(spec Spec) (resolved, error) {
 	var r resolved
 	r.prob = s.suite.ByID(spec.Problem)
@@ -379,15 +373,8 @@ func (s *Server) resolve(spec Spec) (resolved, error) {
 	if name == "" {
 		name = "offline"
 	}
-	known := false
-	for _, n := range s.cfg.Registry.Names() {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return r, specErrf("unknown provider %q (have: %s)", name, strings.Join(s.cfg.Registry.Names(), ", "))
+	if !slices.Contains(provider.Names(), name) {
+		return r, specErrf("unknown provider %q (have: %s)", name, strings.Join(provider.Names(), ", "))
 	}
 	if name != "offline" {
 		r.tag = name
@@ -638,7 +625,7 @@ func (s *Server) run(id string) {
 		name = "offline"
 	}
 	model := llm.ProfileByName(spec.Model)
-	prov, err := s.cfg.Registry.New(name, model, provider.BuildConfig{Stack: stack, Flaky: s.cfg.Flaky})
+	prov, err := provider.New(name, model, provider.BuildConfig{Stack: stack, Flaky: s.cfg.Flaky})
 	if err != nil {
 		s.finish(j, func(rec *Record) {
 			rec.Status = StatusFailed

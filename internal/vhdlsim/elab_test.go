@@ -143,12 +143,12 @@ end architecture;
 	}
 }
 
-// TestSharedTemplateInstances: multi-instance elaboration keeps
+// TestRepeatedInstancesKeepState: multi-instance elaboration keeps
 // per-instance state. One entity is instantiated twice under equal
 // generics and once under different ones; the equal pair must still
 // end in different states (u1 leaves reset later than u0), and the
 // third must differ by its STEP.
-func TestSharedTemplateInstances(t *testing.T) {
+func TestRepeatedInstancesKeepState(t *testing.T) {
 	const acc = `
 entity acc is
   generic (STEP : integer := 1);

@@ -106,12 +106,12 @@ endmodule`
 	}
 }
 
-// TestSharedTemplateInstances: multi-instance elaboration keeps
+// TestRepeatedInstancesKeepState: multi-instance elaboration keeps
 // per-instance state. One module is instantiated twice under equal
 // parameters and once under different ones; the equal pair must still
 // end in different states (u1 leaves reset later than u0), and the
 // third must differ by its STEP.
-func TestSharedTemplateInstances(t *testing.T) {
+func TestRepeatedInstancesKeepState(t *testing.T) {
 	const src = `
 module acc #(parameter W = 4, parameter STEP = 1)
             (input clk, input reset, output reg [W-1:0] q);

@@ -28,11 +28,11 @@ module tb;
   end
 endmodule`
 
-// TestVsimBackendWorkersIdentical runs the counter on 1, 2 and 4
+// TestVsimWorkersIdentical runs the counter on 1, 2 and 4
 // concurrent workers, each elaborating its own design from one shared
 // parse as sweep workers do; every run must agree byte for byte with a
 // lone run.
-func TestVsimBackendWorkersIdentical(t *testing.T) {
+func TestVsimWorkersIdentical(t *testing.T) {
 	mods := parseTestDesign(t, workersCounterSrc)
 	base, err := Simulate(mods, "tb", Options{CaptureFinal: true})
 	if err != nil {
