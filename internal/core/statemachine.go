@@ -552,8 +552,9 @@ func (p *Pipeline) Resume(prob *bench.Problem, store CheckpointStore) (m *Machin
 // RunCheckpointed drives the machine to completion. After every step
 // it persists a checkpoint into store (when non-nil) and then calls
 // after (when non-nil) with that checkpoint, or with nil when none was
-// persisted: no store, a failed session snapshot, or a failed write. An error from after stops the machine at that boundary, keeps
-// the checkpoint, and is returned raw; the caller decides whether it is
+// persisted: no store, a failed session snapshot, or a failed write.
+// An error from after stops the machine at that boundary, keeps the
+// checkpoint, and is returned raw; the caller decides whether it is
 // fatal.
 //
 // A provider failure finalises the result through the classified abort

@@ -134,9 +134,9 @@ func (c *chained) NewSession(req llm.GenRequest) (Session, error) {
 	return doSession{Session: s, do: do}, nil
 }
 
-// doSession keeps the innermost session alongside the wrapped call
-// path so checkpointing (Snapshot/Restore) reaches through the
-// middleware chain: middleware state is resilience policy, not
+// doSession embeds the wrapped session next to the wrapped call path,
+// so checkpointing (Snapshot/Restore) reaches through the middleware
+// chain: middleware state is resilience policy, not
 // conversation state, and is deliberately not part of a snapshot.
 type doSession struct {
 	Session
