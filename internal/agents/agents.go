@@ -86,33 +86,92 @@ const (
 	reviewPerItem     = 0.25
 )
 
-// diagLine matches the Vivado-style lines emitted by edatool, e.g.
-// ERROR: [VRFC 10-91] "x" is not declared [design.v:12]
-var diagLine = regexp.MustCompile(`^(ERROR|WARNING): \[([A-Z]+ [0-9-]+)\] (.*) \[([^\[\]:]+):(\d+)\]$`)
-
 // ParseCompileLog converts a raw compiler log into a structured syntax
 // corrective prompt. Snippet lines (indented, following a diagnostic)
 // are attached to the preceding item.
 func (ReviewAgent) ParseCompileLog(log string) *llm.Feedback {
 	fb := &llm.Feedback{Kind: llm.SyntaxFeedback, Raw: log}
-	lines := strings.Split(log, "\n")
-	for i := 0; i < len(lines); i++ {
-		m := diagLine.FindStringSubmatch(strings.TrimSpace(lines[i]))
-		if m == nil || m[1] != "ERROR" {
+	for rest := log; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		code, msg, lineNo, ok := parseErrorLine(strings.TrimSpace(line))
+		if !ok {
 			continue
 		}
-		line, _ := strconv.Atoi(m[5])
+		n, _ := strconv.Atoi(lineNo)
 		item := llm.FeedbackItem{
-			Line:    line,
-			Message: m[3],
-			Hint:    hintFor(m[2], m[3]),
+			Line:    n,
+			Message: msg,
+			Hint:    hintFor(code, msg),
 		}
-		if i+1 < len(lines) && strings.HasPrefix(lines[i+1], "    ") {
-			item.Snippet = strings.TrimSpace(lines[i+1])
+		if next, _, _ := strings.Cut(rest, "\n"); strings.HasPrefix(next, "    ") {
+			item.Snippet = strings.TrimSpace(next)
 		}
 		fb.Items = append(fb.Items, item)
 	}
 	return fb
+}
+
+// parseErrorLine splits one Vivado-style ERROR line emitted by edatool,
+// e.g.
+//
+//	ERROR: [VRFC 10-91] "x" is not declared [design.v:12]
+//
+// into its code ("VRFC 10-91"), message and line number. The code is
+// upper-case letters, a space and digits or hyphens; the location is
+// the line's last bracket, a non-empty file name without ':' or
+// brackets, a colon and decimal digits. The message is everything
+// between, brackets included, and may be empty. Any other line
+// (WARNING and INFO lines, snippets, summaries) reports ok false.
+func parseErrorLine(s string) (code, msg, lineNo string, ok bool) {
+	rest, ok := strings.CutPrefix(s, "ERROR: [")
+	if !ok {
+		return "", "", "", false
+	}
+	end := strings.IndexByte(rest, ']')
+	if end < 0 || !validCode(rest[:end]) || !strings.HasPrefix(rest[end:], "] ") {
+		return "", "", "", false
+	}
+	code, rest = rest[:end], rest[end+2:]
+	open := strings.LastIndexByte(rest, '[')
+	if open < 1 || rest[open-1] != ' ' || !strings.HasSuffix(rest, "]") {
+		return "", "", "", false
+	}
+	file, lineNo, ok := strings.Cut(rest[open+1:len(rest)-1], ":")
+	if !ok || file == "" || strings.IndexByte(file, ']') >= 0 || !allDigits(lineNo) {
+		return "", "", "", false
+	}
+	return code, rest[:open-1], lineNo, true
+}
+
+// validCode reports whether s is a diagnostic code: one or more
+// upper-case ASCII letters, a space, then one or more digits or '-'.
+func validCode(s string) bool {
+	letters, tail, ok := strings.Cut(s, " ")
+	if !ok || letters == "" || tail == "" {
+		return false
+	}
+	for i := 0; i < len(letters); i++ {
+		if letters[i] < 'A' || letters[i] > 'Z' {
+			return false
+		}
+	}
+	for i := 0; i < len(tail); i++ {
+		if c := tail[i]; c != '-' && (c < '0' || c > '9') {
+			return false
+		}
+	}
+	return true
+}
+
+// allDigits reports whether s is one or more ASCII decimal digits.
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // hintFor maps diagnostic codes to actionable correction hints, the

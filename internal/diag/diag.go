@@ -105,8 +105,12 @@ func (l List) Sorted() List {
 }
 
 // AttachSnippets fills the Snippet field of each diagnostic from src,
-// which is the full source text the diagnostics refer to.
+// which is the full source text the diagnostics refer to. An empty list
+// returns at once, without splitting src.
 func (l List) AttachSnippets(src string) {
+	if len(l) == 0 {
+		return
+	}
 	lines := strings.Split(src, "\n")
 	for i := range l {
 		if l[i].Line >= 1 && l[i].Line <= len(lines) && l[i].Snippet == "" {

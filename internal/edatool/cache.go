@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"slices"
 	"sync"
 	"unsafe"
@@ -42,13 +41,20 @@ import (
 type DesignCache struct {
 	mu sync.Mutex
 
-	vparse map[string]parsedUnit[*verilog.SourceFile]
-	hparse map[string]parsedUnit[*vhdl.DesignFile]
+	vparse map[unitKey]parsedUnit[*verilog.SourceFile]
+	hparse map[unitKey]parsedUnit[*vhdl.DesignFile]
 
 	results     map[resultKey]SimResult
 	resultBytes int // retained Log+VCD bytes across results
 
 	stats CacheStats
+}
+
+// unitKey identifies one parsed unit: its file name and the SHA-256 of
+// its text.
+type unitKey struct {
+	name string
+	sum  [sha256.Size]byte
 }
 
 // parsedUnit is one memoized parse: the AST and its parse diagnostics.
@@ -98,8 +104,8 @@ const (
 // any number of simulations.
 func NewDesignCache() *DesignCache {
 	return &DesignCache{
-		vparse:  make(map[string]parsedUnit[*verilog.SourceFile]),
-		hparse:  make(map[string]parsedUnit[*vhdl.DesignFile]),
+		vparse:  make(map[unitKey]parsedUnit[*verilog.SourceFile]),
+		hparse:  make(map[unitKey]parsedUnit[*vhdl.DesignFile]),
 		results: make(map[resultKey]SimResult),
 	}
 }
@@ -218,11 +224,10 @@ func resultSize(r *SimResult) int {
 
 // parseUnit parses src through memo (one of the cache's per-language
 // parse maps): identical file name and content return the retained AST
-// and diagnostics.
-func parseUnit[F any](c *DesignCache, memo map[string]parsedUnit[F], src Source,
+// and diagnostics. The text is hashed in place, as in designKey.
+func parseUnit[F any](c *DesignCache, memo map[unitKey]parsedUnit[F], src Source,
 	parse func(file, src string) (F, diag.List)) (F, diag.List) {
-	sum := sha256.Sum256([]byte(src.Text))
-	key := src.Name + "\x00" + hex.EncodeToString(sum[:])
+	key := unitKey{src.Name, sha256.Sum256(unsafe.Slice(unsafe.StringData(src.Text), len(src.Text)))}
 	c.mu.Lock()
 	if e, ok := memo[key]; ok {
 		c.stats.ParseHits++

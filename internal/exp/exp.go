@@ -313,6 +313,10 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 		if res.Status == runner.Failed {
 			continue
 		}
+		if sum.Outcomes == nil {
+			// Sized once: a retained summary holds no append slack.
+			sum.Outcomes = make([]ProblemOutcome, 0, len(results))
+		}
 		sum.Outcomes = append(sum.Outcomes, res.Value)
 	}
 	sum.N = len(sum.Outcomes)

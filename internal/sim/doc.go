@@ -34,7 +34,10 @@
 // cut at its cap, then one abort line for a limit stop, then one
 // SIMULATOR line for the fault. Options, the elaboration bounds, the
 // signal Arena and DeclIndexToBit are shared the same way; each
-// front-end keeps only its own message texts.
+// front-end keeps only its own message texts. The Arena sizes its
+// chunks to the design: the first holds 8 signals and each next one
+// doubles up to 256, so a design of a few signals allocates a few
+// slots.
 //
 // The suite judge runs on the same shell (stimulus.go). Instead of a
 // textual reference testbench, a front-end elaborates a judge shell —

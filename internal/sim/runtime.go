@@ -149,21 +149,27 @@ func (r *Runtime) Execute() Outcome {
 	return out
 }
 
-// Arena hands out T storage in fixed-capacity chunks so an elaboration
-// performs O(values/chunk) allocations instead of one per value. Chunks
-// are never grown past their capacity, so handed-out pointers stay
-// stable; retiring a full chunk just drops the arena's reference (the
-// values keep it alive).
+// Arena hands out T storage in chunks so an elaboration performs a few
+// allocations instead of one per value. The first chunk holds
+// arenaFirst values and each next one twice as many, up to arenaChunk:
+// a design of a handful of signals allocates a handful of slots, and a
+// large one still takes values/arenaChunk allocations. Chunks are never
+// grown past their capacity, so handed-out pointers stay stable;
+// retiring a full chunk just drops the arena's reference (the values
+// keep it alive).
 type Arena[T any] struct {
 	chunk []T
 }
 
-const arenaChunk = 256
+const (
+	arenaFirst = 8
+	arenaChunk = 256
+)
 
 // Alloc returns a pointer to a fresh zero T.
 func (a *Arena[T]) Alloc() *T {
 	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]T, 0, arenaChunk)
+		a.chunk = make([]T, 0, min(max(2*cap(a.chunk), arenaFirst), arenaChunk))
 	}
 	a.chunk = a.chunk[:len(a.chunk)+1]
 	return &a.chunk[len(a.chunk)-1]

@@ -1,6 +1,7 @@
 package verilog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -407,5 +408,31 @@ endmodule`)
 	}
 	if !nums[2].Signed { // 8'sd2
 		t.Error("8'sd2 must be signed")
+	}
+}
+
+// TestParseParameterLists pins the parameter lists that need the
+// parser's lookahead past the current token: in a header, `, NAME`
+// continues one declaration and `, parameter` starts the next; in the
+// body, `, NAME` continues a localparam.
+func TestParseParameterLists(t *testing.T) {
+	sf := mustParse(t, `module m #(parameter A = 1, B = 2, parameter C = 3) (input x, output y);
+  localparam D = 4, E = 5;
+  assign y = x;
+endmodule
+`)
+	var got []string
+	for _, it := range sf.Modules[0].Items {
+		if p, ok := it.(*ParamDecl); ok {
+			name := p.Name
+			if p.IsLocal {
+				name = "local " + name
+			}
+			got = append(got, fmt.Sprintf("%s@%v", name, p.Pos))
+		}
+	}
+	want := "A@1:22 B@1:29 C@1:46 local D@2:14 local E@2:21"
+	if strings.Join(got, " ") != want {
+		t.Errorf("parameters %q, want %q", strings.Join(got, " "), want)
 	}
 }

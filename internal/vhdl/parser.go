@@ -9,17 +9,23 @@ import (
 
 // Parser is a recursive-descent parser for the supported VHDL subset,
 // with statement-level error recovery so one pass yields multiple
-// diagnostics (the Review Agent relies on complete logs).
+// diagnostics (the Review Agent relies on complete logs). It pulls
+// tokens from a Lexer through a three-token window (peekTok(2) is the
+// deepest lookahead, and the parser never backtracks), so no token
+// slice is built.
 type Parser struct {
-	toks  []Token
-	pos   int
+	lx    Lexer
+	la    [3]Token // lookahead window: la[0] is the current token
+	nla   int      // tokens held in la, 1 to 3
+	pos   int      // tokens consumed so far
 	file  string
 	diags diag.List
 }
 
 // Parse parses src and returns the design file plus diagnostics.
 func Parse(file, src string) (*DesignFile, diag.List) {
-	p := &Parser{toks: Tokens(src), file: file}
+	p := &Parser{lx: *NewLexer(src), nla: 1, file: file}
+	p.la[0] = p.lx.Next()
 	df := &DesignFile{}
 	for !p.at(TokEOF) {
 		switch {
@@ -42,24 +48,31 @@ func Parse(file, src string) (*DesignFile, diag.List) {
 	return df, p.diags
 }
 
-func (p *Parser) cur() Token {
-	if p.pos >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos]
-}
+func (p *Parser) cur() Token { return p.la[0] }
 
+// peekTok returns the token n places past the current one (n <= 2),
+// lexing it on demand; past the end it returns the TokEOF token.
 func (p *Parser) peekTok(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	for p.nla <= n {
+		p.la[p.nla] = p.lx.Next()
+		p.nla++
 	}
-	return p.toks[p.pos+n]
+	return p.la[n]
 }
 
+// advance consumes and returns the current token. TokEOF is never
+// consumed: once reached, it stays current.
 func (p *Parser) advance() Token {
-	t := p.cur()
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.la[0]
+	if t.Kind == TokEOF {
+		return t
+	}
+	p.pos++
+	if p.nla > 1 {
+		copy(p.la[:], p.la[1:p.nla])
+		p.nla--
+	} else {
+		p.la[0] = p.lx.Next()
 	}
 	return t
 }
