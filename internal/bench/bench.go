@@ -2,10 +2,14 @@
 // reproduction: 156 RTL design problems modelled on VerilogEval-Human.
 // Each problem carries a natural-language spec, a module header, golden
 // Verilog and VHDL implementations, an executable Go reference model,
-// and reference testbenches generated from that model's test vectors.
+// and the test vectors that model yields. The vectors are stored once,
+// as the flat rows of the problem's sim.Stimulus; every testbench text
+// (the reference testbenches and the Code Agent's self-generated
+// subsets) is the judge shell's head, then a stimulus block rendered
+// from those rows, then the shell's tail.
 //
 // Functional pass@1 is always judged against the suite's reference
-// testbench (never the agent-generated one), matching the paper's
+// vectors (never the agent-generated bench), matching the paper's
 // methodology.
 package bench
 
@@ -24,13 +28,6 @@ type Port struct {
 	In    bool
 	Clk   bool // the clock input (sequential problems only)
 	Rst   bool // synchronous active-high reset
-}
-
-// Vec is one test vector: input values and expected outputs. For
-// sequential problems a Vec is one clock cycle.
-type Vec struct {
-	In  map[string]uint64
-	Out map[string]uint64
 }
 
 // State is the opaque state of a sequential reference model.
@@ -58,17 +55,16 @@ type Problem struct {
 	GoldenVerilog string
 	GoldenVHDL    string
 
-	RefTBVerilog string // reference testbench (suite-side judge)
+	RefTBVerilog string // reference testbench over every vector
 	RefTBVHDL    string
 
 	// The suite judgement runs the judge shell — the reference
 	// testbench without its per-vector stimulus block — with Stimulus
-	// (the same vectors as data) driven natively.
+	// driven natively. Stimulus is the problem's only store of its
+	// test vectors, generated deterministically at suite build time.
 	ShellTBVerilog string
 	ShellTBVHDL    string
 	Stimulus       *sim.Stimulus
-
-	Vectors []Vec // generated deterministically at suite build time
 }
 
 // TopName is the DUT module/entity name used across the whole suite
@@ -161,61 +157,78 @@ func mask(v uint64, w int) uint64 {
 	return v & ((1 << uint(w)) - 1)
 }
 
-// genVectors builds the problem's test vectors from its reference model
-// with a deterministic per-problem RNG.
+// genVectors builds the problem's stimulus from its reference model
+// with a deterministic per-problem RNG. The map-based models run only
+// here: each vector goes straight into the stimulus rows.
 func (p *Problem) genVectors(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	ins := p.Inputs()
-	randomIn := func() map[string]uint64 {
+	ins, outs := p.Inputs(), p.Outputs()
+	totalBits := 0
+	for _, pt := range ins {
+		totalBits += pt.Width
+	}
+	// Combinational problems are tested exhaustively for small input
+	// spaces and by random sampling otherwise. Sequential ones get a
+	// reset burst, then a randomised input schedule with occasional
+	// re-resets to exercise the reset path.
+	exhaustive := !p.Seq && totalBits <= 8
+	vectors := 40
+	switch {
+	case exhaustive:
+		vectors = 1 << uint(totalBits)
+	case !p.Seq:
+		vectors = 48
+	}
+	var st State
+	if p.Seq {
+		st = p.NewState()
+	}
+	inRows := make([]uint64, 0, vectors*len(ins))
+	outRows := make([]uint64, 0, vectors*len(outs))
+	for i := 0; i < vectors; i++ {
 		in := map[string]uint64{}
+		shift := 0
 		for _, pt := range ins {
-			in[pt.Name] = mask(rng.Uint64(), pt.Width)
+			if exhaustive {
+				in[pt.Name] = mask(uint64(i)>>uint(shift), pt.Width)
+				shift += pt.Width
+			} else {
+				in[pt.Name] = mask(rng.Uint64(), pt.Width)
+			}
 		}
-		return in
-	}
-	if !p.Seq {
-		// Exhaustive for small input spaces, random sampling otherwise.
-		totalBits := 0
-		for _, pt := range ins {
-			totalBits += pt.Width
-		}
-		if totalBits <= 8 {
-			for v := uint64(0); v < (1 << uint(totalBits)); v++ {
-				in := map[string]uint64{}
-				shift := 0
-				for _, pt := range ins {
-					in[pt.Name] = mask(v>>uint(shift), pt.Width)
-					shift += pt.Width
+		var out map[string]uint64
+		if p.Seq {
+			if p.HasReset() {
+				switch {
+				case i < 2:
+					in["reset"] = 1
+				case i == 20 && rng.Intn(2) == 0:
+					in["reset"] = 1
+				default:
+					in["reset"] = 0
 				}
-				p.Vectors = append(p.Vectors, Vec{In: in, Out: p.Comb(in)})
 			}
-			return
+			out = p.Step(st, in)
+		} else {
+			out = p.Comb(in)
 		}
-		for i := 0; i < 48; i++ {
-			in := randomIn()
-			p.Vectors = append(p.Vectors, Vec{In: in, Out: p.Comb(in)})
+		for _, pt := range ins {
+			inRows = append(inRows, in[pt.Name])
 		}
-		return
+		for _, pt := range outs {
+			outRows = append(outRows, out[pt.Name])
+		}
 	}
-	// Sequential: reset burst, then a randomised input schedule with
-	// occasional re-resets to exercise the reset path.
-	st := p.NewState()
-	cycles := 40
-	for c := 0; c < cycles; c++ {
-		in := randomIn()
-		if p.HasReset() {
-			switch {
-			case c < 2:
-				in["reset"] = 1
-			case c == 20 && rng.Intn(2) == 0:
-				in["reset"] = 1
-			default:
-				in["reset"] = 0
-			}
-		}
-		out := p.Step(st, in)
-		p.Vectors = append(p.Vectors, Vec{In: in, Out: out})
+	p.Stimulus = sim.NewStimulus(portNames(ins), portNames(outs), p.Seq, vectors, inRows, outRows)
+}
+
+// portNames returns the ports' names, in order.
+func portNames(ports []Port) []string {
+	names := make([]string, len(ports))
+	for i, pt := range ports {
+		names[i] = pt.Name
 	}
+	return names
 }
 
 // Suite is the full set of problems.

@@ -86,12 +86,13 @@ func TestQuickSeqModelBounded(t *testing.T) {
 func TestTBGeneratorSubsets(t *testing.T) {
 	suite := NewSuite()
 	p := suite.ByID("counter_up_w4")
-	sub := p.Vectors[:5]
-	tb := p.VerilogTBForVectors(sub)
+	st := p.Stimulus
+	in, out := st.In[:5*len(st.Inputs)], st.Out[:5*len(st.Outputs)]
+	tb := p.VerilogTB(in, out)
 	if strings.Count(tb, "@(posedge clk)") != 5 {
 		t.Errorf("subset TB has %d cycles, want 5", strings.Count(tb, "@(posedge clk)"))
 	}
-	vtb := p.VHDLTBForVectors(sub)
+	vtb := p.VHDLTB(in, out)
 	if strings.Count(vtb, "wait until rising_edge(clk)") != 5 {
 		t.Errorf("VHDL subset TB cycles wrong")
 	}

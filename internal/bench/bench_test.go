@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,8 +35,12 @@ func TestSuiteProblemShape(t *testing.T) {
 		if p.Spec == "" || p.GoldenVerilog == "" || p.GoldenVHDL == "" {
 			t.Errorf("%s: missing spec or golden", p.ID)
 		}
-		if len(p.Vectors) == 0 {
+		if p.Stimulus == nil || p.Stimulus.Vectors == 0 {
 			t.Errorf("%s: no test vectors", p.ID)
+		}
+		// The renderers take a row count from the output width.
+		if len(p.Outputs()) == 0 {
+			t.Errorf("%s: no outputs", p.ID)
 		}
 		if p.RefTBVerilog == "" || p.RefTBVHDL == "" {
 			t.Errorf("%s: missing reference testbench", p.ID)
@@ -155,17 +160,52 @@ func TestTestbenchTextDigest(t *testing.T) {
 		for _, s := range []string{p.RefTBVerilog, p.RefTBVHDL, p.ShellTBVerilog, p.ShellTBVHDL} {
 			fmt.Fprintf(h, "%d\n%s", len(s), s)
 		}
-		n := len(p.Vectors)
-		var strided []Vec
+		st := p.Stimulus
+		n, nIn, nOut := st.Vectors, len(st.Inputs), len(st.Outputs)
+		var stridedIn, stridedOut []uint64
 		for i := 0; i < n; i += 3 {
-			strided = append(strided, p.Vectors[i])
+			stridedIn = append(stridedIn, st.In[i*nIn:(i+1)*nIn]...)
+			stridedOut = append(stridedOut, st.Out[i*nOut:(i+1)*nOut]...)
 		}
-		for _, vs := range [][]Vec{p.Vectors[:(n+1)/2], strided, p.Vectors[n-1:]} {
-			v, h2 := p.VerilogTBForVectors(vs), p.VHDLTBForVectors(vs)
+		half := (n + 1) / 2
+		for _, rows := range [][2][]uint64{
+			{st.In[:half*nIn], st.Out[:half*nOut]},
+			{stridedIn, stridedOut},
+			{st.In[(n-1)*nIn:], st.Out[(n-1)*nOut:]},
+		} {
+			v, h2 := p.VerilogTB(rows[0], rows[1]), p.VHDLTB(rows[0], rows[1])
 			fmt.Fprintf(h, "%d\n%s%d\n%s", len(v), v, len(h2), h2)
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("testbench text digest %s, want %s", got, want)
+	}
+}
+
+// TestSuiteLiveHeapAlloc bounds what a built suite keeps alive: at most
+// 1.5x the bytes of its own texts (reference testbenches, judge shells,
+// goldens and specs) plus 8 bytes per stimulus value. Each vector is
+// stored once, as stimulus rows, and the texts are sized to fit, so a
+// second copy of the vectors or a doubled text buffer breaks the bound.
+func TestSuiteLiveHeapAlloc(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSuite()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	var own int64
+	for _, p := range s.Problems {
+		for _, text := range []string{p.RefTBVerilog, p.RefTBVHDL, p.ShellTBVerilog, p.ShellTBVHDL,
+			p.GoldenVerilog, p.GoldenVHDL, p.Spec} {
+			own += int64(len(text))
+		}
+		own += 8 * int64(len(p.Stimulus.In)+len(p.Stimulus.Out))
+	}
+	runtime.KeepAlive(s)
+	t.Logf("suite live heap %d bytes, own data %d bytes (%.2fx)", live, own, float64(live)/float64(own))
+	if limit := own * 3 / 2; live > limit {
+		t.Errorf("suite keeps %d bytes live, want at most %d (1.5x its %d bytes of texts and vectors)", live, limit, own)
 	}
 }

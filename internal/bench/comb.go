@@ -2,7 +2,9 @@ package bench
 
 import "fmt"
 
-// vport is shorthand for an input port.
+// in, out, clkPort and rstPort are shorthand for the ports of a
+// problem's interface: an input, an output, the clock and the
+// synchronous reset.
 func in(name string, w int) Port  { return Port{Name: name, Width: w, In: true} }
 func out(name string, w int) Port { return Port{Name: name, Width: w} }
 func clkPort() Port               { return Port{Name: "clk", Width: 1, In: true, Clk: true} }

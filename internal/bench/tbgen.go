@@ -8,29 +8,54 @@ import (
 	"repro/internal/sim"
 )
 
-// The reference testbenches come from one renderer per HDL: a head
+// Every testbench comes from one renderer per HDL: a head
 // (declarations, the DUT instantiation and, for sequential problems,
-// the clock), a per-vector stimulus block, and a tail. The head plus
-// the tail is the judge shell (ShellTB*), which the suite judgement
-// runs with the stimulus driven natively (Stimulus); the full text is
-// the textual testbench (RefTB*, and self-generated testbenches over
-// vector subsets). Sharing the head keeps the two from drifting.
+// the clock), a stimulus block over flat vector rows, and a tail. The
+// head plus the tail is the judge shell (ShellTB*), rendered once per
+// problem; the suite judgement runs it with the stimulus driven
+// natively (Stimulus). VerilogTB and VHDLTB reuse the shell's head to
+// write the textual testbenches: RefTB* over every vector, and
+// self-generated testbenches over vector subsets. Sharing the head
+// keeps the shell and the texts from drifting.
 
 const (
 	verilogTail = "endmodule\n"
 	vhdlTail    = "end architecture;\n"
 )
 
-// VerilogTBForVectors emits a self-checking Verilog testbench exercising
-// the given vectors: it prints numbered failure messages and the
-// suite-wide pass marker. The Code Agent uses this with a vector subset
-// to model self-generated testbenches of varying coverage.
-func (p *Problem) VerilogTBForVectors(vectors []Vec) string {
+// VerilogTB emits a self-checking Verilog testbench over the vector
+// rows in and out, laid out as in sim.Stimulus (len(Inputs()) and
+// len(Outputs()) values per vector, vector-major): it prints numbered
+// failure messages and the suite-wide pass marker. The Code Agent
+// uses it with a vector subset to model self-generated testbenches of
+// varying coverage.
+func (p *Problem) VerilogTB(in, out []uint64) string {
 	var sb strings.Builder
-	p.verilogHead(&sb)
-	p.verilogStim(&sb, vectors)
+	head := strings.TrimSuffix(p.ShellTBVerilog, verilogTail)
+	sb.Grow(len(p.ShellTBVerilog) + p.stimSize(out, 24))
+	sb.WriteString(head)
+	p.verilogStim(&sb, in, out)
 	sb.WriteString(verilogTail)
 	return sb.String()
+}
+
+// VHDLTB emits a self-checking VHDL testbench over the vector rows in
+// and out, as VerilogTB does.
+func (p *Problem) VHDLTB(in, out []uint64) string {
+	var sb strings.Builder
+	head := strings.TrimSuffix(p.ShellTBVHDL, vhdlTail)
+	sb.Grow(len(p.ShellTBVHDL) + p.stimSize(out, 48))
+	sb.WriteString(head)
+	p.vhdlStim(&sb, in, out)
+	sb.WriteString(vhdlTail)
+	return sb.String()
+}
+
+// stimSize estimates the bytes of a stimulus block over the rows out
+// whose vectors each take fixed bytes besides their port lines.
+func (p *Problem) stimSize(out []uint64, fixed int) int {
+	ins, outs := len(p.Inputs()), len(p.Outputs())
+	return len(out) / outs * (24*ins + 112*outs + fixed)
 }
 
 // verilogHead writes the testbench module up to its initial block.
@@ -64,13 +89,13 @@ func (p *Problem) verilogHead(sb *strings.Builder) {
 	}
 }
 
-// verilogStim writes the initial block that applies and checks vectors.
-// Lines are assembled with strconv appends into one reused buffer: the
-// reference testbenches alone are 1.6 MB of this text, rendered at
-// every suite build, and the Code Agent renders a subset per bench.
-func (p *Problem) verilogStim(sb *strings.Builder, vectors []Vec) {
+// verilogStim writes the initial block that applies and checks the
+// vector rows. Lines are assembled with strconv appends into one
+// reused buffer: the reference testbenches alone are 1.6 MB of this
+// text, rendered at every suite build, and the Code Agent renders a
+// subset per bench.
+func (p *Problem) verilogStim(sb *strings.Builder, in, out []uint64) {
 	ins, outs := p.Inputs(), p.Outputs()
-	sb.Grow(len(vectors) * (24*len(ins) + 112*len(outs) + 24))
 	sb.WriteString("  initial begin\n    errors = 0;\n")
 	if p.Seq {
 		sb.WriteString("    clk = 0;\n")
@@ -79,14 +104,14 @@ func (p *Problem) verilogStim(sb *strings.Builder, vectors []Vec) {
 		}
 	}
 	var line []byte
-	for i, v := range vectors {
+	for i := 0; i < len(out)/len(outs); i++ {
 		// Drive inputs, clock the design (or let it settle), then
 		// check outputs.
-		for _, pt := range ins {
+		for j, pt := range ins {
 			line = append(line[:0], "    "...)
 			line = append(line, pt.Name...)
 			line = append(line, " = "...)
-			line = appendSized(line, pt.Width, v.In[pt.Name])
+			line = appendSized(line, pt.Width, in[i*len(ins)+j])
 			line = append(line, ";\n"...)
 			sb.Write(line)
 		}
@@ -95,8 +120,8 @@ func (p *Problem) verilogStim(sb *strings.Builder, vectors []Vec) {
 		} else {
 			sb.WriteString("    #1;\n")
 		}
-		for _, pt := range outs {
-			want := v.Out[pt.Name]
+		for j, pt := range outs {
+			want := out[i*len(outs)+j]
 			line = append(line[:0], "    if ("...)
 			line = append(line, pt.Name...)
 			line = append(line, " !== "...)
@@ -148,16 +173,6 @@ func appendVHDLBin(b []byte, v uint64, w int) []byte {
 	return append(b, '"')
 }
 
-// VHDLTBForVectors emits a self-checking VHDL testbench exercising the
-// given vectors.
-func (p *Problem) VHDLTBForVectors(vectors []Vec) string {
-	var sb strings.Builder
-	p.vhdlHead(&sb)
-	p.vhdlStim(&sb, vectors)
-	sb.WriteString(vhdlTail)
-	return sb.String()
-}
-
 // vhdlHead writes the testbench architecture up to its stim process.
 func (p *Problem) vhdlHead(sb *strings.Builder) {
 	sb.WriteString("library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n")
@@ -191,19 +206,18 @@ func (p *Problem) vhdlHead(sb *strings.Builder) {
 	sb.WriteString(");\n")
 }
 
-// vhdlStim writes the stim process that applies and checks vectors,
-// assembling lines as verilogStim does.
-func (p *Problem) vhdlStim(sb *strings.Builder, vectors []Vec) {
+// vhdlStim writes the stim process that applies and checks the vector
+// rows, assembling lines as verilogStim does.
+func (p *Problem) vhdlStim(sb *strings.Builder, in, out []uint64) {
 	ins, outs := p.Inputs(), p.Outputs()
-	sb.Grow(len(vectors) * (24*len(ins) + 112*len(outs) + 48))
 	sb.WriteString("  stim: process\n    variable errors : integer := 0;\n  begin\n")
 	var line []byte
-	for i, v := range vectors {
-		for _, pt := range ins {
+	for i := 0; i < len(out)/len(outs); i++ {
+		for j, pt := range ins {
 			line = append(line[:0], "    "...)
 			line = append(line, pt.Name...)
 			line = append(line, " <= "...)
-			line = appendVHDLBin(line, v.In[pt.Name], pt.Width)
+			line = appendVHDLBin(line, in[i*len(ins)+j], pt.Width)
 			line = append(line, ";\n"...)
 			sb.Write(line)
 		}
@@ -211,8 +225,8 @@ func (p *Problem) vhdlStim(sb *strings.Builder, vectors []Vec) {
 			sb.WriteString("    wait until rising_edge(clk);\n")
 		}
 		sb.WriteString("    wait for 1 ns;\n")
-		for _, pt := range outs {
-			want := v.Out[pt.Name]
+		for j, pt := range outs {
+			want := out[i*len(outs)+j]
 			line = append(line[:0], "    if "...)
 			line = append(line, pt.Name...)
 			line = append(line, " /= "...)
@@ -231,42 +245,19 @@ func (p *Problem) vhdlStim(sb *strings.Builder, vectors []Vec) {
 	sb.WriteString("    end if;\n    done <= '1';\n    wait;\n  end process;\n")
 }
 
-// renderTestbenches renders the reference testbenches, the judge
-// shells and the stimulus the shells run with.
+// renderTestbenches renders the judge shells and, over the whole
+// stimulus, the reference testbenches.
 func (p *Problem) renderTestbenches() {
 	var sb strings.Builder
 	p.verilogHead(&sb)
-	head := sb.String()
-	p.ShellTBVerilog = head + verilogTail
-	p.verilogStim(&sb, p.Vectors)
 	sb.WriteString(verilogTail)
-	p.RefTBVerilog = sb.String()
+	p.ShellTBVerilog = sb.String()
 
 	sb.Reset()
 	p.vhdlHead(&sb)
-	head = sb.String()
-	p.ShellTBVHDL = head + vhdlTail
-	p.vhdlStim(&sb, p.Vectors)
 	sb.WriteString(vhdlTail)
-	p.RefTBVHDL = sb.String()
+	p.ShellTBVHDL = sb.String()
 
-	ins, outs := p.Inputs(), p.Outputs()
-	var inNames, outNames []string
-	for _, pt := range ins {
-		inNames = append(inNames, pt.Name)
-	}
-	for _, pt := range outs {
-		outNames = append(outNames, pt.Name)
-	}
-	in := make([]uint64, 0, len(ins)*len(p.Vectors))
-	out := make([]uint64, 0, len(outs)*len(p.Vectors))
-	for _, v := range p.Vectors {
-		for _, pt := range ins {
-			in = append(in, v.In[pt.Name])
-		}
-		for _, pt := range outs {
-			out = append(out, v.Out[pt.Name])
-		}
-	}
-	p.Stimulus = sim.NewStimulus(inNames, outNames, p.Seq, len(p.Vectors), in, out)
+	p.RefTBVerilog = p.VerilogTB(p.Stimulus.In, p.Stimulus.Out)
+	p.RefTBVHDL = p.VHDLTB(p.Stimulus.In, p.Stimulus.Out)
 }

@@ -338,20 +338,6 @@ func (v Vector) IsKnown() bool {
 	return true
 }
 
-// HasZ reports whether any bit is Z.
-func (v Vector) HasZ() bool {
-	if v.p == nil {
-		return v.ia&v.ib != 0
-	}
-	n := v.nw()
-	for i := 0; i < n; i++ {
-		if v.p[i]&v.p[n+i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // IsZero reports whether every bit is known zero.
 func (v Vector) IsZero() bool {
 	if v.p == nil {

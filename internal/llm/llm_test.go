@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/edatool"
+	"repro/internal/sim"
 )
 
 var testSuite = bench.NewSuite()
@@ -228,6 +229,33 @@ func TestTestbenchCoverageSubsetting(t *testing.T) {
 			strings.Count(sTB, "Test Case"), strings.Count(wTB, "Test Case"))
 	}
 	_ = prob
+}
+
+// TestGenerateTestbenchLeavesStimulus pins that a self-generated bench
+// never writes into the suite's vectors. Its rows are views of
+// Problem.Stimulus (a prefix for sequential problems), so its wrong
+// expectation must go into a copy. Every problem in both HDLs gets a
+// flawed bench, frozen and co-generated, and every stimulus must still
+// hash to its digest afterwards.
+func TestGenerateTestbenchLeavesStimulus(t *testing.T) {
+	model := *ProfileByName("claude-3.5-sonnet")
+	model.Verilog.TBFuncErrRate = 1
+	model.VHDL.TBFuncErrRate = 1
+	for _, p := range bench.NewSuite().Problems {
+		for _, lang := range []edatool.Language{edatool.Verilog, edatool.VHDL} {
+			for _, cogen := range []bool{false, true} {
+				s := model.NewSession(GenRequest{Problem: p, Language: lang})
+				if cogen {
+					s.GenerateRTL(nil)
+				}
+				s.GenerateTestbench()
+			}
+		}
+		st := p.Stimulus
+		if sim.NewStimulus(st.Inputs, st.Outputs, st.Seq, st.Vectors, st.In, st.Out).Digest != st.Digest {
+			t.Errorf("%s: a self-generated bench wrote into the suite's stimulus", p.ID)
+		}
+	}
 }
 
 func TestReplaceNth(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/edatool"
 )
 
@@ -55,40 +54,39 @@ func (s *simSession) GenerateTestbench() (string, float64) {
 		tbSynErr = clamp01(tbSynErr * 1.5)
 		tbFuncErr = clamp01(tbFuncErr*1.8 + 0.15)
 	}
-	n := int(float64(len(p.Vectors))*coverage + 0.5)
+	// The bench takes its vectors as rows of the suite's stimulus.
+	st := p.Stimulus
+	nIn, nOut := len(st.Inputs), len(st.Outputs)
+	n := int(float64(st.Vectors)*coverage + 0.5)
 	if n < 1 {
 		n = 1
 	}
-	var vecs []bench.Vec
+	var in, out []uint64
 	if p.Seq {
 		// Sequential behaviour depends on the full history: the agent
 		// bench keeps a prefix (shorter sims = weaker late-cycle coverage).
-		vecs = append(vecs, p.Vectors[:n]...)
+		in, out = st.In[:n*nIn], st.Out[:n*nOut]
 	} else {
-		idxs := s.rng.Perm(len(p.Vectors))[:n]
-		for _, i := range idxs {
-			vecs = append(vecs, p.Vectors[i])
+		in, out = make([]uint64, 0, n*nIn), make([]uint64, 0, n*nOut)
+		for _, i := range s.rng.Perm(st.Vectors)[:n] {
+			in = append(in, st.In[i*nIn:(i+1)*nIn]...)
+			out = append(out, st.Out[i*nOut:(i+1)*nOut]...)
 		}
 	}
 	// A flawed bench encodes a wrong expectation on one vector: correct
-	// RTL will "fail" self-verification against it.
-	if s.rng.Float64() < tbFuncErr && len(vecs) > 0 {
-		k := s.rng.Intn(len(vecs))
-		orig := vecs[k]
-		corrupted := bench.Vec{In: orig.In, Out: map[string]uint64{}}
-		for name, v := range orig.Out {
-			corrupted.Out[name] = v
-		}
-		outs := p.Outputs()
-		pt := outs[s.rng.Intn(len(outs))]
-		mask := uint64(1)<<uint(pt.Width) - 1
-		corrupted.Out[pt.Name] = (corrupted.Out[pt.Name] + 1) & mask
-		vecs[k] = corrupted
+	// RTL will "fail" self-verification against it. The prefix rows are
+	// the suite's own, so the expectation goes into a private copy.
+	if s.rng.Float64() < tbFuncErr {
+		k := s.rng.Intn(n)
+		o := s.rng.Intn(nOut)
+		mask := uint64(1)<<uint(p.Outputs()[o].Width) - 1
+		out = append([]uint64(nil), out...)
+		out[k*nOut+o] = (out[k*nOut+o] + 1) & mask
 	}
 	if s.verilog() {
-		s.tbCode = p.VerilogTBForVectors(vecs)
+		s.tbCode = p.VerilogTB(in, out)
 	} else {
-		s.tbCode = p.VHDLTBForVectors(vecs)
+		s.tbCode = p.VHDLTB(in, out)
 	}
 	// The bench itself may be syntactically flawed.
 	s.tbMuts = nil

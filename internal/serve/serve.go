@@ -545,10 +545,6 @@ func (s *Server) Shutdown() {
 	s.bg.Wait()
 }
 
-// ShuttingDown returns the channel closed when Shutdown begins.
-// Long-lived handlers and clients select on it to exit promptly.
-func (s *Server) ShuttingDown() <-chan struct{} { return s.shutdownc }
-
 // persist writes a job record atomically (temp file + rename, not
 // fsynced). Caller holds s.mu.
 func (s *Server) persist(j *job) {

@@ -66,10 +66,13 @@ func withDumpvars(tb string) string {
 	return strings.Replace(tb, "module "+bench.TBName+";\n", "module "+bench.TBName+";\n  initial $dumpvars;\n", 1)
 }
 
-// selfTestVectors is the shape of a self-generated testbench: a prefix
-// of the reference vectors (about half, at least one).
-func selfTestVectors(p *bench.Problem) []bench.Vec {
-	return p.Vectors[:(len(p.Vectors)+1)/2]
+// selfTestVectors is the shape of a self-generated testbench: the
+// input and output rows of a prefix of the reference vectors (about
+// half, at least one).
+func selfTestVectors(p *bench.Problem) (in, out []uint64) {
+	st := p.Stimulus
+	n := (st.Vectors + 1) / 2
+	return st.In[:n*len(st.Inputs)], st.Out[:n*len(st.Outputs)]
 }
 
 // outcomeDigests renders one "case digest" line per pinned run.
@@ -79,7 +82,7 @@ func outcomeDigests(t *testing.T) []string {
 	for _, p := range bench.NewSuite().Problems {
 		add("verilog/ref/"+p.ID, digestVerilog(t, p.ID, p.GoldenVerilog+"\n"+withDumpvars(p.RefTBVerilog)))
 		add("vhdl/ref/"+p.ID, digestVHDL(t, p.ID, p.GoldenVHDL+"\n"+p.RefTBVHDL))
-		add("vhdl/self/"+p.ID, digestVHDL(t, p.ID, p.GoldenVHDL+"\n"+p.VHDLTBForVectors(selfTestVectors(p))))
+		add("vhdl/self/"+p.ID, digestVHDL(t, p.ID, p.GoldenVHDL+"\n"+p.VHDLTB(selfTestVectors(p))))
 	}
 	for i := 0; i < 24; i++ {
 		src := genClusterDesign(rand.New(rand.NewSource(int64(9000 + i*131))))
