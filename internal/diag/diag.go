@@ -1,8 +1,10 @@
 package diag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -39,13 +41,34 @@ type Diagnostic struct {
 }
 
 // String renders the diagnostic in Vivado xvlog/xvhdl style:
-// ERROR: [VRFC 10-91] sample.v:12 ...
+// ERROR: [VRFC 10-91] message [sample.v:12]
 func (d Diagnostic) String() string {
-	loc := d.File
+	var sb strings.Builder
+	sb.Grow(d.RenderLen())
+	d.Append(&sb)
+	return sb.String()
+}
+
+// RenderLen bounds the length of the String form from above.
+func (d Diagnostic) RenderLen() int {
+	return len("WARNING: [] ") + len(d.Code) + len(d.Message) + len(" [:]") + len(d.File) + 20
+}
+
+// Append writes the String form of d to sb.
+func (d Diagnostic) Append(sb *strings.Builder) {
+	sb.WriteString(d.Severity.String())
+	sb.WriteString(": [")
+	sb.WriteString(d.Code)
+	sb.WriteString("] ")
+	sb.WriteString(d.Message)
+	sb.WriteString(" [")
+	sb.WriteString(d.File)
 	if d.Line > 0 {
-		loc = fmt.Sprintf("%s:%d", d.File, d.Line)
+		var buf [20]byte
+		sb.WriteByte(':')
+		sb.Write(strconv.AppendInt(buf[:0], int64(d.Line), 10))
 	}
-	return fmt.Sprintf("%s: [%s] %s [%s]", d.Severity, d.Code, d.Message, loc)
+	sb.WriteByte(']')
 }
 
 // List is a collection of diagnostics with convenience helpers.
@@ -84,37 +107,59 @@ func (l List) ErrorCount() int {
 // HasErrors reports whether any entry is an error.
 func (l List) HasErrors() bool { return l.ErrorCount() > 0 }
 
-// Sorted returns a copy ordered by (file, line, col, severity desc).
+// Sorted returns the list ordered by (file, line, col, severity desc),
+// keeping the order of equal entries. A list of two or more entries is
+// sorted in a copy; a shorter one is already in order and is returned
+// as is.
 func (l List) Sorted() List {
-	out := make(List, len(l))
-	copy(out, l)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
+	if len(l) < 2 {
+		return l
+	}
+	out := slices.Clone(l)
+	slices.SortStableFunc(out, func(a, b Diagnostic) int {
+		if c := strings.Compare(a.File, b.File); c != 0 {
+			return c
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if c := cmp.Compare(a.Line, b.Line); c != 0 {
+			return c
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
+		if c := cmp.Compare(a.Col, b.Col); c != 0 {
+			return c
 		}
-		return a.Severity > b.Severity
+		return cmp.Compare(b.Severity, a.Severity)
 	})
 	return out
 }
 
 // AttachSnippets fills the Snippet field of each diagnostic from src,
-// which is the full source text the diagnostics refer to. An empty list
-// returns at once, without splitting src.
+// which is the full source text the diagnostics refer to, with its
+// line trimmed of trailing blanks and tabs. Diagnostics that already
+// have a snippet, or whose line is not in src, are left alone. Only the
+// lines up to the last one named are scanned, in one forward walk.
 func (l List) AttachSnippets(src string) {
-	if len(l) == 0 {
-		return
-	}
-	lines := strings.Split(src, "\n")
+	var buf [8]int
+	want := buf[:0] // indices into l, walked in line order
 	for i := range l {
-		if l[i].Line >= 1 && l[i].Line <= len(lines) && l[i].Snippet == "" {
-			l[i].Snippet = strings.TrimRight(lines[l[i].Line-1], " \t")
+		if l[i].Line >= 1 && l[i].Snippet == "" {
+			want = append(want, i)
 		}
+	}
+	if len(want) > 1 {
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(l[a].Line, l[b].Line) })
+	}
+	line, start := 1, 0 // line begins at byte offset start
+	for _, i := range want {
+		for ; line < l[i].Line; line++ {
+			nl := strings.IndexByte(src[start:], '\n')
+			if nl < 0 {
+				return // this line and every later one are past the end
+			}
+			start += nl + 1
+		}
+		text := src[start:]
+		if nl := strings.IndexByte(text, '\n'); nl >= 0 {
+			text = text[:nl]
+		}
+		l[i].Snippet = strings.TrimRight(text, " \t")
 	}
 }

@@ -6,7 +6,7 @@
 package edatool
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/diag"
@@ -53,30 +53,48 @@ type CompileResult struct {
 	Units []*vhdl.DesignFile
 }
 
-// RenderCompileLog renders diagnostics the way xvlog/xvhdl would.
+// RenderCompileLog renders diagnostics the way xvlog/xvhdl would. The
+// log is written once, into a buffer sized for it up front.
 func RenderCompileLog(lang Language, diags diag.List) string {
 	tool := "xvlog"
 	if lang == VHDL {
 		tool = "xvhdl"
 	}
+	size := 160 // the header and the two summary lines
+	for i := range diags {
+		size += diags[i].RenderLen() + len("\n    \n") + len(diags[i].Snippet)
+	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "INFO: [%s] Compilation started\n", tool)
+	sb.Grow(size)
+	sb.WriteString("INFO: [")
+	sb.WriteString(tool)
+	sb.WriteString("] Compilation started\n")
 	errs := 0
 	for _, d := range diags.Sorted() {
-		sb.WriteString(d.String())
+		d.Append(&sb)
 		sb.WriteByte('\n')
 		if d.Snippet != "" {
-			fmt.Fprintf(&sb, "    %s\n", strings.TrimSpace(d.Snippet))
+			sb.WriteString("    ")
+			sb.WriteString(strings.TrimSpace(d.Snippet))
+			sb.WriteByte('\n')
 		}
 		if d.Severity == diag.Error {
 			errs++
 		}
 	}
-	fmt.Fprintf(&sb, "Total syntax errors: %d\n", errs)
+	var buf [20]byte
+	n := strconv.AppendInt(buf[:0], int64(errs), 10)
+	sb.WriteString("Total syntax errors: ")
+	sb.Write(n)
+	sb.WriteByte('\n')
 	if errs == 0 {
 		sb.WriteString("Successful compilation.\n")
 	} else {
-		fmt.Fprintf(&sb, "INFO: [%s] Compilation failed with %d error(s)\n", tool, errs)
+		sb.WriteString("INFO: [")
+		sb.WriteString(tool)
+		sb.WriteString("] Compilation failed with ")
+		sb.Write(n)
+		sb.WriteString(" error(s)\n")
 	}
 	return sb.String()
 }

@@ -133,3 +133,21 @@ func TestQuickLiteralRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLiteralFastPathAllocs checks that the literals the fast paths
+// cover decode without allocating.
+func TestLiteralFastPathAllocs(t *testing.T) {
+	for _, s := range []string{"42", "8'd12", "4'b1010", "32'hDEADBEEF", "'d7", "64'hFFFFFFFFFFFFFFFF"} {
+		if n := testing.AllocsPerRun(100, func() { benchSink, _ = ParseVerilogLiteral(s) }); n != 0 {
+			t.Errorf("ParseVerilogLiteral(%q) allocated %v times", s, n)
+		}
+	}
+	for _, c := range []struct {
+		kind byte
+		body string
+	}{{'b', "1010"}, {'x', "AF"}, {'c', "1"}, {'b', "1111111111111111111111111111111111111111111111111111111111111111"}} {
+		if n := testing.AllocsPerRun(100, func() { benchSink, _ = ParseVHDLBitString(c.kind, c.body) }); n != 0 {
+			t.Errorf("ParseVHDLBitString(%c, %q) allocated %v times", c.kind, c.body, n)
+		}
+	}
+}

@@ -98,35 +98,149 @@ func (lx *Lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.pos++
+			lx.col++
+		case c == '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
 		case c == '/' && lx.peekByte(1) == '/', c == '`':
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.advance()
+			end := len(lx.src)
+			if nl := strings.IndexByte(lx.src[lx.pos:], '\n'); nl >= 0 {
+				end = lx.pos + nl
 			}
+			lx.skipTo(end)
 		case c == '/' && lx.peekByte(1) == '*':
-			lx.advance()
-			lx.advance()
-			for lx.pos < len(lx.src) {
-				if lx.src[lx.pos] == '*' && lx.peekByte(1) == '/' {
-					lx.advance()
-					lx.advance()
-					break
-				}
-				lx.advance()
+			end := len(lx.src)
+			if i := strings.Index(lx.src[lx.pos+2:], "*/"); i >= 0 {
+				end = lx.pos + 2 + i + 2
 			}
+			lx.skipTo(end)
 		default:
 			return
 		}
 	}
 }
 
-// multi-rune operators, longest first.
-var operators = []string{
-	"<<<", ">>>", "===", "!==",
-	"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "~^", "^~", "~&", "~|", "**",
-	"+", "-", "*", "/", "%", "!", "~", "&", "|", "^", "<", ">", "=",
-	"(", ")", "[", "]", "{", "}", ",", ";", ":", "?", "@", "#", ".",
+// skipTo moves the cursor to byte offset end, counting the lines and
+// runes in between as advance would.
+func (lx *Lexer) skipTo(end int) {
+	span := lx.src[lx.pos:end]
+	if nl := strings.LastIndexByte(span, '\n'); nl >= 0 {
+		lx.line += strings.Count(span, "\n")
+		lx.col = 1
+		span = span[nl+1:]
+	}
+	lx.col += utf8.RuneCountInString(span)
+	lx.pos = end
+}
+
+// scan advances the cursor over a run of runes that contains no
+// newline: ASCII bytes marked in set, and non-ASCII runes for which uni
+// reports true. An invalid UTF-8 byte decodes as U+FFFD and counts as
+// one rune, as advance reads it.
+func (lx *Lexer) scan(set *[utf8.RuneSelf]bool, uni func(rune) bool) {
+	i, col := lx.pos, lx.col
+	for i < len(lx.src) {
+		if c := lx.src[i]; c < utf8.RuneSelf {
+			if !set[c] {
+				break
+			}
+			i++
+		} else {
+			r, w := utf8.DecodeRuneInString(lx.src[i:])
+			if !uni(r) {
+				break
+			}
+			i += w
+		}
+		col++
+	}
+	lx.pos, lx.col = i, col
+}
+
+// asciiSet returns the ASCII bytes that satisfy any of the given
+// ranges; each range is a pair of inclusive bounds.
+func asciiSet(ranges ...byte) *[utf8.RuneSelf]bool {
+	var set [utf8.RuneSelf]bool
+	for i := 0; i+1 < len(ranges); i += 2 {
+		for c := ranges[i]; c <= ranges[i+1]; c++ {
+			set[c] = true
+		}
+	}
+	return &set
+}
+
+var (
+	// identBytes continue an identifier: letters, digits, _ and $.
+	identBytes = asciiSet('a', 'z', 'A', 'Z', '0', '9', '_', '_', '$', '$')
+	// sysNameBytes continue a system task name: letters, digits and _.
+	sysNameBytes = asciiSet('a', 'z', 'A', 'Z', '0', '9', '_', '_')
+	// decimalBytes make up a size or a plain decimal: digits and _.
+	decimalBytes = asciiSet('0', '9', '_', '_')
+	// numDigitBytes make up the digits of a based literal.
+	numDigitBytes = asciiSet('0', '9', '_', '_', '?', '?', 'a', 'f', 'A', 'F',
+		'x', 'x', 'X', 'X', 'z', 'z', 'Z', 'Z')
+	// stringBytes run on in a string body: all but '"', '\\' and
+	// newline.
+	stringBytes = asciiSet(0, '\n'-1, '\n'+1, '"'-1, '"'+1, '\\'-1, '\\'+1, utf8.RuneSelf-1)
+)
+
+func isLetterOrDigit(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+func anyRune(rune) bool { return true }
+
+// opLen returns the byte length of the longest operator or punctuation
+// token at the start of s, or 0 if s starts with none. The operators
+// are <<< >>> === !== << >> <= >= == != && || ~^ ^~ ~& ~| ** and the
+// single bytes + - * / % ! ~ & | ^ < > = ( ) [ ] { } , ; : ? @ # .
+func opLen(s string) int {
+	if s == "" {
+		return 0
+	}
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	switch s[0] {
+	case '<', '>':
+		if c1 == s[0] {
+			if c2 == s[0] {
+				return 3 // <<< >>>
+			}
+			return 2 // << >>
+		}
+		if c1 == '=' {
+			return 2 // <= >=
+		}
+	case '=', '!':
+		if c1 == '=' {
+			if c2 == '=' {
+				return 3 // === !==
+			}
+			return 2 // == !=
+		}
+	case '&', '|', '*':
+		if c1 == s[0] {
+			return 2 // && || **
+		}
+	case '~':
+		if c1 == '^' || c1 == '&' || c1 == '|' {
+			return 2 // ~^ ~& ~|
+		}
+	case '^':
+		if c1 == '~' {
+			return 2 // ^~
+		}
+	case '+', '-', '/', '%', '(', ')', '[', ']', '{', '}', ',', ';', ':', '?', '@', '#', '.':
+	default:
+		return 0
+	}
+	return 1
 }
 
 // Next returns the next token.
@@ -136,26 +250,29 @@ func (lx *Lexer) Next() Token {
 	if lx.pos >= len(lx.src) {
 		return Token{Kind: TokEOF, Pos: start}
 	}
-	r := lx.peek()
-	switch {
-	case r == '"':
-		return lx.lexString(start)
-	case r == '$':
-		return lx.lexSysName(start)
-	case unicode.IsLetter(r) || r == '_' || r == '\\':
-		return lx.lexIdent(start)
-	case unicode.IsDigit(r) || r == '\'':
-		return lx.lexNumber(start)
-	}
-	// Operators and punctuation. All are ASCII without newlines, so a
-	// match advances bytes and columns alike.
-	rest := lx.src[lx.pos:]
-	for _, op := range operators {
-		if strings.HasPrefix(rest, op) {
-			lx.pos += len(op)
-			lx.col += len(op)
-			return Token{Kind: TokOp, Text: op, Pos: start}
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		switch {
+		case c == '"':
+			return lx.lexString(start)
+		case c == '$':
+			return lx.lexSysName(start)
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || c == '\\':
+			return lx.lexIdent(start)
+		case '0' <= c && c <= '9' || c == '\'':
+			return lx.lexNumber(start)
 		}
+		// Operators and punctuation. All are ASCII without newlines, so
+		// a match advances bytes and columns alike.
+		if n := opLen(lx.src[lx.pos:]); n > 0 {
+			text := lx.src[lx.pos : lx.pos+n]
+			lx.pos += n
+			lx.col += n
+			return Token{Kind: TokOp, Text: text, Pos: start}
+		}
+	} else if r := lx.peek(); unicode.IsLetter(r) {
+		return lx.lexIdent(start)
+	} else if unicode.IsDigit(r) {
+		return lx.lexNumber(start)
 	}
 	from := lx.pos
 	lx.advance()
@@ -199,21 +316,16 @@ func (lx *Lexer) lexString(start Pos) Token {
 			continue
 		}
 		lx.advance()
+		lx.scan(stringBytes, anyRune)
 	}
 	return Token{Kind: TokError, Text: "unterminated string", Pos: start}
 }
 
 func (lx *Lexer) lexSysName(start Pos) Token {
 	from := lx.pos
-	lx.advance() // $
-	for lx.pos < len(lx.src) {
-		r := lx.peek()
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			lx.advance()
-		} else {
-			break
-		}
-	}
+	lx.pos++ // $
+	lx.col++
+	lx.scan(sysNameBytes, isLetterOrDigit)
 	if lx.pos-from == 1 {
 		return Token{Kind: TokError, Text: "$", Pos: start}
 	}
@@ -230,14 +342,7 @@ func (lx *Lexer) lexIdent(start Pos) Token {
 		return Token{Kind: TokIdent, Text: lx.text(from, lx.pos), Pos: start}
 	}
 	from := lx.pos
-	for lx.pos < len(lx.src) {
-		r := lx.peek()
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '$' {
-			lx.advance()
-		} else {
-			break
-		}
-	}
+	lx.scan(identBytes, isLetterOrDigit)
 	text := lx.src[from:lx.pos]
 	if IsKeyword(text) {
 		return Token{Kind: TokKeyword, Text: text, Pos: start}
@@ -250,9 +355,7 @@ func (lx *Lexer) lexIdent(start Pos) Token {
 func (lx *Lexer) lexNumber(start Pos) Token {
 	from := lx.pos
 	// Leading decimal digits (size or plain value).
-	for lx.pos < len(lx.src) && (unicode.IsDigit(lx.peek()) || lx.src[lx.pos] == '_') {
-		lx.advance()
-	}
+	lx.scan(decimalBytes, unicode.IsDigit)
 	digitsEnd := lx.pos
 	// Skip whitespace between size and ' (legal in Verilog).
 	saveLine, saveCol := lx.line, lx.col
@@ -271,9 +374,7 @@ func (lx *Lexer) lexNumber(start Pos) Token {
 		if isBaseChar(lx.peek()) {
 			kind = TokNumber
 			lx.advance()
-			for lx.pos < len(lx.src) && isNumDigit(lx.peek()) {
-				lx.advance()
-			}
+			lx.scan(numDigitBytes, unicode.IsDigit)
 		}
 		// `16 'd12` reads as 16'd12: only a spaced size is rebuilt.
 		text := lx.src[from:lx.pos]
@@ -294,10 +395,4 @@ func isBaseChar(r rune) bool {
 		return true
 	}
 	return false
-}
-
-func isNumDigit(r rune) bool {
-	return unicode.IsDigit(r) || r == '_' || r == '?' ||
-		(r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F') ||
-		r == 'x' || r == 'X' || r == 'z' || r == 'Z'
 }

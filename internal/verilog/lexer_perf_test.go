@@ -9,13 +9,14 @@ import (
 	"repro/internal/bench"
 )
 
-// largestRefTB returns the largest reference testbench in the suite,
-// the worst case the front-end sees on every cold judgement.
-func largestRefTB() string {
+// largestTB returns the largest full-coverage testbench in the suite,
+// rendered from each problem's stimulus rows: the worst case the
+// front-end sees for a self-generated testbench.
+func largestTB() string {
 	var best string
 	for _, p := range bench.NewSuite().Problems {
-		if len(p.RefTBVerilog) > len(best) {
-			best = p.RefTBVerilog
+		if tb := p.VerilogTB(p.Stimulus.In, p.Stimulus.Out); len(tb) > len(best) {
+			best = tb
 		}
 	}
 	return best
@@ -31,13 +32,13 @@ func parseAllocBytes(src string) uint64 {
 }
 
 // TestLexParseAllocLinear guards the front-end against superlinear
-// cost: parsing the largest reference testbench concatenated 8x may
+// cost: parsing the largest full testbench concatenated 8x may
 // allocate at most 10x what one copy does. Allocated bytes are counted
 // rather than wall time because they repeat exactly run to run; a lexer
 // that re-copies the rest of the source per token fails by a wide
 // margin.
 func TestLexParseAllocLinear(t *testing.T) {
-	tb := largestRefTB()
+	tb := largestTB()
 	var base uint64
 	for _, k := range []int{1, 2, 4, 8} {
 		got := parseAllocBytes(strings.Repeat(tb, k))
@@ -53,9 +54,9 @@ func TestLexParseAllocLinear(t *testing.T) {
 
 var parseSink *SourceFile
 
-// BenchmarkParseVerilog parses the largest reference testbench.
+// BenchmarkParseVerilog parses the largest full testbench.
 func BenchmarkParseVerilog(b *testing.B) {
-	src := largestRefTB()
+	src := largestTB()
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +72,7 @@ func BenchmarkParseVerilog(b *testing.B) {
 func FuzzLexVerilog(f *testing.F) {
 	var srcs []string
 	for _, p := range bench.NewSuite().Problems {
-		srcs = append(srcs, p.GoldenVerilog, p.RefTBVerilog)
+		srcs = append(srcs, p.GoldenVerilog, p.VerilogTB(p.Stimulus.In, p.Stimulus.Out))
 	}
 	sort.Slice(srcs, func(i, j int) bool { return len(srcs[i]) < len(srcs[j]) })
 	for _, s := range srcs[:4] {

@@ -28,18 +28,19 @@ func tokenDigest(src string) string {
 }
 
 // suiteTokenDigests renders one line per suite source: problem id,
-// which source (golden RTL or reference testbench), and its digest.
+// which source (golden RTL, or the full testbench rendered from the
+// problem's stimulus rows), and its digest.
 func suiteTokenDigests() string {
 	var b strings.Builder
 	for _, p := range bench.NewSuite().Problems {
 		fmt.Fprintf(&b, "%s golden %s\n", p.ID, tokenDigest(p.GoldenVerilog))
-		fmt.Fprintf(&b, "%s tb %s\n", p.ID, tokenDigest(p.RefTBVerilog))
+		fmt.Fprintf(&b, "%s tb %s\n", p.ID, tokenDigest(p.VerilogTB(p.Stimulus.In, p.Stimulus.Out)))
 	}
 	return b.String()
 }
 
 // TestTokenDigestSuite pins the token stream of every Verilog source in
-// the benchmark suite (golden RTL and reference testbenches). The
+// the benchmark suite (golden RTL and full testbenches). The
 // committed digests were produced by the original rune-slice lexer, so
 // a lexer rewrite must reproduce its output token for token. Run with
 // -update-tokens only when a change to the token stream is intended.

@@ -1,6 +1,7 @@
 package verilog
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -116,5 +117,67 @@ func TestLexAlwaysTerminates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oldOperators is the operator list the lexer once scanned with
+// strings.HasPrefix, longest first; TestOpLenOracle holds opLen to it.
+var oldOperators = []string{
+	"<<<", ">>>", "===", "!==",
+	"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "~^", "^~", "~&", "~|", "**",
+	"+", "-", "*", "/", "%", "!", "~", "&", "|", "^", "<", ">", "=",
+	"(", ")", "[", "]", "{", "}", ",", ";", ":", "?", "@", "#", ".",
+}
+
+// TestOpLenOracle checks opLen on every ASCII string of one to three
+// bytes against a longest-prefix scan over oldOperators.
+func TestOpLenOracle(t *testing.T) {
+	var buf [3]byte
+	for n := 1; n <= 3; n++ {
+		for code := 0; code < 1<<(7*n); code++ {
+			for i := 0; i < n; i++ {
+				buf[i] = byte(code >> (7 * i) & 0x7f)
+			}
+			s := string(buf[:n])
+			want := 0
+			for _, op := range oldOperators {
+				if strings.HasPrefix(s, op) {
+					want = len(op)
+					break
+				}
+			}
+			if got := opLen(s); got != want {
+				t.Fatalf("opLen(%q) = %d, want %d", s, got, want)
+			}
+		}
+	}
+}
+
+// oldKeywords is the reserved-word set the lexer once looked up in a
+// map; TestIsKeywordOracle holds IsKeyword to it.
+var oldKeywords = []string{
+	"module", "endmodule", "input", "output", "inout", "wire", "reg", "integer",
+	"parameter", "localparam", "assign", "always", "initial", "begin", "end",
+	"if", "else", "case", "casez", "casex", "endcase", "default", "for", "while",
+	"repeat", "forever", "posedge", "negedge", "or", "signed", "genvar", "generate",
+	"endgenerate", "function", "endfunction", "task", "endtask", "real", "time",
+	"wait",
+}
+
+// TestIsKeywordOracle checks IsKeyword on every old keyword and on near
+// misses: case changes, one byte short or long, and the empty string.
+func TestIsKeywordOracle(t *testing.T) {
+	set := map[string]bool{}
+	for _, kw := range oldKeywords {
+		set[kw] = true
+	}
+	probes := []string{"", "x", "modules", "Module", "MODULE", "wir", "ende"}
+	for _, kw := range oldKeywords {
+		probes = append(probes, kw, strings.ToUpper(kw), kw[:len(kw)-1], kw+"_", "$"+kw)
+	}
+	for _, s := range probes {
+		if got := IsKeyword(s); got != set[s] {
+			t.Errorf("IsKeyword(%q) = %v, want %v", s, got, set[s])
+		}
 	}
 }

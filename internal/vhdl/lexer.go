@@ -19,7 +19,20 @@ type Lexer struct {
 	pos  int // byte offset into src
 	line int
 	col  int
+
+	// texts holds the bit-string token texts, which are not substrings
+	// of src ("b:" + body). Each text is appended once and never
+	// rewritten, so it stays valid after texts moves on to a new chunk.
+	texts strings.Builder
 }
+
+// Bit-string texts go into chunks that start small, so a design with a
+// few literals allocates little, and double up to a cap, so a
+// testbench's rows share a few allocations.
+const (
+	firstTextChunk = 64
+	maxTextChunk   = 1024
+)
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
@@ -95,22 +108,122 @@ func (lx *Lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.pos++
+			lx.col++
+		case c == '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
 		case c == '-' && lx.peekByte(1) == '-':
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.advance()
+			end := len(lx.src)
+			if nl := strings.IndexByte(lx.src[lx.pos:], '\n'); nl >= 0 {
+				end = lx.pos + nl
 			}
+			lx.col += utf8.RuneCountInString(lx.src[lx.pos:end])
+			lx.pos = end
 		default:
 			return
 		}
 	}
 }
 
-var vhdlOps = []string{
-	"<=", ">=", "/=", ":=", "=>", "**",
-	"=", "<", ">", "+", "-", "*", "/", "&",
-	"(", ")", ",", ";", ":", "'", ".", "|",
+// Byte classes for scan: a member of the run, and an upper-case member
+// that case folding changes.
+const (
+	member = 1 << iota
+	upper
+)
+
+// asciiClasses returns the class table for the ASCII bytes in the given
+// inclusive ranges (pairs of bounds). Upper-case letters get the upper
+// class too.
+func asciiClasses(ranges ...byte) *[utf8.RuneSelf]uint8 {
+	var cls [utf8.RuneSelf]uint8
+	for i := 0; i+1 < len(ranges); i += 2 {
+		for c := ranges[i]; c <= ranges[i+1]; c++ {
+			cls[c] = member
+			if 'A' <= c && c <= 'Z' {
+				cls[c] |= upper
+			}
+		}
+	}
+	return &cls
+}
+
+var (
+	// identBytes continue an identifier: letters, digits and _.
+	identBytes = asciiClasses('a', 'z', 'A', 'Z', '0', '9', '_', '_')
+	// intBytes make up an integer literal: digits and _.
+	intBytes = asciiClasses('0', '9', '_', '_')
+	// stringBytes make up a string body: all but '"' and newline.
+	stringBytes = asciiClasses(0, '\n'-1, '\n'+1, '"'-1, '"'+1, utf8.RuneSelf-1)
+)
+
+func isLetterOrDigit(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+func anyRune(rune) bool { return true }
+
+// scan advances the cursor over a run of runes that contains no
+// newline: ASCII bytes that are members in cls, and non-ASCII runes for
+// which uni reports true. An invalid UTF-8 byte decodes as U+FFFD and
+// counts as one rune, as advance reads it. fold reports whether the run
+// holds an upper-case ASCII letter or any non-ASCII rune, the only runs
+// that strings.ToLower can change.
+func (lx *Lexer) scan(cls *[utf8.RuneSelf]uint8, uni func(rune) bool) (fold bool) {
+	i, col := lx.pos, lx.col
+	var seen uint8
+	for i < len(lx.src) {
+		if c := lx.src[i]; c < utf8.RuneSelf {
+			k := cls[c]
+			if k == 0 {
+				break
+			}
+			seen |= k
+			i++
+		} else {
+			r, w := utf8.DecodeRuneInString(lx.src[i:])
+			if !uni(r) {
+				break
+			}
+			seen |= upper
+			i += w
+		}
+		col++
+	}
+	lx.pos, lx.col = i, col
+	return seen&upper != 0
+}
+
+// opLen returns the byte length of the longest operator or punctuation
+// token at the start of s, or 0 if s starts with none. The operators
+// are <= >= /= := => ** and the single bytes = < > + - * / & ( ) , ; : ' . |
+func opLen(s string) int {
+	if s == "" {
+		return 0
+	}
+	var c1 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	switch s[0] {
+	case '<', '>', '/', ':':
+		if c1 == '=' {
+			return 2 // <= >= /= :=
+		}
+	case '=':
+		if c1 == '>' {
+			return 2 // =>
+		}
+	case '*':
+		if c1 == '*' {
+			return 2 // **
+		}
+	case '+', '-', '&', '(', ')', ',', ';', '\'', '.', '|':
+	default:
+		return 0
+	}
+	return 1
 }
 
 // Next returns the next token.
@@ -120,38 +233,42 @@ func (lx *Lexer) Next() Token {
 	if lx.pos >= len(lx.src) {
 		return Token{Kind: TokEOF, Pos: start}
 	}
-	r := lx.peek()
-	switch {
-	case unicode.IsLetter(r):
-		return lx.lexIdentOrBitStr(start)
-	case unicode.IsDigit(r):
-		return lx.lexNumber(start)
-	case r == '"':
-		return lx.lexStringOrBitStr(start, 'b')
-	case r == '\'':
-		// Character literal 'x' only when a printable char is followed
-		// by a closing quote; otherwise it is the attribute tick.
-		if lx.peekByte(1) != 0 {
-			_, w := utf8.DecodeRuneInString(lx.src[lx.pos+1:])
-			if lx.peekByte(1+w) == '\'' {
-				lx.advance()
-				from := lx.pos
-				lx.advance()
-				text := lx.text(from, lx.pos)
-				lx.advance()
-				return Token{Kind: TokChar, Text: text, Pos: start}
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		switch {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+			return lx.lexIdentOrBitStr(start)
+		case '0' <= c && c <= '9':
+			return lx.lexNumber(start)
+		case c == '"':
+			return lx.lexStringOrBitStr(start, 'b')
+		case c == '\'':
+			// Character literal 'x' only when a printable char is
+			// followed by a closing quote; otherwise it is the
+			// attribute tick.
+			if lx.peekByte(1) != 0 {
+				_, w := utf8.DecodeRuneInString(lx.src[lx.pos+1:])
+				if lx.peekByte(1+w) == '\'' {
+					lx.advance()
+					from := lx.pos
+					lx.advance()
+					text := lx.text(from, lx.pos)
+					lx.advance()
+					return Token{Kind: TokChar, Text: text, Pos: start}
+				}
 			}
 		}
-	}
-	// Operators are ASCII without newlines, so a match advances bytes
-	// and columns alike.
-	rest := lx.src[lx.pos:]
-	for _, op := range vhdlOps {
-		if strings.HasPrefix(rest, op) {
-			lx.pos += len(op)
-			lx.col += len(op)
-			return Token{Kind: TokOp, Text: op, Pos: start}
+		// Operators are ASCII without newlines, so a match advances
+		// bytes and columns alike.
+		if n := opLen(lx.src[lx.pos:]); n > 0 {
+			text := lx.src[lx.pos : lx.pos+n]
+			lx.pos += n
+			lx.col += n
+			return Token{Kind: TokOp, Text: text, Pos: start}
 		}
+	} else if r := lx.peek(); unicode.IsLetter(r) {
+		return lx.lexIdentOrBitStr(start)
+	} else if unicode.IsDigit(r) {
+		return lx.lexNumber(start)
 	}
 	from := lx.pos
 	lx.advance()
@@ -162,15 +279,11 @@ func (lx *Lexer) Next() Token {
 // bit string such as x"AF" / b"1010".
 func (lx *Lexer) lexIdentOrBitStr(start Pos) Token {
 	from := lx.pos
-	for lx.pos < len(lx.src) {
-		r := lx.peek()
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
-			break
-		}
-		lx.advance()
+	fold := lx.scan(identBytes, isLetterOrDigit)
+	text := lx.src[from:lx.pos]
+	if fold {
+		text = strings.ToLower(text)
 	}
-	// ToLower returns already-lower text as is, without copying.
-	text := strings.ToLower(lx.src[from:lx.pos])
 	if (text == "x" || text == "b" || text == "o") && lx.peek() == '"' {
 		return lx.lexStringOrBitStr(start, text[0])
 	}
@@ -186,25 +299,31 @@ func (lx *Lexer) lexIdentOrBitStr(start Pos) Token {
 func (lx *Lexer) lexStringOrBitStr(start Pos, kind byte) Token {
 	lx.advance() // opening quote
 	from := lx.pos
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '"' {
-			body := lx.text(from, lx.pos)
-			lx.advance()
-			if kind == 'x' || kind == 'o' {
-				return Token{Kind: TokBitStr, Text: string(kind) + ":" + body, Pos: start}
-			}
-			if isBitBody(body) {
-				return Token{Kind: TokBitStr, Text: "b:" + body, Pos: start}
-			}
-			return Token{Kind: TokString, Text: body, Pos: start}
-		}
-		if c == '\n' {
-			break
-		}
+	lx.scan(stringBytes, anyRune)
+	if lx.pos < len(lx.src) && lx.src[lx.pos] == '"' {
+		body := lx.text(from, lx.pos)
 		lx.advance()
+		if kind == 'x' || kind == 'o' || isBitBody(body) {
+			return Token{Kind: TokBitStr, Text: lx.bitStrText(kind, body), Pos: start}
+		}
+		return Token{Kind: TokString, Text: body, Pos: start}
 	}
 	return Token{Kind: TokError, Text: "unterminated string", Pos: start}
+}
+
+// bitStrText returns kind + ":" + body, appended to the texts chunk.
+func (lx *Lexer) bitStrText(kind byte, body string) string {
+	n := len(body) + 2
+	if free := lx.texts.Cap() - lx.texts.Len(); free < n {
+		size := min(max(2*lx.texts.Cap(), firstTextChunk), maxTextChunk)
+		lx.texts = strings.Builder{}
+		lx.texts.Grow(max(size, n))
+	}
+	from := lx.texts.Len()
+	lx.texts.WriteByte(kind)
+	lx.texts.WriteByte(':')
+	lx.texts.WriteString(body)
+	return lx.texts.String()[from:]
 }
 
 func isBitBody(s string) bool {
@@ -223,9 +342,7 @@ func isBitBody(s string) bool {
 
 func (lx *Lexer) lexNumber(start Pos) Token {
 	from := lx.pos
-	for lx.pos < len(lx.src) && (unicode.IsDigit(lx.peek()) || lx.src[lx.pos] == '_') {
-		lx.advance()
-	}
+	lx.scan(intBytes, unicode.IsDigit)
 	// ReplaceAll returns text without '_' as is, without copying.
 	return Token{Kind: TokInt, Text: strings.ReplaceAll(lx.src[from:lx.pos], "_", ""), Pos: start}
 }

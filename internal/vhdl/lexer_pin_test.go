@@ -28,18 +28,19 @@ func tokenDigest(src string) string {
 }
 
 // suiteTokenDigests renders one line per suite source: problem id,
-// which source (golden RTL or reference testbench), and its digest.
+// which source (golden RTL, or the full testbench rendered from the
+// problem's stimulus rows), and its digest.
 func suiteTokenDigests() string {
 	var b strings.Builder
 	for _, p := range bench.NewSuite().Problems {
 		fmt.Fprintf(&b, "%s golden %s\n", p.ID, tokenDigest(p.GoldenVHDL))
-		fmt.Fprintf(&b, "%s tb %s\n", p.ID, tokenDigest(p.RefTBVHDL))
+		fmt.Fprintf(&b, "%s tb %s\n", p.ID, tokenDigest(p.VHDLTB(p.Stimulus.In, p.Stimulus.Out)))
 	}
 	return b.String()
 }
 
 // TestTokenDigestSuite pins the token stream of every VHDL source in
-// the benchmark suite (golden RTL and reference testbenches). The
+// the benchmark suite (golden RTL and full testbenches). The
 // committed digests were produced by the original rune-slice lexer, so
 // a lexer rewrite must reproduce its output token for token. Run with
 // -update-tokens only when a change to the token stream is intended.
@@ -102,6 +103,71 @@ func TestLexTable(t *testing.T) {
 		}
 		if got := strings.Join(parts, "|"); got != c.want {
 			t.Errorf("Tokens(%q):\n got  %s\n want %s", c.src, got, c.want)
+		}
+	}
+}
+
+// oldOps is the operator list the lexer once scanned with
+// strings.HasPrefix, longest first; TestOpLenOracle holds opLen to it.
+var oldOps = []string{
+	"<=", ">=", "/=", ":=", "=>", "**",
+	"=", "<", ">", "+", "-", "*", "/", "&",
+	"(", ")", ",", ";", ":", "'", ".", "|",
+}
+
+// TestOpLenOracle checks opLen on every ASCII string of one to three
+// bytes against a longest-prefix scan over oldOps.
+func TestOpLenOracle(t *testing.T) {
+	var buf [3]byte
+	for n := 1; n <= 3; n++ {
+		for code := 0; code < 1<<(7*n); code++ {
+			for i := 0; i < n; i++ {
+				buf[i] = byte(code >> (7 * i) & 0x7f)
+			}
+			s := string(buf[:n])
+			want := 0
+			for _, op := range oldOps {
+				if strings.HasPrefix(s, op) {
+					want = len(op)
+					break
+				}
+			}
+			if got := opLen(s); got != want {
+				t.Fatalf("opLen(%q) = %d, want %d", s, got, want)
+			}
+		}
+	}
+}
+
+// oldKeywords is the reserved-word set the lexer once looked up in a
+// map; TestIsKeywordOracle holds IsKeyword to it.
+var oldKeywords = []string{
+	"entity", "is", "end", "architecture", "of", "port", "generic", "map", "in", "out",
+	"inout", "buffer", "signal", "variable", "constant", "begin", "process", "if",
+	"then", "elsif", "else", "case", "when", "others", "for", "loop", "to", "downto",
+	"wait", "until", "on", "after", "report", "assert", "severity", "library", "use",
+	"and", "or", "not", "xor", "nand", "nor", "xnor", "mod", "rem", "sll",
+	"srl", "null", "component", "work", "all", "type", "range", "array", "subtype",
+	"function", "return", "while", "exit", "integer", "boolean", "natural", "positive",
+	"ns", "ps", "us", "ms", "true", "false", "generate", "select",
+	"with", "block", "label", "configuration", "string", "time", "event", "length",
+}
+
+// TestIsKeywordOracle checks IsKeyword on every old keyword and on near
+// misses: upper case (the lexer folds before asking), one byte short or
+// long, and the empty string.
+func TestIsKeywordOracle(t *testing.T) {
+	set := map[string]bool{}
+	for _, kw := range oldKeywords {
+		set[kw] = true
+	}
+	probes := []string{"", "x", "std_logic", "Entity", "ENTITY", "entit", "ends"}
+	for _, kw := range oldKeywords {
+		probes = append(probes, kw, strings.ToUpper(kw), kw[:len(kw)-1], kw+"_", kw+"1")
+	}
+	for _, s := range probes {
+		if got := IsKeyword(s); got != set[s] {
+			t.Errorf("IsKeyword(%q) = %v, want %v", s, got, set[s])
 		}
 	}
 }

@@ -41,26 +41,30 @@ type Token struct {
 	Pos  Pos
 }
 
-var keywords = map[string]bool{
-	"entity": true, "is": true, "end": true, "architecture": true, "of": true,
-	"port": true, "generic": true, "map": true, "in": true, "out": true,
-	"inout": true, "buffer": true, "signal": true, "variable": true,
-	"constant": true, "begin": true, "process": true, "if": true,
-	"then": true, "elsif": true, "else": true, "case": true, "when": true,
-	"others": true, "for": true, "loop": true, "to": true, "downto": true,
-	"wait": true, "until": true, "on": true, "after": true, "report": true,
-	"assert": true, "severity": true, "library": true, "use": true,
-	"and": true, "or": true, "not": true, "xor": true, "nand": true,
-	"nor": true, "xnor": true, "mod": true, "rem": true, "sll": true,
-	"srl": true, "null": true, "component": true, "work": true,
-	"all": true, "type": true, "range": true, "array": true, "subtype": true,
-	"function": true, "return": true, "while": true, "exit": true,
-	"integer": true, "boolean": true, "natural": true, "positive": true,
-	"ns": true, "ps": true, "us": true, "ms": true,
-	"true": true, "false": true, "generate": true, "select": true,
-	"with": true, "block": true, "label": true, "configuration": true,
-	"string": true, "time": true, "event": true, "length": true,
+// IsKeyword reports whether the lower-cased word is reserved. A switch
+// on constant strings compiles to a length dispatch plus a few
+// compares, cheaper than a map lookup on the lexer's path.
+func IsKeyword(s string) bool {
+	switch s {
+	case "entity", "is", "end", "architecture", "of",
+		"port", "generic", "map", "in", "out",
+		"inout", "buffer", "signal", "variable",
+		"constant", "begin", "process", "if",
+		"then", "elsif", "else", "case", "when",
+		"others", "for", "loop", "to", "downto",
+		"wait", "until", "on", "after", "report",
+		"assert", "severity", "library", "use",
+		"and", "or", "not", "xor", "nand",
+		"nor", "xnor", "mod", "rem", "sll",
+		"srl", "null", "component", "work",
+		"all", "type", "range", "array", "subtype",
+		"function", "return", "while", "exit",
+		"integer", "boolean", "natural", "positive",
+		"ns", "ps", "us", "ms",
+		"true", "false", "generate", "select",
+		"with", "block", "label", "configuration",
+		"string", "time", "event", "length":
+		return true
+	}
+	return false
 }
-
-// IsKeyword reports whether the lower-cased word is reserved.
-func IsKeyword(s string) bool { return keywords[s] }
