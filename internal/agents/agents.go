@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/edatool"
+	"repro/internal/lex"
 	"repro/internal/llm"
 	"repro/internal/llm/provider"
 )
@@ -178,6 +179,8 @@ func allDigits(s string) bool {
 // "highly detailed and actionable corrective prompt" of Section 3.2.
 func hintFor(code, msg string) string {
 	switch {
+	case code == lex.SizeCode:
+		return "split the source into smaller files or remove repeated text"
 	case strings.Contains(msg, "not declared"):
 		return "declare the referenced signal or fix the misspelled identifier"
 	case strings.Contains(msg, "expecting") && strings.Contains(msg, `";"`):

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/edatool"
+	"repro/internal/lex"
 	"repro/internal/llm"
 	"repro/internal/llm/provider"
 )
@@ -172,5 +173,45 @@ func TestVerificationPromptMentionsFailures(t *testing.T) {
 	prompt := verify.CorrectivePrompt(fb)
 	if !strings.Contains(prompt, "expected 1") {
 		t.Errorf("prompt lacks failure detail:\n%s", prompt)
+	}
+}
+
+// TestParseCompileLogSourceSizeLimit compiles a golden design padded
+// with a trailing comment to exactly lex.MaxSource bytes, which must
+// compile clean, and to one byte more, which must fail with the single
+// size diagnostic that the Review Agent reads back as one item.
+func TestParseCompileLogSourceSizeLimit(t *testing.T) {
+	p := bench.NewSuite().Problems[0]
+	for _, c := range []struct {
+		lang    edatool.Language
+		name    string
+		golden  string
+		comment string
+	}{
+		{edatool.Verilog, "design.v", p.GoldenVerilog, "\n//"},
+		{edatool.VHDL, "design.vhd", p.GoldenVHDL, "\n--"},
+	} {
+		head := c.golden + c.comment
+		for _, size := range []int{lex.MaxSource, lex.MaxSource + 1} {
+			src := head + strings.Repeat("x", size-len(head))
+			comp := edatool.Compile(nil, c.lang, edatool.Source{Name: c.name, Text: src})
+			fb := ReviewAgent{}.ParseCompileLog(comp.Log)
+			if size == lex.MaxSource {
+				if !comp.OK || len(fb.Items) != 0 {
+					t.Errorf("%s at the limit: OK %v, %d items\n%s", c.name, comp.OK, len(fb.Items), comp.Log)
+				}
+				continue
+			}
+			if comp.OK || len(comp.Diags) != 1 || comp.Diags[0].Code != lex.SizeCode {
+				t.Fatalf("%s over the limit: OK %v, diags %v", c.name, comp.OK, comp.Diags)
+			}
+			if len(fb.Items) != 1 {
+				t.Fatalf("%s over the limit: %d items from\n%s", c.name, len(fb.Items), comp.Log)
+			}
+			want := "source is 1048577 bytes, over the 1048576-byte limit"
+			if it := fb.Items[0]; it.Line != 1 || it.Message != want || !strings.HasPrefix(it.Hint, "split the source") {
+				t.Errorf("%s over the limit: item %+v", c.name, it)
+			}
+		}
 	}
 }

@@ -32,12 +32,12 @@
 // in the kernel's fault slot, where the first fault wins. Execute runs
 // the kernel and returns the Outcome both Result types embed: the log
 // cut at its cap, then one abort line for a limit stop, then one
-// SIMULATOR line for the fault. Options, the elaboration bounds, the
-// signal Arena and DeclIndexToBit are shared the same way; each
-// front-end keeps only its own message texts. The Arena sizes its
-// chunks to the design: the first holds 8 signals and each next one
-// doubles up to 256, so a design of a few signals allocates a few
-// slots.
+// SIMULATOR line for the fault. Options, the elaboration bounds and
+// their ElabError, the signal Arena and DeclIndexToBit are shared the
+// same way; each front-end keeps only its own message texts. The Arena
+// sizes its chunks to the design: the first holds 8 signals and each
+// next one doubles up to 256, so a design of a few signals allocates a
+// few slots.
 //
 // The suite judge runs on the same shell (stimulus.go). Instead of a
 // textual reference testbench, a front-end elaborates a judge shell —

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/lex"
 )
 
 // Options configures one simulation run. Both front-ends alias it
@@ -36,6 +38,20 @@ type Fault struct{ Msg string }
 // Faultf returns a Fault with a formatted message.
 func Faultf(format string, args ...any) Fault {
 	return Fault{Msg: fmt.Sprintf(format, args...)}
+}
+
+// ElabError is an elaboration failure: the design is structurally
+// unusable. Its text is "line:col: msg".
+type ElabError struct {
+	Pos lex.Pos
+	Msg string
+}
+
+func (e *ElabError) Error() string { return fmt.Sprintf("%d:%d: %s", e.Pos.Line, e.Pos.Col, e.Msg) }
+
+// ElabErrf returns an ElabError at pos with a formatted message.
+func ElabErrf(pos lex.Pos, format string, args ...any) *ElabError {
+	return &ElabError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 // Elaboration bounds shared by both front-ends. MaxInstances bounds

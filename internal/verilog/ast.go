@@ -1,6 +1,9 @@
 package verilog
 
-import "repro/internal/hdl"
+import (
+	"repro/internal/hdl"
+	"repro/internal/lex"
+)
 
 // SourceFile is the root of a parsed compilation unit.
 type SourceFile struct {
@@ -12,7 +15,7 @@ type Module struct {
 	Name  string
 	Ports []*Port
 	Items []Item
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // PortDir is a port direction.
@@ -43,7 +46,7 @@ type Port struct {
 	IsReg  bool
 	Signed bool
 	Range  *Range // nil for scalar
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // Range is a [msb:lsb] vector range with constant expressions.
@@ -81,7 +84,7 @@ type DeclName struct {
 	Name  string
 	Array *Range // non-nil for memories: reg [7:0] mem [0:255]
 	Init  Expr   // optional initialiser (wire w = a & b)
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // NetDecl declares wires, regs, or integers.
@@ -90,7 +93,7 @@ type NetDecl struct {
 	Signed bool
 	Range  *Range
 	Names  []DeclName
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // ParamDecl declares a parameter or localparam.
@@ -98,27 +101,27 @@ type ParamDecl struct {
 	Name    string
 	Value   Expr
 	IsLocal bool
-	Pos     Pos
+	Pos     lex.Pos
 }
 
 // ContAssign is a continuous assignment: assign lhs = rhs;
 type ContAssign struct {
 	LHS Expr
 	RHS Expr
-	Pos Pos
+	Pos lex.Pos
 }
 
 // AlwaysBlock is an always block with optional sensitivity list.
 type AlwaysBlock struct {
 	Sens *SensList // nil means always without @ (unsupported; checker flags)
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // InitialBlock is an initial block (testbench construct).
 type InitialBlock struct {
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Instance is a module instantiation.
@@ -127,7 +130,7 @@ type Instance struct {
 	InstName   string
 	Params     []Connection // #(.N(8)) or ordered
 	Conns      []Connection
-	Pos        Pos
+	Pos        lex.Pos
 }
 
 // Connection is one port/parameter association. Name is empty for
@@ -135,7 +138,7 @@ type Instance struct {
 type Connection struct {
 	Name string
 	Expr Expr // nil for explicitly unconnected .port()
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 func (*NetDecl) itemNode()      {}
@@ -174,7 +177,7 @@ type Stmt interface{ stmtNode() }
 type Block struct {
 	Name  string
 	Stmts []Stmt
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // If is if/else.
@@ -182,7 +185,7 @@ type If struct {
 	Cond Expr
 	Then Stmt
 	Else Stmt // may be nil
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // CaseKind distinguishes case/casez/casex.
@@ -199,7 +202,7 @@ const (
 type CaseItem struct {
 	Exprs []Expr
 	Body  Stmt
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // Case is a case statement.
@@ -207,7 +210,7 @@ type Case struct {
 	Kind  CaseKind
 	Expr  Expr
 	Items []CaseItem
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // For is a for loop.
@@ -216,27 +219,27 @@ type For struct {
 	Cond Expr
 	Step Stmt
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // While is a while loop.
 type While struct {
 	Cond Expr
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Repeat is repeat (n) stmt.
 type Repeat struct {
 	Count Expr
 	Body  Stmt
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // Forever is forever stmt.
 type Forever struct {
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Assign is a procedural assignment, blocking (=) or nonblocking (<=),
@@ -245,39 +248,39 @@ type Assign struct {
 	LHS      Expr
 	RHS      Expr
 	Blocking bool
-	Pos      Pos
+	Pos      lex.Pos
 }
 
 // DelayStmt is #n stmt (stmt may be Null for a bare delay).
 type DelayStmt struct {
 	Amount Expr
 	Body   Stmt
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // EventWait is @(...) stmt.
 type EventWait struct {
 	Sens *SensList
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // WaitStmt is wait (expr) stmt: suspends until the condition holds.
 type WaitStmt struct {
 	Cond Expr
 	Body Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // SysCall is a system task invocation statement ($display, $finish...).
 type SysCall struct {
 	Name string
 	Args []Expr
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Null is a lone semicolon.
-type Null struct{ Pos Pos }
+type Null struct{ Pos lex.Pos }
 
 func (*Block) stmtNode()     {}
 func (*If) stmtNode()        {}
@@ -296,13 +299,13 @@ func (*Null) stmtNode()      {}
 // Expr is an expression node.
 type Expr interface {
 	exprNode()
-	ExprPos() Pos
+	ExprPos() lex.Pos
 }
 
 // Ident is an identifier reference.
 type Ident struct {
 	Name string
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Number is a literal with its parsed value. Signed is true for plain
@@ -312,67 +315,67 @@ type Number struct {
 	Text   string
 	Value  hdl.Vector
 	Signed bool
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // StringLit is a string literal (only valid in system task args).
 type StringLit struct {
 	Value string
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // Unary is a prefix operator: ! ~ - + & | ^ ~& ~| ~^.
 type Unary struct {
 	Op  string
 	X   Expr
-	Pos Pos
+	Pos lex.Pos
 }
 
 // Binary is an infix operator.
 type Binary struct {
 	Op   string
 	L, R Expr
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Ternary is cond ? a : b.
 type Ternary struct {
 	Cond, Then, Else Expr
-	Pos              Pos
+	Pos              lex.Pos
 }
 
 // ConcatExpr is {a, b, c}.
 type ConcatExpr struct {
 	Parts []Expr
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // ReplicateExpr is {n{v}}.
 type ReplicateExpr struct {
 	Count Expr
 	Value Expr
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // Index is base[idx] — bit select or memory element select.
 type Index struct {
 	Base Expr
 	Idx  Expr
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // PartSelect is base[msb:lsb].
 type PartSelect struct {
 	Base     Expr
 	MSB, LSB Expr
-	Pos      Pos
+	Pos      lex.Pos
 }
 
 // SysFuncCall is a system function in expression position ($time...).
 type SysFuncCall struct {
 	Name string
 	Args []Expr
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 func (*Ident) exprNode()         {}
@@ -388,14 +391,14 @@ func (*PartSelect) exprNode()    {}
 func (*SysFuncCall) exprNode()   {}
 
 // ExprPos implementations.
-func (e *Ident) ExprPos() Pos         { return e.Pos }
-func (e *Number) ExprPos() Pos        { return e.Pos }
-func (e *StringLit) ExprPos() Pos     { return e.Pos }
-func (e *Unary) ExprPos() Pos         { return e.Pos }
-func (e *Binary) ExprPos() Pos        { return e.Pos }
-func (e *Ternary) ExprPos() Pos       { return e.Pos }
-func (e *ConcatExpr) ExprPos() Pos    { return e.Pos }
-func (e *ReplicateExpr) ExprPos() Pos { return e.Pos }
-func (e *Index) ExprPos() Pos         { return e.Pos }
-func (e *PartSelect) ExprPos() Pos    { return e.Pos }
-func (e *SysFuncCall) ExprPos() Pos   { return e.Pos }
+func (e *Ident) ExprPos() lex.Pos         { return e.Pos }
+func (e *Number) ExprPos() lex.Pos        { return e.Pos }
+func (e *StringLit) ExprPos() lex.Pos     { return e.Pos }
+func (e *Unary) ExprPos() lex.Pos         { return e.Pos }
+func (e *Binary) ExprPos() lex.Pos        { return e.Pos }
+func (e *Ternary) ExprPos() lex.Pos       { return e.Pos }
+func (e *ConcatExpr) ExprPos() lex.Pos    { return e.Pos }
+func (e *ReplicateExpr) ExprPos() lex.Pos { return e.Pos }
+func (e *Index) ExprPos() lex.Pos         { return e.Pos }
+func (e *PartSelect) ExprPos() lex.Pos    { return e.Pos }
+func (e *SysFuncCall) ExprPos() lex.Pos   { return e.Pos }

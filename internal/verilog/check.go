@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/diag"
+	"repro/internal/lex"
 )
 
 // symbol describes one declared name inside a module.
@@ -13,7 +14,7 @@ type symbol struct {
 	dir     PortDir
 	isParam bool
 	hasMem  bool
-	pos     Pos
+	pos     lex.Pos
 }
 
 // Check performs semantic analysis over every module in sf. Known module
@@ -236,7 +237,7 @@ func checkStmt(file, modName string, s Stmt, syms map[string]*symbol, diags *dia
 }
 
 // checkAssignTarget enforces reg-vs-wire assignment legality.
-func checkAssignTarget(file, modName string, lhs Expr, syms map[string]*symbol, diags *diag.List, procedural bool, pos Pos) {
+func checkAssignTarget(file, modName string, lhs Expr, syms map[string]*symbol, diags *diag.List, procedural bool, pos lex.Pos) {
 	switch e := lhs.(type) {
 	case *Ident:
 		sym, ok := syms[e.Name]

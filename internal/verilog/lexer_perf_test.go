@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/lex"
 )
 
 // largestTB returns the largest full-coverage testbench in the suite,
@@ -66,7 +67,7 @@ func BenchmarkParseVerilog(b *testing.B) {
 }
 
 // FuzzLexVerilog checks the lexer's structural contract on arbitrary
-// input: it never panics, the stream ends in exactly one TokEOF,
+// input: it never panics, the stream ends in exactly one lex.EOF,
 // positions never move backwards, and every token but EOF consumes at
 // least one byte.
 func FuzzLexVerilog(f *testing.F) {
@@ -85,7 +86,7 @@ func FuzzLexVerilog(f *testing.F) {
 			t.Fatalf("%d tokens from %d bytes", len(toks), len(src))
 		}
 		for i, tk := range toks {
-			if last := i == len(toks)-1; (tk.Kind == TokEOF) != last {
+			if last := i == len(toks)-1; (tk.Kind == lex.EOF) != last {
 				t.Fatalf("token %d of %d is %v", i, len(toks), tk)
 			}
 			if i > 0 {

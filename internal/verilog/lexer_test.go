@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/lex"
 )
 
-func kinds(toks []Token) []TokKind {
-	out := make([]TokKind, len(toks))
+func kinds(toks []lex.Token) []lex.Kind {
+	out := make([]lex.Kind, len(toks))
 	for i, t := range toks {
 		out[i] = t.Kind
 	}
@@ -16,7 +18,7 @@ func kinds(toks []Token) []TokKind {
 
 func TestLexBasics(t *testing.T) {
 	toks := Tokens("module foo; endmodule")
-	want := []TokKind{TokKeyword, TokIdent, TokOp, TokKeyword, TokEOF}
+	want := []lex.Kind{lex.Keyword, lex.Ident, TokOp, lex.Keyword, lex.EOF}
 	got := kinds(toks)
 	if len(got) != len(want) {
 		t.Fatalf("token count %d, want %d: %v", len(got), len(want), toks)
@@ -50,7 +52,7 @@ func TestLexComments(t *testing.T) {
 	toks := Tokens("a // line\n /* block\nmore */ b `timescale 1ns/1ps\nc")
 	var idents []string
 	for _, tk := range toks {
-		if tk.Kind == TokIdent {
+		if tk.Kind == lex.Ident {
 			idents = append(idents, tk.Text)
 		}
 	}
@@ -113,7 +115,7 @@ func TestLexAlwaysTerminates(t *testing.T) {
 		if len(toks) == 0 {
 			return false
 		}
-		return toks[len(toks)-1].Kind == TokEOF
+		return toks[len(toks)-1].Kind == lex.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

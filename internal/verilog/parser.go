@@ -6,189 +6,97 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/hdl"
+	"repro/internal/lex"
 )
 
 // Parser is a recursive-descent parser for the supported Verilog subset.
 // It recovers from errors at statement/item boundaries so a single pass
 // reports multiple diagnostics, the behaviour the Review Agent depends on.
-// It pulls tokens from a Lexer through a three-token window (peekTok(2)
-// is the deepest lookahead, and the parser never backtracks), so no
-// token slice is built.
+// It reads the tokens of its Lexer through a lex.Stream.
 type Parser struct {
-	lx    Lexer
-	la    [3]Token // lookahead window: la[0] is the current token
-	nla   int      // tokens held in la, 1 to 3
-	pos   int      // tokens consumed so far
-	file  string
-	diags diag.List
+	lex.Stream
+	lx Lexer
 }
 
 // Parse parses src (logical file name used in diagnostics) and returns
 // the AST along with all diagnostics gathered. The AST may be partial
 // when diags contains errors.
 func Parse(file, src string) (*SourceFile, diag.List) {
-	p := &Parser{lx: *NewLexer(src), nla: 1, file: file}
-	p.la[0] = p.lx.Next()
+	p := &Parser{lx: Lexer{Cursor: lex.NewCursor(src)}}
+	p.Start(&p.lx, file, len(src))
 	sf := &SourceFile{}
-	for !p.at(TokEOF) {
-		if p.atKeyword("module") {
+	for !p.At(lex.EOF) {
+		if p.Is(lex.Keyword, "module") {
 			if m := p.parseModule(); m != nil {
 				sf.Modules = append(sf.Modules, m)
 			}
 			continue
 		}
-		p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting 'module'", p.cur().Text)
-		p.advance()
+		p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q; expecting 'module'", p.Cur().Text)
+		p.Advance()
 	}
-	p.diags.AttachSnippets(src)
-	return sf, p.diags
-}
-
-func (p *Parser) cur() Token { return p.la[0] }
-
-// peekTok returns the token n places past the current one (n <= 2),
-// lexing it on demand; past the end it returns the TokEOF token.
-func (p *Parser) peekTok(n int) Token {
-	for p.nla <= n {
-		p.la[p.nla] = p.lx.Next()
-		p.nla++
-	}
-	return p.la[n]
-}
-
-// advance consumes and returns the current token. TokEOF is never
-// consumed: once reached, it stays current.
-func (p *Parser) advance() Token {
-	t := p.la[0]
-	if t.Kind == TokEOF {
-		return t
-	}
-	p.pos++
-	if p.nla > 1 {
-		copy(p.la[:], p.la[1:p.nla])
-		p.nla--
-	} else {
-		p.la[0] = p.lx.Next()
-	}
-	return t
-}
-
-func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
-
-func (p *Parser) atOp(op string) bool {
-	t := p.cur()
-	return t.Kind == TokOp && t.Text == op
-}
-
-func (p *Parser) atKeyword(kw string) bool {
-	t := p.cur()
-	return t.Kind == TokKeyword && t.Text == kw
-}
-
-func (p *Parser) acceptOp(op string) bool {
-	if p.atOp(op) {
-		p.advance()
-		return true
-	}
-	return false
-}
-
-func (p *Parser) acceptKeyword(kw string) bool {
-	if p.atKeyword(kw) {
-		p.advance()
-		return true
-	}
-	return false
-}
-
-func (p *Parser) expectOp(op string) bool {
-	if p.acceptOp(op) {
-		return true
-	}
-	p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting %q", p.cur().Text, op)
-	return false
-}
-
-func (p *Parser) expectKeyword(kw string) bool {
-	if p.acceptKeyword(kw) {
-		return true
-	}
-	p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting %q", p.cur().Text, kw)
-	return false
-}
-
-func (p *Parser) expectIdent(what string) (string, Pos, bool) {
-	t := p.cur()
-	if t.Kind == TokIdent {
-		p.advance()
-		return t.Text, t.Pos, true
-	}
-	p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting %s", t.Text, what)
-	return "", t.Pos, false
-}
-
-func (p *Parser) errorf(pos Pos, code, format string, args ...any) {
-	p.diags.Errorf(code, p.file, pos.Line, pos.Col, format, args...)
+	p.Diags.AttachSnippets(src)
+	return sf, p.Diags
 }
 
 // syncTo skips tokens until one of the stop operators/keywords (consumed
 // when it is an op), giving statement-level error recovery.
 func (p *Parser) syncTo(stops ...string) {
-	for !p.at(TokEOF) {
-		t := p.cur()
+	for !p.At(lex.EOF) {
+		t := p.Cur()
 		for _, s := range stops {
-			if (t.Kind == TokOp || t.Kind == TokKeyword) && t.Text == s {
+			if (t.Kind == TokOp || t.Kind == lex.Keyword) && t.Text == s {
 				if t.Kind == TokOp {
-					p.advance()
+					p.Advance()
 				}
 				return
 			}
 		}
-		p.advance()
+		p.Advance()
 	}
 }
 
 // ---------------------------------------------------------------- module
 
 func (p *Parser) parseModule() *Module {
-	start := p.cur().Pos
-	p.expectKeyword("module")
-	name, _, ok := p.expectIdent("module name")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "module")
+	name, _, ok := p.ExpectIdent("module name")
 	if !ok {
 		p.syncTo("endmodule")
-		p.acceptKeyword("endmodule")
+		p.Accept(lex.Keyword, "endmodule")
 		return nil
 	}
 	m := &Module{Name: name, Pos: start}
 	// Optional parameter port list #( parameter N = 8, ... )
-	if p.acceptOp("#") {
-		if p.expectOp("(") {
-			for !p.atOp(")") && !p.at(TokEOF) {
-				if p.acceptKeyword("parameter") {
+	if p.Accept(TokOp, "#") {
+		if p.Expect(TokOp, "(") {
+			for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
+				if p.Accept(lex.Keyword, "parameter") {
 					p.parseParamAssignList(m, false)
 				} else {
-					p.advance()
+					p.Advance()
 				}
-				p.acceptOp(",")
+				p.Accept(TokOp, ",")
 			}
-			p.expectOp(")")
+			p.Expect(TokOp, ")")
 		}
 	}
-	if p.acceptOp("(") {
+	if p.Accept(TokOp, "(") {
 		p.parsePortList(m)
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	p.expectOp(";")
-	for !p.atKeyword("endmodule") && !p.at(TokEOF) {
-		before := p.pos
+	p.Expect(TokOp, ";")
+	for !p.Is(lex.Keyword, "endmodule") && !p.At(lex.EOF) {
+		before := p.Consumed()
 		p.parseModuleItem(m)
-		if p.pos == before { // no progress: skip a token to avoid livelock
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q", p.cur().Text)
-			p.advance()
+		if p.Consumed() == before { // no progress: skip a token to avoid livelock
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q", p.Cur().Text)
+			p.Advance()
 		}
 	}
-	if !p.acceptKeyword("endmodule") {
-		p.errorf(p.cur().Pos, "VRFC 10-2", "module %q missing 'endmodule'", name)
+	if !p.Accept(lex.Keyword, "endmodule") {
+		p.Errorf(p.Cur().Pos, "VRFC 10-2", "module %q missing 'endmodule'", name)
 	}
 	return m
 }
@@ -196,10 +104,10 @@ func (p *Parser) parseModule() *Module {
 // parsePortList handles both ANSI (input wire a, output reg [3:0] b) and
 // non-ANSI (a, b, c) port headers.
 func (p *Parser) parsePortList(m *Module) {
-	for !p.atOp(")") && !p.at(TokEOF) {
+	for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
 		switch {
-		case p.atKeyword("input") || p.atKeyword("output") || p.atKeyword("inout"):
-			dirTok := p.advance()
+		case p.Is(lex.Keyword, "input") || p.Is(lex.Keyword, "output") || p.Is(lex.Keyword, "inout"):
+			dirTok := p.Advance()
 			dir := DirInput
 			switch dirTok.Text {
 			case "output":
@@ -207,150 +115,150 @@ func (p *Parser) parsePortList(m *Module) {
 			case "inout":
 				dir = DirInout
 			}
-			isReg := p.acceptKeyword("reg")
+			isReg := p.Accept(lex.Keyword, "reg")
 			if !isReg {
-				p.acceptKeyword("wire")
+				p.Accept(lex.Keyword, "wire")
 			}
-			signed := p.acceptKeyword("signed")
+			signed := p.Accept(lex.Keyword, "signed")
 			var rng *Range
-			if p.atOp("[") {
+			if p.Is(TokOp, "[") {
 				rng = p.parseRange()
 			}
 			// One or more names share this header chunk until the next
 			// direction keyword or ')'.
 			for {
-				nm, pos, ok := p.expectIdent("port name")
+				nm, pos, ok := p.ExpectIdent("port name")
 				if !ok {
 					p.syncTo(",", ")")
 					break
 				}
 				m.Ports = append(m.Ports, &Port{Name: nm, Dir: dir, IsReg: isReg, Signed: signed, Range: rng, Pos: pos})
-				if !p.acceptOp(",") {
+				if !p.Accept(TokOp, ",") {
 					break
 				}
-				if p.atKeyword("input") || p.atKeyword("output") || p.atKeyword("inout") {
+				if p.Is(lex.Keyword, "input") || p.Is(lex.Keyword, "output") || p.Is(lex.Keyword, "inout") {
 					break
 				}
 			}
-		case p.at(TokIdent):
+		case p.At(lex.Ident):
 			// Non-ANSI port name; direction comes from body declarations.
-			t := p.advance()
+			t := p.Advance()
 			m.Ports = append(m.Ports, &Port{Name: t.Text, Dir: DirInout, Range: nil, Pos: t.Pos})
-			p.acceptOp(",")
+			p.Accept(TokOp, ",")
 		default:
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error in port list near %q", p.cur().Text)
-			p.advance()
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error in port list near %q", p.Cur().Text)
+			p.Advance()
 		}
 	}
 }
 
 func (p *Parser) parseRange() *Range {
-	p.expectOp("[")
+	p.Expect(TokOp, "[")
 	msb := p.parseExpr()
-	p.expectOp(":")
+	p.Expect(TokOp, ":")
 	lsb := p.parseExpr()
-	p.expectOp("]")
+	p.Expect(TokOp, "]")
 	return &Range{MSB: msb, LSB: lsb}
 }
 
 func (p *Parser) parseParamAssignList(m *Module, local bool) {
 	for {
 		// Optional range after keyword: parameter [3:0] P = ...
-		if p.atOp("[") {
+		if p.Is(TokOp, "[") {
 			p.parseRange()
 		}
-		name, pos, ok := p.expectIdent("parameter name")
+		name, pos, ok := p.ExpectIdent("parameter name")
 		if !ok {
 			p.syncTo(";", ")")
 			return
 		}
 		var val Expr
-		if p.expectOp("=") {
+		if p.Expect(TokOp, "=") {
 			val = p.parseExpr()
 		}
 		m.Items = append(m.Items, &ParamDecl{Name: name, Value: val, IsLocal: local, Pos: pos})
-		if !p.atOp(",") {
+		if !p.Is(TokOp, ",") {
 			return
 		}
 		// Lookahead: `, parameter` (header form) stops here.
-		if p.peekTok(1).Kind == TokKeyword {
+		if p.Peek(1).Kind == lex.Keyword {
 			return
 		}
-		p.advance() // consume comma
+		p.Advance() // consume comma
 	}
 }
 
 // ------------------------------------------------------------ module items
 
 func (p *Parser) parseModuleItem(m *Module) {
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case p.atKeyword("input") || p.atKeyword("output") || p.atKeyword("inout"):
+	case p.Is(lex.Keyword, "input") || p.Is(lex.Keyword, "output") || p.Is(lex.Keyword, "inout"):
 		p.parseBodyPortDecl(m)
-	case p.atKeyword("wire"):
-		p.advance()
+	case p.Is(lex.Keyword, "wire"):
+		p.Advance()
 		p.parseNetDecl(m, KindWire, t.Pos)
-	case p.atKeyword("reg"):
-		p.advance()
+	case p.Is(lex.Keyword, "reg"):
+		p.Advance()
 		p.parseNetDecl(m, KindReg, t.Pos)
-	case p.atKeyword("integer") || p.atKeyword("genvar"):
-		p.advance()
+	case p.Is(lex.Keyword, "integer") || p.Is(lex.Keyword, "genvar"):
+		p.Advance()
 		p.parseNetDecl(m, KindInteger, t.Pos)
-	case p.atKeyword("parameter"):
-		p.advance()
+	case p.Is(lex.Keyword, "parameter"):
+		p.Advance()
 		p.parseParamAssignList(m, false)
-		p.expectOp(";")
-	case p.atKeyword("localparam"):
-		p.advance()
+		p.Expect(TokOp, ";")
+	case p.Is(lex.Keyword, "localparam"):
+		p.Advance()
 		p.parseParamAssignList(m, true)
-		p.expectOp(";")
-	case p.atKeyword("assign"):
-		p.advance()
+		p.Expect(TokOp, ";")
+	case p.Is(lex.Keyword, "assign"):
+		p.Advance()
 		for {
 			lhs := p.parseLValue()
-			p.expectOp("=")
+			p.Expect(TokOp, "=")
 			rhs := p.parseExpr()
 			m.Items = append(m.Items, &ContAssign{LHS: lhs, RHS: rhs, Pos: t.Pos})
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(";")
-	case p.atKeyword("always"):
-		p.advance()
+		p.Expect(TokOp, ";")
+	case p.Is(lex.Keyword, "always"):
+		p.Advance()
 		var sens *SensList
-		if p.acceptOp("@") {
+		if p.Accept(TokOp, "@") {
 			sens = p.parseSensList()
 		}
 		body := p.parseStmt()
 		m.Items = append(m.Items, &AlwaysBlock{Sens: sens, Body: body, Pos: t.Pos})
-	case p.atKeyword("initial"):
-		p.advance()
+	case p.Is(lex.Keyword, "initial"):
+		p.Advance()
 		body := p.parseStmt()
 		m.Items = append(m.Items, &InitialBlock{Body: body, Pos: t.Pos})
-	case p.atKeyword("generate"):
-		p.advance() // transparent: contents parsed as normal items
-	case p.atKeyword("endgenerate"):
-		p.advance()
-	case p.atKeyword("function") || p.atKeyword("task"):
-		kw := p.advance().Text
-		p.errorf(t.Pos, "VRFC 10-3", "%ss are not supported by this tool subset", kw)
+	case p.Is(lex.Keyword, "generate"):
+		p.Advance() // transparent: contents parsed as normal items
+	case p.Is(lex.Keyword, "endgenerate"):
+		p.Advance()
+	case p.Is(lex.Keyword, "function") || p.Is(lex.Keyword, "task"):
+		kw := p.Advance().Text
+		p.Errorf(t.Pos, "VRFC 10-3", "%ss are not supported by this tool subset", kw)
 		p.syncTo("end" + kw)
-		p.acceptKeyword("end" + kw)
-	case p.at(TokIdent):
+		p.Accept(lex.Keyword, "end"+kw)
+	case p.At(lex.Ident):
 		p.parseInstance(m)
-	case p.atOp(";"):
-		p.advance()
+	case p.Is(TokOp, ";"):
+		p.Advance()
 	default:
-		p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q in module body", t.Text)
-		p.advance()
+		p.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q in module body", t.Text)
+		p.Advance()
 		p.syncTo(";", "endmodule")
 	}
 }
 
 // parseBodyPortDecl handles non-ANSI style `input [3:0] a;` in the body.
 func (p *Parser) parseBodyPortDecl(m *Module) {
-	dirTok := p.advance()
+	dirTok := p.Advance()
 	dir := DirInput
 	switch dirTok.Text {
 	case "output":
@@ -358,17 +266,17 @@ func (p *Parser) parseBodyPortDecl(m *Module) {
 	case "inout":
 		dir = DirInout
 	}
-	isReg := p.acceptKeyword("reg")
+	isReg := p.Accept(lex.Keyword, "reg")
 	if !isReg {
-		p.acceptKeyword("wire")
+		p.Accept(lex.Keyword, "wire")
 	}
-	signed := p.acceptKeyword("signed")
+	signed := p.Accept(lex.Keyword, "signed")
 	var rng *Range
-	if p.atOp("[") {
+	if p.Is(TokOp, "[") {
 		rng = p.parseRange()
 	}
 	for {
-		nm, pos, ok := p.expectIdent("port name")
+		nm, pos, ok := p.ExpectIdent("port name")
 		if !ok {
 			p.syncTo(";")
 			return
@@ -385,86 +293,86 @@ func (p *Parser) parseBodyPortDecl(m *Module) {
 		if !found {
 			m.Ports = append(m.Ports, &Port{Name: nm, Dir: dir, IsReg: isReg, Signed: signed, Range: rng, Pos: pos})
 		}
-		if !p.acceptOp(",") {
+		if !p.Accept(TokOp, ",") {
 			break
 		}
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 }
 
-func (p *Parser) parseNetDecl(m *Module, kind NetKind, pos Pos) {
-	signed := p.acceptKeyword("signed")
+func (p *Parser) parseNetDecl(m *Module, kind NetKind, pos lex.Pos) {
+	signed := p.Accept(lex.Keyword, "signed")
 	var rng *Range
-	if p.atOp("[") {
+	if p.Is(TokOp, "[") {
 		rng = p.parseRange()
 	}
 	decl := &NetDecl{Kind: kind, Signed: signed, Range: rng, Pos: pos}
 	for {
-		nm, npos, ok := p.expectIdent("identifier")
+		nm, npos, ok := p.ExpectIdent("identifier")
 		if !ok {
 			p.syncTo(";")
 			return
 		}
 		dn := DeclName{Name: nm, Pos: npos}
-		if p.atOp("[") { // memory dimension
+		if p.Is(TokOp, "[") { // memory dimension
 			dn.Array = p.parseRange()
 		}
-		if p.acceptOp("=") {
+		if p.Accept(TokOp, "=") {
 			dn.Init = p.parseExpr()
 		}
 		decl.Names = append(decl.Names, dn)
-		if !p.acceptOp(",") {
+		if !p.Accept(TokOp, ",") {
 			break
 		}
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	m.Items = append(m.Items, decl)
 }
 
 func (p *Parser) parseInstance(m *Module) {
-	modTok := p.advance() // module type name
+	modTok := p.Advance() // module type name
 	inst := &Instance{ModuleName: modTok.Text, Pos: modTok.Pos}
-	if p.acceptOp("#") {
-		p.expectOp("(")
+	if p.Accept(TokOp, "#") {
+		p.Expect(TokOp, "(")
 		inst.Params = p.parseConnList()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	nm, _, ok := p.expectIdent("instance name")
+	nm, _, ok := p.ExpectIdent("instance name")
 	if !ok {
 		p.syncTo(";")
 		return
 	}
 	inst.InstName = nm
-	if p.expectOp("(") {
+	if p.Expect(TokOp, "(") {
 		inst.Conns = p.parseConnList()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	m.Items = append(m.Items, inst)
 }
 
 func (p *Parser) parseConnList() []Connection {
 	var conns []Connection
-	for !p.atOp(")") && !p.at(TokEOF) {
-		pos := p.cur().Pos
-		if p.acceptOp(".") {
-			nm, _, ok := p.expectIdent("port name")
+	for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
+		pos := p.Cur().Pos
+		if p.Accept(TokOp, ".") {
+			nm, _, ok := p.ExpectIdent("port name")
 			if !ok {
 				p.syncTo(",", ")")
 				continue
 			}
 			var ex Expr
-			if p.expectOp("(") {
-				if !p.atOp(")") {
+			if p.Expect(TokOp, "(") {
+				if !p.Is(TokOp, ")") {
 					ex = p.parseExpr()
 				}
-				p.expectOp(")")
+				p.Expect(TokOp, ")")
 			}
 			conns = append(conns, Connection{Name: nm, Expr: ex, Pos: pos})
 		} else {
 			conns = append(conns, Connection{Expr: p.parseExpr(), Pos: pos})
 		}
-		if !p.acceptOp(",") {
+		if !p.Accept(TokOp, ",") {
 			break
 		}
 	}
@@ -473,142 +381,142 @@ func (p *Parser) parseConnList() []Connection {
 
 func (p *Parser) parseSensList() *SensList {
 	sl := &SensList{}
-	if p.acceptOp("*") {
+	if p.Accept(TokOp, "*") {
 		sl.Star = true
 		return sl
 	}
-	if !p.expectOp("(") {
+	if !p.Expect(TokOp, "(") {
 		return sl
 	}
-	if p.acceptOp("*") {
+	if p.Accept(TokOp, "*") {
 		sl.Star = true
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		return sl
 	}
 	for {
 		item := SensItem{Edge: EdgeLevel}
-		if p.acceptKeyword("posedge") {
+		if p.Accept(lex.Keyword, "posedge") {
 			item.Edge = EdgePos
-		} else if p.acceptKeyword("negedge") {
+		} else if p.Accept(lex.Keyword, "negedge") {
 			item.Edge = EdgeNeg
 		}
 		item.Sig = p.parseExpr()
 		sl.Items = append(sl.Items, item)
-		if p.acceptKeyword("or") || p.acceptOp(",") {
+		if p.Accept(lex.Keyword, "or") || p.Accept(TokOp, ",") {
 			continue
 		}
 		break
 	}
-	p.expectOp(")")
+	p.Expect(TokOp, ")")
 	return sl
 }
 
 // ---------------------------------------------------------------- stmts
 
 func (p *Parser) parseStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case p.atKeyword("begin"):
-		p.advance()
+	case p.Is(lex.Keyword, "begin"):
+		p.Advance()
 		blk := &Block{Pos: t.Pos}
-		if p.acceptOp(":") {
-			nm, _, _ := p.expectIdent("block label")
+		if p.Accept(TokOp, ":") {
+			nm, _, _ := p.ExpectIdent("block label")
 			blk.Name = nm
 		}
-		for !p.atKeyword("end") && !p.at(TokEOF) && !p.atKeyword("endmodule") {
-			before := p.pos
+		for !p.Is(lex.Keyword, "end") && !p.At(lex.EOF) && !p.Is(lex.Keyword, "endmodule") {
+			before := p.Consumed()
 			blk.Stmts = append(blk.Stmts, p.parseStmt())
-			if p.pos == before {
-				p.advance()
+			if p.Consumed() == before {
+				p.Advance()
 			}
 		}
-		if !p.acceptKeyword("end") {
-			p.errorf(t.Pos, "VRFC 10-2", "'begin' block missing matching 'end'")
+		if !p.Accept(lex.Keyword, "end") {
+			p.Errorf(t.Pos, "VRFC 10-2", "'begin' block missing matching 'end'")
 		}
 		return blk
-	case p.atKeyword("if"):
-		p.advance()
-		p.expectOp("(")
+	case p.Is(lex.Keyword, "if"):
+		p.Advance()
+		p.Expect(TokOp, "(")
 		cond := p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		then := p.parseStmt()
 		var els Stmt
-		if p.acceptKeyword("else") {
+		if p.Accept(lex.Keyword, "else") {
 			els = p.parseStmt()
 		}
 		return &If{Cond: cond, Then: then, Else: els, Pos: t.Pos}
-	case p.atKeyword("case") || p.atKeyword("casez") || p.atKeyword("casex"):
+	case p.Is(lex.Keyword, "case") || p.Is(lex.Keyword, "casez") || p.Is(lex.Keyword, "casex"):
 		return p.parseCase()
-	case p.atKeyword("for"):
-		p.advance()
-		p.expectOp("(")
+	case p.Is(lex.Keyword, "for"):
+		p.Advance()
+		p.Expect(TokOp, "(")
 		init := p.parseSimpleAssign()
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		cond := p.parseExpr()
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		step := p.parseSimpleAssign()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		body := p.parseStmt()
 		return &For{Init: init, Cond: cond, Step: step, Body: body, Pos: t.Pos}
-	case p.atKeyword("while"):
-		p.advance()
-		p.expectOp("(")
+	case p.Is(lex.Keyword, "while"):
+		p.Advance()
+		p.Expect(TokOp, "(")
 		cond := p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		return &While{Cond: cond, Body: p.parseStmt(), Pos: t.Pos}
-	case p.atKeyword("repeat"):
-		p.advance()
-		p.expectOp("(")
+	case p.Is(lex.Keyword, "repeat"):
+		p.Advance()
+		p.Expect(TokOp, "(")
 		n := p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		return &Repeat{Count: n, Body: p.parseStmt(), Pos: t.Pos}
-	case p.atKeyword("forever"):
-		p.advance()
+	case p.Is(lex.Keyword, "forever"):
+		p.Advance()
 		return &Forever{Body: p.parseStmt(), Pos: t.Pos}
-	case p.atKeyword("wait"):
-		p.advance()
-		p.expectOp("(")
+	case p.Is(lex.Keyword, "wait"):
+		p.Advance()
+		p.Expect(TokOp, "(")
 		cond := p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		var body Stmt = &Null{Pos: t.Pos}
-		if p.atOp(";") {
-			p.advance()
+		if p.Is(TokOp, ";") {
+			p.Advance()
 		} else {
 			body = p.parseStmt()
 		}
 		return &WaitStmt{Cond: cond, Body: body, Pos: t.Pos}
-	case p.atOp("#"):
-		p.advance()
+	case p.Is(TokOp, "#"):
+		p.Advance()
 		amt := p.parsePrimary()
 		var body Stmt = &Null{Pos: t.Pos}
-		if !p.atOp(";") {
+		if !p.Is(TokOp, ";") {
 			body = p.parseStmt()
 		} else {
-			p.advance()
+			p.Advance()
 		}
 		return &DelayStmt{Amount: amt, Body: body, Pos: t.Pos}
-	case p.atOp("@"):
-		p.advance()
+	case p.Is(TokOp, "@"):
+		p.Advance()
 		sens := p.parseSensList()
 		var body Stmt = &Null{Pos: t.Pos}
-		if p.atOp(";") {
-			p.advance()
+		if p.Is(TokOp, ";") {
+			p.Advance()
 		} else {
 			body = p.parseStmt()
 		}
 		return &EventWait{Sens: sens, Body: body, Pos: t.Pos}
-	case p.at(TokSysName):
+	case p.At(TokSysName):
 		return p.parseSysCall()
-	case p.atOp(";"):
-		p.advance()
+	case p.Is(TokOp, ";"):
+		p.Advance()
 		return &Null{Pos: t.Pos}
-	case p.at(TokIdent) || p.atOp("{"):
+	case p.At(lex.Ident) || p.Is(TokOp, "{"):
 		st := p.parseSimpleAssign()
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		return st
 	default:
-		p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting a statement", t.Text)
-		p.advance()
+		p.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting a statement", t.Text)
+		p.Advance()
 		p.syncTo(";", "end")
 		return &Null{Pos: t.Pos}
 	}
@@ -619,35 +527,35 @@ func (p *Parser) parseStmt() Stmt {
 // grammar here keeps `<=` unambiguous between nonblocking assignment and
 // the relational operator.
 func (p *Parser) parseLValue() Expr {
-	t := p.cur()
-	if p.atOp("{") {
-		pos := p.advance().Pos
+	t := p.Cur()
+	if p.Is(TokOp, "{") {
+		pos := p.Advance().Pos
 		cat := &ConcatExpr{Pos: pos}
 		for {
 			cat.Parts = append(cat.Parts, p.parseLValue())
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp("}")
+		p.Expect(TokOp, "}")
 		return cat
 	}
-	if t.Kind != TokIdent {
-		p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting an assignment target", t.Text)
-		p.advance()
+	if t.Kind != lex.Ident {
+		p.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting an assignment target", t.Text)
+		p.Advance()
 		return &Ident{Name: "_err_", Pos: t.Pos}
 	}
-	p.advance()
+	p.Advance()
 	var e Expr = &Ident{Name: t.Text, Pos: t.Pos}
-	for p.atOp("[") {
-		pos := p.advance().Pos
+	for p.Is(TokOp, "[") {
+		pos := p.Advance().Pos
 		first := p.parseExpr()
-		if p.acceptOp(":") {
+		if p.Accept(TokOp, ":") {
 			second := p.parseExpr()
-			p.expectOp("]")
+			p.Expect(TokOp, "]")
 			e = &PartSelect{Base: e, MSB: first, LSB: second, Pos: pos}
 		} else {
-			p.expectOp("]")
+			p.Expect(TokOp, "]")
 			e = &Index{Base: e, Idx: first, Pos: pos}
 		}
 	}
@@ -657,19 +565,19 @@ func (p *Parser) parseLValue() Expr {
 // parseSimpleAssign parses `lhs = rhs` or `lhs <= rhs` without the
 // trailing semicolon (shared by for-loop headers and plain statements).
 func (p *Parser) parseSimpleAssign() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	lhs := p.parseLValue()
 	blocking := true
 	switch {
-	case p.acceptOp("="):
-	case p.acceptOp("<="):
+	case p.Accept(TokOp, "="):
+	case p.Accept(TokOp, "<="):
 		blocking = false
 	default:
-		p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting '=' or '<='", p.cur().Text)
+		p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q; expecting '=' or '<='", p.Cur().Text)
 		return &Null{Pos: t.Pos}
 	}
 	// Optional intra-assignment delay: x = #5 y;
-	if p.acceptOp("#") {
+	if p.Accept(TokOp, "#") {
 		p.parsePrimary()
 	}
 	rhs := p.parseExpr()
@@ -677,7 +585,7 @@ func (p *Parser) parseSimpleAssign() Stmt {
 }
 
 func (p *Parser) parseCase() Stmt {
-	t := p.advance()
+	t := p.Advance()
 	kind := CaseExact
 	switch t.Text {
 	case "casez":
@@ -685,47 +593,47 @@ func (p *Parser) parseCase() Stmt {
 	case "casex":
 		kind = CaseX
 	}
-	p.expectOp("(")
+	p.Expect(TokOp, "(")
 	subject := p.parseExpr()
-	p.expectOp(")")
+	p.Expect(TokOp, ")")
 	cs := &Case{Kind: kind, Expr: subject, Pos: t.Pos}
-	for !p.atKeyword("endcase") && !p.at(TokEOF) && !p.atKeyword("endmodule") {
-		itemPos := p.cur().Pos
+	for !p.Is(lex.Keyword, "endcase") && !p.At(lex.EOF) && !p.Is(lex.Keyword, "endmodule") {
+		itemPos := p.Cur().Pos
 		var item CaseItem
 		item.Pos = itemPos
-		if p.acceptKeyword("default") {
-			p.acceptOp(":")
+		if p.Accept(lex.Keyword, "default") {
+			p.Accept(TokOp, ":")
 		} else {
 			for {
 				item.Exprs = append(item.Exprs, p.parseExpr())
-				if !p.acceptOp(",") {
+				if !p.Accept(TokOp, ",") {
 					break
 				}
 			}
-			p.expectOp(":")
+			p.Expect(TokOp, ":")
 		}
 		item.Body = p.parseStmt()
 		cs.Items = append(cs.Items, item)
 	}
-	if !p.acceptKeyword("endcase") {
-		p.errorf(t.Pos, "VRFC 10-2", "'case' missing matching 'endcase'")
+	if !p.Accept(lex.Keyword, "endcase") {
+		p.Errorf(t.Pos, "VRFC 10-2", "'case' missing matching 'endcase'")
 	}
 	return cs
 }
 
 func (p *Parser) parseSysCall() Stmt {
-	t := p.advance()
+	t := p.Advance()
 	call := &SysCall{Name: t.Text, Pos: t.Pos}
-	if p.acceptOp("(") {
-		for !p.atOp(")") && !p.at(TokEOF) {
+	if p.Accept(TokOp, "(") {
+		for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
 			call.Args = append(call.Args, p.parseExpr())
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return call
 }
 
@@ -764,10 +672,10 @@ func (p *Parser) parseExpr() Expr { return p.parseTernary() }
 
 func (p *Parser) parseTernary() Expr {
 	cond := p.parseBinary(1)
-	if p.atOp("?") {
-		pos := p.advance().Pos
+	if p.Is(TokOp, "?") {
+		pos := p.Advance().Pos
 		thenE := p.parseTernary()
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		elseE := p.parseTernary()
 		return &Ternary{Cond: cond, Then: thenE, Else: elseE, Pos: pos}
 	}
@@ -777,7 +685,7 @@ func (p *Parser) parseTernary() Expr {
 func (p *Parser) parseBinary(minPrec int) Expr {
 	left := p.parseUnary()
 	for {
-		t := p.cur()
+		t := p.Cur()
 		if t.Kind != TokOp {
 			return left
 		}
@@ -785,18 +693,18 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		if prec == 0 || prec < minPrec {
 			return left
 		}
-		op := p.advance().Text
+		op := p.Advance().Text
 		right := p.parseBinary(prec + 1)
 		left = &Binary{Op: op, L: left, R: right, Pos: t.Pos}
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
-	t := p.cur()
+	t := p.Cur()
 	if t.Kind == TokOp {
 		switch t.Text {
 		case "!", "~", "-", "+", "&", "|", "^", "~&", "~|", "~^", "^~":
-			p.advance()
+			p.Advance()
 			x := p.parseUnary()
 			return &Unary{Op: t.Text, X: x, Pos: t.Pos}
 		}
@@ -806,15 +714,15 @@ func (p *Parser) parseUnary() Expr {
 
 func (p *Parser) parsePostfix() Expr {
 	e := p.parsePrimary()
-	for p.atOp("[") {
-		pos := p.advance().Pos
+	for p.Is(TokOp, "[") {
+		pos := p.Advance().Pos
 		first := p.parseExpr()
-		if p.acceptOp(":") {
+		if p.Accept(TokOp, ":") {
 			second := p.parseExpr()
-			p.expectOp("]")
+			p.Expect(TokOp, "]")
 			e = &PartSelect{Base: e, MSB: first, LSB: second, Pos: pos}
 		} else {
-			p.expectOp("]")
+			p.Expect(TokOp, "]")
 			e = &Index{Base: e, Idx: first, Pos: pos}
 		}
 	}
@@ -822,61 +730,61 @@ func (p *Parser) parsePostfix() Expr {
 }
 
 func (p *Parser) parsePrimary() Expr {
-	t := p.cur()
+	t := p.Cur()
 	switch {
 	case t.Kind == TokNumber:
-		p.advance()
+		p.Advance()
 		v, err := hdl.ParseVerilogLiteral(t.Text)
 		if err != nil {
-			p.errorf(t.Pos, "VRFC 10-4", "malformed numeric literal %q: %v", t.Text, err)
+			p.Errorf(t.Pos, "VRFC 10-4", "malformed numeric literal %q: %v", t.Text, err)
 			v = hdl.XFill(32)
 		}
 		signed := !strings.ContainsRune(t.Text, '\'') ||
 			strings.Contains(t.Text, "'s") || strings.Contains(t.Text, "'S")
 		return &Number{Text: t.Text, Value: v, Signed: signed, Pos: t.Pos}
 	case t.Kind == TokString:
-		p.advance()
+		p.Advance()
 		return &StringLit{Value: t.Text, Pos: t.Pos}
-	case t.Kind == TokIdent:
-		p.advance()
+	case t.Kind == lex.Ident:
+		p.Advance()
 		return &Ident{Name: t.Text, Pos: t.Pos}
 	case t.Kind == TokSysName:
-		p.advance()
+		p.Advance()
 		call := &SysFuncCall{Name: t.Text, Pos: t.Pos}
-		if p.acceptOp("(") {
-			for !p.atOp(")") && !p.at(TokEOF) {
+		if p.Accept(TokOp, "(") {
+			for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
 				call.Args = append(call.Args, p.parseExpr())
-				if !p.acceptOp(",") {
+				if !p.Accept(TokOp, ",") {
 					break
 				}
 			}
-			p.expectOp(")")
+			p.Expect(TokOp, ")")
 		}
 		return call
-	case p.atOp("("):
-		p.advance()
+	case p.Is(TokOp, "("):
+		p.Advance()
 		e := p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		return e
-	case p.atOp("{"):
-		pos := p.advance().Pos
+	case p.Is(TokOp, "{"):
+		pos := p.Advance().Pos
 		first := p.parseExpr()
-		if p.atOp("{") { // replication {n{v}}
-			p.advance()
+		if p.Is(TokOp, "{") { // replication {n{v}}
+			p.Advance()
 			val := p.parseExpr()
-			p.expectOp("}")
-			p.expectOp("}")
+			p.Expect(TokOp, "}")
+			p.Expect(TokOp, "}")
 			return &ReplicateExpr{Count: first, Value: val, Pos: pos}
 		}
 		cat := &ConcatExpr{Parts: []Expr{first}, Pos: pos}
-		for p.acceptOp(",") {
+		for p.Accept(TokOp, ",") {
 			cat.Parts = append(cat.Parts, p.parseExpr())
 		}
-		p.expectOp("}")
+		p.Expect(TokOp, "}")
 		return cat
 	default:
-		p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting an expression", t.Text)
-		p.advance()
+		p.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting an expression", t.Text)
+		p.Advance()
 		return &Number{Text: "x", Value: hdl.XFill(1), Pos: t.Pos}
 	}
 }

@@ -7,42 +7,17 @@
 // Vivado-style compiler logs for the Review Agent.
 package verilog
 
-import "fmt"
+import "repro/internal/lex"
 
-// TokKind classifies lexical tokens.
-type TokKind int
-
-// Token kinds.
+// Verilog token kinds, numbered on from the kinds common to both HDLs
+// (lex.EOF, lex.Ident, lex.Keyword).
 const (
-	TokEOF TokKind = iota
-	TokIdent
-	TokKeyword
-	TokNumber // sized or unsized literal, e.g. 8'hFF, 42
+	TokNumber lex.Kind = lex.Keyword + 1 + iota // sized or unsized literal, e.g. 8'hFF, 42
 	TokString
 	TokSysName // $display, $time, ...
 	TokOp      // operator or punctuation
 	TokError   // lexically malformed token
 )
-
-// Pos is a source position (1-based line and column).
-type Pos struct {
-	Line int
-	Col  int
-}
-
-// String implements fmt.Stringer.
-func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-// Token is one lexical token.
-type Token struct {
-	Kind TokKind
-	Text string
-	Pos  Pos
-}
-
-func (t Token) String() string {
-	return fmt.Sprintf("%v %q at %v", t.Kind, t.Text, t.Pos)
-}
 
 // IsKeyword reports whether s is a reserved word of the supported
 // subset. A switch on constant strings compiles to a length dispatch

@@ -1,6 +1,9 @@
 package vhdl
 
-import "repro/internal/hdl"
+import (
+	"repro/internal/hdl"
+	"repro/internal/lex"
+)
 
 // DesignFile is a parsed VHDL compilation unit.
 type DesignFile struct {
@@ -36,7 +39,7 @@ type TypeRef struct {
 	Left       Expr
 	Right      Expr
 	Descending bool // downto
-	Pos        Pos
+	Pos        lex.Pos
 }
 
 // GenericDecl is one generic of an entity.
@@ -44,7 +47,7 @@ type GenericDecl struct {
 	Name    string
 	Type    TypeRef
 	Default Expr
-	Pos     Pos
+	Pos     lex.Pos
 }
 
 // PortDecl is one port of an entity.
@@ -52,7 +55,7 @@ type PortDecl struct {
 	Name string
 	Dir  PortDir
 	Type TypeRef
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // Entity is an entity declaration.
@@ -60,7 +63,7 @@ type Entity struct {
 	Name     string
 	Generics []*GenericDecl
 	Ports    []*PortDecl
-	Pos      Pos
+	Pos      lex.Pos
 }
 
 // Architecture is an architecture body.
@@ -69,7 +72,7 @@ type Architecture struct {
 	EntityName string
 	Decls      []Decl
 	Stmts      []ConcStmt
-	Pos        Pos
+	Pos        lex.Pos
 }
 
 // Decl is a declarative-region item.
@@ -80,7 +83,7 @@ type SignalDecl struct {
 	Names []string
 	Type  TypeRef
 	Init  Expr
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // VarDecl declares process variables.
@@ -88,7 +91,7 @@ type VarDecl struct {
 	Names []string
 	Type  TypeRef
 	Init  Expr
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // ConstDecl declares a constant.
@@ -96,7 +99,7 @@ type ConstDecl struct {
 	Name  string
 	Type  TypeRef
 	Value Expr
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 func (*SignalDecl) declNode() {}
@@ -118,7 +121,7 @@ type ConcAssign struct {
 	Label  string
 	Target Expr
 	Waves  []CondWave
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // ProcessStmt is a process with either a sensitivity list or wait
@@ -128,14 +131,14 @@ type ProcessStmt struct {
 	Sens  []Expr // sensitivity names; empty when the body uses wait
 	Decls []Decl
 	Body  []Stmt
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // Assoc is one element of a port/generic map.
 type Assoc struct {
 	Formal string // empty for positional
 	Actual Expr   // nil for open
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // InstanceStmt is `label: entity work.name [generic map (...)] port map (...);`
@@ -145,7 +148,7 @@ type InstanceStmt struct {
 	EntityName string
 	Generics   []Assoc
 	Ports      []Assoc
-	Pos        Pos
+	Pos        lex.Pos
 }
 
 func (*ConcAssign) concNode()   {}
@@ -160,14 +163,14 @@ type SigAssign struct {
 	Target  Expr
 	Value   Expr
 	AfterNs Expr
-	Pos     Pos
+	Pos     lex.Pos
 }
 
 // VarAssign is variable := expr.
 type VarAssign struct {
 	Target Expr
 	Value  Expr
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 // IfBranch is one condition/body pair of an if statement.
@@ -180,21 +183,21 @@ type IfBranch struct {
 type IfStmt struct {
 	Branches []IfBranch
 	Else     []Stmt
-	Pos      Pos
+	Pos      lex.Pos
 }
 
 // CaseArm is one `when choices =>` arm; nil Choices means others.
 type CaseArm struct {
 	Choices []Expr
 	Body    []Stmt
-	Pos     Pos
+	Pos     lex.Pos
 }
 
 // CaseStmt is a case statement.
 type CaseStmt struct {
 	Expr Expr
 	Arms []CaseArm
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // ForStmt is for i in a to|downto b loop.
@@ -204,14 +207,14 @@ type ForStmt struct {
 	Right      Expr
 	Descending bool
 	Body       []Stmt
-	Pos        Pos
+	Pos        lex.Pos
 }
 
 // WhileStmt is while cond loop.
 type WhileStmt struct {
 	Cond Expr
 	Body []Stmt
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // WaitStmt covers wait; / wait for t; / wait until c; / wait on s;
@@ -220,7 +223,7 @@ type WaitStmt struct {
 	Until     Expr
 	ForNs     Expr
 	Forever   bool // plain `wait;`
-	Pos       Pos
+	Pos       lex.Pos
 }
 
 // AssertStmt is assert cond [report msg] [severity level].
@@ -228,23 +231,23 @@ type AssertStmt struct {
 	Cond     Expr
 	Report   Expr
 	Severity string // note, warning, error, failure ("" = error)
-	Pos      Pos
+	Pos      lex.Pos
 }
 
 // ReportStmt is report msg [severity level].
 type ReportStmt struct {
 	Message  Expr
 	Severity string
-	Pos      Pos
+	Pos      lex.Pos
 }
 
 // NullStmt is `null;`.
-type NullStmt struct{ Pos Pos }
+type NullStmt struct{ Pos lex.Pos }
 
 // ExitStmt is `exit [when cond];` inside loops.
 type ExitStmt struct {
 	When Expr
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 func (*SigAssign) vstmtNode()  {}
@@ -262,59 +265,59 @@ func (*ExitStmt) vstmtNode()   {}
 // Expr is an expression node.
 type Expr interface {
 	vexprNode()
-	ExprPos() Pos
+	ExprPos() lex.Pos
 }
 
 // Name is an identifier reference.
 type Name struct {
 	Ident string
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Value int64
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // CharLit is '0' / '1' / 'x' / 'z'.
 type CharLit struct {
 	Value hdl.Logic
 	Raw   string
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // BitStrLit is "1010" or x"AF".
 type BitStrLit struct {
 	Value hdl.Vector
 	Raw   string
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // StrLit is a report-style string.
 type StrLit struct {
 	Value string
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // BoolLit is true/false.
 type BoolLit struct {
 	Value bool
-	Pos   Pos
+	Pos   lex.Pos
 }
 
 // UnaryExpr is not/-/+/abs.
 type UnaryExpr struct {
 	Op  string
 	X   Expr
-	Pos Pos
+	Pos lex.Pos
 }
 
 // BinaryExpr is an infix operation.
 type BinaryExpr struct {
 	Op   string
 	L, R Expr
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // CallOrIndex is name(args): function call, array index, or slice —
@@ -327,20 +330,20 @@ type CallOrIndex struct {
 	Left       Expr
 	Right      Expr
 	Descending bool
-	Pos        Pos
+	Pos        lex.Pos
 }
 
 // AttrExpr is base'attr (event, length, range bounds unsupported).
 type AttrExpr struct {
 	Base string
 	Attr string
-	Pos  Pos
+	Pos  lex.Pos
 }
 
 // AggregateExpr supports (others => v) only.
 type AggregateExpr struct {
 	Others Expr
-	Pos    Pos
+	Pos    lex.Pos
 }
 
 func (*Name) vexprNode()          {}
@@ -356,14 +359,14 @@ func (*AttrExpr) vexprNode()      {}
 func (*AggregateExpr) vexprNode() {}
 
 // ExprPos implementations.
-func (e *Name) ExprPos() Pos          { return e.Pos }
-func (e *IntLit) ExprPos() Pos        { return e.Pos }
-func (e *CharLit) ExprPos() Pos       { return e.Pos }
-func (e *BitStrLit) ExprPos() Pos     { return e.Pos }
-func (e *StrLit) ExprPos() Pos        { return e.Pos }
-func (e *BoolLit) ExprPos() Pos       { return e.Pos }
-func (e *UnaryExpr) ExprPos() Pos     { return e.Pos }
-func (e *BinaryExpr) ExprPos() Pos    { return e.Pos }
-func (e *CallOrIndex) ExprPos() Pos   { return e.Pos }
-func (e *AttrExpr) ExprPos() Pos      { return e.Pos }
-func (e *AggregateExpr) ExprPos() Pos { return e.Pos }
+func (e *Name) ExprPos() lex.Pos          { return e.Pos }
+func (e *IntLit) ExprPos() lex.Pos        { return e.Pos }
+func (e *CharLit) ExprPos() lex.Pos       { return e.Pos }
+func (e *BitStrLit) ExprPos() lex.Pos     { return e.Pos }
+func (e *StrLit) ExprPos() lex.Pos        { return e.Pos }
+func (e *BoolLit) ExprPos() lex.Pos       { return e.Pos }
+func (e *UnaryExpr) ExprPos() lex.Pos     { return e.Pos }
+func (e *BinaryExpr) ExprPos() lex.Pos    { return e.Pos }
+func (e *CallOrIndex) ExprPos() lex.Pos   { return e.Pos }
+func (e *AttrExpr) ExprPos() lex.Pos      { return e.Pos }
+func (e *AggregateExpr) ExprPos() lex.Pos { return e.Pos }

@@ -5,183 +5,100 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/hdl"
+	"repro/internal/lex"
 )
 
 // Parser is a recursive-descent parser for the supported VHDL subset,
 // with statement-level error recovery so one pass yields multiple
-// diagnostics (the Review Agent relies on complete logs). It pulls
-// tokens from a Lexer through a three-token window (peekTok(2) is the
-// deepest lookahead, and the parser never backtracks), so no token
-// slice is built.
+// diagnostics (the Review Agent relies on complete logs). It reads the
+// tokens of its Lexer through a lex.Stream.
 type Parser struct {
-	lx    Lexer
-	la    [3]Token // lookahead window: la[0] is the current token
-	nla   int      // tokens held in la, 1 to 3
-	pos   int      // tokens consumed so far
-	file  string
-	diags diag.List
+	lex.Stream
+	lx Lexer
 }
 
 // Parse parses src and returns the design file plus diagnostics.
 func Parse(file, src string) (*DesignFile, diag.List) {
-	p := &Parser{lx: *NewLexer(src), nla: 1, file: file}
-	p.la[0] = p.lx.Next()
+	p := &Parser{lx: Lexer{Cursor: lex.NewCursor(src)}}
+	p.Start(&p.lx, file, len(src))
 	df := &DesignFile{}
-	for !p.at(TokEOF) {
+	for !p.At(lex.EOF) {
 		switch {
-		case p.atKeyword("library"), p.atKeyword("use"):
+		case p.Is(lex.Keyword, "library"), p.Is(lex.Keyword, "use"):
 			p.syncPast(";")
-		case p.atKeyword("entity"):
+		case p.Is(lex.Keyword, "entity"):
 			if e := p.parseEntity(); e != nil {
 				df.Entities = append(df.Entities, e)
 			}
-		case p.atKeyword("architecture"):
+		case p.Is(lex.Keyword, "architecture"):
 			if a := p.parseArchitecture(); a != nil {
 				df.Archs = append(df.Archs, a)
 			}
 		default:
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting a design unit", p.cur().Text)
-			p.advance()
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q; expecting a design unit", p.Cur().Text)
+			p.Advance()
 		}
 	}
-	p.diags.AttachSnippets(src)
-	return df, p.diags
-}
-
-func (p *Parser) cur() Token { return p.la[0] }
-
-// peekTok returns the token n places past the current one (n <= 2),
-// lexing it on demand; past the end it returns the TokEOF token.
-func (p *Parser) peekTok(n int) Token {
-	for p.nla <= n {
-		p.la[p.nla] = p.lx.Next()
-		p.nla++
-	}
-	return p.la[n]
-}
-
-// advance consumes and returns the current token. TokEOF is never
-// consumed: once reached, it stays current.
-func (p *Parser) advance() Token {
-	t := p.la[0]
-	if t.Kind == TokEOF {
-		return t
-	}
-	p.pos++
-	if p.nla > 1 {
-		copy(p.la[:], p.la[1:p.nla])
-		p.nla--
-	} else {
-		p.la[0] = p.lx.Next()
-	}
-	return t
-}
-
-func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
-func (p *Parser) atOp(op string) bool {
-	return p.cur().Kind == TokOp && p.cur().Text == op
-}
-func (p *Parser) atKeyword(kw string) bool {
-	return p.cur().Kind == TokKeyword && p.cur().Text == kw
-}
-func (p *Parser) acceptOp(op string) bool {
-	if p.atOp(op) {
-		p.advance()
-		return true
-	}
-	return false
-}
-func (p *Parser) acceptKeyword(kw string) bool {
-	if p.atKeyword(kw) {
-		p.advance()
-		return true
-	}
-	return false
-}
-func (p *Parser) expectOp(op string) bool {
-	if p.acceptOp(op) {
-		return true
-	}
-	p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting %q", p.cur().Text, op)
-	return false
-}
-func (p *Parser) expectKeyword(kw string) bool {
-	if p.acceptKeyword(kw) {
-		return true
-	}
-	p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting %q", p.cur().Text, kw)
-	return false
-}
-func (p *Parser) expectIdent(what string) (string, Pos, bool) {
-	t := p.cur()
-	if t.Kind == TokIdent {
-		p.advance()
-		return t.Text, t.Pos, true
-	}
-	p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting %s", t.Text, what)
-	return "", t.Pos, false
-}
-
-func (p *Parser) errorf(pos Pos, code, format string, args ...any) {
-	p.diags.Errorf(code, p.file, pos.Line, pos.Col, format, args...)
+	p.Diags.AttachSnippets(src)
+	return df, p.Diags
 }
 
 // syncPast skips tokens up to and including the given operator.
 func (p *Parser) syncPast(op string) {
-	for !p.at(TokEOF) {
-		if p.atOp(op) {
-			p.advance()
+	for !p.At(lex.EOF) {
+		if p.Is(TokOp, op) {
+			p.Advance()
 			return
 		}
-		p.advance()
+		p.Advance()
 	}
 }
 
 // syncToKeyword skips until one of the keywords (not consumed).
 func (p *Parser) syncToKeyword(kws ...string) {
-	for !p.at(TokEOF) {
+	for !p.At(lex.EOF) {
 		for _, kw := range kws {
-			if p.atKeyword(kw) {
+			if p.Is(lex.Keyword, kw) {
 				return
 			}
 		}
-		p.advance()
+		p.Advance()
 	}
 }
 
 // --------------------------------------------------------------- entity
 
 func (p *Parser) parseEntity() *Entity {
-	start := p.cur().Pos
-	p.expectKeyword("entity")
-	name, _, ok := p.expectIdent("entity name")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "entity")
+	name, _, ok := p.ExpectIdent("entity name")
 	if !ok {
 		p.syncToKeyword("entity", "architecture")
 		return nil
 	}
 	e := &Entity{Name: name, Pos: start}
-	p.expectKeyword("is")
-	if p.acceptKeyword("generic") {
-		p.expectOp("(")
+	p.Expect(lex.Keyword, "is")
+	if p.Accept(lex.Keyword, "generic") {
+		p.Expect(TokOp, "(")
 		p.parseGenerics(e)
-		p.expectOp(")")
-		p.expectOp(";")
+		p.Expect(TokOp, ")")
+		p.Expect(TokOp, ";")
 	}
-	if p.acceptKeyword("port") {
-		p.expectOp("(")
+	if p.Accept(lex.Keyword, "port") {
+		p.Expect(TokOp, "(")
 		p.parsePorts(e)
-		p.expectOp(")")
-		p.expectOp(";")
+		p.Expect(TokOp, ")")
+		p.Expect(TokOp, ";")
 	}
-	p.expectKeyword("end")
-	p.acceptKeyword("entity")
-	if p.at(TokIdent) {
-		rep := p.advance() // optional repeated name must match
+	p.Expect(lex.Keyword, "end")
+	p.Accept(lex.Keyword, "entity")
+	if p.At(lex.Ident) {
+		rep := p.Advance() // optional repeated name must match
 		if rep.Text != name {
-			p.errorf(rep.Pos, "VRFC 10-23", "name %q at end of entity does not match %q", rep.Text, name)
+			p.Errorf(rep.Pos, "VRFC 10-23", "name %q at end of entity does not match %q", rep.Text, name)
 		}
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return e
 }
 
@@ -189,26 +106,26 @@ func (p *Parser) parseGenerics(e *Entity) {
 	for {
 		var names []string
 		for {
-			nm, _, ok := p.expectIdent("generic name")
+			nm, _, ok := p.ExpectIdent("generic name")
 			if !ok {
 				p.syncPast(")")
 				return
 			}
 			names = append(names, nm)
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		tr := p.parseTypeRef()
 		var def Expr
-		if p.acceptOp(":=") {
+		if p.Accept(TokOp, ":=") {
 			def = p.parseExpr()
 		}
 		for _, nm := range names {
 			e.Generics = append(e.Generics, &GenericDecl{Name: nm, Type: tr, Default: def, Pos: tr.Pos})
 		}
-		if !p.acceptOp(";") {
+		if !p.Accept(TokOp, ";") {
 			return
 		}
 	}
@@ -217,10 +134,10 @@ func (p *Parser) parseGenerics(e *Entity) {
 func (p *Parser) parsePorts(e *Entity) {
 	for {
 		var names []string
-		var pos Pos
+		var pos lex.Pos
 		for {
-			t := p.cur()
-			nm, npos, ok := p.expectIdent("port name")
+			t := p.Cur()
+			nm, npos, ok := p.ExpectIdent("port name")
 			if !ok {
 				_ = t
 				p.syncPast(")")
@@ -230,27 +147,27 @@ func (p *Parser) parsePorts(e *Entity) {
 				pos = npos
 			}
 			names = append(names, nm)
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		dir := DirIn
 		switch {
-		case p.acceptKeyword("in"):
+		case p.Accept(lex.Keyword, "in"):
 			dir = DirIn
-		case p.acceptKeyword("out"):
+		case p.Accept(lex.Keyword, "out"):
 			dir = DirOut
-		case p.acceptKeyword("inout"), p.acceptKeyword("buffer"):
+		case p.Accept(lex.Keyword, "inout"), p.Accept(lex.Keyword, "buffer"):
 			dir = DirInout
 		default:
-			p.errorf(p.cur().Pos, "VRFC 10-20", "port %q missing mode (in/out/inout)", names[0])
+			p.Errorf(p.Cur().Pos, "VRFC 10-20", "port %q missing mode (in/out/inout)", names[0])
 		}
 		tr := p.parseTypeRef()
 		for _, nm := range names {
 			e.Ports = append(e.Ports, &PortDecl{Name: nm, Dir: dir, Type: tr, Pos: pos})
 		}
-		if !p.acceptOp(";") {
+		if !p.Accept(TokOp, ";") {
 			return
 		}
 	}
@@ -259,42 +176,42 @@ func (p *Parser) parsePorts(e *Entity) {
 // parseTypeRef parses std_logic, std_logic_vector(7 downto 0), integer,
 // integer range a to b, unsigned(...), boolean, time.
 func (p *Parser) parseTypeRef() TypeRef {
-	t := p.cur()
+	t := p.Cur()
 	tr := TypeRef{Pos: t.Pos}
 	switch {
-	case t.Kind == TokIdent:
+	case t.Kind == lex.Ident:
 		tr.Name = t.Text
-		p.advance()
-	case t.Kind == TokKeyword && (t.Text == "integer" || t.Text == "boolean" ||
+		p.Advance()
+	case t.Kind == lex.Keyword && (t.Text == "integer" || t.Text == "boolean" ||
 		t.Text == "natural" || t.Text == "positive" || t.Text == "time" || t.Text == "string"):
 		tr.Name = t.Text
-		p.advance()
+		p.Advance()
 	default:
-		p.errorf(t.Pos, "VRFC 10-21", "syntax error near %q; expecting a type mark", t.Text)
-		p.advance()
+		p.Errorf(t.Pos, "VRFC 10-21", "syntax error near %q; expecting a type mark", t.Text)
+		p.Advance()
 		return tr
 	}
-	if p.acceptKeyword("range") { // integer range 0 to 15: parse and discard bounds
+	if p.Accept(lex.Keyword, "range") { // integer range 0 to 15: parse and discard bounds
 		p.parseExpr()
-		if p.acceptKeyword("to") || p.acceptKeyword("downto") {
+		if p.Accept(lex.Keyword, "to") || p.Accept(lex.Keyword, "downto") {
 			p.parseExpr()
 		}
 		return tr
 	}
-	if p.atOp("(") {
-		p.advance()
+	if p.Is(TokOp, "(") {
+		p.Advance()
 		tr.HasRange = true
 		tr.Left = p.parseExpr()
 		switch {
-		case p.acceptKeyword("downto"):
+		case p.Accept(lex.Keyword, "downto"):
 			tr.Descending = true
-		case p.acceptKeyword("to"):
+		case p.Accept(lex.Keyword, "to"):
 			tr.Descending = false
 		default:
-			p.errorf(p.cur().Pos, "VRFC 10-21", "syntax error near %q; expecting 'downto' or 'to'", p.cur().Text)
+			p.Errorf(p.Cur().Pos, "VRFC 10-21", "syntax error near %q; expecting 'downto' or 'to'", p.Cur().Text)
 		}
 		tr.Right = p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
 	return tr
 }
@@ -302,104 +219,104 @@ func (p *Parser) parseTypeRef() TypeRef {
 // --------------------------------------------------------- architecture
 
 func (p *Parser) parseArchitecture() *Architecture {
-	start := p.cur().Pos
-	p.expectKeyword("architecture")
-	name, _, ok := p.expectIdent("architecture name")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "architecture")
+	name, _, ok := p.ExpectIdent("architecture name")
 	if !ok {
 		p.syncToKeyword("entity", "architecture")
 		return nil
 	}
-	p.expectKeyword("of")
-	entName, _, ok := p.expectIdent("entity name")
+	p.Expect(lex.Keyword, "of")
+	entName, _, ok := p.ExpectIdent("entity name")
 	if !ok {
 		p.syncToKeyword("entity", "architecture")
 		return nil
 	}
 	a := &Architecture{Name: name, EntityName: entName, Pos: start}
-	p.expectKeyword("is")
+	p.Expect(lex.Keyword, "is")
 	// Declarative region.
-	for !p.atKeyword("begin") && !p.at(TokEOF) {
-		before := p.pos
+	for !p.Is(lex.Keyword, "begin") && !p.At(lex.EOF) {
+		before := p.Consumed()
 		p.parseArchDecl(a)
-		if p.pos == before {
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q in declarations", p.cur().Text)
-			p.advance()
+		if p.Consumed() == before {
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q in declarations", p.Cur().Text)
+			p.Advance()
 		}
 	}
-	p.expectKeyword("begin")
-	for !p.atKeyword("end") && !p.at(TokEOF) {
-		before := p.pos
+	p.Expect(lex.Keyword, "begin")
+	for !p.Is(lex.Keyword, "end") && !p.At(lex.EOF) {
+		before := p.Consumed()
 		if st := p.parseConcStmt(); st != nil {
 			a.Stmts = append(a.Stmts, st)
 		}
-		if p.pos == before {
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q in architecture body", p.cur().Text)
-			p.advance()
+		if p.Consumed() == before {
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q in architecture body", p.Cur().Text)
+			p.Advance()
 		}
 	}
-	if !p.acceptKeyword("end") {
-		p.errorf(start, "VRFC 10-2", "architecture %q missing 'end'", name)
+	if !p.Accept(lex.Keyword, "end") {
+		p.Errorf(start, "VRFC 10-2", "architecture %q missing 'end'", name)
 	}
-	p.acceptKeyword("architecture")
-	if p.at(TokIdent) {
-		rep := p.advance()
+	p.Accept(lex.Keyword, "architecture")
+	if p.At(lex.Ident) {
+		rep := p.Advance()
 		if rep.Text != name {
-			p.errorf(rep.Pos, "VRFC 10-23", "name %q at end of architecture does not match %q", rep.Text, name)
+			p.Errorf(rep.Pos, "VRFC 10-23", "name %q at end of architecture does not match %q", rep.Text, name)
 		}
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return a
 }
 
 func (p *Parser) parseArchDecl(a *Architecture) {
 	switch {
-	case p.atKeyword("signal"):
-		p.advance()
-		sd := &SignalDecl{Pos: p.cur().Pos}
+	case p.Is(lex.Keyword, "signal"):
+		p.Advance()
+		sd := &SignalDecl{Pos: p.Cur().Pos}
 		for {
-			nm, _, ok := p.expectIdent("signal name")
+			nm, _, ok := p.ExpectIdent("signal name")
 			if !ok {
 				p.syncPast(";")
 				return
 			}
 			sd.Names = append(sd.Names, nm)
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		sd.Type = p.parseTypeRef()
-		if p.acceptOp(":=") {
+		if p.Accept(TokOp, ":=") {
 			sd.Init = p.parseExpr()
 		}
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		a.Decls = append(a.Decls, sd)
-	case p.atKeyword("constant"):
-		p.advance()
-		nm, _, ok := p.expectIdent("constant name")
+	case p.Is(lex.Keyword, "constant"):
+		p.Advance()
+		nm, _, ok := p.ExpectIdent("constant name")
 		if !ok {
 			p.syncPast(";")
 			return
 		}
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		tr := p.parseTypeRef()
-		p.expectOp(":=")
+		p.Expect(TokOp, ":=")
 		val := p.parseExpr()
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		a.Decls = append(a.Decls, &ConstDecl{Name: nm, Type: tr, Value: val})
-	case p.atKeyword("component"):
+	case p.Is(lex.Keyword, "component"):
 		// Component declarations are tolerated and skipped; direct
 		// entity instantiation carries the binding info we need.
 		p.syncToKeyword("end")
-		p.expectKeyword("end")
-		p.acceptKeyword("component")
-		if p.at(TokIdent) {
-			p.advance()
+		p.Expect(lex.Keyword, "end")
+		p.Accept(lex.Keyword, "component")
+		if p.At(lex.Ident) {
+			p.Advance()
 		}
-		p.expectOp(";")
-	case p.atKeyword("type"), p.atKeyword("subtype"), p.atKeyword("function"):
-		kw := p.cur().Text
-		p.errorf(p.cur().Pos, "VRFC 10-22", "%s declarations are not supported by this tool subset", kw)
+		p.Expect(TokOp, ";")
+	case p.Is(lex.Keyword, "type"), p.Is(lex.Keyword, "subtype"), p.Is(lex.Keyword, "function"):
+		kw := p.Cur().Text
+		p.Errorf(p.Cur().Pos, "VRFC 10-22", "%s declarations are not supported by this tool subset", kw)
 		p.syncPast(";")
 	default:
 		// caller reports
@@ -411,24 +328,24 @@ func (p *Parser) parseArchDecl(a *Architecture) {
 func (p *Parser) parseConcStmt() ConcStmt {
 	// Optional label.
 	label := ""
-	if p.at(TokIdent) && p.peekTok(1).Kind == TokOp && p.peekTok(1).Text == ":" &&
-		!(p.peekTok(2).Kind == TokOp && p.peekTok(2).Text == "=") {
-		label = p.advance().Text
-		p.advance() // :
+	if p.At(lex.Ident) && p.Peek(1).Kind == TokOp && p.Peek(1).Text == ":" &&
+		!(p.Peek(2).Kind == TokOp && p.Peek(2).Text == "=") {
+		label = p.Advance().Text
+		p.Advance() // :
 	}
 	switch {
-	case p.atKeyword("process"):
+	case p.Is(lex.Keyword, "process"):
 		return p.parseProcess(label)
-	case p.atKeyword("entity"):
+	case p.Is(lex.Keyword, "entity"):
 		return p.parseDirectInstance(label)
-	case p.atKeyword("with"):
+	case p.Is(lex.Keyword, "with"):
 		return p.parseSelectedAssign(label)
-	case p.at(TokIdent):
+	case p.At(lex.Ident):
 		// Either component instantiation `label: comp port map (...)`
 		// (label already consumed, cur is component name followed by
 		// port/generic map) or a concurrent signal assignment.
-		if label != "" && (p.peekTok(1).Kind == TokKeyword && (p.peekTok(1).Text == "port" || p.peekTok(1).Text == "generic")) {
-			entName := p.advance().Text
+		if label != "" && (p.Peek(1).Kind == lex.Keyword && (p.Peek(1).Text == "port" || p.Peek(1).Text == "generic")) {
+			entName := p.Advance().Text
 			return p.parseMaps(label, entName)
 		}
 		return p.parseConcAssign(label)
@@ -438,9 +355,9 @@ func (p *Parser) parseConcStmt() ConcStmt {
 }
 
 func (p *Parser) parseConcAssign(label string) ConcStmt {
-	start := p.cur().Pos
+	start := p.Cur().Pos
 	target := p.parseNameExpr()
-	if !p.expectOp("<=") {
+	if !p.Expect(TokOp, "<=") {
 		p.syncPast(";")
 		return nil
 	}
@@ -448,13 +365,13 @@ func (p *Parser) parseConcAssign(label string) ConcStmt {
 	for {
 		w := CondWave{}
 		w.Value = p.parseExpr()
-		if p.acceptKeyword("after") {
+		if p.Accept(lex.Keyword, "after") {
 			w.AfterNs = p.parseTimeExpr()
 		}
-		if p.acceptKeyword("when") {
+		if p.Accept(lex.Keyword, "when") {
 			w.Cond = p.parseExpr()
 			ca.Waves = append(ca.Waves, w)
-			if p.acceptKeyword("else") {
+			if p.Accept(lex.Keyword, "else") {
 				continue
 			}
 			break
@@ -462,7 +379,7 @@ func (p *Parser) parseConcAssign(label string) ConcStmt {
 		ca.Waves = append(ca.Waves, w)
 		break
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return ca
 }
 
@@ -473,36 +390,36 @@ func (p *Parser) parseConcAssign(label string) ConcStmt {
 // into a conditional ConcAssign whose arm conditions compare the
 // selector against each choice.
 func (p *Parser) parseSelectedAssign(label string) ConcStmt {
-	start := p.cur().Pos
-	p.expectKeyword("with")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "with")
 	selector := p.parseExpr()
-	p.expectKeyword("select")
+	p.Expect(lex.Keyword, "select")
 	target := p.parseNameExpr()
-	if !p.expectOp("<=") {
+	if !p.Expect(TokOp, "<=") {
 		p.syncPast(";")
 		return nil
 	}
 	ca := &ConcAssign{Label: label, Target: target, Pos: start}
 	for {
 		val := p.parseExpr()
-		p.expectKeyword("when")
-		if p.acceptKeyword("others") {
+		p.Expect(lex.Keyword, "when")
+		if p.Accept(lex.Keyword, "others") {
 			ca.Waves = append(ca.Waves, CondWave{Value: val})
 			break
 		}
 		choice := p.parseExpr()
 		cond := Expr(&BinaryExpr{Op: "=", L: selector, R: choice, Pos: choice.ExprPos()})
-		for p.acceptOp("|") {
+		for p.Accept(TokOp, "|") {
 			alt := p.parseExpr()
 			cond = &BinaryExpr{Op: "or", L: cond,
 				R: &BinaryExpr{Op: "=", L: selector, R: alt, Pos: alt.ExprPos()}, Pos: alt.ExprPos()}
 		}
 		ca.Waves = append(ca.Waves, CondWave{Value: val, Cond: cond})
-		if !p.acceptOp(",") {
+		if !p.Accept(TokOp, ",") {
 			break
 		}
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return ca
 }
 
@@ -510,140 +427,140 @@ func (p *Parser) parseSelectedAssign(label string) ConcStmt {
 func (p *Parser) parseTimeExpr() Expr {
 	e := p.parseExpr()
 	switch {
-	case p.acceptKeyword("ns"):
+	case p.Accept(lex.Keyword, "ns"):
 		return e
-	case p.acceptKeyword("ps"):
+	case p.Accept(lex.Keyword, "ps"):
 		// Sub-ns resolution is rounded down to 0 in this simulator.
 		return &BinaryExpr{Op: "/", L: e, R: &IntLit{Value: 1000, Pos: e.ExprPos()}, Pos: e.ExprPos()}
-	case p.acceptKeyword("us"):
+	case p.Accept(lex.Keyword, "us"):
 		return &BinaryExpr{Op: "*", L: e, R: &IntLit{Value: 1000, Pos: e.ExprPos()}, Pos: e.ExprPos()}
-	case p.acceptKeyword("ms"):
+	case p.Accept(lex.Keyword, "ms"):
 		return &BinaryExpr{Op: "*", L: e, R: &IntLit{Value: 1000000, Pos: e.ExprPos()}, Pos: e.ExprPos()}
 	}
 	return e
 }
 
 func (p *Parser) parseProcess(label string) ConcStmt {
-	start := p.cur().Pos
-	p.expectKeyword("process")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "process")
 	ps := &ProcessStmt{Label: label, Pos: start}
-	if p.acceptOp("(") {
-		for !p.atOp(")") && !p.at(TokEOF) {
+	if p.Accept(TokOp, "(") {
+		for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
 			ps.Sens = append(ps.Sens, p.parseNameExpr())
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	p.acceptKeyword("is")
-	for !p.atKeyword("begin") && !p.at(TokEOF) {
-		before := p.pos
+	p.Accept(lex.Keyword, "is")
+	for !p.Is(lex.Keyword, "begin") && !p.At(lex.EOF) {
+		before := p.Consumed()
 		p.parseProcDecl(ps)
-		if p.pos == before {
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q in process declarations", p.cur().Text)
-			p.advance()
+		if p.Consumed() == before {
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q in process declarations", p.Cur().Text)
+			p.Advance()
 		}
 	}
-	p.expectKeyword("begin")
+	p.Expect(lex.Keyword, "begin")
 	ps.Body = p.parseStmtsUntil("end")
-	p.expectKeyword("end")
-	p.expectKeyword("process")
-	if p.at(TokIdent) {
-		p.advance()
+	p.Expect(lex.Keyword, "end")
+	p.Expect(lex.Keyword, "process")
+	if p.At(lex.Ident) {
+		p.Advance()
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return ps
 }
 
 func (p *Parser) parseProcDecl(ps *ProcessStmt) {
 	switch {
-	case p.atKeyword("variable"):
-		p.advance()
-		vd := &VarDecl{Pos: p.cur().Pos}
+	case p.Is(lex.Keyword, "variable"):
+		p.Advance()
+		vd := &VarDecl{Pos: p.Cur().Pos}
 		for {
-			nm, _, ok := p.expectIdent("variable name")
+			nm, _, ok := p.ExpectIdent("variable name")
 			if !ok {
 				p.syncPast(";")
 				return
 			}
 			vd.Names = append(vd.Names, nm)
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		vd.Type = p.parseTypeRef()
-		if p.acceptOp(":=") {
+		if p.Accept(TokOp, ":=") {
 			vd.Init = p.parseExpr()
 		}
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		ps.Decls = append(ps.Decls, vd)
-	case p.atKeyword("constant"):
-		p.advance()
-		nm, _, ok := p.expectIdent("constant name")
+	case p.Is(lex.Keyword, "constant"):
+		p.Advance()
+		nm, _, ok := p.ExpectIdent("constant name")
 		if !ok {
 			p.syncPast(";")
 			return
 		}
-		p.expectOp(":")
+		p.Expect(TokOp, ":")
 		tr := p.parseTypeRef()
-		p.expectOp(":=")
+		p.Expect(TokOp, ":=")
 		val := p.parseExpr()
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		ps.Decls = append(ps.Decls, &ConstDecl{Name: nm, Type: tr, Value: val})
 	}
 }
 
 func (p *Parser) parseDirectInstance(label string) ConcStmt {
-	p.expectKeyword("entity")
-	p.expectKeyword("work")
-	p.expectOp(".")
-	name, _, ok := p.expectIdent("entity name")
+	p.Expect(lex.Keyword, "entity")
+	p.Expect(lex.Keyword, "work")
+	p.Expect(TokOp, ".")
+	name, _, ok := p.ExpectIdent("entity name")
 	if !ok {
 		p.syncPast(";")
 		return nil
 	}
 	// Optional architecture selection: entity work.foo(rtl).
-	if p.atOp("(") {
-		p.advance()
-		p.expectIdent("architecture name")
-		p.expectOp(")")
+	if p.Is(TokOp, "(") {
+		p.Advance()
+		p.ExpectIdent("architecture name")
+		p.Expect(TokOp, ")")
 	}
 	return p.parseMaps(label, name)
 }
 
 func (p *Parser) parseMaps(label, entName string) ConcStmt {
-	inst := &InstanceStmt{Label: label, EntityName: entName, Pos: p.cur().Pos}
-	if p.acceptKeyword("generic") {
-		p.expectKeyword("map")
-		p.expectOp("(")
+	inst := &InstanceStmt{Label: label, EntityName: entName, Pos: p.Cur().Pos}
+	if p.Accept(lex.Keyword, "generic") {
+		p.Expect(lex.Keyword, "map")
+		p.Expect(TokOp, "(")
 		inst.Generics = p.parseAssocList()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	if p.acceptKeyword("port") {
-		p.expectKeyword("map")
-		p.expectOp("(")
+	if p.Accept(lex.Keyword, "port") {
+		p.Expect(lex.Keyword, "map")
+		p.Expect(TokOp, "(")
 		inst.Ports = p.parseAssocList()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return inst
 }
 
 func (p *Parser) parseAssocList() []Assoc {
 	var out []Assoc
-	for !p.atOp(")") && !p.at(TokEOF) {
-		pos := p.cur().Pos
+	for !p.Is(TokOp, ")") && !p.At(lex.EOF) {
+		pos := p.Cur().Pos
 		// Formal => actual, if `ident =>` follows.
-		if p.at(TokIdent) && p.peekTok(1).Kind == TokOp && p.peekTok(1).Text == "=>" {
-			formal := p.advance().Text
-			p.advance() // =>
+		if p.At(lex.Ident) && p.Peek(1).Kind == TokOp && p.Peek(1).Text == "=>" {
+			formal := p.Advance().Text
+			p.Advance() // =>
 			out = append(out, Assoc{Formal: formal, Actual: p.parseExpr(), Pos: pos})
 		} else {
 			out = append(out, Assoc{Actual: p.parseExpr(), Pos: pos})
 		}
-		if !p.acceptOp(",") {
+		if !p.Accept(TokOp, ",") {
 			break
 		}
 	}
@@ -658,85 +575,85 @@ func (p *Parser) parseStmtsUntil(stops ...string) []Stmt {
 	var out []Stmt
 	atStop := func() bool {
 		for _, s := range stops {
-			if p.atKeyword(s) {
+			if p.Is(lex.Keyword, s) {
 				return true
 			}
 		}
-		return p.at(TokEOF)
+		return p.At(lex.EOF)
 	}
 	for !atStop() {
-		before := p.pos
+		before := p.Consumed()
 		if st := p.parseStmt(); st != nil {
 			out = append(out, st)
 		}
-		if p.pos == before {
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting a statement", p.cur().Text)
-			p.advance()
+		if p.Consumed() == before {
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q; expecting a statement", p.Cur().Text)
+			p.Advance()
 		}
 	}
 	return out
 }
 
 func (p *Parser) parseStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case p.atKeyword("if"):
+	case p.Is(lex.Keyword, "if"):
 		return p.parseIf()
-	case p.atKeyword("case"):
+	case p.Is(lex.Keyword, "case"):
 		return p.parseCase()
-	case p.atKeyword("for"):
+	case p.Is(lex.Keyword, "for"):
 		return p.parseFor()
-	case p.atKeyword("while"):
-		p.advance()
+	case p.Is(lex.Keyword, "while"):
+		p.Advance()
 		cond := p.parseExpr()
-		p.expectKeyword("loop")
+		p.Expect(lex.Keyword, "loop")
 		body := p.parseStmtsUntil("end")
-		p.expectKeyword("end")
-		p.expectKeyword("loop")
-		p.expectOp(";")
+		p.Expect(lex.Keyword, "end")
+		p.Expect(lex.Keyword, "loop")
+		p.Expect(TokOp, ";")
 		return &WhileStmt{Cond: cond, Body: body, Pos: t.Pos}
-	case p.atKeyword("wait"):
+	case p.Is(lex.Keyword, "wait"):
 		return p.parseWait()
-	case p.atKeyword("assert"):
+	case p.Is(lex.Keyword, "assert"):
 		return p.parseAssert()
-	case p.atKeyword("report"):
-		p.advance()
+	case p.Is(lex.Keyword, "report"):
+		p.Advance()
 		msg := p.parseExpr()
 		sev := ""
-		if p.acceptKeyword("severity") {
-			sev, _, _ = p.expectIdent("severity level")
+		if p.Accept(lex.Keyword, "severity") {
+			sev, _, _ = p.ExpectIdent("severity level")
 		}
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		return &ReportStmt{Message: msg, Severity: sev, Pos: t.Pos}
-	case p.atKeyword("null"):
-		p.advance()
-		p.expectOp(";")
+	case p.Is(lex.Keyword, "null"):
+		p.Advance()
+		p.Expect(TokOp, ";")
 		return &NullStmt{Pos: t.Pos}
-	case p.atKeyword("exit"):
-		p.advance()
+	case p.Is(lex.Keyword, "exit"):
+		p.Advance()
 		var when Expr
-		if p.acceptKeyword("when") {
+		if p.Accept(lex.Keyword, "when") {
 			when = p.parseExpr()
 		}
-		p.expectOp(";")
+		p.Expect(TokOp, ";")
 		return &ExitStmt{When: when, Pos: t.Pos}
-	case p.at(TokIdent):
+	case p.At(lex.Ident):
 		target := p.parseNameExpr()
 		switch {
-		case p.acceptOp("<="):
+		case p.Accept(TokOp, "<="):
 			val := p.parseExpr()
 			var after Expr
-			if p.acceptKeyword("after") {
+			if p.Accept(lex.Keyword, "after") {
 				after = p.parseTimeExpr()
 			}
-			p.expectOp(";")
+			p.Expect(TokOp, ";")
 			return &SigAssign{Target: target, Value: val, AfterNs: after, Pos: t.Pos}
-		case p.acceptOp(":="):
+		case p.Accept(TokOp, ":="):
 			val := p.parseExpr()
-			p.expectOp(";")
+			p.Expect(TokOp, ";")
 			return &VarAssign{Target: target, Value: val, Pos: t.Pos}
 		default:
-			p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting '<=' or ':='", p.cur().Text)
+			p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q; expecting '<=' or ':='", p.Cur().Text)
 			p.syncPast(";")
 			return nil
 		}
@@ -746,121 +663,121 @@ func (p *Parser) parseStmt() Stmt {
 }
 
 func (p *Parser) parseIf() Stmt {
-	start := p.cur().Pos
-	p.expectKeyword("if")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "if")
 	st := &IfStmt{Pos: start}
 	cond := p.parseExpr()
-	p.expectKeyword("then")
+	p.Expect(lex.Keyword, "then")
 	body := p.parseStmtsUntil("elsif", "else", "end")
 	st.Branches = append(st.Branches, IfBranch{Cond: cond, Body: body})
-	for p.acceptKeyword("elsif") {
+	for p.Accept(lex.Keyword, "elsif") {
 		c := p.parseExpr()
-		p.expectKeyword("then")
+		p.Expect(lex.Keyword, "then")
 		b := p.parseStmtsUntil("elsif", "else", "end")
 		st.Branches = append(st.Branches, IfBranch{Cond: c, Body: b})
 	}
-	if p.acceptKeyword("else") {
+	if p.Accept(lex.Keyword, "else") {
 		st.Else = p.parseStmtsUntil("end")
 	}
-	p.expectKeyword("end")
-	p.expectKeyword("if")
-	p.expectOp(";")
+	p.Expect(lex.Keyword, "end")
+	p.Expect(lex.Keyword, "if")
+	p.Expect(TokOp, ";")
 	return st
 }
 
 func (p *Parser) parseCase() Stmt {
-	start := p.cur().Pos
-	p.expectKeyword("case")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "case")
 	subject := p.parseExpr()
-	p.expectKeyword("is")
+	p.Expect(lex.Keyword, "is")
 	cs := &CaseStmt{Expr: subject, Pos: start}
-	for p.atKeyword("when") {
-		pos := p.advance().Pos
+	for p.Is(lex.Keyword, "when") {
+		pos := p.Advance().Pos
 		arm := CaseArm{Pos: pos}
-		if p.acceptKeyword("others") {
+		if p.Accept(lex.Keyword, "others") {
 			arm.Choices = nil
 		} else {
 			for {
 				arm.Choices = append(arm.Choices, p.parseExpr())
-				if !p.acceptOp("|") {
+				if !p.Accept(TokOp, "|") {
 					break
 				}
 			}
 		}
-		p.expectOp("=>")
+		p.Expect(TokOp, "=>")
 		arm.Body = p.parseStmtsUntil("when", "end")
 		cs.Arms = append(cs.Arms, arm)
 	}
-	p.expectKeyword("end")
-	p.expectKeyword("case")
-	p.expectOp(";")
+	p.Expect(lex.Keyword, "end")
+	p.Expect(lex.Keyword, "case")
+	p.Expect(TokOp, ";")
 	return cs
 }
 
 func (p *Parser) parseFor() Stmt {
-	start := p.cur().Pos
-	p.expectKeyword("for")
-	v, _, ok := p.expectIdent("loop variable")
+	start := p.Cur().Pos
+	p.Expect(lex.Keyword, "for")
+	v, _, ok := p.ExpectIdent("loop variable")
 	if !ok {
 		p.syncPast(";")
 		return nil
 	}
-	p.expectKeyword("in")
+	p.Expect(lex.Keyword, "in")
 	left := p.parseExpr()
 	desc := false
 	switch {
-	case p.acceptKeyword("to"):
-	case p.acceptKeyword("downto"):
+	case p.Accept(lex.Keyword, "to"):
+	case p.Accept(lex.Keyword, "downto"):
 		desc = true
 	default:
-		p.errorf(p.cur().Pos, "VRFC 10-1", "syntax error near %q; expecting 'to' or 'downto'", p.cur().Text)
+		p.Errorf(p.Cur().Pos, "VRFC 10-1", "syntax error near %q; expecting 'to' or 'downto'", p.Cur().Text)
 	}
 	right := p.parseExpr()
-	p.expectKeyword("loop")
+	p.Expect(lex.Keyword, "loop")
 	body := p.parseStmtsUntil("end")
-	p.expectKeyword("end")
-	p.expectKeyword("loop")
-	p.expectOp(";")
+	p.Expect(lex.Keyword, "end")
+	p.Expect(lex.Keyword, "loop")
+	p.Expect(TokOp, ";")
 	return &ForStmt{Var: v, Left: left, Right: right, Descending: desc, Body: body, Pos: start}
 }
 
 func (p *Parser) parseWait() Stmt {
-	start := p.advance().Pos // wait
+	start := p.Advance().Pos // wait
 	w := &WaitStmt{Pos: start}
 	switch {
-	case p.acceptKeyword("for"):
+	case p.Accept(lex.Keyword, "for"):
 		w.ForNs = p.parseTimeExpr()
-	case p.acceptKeyword("until"):
+	case p.Accept(lex.Keyword, "until"):
 		w.Until = p.parseExpr()
-		if p.acceptKeyword("for") {
+		if p.Accept(lex.Keyword, "for") {
 			w.ForNs = p.parseTimeExpr()
 		}
-	case p.acceptKeyword("on"):
+	case p.Accept(lex.Keyword, "on"):
 		for {
 			w.OnSignals = append(w.OnSignals, p.parseNameExpr())
-			if !p.acceptOp(",") {
+			if !p.Accept(TokOp, ",") {
 				break
 			}
 		}
 	default:
 		w.Forever = true
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return w
 }
 
 func (p *Parser) parseAssert() Stmt {
-	start := p.advance().Pos // assert
+	start := p.Advance().Pos // assert
 	a := &AssertStmt{Pos: start}
 	a.Cond = p.parseExpr()
-	if p.acceptKeyword("report") {
+	if p.Accept(lex.Keyword, "report") {
 		a.Report = p.parseExpr()
 	}
-	if p.acceptKeyword("severity") {
-		sev, _, _ := p.expectIdent("severity level")
+	if p.Accept(lex.Keyword, "severity") {
+		sev, _, _ := p.ExpectIdent("severity level")
 		a.Severity = sev
 	}
-	p.expectOp(";")
+	p.Expect(TokOp, ";")
 	return a
 }
 
@@ -874,13 +791,13 @@ func (p *Parser) parseExpr() Expr { return p.parseLogical() }
 func (p *Parser) parseLogical() Expr {
 	left := p.parseRelational()
 	for {
-		t := p.cur()
-		if t.Kind != TokKeyword {
+		t := p.Cur()
+		if t.Kind != lex.Keyword {
 			return left
 		}
 		switch t.Text {
 		case "and", "or", "xor", "nand", "nor", "xnor":
-			p.advance()
+			p.Advance()
 			right := p.parseRelational()
 			left = &BinaryExpr{Op: t.Text, L: left, R: right, Pos: t.Pos}
 		default:
@@ -891,11 +808,11 @@ func (p *Parser) parseLogical() Expr {
 
 func (p *Parser) parseRelational() Expr {
 	left := p.parseShift()
-	t := p.cur()
+	t := p.Cur()
 	if t.Kind == TokOp {
 		switch t.Text {
 		case "=", "/=", "<", "<=", ">", ">=":
-			p.advance()
+			p.Advance()
 			right := p.parseShift()
 			return &BinaryExpr{Op: t.Text, L: left, R: right, Pos: t.Pos}
 		}
@@ -905,9 +822,9 @@ func (p *Parser) parseRelational() Expr {
 
 func (p *Parser) parseShift() Expr {
 	left := p.parseAdding()
-	t := p.cur()
-	if t.Kind == TokKeyword && (t.Text == "sll" || t.Text == "srl") {
-		p.advance()
+	t := p.Cur()
+	if t.Kind == lex.Keyword && (t.Text == "sll" || t.Text == "srl") {
+		p.Advance()
 		right := p.parseAdding()
 		return &BinaryExpr{Op: t.Text, L: left, R: right, Pos: t.Pos}
 	}
@@ -917,9 +834,9 @@ func (p *Parser) parseShift() Expr {
 func (p *Parser) parseAdding() Expr {
 	left := p.parseMultiplying()
 	for {
-		t := p.cur()
+		t := p.Cur()
 		if t.Kind == TokOp && (t.Text == "+" || t.Text == "-" || t.Text == "&") {
-			p.advance()
+			p.Advance()
 			right := p.parseMultiplying()
 			left = &BinaryExpr{Op: t.Text, L: left, R: right, Pos: t.Pos}
 			continue
@@ -931,10 +848,10 @@ func (p *Parser) parseAdding() Expr {
 func (p *Parser) parseMultiplying() Expr {
 	left := p.parseUnary()
 	for {
-		t := p.cur()
+		t := p.Cur()
 		if (t.Kind == TokOp && (t.Text == "*" || t.Text == "/" || t.Text == "**")) ||
-			(t.Kind == TokKeyword && (t.Text == "mod" || t.Text == "rem")) {
-			p.advance()
+			(t.Kind == lex.Keyword && (t.Text == "mod" || t.Text == "rem")) {
+			p.Advance()
 			right := p.parseUnary()
 			left = &BinaryExpr{Op: t.Text, L: left, R: right, Pos: t.Pos}
 			continue
@@ -944,113 +861,113 @@ func (p *Parser) parseMultiplying() Expr {
 }
 
 func (p *Parser) parseUnary() Expr {
-	t := p.cur()
-	if t.Kind == TokKeyword && t.Text == "not" {
-		p.advance()
+	t := p.Cur()
+	if t.Kind == lex.Keyword && t.Text == "not" {
+		p.Advance()
 		return &UnaryExpr{Op: "not", X: p.parseUnary(), Pos: t.Pos}
 	}
 	if t.Kind == TokOp && (t.Text == "-" || t.Text == "+") {
-		p.advance()
+		p.Advance()
 		return &UnaryExpr{Op: t.Text, X: p.parseUnary(), Pos: t.Pos}
 	}
 	return p.parsePrimary()
 }
 
 func (p *Parser) parsePrimary() Expr {
-	t := p.cur()
+	t := p.Cur()
 	switch {
 	case t.Kind == TokInt:
-		p.advance()
+		p.Advance()
 		var v int64
 		for _, r := range t.Text {
 			v = v*10 + int64(r-'0')
 		}
 		return &IntLit{Value: v, Pos: t.Pos}
 	case t.Kind == TokChar:
-		p.advance()
+		p.Advance()
 		r, _ := utf8.DecodeRuneInString(t.Text)
 		return &CharLit{Value: hdl.LogicFromRune(r), Raw: t.Text, Pos: t.Pos}
 	case t.Kind == TokBitStr:
-		p.advance()
+		p.Advance()
 		kind := t.Text[0]
 		body := t.Text[2:]
 		v, err := hdl.ParseVHDLBitString(kind, body)
 		if err != nil {
-			p.errorf(t.Pos, "VRFC 10-4", "malformed bit string: %v", err)
+			p.Errorf(t.Pos, "VRFC 10-4", "malformed bit string: %v", err)
 			v = hdl.XFill(1)
 		}
 		return &BitStrLit{Value: v, Raw: body, Pos: t.Pos}
 	case t.Kind == TokString:
-		p.advance()
+		p.Advance()
 		return &StrLit{Value: t.Text, Pos: t.Pos}
-	case t.Kind == TokKeyword && (t.Text == "true" || t.Text == "false"):
-		p.advance()
+	case t.Kind == lex.Keyword && (t.Text == "true" || t.Text == "false"):
+		p.Advance()
 		return &BoolLit{Value: t.Text == "true", Pos: t.Pos}
-	case t.Kind == TokKeyword && t.Text == "others":
+	case t.Kind == lex.Keyword && t.Text == "others":
 		// Bare inside aggregates only; handled below.
-		p.errorf(t.Pos, "VRFC 10-1", "'others' is only valid inside an aggregate")
-		p.advance()
+		p.Errorf(t.Pos, "VRFC 10-1", "'others' is only valid inside an aggregate")
+		p.Advance()
 		return &IntLit{Pos: t.Pos}
-	case t.Kind == TokIdent:
+	case t.Kind == lex.Ident:
 		return p.parseNameExpr()
-	case p.atOp("("):
-		pos := p.advance().Pos
+	case p.Is(TokOp, "("):
+		pos := p.Advance().Pos
 		// Aggregate (others => x)?
-		if p.atKeyword("others") {
-			p.advance()
-			p.expectOp("=>")
+		if p.Is(lex.Keyword, "others") {
+			p.Advance()
+			p.Expect(TokOp, "=>")
 			v := p.parseExpr()
-			p.expectOp(")")
+			p.Expect(TokOp, ")")
 			return &AggregateExpr{Others: v, Pos: pos}
 		}
 		e := p.parseExpr()
-		p.expectOp(")")
+		p.Expect(TokOp, ")")
 		return e
 	default:
-		p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting an expression", t.Text)
-		p.advance()
+		p.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting an expression", t.Text)
+		p.Advance()
 		return &IntLit{Pos: t.Pos}
 	}
 }
 
 // parseNameExpr parses ident, ident(args), ident(l downto r), ident'attr.
 func (p *Parser) parseNameExpr() Expr {
-	t := p.cur()
-	if t.Kind != TokIdent {
-		p.errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting a name", t.Text)
-		p.advance()
+	t := p.Cur()
+	if t.Kind != lex.Ident {
+		p.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting a name", t.Text)
+		p.Advance()
 		return &Name{Ident: "_err_", Pos: t.Pos}
 	}
-	p.advance()
+	p.Advance()
 	name := t.Text
 	// Attribute?
-	if p.atOp("'") && p.peekTok(1).Kind == TokKeyword {
-		p.advance()
-		attr := p.advance().Text
+	if p.Is(TokOp, "'") && p.Peek(1).Kind == lex.Keyword {
+		p.Advance()
+		attr := p.Advance().Text
 		return &AttrExpr{Base: name, Attr: attr, Pos: t.Pos}
 	}
-	if !p.atOp("(") {
+	if !p.Is(TokOp, "(") {
 		return &Name{Ident: name, Pos: t.Pos}
 	}
-	p.advance() // (
+	p.Advance() // (
 	ci := &CallOrIndex{Name: name, Pos: t.Pos}
 	// Slice: expr downto/to expr
 	first := p.parseExpr()
 	switch {
-	case p.acceptKeyword("downto"):
+	case p.Accept(lex.Keyword, "downto"):
 		ci.IsSlice, ci.Descending = true, true
 		ci.Left = first
 		ci.Right = p.parseExpr()
-	case p.acceptKeyword("to"):
+	case p.Accept(lex.Keyword, "to"):
 		ci.IsSlice, ci.Descending = true, false
 		ci.Left = first
 		ci.Right = p.parseExpr()
 	default:
 		ci.Args = append(ci.Args, first)
-		for p.acceptOp(",") {
+		for p.Accept(TokOp, ",") {
 			ci.Args = append(ci.Args, p.parseExpr())
 		}
 	}
-	p.expectOp(")")
+	p.Expect(TokOp, ")")
 	return ci
 }

@@ -3,6 +3,8 @@ package vhdl
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/lex"
 )
 
 const sampleVHDLCounter = `
@@ -451,17 +453,17 @@ end architecture;`
 
 func TestLexVHDLCaseInsensitive(t *testing.T) {
 	toks := Tokens("ENTITY Foo IS End")
-	if toks[0].Kind != TokKeyword || toks[0].Text != "entity" {
+	if toks[0].Kind != lex.Keyword || toks[0].Text != "entity" {
 		t.Errorf("tok0 = %+v", toks[0])
 	}
-	if toks[1].Kind != TokIdent || toks[1].Text != "foo" {
+	if toks[1].Kind != lex.Ident || toks[1].Text != "foo" {
 		t.Errorf("tok1 = %+v", toks[1])
 	}
 }
 
 func TestLexVHDLLiterals(t *testing.T) {
 	toks := Tokens(`'1' "1010" x"AF" "hello" 42 5 ns`)
-	wantKinds := []TokKind{TokChar, TokBitStr, TokBitStr, TokString, TokInt, TokInt, TokKeyword}
+	wantKinds := []lex.Kind{TokChar, TokBitStr, TokBitStr, TokString, TokInt, TokInt, lex.Keyword}
 	for i, k := range wantKinds {
 		if toks[i].Kind != k {
 			t.Errorf("tok %d = %v %q, want kind %v", i, toks[i].Kind, toks[i].Text, k)
@@ -479,14 +481,14 @@ func TestLexVHDLComment(t *testing.T) {
 func TestLexVHDLAttributeTickVsCharLiteral(t *testing.T) {
 	// clk'event must lex as ident, tick-op, keyword — not a char literal.
 	toks := Tokens("clk'event q <= '1';")
-	if toks[0].Kind != TokIdent || toks[1].Kind != TokOp || toks[1].Text != "'" {
+	if toks[0].Kind != lex.Ident || toks[1].Kind != TokOp || toks[1].Text != "'" {
 		t.Fatalf("attribute tick mislexed: %v %v", toks[0], toks[1])
 	}
-	if toks[2].Kind != TokKeyword || toks[2].Text != "event" {
+	if toks[2].Kind != lex.Keyword || toks[2].Text != "event" {
 		t.Fatalf("event keyword: %v", toks[2])
 	}
 	// While '1' in expression position is a char literal.
-	var char *Token
+	var char *lex.Token
 	for i := range toks {
 		if toks[i].Kind == TokChar {
 			char = &toks[i]

@@ -8,38 +8,19 @@
 // keywords, preserving original text only inside string literals.
 package vhdl
 
-import "fmt"
+import "repro/internal/lex"
 
-// TokKind classifies lexical tokens.
-type TokKind int
-
-// Token kinds.
+// VHDL token kinds, numbered on from the kinds common to both HDLs
+// (lex.EOF, lex.Ident, lex.Keyword; identifiers and keywords are
+// lower-cased).
 const (
-	TokEOF TokKind = iota
-	TokIdent
-	TokKeyword
-	TokInt    // integer literal
-	TokChar   // character literal '0'
-	TokBitStr // bit string "1010" or x"AF"
-	TokString // string literal used by report
-	TokOp     // operator / punctuation
+	TokInt    lex.Kind = lex.Keyword + 1 + iota // integer literal
+	TokChar                                     // character literal '0'
+	TokBitStr                                   // bit string "1010" or x"AF"
+	TokString                                   // string literal used by report
+	TokOp                                       // operator / punctuation
 	TokError
 )
-
-// Pos is a 1-based source position.
-type Pos struct {
-	Line int
-	Col  int
-}
-
-func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-// Token is one lexical token.
-type Token struct {
-	Kind TokKind
-	Text string // lower-cased for idents/keywords
-	Pos  Pos
-}
 
 // IsKeyword reports whether the lower-cased word is reserved. A switch
 // on constant strings compiles to a length dispatch plus a few

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/hdl"
+	"repro/internal/lex"
 	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
@@ -87,18 +88,6 @@ type portBind struct {
 	actual      vhdl.Expr
 }
 
-// ElabError is an elaboration failure.
-type ElabError struct {
-	Pos vhdl.Pos
-	Msg string
-}
-
-func (e *ElabError) Error() string { return fmt.Sprintf("%d:%d: %s", e.Pos.Line, e.Pos.Col, e.Msg) }
-
-func elabErrf(pos vhdl.Pos, format string, args ...any) *ElabError {
-	return &ElabError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
-
 // Elaborate builds the design rooted at the entity named top.
 func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
 	d := &Design{
@@ -146,20 +135,20 @@ func (d *Design) newSignal(inst *Instance, name string, tr vhdl.TypeRef, init vh
 // first), then processes, concurrent assignments and children in
 // statement order. pos is the instantiation statement (the entity
 // declaration for the top), where bound and architecture errors point.
-func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, genOverrides map[string]hdl.Vector, pos vhdl.Pos) (*Instance, error) {
+func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, genOverrides map[string]hdl.Vector, pos lex.Pos) (*Instance, error) {
 	if d.instances++; d.instances > sim.MaxInstances {
-		return nil, elabErrf(pos, "design exceeds %d instances", sim.MaxInstances)
+		return nil, sim.ElabErrf(pos, "design exceeds %d instances", sim.MaxInstances)
 	}
 	depth := 0
 	for p := parent; p != nil; p = p.Parent {
 		depth++
 	}
 	if depth > sim.MaxDepth {
-		return nil, elabErrf(pos, "instantiation depth exceeds %d", sim.MaxDepth)
+		return nil, sim.ElabErrf(pos, "instantiation depth exceeds %d", sim.MaxDepth)
 	}
 	arch, ok := d.archs[ent.Name]
 	if !ok {
-		return nil, elabErrf(pos, "entity %q has no architecture", ent.Name)
+		return nil, sim.ElabErrf(pos, "entity %q has no architecture", ent.Name)
 	}
 	inst := &Instance{
 		Path: path, Entity: ent, Arch: arch,
@@ -176,7 +165,7 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 			continue
 		}
 		if g.Default == nil {
-			return nil, elabErrf(g.Pos, "generic %q has no value", g.Name)
+			return nil, sim.ElabErrf(g.Pos, "generic %q has no value", g.Name)
 		}
 		v, err := inst.evalConst(g.Default)
 		if err != nil {
@@ -231,7 +220,7 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 func (d *Design) elabChild(parent *Instance, x *vhdl.InstanceStmt) error {
 	ent, ok := d.entities[x.EntityName]
 	if !ok {
-		return elabErrf(x.Pos, "entity %q is not defined", x.EntityName)
+		return sim.ElabErrf(x.Pos, "entity %q is not defined", x.EntityName)
 	}
 	var overrides map[string]hdl.Vector
 	for i, as := range x.Generics {
@@ -245,7 +234,7 @@ func (d *Design) elabChild(parent *Instance, x *vhdl.InstanceStmt) error {
 		name := as.Formal
 		if name == "" {
 			if i >= len(ent.Generics) {
-				return elabErrf(as.Pos, "too many generic associations for %q", x.EntityName)
+				return sim.ElabErrf(as.Pos, "too many generic associations for %q", x.EntityName)
 			}
 			name = ent.Generics[i].Name
 		}
@@ -271,7 +260,7 @@ func (d *Design) elabChild(parent *Instance, x *vhdl.InstanceStmt) error {
 		name := as.Formal
 		if name == "" {
 			if i >= len(ent.Ports) {
-				return elabErrf(as.Pos, "too many port associations for %q", x.EntityName)
+				return sim.ElabErrf(as.Pos, "too many port associations for %q", x.EntityName)
 			}
 			name = ent.Ports[i].Name
 		}
@@ -284,10 +273,10 @@ func (d *Design) elabChild(parent *Instance, x *vhdl.InstanceStmt) error {
 			}
 		}
 		if !found {
-			return elabErrf(as.Pos, "entity %q has no port %q", x.EntityName, name)
+			return sim.ElabErrf(as.Pos, "entity %q has no port %q", x.EntityName, name)
 		}
 		if dir == vhdl.DirInout {
-			return elabErrf(as.Pos, "inout ports are not supported by this simulator subset")
+			return sim.ElabErrf(as.Pos, "inout ports are not supported by this simulator subset")
 		}
 		d.portBinds = append(d.portBinds, portBind{
 			childScope: child, parentScope: parent,
@@ -323,7 +312,7 @@ func (inst *Instance) makeSigSpec(name string, tr vhdl.TypeRef, init vhdl.Expr) 
 	case "std_logic_vector", "unsigned", "signed", "bit_vector":
 		sp.kind = KindVector
 		if !tr.HasRange {
-			return sigSpec{}, elabErrf(tr.Pos, "type %s requires a range", tr.Name)
+			return sigSpec{}, sim.ElabErrf(tr.Pos, "type %s requires a range", tr.Name)
 		}
 		lv, err := inst.evalConst(tr.Left)
 		if err != nil {
@@ -336,7 +325,7 @@ func (inst *Instance) makeSigSpec(name string, tr vhdl.TypeRef, init vhdl.Expr) 
 		l64, ok1 := lv.Int()
 		r64, ok2 := rv.Int()
 		if !ok1 || !ok2 {
-			return sigSpec{}, elabErrf(tr.Pos, "range bounds of %q are not computable", name)
+			return sigSpec{}, sim.ElabErrf(tr.Pos, "range bounds of %q are not computable", name)
 		}
 		left, right := int(l64), int(r64)
 		w := left - right
@@ -345,12 +334,12 @@ func (inst *Instance) makeSigSpec(name string, tr vhdl.TypeRef, init vhdl.Expr) 
 		}
 		w++
 		if w > 1<<16 {
-			return sigSpec{}, elabErrf(tr.Pos, "vector %q too wide (%d bits)", name, w)
+			return sigSpec{}, sim.ElabErrf(tr.Pos, "vector %q too wide (%d bits)", name, w)
 		}
 		sp.width = w
 		sp.msb, sp.lsb = left, right // MSB<LSB encodes ascending
 	default:
-		return sigSpec{}, elabErrf(tr.Pos, "unsupported type %q", tr.Name)
+		return sigSpec{}, sim.ElabErrf(tr.Pos, "unsupported type %q", tr.Name)
 	}
 	if sp.kind == KindLogic || sp.kind == KindVector {
 		sp.init = hdl.XFill(sp.width)
@@ -385,7 +374,7 @@ func (inst *Instance) evalConstCtx(e vhdl.Expr, ctx int) (hdl.Vector, error) {
 		if v, ok := inst.Generics[x.Ident]; ok {
 			return v.Clone(), nil
 		}
-		return hdl.Vector{}, elabErrf(x.Pos, "%q is not a constant in this context", x.Ident)
+		return hdl.Vector{}, sim.ElabErrf(x.Pos, "%q is not a constant in this context", x.Ident)
 	case *vhdl.UnaryExpr:
 		v, err := inst.evalConstCtx(x.X, ctx)
 		if err != nil {
@@ -399,7 +388,7 @@ func (inst *Instance) evalConstCtx(e vhdl.Expr, ctx int) (hdl.Vector, error) {
 		case "not":
 			return v.BitwiseNot(), nil
 		}
-		return hdl.Vector{}, elabErrf(x.Pos, "unsupported constant operator %q", x.Op)
+		return hdl.Vector{}, sim.ElabErrf(x.Pos, "unsupported constant operator %q", x.Op)
 	case *vhdl.BinaryExpr:
 		l, err := inst.evalConstCtx(x.L, ctx)
 		if err != nil {
@@ -423,10 +412,10 @@ func (inst *Instance) evalConstCtx(e vhdl.Expr, ctx int) (hdl.Vector, error) {
 		case "**":
 			return l.Pow(r), nil
 		}
-		return hdl.Vector{}, elabErrf(x.Pos, "unsupported constant operator %q", x.Op)
+		return hdl.Vector{}, sim.ElabErrf(x.Pos, "unsupported constant operator %q", x.Op)
 	case *vhdl.AggregateExpr:
 		if ctx <= 0 {
-			return hdl.Vector{}, elabErrf(x.Pos, "aggregate needs a sized context")
+			return hdl.Vector{}, sim.ElabErrf(x.Pos, "aggregate needs a sized context")
 		}
 		v, err := inst.evalConstCtx(x.Others, 1)
 		if err != nil {
@@ -434,6 +423,6 @@ func (inst *Instance) evalConstCtx(e vhdl.Expr, ctx int) (hdl.Vector, error) {
 		}
 		return hdl.NewVector(ctx, v.Bit(0)), nil
 	default:
-		return hdl.Vector{}, elabErrf(e.ExprPos(), "expression is not constant")
+		return hdl.Vector{}, sim.ElabErrf(e.ExprPos(), "expression is not constant")
 	}
 }

@@ -1,6 +1,7 @@
 package vhdlsim
 
 import (
+	"repro/internal/lex"
 	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
@@ -189,7 +190,7 @@ func (s *Simulator) makeVarSlot(inst *Instance, en *env, vd *vhdl.VarDecl) (*var
 
 // reportSeverity renders an assert/report message in xsim style and
 // applies severity semantics: error counts; failure stops the run.
-func (s *Simulator) reportSeverity(severity, msg string, pos vhdl.Pos) {
+func (s *Simulator) reportSeverity(severity, msg string, pos lex.Pos) {
 	switch severity {
 	case "note", "":
 		s.Logf("Note: %s\n", msg)

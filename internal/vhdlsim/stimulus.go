@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hdl"
+	"repro/internal/lex"
 	"repro/internal/sim"
 	"repro/internal/vhdl"
 )
@@ -107,7 +108,7 @@ func (sh *stimShell) End(failures int) {
 	s.Tick()
 	if failures == 0 {
 		s.Tick()
-		s.reportSeverity("note", sim.PassMarker, vhdl.Pos{})
+		s.reportSeverity("note", sim.PassMarker, lex.Pos{})
 	}
 	s.Tick()
 	s.scheduleUpdate(sh.done, hdl.FromUint(1, sh.done.Width), 0)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/hdl"
+	"repro/internal/lex"
 	"repro/internal/sim"
 	"repro/internal/verilog"
 )
@@ -84,18 +85,6 @@ type boundProc struct {
 	initial *verilog.InitialBlock
 }
 
-// ElabError is an elaboration failure (the RTL is structurally unusable).
-type ElabError struct {
-	Pos verilog.Pos
-	Msg string
-}
-
-func (e *ElabError) Error() string { return fmt.Sprintf("%d:%d: %s", e.Pos.Line, e.Pos.Col, e.Msg) }
-
-func elabErrf(pos verilog.Pos, format string, args ...any) *ElabError {
-	return &ElabError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
-
 // Elaborate builds the design rooted at top from the given module set.
 func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) {
 	m, ok := modules[top]
@@ -103,7 +92,7 @@ func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) 
 		return nil, fmt.Errorf("top module %q not found", top)
 	}
 	d := &Design{modules: modules}
-	inst, err := d.elabInstance(nil, m, top, nil, verilog.Pos{})
+	inst, err := d.elabInstance(nil, m, top, nil, lex.Pos{})
 	if err != nil {
 		return nil, err
 	}
@@ -128,9 +117,9 @@ func (d *Design) newSignal(inst *Instance, local string, width, msb, lsb int, ki
 // elabInstance instantiates module m as path, with parameter overrides:
 // parameters, then signals (ports, then net declarations), then
 // continuous assignments, processes and children in item order.
-func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, paramOverrides map[string]hdl.Vector, pos verilog.Pos) (*Instance, error) {
+func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, paramOverrides map[string]hdl.Vector, pos lex.Pos) (*Instance, error) {
 	if d.instances++; d.instances > sim.MaxInstances {
-		return nil, elabErrf(pos, "design exceeds %d instances", sim.MaxInstances)
+		return nil, sim.ElabErrf(pos, "design exceeds %d instances", sim.MaxInstances)
 	}
 	if parent != nil {
 		depth := 0
@@ -138,7 +127,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 			depth++
 		}
 		if depth > sim.MaxDepth {
-			return nil, elabErrf(pos, "instantiation depth exceeds %d (recursive instantiation of %q?)", sim.MaxDepth, m.Name)
+			return nil, sim.ElabErrf(pos, "instantiation depth exceeds %d (recursive instantiation of %q?)", sim.MaxDepth, m.Name)
 		}
 	}
 	inst := &Instance{
@@ -163,7 +152,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 			continue
 		}
 		if pd.Value == nil {
-			return nil, elabErrf(pd.Pos, "parameter %q has no value", pd.Name)
+			return nil, sim.ElabErrf(pd.Pos, "parameter %q has no value", pd.Name)
 		}
 		v, err := inst.evalConst(pd.Value)
 		if err != nil {
@@ -235,7 +224,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 					lo, hi = hi, lo
 				}
 				if hi-lo > 1<<20 {
-					return nil, elabErrf(n.Pos, "memory %q too large (%d words)", n.Name, hi-lo+1)
+					return nil, sim.ElabErrf(n.Pos, "memory %q too large (%d words)", n.Name, hi-lo+1)
 				}
 			}
 			sig := d.newSignal(inst, n.Name, w, msb, lsb, nd.Kind, nd.Signed || nd.Kind == verilog.KindInteger)
@@ -277,7 +266,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 func (d *Design) elabChild(parent *Instance, x *verilog.Instance) error {
 	childMod, ok := d.modules[x.ModuleName]
 	if !ok {
-		return elabErrf(x.Pos, "module %q is not defined", x.ModuleName)
+		return sim.ElabErrf(x.Pos, "module %q is not defined", x.ModuleName)
 	}
 	// Parameter overrides (maps built only when overrides exist).
 	var overrides map[string]hdl.Vector
@@ -326,7 +315,7 @@ func (d *Design) elabChild(parent *Instance, x *verilog.Instance) error {
 	if len(x.Conns) > 0 && x.Conns[0].Name == "" {
 		// Ordered connections.
 		if len(x.Conns) > len(childMod.Ports) {
-			return elabErrf(x.Pos, "instance %q has %d connections for %d ports", x.InstName, len(x.Conns), len(childMod.Ports))
+			return sim.ElabErrf(x.Pos, "instance %q has %d connections for %d ports", x.InstName, len(x.Conns), len(childMod.Ports))
 		}
 		for i, c := range x.Conns {
 			assoc[childMod.Ports[i].Name] = c.Expr
@@ -341,7 +330,7 @@ func (d *Design) elabChild(parent *Instance, x *verilog.Instance) error {
 				}
 			}
 			if !found {
-				return elabErrf(c.Pos, "module %q has no port %q", x.ModuleName, c.Name)
+				return sim.ElabErrf(c.Pos, "module %q has no port %q", x.ModuleName, c.Name)
 			}
 			assoc[c.Name] = c.Expr
 		}
@@ -364,7 +353,7 @@ func (d *Design) elabChild(parent *Instance, x *verilog.Instance) error {
 				lhs: ex, rhs: portRef,
 			})
 		case verilog.DirInout:
-			return elabErrf(x.Pos, "inout ports are not supported by this simulator subset")
+			return sim.ElabErrf(x.Pos, "inout ports are not supported by this simulator subset")
 		}
 	}
 	return nil

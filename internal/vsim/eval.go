@@ -19,7 +19,7 @@ func (inst *Instance) evalConst(e verilog.Expr) (hdl.Vector, error) {
 			}
 			break // parameters do not inherit across instance boundaries
 		}
-		return hdl.Vector{}, elabErrf(x.Pos, "%q is not a constant (parameters only in this context)", x.Name)
+		return hdl.Vector{}, sim.ElabErrf(x.Pos, "%q is not a constant (parameters only in this context)", x.Name)
 	case *verilog.Unary:
 		v, err := inst.evalConst(x.X)
 		if err != nil {
@@ -56,7 +56,7 @@ func (inst *Instance) evalConst(e verilog.Expr) (hdl.Vector, error) {
 		}
 		return hdl.Concat(parts...), nil
 	default:
-		return hdl.Vector{}, elabErrf(e.ExprPos(), "expression is not constant")
+		return hdl.Vector{}, sim.ElabErrf(e.ExprPos(), "expression is not constant")
 	}
 }
 
@@ -73,7 +73,7 @@ func (inst *Instance) evalRange(r *verilog.Range) (width, msb, lsb int, err erro
 	m64, ok1 := mv.Int()
 	l64, ok2 := lv.Int()
 	if !ok1 || !ok2 {
-		return 0, 0, 0, elabErrf(r.MSB.ExprPos(), "range bounds contain unknown bits")
+		return 0, 0, 0, sim.ElabErrf(r.MSB.ExprPos(), "range bounds contain unknown bits")
 	}
 	m, l := int(m64), int(l64)
 	w := m - l
@@ -82,7 +82,7 @@ func (inst *Instance) evalRange(r *verilog.Range) (width, msb, lsb int, err erro
 	}
 	w++
 	if w > 1<<16 {
-		return 0, 0, 0, elabErrf(r.MSB.ExprPos(), "vector too wide (%d bits)", w)
+		return 0, 0, 0, sim.ElabErrf(r.MSB.ExprPos(), "vector too wide (%d bits)", w)
 	}
 	return w, m, l, nil
 }
