@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/diag"
 	"repro/internal/edatool"
 	"repro/internal/lex"
 	"repro/internal/llm"
@@ -40,6 +41,32 @@ endmodule`
 	}
 	if item.Hint == "" {
 		t.Error("hint empty")
+	}
+}
+
+// TestCompileLogBoundedByDiagnostics: a one-line 500,000-byte source
+// with three errors renders each snippet cut to diag.MaxSnippet, so the
+// log and the Review Agent's items grow with the diagnostics, not with
+// the line.
+func TestCompileLogBoundedByDiagnostics(t *testing.T) {
+	src := "module m(input a, output y); assign y = a & b1 & b2 & b3; endmodule // "
+	src += strings.Repeat("x", 500_000-len(src))
+	comp := edatool.Compile(nil, edatool.Verilog, edatool.Source{Name: "big.v", Text: src})
+	if n := comp.Diags.ErrorCount(); n != 3 {
+		t.Fatalf("%d errors, want 3:\n%s", n, comp.Log)
+	}
+	if max := 3 * (diag.MaxSnippet + 200); len(comp.Log) > max {
+		t.Errorf("log is %d bytes, want at most %d", len(comp.Log), max)
+	}
+	fb := ReviewAgent{}.ParseCompileLog(comp.Log)
+	if len(fb.Items) != 3 {
+		t.Fatalf("%d items, want 3:\n%s", len(fb.Items), comp.Log)
+	}
+	for _, it := range fb.Items {
+		if it.Line != 1 || len(it.Snippet) > diag.MaxSnippet || !strings.HasPrefix(src, it.Snippet) {
+			t.Errorf("item line %d, %d-byte snippet %.40q...; want line 1 and a prefix of the source of at most %d bytes",
+				it.Line, len(it.Snippet), it.Snippet, diag.MaxSnippet)
+		}
 	}
 }
 

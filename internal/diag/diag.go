@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Severity classifies a diagnostic.
@@ -131,9 +132,14 @@ func (l List) Sorted() List {
 	return out
 }
 
+// MaxSnippet bounds a snippet in bytes, so what a diagnostic adds to a
+// compile log is bounded too, however long its source line is.
+const MaxSnippet = 256
+
 // AttachSnippets fills the Snippet field of each diagnostic from src,
 // which is the full source text the diagnostics refer to, with its
-// line trimmed of trailing blanks and tabs. Diagnostics that already
+// line cut to at most MaxSnippet bytes on a rune boundary and trimmed
+// of trailing blanks and tabs. Diagnostics that already
 // have a snippet, or whose line is not in src, are left alone. Only the
 // lines up to the last one named are scanned, in one forward walk.
 func (l List) AttachSnippets(src string) {
@@ -160,6 +166,23 @@ func (l List) AttachSnippets(src string) {
 		if nl := strings.IndexByte(text, '\n'); nl >= 0 {
 			text = text[:nl]
 		}
+		if len(text) > MaxSnippet {
+			text = cutRunes(text, MaxSnippet)
+		}
 		l[i].Snippet = strings.TrimRight(text, " \t")
 	}
+}
+
+// cutRunes returns the longest prefix of s of at most n bytes that ends
+// on a rune boundary; as in the lexers, each invalid byte is a rune.
+func cutRunes(s string, n int) string {
+	for i := n - 1; i >= 0 && i > n-utf8.UTFMax; i-- {
+		if utf8.RuneStart(s[i]) {
+			if _, size := utf8.DecodeRuneInString(s[i:]); i+size > n {
+				return s[:i]
+			}
+			break
+		}
+	}
+	return s[:n]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestDiagnosticString(t *testing.T) {
@@ -71,6 +72,34 @@ func TestAttachSnippets(t *testing.T) {
 	l2.AttachSnippets(src)
 	if l2[0].Snippet != "" {
 		t.Errorf("oob snippet = %q", l2[0].Snippet)
+	}
+}
+
+// TestAttachSnippetsCap: a line over MaxSnippet bytes is cut on a rune
+// boundary at or below the cap, then trimmed; an invalid UTF-8 run is
+// cut too.
+func TestAttachSnippetsCap(t *testing.T) {
+	for _, c := range []struct {
+		name, line string
+		want       int // snippet length
+	}{
+		{"ascii", strings.Repeat("x", 1000), MaxSnippet},
+		{"two-byte runes", "a" + strings.Repeat("é", 500), MaxSnippet - 1},
+		{"four-byte runes", "ab" + strings.Repeat("😀", 200), MaxSnippet - 2},
+		{"blanks at the cut", strings.Repeat("x", MaxSnippet-2) + strings.Repeat(" ", 100) + "y", MaxSnippet - 2},
+		{"invalid run", strings.Repeat("\x80", 1000), MaxSnippet},
+		{"at the cap", strings.Repeat("x", MaxSnippet), MaxSnippet},
+	} {
+		var l List
+		l.Errorf("C", "f.v", 2, 1, "m")
+		l.AttachSnippets("first\n" + c.line + "\nlast")
+		got := l[0].Snippet
+		if len(got) != c.want || !strings.HasPrefix(c.line, got) {
+			t.Errorf("%s: %d-byte snippet, want the line's first %d bytes", c.name, len(got), c.want)
+		}
+		if utf8.ValidString(c.line) && !utf8.ValidString(got) {
+			t.Errorf("%s: snippet cut inside a rune", c.name)
+		}
 	}
 }
 

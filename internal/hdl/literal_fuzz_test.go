@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/hdl"
+	"repro/internal/lex"
 	"repro/internal/verilog"
 	"repro/internal/vhdl"
 )
@@ -32,14 +33,14 @@ func suiteLiterals() (vlog []string, vhd [][2]string) {
 	vset, hset := map[string]bool{}, map[[2]string]bool{}
 	for _, p := range bench.NewSuite().Problems {
 		for _, src := range []string{p.GoldenVerilog, p.VerilogTB(p.Stimulus.In, p.Stimulus.Out)} {
-			for _, tk := range verilog.Tokens(src) {
+			for _, tk := range lex.All(&verilog.Lexer{Cursor: lex.NewCursor(src)}, len(src)) {
 				if tk.Kind == verilog.TokNumber {
 					vset[tk.Text] = true
 				}
 			}
 		}
 		for _, src := range []string{p.GoldenVHDL, p.VHDLTB(p.Stimulus.In, p.Stimulus.Out)} {
-			for _, tk := range vhdl.Tokens(src) {
+			for _, tk := range lex.All(&vhdl.Lexer{Cursor: lex.NewCursor(src)}, len(src)) {
 				switch tk.Kind {
 				case vhdl.TokBitStr:
 					hset[[2]string{tk.Text[:1], tk.Text[2:]}] = true

@@ -27,7 +27,7 @@ func (c *Cursor) Done() bool { return c.off >= len(c.src) }
 func (c *Cursor) Off() int { return c.off }
 
 // Here returns the cursor's position.
-func (c *Cursor) Here() Pos { return Pos{Line: c.line, Col: c.col} }
+func (c *Cursor) Here() Pos { return Pos{Line: int32(c.line), Col: int32(c.col)} }
 
 // Rest returns the source from the cursor on.
 func (c *Cursor) Rest() string { return c.src[c.off:] }

@@ -9,10 +9,12 @@ package lex
 
 import "fmt"
 
-// Pos is a source position (1-based line and column).
+// Pos is a source position (1-based line and column). A lexed source
+// is at most MaxSource bytes, so both fit in 32 bits, and a Pos in
+// every token and AST node costs 8 bytes.
 type Pos struct {
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 // String implements fmt.Stringer.

@@ -2,71 +2,84 @@ package lex
 
 import "repro/internal/diag"
 
-// Lexer is the source of a Stream's tokens. Next returns the next
+// Lexer is the source of a parser's tokens. Next returns the next
 // token, and an EOF token at the end of the input.
 type Lexer interface{ Next() Token }
 
 // Stream is a recursive-descent parser's view of its tokens: a
-// three-token window pulled from a Lexer on demand (Peek(2) is the
+// three-token window filled from a lexer on demand (Ahead(2) is the
 // deepest lookahead, and the parsers never backtrack, so no token slice
 // is built), the count of tokens consumed, and the diagnostics reported
-// so far. A parser embeds a Stream and adds only its grammar.
+// so far. A parser embeds a Stream next to its own lexer and adds its
+// grammar plus the five methods that pull tokens, each a line or two
+// over Shift, Lacks and Fill: Advance, Peek, Accept, Expect and
+// ExpectIdent. The parser calls its lexer itself, so the window holds
+// no reference to it and a parser stays on its caller's stack.
 type Stream struct {
-	lx    Lexer
 	la    [3]Token // lookahead window: la[0] is the current token
-	nla   int      // tokens held in la, 1 to 3
+	nla   int      // tokens held in la, 1 to 3 (0 only while a Fill is due)
 	n     int      // tokens consumed so far
 	file  string
 	Diags diag.List
 }
 
-// Start points s at the tokens of lx, which lexes a source of size
-// bytes named file in diagnostics, and reads the first token. A source
-// over MaxSource bytes is not lexed: s reports one error and starts at
-// EOF.
-func (s *Stream) Start(lx Lexer, file string, size int) {
-	*s = Stream{lx: lx, nla: 1, file: file}
+// Start readies s for a source of size bytes named file in
+// diagnostics. It reports whether the source may be lexed; the parser
+// then Fills the first token. A source over MaxSource bytes is not
+// lexed: s reports one error and starts at EOF.
+func (s *Stream) Start(file string, size int) bool {
+	*s = Stream{file: file}
 	if size > MaxSource {
 		pos := Pos{Line: 1, Col: 1}
 		s.Errorf(pos, SizeCode, "source is %d bytes, over the %d-byte limit", size, MaxSource)
-		s.la[0] = Token{Kind: EOF, Pos: pos}
-		return
+		s.Fill(Token{Kind: EOF, Pos: pos})
+		return false
 	}
-	s.la[0] = lx.Next()
+	return true
+}
+
+// Fill appends the lexer's next token to the window.
+func (s *Stream) Fill(t Token) {
+	s.la[s.nla] = t
+	s.nla++
 }
 
 // Cur returns the current token.
 func (s *Stream) Cur() Token { return s.la[0] }
 
-// Peek returns the token n places past the current one (n <= 2),
-// lexing it on demand; past the end it returns the EOF token.
-func (s *Stream) Peek(n int) Token {
+// Lacks reports whether the window needs a Fill before Ahead(n)
+// (n <= 2). Past the end it repeats the EOF token instead.
+func (s *Stream) Lacks(n int) bool {
 	for s.nla <= n {
-		if last := s.la[s.nla-1]; last.Kind == EOF {
-			s.la[s.nla] = last
-		} else {
-			s.la[s.nla] = s.lx.Next()
+		last := s.la[s.nla-1]
+		if last.Kind != EOF {
+			return true
 		}
-		s.nla++
+		s.Fill(last)
 	}
-	return s.la[n]
+	return false
 }
 
-// Advance consumes and returns the current token. EOF is never
-// consumed: once reached, it stays current.
-func (s *Stream) Advance() Token {
-	t := s.la[0]
+// Ahead returns the token n places past the current one, which Lacks
+// has made sure the window holds.
+func (s *Stream) Ahead(n int) Token { return s.la[n] }
+
+// Shift consumes and returns the current token. pull reports that the
+// window is empty and the parser must Fill it. EOF is never consumed:
+// once reached, it stays current.
+func (s *Stream) Shift() (t Token, pull bool) {
+	t = s.la[0]
 	if t.Kind == EOF {
-		return t
+		return t, false
 	}
 	s.n++
-	if s.nla > 1 {
-		copy(s.la[:], s.la[1:s.nla])
-		s.nla--
-	} else {
-		s.la[0] = s.lx.Next()
+	if s.nla == 1 {
+		s.nla = 0
+		return t, true
 	}
-	return t
+	copy(s.la[:], s.la[1:s.nla])
+	s.nla--
+	return t, false
 }
 
 // Consumed returns the number of tokens consumed so far. A parser loop
@@ -81,40 +94,24 @@ func (s *Stream) Is(k Kind, text string) bool {
 	return s.la[0].Kind == k && s.la[0].Text == text
 }
 
-// Accept consumes the current token if it is of kind k and spells text.
-func (s *Stream) Accept(k Kind, text string) bool {
-	if s.Is(k, text) {
-		s.Advance()
-		return true
-	}
-	return false
-}
-
-// Expect consumes the current token if it is of kind k and spells text,
-// and reports a syntax error otherwise.
-func (s *Stream) Expect(k Kind, text string) bool {
-	if s.Accept(k, text) {
-		return true
-	}
+// Missing reports the syntax error of an Expect whose current token
+// does not spell text, and returns false.
+func (s *Stream) Missing(text string) bool {
 	t := s.la[0]
 	s.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting %q", t.Text, text)
 	return false
 }
 
-// ExpectIdent consumes the current token if it is an identifier and
-// returns its text and position; otherwise it reports a syntax error
-// naming what was expected.
-func (s *Stream) ExpectIdent(what string) (string, Pos, bool) {
+// MissingIdent reports the syntax error of an ExpectIdent whose current
+// token is not an identifier, naming what was expected, and returns
+// ExpectIdent's failure.
+func (s *Stream) MissingIdent(what string) (string, Pos, bool) {
 	t := s.la[0]
-	if t.Kind == Ident {
-		s.Advance()
-		return t.Text, t.Pos, true
-	}
 	s.Errorf(t.Pos, "VRFC 10-1", "syntax error near %q; expecting %s", t.Text, what)
 	return "", t.Pos, false
 }
 
 // Errorf reports an error at pos in the stream's file.
 func (s *Stream) Errorf(pos Pos, code, format string, args ...any) {
-	s.Diags.Errorf(code, s.file, pos.Line, pos.Col, format, args...)
+	s.Diags.Errorf(code, s.file, int(pos.Line), int(pos.Col), format, args...)
 }

@@ -25,14 +25,62 @@ func (l *sliceLexer) Next() Token {
 	return Token{}
 }
 
-func newStream(t *testing.T, texts ...string) (*Stream, *sliceLexer) {
+// testParser pulls from a sliceLexer the way both front-ends' parsers
+// pull from their lexers.
+type testParser struct {
+	Stream
+	lx *sliceLexer
+}
+
+func (p *testParser) Advance() Token {
+	t, pull := p.Shift()
+	if pull {
+		p.Fill(p.lx.Next())
+	}
+	return t
+}
+
+func (p *testParser) Peek(n int) Token {
+	for p.Lacks(n) {
+		p.Fill(p.lx.Next())
+	}
+	return p.Ahead(n)
+}
+
+func (p *testParser) Accept(k Kind, text string) bool {
+	if !p.Is(k, text) {
+		return false
+	}
+	p.Advance()
+	return true
+}
+
+func (p *testParser) Expect(k Kind, text string) bool {
+	return p.Accept(k, text) || p.Missing(text)
+}
+
+func (p *testParser) ExpectIdent(what string) (string, Pos, bool) {
+	if t := p.Cur(); t.Kind == Ident {
+		p.Advance()
+		return t.Text, t.Pos, true
+	}
+	return p.MissingIdent(what)
+}
+
+func start(lx *sliceLexer, file string, size int) *testParser {
+	p := &testParser{lx: lx}
+	if p.Start(file, size) {
+		p.Fill(lx.Next())
+	}
+	return p
+}
+
+func newStream(t *testing.T, texts ...string) (*testParser, *sliceLexer) {
 	lx := &sliceLexer{t: t}
 	for i, text := range texts {
-		lx.toks = append(lx.toks, Token{Kind: Ident, Text: text, Pos: Pos{Line: 1, Col: i + 1}})
+		lx.toks = append(lx.toks, Token{Kind: Ident, Text: text, Pos: Pos{Line: 1, Col: int32(i + 1)}})
 	}
-	s := &Stream{}
-	s.Start(lx, "f.v", 0)
-	return s, lx
+	return start(lx, "f.v", 0), lx
 }
 
 func TestStreamNeverConsumesEOF(t *testing.T) {
@@ -111,8 +159,7 @@ func TestStreamConsumedOnlyOnAdvance(t *testing.T) {
 func TestStreamSizeLimit(t *testing.T) {
 	for _, size := range []int{MaxSource, MaxSource + 1} {
 		lx := &sliceLexer{t: t, toks: []Token{{Kind: Ident, Text: "a"}}}
-		s := &Stream{}
-		s.Start(lx, "big.v", size)
+		s := start(lx, "big.v", size)
 		if size <= MaxSource {
 			if len(s.Diags) != 0 {
 				t.Fatalf("size %d: diagnostics %v", size, s.Diags)

@@ -39,6 +39,23 @@
 // next one doubles up to 256, so a design of a few signals allocates a
 // few slots.
 //
+// A simulation's storage outlives the run. Each front-end keeps a
+// sync.Pool of workspaces, and its New is the only place one is made:
+// a workspace holds the Design that Simulate and SimulateStimulus
+// elaborate into (the signal and instance arenas, the binding slices,
+// and the unit and instance maps) and the Simulator that runs it (the
+// Runtime with its kernel queues and log buffer, and vsim's target
+// scratch). The Result copies the log, renders the VCD and captures
+// the final values before the workspace goes back reset: Arena.Reset
+// zeroes only the values the run took, Maps.Reset empties only the
+// maps it used, and Runtime.Reset truncates the kernel's queues and the
+// log and restores every counter, serial and limit to its NewKernel
+// value. A reset workspace therefore keeps no pointer into an AST, a
+// kernel closure or a Result, so a pooled one keeps no evicted parse
+// alive, and resetting costs what the last run used. A Design built by
+// Elaborate belongs to its caller and is never recycled; SimulateDesign
+// borrows only a workspace's Simulator for it.
+//
 // The suite judge runs on the same shell (stimulus.go). Instead of a
 // textual reference testbench, a front-end elaborates a judge shell —
 // the testbench's declarations, the DUT instantiation and, for

@@ -152,7 +152,29 @@ func (k *Kernel) SetFault(msg string) {
 
 // NewKernel returns a kernel with generous default limits.
 func NewKernel() *Kernel {
-	return &Kernel{
+	k := &Kernel{}
+	k.reset()
+	return k
+}
+
+// reset returns k to its NewKernel state for the next run while keeping
+// the backing arrays of its queues. Only the prefixes the last run
+// filled are cleared, so the cost follows that run, and a reset kernel
+// holds no closure, record or value of it: the time wheel, the active
+// and NBA regions and the delayed-record free list are truncated; time,
+// counters, serials, the fault and the limits go back to their initial
+// values; AfterDelta is cleared.
+func (k *Kernel) reset() {
+	clear(k.future)
+	clear(k.active)
+	clear(k.nba)
+	clear(k.recFree)
+	*k = Kernel{
+		future:    k.future[:0],
+		active:    k.active[:0],
+		nba:       k.nba[:0],
+		nbaSpare:  k.nbaSpare[:0],
+		recFree:   k.recFree[:0],
 		MaxTime:   1_000_000,
 		MaxDeltas: 10_000,
 		MaxEvents: 50_000_000,

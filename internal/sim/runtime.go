@@ -69,7 +69,9 @@ const stepBudget = 20_000_000
 // Runtime is the run shell a front-end Simulator embeds: the kernel,
 // the testbench file name, the capped log, the statement budget and
 // the fault handling. Exactly one activity executes at a time, so it
-// needs no locks.
+// needs no locks. A Runtime serves one run after another: Start
+// configures a run, and Reset clears it while keeping the kernel's
+// queues and the log buffer for the next one.
 type Runtime struct {
 	Kernel *Kernel
 	File   string
@@ -77,6 +79,7 @@ type Runtime struct {
 	log         []byte
 	logCap      int
 	steps       uint64 // interpreter statement budget spent
+	defaultFile string
 	budgetFault string
 }
 
@@ -85,17 +88,34 @@ type Runtime struct {
 // budgetFault is the fault text Tick raises once the statement budget
 // is spent.
 func NewRuntime(opts Options, defaultFile, budgetFault string) Runtime {
-	k := NewKernel()
+	r := Runtime{Kernel: NewKernel(), defaultFile: defaultFile, budgetFault: budgetFault}
+	r.Start(opts)
+	return r
+}
+
+// Start configures a fresh or reset runtime for one run under opts.
+func (r *Runtime) Start(opts Options) {
 	if opts.MaxTime != 0 {
-		k.MaxTime = opts.MaxTime
+		r.Kernel.MaxTime = opts.MaxTime
 	}
-	if opts.File == "" {
-		opts.File = defaultFile
+	r.File = opts.File
+	if r.File == "" {
+		r.File = r.defaultFile
 	}
-	if opts.MaxOutput == 0 {
-		opts.MaxOutput = 1 << 20
+	r.logCap = opts.MaxOutput
+	if r.logCap == 0 {
+		r.logCap = 1 << 20
 	}
-	return Runtime{Kernel: k, File: opts.File, logCap: opts.MaxOutput, budgetFault: budgetFault}
+}
+
+// Reset returns the runtime to the state NewRuntime left it in, before
+// Start: the kernel is reset, the log buffer truncated and the
+// statement budget refilled.
+func (r *Runtime) Reset() {
+	r.Kernel.reset()
+	r.log = r.log[:0]
+	r.steps = 0
+	r.File, r.logCap = "", 0
 }
 
 // Logf appends formatted text to the log; writes past the cap are
@@ -170,11 +190,17 @@ func (r *Runtime) Execute() Outcome {
 // arenaFirst values and each next one twice as many, up to arenaChunk:
 // a design of a handful of signals allocates a handful of slots, and a
 // large one still takes values/arenaChunk allocations. Chunks are never
-// grown past their capacity, so handed-out pointers stay stable;
-// retiring a full chunk just drops the arena's reference (the values
-// keep it alive).
+// grown past their capacity, so handed-out pointers stay stable.
+//
+// The arena keeps every chunk it has made. Reset zeroes the values
+// handed out since the last Reset, and only those, and the next Allocs
+// hand the same storage out again, so an arena recycled across runs
+// allocates only when a run needs more values than any before it.
 type Arena[T any] struct {
-	chunk []T
+	first []T   // the first chunk
+	more  [][]T // the chunks after it
+	cur   int   // chunk being handed out: 0 is first, i is more[i-1]
+	used  int   // values handed out of chunk cur
 }
 
 const (
@@ -182,13 +208,104 @@ const (
 	arenaChunk = 256
 )
 
+func (a *Arena[T]) chunk(i int) []T {
+	if i == 0 {
+		return a.first
+	}
+	return a.more[i-1]
+}
+
 // Alloc returns a pointer to a fresh zero T.
 func (a *Arena[T]) Alloc() *T {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]T, 0, min(max(2*cap(a.chunk), arenaFirst), arenaChunk))
+	if a.first == nil {
+		a.first = make([]T, arenaFirst)
 	}
-	a.chunk = a.chunk[:len(a.chunk)+1]
-	return &a.chunk[len(a.chunk)-1]
+	c := a.chunk(a.cur)
+	if a.used == len(c) {
+		a.cur++
+		a.used = 0
+		if a.cur > len(a.more) {
+			a.more = append(a.more, make([]T, min(2*len(c), arenaChunk)))
+		}
+		c = a.more[a.cur-1]
+	}
+	a.used++
+	return &c[a.used-1]
+}
+
+// Each calls fn on every value handed out since the last Reset, in the
+// order Alloc handed them out.
+func (a *Arena[T]) Each(fn func(*T)) {
+	for i := 0; i <= a.cur; i++ {
+		c := a.chunk(i)
+		if i == a.cur {
+			c = c[:a.used]
+		}
+		for j := range c {
+			fn(&c[j])
+		}
+	}
+}
+
+// Reset zeroes every value handed out since the last Reset and rewinds
+// the arena to its first chunk. Values still referenced from outside
+// the arena are zeroed under their holders, so a caller resets an arena
+// only once nothing it handed out is in use.
+func (a *Arena[T]) Reset() {
+	for i := 0; i < a.cur; i++ {
+		clear(a.chunk(i))
+	}
+	clear(a.chunk(a.cur)[:a.used])
+	a.cur, a.used = 0, 0
+}
+
+// Maps hands out maps that are recycled across runs the way an Arena
+// recycles values: the n-th Get after a Reset returns the map the n-th
+// Get before it returned, emptied. Go's clear costs what a map has
+// held at its largest, not what it holds, so Reset drops a map that
+// holds under a quarter of its peak instead of clearing it; emptying
+// the maps then costs at most a constant times what the last run put
+// in them.
+type Maps[K comparable, V any] struct {
+	slots []mapSlot[K, V]
+	used  int
+}
+
+type mapSlot[K comparable, V any] struct {
+	m    map[K]V
+	peak int // most entries m has held at a Reset
+}
+
+// Get returns an empty map, with room for hint entries when it has to
+// make one.
+func (p *Maps[K, V]) Get(hint int) map[K]V {
+	if p.slots == nil {
+		p.slots = make([]mapSlot[K, V], 0, arenaFirst)
+	}
+	if p.used == len(p.slots) {
+		p.slots = append(p.slots, mapSlot[K, V]{})
+	}
+	sl := &p.slots[p.used]
+	p.used++
+	if sl.m == nil {
+		sl.m = make(map[K]V, hint)
+	}
+	return sl.m
+}
+
+// Reset empties every map handed out since the last Reset.
+func (p *Maps[K, V]) Reset() {
+	for i := range p.slots[:p.used] {
+		sl := &p.slots[i]
+		n := len(sl.m)
+		sl.peak = max(sl.peak, n)
+		if 4*n < sl.peak {
+			*sl = mapSlot[K, V]{}
+			continue
+		}
+		clear(sl.m)
+	}
+	p.used = 0
 }
 
 // DeclIndexToBit maps a declared index (e.g. 5 in x[5]) of a signal

@@ -63,21 +63,25 @@ func NewStimulus(inputs, outputs []string, seq bool, vectors int, in, out []uint
 }
 
 // Signals resolves the stimulus's input and output signals, in drive
-// and check order, through a front-end's lookup.
-func Signals[S any](st *Stimulus, lookup func(name string) (S, error)) (in, out []S, err error) {
-	resolve := func(names []string) ([]S, error) {
-		sigs := make([]S, len(names))
-		for i, n := range names {
-			if sigs[i], err = lookup(n); err != nil {
+// and check order, through a front-end's lookup, into in and out
+// reused from their start.
+func Signals[S any](st *Stimulus, in, out []S, lookup func(name string) (S, error)) ([]S, []S, error) {
+	resolve := func(sigs []S, names []string) ([]S, error) {
+		sigs = sigs[:0]
+		for _, n := range names {
+			sig, err := lookup(n)
+			if err != nil {
 				return nil, err
 			}
+			sigs = append(sigs, sig)
 		}
 		return sigs, nil
 	}
-	if in, err = resolve(st.Inputs); err != nil {
+	var err error
+	if in, err = resolve(in, st.Inputs); err != nil {
 		return nil, nil, err
 	}
-	if out, err = resolve(st.Outputs); err != nil {
+	if out, err = resolve(out, st.Outputs); err != nil {
 		return nil, nil, err
 	}
 	return in, out, nil
@@ -126,6 +130,7 @@ type stimulusRun struct {
 	st       *Stimulus
 	sh       Shell
 	p        *Process
+	resume   func() // p.Activate, bound once: the clock waits of every vector share it
 	vec      int
 	phase    uint8
 	failures int
@@ -138,6 +143,7 @@ type stimulusRun struct {
 func (r *Runtime) StartStimulus(st *Stimulus, sh Shell) {
 	h := &stimulusRun{rt: r, st: st, sh: sh}
 	h.p = r.Kernel.NewProcess("stimulus", h.step)
+	h.resume = h.p.Activate
 }
 
 // step is the harness continuation the kernel dispatches.
@@ -174,7 +180,7 @@ func (h *stimulusRun) drive() {
 	}
 	if h.st.Seq {
 		h.phase = phaseClock
-		h.sh.AwaitClock(h.p.Activate)
+		h.sh.AwaitClock(h.resume)
 		return
 	}
 	h.settle()

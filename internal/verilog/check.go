@@ -28,7 +28,7 @@ func Check(file string, sf *SourceFile, extern map[string]*Module) diag.List {
 	}
 	for _, m := range sf.Modules {
 		if prev, dup := mods[m.Name]; dup && prev != m {
-			diags.Errorf("VRFC 10-5", file, m.Pos.Line, m.Pos.Col,
+			diags.Errorf("VRFC 10-5", file, int(m.Pos.Line), int(m.Pos.Col),
 				"module %q is already defined", m.Name)
 		}
 		mods[m.Name] = m
@@ -49,7 +49,7 @@ func checkModule(file string, m *Module, mods map[string]*Module, diags *diag.Li
 				prev.kind = s.kind
 				return
 			}
-			diags.Errorf("VRFC 10-5", file, s.pos.Line, s.pos.Col,
+			diags.Errorf("VRFC 10-5", file, int(s.pos.Line), int(s.pos.Col),
 				"%q is already declared in module %q", name, m.Name)
 			return
 		}
@@ -99,7 +99,7 @@ func checkModule(file string, m *Module, mods map[string]*Module, diags *diag.Li
 			if d.Sens == nil {
 				// Legal only when the body advances time (always #5 ...).
 				if !stmtHasDelay(d.Body) {
-					diags.Errorf("VRFC 10-6", file, d.Pos.Line, d.Pos.Col,
+					diags.Errorf("VRFC 10-6", file, int(d.Pos.Line), int(d.Pos.Col),
 						"'always' block without a sensitivity list or delay would loop forever")
 				}
 			} else {
@@ -119,7 +119,7 @@ func checkModule(file string, m *Module, mods map[string]*Module, diags *diag.Li
 func checkInstance(file, modName string, inst *Instance, syms map[string]*symbol, mods map[string]*Module, diags *diag.List) {
 	target, known := mods[inst.ModuleName]
 	if !known {
-		diags.Errorf("VRFC 10-7", file, inst.Pos.Line, inst.Pos.Col,
+		diags.Errorf("VRFC 10-7", file, int(inst.Pos.Line), int(inst.Pos.Col),
 			"module %q referenced by instance %q is not defined", inst.ModuleName, inst.InstName)
 	}
 	for _, c := range inst.Conns {
@@ -135,13 +135,13 @@ func checkInstance(file, modName string, inst *Instance, syms map[string]*symbol
 				}
 			}
 			if !found {
-				diags.Errorf("VRFC 10-8", file, c.Pos.Line, c.Pos.Col,
+				diags.Errorf("VRFC 10-8", file, int(c.Pos.Line), int(c.Pos.Col),
 					"port %q does not exist on module %q", c.Name, inst.ModuleName)
 			}
 		}
 	}
 	if known && len(inst.Conns) > 0 && inst.Conns[0].Name == "" && len(inst.Conns) > len(target.Ports) {
-		diags.Errorf("VRFC 10-8", file, inst.Pos.Line, inst.Pos.Col,
+		diags.Errorf("VRFC 10-8", file, int(inst.Pos.Line), int(inst.Pos.Col),
 			"instance %q supplies %d connections but module %q has %d ports",
 			inst.InstName, len(inst.Conns), inst.ModuleName, len(target.Ports))
 	}
@@ -245,21 +245,21 @@ func checkAssignTarget(file, modName string, lhs Expr, syms map[string]*symbol, 
 			return // undeclared already reported by checkExprUses
 		}
 		if sym.isParam {
-			diags.Errorf("VRFC 10-9", file, e.Pos.Line, e.Pos.Col,
+			diags.Errorf("VRFC 10-9", file, int(e.Pos.Line), int(e.Pos.Col),
 				"cannot assign to parameter %q", e.Name)
 			return
 		}
 		if sym.isPort && sym.dir == DirInput {
-			diags.Errorf("VRFC 10-10", file, e.Pos.Line, e.Pos.Col,
+			diags.Errorf("VRFC 10-10", file, int(e.Pos.Line), int(e.Pos.Col),
 				"cannot assign to input port %q", e.Name)
 			return
 		}
 		if procedural && sym.kind == KindWire {
-			diags.Errorf("VRFC 10-11", file, e.Pos.Line, e.Pos.Col,
+			diags.Errorf("VRFC 10-11", file, int(e.Pos.Line), int(e.Pos.Col),
 				"procedural assignment to a non-register %q is not permitted; declare it as 'reg'", e.Name)
 		}
 		if !procedural && sym.kind == KindReg {
-			diags.Errorf("VRFC 10-12", file, e.Pos.Line, e.Pos.Col,
+			diags.Errorf("VRFC 10-12", file, int(e.Pos.Line), int(e.Pos.Col),
 				"continuous assignment to register %q is not permitted; declare it as 'wire'", e.Name)
 		}
 	case *Index:
@@ -281,7 +281,7 @@ func checkExprUses(file, modName string, e Expr, syms map[string]*symbol, diags 
 			return
 		}
 		if _, ok := syms[x.Name]; !ok {
-			diags.Errorf("VRFC 10-91", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-91", file, int(x.Pos.Line), int(x.Pos.Col),
 				"%s is not declared", fmt.Sprintf("%q", x.Name))
 		}
 	case *Unary:

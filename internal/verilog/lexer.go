@@ -16,9 +16,6 @@ type Lexer struct {
 	lex.Cursor
 }
 
-// Tokens lexes the entire input, always ending with a lex.EOF token.
-func Tokens(src string) []lex.Token { return lex.All(&Lexer{Cursor: lex.NewCursor(src)}, len(src)) }
-
 // skipSpaceAndComments consumes whitespace, // and /* */ comments, and
 // compiler directives (`timescale etc., treated as line comments).
 func (lx *Lexer) skipSpaceAndComments() {

@@ -10,6 +10,9 @@ import (
 	"repro/internal/lex"
 )
 
+// tokens lexes all of src, ending with lex.EOF.
+func tokens(src string) []lex.Token { return lex.All(&Lexer{Cursor: lex.NewCursor(src)}, len(src)) }
+
 // largestTB returns the largest full-coverage testbench in the suite,
 // rendered from each problem's stimulus rows: the worst case the
 // front-end sees for a self-generated testbench.
@@ -81,7 +84,7 @@ func FuzzLexVerilog(f *testing.F) {
 	}
 	f.Add("módulo \xff \\esc\xc3 16 'd12 \"a\\\"b\" $ `x\n/* open")
 	f.Fuzz(func(t *testing.T, src string) {
-		toks := Tokens(src)
+		toks := tokens(src)
 		if len(toks) > len(src)+1 {
 			t.Fatalf("%d tokens from %d bytes", len(toks), len(src))
 		}

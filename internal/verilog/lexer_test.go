@@ -17,7 +17,7 @@ func kinds(toks []lex.Token) []lex.Kind {
 }
 
 func TestLexBasics(t *testing.T) {
-	toks := Tokens("module foo; endmodule")
+	toks := tokens("module foo; endmodule")
 	want := []lex.Kind{lex.Keyword, lex.Ident, TokOp, lex.Keyword, lex.EOF}
 	got := kinds(toks)
 	if len(got) != len(want) {
@@ -41,7 +41,7 @@ func TestLexNumbers(t *testing.T) {
 		"2'b1?":      "2'b1?",
 	}
 	for src, want := range cases {
-		toks := Tokens(src)
+		toks := tokens(src)
 		if toks[0].Kind != TokNumber || toks[0].Text != want {
 			t.Errorf("lex %q: got %v %q", src, toks[0].Kind, toks[0].Text)
 		}
@@ -49,7 +49,7 @@ func TestLexNumbers(t *testing.T) {
 }
 
 func TestLexComments(t *testing.T) {
-	toks := Tokens("a // line\n /* block\nmore */ b `timescale 1ns/1ps\nc")
+	toks := tokens("a // line\n /* block\nmore */ b `timescale 1ns/1ps\nc")
 	var idents []string
 	for _, tk := range toks {
 		if tk.Kind == lex.Ident {
@@ -62,7 +62,7 @@ func TestLexComments(t *testing.T) {
 }
 
 func TestLexString(t *testing.T) {
-	toks := Tokens(`$display("hi\n%d", x);`)
+	toks := tokens(`$display("hi\n%d", x);`)
 	if toks[0].Kind != TokSysName || toks[0].Text != "$display" {
 		t.Fatalf("sysname: %v", toks[0])
 	}
@@ -72,7 +72,7 @@ func TestLexString(t *testing.T) {
 }
 
 func TestLexOperators(t *testing.T) {
-	toks := Tokens("a <= b == c <<< 2 !== d")
+	toks := tokens("a <= b == c <<< 2 !== d")
 	var ops []string
 	for _, tk := range toks {
 		if tk.Kind == TokOp {
@@ -91,7 +91,7 @@ func TestLexOperators(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks := Tokens("a\n  b")
+	toks := tokens("a\n  b")
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("a at %v", toks[0].Pos)
 	}
@@ -101,7 +101,7 @@ func TestLexPositions(t *testing.T) {
 }
 
 func TestLexUnterminatedString(t *testing.T) {
-	toks := Tokens("\"abc\nd")
+	toks := tokens("\"abc\nd")
 	if toks[0].Kind != TokError {
 		t.Errorf("want TokError, got %v", toks[0])
 	}
@@ -111,7 +111,7 @@ func TestLexAlwaysTerminates(t *testing.T) {
 	// Property: lexing arbitrary input terminates with EOF and never
 	// produces an empty non-EOF token stream element.
 	f := func(s string) bool {
-		toks := Tokens(s)
+		toks := tokens(s)
 		if len(toks) == 0 {
 			return false
 		}

@@ -33,7 +33,7 @@ func Check(file string, df *DesignFile, extern map[string]*Entity) diag.List {
 	}
 	for _, e := range df.Entities {
 		if _, dup := ents[e.Name]; dup {
-			diags.Errorf("VRFC 10-30", file, e.Pos.Line, e.Pos.Col,
+			diags.Errorf("VRFC 10-30", file, int(e.Pos.Line), int(e.Pos.Col),
 				"entity %q is already defined", e.Name)
 		}
 		ents[e.Name] = e
@@ -41,7 +41,7 @@ func Check(file string, df *DesignFile, extern map[string]*Entity) diag.List {
 	for _, a := range df.Archs {
 		ent, ok := ents[a.EntityName]
 		if !ok {
-			diags.Errorf("VRFC 10-31", file, a.Pos.Line, a.Pos.Col,
+			diags.Errorf("VRFC 10-31", file, int(a.Pos.Line), int(a.Pos.Col),
 				"architecture %q refers to undefined entity %q", a.Name, a.EntityName)
 			continue
 		}
@@ -63,7 +63,7 @@ func checkArch(file string, a *Architecture, ent *Entity, ents map[string]*Entit
 		case *SignalDecl:
 			for _, nm := range x.Names {
 				if _, dup := syms[nm]; dup {
-					diags.Errorf("VRFC 10-32", file, x.Pos.Line, x.Pos.Col,
+					diags.Errorf("VRFC 10-32", file, int(x.Pos.Line), int(x.Pos.Col),
 						"%q is already declared", nm)
 					continue
 				}
@@ -106,13 +106,13 @@ func checkArch(file string, a *Architecture, ent *Entity, ents map[string]*Entit
 			}
 			checkStmts(file, x.Body, local, diags)
 			if len(x.Sens) == 0 && !bodyHasWait(x.Body) {
-				diags.Errorf("VRFC 10-33", file, x.Pos.Line, x.Pos.Col,
+				diags.Errorf("VRFC 10-33", file, int(x.Pos.Line), int(x.Pos.Col),
 					"process has neither a sensitivity list nor a wait statement")
 			}
 		case *InstanceStmt:
 			target, known := ents[x.EntityName]
 			if !known {
-				diags.Errorf("VRFC 10-34", file, x.Pos.Line, x.Pos.Col,
+				diags.Errorf("VRFC 10-34", file, int(x.Pos.Line), int(x.Pos.Col),
 					"entity %q referenced by instance %q is not defined", x.EntityName, x.Label)
 			}
 			for _, as := range x.Ports {
@@ -128,7 +128,7 @@ func checkArch(file string, a *Architecture, ent *Entity, ents map[string]*Entit
 						}
 					}
 					if !found {
-						diags.Errorf("VRFC 10-35", file, as.Pos.Line, as.Pos.Col,
+						diags.Errorf("VRFC 10-35", file, int(as.Pos.Line), int(as.Pos.Col),
 							"port %q does not exist on entity %q", as.Formal, x.EntityName)
 					}
 				}
@@ -230,30 +230,30 @@ func checkTarget(file string, target Expr, syms map[string]*vsym, diags *diag.Li
 		}
 		sym, ok := syms[x.Ident]
 		if !ok {
-			diags.Errorf("VRFC 10-91", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-91", file, int(x.Pos.Line), int(x.Pos.Col),
 				"%q is not declared", x.Ident)
 			return
 		}
 		if sym.isPort && sym.dir == DirIn {
-			diags.Errorf("VRFC 10-36", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-36", file, int(x.Pos.Line), int(x.Pos.Col),
 				"cannot assign to input port %q", x.Ident)
 		}
 		if sym.isConst {
-			diags.Errorf("VRFC 10-37", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-37", file, int(x.Pos.Line), int(x.Pos.Col),
 				"cannot assign to constant %q", x.Ident)
 		}
 		if isVar && !sym.isVar {
-			diags.Errorf("VRFC 10-38", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-38", file, int(x.Pos.Line), int(x.Pos.Col),
 				"':=' requires a variable; %q is a signal (use '<=')", x.Ident)
 		}
 		if !isVar && sym.isVar {
-			diags.Errorf("VRFC 10-39", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-39", file, int(x.Pos.Line), int(x.Pos.Col),
 				"'<=' requires a signal; %q is a variable (use ':=')", x.Ident)
 		}
 	case *CallOrIndex:
 		sym, ok := syms[x.Name]
 		if !ok {
-			diags.Errorf("VRFC 10-91", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-91", file, int(x.Pos.Line), int(x.Pos.Col),
 				"%q is not declared", x.Name)
 			return
 		}
@@ -275,7 +275,7 @@ func checkExpr(file string, e Expr, syms map[string]*vsym, diags *diag.List) {
 			return
 		}
 		if _, ok := syms[x.Ident]; !ok {
-			diags.Errorf("VRFC 10-91", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-91", file, int(x.Pos.Line), int(x.Pos.Col),
 				"%q is not declared", x.Ident)
 		}
 	case *UnaryExpr:
@@ -285,7 +285,7 @@ func checkExpr(file string, e Expr, syms map[string]*vsym, diags *diag.List) {
 		checkExpr(file, x.R, syms, diags)
 	case *CallOrIndex:
 		if _, isSig := syms[x.Name]; !isSig && !builtinFuncs[x.Name] {
-			diags.Errorf("VRFC 10-91", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-91", file, int(x.Pos.Line), int(x.Pos.Col),
 				"%q is not declared", x.Name)
 		}
 		for _, a := range x.Args {
@@ -297,7 +297,7 @@ func checkExpr(file string, e Expr, syms map[string]*vsym, diags *diag.List) {
 		}
 	case *AttrExpr:
 		if _, ok := syms[x.Base]; !ok {
-			diags.Errorf("VRFC 10-91", file, x.Pos.Line, x.Pos.Col,
+			diags.Errorf("VRFC 10-91", file, int(x.Pos.Line), int(x.Pos.Col),
 				"%q is not declared", x.Base)
 		}
 	case *AggregateExpr:

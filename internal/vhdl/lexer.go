@@ -29,9 +29,6 @@ const (
 	maxTextChunk   = 1024
 )
 
-// Tokens lexes all of src, ending with lex.EOF.
-func Tokens(src string) []lex.Token { return lex.All(&Lexer{Cursor: lex.NewCursor(src)}, len(src)) }
-
 // skipSpaceAndComments consumes whitespace and -- comments.
 func (lx *Lexer) skipSpaceAndComments() {
 	for {

@@ -21,7 +21,7 @@ const tokenDigestFile = "testdata/tokens.digest"
 // column counted in bytes instead of runes — changes the digest.
 func tokenDigest(src string) string {
 	h := sha256.New()
-	for _, t := range Tokens(src) {
+	for _, t := range tokens(src) {
 		fmt.Fprintf(h, "%d %q %d:%d\n", t.Kind, t.Text, t.Pos.Line, t.Pos.Col)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -98,11 +98,11 @@ func TestLexTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		var parts []string
-		for _, tk := range Tokens(c.src) {
+		for _, tk := range tokens(c.src) {
 			parts = append(parts, fmt.Sprintf("%d %q %d:%d", tk.Kind, tk.Text, tk.Pos.Line, tk.Pos.Col))
 		}
 		if got := strings.Join(parts, "|"); got != c.want {
-			t.Errorf("Tokens(%q):\n got  %s\n want %s", c.src, got, c.want)
+			t.Errorf("tokens(%q):\n got  %s\n want %s", c.src, got, c.want)
 		}
 	}
 }

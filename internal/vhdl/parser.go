@@ -20,7 +20,9 @@ type Parser struct {
 // Parse parses src and returns the design file plus diagnostics.
 func Parse(file, src string) (*DesignFile, diag.List) {
 	p := &Parser{lx: Lexer{Cursor: lex.NewCursor(src)}}
-	p.Start(&p.lx, file, len(src))
+	if p.Start(file, len(src)) {
+		p.Fill(p.lx.Next())
+	}
 	df := &DesignFile{}
 	for !p.At(lex.EOF) {
 		switch {
@@ -41,6 +43,50 @@ func Parse(file, src string) (*DesignFile, diag.List) {
 	}
 	p.Diags.AttachSnippets(src)
 	return df, p.Diags
+}
+
+// Advance consumes and returns the current token (see lex.Stream.Shift).
+func (p *Parser) Advance() lex.Token {
+	t, pull := p.Shift()
+	if pull {
+		p.Fill(p.lx.Next())
+	}
+	return t
+}
+
+// Peek returns the token n places past the current one (n <= 2),
+// lexing it on demand; past the end it returns the EOF token.
+func (p *Parser) Peek(n int) lex.Token {
+	for p.Lacks(n) {
+		p.Fill(p.lx.Next())
+	}
+	return p.Ahead(n)
+}
+
+// Accept consumes the current token if it is of kind k and spells text.
+func (p *Parser) Accept(k lex.Kind, text string) bool {
+	if !p.Is(k, text) {
+		return false
+	}
+	p.Advance()
+	return true
+}
+
+// Expect consumes the current token if it is of kind k and spells text,
+// and reports a syntax error otherwise.
+func (p *Parser) Expect(k lex.Kind, text string) bool {
+	return p.Accept(k, text) || p.Missing(text)
+}
+
+// ExpectIdent consumes the current token if it is an identifier and
+// returns its text and position; otherwise it reports a syntax error
+// naming what was expected.
+func (p *Parser) ExpectIdent(what string) (string, lex.Pos, bool) {
+	if t := p.Cur(); t.Kind == lex.Ident {
+		p.Advance()
+		return t.Text, t.Pos, true
+	}
+	return p.MissingIdent(what)
 }
 
 // syncPast skips tokens up to and including the given operator.

@@ -452,7 +452,7 @@ end architecture;`
 }
 
 func TestLexVHDLCaseInsensitive(t *testing.T) {
-	toks := Tokens("ENTITY Foo IS End")
+	toks := tokens("ENTITY Foo IS End")
 	if toks[0].Kind != lex.Keyword || toks[0].Text != "entity" {
 		t.Errorf("tok0 = %+v", toks[0])
 	}
@@ -462,7 +462,7 @@ func TestLexVHDLCaseInsensitive(t *testing.T) {
 }
 
 func TestLexVHDLLiterals(t *testing.T) {
-	toks := Tokens(`'1' "1010" x"AF" "hello" 42 5 ns`)
+	toks := tokens(`'1' "1010" x"AF" "hello" 42 5 ns`)
 	wantKinds := []lex.Kind{TokChar, TokBitStr, TokBitStr, TokString, TokInt, TokInt, lex.Keyword}
 	for i, k := range wantKinds {
 		if toks[i].Kind != k {
@@ -472,7 +472,7 @@ func TestLexVHDLLiterals(t *testing.T) {
 }
 
 func TestLexVHDLComment(t *testing.T) {
-	toks := Tokens("a -- comment\nb")
+	toks := tokens("a -- comment\nb")
 	if toks[0].Text != "a" || toks[1].Text != "b" {
 		t.Errorf("toks = %v", toks)
 	}
@@ -480,7 +480,7 @@ func TestLexVHDLComment(t *testing.T) {
 
 func TestLexVHDLAttributeTickVsCharLiteral(t *testing.T) {
 	// clk'event must lex as ident, tick-op, keyword — not a char literal.
-	toks := Tokens("clk'event q <= '1';")
+	toks := tokens("clk'event q <= '1';")
 	if toks[0].Kind != lex.Ident || toks[1].Kind != TokOp || toks[1].Text != "'" {
 		t.Fatalf("attribute tick mislexed: %v %v", toks[0], toks[1])
 	}
@@ -500,7 +500,7 @@ func TestLexVHDLAttributeTickVsCharLiteral(t *testing.T) {
 }
 
 func TestLexVHDLUnterminatedString(t *testing.T) {
-	toks := Tokens("report \"oops\nwait;")
+	toks := tokens("report \"oops\nwait;")
 	if toks[1].Kind != TokError {
 		t.Errorf("unterminated string should error: %v", toks[1])
 	}

@@ -65,8 +65,10 @@ type Design struct {
 	concAssigns []boundConc
 	portBinds   []portBind
 
-	arena     sim.Arena[Signal] // chunked Signal storage
-	instances int               // elaborated so far, bounded by sim.MaxInstances
+	arena     sim.Arena[Signal]   // chunked Signal storage
+	insts     sim.Arena[Instance] // chunked Instance storage
+	sigMaps   sim.Maps[string, *Signal]
+	instances int // elaborated so far, bounded by sim.MaxInstances
 }
 
 type boundProcess struct {
@@ -88,11 +90,23 @@ type portBind struct {
 	actual      vhdl.Expr
 }
 
-// Elaborate builds the design rooted at the entity named top.
+// Elaborate builds the design rooted at the entity named top. The
+// Design belongs to the caller and is never recycled, so it stays
+// readable after SimulateDesign has run it.
 func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
-	d := &Design{
-		entities: map[string]*vhdl.Entity{},
-		archs:    map[string]*vhdl.Architecture{},
+	d := &Design{}
+	if err := d.elaborate(units, top); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// elaborate builds the design rooted at the entity named top into a
+// new or reset d.
+func (d *Design) elaborate(units []*vhdl.DesignFile, top string) error {
+	if d.entities == nil {
+		d.entities = map[string]*vhdl.Entity{}
+		d.archs = map[string]*vhdl.Architecture{}
 	}
 	for _, u := range units {
 		for _, e := range u.Entities {
@@ -104,14 +118,39 @@ func Elaborate(units []*vhdl.DesignFile, top string) (*Design, error) {
 	}
 	ent, ok := d.entities[top]
 	if !ok {
-		return nil, fmt.Errorf("top entity %q not found", top)
+		return fmt.Errorf("top entity %q not found", top)
 	}
 	inst, err := d.elabInstance(nil, ent, top, nil, ent.Pos)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.Top = inst
-	return d, nil
+	return nil
+}
+
+// reset empties d for the next elaboration into it, keeping its
+// storage: the arenas and binding slices are cleared up to what the
+// last elaboration filled, and the unit and instance maps emptied, so
+// d keeps no pointer into the units it was built from.
+func (d *Design) reset() {
+	clear(d.entities)
+	clear(d.archs)
+	clear(d.processes)
+	clear(d.concAssigns)
+	clear(d.portBinds)
+	d.arena.Reset()
+	d.insts.Reset()
+	d.sigMaps.Reset()
+	*d = Design{
+		entities:    d.entities,
+		archs:       d.archs,
+		processes:   d.processes[:0],
+		concAssigns: d.concAssigns[:0],
+		portBinds:   d.portBinds[:0],
+		arena:       d.arena,
+		insts:       d.insts,
+		sigMaps:     d.sigMaps,
+	}
 }
 
 // newSignal resolves one signal declaration of inst against its
@@ -150,10 +189,8 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 	if !ok {
 		return nil, sim.ElabErrf(pos, "entity %q has no architecture", ent.Name)
 	}
-	inst := &Instance{
-		Path: path, Entity: ent, Arch: arch,
-		Parent: parent,
-	}
+	inst := d.insts.Alloc()
+	inst.Path, inst.Entity, inst.Arch, inst.Parent = path, ent, arch, parent
 	// The generics map is built lazily — most entities have no
 	// generics, and nil lookups behave like an empty valuation.
 	for _, g := range ent.Generics {
@@ -174,7 +211,7 @@ func (d *Design) elabInstance(parent *Instance, ent *vhdl.Entity, path string, g
 		inst.Generics[g.Name] = v
 	}
 
-	inst.Signals = make(map[string]*Signal, len(ent.Ports))
+	inst.Signals = d.sigMaps.Get(len(ent.Ports))
 	for _, p := range ent.Ports {
 		if err := d.newSignal(inst, p.Name, p.Type, nil); err != nil {
 			return nil, err

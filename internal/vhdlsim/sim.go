@@ -31,29 +31,31 @@ type Simulator struct {
 	updPart func(*sim.NBARecord)
 }
 
-// Simulate elaborates the entity named top from the units and runs it.
+// Simulate elaborates the entity named top from the units and runs it,
+// on a recycled workspace (see workspace).
 func Simulate(units []*vhdl.DesignFile, top string, opts Options) (*Result, error) {
-	d, err := Elaborate(units, top)
-	if err != nil {
-		return nil, err
-	}
-	return SimulateDesign(d, opts), nil
+	w := workspaces.Get().(*workspace)
+	res, err := w.simulate(units, top, opts)
+	w.release()
+	return res, err
 }
 
 // SimulateDesign runs an already-elaborated design to completion. The
 // run mutates the design's signals, so a Design is simulated at most
-// once: its callers are Simulate and the perfbench replay, each of
-// which elaborates a fresh Design per run.
+// once. The design stays the caller's: only the Simulator is recycled,
+// so the design can be read after the run.
 func SimulateDesign(d *Design, opts Options) *Result {
-	return simulateDesign(d, opts, nil)
+	w := workspaces.Get().(*workspace)
+	res := w.s.run(d, opts, nil)
+	w.release()
+	return res
 }
 
-// simulateDesign is SimulateDesign with an optional stimulus shell,
-// whose harness process is bound after the design's own processes.
-func simulateDesign(d *Design, opts Options, sh *stimShell) *Result {
-	s := &Simulator{Runtime: sim.NewRuntime(opts, "tb.vhd", "statement budget exceeded (possible infinite loop)")}
-	s.updFull = s.applyFullUpdate
-	s.updPart = s.applyPartUpdate
+// run runs d to completion on the reset s, with an optional stimulus
+// shell whose harness process is bound after the design's own
+// processes. The Result copies everything it reports out of s and d.
+func (s *Simulator) run(d *Design, opts Options, sh *stimShell) *Result {
+	s.Start(opts)
 
 	// Bind runtime machinery in elaboration order, which fixes the
 	// order of the time-zero activations.

@@ -17,8 +17,17 @@ import (
 // delta-delayed <= semantics and its outputs compared as /= would; the
 // run ends with done <= '1', which stops the shell's clock.
 func SimulateStimulus(units []*vhdl.DesignFile, top string, stim *sim.Stimulus, opts Options) (*Result, error) {
-	d, err := Elaborate(units, top)
-	if err != nil {
+	w := workspaces.Get().(*workspace)
+	res, err := w.simulateStimulus(units, top, stim, opts)
+	w.release()
+	return res, err
+}
+
+// simulateStimulus elaborates the judge shell top from units into w and
+// runs it with stim.
+func (w *workspace) simulateStimulus(units []*vhdl.DesignFile, top string, stim *sim.Stimulus, opts Options) (*Result, error) {
+	d, sh := &w.d, &w.sh
+	if err := d.elaborate(units, top); err != nil {
 		return nil, err
 	}
 	lookup := func(name string) (*Signal, error) {
@@ -28,8 +37,9 @@ func SimulateStimulus(units []*vhdl.DesignFile, top string, stim *sim.Stimulus, 
 		}
 		return sig, nil
 	}
-	sh := &stimShell{stim: stim}
-	if sh.in, sh.out, err = sim.Signals(stim, lookup); err != nil {
+	sh.stim = stim
+	var err error
+	if sh.in, sh.out, err = sim.Signals(stim, sh.in, sh.out, lookup); err != nil {
 		return nil, err
 	}
 	if sh.done, err = lookup("done"); err != nil {
@@ -40,7 +50,7 @@ func SimulateStimulus(units []*vhdl.DesignFile, top string, stim *sim.Stimulus, 
 			return nil, err
 		}
 	}
-	return simulateDesign(d, opts, sh), nil
+	return w.s.run(d, opts, sh), nil
 }
 
 // stimShell is the VHDL side of a stimulus run (sim.Shell). Its
@@ -52,6 +62,13 @@ type stimShell struct {
 	in, out   []*Signal
 	clk, done *Signal
 	clkWait   *sim.WaitReg // wait until rising_edge(clk), built on first use
+}
+
+// reset empties sh for the next run, keeping its signal slices.
+func (sh *stimShell) reset() {
+	clear(sh.in)
+	clear(sh.out)
+	*sh = stimShell{in: sh.in[:0], out: sh.out[:0]}
 }
 
 // Begin is empty: the stim process has no preamble statements (its

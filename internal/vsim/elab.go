@@ -58,15 +58,18 @@ type Instance struct {
 // Design is a fully elaborated hierarchy.
 type Design struct {
 	Top     *Instance
-	All     []*Signal
 	modules map[string]*verilog.Module
 	// implicit continuous assignments created for port connections:
 	// each has an owning scope for expression evaluation.
 	contAssigns []boundAssign
 	procs       []boundProc
 
-	arena     sim.Arena[Signal] // chunked Signal storage
-	instances int               // elaborated so far, bounded by sim.MaxInstances
+	arena     sim.Arena[Signal]        // every signal, in elaboration order
+	insts     sim.Arena[Instance]      // chunked Instance storage
+	idents    sim.Arena[verilog.Ident] // port references and initializer targets of contAssigns
+	sigMaps   sim.Maps[string, *Signal]
+	assoc     map[string]verilog.Expr // elabChild's port association, empty between calls
+	instances int                     // elaborated so far, bounded by sim.MaxInstances
 }
 
 // boundAssign is a continuous assignment whose sides may live in
@@ -86,22 +89,64 @@ type boundProc struct {
 }
 
 // Elaborate builds the design rooted at top from the given module set.
+// The Design belongs to the caller and is never recycled, so it stays
+// readable after SimulateDesign has run it.
 func Elaborate(modules map[string]*verilog.Module, top string) (*Design, error) {
-	m, ok := modules[top]
-	if !ok {
-		return nil, fmt.Errorf("top module %q not found", top)
-	}
-	d := &Design{modules: modules}
-	inst, err := d.elabInstance(nil, m, top, nil, lex.Pos{})
-	if err != nil {
+	d := &Design{}
+	if err := d.elaborate(modules, top); err != nil {
 		return nil, err
 	}
-	d.Top = inst
 	return d, nil
 }
 
-// newSignal allocates local as a signal of inst, X-filled, and appends
-// it to d.All (the order the VCD writer numbers identifiers in).
+// elaborate builds the design rooted at top into a new or reset d.
+func (d *Design) elaborate(modules map[string]*verilog.Module, top string) error {
+	m, ok := modules[top]
+	if !ok {
+		return fmt.Errorf("top module %q not found", top)
+	}
+	d.modules = modules
+	inst, err := d.elabInstance(nil, m, top, nil, lex.Pos{})
+	if err != nil {
+		return err
+	}
+	d.Top = inst
+	return nil
+}
+
+// reset empties d for the next elaboration into it, keeping its
+// storage: the arenas and binding slices are cleared up to what the
+// last elaboration filled, and the instance maps emptied, so d keeps
+// no pointer into the module set it was built from.
+func (d *Design) reset() {
+	clear(d.contAssigns)
+	clear(d.procs)
+	d.arena.Reset()
+	d.insts.Reset()
+	d.idents.Reset()
+	d.sigMaps.Reset()
+	*d = Design{
+		contAssigns: d.contAssigns[:0],
+		procs:       d.procs[:0],
+		arena:       d.arena,
+		insts:       d.insts,
+		idents:      d.idents,
+		sigMaps:     d.sigMaps,
+		assoc:       d.assoc,
+	}
+}
+
+// ident returns a reference to name at pos, carved from the design's
+// storage.
+func (d *Design) ident(name string, pos lex.Pos) *verilog.Ident {
+	id := d.idents.Alloc()
+	id.Name, id.Pos = name, pos
+	return id
+}
+
+// newSignal allocates local as a signal of inst, X-filled. The arena
+// holds the design's signals in allocation order, the order the VCD
+// writer numbers identifiers in.
 func (d *Design) newSignal(inst *Instance, local string, width, msb, lsb int, kind verilog.NetKind, signed bool) *Signal {
 	sig := d.arena.Alloc()
 	sig.Name = inst.Path + "." + local
@@ -110,7 +155,6 @@ func (d *Design) newSignal(inst *Instance, local string, width, msb, lsb int, ki
 	sig.Kind, sig.Signed = kind, signed
 	sig.Val = hdl.XFill(width)
 	inst.Signals[local] = sig
-	d.All = append(d.All, sig)
 	return sig
 }
 
@@ -130,11 +174,8 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 			return nil, sim.ElabErrf(pos, "instantiation depth exceeds %d (recursive instantiation of %q?)", sim.MaxDepth, m.Name)
 		}
 	}
-	inst := &Instance{
-		Path:   path,
-		Module: m,
-		Parent: parent,
-	}
+	inst := d.insts.Alloc()
+	inst.Path, inst.Module, inst.Parent = path, m, parent
 
 	// Parameters, in declaration order (later ones may use earlier
 	// ones). The map is built lazily — most modules have no parameters,
@@ -162,7 +203,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 	}
 
 	// Ports become signals.
-	inst.Signals = make(map[string]*Signal, len(m.Ports))
+	inst.Signals = d.sigMaps.Get(len(m.Ports))
 	for _, p := range m.Ports {
 		w, msb, lsb := 1, 0, 0
 		if p.Range != nil {
@@ -237,7 +278,7 @@ func (d *Design) elabInstance(parent *Instance, m *verilog.Module, path string, 
 				} else {
 					d.contAssigns = append(d.contAssigns, boundAssign{
 						lhsScope: inst, rhsScope: inst,
-						lhs: &verilog.Ident{Name: n.Name, Pos: n.Pos}, rhs: n.Init,
+						lhs: d.ident(n.Name, n.Pos), rhs: n.Init,
 					})
 				}
 			}
@@ -311,7 +352,11 @@ func (d *Design) elabChild(parent *Instance, x *verilog.Instance) error {
 	parent.Children = append(parent.Children, child)
 
 	// Port binding. Build the port->expr association.
-	assoc := map[string]verilog.Expr{}
+	if d.assoc == nil {
+		d.assoc = map[string]verilog.Expr{}
+	}
+	assoc := d.assoc
+	defer clear(assoc)
 	if len(x.Conns) > 0 && x.Conns[0].Name == "" {
 		// Ordered connections.
 		if len(x.Conns) > len(childMod.Ports) {
@@ -340,7 +385,7 @@ func (d *Design) elabChild(parent *Instance, x *verilog.Instance) error {
 		if !connected || ex == nil {
 			continue // unconnected: stays X
 		}
-		portRef := &verilog.Ident{Name: p.Name, Pos: x.Pos}
+		portRef := d.ident(p.Name, x.Pos)
 		switch p.Dir {
 		case verilog.DirInput:
 			d.contAssigns = append(d.contAssigns, boundAssign{

@@ -46,32 +46,31 @@ type Simulator struct {
 	nbaMem func(*sim.NBARecord)
 }
 
-// Simulate elaborates top from modules and runs it to completion.
+// Simulate elaborates top from modules and runs it to completion, on
+// a recycled workspace (see workspace).
 func Simulate(modules map[string]*verilog.Module, top string, opts Options) (*Result, error) {
-	d, err := Elaborate(modules, top)
-	if err != nil {
-		return nil, err
-	}
-	return SimulateDesign(d, opts), nil
+	w := workspaces.Get().(*workspace)
+	res, err := w.simulate(modules, top, opts)
+	w.release()
+	return res, err
 }
 
 // SimulateDesign runs an already-elaborated design to completion. The
 // run mutates the design's signals, so a Design is simulated at most
-// once: its callers are Simulate and the perfbench replay, each of
-// which elaborates a fresh Design per run.
+// once. The design stays the caller's: only the Simulator is recycled,
+// so the design can be read after the run.
 func SimulateDesign(d *Design, opts Options) *Result {
-	return simulateDesign(d, opts, nil)
+	w := workspaces.Get().(*workspace)
+	res := w.s.run(d, opts, nil)
+	w.release()
+	return res
 }
 
-// simulateDesign is SimulateDesign with an optional stimulus shell,
-// whose harness process is bound after the design's own processes.
-func simulateDesign(d *Design, opts Options, sh *stimShell) *Result {
-	s := &Simulator{
-		Runtime: sim.NewRuntime(opts, "tb.v", "statement budget exceeded (possible infinite loop in RTL)"),
-		rng:     0x9E3779B97F4A7C15,
-	}
-	s.nbaVec = s.applyVecNBA
-	s.nbaMem = s.applyMemNBA
+// run runs d to completion on the reset s, with an optional stimulus
+// shell whose harness process is bound after the design's own
+// processes. The Result copies everything it reports out of s and d.
+func (s *Simulator) run(d *Design, opts Options, sh *stimShell) *Result {
+	s.Start(opts)
 
 	// Bind runtime machinery in elaboration order, which fixes the
 	// order of the time-zero activations.
@@ -105,11 +104,11 @@ func simulateDesign(d *Design, opts Options, sh *stimShell) *Result {
 	}
 	if opts.CaptureFinal {
 		res.Final = map[string]string{}
-		for _, sg := range d.All {
+		d.arena.Each(func(sg *Signal) {
 			if !sg.IsMem {
 				res.Final[sg.Name] = sg.Val.BinString()
 			}
-		}
+		})
 	}
 	return res
 }

@@ -15,8 +15,17 @@ import (
 // sim.Stimulus). The shell's signals are written with blocking-assign
 // semantics and its outputs compared as !== would.
 func SimulateStimulus(modules map[string]*verilog.Module, top string, stim *sim.Stimulus, opts Options) (*Result, error) {
-	d, err := Elaborate(modules, top)
-	if err != nil {
+	w := workspaces.Get().(*workspace)
+	res, err := w.simulateStimulus(modules, top, stim, opts)
+	w.release()
+	return res, err
+}
+
+// simulateStimulus elaborates the judge shell top from modules into w and
+// runs it with stim.
+func (w *workspace) simulateStimulus(modules map[string]*verilog.Module, top string, stim *sim.Stimulus, opts Options) (*Result, error) {
+	d, sh := &w.d, &w.sh
+	if err := d.elaborate(modules, top); err != nil {
 		return nil, err
 	}
 	lookup := func(name string) (*Signal, error) {
@@ -26,8 +35,9 @@ func SimulateStimulus(modules map[string]*verilog.Module, top string, stim *sim.
 		}
 		return sig, nil
 	}
-	sh := &stimShell{stim: stim}
-	if sh.in, sh.out, err = sim.Signals(stim, lookup); err != nil {
+	sh.stim = stim
+	var err error
+	if sh.in, sh.out, err = sim.Signals(stim, sh.in, sh.out, lookup); err != nil {
 		return nil, err
 	}
 	if stim.Seq {
@@ -35,7 +45,7 @@ func SimulateStimulus(modules map[string]*verilog.Module, top string, stim *sim.
 			return nil, err
 		}
 	}
-	return simulateDesign(d, opts, sh), nil
+	return w.s.run(d, opts, sh), nil
 }
 
 // stimShell is the Verilog side of a stimulus run (sim.Shell). Its
@@ -47,6 +57,13 @@ type stimShell struct {
 	in, out []*Signal
 	clk     *Signal
 	clkWait *sim.WaitReg // @(posedge clk), built on first use
+}
+
+// reset empties sh for the next run, keeping its signal slices.
+func (sh *stimShell) reset() {
+	clear(sh.in)
+	clear(sh.out)
+	*sh = stimShell{in: sh.in[:0], out: sh.out[:0]}
 }
 
 // Begin runs `errors = 0;` inside the block and, for a sequential

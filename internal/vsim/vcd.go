@@ -55,16 +55,16 @@ func (v *vcdDump) enable(d *Design, now sim.Time) {
 	// Group signals by instance path for $scope sections.
 	byScope := map[string][]*Signal{}
 	var scopes []string
-	for _, sig := range d.All {
+	d.arena.Each(func(sig *Signal) {
 		if sig.IsMem {
-			continue // memories are not dumped
+			return // memories are not dumped
 		}
 		scope := sig.Name[:len(sig.Name)-len(sig.Local)-1]
 		if _, ok := byScope[scope]; !ok {
 			scopes = append(scopes, scope)
 		}
 		byScope[scope] = append(byScope[scope], sig)
-	}
+	})
 	n := 0
 	for _, scope := range scopes {
 		fmt.Fprintf(&v.header, "$scope module %s $end\n", strings.ReplaceAll(scope, ".", "_"))
