@@ -253,6 +253,15 @@ func TestBackpressure429(t *testing.T) {
 
 	close(release)
 	waitStatus(t, s, recA.ID, StatusCompleted)
+	// Job A can report completed before the worker has taken the queued
+	// job off the queue, so wait for the queue itself to drain.
+	deadline := time.Now().Add(15 * time.Second)
+	for s.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueDepth stuck at %d after the worker was released", s.QueueDepth())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
 	// Capacity freed: the rejected spec now goes through.
 	if code := postJob(t, ts.URL, spec("gate_and")); code != http.StatusAccepted {

@@ -12,18 +12,20 @@
 // simulation runs on exactly one Kernel, whose Run is the whole event
 // loop; nothing in this package starts a goroutine.
 //
-// Processes are continuations, not coroutines: a Process is an
-// explicit state value (the front-end keeps a program counter and a
-// hand-rolled frame stack) whose step function the kernel dispatches
-// as a plain function call. A step runs the process to its next
-// suspension point — a delay or an event-control wait — arranges its
-// own reactivation, and returns. No goroutines or channels are
-// involved anywhere on the hot path, which removes two scheduler
-// crossings per process step and makes suspended process state an
-// inspectable value rather than a blocked stack. Simulation remains
-// fully deterministic — a property the experiment layer leans on
-// (cached and resumed sweeps must reproduce in-memory results bit for
-// bit) — and is pinned by the front-ends' determinism tests.
+// Processes are continuations, not coroutines. Every always block,
+// initial block and VHDL process runs on one Machine (machine.go): its
+// front-end lowers the body into a flat program of Ops (leaves, jumps,
+// case dispatch, counted loops, delays and waits) and keeps only the
+// leaf hooks, and the machine keeps the program counter and the per-op
+// slots: wait registrations, loop counters, a VHDL loop variable, a
+// Verilog assignment's bound targets. The kernel dispatches a step as a
+// plain function call that runs the program to its next delay or wait,
+// arranges its own reactivation and returns, so no goroutine or channel
+// exists per process and suspended state is an inspectable value.
+// Simulation remains fully deterministic — a property the experiment
+// layer leans on (cached and resumed sweeps must reproduce in-memory
+// results bit for bit) — and is pinned by the front-ends' determinism
+// tests.
 //
 // Both front-ends run inside one shell, Runtime (runtime.go), which a
 // Simulator embeds: the kernel, the testbench file name, the capped log
@@ -44,8 +46,8 @@
 // a workspace holds the Design that Simulate and SimulateStimulus
 // elaborate into (the signal and instance arenas, the binding slices,
 // and the unit and instance maps) and the Simulator that runs it (the
-// Runtime with its kernel queues and log buffer, and vsim's target
-// scratch). The Result copies the log, renders the VCD and captures
+// Runtime with its kernel queues and log buffer, the process machines
+// and their programs, and vsim's target scratch). The Result copies the log, renders the VCD and captures
 // the final values before the workspace goes back reset: Arena.Reset
 // zeroes only the values the run took, Maps.Reset empties only the
 // maps it used, and Runtime.Reset truncates the kernel's queues and the

@@ -229,16 +229,6 @@ func (k *Kernel) Schedule(delay Time, fn func()) {
 // Active queues fn into the current delta's active region.
 func (k *Kernel) Active(fn func()) { k.active = append(k.active, fn) }
 
-// NBA queues a plain closure into the nonblocking-assignment region of
-// the current time slot. It shares the typed record queue (see
-// update.go), so closures and records interleave in schedule order;
-// hot paths should prefer NBAPut, which needs no closure allocation.
-func (k *Kernel) NBA(fn func()) {
-	r := k.NBAPut()
-	r.Apply = nbaApply
-	r.Sig = fn
-}
-
 // Finish requests simulation stop at the end of the current event.
 func (k *Kernel) Finish() { k.finished = true }
 
@@ -375,15 +365,14 @@ func (k *Kernel) advanceTo(t Time) {
 // ---------------------------------------------------------------- procs
 
 // Process is a simulation process in continuation-passing form. Its
-// suspended state lives in an explicit value owned by the front-end
-// interpreter (a program counter plus a frame stack), not in a blocked
-// goroutine stack: each activation is a plain call of the step function,
-// which runs the process up to its next suspension point (a delay or
-// event-control wait) and returns after arranging its own reactivation.
-// No goroutine or channel exists per process, so a kernel is fully
-// dismantled by letting it go out of scope.
+// suspended state is an explicit value (a Machine's program counter and
+// per-op slots, or the stimulus harness's vector index and phase), not
+// a blocked goroutine stack: each activation is a plain call of the
+// step function, which runs the process up to its next delay or wait
+// and returns after arranging its own reactivation. No goroutine or
+// channel exists per process, so a kernel is fully dismantled by
+// letting it go out of scope.
 type Process struct {
-	Name   string
 	k      *Kernel
 	dead   bool
 	step   func(p *Process)
@@ -397,7 +386,7 @@ type Process struct {
 // interpreter fault on malformed RTL, recorded as a simulation fatal
 // instead of crashing the harness.
 func (k *Kernel) NewProcess(name string, step func(p *Process)) *Process {
-	p := &Process{Name: name, k: k, step: step}
+	p := &Process{k: k, step: step}
 	p.stepFn = func() {
 		if p.dead {
 			return
@@ -443,9 +432,6 @@ func (p *Process) Activate() {
 
 // Terminate marks the process dead; pending activations become no-ops.
 func (p *Process) Terminate() { p.dead = true }
-
-// Kernel returns the owning kernel.
-func (p *Process) Kernel() *Kernel { return p.k }
 
 // Dead reports whether the process has terminated.
 func (p *Process) Dead() bool { return p.dead }

@@ -9,14 +9,15 @@ func TestKernelNoPerDeltaAllocs(t *testing.T) {
 	k := NewKernel()
 	const deltas = 1000
 	n := 0
-	var act, nbaFn func()
+	var act func()
+	var reactivate func(*NBARecord)
 	act = func() {
 		n++
 		if n < deltas {
-			k.NBA(nbaFn)
+			k.NBAPut().Apply = reactivate
 		}
 	}
-	nbaFn = func() { k.Active(act) }
+	reactivate = func(*NBARecord) { k.Active(act) }
 
 	// Warm-up run grows the active/nba backing arrays to steady state.
 	k.Active(act)

@@ -22,11 +22,17 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+// nbaDo queues fn into the current NBA region as a record whose Apply
+// hook calls it.
+func nbaDo(k *Kernel, fn func()) {
+	k.NBAPut().Apply = func(*NBARecord) { fn() }
+}
+
 func TestNBARunsAfterActive(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Active(func() {
-		k.NBA(func() { order = append(order, "nba") })
+		nbaDo(k, func() { order = append(order, "nba") })
 		k.Active(func() { order = append(order, "active2") })
 		order = append(order, "active1")
 	})
@@ -166,7 +172,7 @@ func TestDeltaLimit(t *testing.T) {
 	k.MaxDeltas = 50
 	var spin func()
 	spin = func() {
-		k.NBA(func() { k.Active(spin) })
+		nbaDo(k, func() { k.Active(spin) })
 	}
 	k.Active(spin)
 	if r := k.Run(); r != StopDeltas {
@@ -292,7 +298,7 @@ func TestZeroDelayStaysInCurrentDelta(t *testing.T) {
 	k.NewProcess("p", func(p *Process) {
 		if !yielded {
 			yielded = true
-			k.NBA(func() { order = append(order, "nba") })
+			nbaDo(k, func() { order = append(order, "nba") })
 			p.Delay(0)
 			return
 		}

@@ -25,7 +25,7 @@ var scenarios = []struct {
 		r.Kernel.NewProcess("p", func(p *Process) {
 			r.Logf("at %d\n", r.Kernel.Now())
 			if r.Kernel.Now() == 3 {
-				r.Kernel.NBA(func() { r.Logf("never\n") })
+				nbaDo(r.Kernel, func() { r.Logf("never\n") })
 				r.Kernel.Finish()
 				return
 			}

@@ -34,7 +34,7 @@ func TestEngineFinishCutsAtDeltaBoundary(t *testing.T) {
 	})
 	k.Active(func() { log = append(log, "same-delta-a") })
 	k.Active(func() { log = append(log, "same-delta-b") })
-	k.NBA(func() { log = append(log, "nba") })
+	nbaDo(k, func() { log = append(log, "nba") })
 	k.Schedule(3, func() { log = append(log, "later") })
 	hooks := 0
 	k.AfterDelta = func() { hooks++ }
@@ -106,7 +106,7 @@ func TestEngineDeltaSerialMonotonic(t *testing.T) {
 		aSerials = append(aSerials, k.DeltaSerial())
 		hop++
 		if hop < 3 {
-			k.NBA(func() { k.Active(spin) })
+			nbaDo(k, func() { k.Active(spin) })
 		} else if hop == 3 {
 			k.Schedule(5, spin)
 		}

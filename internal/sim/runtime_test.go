@@ -59,7 +59,7 @@ func TestExecuteAbortLine(t *testing.T) {
 		{StopDeltas, func(r *Runtime) {
 			r.Kernel.MaxDeltas = 50
 			var spin func()
-			spin = func() { r.Kernel.NBA(func() { r.Kernel.Active(spin) }) }
+			spin = func() { nbaDo(r.Kernel, func() { r.Kernel.Active(spin) }) }
 			r.Kernel.Active(spin)
 		}},
 		{StopEvents, func(r *Runtime) {

@@ -18,7 +18,7 @@ import "repro/internal/hdl"
 type NBARecord struct {
 	// Apply commits the update. It runs in the NBA region (zero-delay
 	// records) or the active region of a later time step (delayed
-	// records), interleaved in schedule order with plain closure events.
+	// records), in schedule order.
 	Apply func(r *NBARecord)
 
 	// Front-end payload. Sig is the resolved target signal; Val the
@@ -40,12 +40,10 @@ type NBARecord struct {
 
 // NBAPut appends a zeroed update record to the nonblocking-assignment
 // region of the current time slot and returns it for the caller to
-// fill in. Records apply in put order, interleaved with NBA(fn)
-// closures. The pointer is valid only until the next NBAPut/NBA call
-// on this kernel: the backing slice is recycled across delta cycles
-// (the same storage discipline nbaSpare established for the closure
-// queue, extended from the slice to the records themselves) and may
-// move when it grows.
+// fill in. Records apply in put order. The pointer is valid only until
+// the next NBAPut call on this kernel: the backing slice is recycled
+// across delta cycles (nbaSpare), records included, and may move when
+// it grows.
 func (k *Kernel) NBAPut() *NBARecord {
 	if len(k.nba) < cap(k.nba) {
 		k.nba = k.nba[:len(k.nba)+1]
@@ -94,9 +92,3 @@ func (r *NBARecord) release() {
 	*r = NBARecord{k: r.k, fire: r.fire}
 	r.k.recFree = append(r.k.recFree, r)
 }
-
-// nbaApply adapts a plain closure to the record representation, so
-// NBA(fn) events interleave with typed records in one queue. Storing a
-// func value in the Sig interface does not allocate (func values are
-// pointer-shaped).
-func nbaApply(r *NBARecord) { r.Sig.(func())() }

@@ -15,17 +15,15 @@ func newCollector() *collector {
 	return c
 }
 
-// TestNBARecordOrder pins that typed records and plain NBA closures
-// share one queue and apply in schedule order.
+// TestNBARecordOrder pins that records apply in schedule order.
 func TestNBARecordOrder(t *testing.T) {
 	k := NewKernel()
 	c := newCollector()
 	k.Active(func() {
-		r := k.NBAPut()
-		r.Apply, r.Aux = c.hook, 1
-		k.NBA(func() { c.order = append(c.order, 2) })
-		r = k.NBAPut()
-		r.Apply, r.Aux = c.hook, 3
+		for aux := 1; aux <= 3; aux++ {
+			r := k.NBAPut()
+			r.Apply, r.Aux = c.hook, aux
+		}
 	})
 	if r := k.Run(); r != StopIdle {
 		t.Fatalf("run stopped with %v", r)

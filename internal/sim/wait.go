@@ -126,10 +126,6 @@ func (r *WaitReg) Add(list *WatchList, trigger func() bool, arm func()) *Watcher
 // typically resume immediately to avoid deadlock, or reject the wait).
 func (r *WaitReg) Empty() bool { return len(r.ws) == 0 }
 
-// Resume returns the registration's resume callback (used by callers
-// that must schedule it directly, e.g. for an empty sensitivity list).
-func (r *WaitReg) Resume() func() { return r.g.resume }
-
 // Rearm brings every watcher back alive with a freshly sampled
 // baseline and re-attaches those that were lazily pruned from their
 // lists.

@@ -157,3 +157,74 @@ func TestElaborateAllocLinear(t *testing.T) {
 		t.Errorf("%d instances allocated %d bytes, more than 10x the %d of %d instances", 8*n, large, small, n)
 	}
 }
+
+// forLoopSrc returns a clocked parity design whose process runs a
+// for loop on every rising edge, under a testbench of the given number
+// of rising clock edges.
+func forLoopSrc(edges int) []string {
+	const par = `
+entity par is
+  port (clk : in std_logic; d : in std_logic_vector(7 downto 0); p : out std_logic);
+end entity;
+architecture rtl of par is
+begin
+  process(clk)
+    variable x : std_logic;
+  begin
+    if rising_edge(clk) then
+      x := '0';
+      for i in 0 to 7 loop
+        x := x xor d(i);
+      end loop;
+      p <= x;
+    end if;
+  end process;
+end architecture;
+`
+	tb := fmt.Sprintf(`
+entity tb is end entity;
+architecture sim of tb is
+  signal clk : std_logic := '0';
+  signal done : std_logic := '0';
+  signal d : std_logic_vector(7 downto 0) := x"A7";
+  signal p : std_logic;
+begin
+  clk <= not clk after 1 ns when done = '0' else '0';
+  uut: entity work.par port map (clk => clk, d => d, p => p);
+  stim: process
+  begin
+    wait for %d ns;
+    assert p = '1' report "parity mismatch" severity error;
+    done <= '1';
+    wait;
+  end process;
+end architecture;
+`, 2*edges)
+	return []string{par, tb}
+}
+
+// TestVHDLForLoopAllocFlat guards the statement machine's loop state:
+// a clocked process that runs a for loop on every edge must allocate
+// no more on a run of 4N edges than on a run of N, within a small
+// constant. The loop variable lives in the machine's per-op slot, so
+// entering a loop binds it without allocating.
+func TestVHDLForLoopAllocFlat(t *testing.T) {
+	const n = 200
+	allocs := func(edges int) float64 {
+		units := parseElabUnits(t, forLoopSrc(edges)...)
+		return testing.AllocsPerRun(3, func() {
+			res, err := Simulate(units, "tb", Options{MaxTime: 100000})
+			if err != nil {
+				t.Fatalf("simulate: %v", err)
+			}
+			if res.TimedOut || res.AssertErrors != 0 || res.Fault != "" {
+				t.Fatalf("bad run (timeout=%v errors=%d fault=%q):\n%s", res.TimedOut, res.AssertErrors, res.Fault, res.Log)
+			}
+		})
+	}
+	small, large := allocs(n), allocs(4*n)
+	t.Logf("%d edges: %v allocs; %d edges: %v allocs", n, small, 4*n, large)
+	if large > small+16 {
+		t.Errorf("%d edges allocated %v, more than the %v of %d edges plus 16 (per-iteration allocation in the for loop)", 4*n, large, small, n)
+	}
+}

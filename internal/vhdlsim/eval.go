@@ -42,8 +42,6 @@ type varSlot struct {
 	isInt bool
 }
 
-func newEnv() *env { return &env{vars: map[string]*varSlot{}} }
-
 // lookupValue resolves a name: process variable, signal, then generic.
 // kind: 0 unknown, 1 signal, 2 generic/constant, 3 variable.
 func (s *Simulator) lookupValue(inst *Instance, en *env, name string) (*Signal, *varSlot, hdl.Vector, int) {

@@ -13,21 +13,14 @@ import (
 // Trigger hooks.
 
 // buildWaitReg constructs the watchers for a signal set without
-// attaching them; rearmWait arms them. Callers guarantee a non-empty
-// signal set (an empty one would deadlock the process).
+// attaching them; Rearm arms them. Callers guarantee a non-empty signal
+// set (an empty one would deadlock the process).
 func (s *Simulator) buildWaitReg(sigs []*Signal, resume func()) *sim.WaitReg {
 	r := sim.NewWaitReg(resume)
 	for _, sg := range sigs {
 		r.Add(&sg.watch, nil, nil)
 	}
 	return r
-}
-
-// rearmWait re-arms a wait registration: watchers come back alive and
-// re-attach to their signals unless a lazily-pruned entry is still
-// present in the signal's list.
-func (s *Simulator) rearmWait(r *sim.WaitReg) {
-	r.Rearm()
 }
 
 // applyUpdate commits a signal value change, stamping the observation
@@ -159,216 +152,147 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 
 // ---------------------------------------------------------------- exec
 
-// frameKind discriminates procMachine continuation frames.
-type frameKind uint8
+// opSlot is the VHDL slot of a program op (see sim.Machine).
+type opSlot struct {
+	stmt  vhdl.Stmt   // OpLeaf: the statement; OpCase: the case; OpNext: the for loop; OpWait: a wait on
+	expr  vhdl.Expr   // OpIf, OpWaitUntil: the condition; OpDelay: the duration
+	decls []vhdl.Decl // the first op of a process with declarations
 
-const (
-	fSeq       frameKind = iota // statement list; pc indexes the next stmt
-	fFor                        // for loop with live loop-variable binding
-	fWhile                      // while loop: recheck cond each visit
-	fWaitUntil                  // wait until cond: recheck on every wake
-)
-
-// frame is one entry of a process's explicit continuation stack. All
-// fields reference long-lived AST nodes or the process environment, so
-// pushing/popping never allocates once the stack has grown.
-type frame struct {
-	kind  frameKind
-	phase uint8
-	pc    int
-	stmts []vhdl.Stmt
-	st    vhdl.Stmt
-	// for-loop state
-	cur, limit int64
-	down       bool
-	slot, prev *varSlot
-	had        bool
+	loopVar varSlot  // OpNext: the loop variable
+	prev    *varSlot // OpNext: the binding it shadows, if had
+	had     bool
 }
 
-// procMachine is the resumable interpreter state of one VHDL process:
-// the explicit continuation (a frame stack over the statement tree),
-// the variable environment, and cached wait registrations. step runs
-// the interpreter until the next suspension point — a `wait` in any of
-// its forms — and returns after arranging reactivation; no goroutine
-// sits behind it.
-type procMachine struct {
-	s        *Simulator
-	inst     *Instance
-	p        *sim.Process
-	ps       *vhdl.ProcessStmt
-	en       *env
-	stack    []frame
-	inited   bool // declarations evaluated, sensitivity registration built
-	armed    bool // sensitivity wait armed, body run pending
-	topReg   *sim.WaitReg
-	waits    map[*vhdl.WaitStmt]*sim.WaitReg
-	activate func() // pre-built resume hook shared by all waits
+type op = sim.Op[opSlot]
+
+// proc is one process: the process machine running its lowered body,
+// and the scope and variables the leaf hooks evaluate in.
+type proc struct {
+	sim.Machine[opSlot]
+	s    *Simulator
+	inst *Instance
+	en   env
 }
 
-// step is the process continuation the kernel dispatches.
-func (m *procMachine) step(p *sim.Process) {
-	defer m.s.ProcRecover()
-	for {
-		for len(m.stack) > 0 {
-			if m.runTopFrame() {
-				return
-			}
-		}
-		if m.startIteration() {
-			return
-		}
+// bindProcess starts a process. It evaluates its declarations and runs
+// its body at time zero; then, with a sensitivity list naming a signal,
+// it waits on the list before every further run, and without one it
+// charges a step and runs the body again (the statement budget catches
+// a body that never waits).
+func (s *Simulator) bindProcess(bp *boundProcess) {
+	inst, ps := bp.scope, bp.ps
+	name := inst.Path + "." + ps.Label
+	if ps.Label == "" {
+		name = inst.Path + ".process"
 	}
-}
-
-// startIteration begins one execution of the process body once the
-// continuation stack has drained. VHDL semantics: every process runs
-// once at time zero, then (for sensitivity-list processes) waits on
-// its signals between iterations. It returns true when the process
-// suspended.
-func (m *procMachine) startIteration() bool {
-	if !m.inited {
-		m.inited = true
-		m.initDecls()
-		return m.execBody()
-	}
-	if m.topReg == nil {
-		// No sensitivity list: the body must contain waits; if it ran
-		// to completion without waiting it loops, and the statement
-		// budget catches runaway processes.
-		m.s.Tick()
-		return m.execBody()
-	}
-	if m.armed {
-		m.armed = false
-		return m.execBody()
-	}
-	m.armed = true
-	m.s.rearmWait(m.topReg)
-	return true
-}
-
-// initDecls evaluates process declarations (once; variables persist
-// across activations) and builds the sensitivity-list registration.
-func (m *procMachine) initDecls() {
-	for _, d := range m.ps.Decls {
-		switch vd := d.(type) {
-		case *vhdl.VarDecl:
-			for _, nm := range vd.Names {
-				slot, err := m.s.makeVarSlot(m.inst, m.en, vd)
-				if err != nil {
-					panic(sim.Faultf("%v", err))
-				}
-				m.en.vars[nm] = slot
-			}
-		case *vhdl.ConstDecl:
-			v := m.s.eval(m.inst, m.en, vd.Value)
-			m.en.vars[vd.Name] = &varSlot{val: v.v, isInt: v.isInt}
-		}
-	}
+	p := s.procs.Alloc()
+	p.s, p.inst = s, inst
+	p.en.vars = map[string]*varSlot{}
+	resume := p.Start(&s.Runtime, name, p)
 	var sens []*Signal
-	for _, se := range m.ps.Sens {
-		sens = append(sens, collectSignals(m.inst, se)...)
+	for _, se := range ps.Sens {
+		sens = append(sens, collectSignals(inst, se)...)
 	}
+	b := &s.prog
+	b.Begin()
+	if len(ps.Decls) > 0 {
+		b.Emit(sim.OpLeaf, opSlot{decls: ps.Decls})
+	}
+	top := b.Label()
+	lowerStmts(b, ps.Body)
 	if len(sens) > 0 {
-		m.topReg = m.s.buildWaitReg(sens, m.activate)
+		w := b.Emit(sim.OpWait, opSlot{})
+		b.Op(w).Next = int32(w)
+		b.Op(w).Wait = s.buildWaitReg(sens, resume)
+	} else {
+		b.Tick()
+	}
+	b.Jump(top)
+	p.SetProgram(b.End())
+}
+
+func lowerStmts(b *sim.Builder[opSlot], list []vhdl.Stmt) {
+	for _, st := range list {
+		lowerStmt(b, st)
 	}
 }
 
-func (m *procMachine) execBody() bool {
-	m.pushSeq(m.ps.Body)
-	return false
-}
-
-func (m *procMachine) push(f frame) { m.stack = append(m.stack, f) }
-
-func (m *procMachine) pop() { m.stack = m.stack[:len(m.stack)-1] }
-
-func (m *procMachine) pushSeq(stmts []vhdl.Stmt) {
-	if len(stmts) > 0 {
-		m.push(frame{kind: fSeq, stmts: stmts})
-	}
-}
-
-// runTopFrame advances the topmost continuation frame by one step and
-// reports whether the process suspended. exec and pushSeq may grow the
-// stack and invalidate the frame pointer, so every frame mutation
-// happens before they are called.
-func (m *procMachine) runTopFrame() bool {
-	f := &m.stack[len(m.stack)-1]
-	switch f.kind {
-	case fSeq:
-		if f.pc >= len(f.stmts) {
-			m.pop()
-			return false
-		}
-		st := f.stmts[f.pc]
-		f.pc++
-		return m.exec(st)
-	case fFor:
-		done := (f.down && f.cur < f.limit) || (!f.down && f.cur > f.limit)
-		if done {
-			m.restoreLoopVar(f)
-			m.pop()
-			return false
-		}
-		m.s.Tick()
-		f.slot.val = hdl.FromInt(f.cur, 32)
-		if f.down {
-			f.cur--
-		} else {
-			f.cur++
-		}
-		m.pushSeq(f.st.(*vhdl.ForStmt).Body)
-		return false
-	case fWhile:
-		x := f.st.(*vhdl.WhileStmt)
-		if !m.s.truthy(m.s.eval(m.inst, m.en, x.Cond)) {
-			m.pop()
-			return false
-		}
-		m.s.Tick()
-		m.pushSeq(x.Body)
-		return false
-	default: // fWaitUntil
-		x := f.st.(*vhdl.WaitStmt)
-		if f.phase == 1 && m.s.truthy(m.s.eval(m.inst, m.en, x.Until)) {
-			m.pop()
-			return false
-		}
-		f.phase = 1
-		m.s.Tick()
-		m.s.rearmWait(m.untilRegFor(x))
-		return true
-	}
-}
-
-// exec interprets one statement, pushing continuation frames for
-// nested control flow. It returns true when the process suspended and
-// the step must unwind.
-func (m *procMachine) exec(st vhdl.Stmt) bool {
-	s, inst, en := m.s, m.inst, m.en
-	s.Tick()
+// lowerStmt lowers one statement, which charges a step when it starts.
+func lowerStmt(b *sim.Builder[opSlot], st vhdl.Stmt) {
+	b.Tick()
 	switch x := st.(type) {
+	case *vhdl.SigAssign, *vhdl.VarAssign, *vhdl.AssertStmt, *vhdl.ReportStmt:
+		b.Emit(sim.OpLeaf, opSlot{stmt: x})
+	case *vhdl.IfStmt:
+		end := -1
+		for i, br := range x.Branches {
+			test := b.Emit(sim.OpIf, opSlot{expr: br.Cond})
+			lowerStmts(b, br.Body)
+			if i < len(x.Branches)-1 || len(x.Else) > 0 {
+				end = b.Jump(end)
+			}
+			b.Resolve(test, b.Label())
+		}
+		lowerStmts(b, x.Else)
+		b.Resolve(end, b.Label())
+	case *vhdl.CaseStmt:
+		b.Case(opSlot{stmt: x}, len(x.Arms), func(i int) { lowerStmts(b, x.Arms[i].Body) })
+	case *vhdl.ForStmt:
+		b.Counted(opSlot{stmt: x}, func() { lowerStmts(b, x.Body) })
+	case *vhdl.WhileStmt:
+		b.While(opSlot{expr: x.Cond}, func() { lowerStmts(b, x.Body) })
+	case *vhdl.ExitStmt:
+		skip := -1
+		if x.When != nil {
+			skip = b.Emit(sim.OpIf, opSlot{expr: x.When})
+		}
+		if !b.Exit() {
+			b.Emit(sim.OpLeaf, opSlot{stmt: x}) // faults when executed
+		}
+		b.Resolve(skip, b.Label())
+	case *vhdl.WaitStmt:
+		switch {
+		case x.Forever:
+			b.Emit(sim.OpHalt, opSlot{})
+		case x.ForNs != nil && x.Until == nil:
+			b.Emit(sim.OpDelay, opSlot{expr: x.ForNs})
+		case x.Until != nil: // suspends once before the first test
+			b.Tick()
+			w := b.Emit(sim.OpWait, opSlot{})
+			b.Op(w).Next = int32(w + 1)
+			b.Emit(sim.OpWaitUntil, opSlot{expr: x.Until})
+		default: // wait on
+			w := b.Emit(sim.OpWait, opSlot{stmt: x})
+			b.Op(w).Next = int32(w)
+		}
+	}
+}
+
+// Exec runs a leaf statement, or, for the statement-less first op,
+// evaluates the process declarations: variables persist across runs.
+func (p *proc) Exec(o *op) {
+	s, inst, en := p.s, p.inst, &p.en
+	switch x := o.X.stmt.(type) {
+	case nil:
+		for _, d := range o.X.decls {
+			switch vd := d.(type) {
+			case *vhdl.VarDecl:
+				for _, nm := range vd.Names {
+					slot, err := s.makeVarSlot(inst, en, vd)
+					if err != nil {
+						panic(sim.Faultf("%v", err))
+					}
+					en.vars[nm] = slot
+				}
+			case *vhdl.ConstDecl:
+				v := s.eval(inst, en, vd.Value)
+				en.vars[vd.Name] = &varSlot{val: v.v, isInt: v.isInt}
+			}
+		}
 	case *vhdl.SigAssign:
 		s.assignSignal(inst, en, x.Target, x.Value, x.AfterNs)
 	case *vhdl.VarAssign:
 		s.execVarAssign(inst, en, x)
-	case *vhdl.IfStmt:
-		for _, br := range x.Branches {
-			if s.truthy(s.eval(inst, en, br.Cond)) {
-				m.pushSeq(br.Body)
-				return false
-			}
-		}
-		m.pushSeq(x.Else)
-	case *vhdl.CaseStmt:
-		m.execCase(x)
-	case *vhdl.ForStmt:
-		m.pushFor(x)
-	case *vhdl.WhileStmt:
-		m.push(frame{kind: fWhile, st: x})
-	case *vhdl.WaitStmt:
-		return m.execWait(x)
 	case *vhdl.AssertStmt:
 		if !s.truthy(s.eval(inst, en, x.Cond)) {
 			msg := s.messageText(inst, en, x.Report)
@@ -383,152 +307,91 @@ func (m *procMachine) exec(st vhdl.Stmt) bool {
 		}
 	case *vhdl.ReportStmt:
 		s.reportSeverity(sevOrNote(x.Severity), s.messageText(inst, en, x.Message), x.Pos)
-	case *vhdl.NullStmt:
-		// nothing
 	case *vhdl.ExitStmt:
-		if x.When == nil || s.truthy(s.eval(inst, en, x.When)) {
-			m.exitLoop()
-		}
+		panic(sim.Faultf("exit statement outside a loop"))
 	}
-	return false
 }
 
-// pushFor evaluates the loop bounds, binds the loop variable, and
-// pushes the loop frame.
-func (m *procMachine) pushFor(x *vhdl.ForStmt) {
-	lV := m.s.eval(m.inst, m.en, x.Left)
-	rV := m.s.eval(m.inst, m.en, x.Right)
+func (p *proc) Cond(o *op) bool { return p.s.truthy(p.s.eval(p.inst, &p.en, o.X.expr)) }
+
+// Case takes the first arm with a choice equal to the subject, else the
+// others arm.
+func (p *proc) Case(o *op) int {
+	s, inst, en := p.s, p.inst, &p.en
+	x := o.X.stmt.(*vhdl.CaseStmt)
+	subject := s.eval(inst, en, x.Expr)
+	others := len(x.Arms)
+	for i := range x.Arms {
+		if x.Arms[i].Choices == nil {
+			others = i
+		}
+		for _, c := range x.Arms[i].Choices {
+			cv := s.evalCtx(inst, en, c, subject.v.Width())
+			lv, rv, _ := numericPair(subject, cv)
+			if lv.CaseEq(rv).Equal(hdl.FromBool(true)) {
+				return i
+			}
+		}
+	}
+	return others
+}
+
+func (p *proc) Delay(o *op) sim.Time {
+	d64, ok := p.s.eval(p.inst, &p.en, o.X.expr).v.Uint()
+	if !ok {
+		panic(sim.Faultf("unknown wait duration"))
+	}
+	return sim.Time(d64)
+}
+
+// Wait builds the registration of a wait until, on its condition's
+// signals, or of a wait on; either must watch a signal.
+func (p *proc) Wait(o *op, resume func()) *sim.WaitReg {
+	var sigs []*Signal
+	if o.X.expr != nil {
+		sigs = collectSignals(p.inst, o.X.expr)
+		if len(sigs) == 0 {
+			panic(sim.Faultf("wait until condition references no signals"))
+		}
+	} else {
+		for _, nm := range o.X.stmt.(*vhdl.WaitStmt).OnSignals {
+			sigs = append(sigs, collectSignals(p.inst, nm)...)
+		}
+		if len(sigs) == 0 {
+			panic(sim.Faultf("wait on references no signals"))
+		}
+	}
+	return p.s.buildWaitReg(sigs, resume)
+}
+
+// Loop evaluates a for loop's bounds and binds its variable, which
+// lives in the slot, over any variable or signal of its name.
+func (p *proc) Loop(o *op) (first, last int64, down bool) {
+	x := o.X.stmt.(*vhdl.ForStmt)
+	lV := p.s.eval(p.inst, &p.en, x.Left)
+	rV := p.s.eval(p.inst, &p.en, x.Right)
 	l64, ok1 := lV.v.Int()
 	r64, ok2 := rV.v.Int()
 	if !ok1 || !ok2 {
 		panic(sim.Faultf("for-loop bounds are not computable"))
 	}
-	slot := &varSlot{val: hdl.FromInt(l64, 32), isInt: true}
-	prev, had := m.en.vars[x.Var]
-	m.en.vars[x.Var] = slot
-	m.push(frame{
-		kind: fFor, st: x,
-		cur: l64, limit: r64, down: x.Descending,
-		slot: slot, prev: prev, had: had,
-	})
+	sl := &o.X
+	sl.loopVar = varSlot{val: hdl.FromInt(l64, 32), isInt: true}
+	sl.prev, sl.had = p.en.vars[x.Var]
+	p.en.vars[x.Var] = &sl.loopVar
+	return l64, r64, x.Descending
 }
 
-// restoreLoopVar undoes the loop-variable binding of a fFor frame.
-func (m *procMachine) restoreLoopVar(f *frame) {
-	x := f.st.(*vhdl.ForStmt)
-	if f.had {
-		m.en.vars[x.Var] = f.prev
+func (p *proc) Iter(o *op, v int64) { o.X.loopVar.val = hdl.FromInt(v, 32) }
+
+// Leave restores the binding the loop variable shadowed.
+func (p *proc) Leave(o *op) {
+	name := o.X.stmt.(*vhdl.ForStmt).Var
+	if o.X.had {
+		p.en.vars[name] = o.X.prev
 	} else {
-		delete(m.en.vars, x.Var)
+		delete(p.en.vars, name)
 	}
-}
-
-// exitLoop implements `exit`: unwind the continuation stack to just
-// past the innermost enclosing loop, restoring its variable binding.
-func (m *procMachine) exitLoop() {
-	for i := len(m.stack) - 1; i >= 0; i-- {
-		f := &m.stack[i]
-		if f.kind == fFor || f.kind == fWhile {
-			if f.kind == fFor {
-				m.restoreLoopVar(f)
-			}
-			m.stack = m.stack[:i]
-			return
-		}
-	}
-	panic(sim.Faultf("exit statement outside a loop"))
-}
-
-// execCase pushes the matching case arm; the arm body may suspend.
-func (m *procMachine) execCase(x *vhdl.CaseStmt) {
-	s, inst, en := m.s, m.inst, m.en
-	subject := s.eval(inst, en, x.Expr)
-	var others *vhdl.CaseArm
-	for i := range x.Arms {
-		arm := &x.Arms[i]
-		if arm.Choices == nil {
-			others = arm
-			continue
-		}
-		for _, c := range arm.Choices {
-			cv := s.evalCtx(inst, en, c, subject.v.Width())
-			lv, rv, _ := numericPair(subject, cv)
-			if lv.CaseEq(rv).Equal(hdl.FromBool(true)) {
-				m.pushSeq(arm.Body)
-				return
-			}
-		}
-	}
-	if others != nil {
-		m.pushSeq(others.Body)
-	}
-}
-
-// execWait implements wait; / wait for; / wait until; / wait on as
-// suspension points. It returns true when the process suspended.
-func (m *procMachine) execWait(x *vhdl.WaitStmt) bool {
-	switch {
-	case x.Forever:
-		// Plain `wait;`: the process is never activated again. With no
-		// goroutine behind it there is nothing to tear down; mark it
-		// dead so stray activations stay no-ops.
-		m.p.Terminate()
-		return true
-	case x.ForNs != nil && x.Until == nil:
-		dv := m.s.eval(m.inst, m.en, x.ForNs)
-		d64, ok := dv.v.Uint()
-		if !ok {
-			panic(sim.Faultf("unknown wait duration"))
-		}
-		m.p.Delay(sim.Time(d64))
-		return true
-	case x.Until != nil:
-		m.push(frame{kind: fWaitUntil, st: x})
-		return false
-	default: // wait on
-		m.s.rearmWait(m.onRegFor(x))
-		return true
-	}
-}
-
-// untilRegFor returns the cached wait registration for a `wait until`
-// statement, building it from the condition's signal set on first use.
-func (m *procMachine) untilRegFor(x *vhdl.WaitStmt) *sim.WaitReg {
-	if r, ok := m.waits[x]; ok {
-		return r
-	}
-	sigs := collectSignals(m.inst, x.Until)
-	if len(sigs) == 0 {
-		panic(sim.Faultf("wait until condition references no signals"))
-	}
-	r := m.s.buildWaitReg(sigs, m.activate)
-	m.cacheWait(x, r)
-	return r
-}
-
-// onRegFor returns the cached wait registration for a `wait on`
-// statement.
-func (m *procMachine) onRegFor(x *vhdl.WaitStmt) *sim.WaitReg {
-	if r, ok := m.waits[x]; ok {
-		return r
-	}
-	var sigs []*Signal
-	for _, nm := range x.OnSignals {
-		sigs = append(sigs, collectSignals(m.inst, nm)...)
-	}
-	if len(sigs) == 0 {
-		panic(sim.Faultf("wait on references no signals"))
-	}
-	r := m.s.buildWaitReg(sigs, m.activate)
-	m.cacheWait(x, r)
-	return r
-}
-
-func (m *procMachine) cacheWait(key *vhdl.WaitStmt, r *sim.WaitReg) {
-	if m.waits == nil {
-		m.waits = make(map[*vhdl.WaitStmt]*sim.WaitReg)
-	}
-	m.waits[key] = r
 }
 
 func sevOrNote(s string) string {

@@ -29,6 +29,11 @@ type Simulator struct {
 	// (method values created once; one per update would allocate).
 	updFull func(*sim.NBARecord)
 	updPart func(*sim.NBARecord)
+
+	// procs and lower hold the run's processes: each one's process
+	// machine and the statement program it runs.
+	procs sim.Arena[proc]
+	prog  sim.Builder[opSlot]
 }
 
 // Simulate elaborates the entity named top from the units and runs it,
@@ -163,17 +168,6 @@ func (s *Simulator) bindConcAssign(bc *boundConc) {
 		}
 	}()
 	s.Kernel.Active(update)
-}
-
-func (s *Simulator) bindProcess(bp *boundProcess) {
-	inst, ps := bp.scope, bp.ps
-	name := inst.Path + "." + ps.Label
-	if ps.Label == "" {
-		name = inst.Path + ".process"
-	}
-	m := &procMachine{s: s, inst: inst, ps: ps, en: newEnv()}
-	m.p = s.Kernel.NewProcess(name, m.step)
-	m.activate = m.p.Activate
 }
 
 func (s *Simulator) makeVarSlot(inst *Instance, en *env, vd *vhdl.VarDecl) (*varSlot, error) {

@@ -103,7 +103,7 @@ func (sh *stimShell) AwaitClock(resume func()) {
 	}
 	s.Tick()
 	s.Tick()
-	s.rearmWait(sh.clkWait)
+	sh.clkWait.Rearm()
 }
 
 // Rose re-evaluates rising_edge(clk) after a clk event and re-arms the
@@ -114,7 +114,7 @@ func (sh *stimShell) Rose() bool {
 		return true
 	}
 	s.Tick()
-	s.rearmWait(sh.clkWait)
+	sh.clkWait.Rearm()
 	return false
 }
 

@@ -57,4 +57,6 @@ func (w *workspace) simulate(units []*vhdl.DesignFile, top string, opts Options)
 func (s *Simulator) reset() {
 	s.Runtime.Reset()
 	s.assertErrors, s.failed = 0, false
+	s.procs.Reset()
+	s.prog.Reset()
 }

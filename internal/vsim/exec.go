@@ -1,6 +1,8 @@
 package vsim
 
 import (
+	"math"
+
 	"repro/internal/hdl"
 	"repro/internal/sim"
 	"repro/internal/verilog"
@@ -58,26 +60,38 @@ type target struct {
 	ok     bool // false: discard the write (out-of-range select)
 }
 
-// resolveTargets flattens an lvalue into primitive targets, MSB-first
-// for concatenations, and returns the total width. The returned slice
-// is freshly allocated and safe to retain (static-LHS bindings cache it
-// for the lifetime of the run).
-func (s *Simulator) resolveTargets(inst *Instance, lhs verilog.Expr) ([]target, int) {
-	return s.appendTargets(nil, inst, lhs)
+// lhsBinding is where an assignment's targets are resolved, once for
+// the run (see targets).
+type lhsBinding struct {
+	ts      []target
+	total   int
+	dynamic bool // the shape has runtime indexes
 }
 
-// resolveTargetsScratch is resolveTargets into the simulator's reusable
-// target buffer, for assignments that are applied before the next
-// resolve (blocking assigns, continuous-assign updates). Hot loops
-// re-execute the same assignments every cycle, so this removes a
-// per-assignment allocation. The result must NOT be retained across
-// events.
-func (s *Simulator) resolveTargetsScratch(inst *Instance, lhs verilog.Expr) ([]target, int) {
-	ts, total := s.appendTargets(s.targetScratch[:0], inst, lhs)
-	s.targetScratch = ts[:0]
-	return ts, total
+// targets resolves an assignment target through its binding. A static
+// shape (see staticLHS) resolves on its first execution, when name
+// lookup sees the fully elaborated scope, and stays bound. A dynamic one
+// re-resolves on every execution into the simulator's scratch buffer,
+// which the caller consumes before the next resolve: hot loops execute
+// the same assignments every cycle, and neither way allocates then.
+func (s *Simulator) targets(b *lhsBinding, inst *Instance, lhs verilog.Expr) ([]target, int) {
+	if b.ts == nil && !b.dynamic {
+		if !staticLHS(inst, lhs) {
+			b.dynamic = true
+		} else {
+			b.ts, b.total = s.appendTargets(nil, inst, lhs)
+		}
+	}
+	if b.dynamic {
+		ts, total := s.appendTargets(s.targetScratch[:0], inst, lhs)
+		s.targetScratch = ts[:0]
+		return ts, total
+	}
+	return b.ts, b.total
 }
 
+// appendTargets flattens an lvalue into primitive targets appended to
+// buf, MSB-first for concatenations, and returns the total width.
 func (s *Simulator) appendTargets(buf []target, inst *Instance, lhs verilog.Expr) ([]target, int) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
@@ -295,16 +309,13 @@ func (s *Simulator) applyMemNBA(r *sim.NBARecord) {
 // ---------------------------------------------------------- sensitivity
 
 // buildWait constructs a wait registration (sim.WaitReg) for a
-// sensitivity list without arming it; rearmWait arms it. A wait site
+// sensitivity list, @* expanded, without arming it. A wait site
 // whose sensitivity list is fixed (every always block and every
 // in-body event control) builds one registration and re-arms it per
 // pass instead of reallocating the whole structure per wakeup. Edge
 // items carry the IEEE 1364 edge table as Trigger/Arm hooks over a
 // per-watcher baseline.
 func (s *Simulator) buildWait(inst *Instance, sens *verilog.SensList, resume func()) *sim.WaitReg {
-	if sens.Star {
-		panic(sim.Faultf("internal: @* must be expanded before registerWait"))
-	}
 	r := sim.NewWaitReg(resume)
 	for _, item := range sens.Items {
 		it := item
@@ -332,17 +343,6 @@ func (s *Simulator) buildWait(inst *Instance, sens *verilog.SensList, resume fun
 		}
 	}
 	return r
-}
-
-// rearmWait re-arms a wait registration: watchers come back alive with
-// a freshly sampled edge baseline and re-attach to their signals unless
-// a lazily-pruned entry is still present in the signal's list.
-func (s *Simulator) rearmWait(r *sim.WaitReg) {
-	r.Rearm()
-	if r.Empty() {
-		// Nothing to wait on: resume immediately to avoid deadlock.
-		s.Kernel.Active(r.Resume())
-	}
 }
 
 // collectSignals gathers the signals an expression reads in scope inst.
@@ -470,259 +470,116 @@ func (s *Simulator) expandStar(body verilog.Stmt) *verilog.SensList {
 
 // ---------------------------------------------------------------- exec
 
-// frameKind discriminates procMachine continuation frames.
-type frameKind uint8
-
-const (
-	fSeq     frameKind = iota // statement list; pc indexes the next stmt
-	fBody                     // run st once (resume body of a delay / event wait)
-	fFor                      // for loop; phase: 0 init, 1 cond check, 2 step
-	fWhile                    // while loop: recheck cond each visit
-	fRepeat                   // n iterations remaining
-	fForever                  // loop body unconditionally
-	fWait                     // wait (cond) stmt: recheck cond on every wake
-)
-
-// frame is one entry of a process's explicit continuation stack. All
-// fields reference long-lived AST nodes, so frames carry no closures
-// and pushing/popping never allocates once the stack has grown.
-type frame struct {
-	kind  frameKind
-	phase uint8
-	pc    int
-	n     uint64
-	stmts []verilog.Stmt
-	st    verilog.Stmt
+// opSlot is the Verilog slot of a program op (see sim.Machine).
+type opSlot struct {
+	stmt verilog.Stmt      // OpLeaf: assignment or system task; OpCase: the case; OpWait: the body @* expands from
+	expr verilog.Expr      // OpIf, OpWaitUntil: the condition; OpDelay: the amount; OpNext: the repeat count
+	sens *verilog.SensList // OpWait: the event control
+	lhs  lhsBinding        // OpLeaf: an assignment's targets
 }
 
-// procMachine is the resumable interpreter state of one behavioural
-// process: the explicit continuation (a frame stack over the statement
-// tree) plus cached wait registrations. step runs the interpreter
-// until the next suspension point — a delay or an event-control wait —
-// and returns after arranging reactivation; no goroutine sits behind
-// it. A suspension unwinds by returning true up the exec call chain,
-// leaving the frame stack as the continuation to resume from.
-type procMachine struct {
-	s        *Simulator
-	inst     *Instance
-	p        *sim.Process
-	body     verilog.Stmt
-	sens     *verilog.SensList // non-nil for always @(...) blocks
-	stack    []frame
-	always   bool                            // always block: restart body when the stack drains
-	started  bool                            // initial block: body has been executed
-	armed    bool                            // top-level sensitivity wait armed, body run pending
-	topReg   *sim.WaitReg                    // cached always-block sensitivity registration
-	waits    map[verilog.Stmt]*sim.WaitReg   // cached per-stmt inner wait registrations
-	lhs      map[*verilog.Assign]*lhsBinding // pre-bound static assignment targets
-	activate func()                          // pre-built resume hook shared by all waits
+type op = sim.Op[opSlot]
+
+// proc is one always or initial block: the process machine running its
+// lowered body, and the scope the leaf hooks evaluate in.
+type proc struct {
+	sim.Machine[opSlot]
+	s    *Simulator
+	inst *Instance
 }
 
-// lhsBinding is the cached resolution of a static assignment target
-// (see staticLHS). A nil binding marks an LHS classified as dynamic,
-// which resolves through the scratch buffer on every execution.
-type lhsBinding struct {
-	ts    []target
-	total int
+// bindProcess starts an initial block (always false), which runs its
+// body once, or an always block, which runs it over and over: after
+// waiting on its event control, or without one after charging a step
+// (the statement budget catches a body that never waits).
+func (s *Simulator) bindProcess(inst *Instance, name string, body verilog.Stmt, sens *verilog.SensList, always bool) {
+	p := s.procs.Alloc()
+	p.s, p.inst = s, inst
+	p.Start(&s.Runtime, name, p)
+	b := &s.prog
+	b.Begin()
+	switch {
+	case !always:
+		lowerStmt(b, body)
+		b.Emit(sim.OpHalt, opSlot{})
+	case sens == nil:
+		top := b.Label()
+		b.Tick()
+		lowerStmt(b, body)
+		b.Jump(top)
+	default:
+		b.Op(b.Emit(sim.OpWait, opSlot{stmt: body, sens: sens})).Next = 0
+		lowerStmt(b, body)
+		b.Jump(0)
+	}
+	p.SetProgram(b.End())
 }
 
-// lhsTargets resolves an assignment's target list. Static shapes are
-// resolved once — on first execution, when name lookup is guaranteed to
-// see the fully elaborated scope — and the binding reused on every
-// later pass; dynamic shapes (runtime indexes) re-resolve into the
-// simulator's scratch buffer, whose contents the caller must consume
-// before the next resolve.
-func (m *procMachine) lhsTargets(x *verilog.Assign) ([]target, int) {
-	if b, ok := m.lhs[x]; ok {
-		if b != nil {
-			return b.ts, b.total
-		}
-		return m.s.resolveTargetsScratch(m.inst, x.LHS)
-	}
-	if m.lhs == nil {
-		m.lhs = make(map[*verilog.Assign]*lhsBinding)
-	}
-	if staticLHS(m.inst, x.LHS) {
-		ts, total := m.s.resolveTargets(m.inst, x.LHS)
-		m.lhs[x] = &lhsBinding{ts: ts, total: total}
-		return ts, total
-	}
-	m.lhs[x] = nil
-	return m.s.resolveTargetsScratch(m.inst, x.LHS)
-}
-
-// step is the process continuation the kernel dispatches.
-func (m *procMachine) step(p *sim.Process) {
-	defer m.s.ProcRecover()
-	for {
-		for len(m.stack) > 0 {
-			if m.runTopFrame() {
-				return
-			}
-		}
-		if m.startIteration() {
-			return
-		}
-	}
-}
-
-// startIteration begins (or ends) one execution of the process body
-// once the continuation stack has drained. It returns true when the
-// process suspended or terminated.
-func (m *procMachine) startIteration() bool {
-	if !m.always {
-		if m.started {
-			m.p.Terminate()
-			return true
-		}
-		m.started = true
-		return m.exec(m.body)
-	}
-	if m.sens == nil {
-		// always without @: must contain delays; the statement budget
-		// catches zero-delay loops.
-		m.s.Tick()
-		return m.exec(m.body)
-	}
-	if m.armed {
-		m.armed = false
-		return m.exec(m.body)
-	}
-	if m.topReg == nil {
-		// Built lazily on the first arm so sensitivity errors surface
-		// as process faults like every other interpreter error. The
-		// list is fixed (@* expands deterministically from the fixed
-		// body), so one registration is re-armed per wakeup: the
-		// hottest loop in the simulator must not allocate.
-		eff := m.sens
-		if eff.Star {
-			eff = m.s.expandStar(m.body)
-		}
-		m.topReg = m.s.buildWait(m.inst, eff, m.activate)
-	}
-	m.armed = true
-	m.s.rearmWait(m.topReg)
-	return true
-}
-
-func (m *procMachine) push(f frame) { m.stack = append(m.stack, f) }
-
-func (m *procMachine) pop() { m.stack = m.stack[:len(m.stack)-1] }
-
-// pushBody queues st to run once on the next machine visit (the
-// continuation of a delay or event wait). Bare delays/waits carry a
-// Null body, which needs no frame.
-func (m *procMachine) pushBody(st verilog.Stmt) {
-	if st == nil {
-		return
-	}
-	if _, isNull := st.(*verilog.Null); isNull {
-		return
-	}
-	m.push(frame{kind: fBody, st: st})
-}
-
-// runTopFrame advances the topmost continuation frame by one step and
-// reports whether the process suspended. exec may grow the stack and
-// invalidate the frame pointer, so every frame mutation happens before
-// the exec call.
-func (m *procMachine) runTopFrame() bool {
-	f := &m.stack[len(m.stack)-1]
-	switch f.kind {
-	case fSeq:
-		if f.pc >= len(f.stmts) {
-			m.pop()
-			return false
-		}
-		st := f.stmts[f.pc]
-		f.pc++
-		return m.exec(st)
-	case fBody:
-		st := f.st
-		m.pop()
-		return m.exec(st)
-	case fFor:
-		x := f.st.(*verilog.For)
-		switch f.phase {
-		case 0:
-			f.phase = 1
-			return m.exec(x.Init)
-		case 1:
-			if m.s.eval(m.inst, x.Cond).ToBool() != hdl.L1 {
-				m.pop()
-				return false
-			}
-			m.s.Tick()
-			f.phase = 2
-			return m.exec(x.Body)
-		default:
-			f.phase = 1
-			return m.exec(x.Step)
-		}
-	case fWhile:
-		x := f.st.(*verilog.While)
-		if m.s.eval(m.inst, x.Cond).ToBool() != hdl.L1 {
-			m.pop()
-			return false
-		}
-		m.s.Tick()
-		return m.exec(x.Body)
-	case fRepeat:
-		if f.n == 0 {
-			m.pop()
-			return false
-		}
-		f.n--
-		m.s.Tick()
-		return m.exec(f.st.(*verilog.Repeat).Body)
-	case fForever:
-		m.s.Tick()
-		return m.exec(f.st.(*verilog.Forever).Body)
-	default: // fWait
-		x := f.st.(*verilog.WaitStmt)
-		if m.s.eval(m.inst, x.Cond).ToBool() == hdl.L1 {
-			m.pop()
-			return m.exec(x.Body)
-		}
-		m.s.Tick()
-		m.s.rearmWait(m.condRegFor(x))
-		return true
-	}
-}
-
-// exec interprets one statement, pushing continuation frames for
-// nested control flow. It returns true when the process suspended and
-// the step must unwind.
-func (m *procMachine) exec(st verilog.Stmt) bool {
-	s, inst := m.s, m.inst
-	s.Tick()
+// lowerStmt lowers one statement, which charges a step when it starts.
+func lowerStmt(b *sim.Builder[opSlot], st verilog.Stmt) {
+	b.Tick()
 	switch x := st.(type) {
 	case *verilog.Block:
-		if len(x.Stmts) > 0 {
-			m.push(frame{kind: fSeq, stmts: x.Stmts})
+		for _, inner := range x.Stmts {
+			lowerStmt(b, inner)
 		}
 	case *verilog.If:
-		if s.eval(inst, x.Cond).ToBool() == hdl.L1 {
-			return m.exec(x.Then)
-		} else if x.Else != nil {
-			return m.exec(x.Else)
+		test := b.Emit(sim.OpIf, opSlot{expr: x.Cond})
+		lowerStmt(b, x.Then)
+		if x.Else != nil {
+			end := b.Jump(-1)
+			b.Resolve(test, b.Label())
+			lowerStmt(b, x.Else)
+			test = end
 		}
+		b.Resolve(test, b.Label())
 	case *verilog.Case:
-		return m.execCase(x)
+		b.Case(opSlot{stmt: x}, len(x.Items), func(i int) { lowerStmt(b, x.Items[i].Body) })
 	case *verilog.For:
-		m.push(frame{kind: fFor, st: x})
+		lowerStmt(b, x.Init)
+		b.While(opSlot{expr: x.Cond}, func() {
+			lowerStmt(b, x.Body)
+			lowerStmt(b, x.Step)
+		})
 	case *verilog.While:
-		m.push(frame{kind: fWhile, st: x})
+		b.While(opSlot{expr: x.Cond}, func() { lowerStmt(b, x.Body) })
 	case *verilog.Repeat:
-		nv := s.eval(inst, x.Count)
-		n, ok := nv.Uint()
-		if ok && n > 0 {
-			m.push(frame{kind: fRepeat, st: x, n: n})
-		}
+		b.Counted(opSlot{expr: x.Count}, func() { lowerStmt(b, x.Body) })
 	case *verilog.Forever:
-		m.push(frame{kind: fForever, st: x})
+		top := b.Label()
+		b.Tick()
+		lowerStmt(b, x.Body)
+		b.Jump(top)
+	case *verilog.Assign, *verilog.SysCall:
+		b.Emit(sim.OpLeaf, opSlot{stmt: x})
+	case *verilog.DelayStmt:
+		b.Emit(sim.OpDelay, opSlot{expr: x.Amount})
+		lowerGuarded(b, x.Body)
+	case *verilog.EventWait:
+		w := b.Emit(sim.OpWait, opSlot{stmt: x.Body, sens: x.Sens})
+		b.Op(w).Next = int32(w)
+		lowerGuarded(b, x.Body)
+	case *verilog.WaitStmt:
+		b.Label() // resumes test the condition again
+		b.Emit(sim.OpWaitUntil, opSlot{expr: x.Cond})
+		lowerStmt(b, x.Body)
+	}
+}
+
+// lowerGuarded lowers the statement a delay or event control guards; a
+// bare `#d;` or `@(...);` guards nothing, not even a step.
+func lowerGuarded(b *sim.Builder[opSlot], st verilog.Stmt) {
+	if _, null := st.(*verilog.Null); st != nil && !null {
+		lowerStmt(b, st)
+	}
+}
+
+// Exec runs an assignment or a system task.
+func (p *proc) Exec(o *op) {
+	s, inst := p.s, p.inst
+	switch x := o.X.stmt.(type) {
 	case *verilog.Assign:
-		ts, total := m.lhsTargets(x)
+		ts, total := s.targets(&o.X.lhs, inst, x.LHS)
 		val := s.evalCtx(inst, x.RHS, total)
 		if x.Blocking {
 			s.applyTargets(ts, total, val)
@@ -732,91 +589,74 @@ func (m *procMachine) exec(st verilog.Stmt) bool {
 			// the scratch resolution is retained.
 			s.scheduleNBA(ts, total, val)
 		}
-	case *verilog.DelayStmt:
-		av := s.eval(inst, x.Amount)
-		n, ok := av.Uint()
-		if !ok {
-			panic(sim.Faultf("delay amount is unknown"))
-		}
-		m.pushBody(x.Body)
-		m.p.Delay(sim.Time(n))
-		return true
-	case *verilog.EventWait:
-		m.pushBody(x.Body)
-		s.rearmWait(m.waitRegFor(x))
-		return true
-	case *verilog.WaitStmt:
-		m.push(frame{kind: fWait, st: x})
 	case *verilog.SysCall:
 		s.execSysCall(inst, x)
-	case *verilog.Null:
-		// nothing
 	}
-	return false
 }
 
-// execCase runs the matching case arm; the arm body may suspend.
-func (m *procMachine) execCase(x *verilog.Case) bool {
-	s, inst := m.s, m.inst
+func (p *proc) Cond(o *op) bool { return p.s.eval(p.inst, o.X.expr).ToBool() == hdl.L1 }
+
+// Case takes the first item with a pattern matching the subject, else
+// the default item.
+func (p *proc) Case(o *op) int {
+	s, inst := p.s, p.inst
+	x := o.X.stmt.(*verilog.Case)
 	subject := s.eval(inst, x.Expr)
-	var deflt *verilog.CaseItem
+	deflt := len(x.Items)
 	for i := range x.Items {
-		item := &x.Items[i]
-		if item.Exprs == nil {
-			deflt = item
-			continue
+		if x.Items[i].Exprs == nil {
+			deflt = i
 		}
-		for _, pat := range item.Exprs {
-			pv := s.eval(inst, pat)
-			if caseMatches(x.Kind, subject, pv) {
-				return m.exec(item.Body)
+		for _, pat := range x.Items[i].Exprs {
+			if caseMatches(x.Kind, subject, s.eval(inst, pat)) {
+				return i
 			}
 		}
 	}
-	if deflt != nil {
-		return m.exec(deflt.Body)
-	}
-	return false
+	return deflt
 }
 
-// waitRegFor returns the cached wait registration for an event-control
-// statement, building it on first use. A process executes sequentially,
-// so a given wait statement is pending at most once per process and its
-// registration can be re-armed instead of rebuilt every pass.
-func (m *procMachine) waitRegFor(x *verilog.EventWait) *sim.WaitReg {
-	if r, ok := m.waits[x]; ok {
+func (p *proc) Delay(o *op) sim.Time {
+	n, ok := p.s.eval(p.inst, o.X.expr).Uint()
+	if !ok {
+		panic(sim.Faultf("delay amount is unknown"))
+	}
+	return sim.Time(n)
+}
+
+// Wait builds an event control's registration, expanding @* from the
+// statement it guards, or a wait (cond)'s level-sensitive one, which
+// must watch a signal.
+func (p *proc) Wait(o *op, resume func()) *sim.WaitReg {
+	sens := o.X.sens
+	if sens == nil {
+		sl := &verilog.SensList{Items: []verilog.SensItem{{Edge: verilog.EdgeLevel, Sig: o.X.expr}}}
+		r := p.s.buildWait(p.inst, sl, resume)
+		if r.Empty() {
+			panic(sim.Faultf("wait condition can never change"))
+		}
 		return r
 	}
-	sens := x.Sens
 	if sens.Star {
-		sens = m.s.expandStar(x.Body)
+		sens = p.s.expandStar(o.X.stmt)
 	}
-	r := m.s.buildWait(m.inst, sens, m.activate)
-	m.cacheWait(x, r)
-	return r
+	return p.s.buildWait(p.inst, sens, resume)
 }
 
-// condRegFor returns the cached level-sensitive wait on a
-// wait-statement condition.
-func (m *procMachine) condRegFor(x *verilog.WaitStmt) *sim.WaitReg {
-	if r, ok := m.waits[x]; ok {
-		return r
+// Loop counts a repeat from 1; an unknown count runs no pass, and one
+// past int64 could not run out before the statement budget does.
+func (p *proc) Loop(o *op) (first, last int64, down bool) {
+	n, ok := p.s.eval(p.inst, o.X.expr).Uint()
+	if !ok {
+		return 1, 0, false
 	}
-	sl := &verilog.SensList{Items: []verilog.SensItem{{Edge: verilog.EdgeLevel, Sig: x.Cond}}}
-	r := m.s.buildWait(m.inst, sl, m.activate)
-	if r.Empty() {
-		panic(sim.Faultf("wait condition can never change"))
-	}
-	m.cacheWait(x, r)
-	return r
+	return 1, int64(min(n, math.MaxInt64)), false
 }
 
-func (m *procMachine) cacheWait(key verilog.Stmt, r *sim.WaitReg) {
-	if m.waits == nil {
-		m.waits = make(map[verilog.Stmt]*sim.WaitReg)
-	}
-	m.waits[key] = r
-}
+// Iter and Leave have nothing to do: a repeat binds no variable.
+func (p *proc) Iter(*op, int64) {}
+
+func (p *proc) Leave(*op) {}
 
 // caseMatches compares subject and pattern under case/casez/casex rules.
 func caseMatches(kind verilog.CaseKind, subject, pat hdl.Vector) bool {

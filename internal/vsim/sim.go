@@ -33,10 +33,9 @@ type Simulator struct {
 	stopped  bool
 	dumpReq  bool // $dumpvars executed; honoured at the delta boundary
 
-	// targetScratch backs resolveTargetsScratch for assignments whose
-	// targets are consumed immediately (blocking assigns, continuous
-	// updates, and NBA scheduling, which copies target bounds into
-	// pooled kernel records before returning).
+	// targetScratch holds the targets of a dynamic assignment target
+	// (see targets), consumed at once: applied, or copied into pooled
+	// kernel records by NBA scheduling.
 	targetScratch []target
 
 	// nbaVec/nbaMem are the pre-bound NBA record apply hooks (method
@@ -44,6 +43,11 @@ type Simulator struct {
 	// allocate).
 	nbaVec func(*sim.NBARecord)
 	nbaMem func(*sim.NBARecord)
+
+	// procs and prog hold the run's always and initial blocks: each
+	// one's process machine and the statement program it runs.
+	procs sim.Arena[proc]
+	prog  sim.Builder[opSlot]
 }
 
 // Simulate elaborates top from modules and runs it to completion, on
@@ -80,9 +84,9 @@ func (s *Simulator) run(d *Design, opts Options, sh *stimShell) *Result {
 	for _, bp := range d.procs {
 		switch {
 		case bp.always != nil:
-			s.bindAlways(bp.scope, bp.always)
+			s.bindProcess(bp.scope, bp.scope.Path+".always", bp.always.Body, bp.always.Sens, true)
 		case bp.initial != nil:
-			s.bindInitial(bp.scope, bp.initial)
+			s.bindProcess(bp.scope, bp.scope.Path+".initial", bp.initial.Body, nil, false)
 		}
 	}
 	if sh != nil {
@@ -119,11 +123,7 @@ type contAssignRT struct {
 	a       *boundAssign
 	pending bool
 	run     func() // pre-built event closure: scheduling must not allocate
-
-	// Pre-bound static LHS resolution (see staticLHS); nil when the
-	// target carries runtime indexes and must re-resolve per update.
-	bound   *lhsBinding
-	dynamic bool // LHS classified dynamic; skip re-classification
+	lhs     lhsBinding
 }
 
 func (c *contAssignRT) schedule() {
@@ -136,20 +136,7 @@ func (c *contAssignRT) schedule() {
 
 func (c *contAssignRT) update() {
 	defer c.s.Recover()
-	var ts []target
-	var total int
-	switch {
-	case c.bound != nil:
-		ts, total = c.bound.ts, c.bound.total
-	case !c.dynamic && staticLHS(c.a.lhsScope, c.a.lhs):
-		// First execution of a static target: resolve once (inside the
-		// fault recovery a bad target needs) and pre-bind.
-		ts, total = c.s.resolveTargets(c.a.lhsScope, c.a.lhs)
-		c.bound = &lhsBinding{ts: ts, total: total}
-	default:
-		c.dynamic = true
-		ts, total = c.s.resolveTargetsScratch(c.a.lhsScope, c.a.lhs)
-	}
+	ts, total := c.s.targets(&c.lhs, c.a.lhsScope, c.a.lhs)
 	val := c.s.evalCtx(c.a.rhsScope, c.a.rhs, total)
 	c.s.applyTargets(ts, total, val)
 }
@@ -169,18 +156,6 @@ func (s *Simulator) bindContAssign(a *boundAssign) {
 	}()
 	// Initial evaluation at time zero.
 	rt.schedule()
-}
-
-func (s *Simulator) bindAlways(inst *Instance, alw *verilog.AlwaysBlock) {
-	m := &procMachine{s: s, inst: inst, body: alw.Body, sens: alw.Sens, always: true}
-	m.p = s.Kernel.NewProcess(inst.Path+".always", m.step)
-	m.activate = m.p.Activate
-}
-
-func (s *Simulator) bindInitial(inst *Instance, ib *verilog.InitialBlock) {
-	m := &procMachine{s: s, inst: inst, body: ib.Body}
-	m.p = s.Kernel.NewProcess(inst.Path+".initial", m.step)
-	m.activate = m.p.Activate
 }
 
 // ---------------------------------------------------------------- tasks

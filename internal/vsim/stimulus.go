@@ -116,7 +116,7 @@ func (sh *stimShell) AwaitClock(resume func()) {
 		}, func() { last = clk.Val.Bit(0) })
 	}
 	s.Tick()
-	s.rearmWait(sh.clkWait)
+	sh.clkWait.Rearm()
 }
 
 // Rose is always true: the edge-triggered wait wakes on rising edges

@@ -65,4 +65,6 @@ func (s *Simulator) reset() {
 	s.rng = rngSeed
 	s.finished, s.stopped, s.dumpReq = false, false, false
 	clear(s.targetScratch[:cap(s.targetScratch)])
+	s.procs.Reset()
+	s.prog.Reset()
 }
