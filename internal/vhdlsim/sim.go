@@ -30,7 +30,7 @@ type Simulator struct {
 	updFull func(*sim.NBARecord)
 	updPart func(*sim.NBARecord)
 
-	// procs and lower hold the run's processes: each one's process
+	// procs and prog hold the run's processes: each one's process
 	// machine and the statement program it runs.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
