@@ -1246,6 +1246,15 @@ func (v Vector) DecString() string {
 	return v.bigInt().String()
 }
 
+// SignedDecString renders v in decimal as a two's-complement number of
+// its width, or "x" when any bit is unknown.
+func (v Vector) SignedDecString() string {
+	if v.width == 0 || v.Bit(v.width-1) != L1 || !v.IsKnown() {
+		return v.DecString()
+	}
+	return "-" + v.Neg().DecString()
+}
+
 // String implements fmt.Stringer as width'b<bits>.
 func (v Vector) String() string {
 	return fmt.Sprintf("%d'b%s", v.width, v.BinString())

@@ -506,7 +506,10 @@ func (s *Simulator) messageText(inst *Instance, en *env, e vhdl.Expr) string {
 			return s.messageText(inst, en, x.L) + s.messageText(inst, en, x.R)
 		}
 	}
-	// Fall back to a numeric rendering.
+	// Fall back to a numeric rendering; integers are signed.
 	v := s.eval(inst, en, e)
+	if v.isInt {
+		return v.v.SignedDecString()
+	}
 	return v.v.DecString()
 }

@@ -407,3 +407,31 @@ end architecture;
 		t.Errorf("full run: timedOut=%v asserts=%d log %q", full.TimedOut, full.AssertErrors, full.Log)
 	}
 }
+
+// TestVHDLReportSignedInteger: a report renders an integer as a signed
+// decimal, and a vector as an unsigned one.
+func TestVHDLReportSignedInteger(t *testing.T) {
+	res := runVHDL(t, "tb", `
+library ieee;
+use ieee.std_logic_1164.all;
+entity tb is end entity;
+architecture sim of tb is
+  signal n : integer := -3;
+begin
+  process
+    variable s : integer := -17;
+    variable p : integer := 42;
+    variable v : std_logic_vector(3 downto 0) := "1111";
+  begin
+    report "s=" & s;
+    report "n=" & n;
+    report "p=" & p;
+    report "v=" & v;
+    wait;
+  end process;
+end architecture;`)
+	want := "Note: s=-17\nNote: n=-3\nNote: p=42\nNote: v=15\n"
+	if res.Log != want {
+		t.Errorf("log = %q, want %q", res.Log, want)
+	}
+}

@@ -122,3 +122,31 @@ endmodule`), "tb", Options{})
 		t.Errorf("two disjoint blocks logged %q, want the single-block stream %q", two.Log, one.Log)
 	}
 }
+
+// TestDisplaySignedDecimal: %d, %0d and a bare $display argument render
+// a signed expression as a signed decimal and an unsigned one unsigned.
+func TestDisplaySignedDecimal(t *testing.T) {
+	mods := parseTestDesign(t, `
+module tb;
+  integer i;
+  reg signed [7:0] s;
+  reg [7:0] u;
+  initial begin
+    i = -5;
+    s = -3;
+    u = -3;
+    $display("%d %0d %d", i, s, u);
+    $display(i, s, u);
+    $display("%0d", s + 8'sd1);
+    $finish;
+  end
+endmodule`)
+	res, err := Simulate(mods, "tb", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "-5 -3 253\n-5 -3 253\n-2\n"
+	if !strings.HasPrefix(res.Log, want) {
+		t.Errorf("log = %q, want it to start %q", res.Log, want)
+	}
+}

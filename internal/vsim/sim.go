@@ -246,10 +246,18 @@ func (s *Simulator) formatArgs(inst *Instance, args []verilog.Expr) string {
 		if lit, ok := a.(*verilog.StringLit); ok {
 			sb.WriteString(lit.Value)
 		} else {
-			sb.WriteString(s.eval(inst, a).DecString())
+			sb.WriteString(s.decimal(inst, a, s.eval(inst, a)))
 		}
 	}
 	return sb.String()
+}
+
+// decimal renders v, the value of e, in decimal: signed when e is.
+func (s *Simulator) decimal(inst *Instance, e verilog.Expr, v hdl.Vector) string {
+	if s.exprSigned(inst, e) {
+		return v.SignedDecString()
+	}
+	return v.DecString()
 }
 
 func (s *Simulator) formatString(inst *Instance, format string, args []verilog.Expr) string {
@@ -287,7 +295,7 @@ func (s *Simulator) formatString(inst *Instance, format string, args []verilog.E
 			sb.WriteByte('%')
 		case 'd', 'D':
 			if v, ok := nextArg(); ok {
-				sb.WriteString(v.DecString())
+				sb.WriteString(s.decimal(inst, args[argi-1], v))
 			}
 		case 'b', 'B':
 			if v, ok := nextArg(); ok {
