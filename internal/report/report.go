@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/edatool"
+	"repro/internal/eval"
 	"repro/internal/exp"
 )
 
@@ -72,7 +73,7 @@ func Table1(sums []*exp.Summary) string {
 			"AIVRIL2 ("+p.V.Model+")", vS, vF, vDs, hS, hF, hDs)
 	}
 	fmt.Fprintf(&sb, "%-32s | %8s %8s %8.2f | %8s %8s %8.2f\n",
-		"Average", "", "", mean(vDeltas), "", "", mean(hDeltas))
+		"Average", "", "", eval.Mean(vDeltas), "", "", eval.Mean(hDeltas))
 	return sb.String()
 }
 
@@ -182,15 +183,4 @@ func CategoryTable(s *exp.Summary) string {
 		fmt.Fprintf(&sb, "  %-14s %3d/%3d  %6.1f%%\n", n, e[0], e[1], 100*float64(e[0])/float64(e[1]))
 	}
 	return sb.String()
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
