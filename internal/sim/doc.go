@@ -18,23 +18,26 @@
 // case dispatch, counted loops, delays and waits) and keeps only the
 // leaf hooks, and the machine keeps the program counter and the per-op
 // slots: wait registrations, loop counters, a VHDL loop variable, a
-// Verilog assignment's bound targets. The kernel dispatches a step as a
-// plain function call that runs the program to its next delay or wait,
-// arranges its own reactivation and returns, so no goroutine or channel
-// exists per process and suspended state is an inspectable value.
-// Simulation remains fully deterministic — a property the experiment
-// layer leans on (cached and resumed sweeps must reproduce in-memory
-// results bit for bit) — and is pinned by the front-ends' determinism
-// tests.
+// Verilog assignment's bound targets. A Machine, like the stimulus
+// harness, embeds its Process, which the kernel dispatches through one
+// hook bound when it starts: a plain call that runs to the next delay
+// or wait, arranges its own reactivation and returns, so no goroutine
+// or channel exists per process and suspended state is an inspectable
+// value. A wait registration (wait.go) holds one watcher per watched
+// signal, firing on any change or, by the IEEE 1364 edge table, on an
+// edge of a sampled bit. Simulation remains fully deterministic — a
+// property the experiment layer leans on (cached and resumed sweeps
+// must reproduce in-memory results bit for bit) — and is pinned by the
+// front-ends' determinism tests.
 //
 // Both front-ends run inside one shell, Runtime (runtime.go), which a
 // Simulator embeds: the kernel, the testbench file name, the capped log
 // (Logf), the statement budget (Tick) and fault handling. Interpreters
-// panic with a Fault on malformed RTL; Recover and ProcRecover record it
-// in the kernel's fault slot, where the first fault wins. Execute runs
-// the kernel and returns the Outcome both Result types embed: the log
-// cut at its cap, then one abort line for a limit stop, then one
-// SIMULATOR line for the fault. Options, the elaboration bounds and
+// panic with a Fault on malformed RTL; a process's dispatch, or Recover
+// around other work, records it in the kernel's fault slot, where the
+// first fault wins. Execute runs the kernel and returns the Outcome
+// both Result types embed: the log cut at its cap, then one abort line
+// for a limit stop, then one SIMULATOR line for the fault. Options, the elaboration bounds and
 // their ElabError, the signal Arena and DeclIndexToBit are shared the
 // same way; each front-end keeps only its own message texts. The Arena
 // sizes its chunks to the design: the first holds 8 signals and each
@@ -46,13 +49,14 @@
 // a workspace holds the Design that Simulate and SimulateStimulus
 // elaborate into (the signal and instance arenas, the binding slices,
 // and the unit and instance maps) and the Simulator that runs it (the
-// Runtime with its kernel queues and log buffer, the process machines
-// and their programs, and vsim's target scratch). The Result copies the log, renders the VCD and captures
-// the final values before the workspace goes back reset: Arena.Reset
-// zeroes only the values the run took, Maps.Reset empties only the
-// maps it used, and Runtime.Reset truncates the kernel's queues and the
-// log and restores every counter, serial and limit to its NewKernel
-// value. A reset workspace therefore keeps no pointer into an AST, a
+// Runtime with its kernel queues, log buffer, wait registrations and
+// stimulus harness, the process machines and their programs, and vsim's
+// target scratch). The Result copies the log, renders the VCD and
+// captures the final values before the workspace goes back reset:
+// Arena.Reset zeroes only the values the run took, Maps.Reset empties
+// only the maps it used, and Runtime.Reset truncates the kernel's queues
+// and the log, clears the registrations and the harness, and restores
+// every counter, serial and limit to its NewKernel value. A reset workspace therefore keeps no pointer into an AST, a
 // kernel closure or a Result, so a pooled one keeps no evicted parse
 // alive, and resetting costs what the last run used. A Design built by
 // Elaborate belongs to its caller and is never recycled; SimulateDesign

@@ -1,10 +1,9 @@
-package vsim
+package sim
 
 import (
 	"testing"
 
 	"repro/internal/hdl"
-	"repro/internal/verilog"
 )
 
 // TestEdgeTable pins the IEEE 1364 edge table over all 16 transitions
@@ -33,10 +32,10 @@ func TestEdgeTable(t *testing.T) {
 		{hdl.LZ, hdl.LX, false, false},
 		{hdl.LZ, hdl.LZ, false, false},
 	} {
-		if got := edgeMatch(tc.from, tc.to, verilog.EdgePos); got != tc.pos {
+		if got := edgeMatch(tc.from, tc.to, Rising); got != tc.pos {
 			t.Errorf("posedge %v->%v = %v, want %v", tc.from, tc.to, got, tc.pos)
 		}
-		if got := edgeMatch(tc.from, tc.to, verilog.EdgeNeg); got != tc.neg {
+		if got := edgeMatch(tc.from, tc.to, Falling); got != tc.neg {
 			t.Errorf("negedge %v->%v = %v, want %v", tc.from, tc.to, got, tc.neg)
 		}
 	}

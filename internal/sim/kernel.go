@@ -371,38 +371,52 @@ func (k *Kernel) advanceTo(t Time) {
 // step function, which runs the process up to its next delay or wait
 // and returns after arranging its own reactivation. No goroutine or
 // channel exists per process, so a kernel is fully dismantled by
-// letting it go out of scope.
+// letting it go out of scope. A Process is a value its owner embeds;
+// Start makes it a process of a kernel in place.
 type Process struct {
-	k      *Kernel
-	dead   bool
-	step   func(p *Process)
-	stepFn func() // pre-built dispatch closure, so Delay/Activate don't allocate
+	k    *Kernel
+	name string
+	step Stepper
+	run  func() // the dispatch hook the kernel queues, bound by Start
+	dead bool
 }
 
-// NewProcess registers a process whose continuation is step and
-// schedules its first activation in the current active region. A panic
-// inside step is recovered at the dispatch boundary: TerminateProcess
-// unwinds cleanly (the process is marked dead); any other panic is an
-// interpreter fault on malformed RTL, recorded as a simulation fatal
+// Stepper is a process's continuation: Step runs the process up to its
+// next delay or wait, or to its end.
+type Stepper interface{ Step() }
+
+// Start makes p a process of k named name, whose continuation is step,
+// and schedules its first activation in the current active region.
+func (p *Process) Start(k *Kernel, name string, step Stepper) {
+	*p = Process{k: k, name: name, step: step}
+	p.run = p.dispatch
+	k.Active(p.run)
+}
+
+// dispatch runs one step of a live process. Its one recover ends the
+// process on any panic: TerminateProcess unwinds cleanly, a Fault
+// becomes the run's fault, and any other panic is an interpreter fault
+// on malformed RTL, recorded as a simulation fatal in the process
 // instead of crashing the harness.
-func (k *Kernel) NewProcess(name string, step func(p *Process)) *Process {
-	p := &Process{k: k, step: step}
-	p.stepFn = func() {
-		if p.dead {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				p.dead = true
-				if _, ok := r.(TerminateProcess); !ok {
-					k.SetFault(fmt.Sprintf("simulation fatal in process %s: %v", name, r))
-				}
-			}
-		}()
-		p.step(p)
+func (p *Process) dispatch() {
+	if p.dead {
+		return
 	}
-	k.Active(p.stepFn)
-	return p
+	defer p.recover()
+	p.step.Step()
+}
+
+func (p *Process) recover() {
+	switch r := recover().(type) {
+	case nil:
+		return
+	case TerminateProcess:
+	case Fault:
+		p.k.SetFault(r.Msg)
+	default:
+		p.k.SetFault(fmt.Sprintf("simulation fatal in process %s: %v", p.name, r))
+	}
+	p.dead = true
 }
 
 // TerminateProcess is the panic sentinel a process step may raise to
@@ -418,20 +432,16 @@ type TerminateProcess struct{}
 // queued in this delta (including processes spawned later) runs before
 // the process resumes. This is the IEEE 1364 `#0` ordering and is
 // pinned by TestZeroDelayYieldsFIFO.
-func (p *Process) Delay(d Time) { p.k.Schedule(d, p.stepFn) }
+func (p *Process) Delay(d Time) { p.k.Schedule(d, p.run) }
 
 // Activate schedules the process to step again in the active region.
-// Event-control waits use this as the resume hook: the interpreter
-// registers it with its signal sensitivity machinery and returns.
+// A wait registration resumes its process through it.
 func (p *Process) Activate() {
 	if p.dead {
 		return
 	}
-	p.k.Active(p.stepFn)
+	p.k.Active(p.run)
 }
 
 // Terminate marks the process dead; pending activations become no-ops.
 func (p *Process) Terminate() { p.dead = true }
-
-// Dead reports whether the process has terminated.
-func (p *Process) Dead() bool { return p.dead }

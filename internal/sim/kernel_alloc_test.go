@@ -51,7 +51,7 @@ func TestProcessStepZeroAllocs(t *testing.T) {
 	k := NewKernel()
 	const steps = 1000
 	n := 0
-	proc := k.NewProcess("clock", func(p *Process) {
+	proc := spawn(k, "clock", func(p *Process) {
 		n++
 		if n >= steps {
 			return // suspend with nothing scheduled: the run goes idle

@@ -56,7 +56,7 @@ func TestQuickProcessDelaysAccumulate(t *testing.T) {
 		}
 		var got Time
 		pc := 0
-		k.NewProcess("p", func(p *Process) {
+		spawn(k, "p", func(p *Process) {
 			if pc < len(steps) {
 				d := Time(steps[pc])
 				pc++

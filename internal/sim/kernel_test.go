@@ -22,6 +22,19 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+// stepFunc is a process continuation written as a function.
+type stepFunc func()
+
+func (f stepFunc) Step() { f() }
+
+// spawn starts a process on k named name whose step is step(p), with
+// p the process itself.
+func spawn(k *Kernel, name string, step func(p *Process)) *Process {
+	p := new(Process)
+	p.Start(k, name, stepFunc(func() { step(p) }))
+	return p
+}
+
 // nbaDo queues fn into the current NBA region as a record whose Apply
 // hook calls it.
 func nbaDo(k *Kernel, fn func()) {
@@ -49,7 +62,7 @@ func TestProcessDelay(t *testing.T) {
 	k := NewKernel()
 	var times []Time
 	pc := 0
-	k.NewProcess("p", func(p *Process) {
+	spawn(k, "p", func(p *Process) {
 		times = append(times, k.Now())
 		switch pc {
 		case 0:
@@ -74,7 +87,7 @@ func TestTwoProcessesInterleave(t *testing.T) {
 	k := NewKernel()
 	var log []string
 	apc, bpc := 0, 0
-	k.NewProcess("a", func(p *Process) {
+	spawn(k, "a", func(p *Process) {
 		switch apc {
 		case 0:
 			log = append(log, "a0")
@@ -89,7 +102,7 @@ func TestTwoProcessesInterleave(t *testing.T) {
 			p.Terminate()
 		}
 	})
-	k.NewProcess("b", func(p *Process) {
+	spawn(k, "b", func(p *Process) {
 		switch bpc {
 		case 0:
 			log = append(log, "b0")
@@ -116,7 +129,7 @@ func TestFinishStopsRun(t *testing.T) {
 	k := NewKernel()
 	ran := false
 	pc := 0
-	k.NewProcess("p", func(p *Process) {
+	spawn(k, "p", func(p *Process) {
 		if pc == 0 {
 			pc = 1
 			p.Delay(5)
@@ -142,7 +155,7 @@ func TestActivationWait(t *testing.T) {
 	var got Time
 	var waiter *Process
 	waited := false
-	waiter = k.NewProcess("waiter", func(p *Process) {
+	waiter = spawn(k, "waiter", func(p *Process) {
 		if !waited {
 			// First activation: suspend until someone calls Activate.
 			waited = true
@@ -152,7 +165,7 @@ func TestActivationWait(t *testing.T) {
 		p.Terminate()
 	})
 	kicked := false
-	k.NewProcess("kicker", func(p *Process) {
+	spawn(k, "kicker", func(p *Process) {
 		if !kicked {
 			kicked = true
 			p.Delay(42)
@@ -212,7 +225,7 @@ func TestFinishAbandonsInfiniteProcess(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
 	iterations := 0
-	k.NewProcess("clock", func(p *Process) {
+	spawn(k, "clock", func(p *Process) {
 		iterations++
 		if iterations > 3 {
 			k.Finish()
@@ -230,7 +243,7 @@ func TestFinishAbandonsInfiniteProcess(t *testing.T) {
 
 func TestProcessPanicBecomesFault(t *testing.T) {
 	k := NewKernel()
-	k.NewProcess("bad", func(p *Process) {
+	spawn(k, "bad", func(p *Process) {
 		var s []int
 		_ = s[3] // index out of range
 	})
@@ -246,7 +259,7 @@ func TestProcessPanicBecomesFault(t *testing.T) {
 func TestTerminateMakesActivationsNoOps(t *testing.T) {
 	k := NewKernel()
 	runs := 0
-	p := k.NewProcess("p", func(p *Process) {
+	p := spawn(k, "p", func(p *Process) {
 		runs++
 		p.Terminate()
 	})
@@ -255,7 +268,7 @@ func TestTerminateMakesActivationsNoOps(t *testing.T) {
 	if runs != 1 {
 		t.Errorf("step ran %d times, want 1 (post-Terminate activation must be a no-op)", runs)
 	}
-	if !p.Dead() {
+	if !p.dead {
 		t.Error("process not dead after Terminate")
 	}
 }
@@ -264,7 +277,7 @@ func TestZeroDelayYieldsFIFO(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	delayed := false
-	k.NewProcess("a", func(p *Process) {
+	spawn(k, "a", func(p *Process) {
 		if !delayed {
 			order = append(order, "a1")
 			delayed = true
@@ -274,7 +287,7 @@ func TestZeroDelayYieldsFIFO(t *testing.T) {
 		order = append(order, "a2")
 		p.Terminate()
 	})
-	k.NewProcess("b", func(p *Process) {
+	spawn(k, "b", func(p *Process) {
 		order = append(order, "b1")
 		p.Terminate()
 	})
@@ -295,7 +308,7 @@ func TestZeroDelayStaysInCurrentDelta(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	yielded := false
-	k.NewProcess("p", func(p *Process) {
+	spawn(k, "p", func(p *Process) {
 		if !yielded {
 			yielded = true
 			nbaDo(k, func() { order = append(order, "nba") })

@@ -43,37 +43,41 @@ type Hooks[X any] interface {
 	Cond(op *Op[X]) bool                           // whether a condition holds
 	Case(op *Op[X]) int                            // the arm taken, or the arm count for none
 	Delay(op *Op[X]) Time                          // a delay, faulting when unknown
-	Wait(op *Op[X], resume func()) *WaitReg        // the registration of a wait site
+	Wait(op *Op[X], r *WaitReg)                    // build a wait site's registration into r
 	Loop(op *Op[X]) (first, last int64, down bool) // a counted loop's values (op is its OpNext); binds its variable
 	Iter(op *Op[X], v int64)                       // set the loop variable for the next pass
 	Leave(op *Op[X])                               // unbind the loop variable
 }
 
-// Machine runs one process's program. Its suspended state is the
-// program counter and the slots, so a kernel activation is a plain call
-// that runs to the next suspension and arranges its own reactivation.
+// Machine is one process running its program. Its suspended state is
+// the program counter and the slots, so a kernel activation is a plain
+// call that runs to the next suspension and arranges its own
+// reactivation.
 type Machine[X any] struct {
-	prog   []Op[X]
-	pc     int
-	rt     *Runtime
-	h      Hooks[X]
-	resume func() // the process's Activate, shared by every wait site
+	Process
+	prog []Op[X]
+	pc   int
+	rt   *Runtime
+	h    Hooks[X]
+
+	// resume is Activate, bound when a wait first watches nothing: such
+	// a wait resumes the process through an event of its own.
+	resume func()
 }
 
-// Start registers m as a kernel process, first activated in the current
-// active region, and returns its resume hook. SetProgram must give it a
-// program before the kernel runs.
-func (m *Machine[X]) Start(rt *Runtime, name string, h Hooks[X]) func() {
+// Start makes m a process of rt's kernel, first activated in the
+// current active region. SetProgram must give it a program before the
+// kernel runs.
+func (m *Machine[X]) Start(rt *Runtime, name string, h Hooks[X]) {
 	m.rt, m.h = rt, h
-	m.resume = rt.Kernel.NewProcess(name, m.step).Activate
-	return m.resume
+	m.Process.Start(rt.Kernel, name, m)
 }
 
 // SetProgram sets the program m runs from its first op.
 func (m *Machine[X]) SetProgram(prog []Op[X]) { m.prog, m.pc = prog, 0 }
 
-func (m *Machine[X]) step(p *Process) {
-	defer m.rt.ProcRecover()
+// Step runs the program to its next suspension.
+func (m *Machine[X]) Step() {
 	for {
 		op := &m.prog[m.pc]
 		for range op.Ticks {
@@ -118,7 +122,7 @@ func (m *Machine[X]) step(p *Process) {
 		case OpDelay:
 			d := m.h.Delay(op)
 			m.pc++
-			p.Delay(d)
+			m.Delay(d)
 			return
 		case OpWait:
 			m.pc++
@@ -133,7 +137,7 @@ func (m *Machine[X]) step(p *Process) {
 			m.arm(op)
 			return
 		default: // OpHalt
-			p.Terminate()
+			m.Terminate()
 			return
 		}
 	}
@@ -143,10 +147,14 @@ func (m *Machine[X]) step(p *Process) {
 // watches nothing resumes the process at once.
 func (m *Machine[X]) arm(op *Op[X]) {
 	if op.Wait == nil {
-		op.Wait = m.h.Wait(op, m.resume)
+		op.Wait = m.rt.waits.Alloc()
+		m.h.Wait(op, op.Wait)
 	}
 	op.Wait.Rearm()
 	if op.Wait.Empty() {
+		if m.resume == nil {
+			m.resume = m.Activate
+		}
 		m.rt.Kernel.Active(m.resume)
 	}
 }

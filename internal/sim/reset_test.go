@@ -22,7 +22,7 @@ var scenarios = []struct {
 	}},
 	{"nba-at-finish", Options{File: "x.v"}, func(r *Runtime) {
 		r.Kernel.AfterDelta = func() { r.Logf("delta %d\n", r.Kernel.DeltaSerial()) }
-		r.Kernel.NewProcess("p", func(p *Process) {
+		spawn(r.Kernel, "p", func(p *Process) {
 			r.Logf("at %d\n", r.Kernel.Now())
 			if r.Kernel.Now() == 3 {
 				nbaDo(r.Kernel, func() { r.Logf("never\n") })
@@ -42,8 +42,7 @@ var scenarios = []struct {
 		r.Kernel.Active(tick)
 	}},
 	{"fault-and-budget", Options{MaxOutput: 40}, func(r *Runtime) {
-		r.Kernel.NewProcess("bad", func(p *Process) {
-			defer r.ProcRecover()
+		spawn(r.Kernel, "bad", func(p *Process) {
 			for i := 0; i < 10; i++ {
 				r.Tick()
 				r.Logf("step %d\n", i)

@@ -31,8 +31,8 @@ type Outcome struct {
 }
 
 // Fault is the panic value an interpreter raises to unwind on a
-// runtime error in malformed RTL; Recover and ProcRecover turn it into
-// the run's fault instead of a crash.
+// runtime error in malformed RTL; Recover, and a process's dispatch,
+// turn it into the run's fault instead of a crash.
 type Fault struct{ Msg string }
 
 // Faultf returns a Fault with a formatted message.
@@ -81,6 +81,9 @@ type Runtime struct {
 	steps       uint64 // interpreter statement budget spent
 	defaultFile string
 	budgetFault string
+
+	waits Arena[WaitReg] // the wait registrations of the run's Machines
+	stim  stimulusRun    // the stimulus harness process (StartStimulus)
 }
 
 // NewRuntime returns the shell of one run under opts on a fresh
@@ -109,13 +112,16 @@ func (r *Runtime) Start(opts Options) {
 }
 
 // Reset returns the runtime to the state NewRuntime left it in, before
-// Start: the kernel is reset, the log buffer truncated and the
-// statement budget refilled.
+// Start: the kernel is reset, the log buffer truncated, the statement
+// budget refilled, and the wait registrations and the stimulus harness
+// cleared.
 func (r *Runtime) Reset() {
 	r.Kernel.reset()
 	r.log = r.log[:0]
 	r.steps = 0
 	r.File, r.logCap = "", 0
+	r.waits.Reset()
+	r.stim = stimulusRun{}
 }
 
 // Logf appends formatted text to the log; writes past the cap are
@@ -136,28 +142,13 @@ func (r *Runtime) Tick() {
 }
 
 // Recover, deferred around non-process work (continuous updates,
-// watcher registration), records a Fault panic as the run's fault and
+// observer registration), records a Fault panic as the run's fault and
 // stops the run; any other panic propagates.
 func (r *Runtime) Recover() {
 	if v := recover(); v != nil {
 		if f, ok := v.(Fault); ok {
 			r.Kernel.SetFault(f.Msg)
 			return
-		}
-		panic(v)
-	}
-}
-
-// ProcRecover, deferred in a process step, records a Fault panic as the
-// run's fault and unwinds the process cleanly: the kernel's dispatch
-// boundary treats the TerminateProcess re-panic as a clean termination.
-// Any other panic reaches that boundary unchanged and is recorded there
-// as a simulation fatal in the process.
-func (r *Runtime) ProcRecover() {
-	if v := recover(); v != nil {
-		if f, ok := v.(Fault); ok {
-			r.Kernel.SetFault(f.Msg)
-			panic(TerminateProcess{})
 		}
 		panic(v)
 	}

@@ -20,7 +20,7 @@ func logLines(r *Runtime, n int) func(*Process) {
 // stay visible.
 func TestExecuteCutsLogBeforeSummary(t *testing.T) {
 	r := NewRuntime(Options{MaxTime: 100, MaxOutput: 25}, "tb", "budget")
-	r.Kernel.NewProcess("chatty", logLines(&r, 5))
+	spawn(r.Kernel, "chatty", logLines(&r, 5))
 	var tick func()
 	tick = func() { r.Kernel.Schedule(30, tick) }
 	r.Kernel.Schedule(30, tick)
@@ -31,9 +31,8 @@ func TestExecuteCutsLogBeforeSummary(t *testing.T) {
 	}
 
 	r = NewRuntime(Options{MaxOutput: 25}, "tb", "budget")
-	r.Kernel.NewProcess("chatty", logLines(&r, 5))
-	r.Kernel.NewProcess("bad", func(p *Process) {
-		defer r.ProcRecover()
+	spawn(r.Kernel, "chatty", logLines(&r, 5))
+	spawn(r.Kernel, "bad", func(p *Process) {
 		panic(Faultf("bad %s", "value"))
 	})
 	out = r.Execute()
@@ -90,8 +89,7 @@ func TestExecuteAbortLine(t *testing.T) {
 func TestExecuteFaultLineOnceFirstWins(t *testing.T) {
 	r := NewRuntime(Options{}, "tb", "budget")
 	for _, msg := range []string{"first", "second"} {
-		r.Kernel.NewProcess(msg, func(p *Process) {
-			defer r.ProcRecover()
+		spawn(r.Kernel, msg, func(p *Process) {
 			panic(Fault{Msg: msg})
 		})
 	}
@@ -118,8 +116,7 @@ func TestExecuteFaultLineOnceFirstWins(t *testing.T) {
 // the fault with its SIMULATOR line.
 func TestExecuteProcessPanicSurfaces(t *testing.T) {
 	r := NewRuntime(Options{}, "tb", "budget")
-	r.Kernel.NewProcess("tb.bad", func(p *Process) {
-		defer r.ProcRecover()
+	spawn(r.Kernel, "tb.bad", func(p *Process) {
 		var s []int
 		_ = s[3]
 	})
@@ -137,8 +134,7 @@ func TestExecuteProcessPanicSurfaces(t *testing.T) {
 func TestTickBudget(t *testing.T) {
 	r := NewRuntime(Options{}, "tb", "budget spent")
 	r.steps = stepBudget
-	r.Kernel.NewProcess("loop", func(p *Process) {
-		defer r.ProcRecover()
+	spawn(r.Kernel, "loop", func(p *Process) {
 		r.Tick()
 	})
 	if out := r.Execute(); out.Fault != "budget spent" {

@@ -106,9 +106,9 @@ type Shell interface {
 	Holds(i int, v uint64) bool
 	// Mismatch runs the failure branch of one output check.
 	Mismatch()
-	// AwaitClock suspends on clk and arranges for resume to run on the
-	// next clk event the HDL's wait observes (Verilog: rising edges).
-	AwaitClock(resume func())
+	// AwaitClock suspends the harness process p on clk, to resume on
+	// the next clk event the HDL's wait observes (Verilog: rising edges).
+	AwaitClock(p *Process)
 	// Rose reports, after a clock wakeup, whether clk rose. When it did
 	// not, the shell has re-armed the wait.
 	Rose() bool
@@ -124,31 +124,29 @@ const (
 	phaseCheck        // one time unit after the drive or edge: compare
 )
 
-// stimulusRun is the harness process's state.
+// stimulusRun is the harness process and its state.
 type stimulusRun struct {
+	Process
 	rt       *Runtime
 	st       *Stimulus
 	sh       Shell
-	p        *Process
-	resume   func() // p.Activate, bound once: the clock waits of every vector share it
 	vec      int
 	phase    uint8
 	failures int
 }
 
-// StartStimulus registers the harness process that drives st through
-// sh. A front-end calls it after binding the design's own processes,
-// where the textual stimulus block's process would be bound, so the
-// time-zero activation order is unchanged.
+// StartStimulus starts the harness process that drives st through sh.
+// A front-end calls it after binding the design's own processes, where
+// the textual stimulus block's process would be bound, so the time-zero
+// activation order is unchanged.
 func (r *Runtime) StartStimulus(st *Stimulus, sh Shell) {
-	h := &stimulusRun{rt: r, st: st, sh: sh}
-	h.p = r.Kernel.NewProcess("stimulus", h.step)
-	h.resume = h.p.Activate
+	h := &r.stim
+	*h = stimulusRun{rt: r, st: st, sh: sh}
+	h.Start(r.Kernel, "stimulus", h)
 }
 
-// step is the harness continuation the kernel dispatches.
-func (h *stimulusRun) step(p *Process) {
-	defer h.rt.ProcRecover()
+// Step is the harness continuation the kernel dispatches.
+func (h *stimulusRun) Step() {
 	switch h.phase {
 	case phaseBegin:
 		h.sh.Begin()
@@ -164,7 +162,7 @@ func (h *stimulusRun) step(p *Process) {
 	}
 	if h.vec == h.st.Vectors {
 		h.sh.End(h.failures)
-		p.Terminate()
+		h.Terminate()
 		return
 	}
 	h.drive()
@@ -180,7 +178,7 @@ func (h *stimulusRun) drive() {
 	}
 	if h.st.Seq {
 		h.phase = phaseClock
-		h.sh.AwaitClock(h.resume)
+		h.sh.AwaitClock(&h.Process)
 		return
 	}
 	h.settle()
@@ -191,7 +189,7 @@ func (h *stimulusRun) drive() {
 func (h *stimulusRun) settle() {
 	h.rt.Tick()
 	h.phase = phaseCheck
-	h.p.Delay(1)
+	h.Delay(1)
 }
 
 // check compares the current vector's outputs.

@@ -42,10 +42,10 @@ func (s *traceShell) Holds(i int, v uint64) bool {
 	s.rec("check%d=%d", i, v)
 	return s.want[fmt.Sprintf("%d/%d", i, v)]
 }
-func (s *traceShell) Mismatch()                { s.rec("mismatch") }
-func (s *traceShell) AwaitClock(resume func()) { s.rec("await") }
-func (s *traceShell) Rose() bool               { return true }
-func (s *traceShell) End(failures int)         { s.rec("end%d", failures) }
+func (s *traceShell) Mismatch()             { s.rec("mismatch") }
+func (s *traceShell) AwaitClock(p *Process) { s.rec("await") }
+func (s *traceShell) Rose() bool            { return true }
+func (s *traceShell) End(failures int)      { s.rec("end%d", failures) }
 
 // TestStimulusHarnessTimeline runs a combinational stimulus against a
 // recording shell: per vector, drive every input, settle one time

@@ -1,66 +1,71 @@
 package sim
 
-// This file is the signal-watching protocol shared by the HDL
-// front-ends (vsim, vhdlsim). Both interpreters used to hand-duplicate
-// it; the semantics are identical, so prune/re-arm fixes now apply
-// once. The protocol is parameterized over the front-end signal type
-// simply by embedding: a front-end Signal embeds a WatchList and calls
-// Notify on writes; everything watcher-shaped lives here.
-//
-//   - A WaitGroup is a one-shot event control: the first matching
-//     trigger on any member watcher fires the group, kills all
-//     members, and resumes the waiting activity.
-//   - A Watcher observes one WatchList for its group. An optional
-//     Trigger hook decides whether a notification matches (vsim uses
-//     it for posedge/negedge detection); nil means level sensitivity.
-//   - A WaitReg is a reusable registration over a fixed signal set:
-//     wait sites with fixed sensitivity build one WaitReg and re-arm
-//     it per pass instead of reallocating, so the hottest loop of the
-//     simulator does not allocate.
-//   - Dead watchers are pruned lazily: Notify drops them from the
-//     list, and Rearm re-attaches only watchers that were pruned.
+import "repro/internal/hdl"
 
-// Watcher observes one WatchList on behalf of a WaitGroup.
+// Signal watching, shared by the HDL front-ends (vsim, vhdlsim). A
+// front-end signal type embeds a WatchList and calls Notify on every
+// change of its value. A wait site holds one WaitReg: a watcher per
+// signal of its sensitivity, each firing on any change (Level) or on an
+// edge of a sampled bit (Rising, Falling). The first watcher that fires
+// kills them all and resumes the site's process; Rearm brings them back
+// for the next wait, so a site that waits again and again does not
+// allocate. Dead watchers are pruned lazily: Notify drops them from
+// its list, and Rearm re-attaches only the watchers that were pruned.
+
+// Edge is what a watcher fires on.
+type Edge uint8
+
+const (
+	Level   Edge = iota // any change of the watched signal
+	Rising              // a posedge of the sampled bit
+	Falling             // a negedge of the sampled bit
+)
+
+// edgeMatch implements the IEEE 1364 edge table.
+func edgeMatch(old, nv hdl.Logic, edge Edge) bool {
+	if old == nv {
+		return false
+	}
+	switch edge {
+	case Rising:
+		// 0->1, 0->x/z, x/z->1
+		return (old == hdl.L0) || (nv == hdl.L1)
+	case Falling:
+		return (old == hdl.L1) || (nv == hdl.L0)
+	}
+	return false
+}
+
+// Sampler samples the bit whose edges the watchers of a registration's
+// sensitivity item fire on (vsim: bit 0 of the item's expression).
+type Sampler interface {
+	Sample(item int) hdl.Logic
+}
+
+// Watcher observes one WatchList for its registration. It is live while
+// the registration is armed and has not fired.
 type Watcher struct {
-	dead     bool
-	attached bool // still present in its list
-	group    *WaitGroup
-
-	// Trigger decides whether a notification fires the group (vsim
-	// edge detection); nil fires on every notification (level).
-	Trigger func() bool
-	// Arm re-baselines Trigger state when the registration re-arms
-	// (vsim samples the current value as the edge baseline).
-	Arm func()
+	reg      *WaitReg
+	list     *WatchList
+	edge     Edge
+	item     int       // the sensitivity item whose bit an edge watcher samples
+	last     hdl.Logic // an edge watcher's baseline: the bit it last sampled
+	attached bool      // still present in its list
 }
 
 func (w *Watcher) notify() {
-	if w.dead {
+	if w.reg.fired {
 		return
 	}
-	if w.Trigger == nil || w.Trigger() {
-		w.group.Fire()
+	if w.edge != Level {
+		nv := w.reg.sample.Sample(w.item)
+		old := w.last
+		w.last = nv
+		if !edgeMatch(old, nv, w.edge) {
+			return
+		}
 	}
-}
-
-// WaitGroup is a one-shot event control over a set of watchers.
-type WaitGroup struct {
-	fired    bool
-	watchers []*Watcher
-	resume   func()
-}
-
-// Fire fires the group once: all member watchers die and the waiting
-// activity resumes. Subsequent calls are no-ops until re-armed.
-func (g *WaitGroup) Fire() {
-	if g.fired {
-		return
-	}
-	g.fired = true
-	for _, w := range g.watchers {
-		w.dead = true
-	}
-	g.resume()
+	w.reg.fire()
 }
 
 // WatchList is the per-signal watcher registry. Front-end signal types
@@ -76,15 +81,9 @@ type WatchList struct {
 func (l *WatchList) Notify() {
 	live := l.watchers[:0]
 	for _, w := range l.watchers {
-		if w.dead {
-			w.attached = false
-			continue
-		}
 		w.notify()
-		if !w.dead {
+		if w.attached = !w.reg.fired; w.attached {
 			live = append(live, w)
-		} else {
-			w.attached = false
 		}
 	}
 	l.watchers = live
@@ -98,48 +97,56 @@ func (l *WatchList) Watch(fire func()) {
 	l.persistent = append(l.persistent, fire)
 }
 
-// WaitReg is a reusable wait registration: the group, its watchers,
-// and the list each watcher attaches to.
+// WaitReg is a wait site's registration: the process it resumes and
+// its watchers, held by value. The first watcher to fire fires the
+// registration, once per arming, which kills every watcher. A registration is built once, by Init
+// and then Watch for every watched signal, and must not move after its
+// first Watch: its watchers point back at it.
 type WaitReg struct {
-	g     *WaitGroup
-	ws    []*Watcher
-	lists []*WatchList
+	p        *Process
+	sample   Sampler
+	fired    bool
+	watchers []Watcher
 }
 
-// NewWaitReg returns an empty, un-armed registration that calls resume
-// when fired.
-func NewWaitReg(resume func()) *WaitReg {
-	return &WaitReg{g: &WaitGroup{resume: resume, fired: true}}
+// Init empties r and makes it an unarmed registration that resumes p,
+// with sample sampling the bits of its edge watchers (nil when every
+// watcher is Level).
+func (r *WaitReg) Init(p *Process, sample Sampler) {
+	*r = WaitReg{p: p, sample: sample, fired: true}
 }
 
-// Add appends one watcher observing list. trigger and arm may be nil
-// (level sensitivity).
-func (r *WaitReg) Add(list *WatchList, trigger func() bool, arm func()) *Watcher {
-	w := &Watcher{dead: true, group: r.g, Trigger: trigger, Arm: arm}
-	r.g.watchers = append(r.g.watchers, w)
-	r.ws = append(r.ws, w)
-	r.lists = append(r.lists, list)
-	return w
+// Watch adds a watcher on list that fires on edge of the bit sampled
+// for item, or on any change when edge is Level.
+func (r *WaitReg) Watch(list *WatchList, edge Edge, item int) {
+	r.watchers = append(r.watchers, Watcher{reg: r, list: list, edge: edge, item: item})
 }
 
 // Empty reports whether the registration watches nothing (callers
 // typically resume immediately to avoid deadlock, or reject the wait).
-func (r *WaitReg) Empty() bool { return len(r.ws) == 0 }
+func (r *WaitReg) Empty() bool { return len(r.watchers) == 0 }
 
-// Rearm brings every watcher back alive with a freshly sampled
-// baseline and re-attaches those that were lazily pruned from their
-// lists.
+// fire resumes the process, once per arming.
+func (r *WaitReg) fire() {
+	if !r.fired {
+		r.fired = true
+		r.p.Activate()
+	}
+}
+
+// Rearm brings every watcher back alive, samples each edge watcher's
+// baseline, and re-attaches the watchers that were lazily pruned from
+// their lists.
 func (r *WaitReg) Rearm() {
-	r.g.fired = false
-	for i, w := range r.ws {
-		w.dead = false
-		if w.Arm != nil {
-			w.Arm()
+	r.fired = false
+	for i := range r.watchers {
+		w := &r.watchers[i]
+		if w.edge != Level {
+			w.last = r.sample.Sample(w.item)
 		}
 		if !w.attached {
 			w.attached = true
-			l := r.lists[i]
-			l.watchers = append(l.watchers, w)
+			w.list.watchers = append(w.list.watchers, w)
 		}
 	}
 }

@@ -1,6 +1,33 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/hdl"
+)
+
+// waiter starts a process, on a kernel of its own, that runs onResume
+// on every step after its first, and returns it with a function that
+// runs the activations queued so far.
+func waiter(onResume func()) (*Process, func()) {
+	k := NewKernel()
+	p := new(Process)
+	started := false
+	p.Start(k, "waiter", stepFunc(func() {
+		if started {
+			onResume()
+		}
+		started = true
+	}))
+	run := func() { k.Run() }
+	run()
+	return p, run
+}
+
+// sampleFunc samples an edge watcher's bit through a function.
+type sampleFunc func(item int) hdl.Logic
+
+func (f sampleFunc) Sample(item int) hdl.Logic { return f(item) }
 
 // TestWaitRegFireDetachRearm pins the shared one-shot protocol: the
 // first notification fires the group exactly once, every member dies,
@@ -10,9 +37,11 @@ import "testing"
 func TestWaitRegFireDetachRearm(t *testing.T) {
 	var la, lb WatchList
 	resumed := 0
-	r := NewWaitReg(func() { resumed++ })
-	r.Add(&la, nil, nil)
-	r.Add(&lb, nil, nil)
+	p, run := waiter(func() { resumed++ })
+	var r WaitReg
+	r.Init(p, nil)
+	r.Watch(&la, Level, 0)
+	r.Watch(&lb, Level, 0)
 	if !r.Empty() == false {
 		t.Fatal("registration with watchers reports Empty")
 	}
@@ -21,11 +50,13 @@ func TestWaitRegFireDetachRearm(t *testing.T) {
 		t.Fatalf("arm attached %d/%d watchers, want 1/1", len(la.watchers), len(lb.watchers))
 	}
 
-	la.Notify() // fires the group
+	la.Notify() // fires the registration
+	run()
 	if resumed != 1 {
 		t.Fatalf("resumed %d times after first trigger, want 1", resumed)
 	}
-	lb.Notify() // group already fired: must not resume again, prunes b
+	lb.Notify() // already fired: must not resume again, prunes b
+	run()
 	if resumed != 1 {
 		t.Fatalf("resumed %d times after second list notify, want 1", resumed)
 	}
@@ -44,6 +75,7 @@ func TestWaitRegFireDetachRearm(t *testing.T) {
 		t.Fatalf("rearm attached %d/%d watchers, want 1/1", len(la.watchers), len(lb.watchers))
 	}
 	lb.Notify()
+	run()
 	if resumed != 2 {
 		t.Fatalf("resumed %d times after rearmed trigger, want 2", resumed)
 	}
@@ -56,11 +88,14 @@ func TestWaitRegFireDetachRearm(t *testing.T) {
 func TestWaitRegRearmWithoutPrune(t *testing.T) {
 	var la, lb WatchList
 	resumed := 0
-	r := NewWaitReg(func() { resumed++ })
-	r.Add(&la, nil, nil)
-	r.Add(&lb, nil, nil)
+	p, run := waiter(func() { resumed++ })
+	var r WaitReg
+	r.Init(p, nil)
+	r.Watch(&la, Level, 0)
+	r.Watch(&lb, Level, 0)
 	r.Rearm()
 	la.Notify()
+	run()
 	if resumed != 1 {
 		t.Fatalf("resumed = %d, want 1", resumed)
 	}
@@ -73,33 +108,29 @@ func TestWaitRegRearmWithoutPrune(t *testing.T) {
 		t.Fatalf("rearm duplicated the still-attached watcher (len %d)", len(lb.watchers))
 	}
 	lb.Notify()
+	run()
 	if resumed != 2 {
 		t.Fatalf("resumed = %d after rearm, want 2", resumed)
 	}
 }
 
-// TestWaitRegEdgeTrigger models vsim's posedge detection through the
-// Trigger/Arm hooks: a 0->1 transition fires, 1->0 does not, and Rearm
+// TestWaitRegEdgeTrigger pins a Rising watcher's edge detection on its
+// sampled bit: a 0->1 transition fires, 1->0 does not, and Rearm
 // re-baselines so a level that was already 1 at arm time does not fire
 // until the next rising edge.
 func TestWaitRegEdgeTrigger(t *testing.T) {
 	var l WatchList
-	val := 0
+	val := hdl.L0
 	resumed := 0
-	r := NewWaitReg(func() { resumed++ })
-	var last int
-	r.Add(&l,
-		func() bool { // posedge: old==0 && new==1
-			old := last
-			last = val
-			return old == 0 && val == 1
-		},
-		func() { last = val },
-	)
+	p, run := waiter(func() { resumed++ })
+	var r WaitReg
+	r.Init(p, sampleFunc(func(int) hdl.Logic { return val }))
+	r.Watch(&l, Rising, 0)
 	r.Rearm() // baseline 0
 
-	val = 1
+	val = hdl.L1
 	l.Notify()
+	run()
 	if resumed != 1 {
 		t.Fatalf("posedge did not fire (resumed=%d)", resumed)
 	}
@@ -107,16 +138,19 @@ func TestWaitRegEdgeTrigger(t *testing.T) {
 	// Re-arm while the level is still high: no fire until a fresh edge.
 	r.Rearm()
 	l.Notify() // 1 -> 1: no edge
+	run()
 	if resumed != 1 {
 		t.Fatalf("level notify fired without an edge (resumed=%d)", resumed)
 	}
-	val = 0
+	val = hdl.L0
 	l.Notify() // negedge: no fire
+	run()
 	if resumed != 1 {
 		t.Fatalf("negedge fired a posedge watcher (resumed=%d)", resumed)
 	}
-	val = 1
+	val = hdl.L1
 	l.Notify() // posedge again
+	run()
 	if resumed != 2 {
 		t.Fatalf("second posedge did not fire (resumed=%d)", resumed)
 	}
@@ -128,9 +162,12 @@ func TestWaitRegEdgeTrigger(t *testing.T) {
 func TestWatchListPersistent(t *testing.T) {
 	var l WatchList
 	var order []string
-	l.Watch(func() { order = append(order, "persistent") })
-	r := NewWaitReg(func() { order = append(order, "oneshot") })
-	r.Add(&l, nil, nil)
+	p, run := waiter(func() { order = append(order, "oneshot") })
+	// The observer first runs the resumptions the notification queued.
+	l.Watch(func() { run(); order = append(order, "persistent") })
+	var r WaitReg
+	r.Init(p, nil)
+	r.Watch(&l, Level, 0)
 	r.Rearm()
 	l.Notify()
 	l.Notify()

@@ -6,22 +6,10 @@ import (
 	"repro/internal/vhdl"
 )
 
-// The watcher/wait-group/re-arm protocol lives in internal/sim
-// (WatchList, WaitGroup, WaitReg), shared with vsim. VHDL waits are
-// all level-sensitive (the edge predicates — rising_edge, 'event —
-// are evaluated by the awakened process), so registrations carry no
-// Trigger hooks.
-
-// buildWaitReg constructs the watchers for a signal set without
-// attaching them; Rearm arms them. Callers guarantee a non-empty signal
-// set (an empty one would deadlock the process).
-func (s *Simulator) buildWaitReg(sigs []*Signal, resume func()) *sim.WaitReg {
-	r := sim.NewWaitReg(resume)
-	for _, sg := range sigs {
-		r.Add(&sg.watch, nil, nil)
-	}
-	return r
-}
+// Signal watching and wait registrations live in internal/sim
+// (WatchList, WaitReg), shared with vsim. VHDL waits are all
+// level-sensitive (the edge predicates — rising_edge, 'event — are
+// evaluated by the awakened process), so every watcher is sim.Level.
 
 // applyUpdate commits a signal value change, stamping the observation
 // delta and notifying watchers. Same-value writes are transactions
@@ -154,7 +142,7 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 
 // opSlot is the VHDL slot of a program op (see sim.Machine).
 type opSlot struct {
-	stmt  vhdl.Stmt   // OpLeaf: the statement; OpCase: the case; OpNext: the for loop; OpWait: a wait on
+	stmt  vhdl.Stmt   // OpLeaf: the statement; OpCase: the case; OpNext: the for loop; OpWait: a wait on (nil: the sensitivity list)
 	expr  vhdl.Expr   // OpIf, OpWaitUntil: the condition; OpDelay: the duration
 	decls []vhdl.Decl // the first op of a process with declarations
 
@@ -172,6 +160,7 @@ type proc struct {
 	s    *Simulator
 	inst *Instance
 	en   env
+	sens []*Signal // the signals of the sensitivity list
 }
 
 // bindProcess starts a process. It evaluates its declarations and runs
@@ -188,10 +177,9 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 	p := s.procs.Alloc()
 	p.s, p.inst = s, inst
 	p.en.vars = map[string]*varSlot{}
-	resume := p.Start(&s.Runtime, name, p)
-	var sens []*Signal
+	p.Start(&s.Runtime, name, p)
 	for _, se := range ps.Sens {
-		sens = append(sens, collectSignals(inst, se)...)
+		p.sens = append(p.sens, collectSignals(inst, se)...)
 	}
 	b := &s.prog
 	b.Begin()
@@ -200,10 +188,9 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 	}
 	top := b.Label()
 	lowerStmts(b, ps.Body)
-	if len(sens) > 0 {
+	if len(p.sens) > 0 {
 		w := b.Emit(sim.OpWait, opSlot{})
 		b.Op(w).Next = int32(w)
-		b.Op(w).Wait = s.buildWaitReg(sens, resume)
 	} else {
 		b.Tick()
 	}
@@ -344,24 +331,26 @@ func (p *proc) Delay(o *op) sim.Time {
 	return sim.Time(d64)
 }
 
-// Wait builds the registration of a wait until, on its condition's
-// signals, or of a wait on; either must watch a signal.
-func (p *proc) Wait(o *op, resume func()) *sim.WaitReg {
-	var sigs []*Signal
-	if o.X.expr != nil {
-		sigs = collectSignals(p.inst, o.X.expr)
-		if len(sigs) == 0 {
-			panic(sim.Faultf("wait until condition references no signals"))
-		}
-	} else {
-		for _, nm := range o.X.stmt.(*vhdl.WaitStmt).OnSignals {
+// Wait builds the registration of the process's sensitivity list, of a
+// wait until, on its condition's signals, or of a wait on; the last two
+// must watch a signal.
+func (p *proc) Wait(o *op, r *sim.WaitReg) {
+	sigs, what := p.sens, ""
+	if w, on := o.X.stmt.(*vhdl.WaitStmt); on {
+		sigs, what = nil, "wait on"
+		for _, nm := range w.OnSignals {
 			sigs = append(sigs, collectSignals(p.inst, nm)...)
 		}
-		if len(sigs) == 0 {
-			panic(sim.Faultf("wait on references no signals"))
-		}
+	} else if o.X.expr != nil {
+		sigs, what = collectSignals(p.inst, o.X.expr), "wait until condition"
 	}
-	return p.s.buildWaitReg(sigs, resume)
+	if len(sigs) == 0 {
+		panic(sim.Faultf("%s references no signals", what))
+	}
+	r.Init(&p.Process, nil)
+	for _, sg := range sigs {
+		r.Watch(&sg.watch, sim.Level, 0)
+	}
 }
 
 // Loop evaluates a for loop's bounds and binds its variable, which

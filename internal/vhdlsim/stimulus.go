@@ -61,7 +61,7 @@ type stimShell struct {
 	stim      *sim.Stimulus
 	in, out   []*Signal
 	clk, done *Signal
-	clkWait   *sim.WaitReg // wait until rising_edge(clk), built on first use
+	clkWait   sim.WaitReg // wait until rising_edge(clk), built on first use
 }
 
 // reset empties sh for the next run, keeping its signal slices.
@@ -96,10 +96,11 @@ func (sh *stimShell) Mismatch() {
 // AwaitClock runs `wait until rising_edge(clk);` up to its first
 // suspension: the statement, then the condition's level-sensitive wait
 // on clk.
-func (sh *stimShell) AwaitClock(resume func()) {
+func (sh *stimShell) AwaitClock(p *sim.Process) {
 	s := sh.s
-	if sh.clkWait == nil {
-		sh.clkWait = s.buildWaitReg([]*Signal{sh.clk}, resume)
+	if sh.clkWait.Empty() {
+		sh.clkWait.Init(p, nil)
+		sh.clkWait.Watch(&sh.clk.watch, sim.Level, 0)
 	}
 	s.Tick()
 	s.Tick()

@@ -8,25 +8,10 @@ import (
 	"repro/internal/verilog"
 )
 
-// The watcher/wait-group/re-arm protocol lives in internal/sim
-// (WatchList, WaitGroup, WaitReg), shared with vhdlsim; this front-end
-// contributes only the Verilog specifics — the IEEE 1364 edge table as
-// Trigger/Arm hooks, and @* expansion.
-
-// edgeMatch implements the IEEE 1364 edge table.
-func edgeMatch(old, nv hdl.Logic, edge verilog.EdgeKind) bool {
-	if old == nv {
-		return false
-	}
-	switch edge {
-	case verilog.EdgePos:
-		// 0->1, 0->x/z, x/z->1
-		return (old == hdl.L0) || (nv == hdl.L1)
-	case verilog.EdgeNeg:
-		return (old == hdl.L1) || (nv == hdl.L0)
-	}
-	return false
-}
+// Signal watching, wait registrations and the IEEE 1364 edge table
+// live in internal/sim (WatchList, WaitReg), shared with vhdlsim; this
+// front-end contributes only the Verilog specifics: which signals an
+// event control watches, the bit an edge samples, and @* expansion.
 
 // setSignal writes v (resized to the signal width) and notifies watchers.
 func (s *Simulator) setSignal(sig *Signal, v hdl.Vector) {
@@ -308,42 +293,8 @@ func (s *Simulator) applyMemNBA(r *sim.NBARecord) {
 
 // ---------------------------------------------------------- sensitivity
 
-// buildWait constructs a wait registration (sim.WaitReg) for a
-// sensitivity list, @* expanded, without arming it. A wait site
-// whose sensitivity list is fixed (every always block and every
-// in-body event control) builds one registration and re-arms it per
-// pass instead of reallocating the whole structure per wakeup. Edge
-// items carry the IEEE 1364 edge table as Trigger/Arm hooks over a
-// per-watcher baseline.
-func (s *Simulator) buildWait(inst *Instance, sens *verilog.SensList, resume func()) *sim.WaitReg {
-	r := sim.NewWaitReg(resume)
-	for _, item := range sens.Items {
-		it := item
-		sigs := collectSignals(inst, it.Sig)
-		if len(sigs) == 0 {
-			continue
-		}
-		if it.Edge == verilog.EdgeLevel {
-			for _, sg := range sigs {
-				r.Add(&sg.watch, nil, nil)
-			}
-			continue
-		}
-		evalBit := func() hdl.Logic { return s.eval(inst, it.Sig).Bit(0) }
-		for _, sg := range sigs {
-			var last hdl.Logic
-			trigger := func() bool {
-				nv := evalBit()
-				old := last
-				last = nv
-				return edgeMatch(old, nv, it.Edge)
-			}
-			arm := func() { last = evalBit() }
-			r.Add(&sg.watch, trigger, arm)
-		}
-	}
-	return r
-}
+// edges maps a sensitivity item's edge onto a watcher's.
+var edges = [...]sim.Edge{verilog.EdgeLevel: sim.Level, verilog.EdgePos: sim.Rising, verilog.EdgeNeg: sim.Falling}
 
 // collectSignals gathers the signals an expression reads in scope inst.
 func collectSignals(inst *Instance, e verilog.Expr) []*Signal {
@@ -476,6 +427,13 @@ type opSlot struct {
 	expr verilog.Expr      // OpIf, OpWaitUntil: the condition; OpDelay: the amount; OpNext: the repeat count
 	sens *verilog.SensList // OpWait: the event control
 	lhs  lhsBinding        // OpLeaf: an assignment's targets
+	p    *proc             // OpWait: the process its edges are sampled in
+}
+
+// Sample samples bit 0 of an event control's item, for its edge
+// watchers.
+func (x *opSlot) Sample(item int) hdl.Logic {
+	return x.p.s.eval(x.p.inst, x.sens.Items[item].Sig).Bit(0)
 }
 
 type op = sim.Op[opSlot]
@@ -625,22 +583,29 @@ func (p *proc) Delay(o *op) sim.Time {
 }
 
 // Wait builds an event control's registration, expanding @* from the
-// statement it guards, or a wait (cond)'s level-sensitive one, which
-// must watch a signal.
-func (p *proc) Wait(o *op, resume func()) *sim.WaitReg {
+// statement it guards, with a watcher on every signal each item reads,
+// or a wait (cond)'s level-sensitive one, which must watch a signal.
+func (p *proc) Wait(o *op, r *sim.WaitReg) {
+	o.X.p = p
+	r.Init(&p.Process, &o.X)
 	sens := o.X.sens
 	if sens == nil {
-		sl := &verilog.SensList{Items: []verilog.SensItem{{Edge: verilog.EdgeLevel, Sig: o.X.expr}}}
-		r := p.s.buildWait(p.inst, sl, resume)
+		for _, sg := range collectSignals(p.inst, o.X.expr) {
+			r.Watch(&sg.watch, sim.Level, 0)
+		}
 		if r.Empty() {
 			panic(sim.Faultf("wait condition can never change"))
 		}
-		return r
+		return
 	}
 	if sens.Star {
 		sens = p.s.expandStar(o.X.stmt)
 	}
-	return p.s.buildWait(p.inst, sens, resume)
+	for i, it := range sens.Items {
+		for _, sg := range collectSignals(p.inst, it.Sig) {
+			r.Watch(&sg.watch, edges[it.Edge], i)
+		}
+	}
 }
 
 // Loop counts a repeat from 1; an unknown count runs no pass, and one

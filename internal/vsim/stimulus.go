@@ -56,7 +56,7 @@ type stimShell struct {
 	stim    *sim.Stimulus
 	in, out []*Signal
 	clk     *Signal
-	clkWait *sim.WaitReg // @(posedge clk), built on first use
+	clkWait sim.WaitReg // @(posedge clk), built on first use
 }
 
 // reset empties sh for the next run, keeping its signal slices.
@@ -100,24 +100,19 @@ func (sh *stimShell) Mismatch() {
 	sh.s.Tick()
 }
 
-// AwaitClock runs `@(posedge clk);` with the edge detection an event
+// AwaitClock runs `@(posedge clk);` with the registration an event
 // control on clk builds.
-func (sh *stimShell) AwaitClock(resume func()) {
-	s := sh.s
-	if sh.clkWait == nil {
-		clk := sh.clk
-		var last hdl.Logic
-		sh.clkWait = sim.NewWaitReg(resume)
-		sh.clkWait.Add(&clk.watch, func() bool {
-			nv := clk.Val.Bit(0)
-			old := last
-			last = nv
-			return edgeMatch(old, nv, verilog.EdgePos)
-		}, func() { last = clk.Val.Bit(0) })
+func (sh *stimShell) AwaitClock(p *sim.Process) {
+	if sh.clkWait.Empty() {
+		sh.clkWait.Init(p, sh)
+		sh.clkWait.Watch(&sh.clk.watch, sim.Rising, 0)
 	}
-	s.Tick()
+	sh.s.Tick()
 	sh.clkWait.Rearm()
 }
+
+// Sample samples clk for the rising-edge watcher of AwaitClock.
+func (sh *stimShell) Sample(int) hdl.Logic { return sh.clk.Val.Bit(0) }
 
 // Rose is always true: the edge-triggered wait wakes on rising edges
 // only.
