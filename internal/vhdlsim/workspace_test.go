@@ -310,8 +310,11 @@ func TestWorkspaceResetKeepsNoRun(t *testing.T) {
 // TestWorkspaceRecycledRunAllocs is the workspace's allocation guard: a
 // counter run on a recycled workspace allocates well under the same
 // run on a workspace no run has used, because the arenas, maps, slices
-// and kernel queues of the first run serve the second.
+// and kernel queues of the first run serve the second. It also makes at
+// most recycledRunAllocs allocations outright, so the per-run setup of
+// processes and wait sites cannot grow back unnoticed.
 func TestWorkspaceRecycledRunAllocs(t *testing.T) {
+	const recycledRunAllocs = 45
 	units := parseElabUnits(t, wsCounter)
 	run := func(w *workspace) {
 		res, err := w.simulate(units, "tb", Options{MaxTime: 100000})
@@ -328,6 +331,9 @@ func TestWorkspaceRecycledRunAllocs(t *testing.T) {
 	t.Logf("first run %v allocs, %d B; recycled run %v allocs, %d B", first, firstB, second, secondB)
 	if second > 0.8*first {
 		t.Errorf("recycled run: %v allocs, want at most 80%% of the first run's %v", second, first)
+	}
+	if second > recycledRunAllocs {
+		t.Errorf("recycled run: %v allocs, want at most %d", second, recycledRunAllocs)
 	}
 	if 2*secondB > firstB {
 		t.Errorf("recycled run: %d B, want at most half of the first run's %d B", secondB, firstB)
