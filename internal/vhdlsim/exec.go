@@ -176,7 +176,7 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 	}
 	p := s.procs.Alloc()
 	p.s, p.inst = s, inst
-	p.en.vars = map[string]*varSlot{}
+	p.en.vars = s.vars.Get(0)
 	p.Start(&s.Runtime, name, p)
 	for _, se := range ps.Sens {
 		p.sens = append(p.sens, collectSignals(inst, se)...)

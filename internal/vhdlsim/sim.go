@@ -30,10 +30,11 @@ type Simulator struct {
 	updFull func(*sim.NBARecord)
 	updPart func(*sim.NBARecord)
 
-	// procs and prog hold the run's processes: each one's process
-	// machine and the statement program it runs.
+	// procs, prog and vars hold the run's processes: each one's process
+	// machine, the statement program it runs and its variable map.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
+	vars  sim.Maps[string, *varSlot]
 }
 
 // Simulate elaborates the entity named top from the units and runs it,

@@ -59,4 +59,5 @@ func (s *Simulator) reset() {
 	s.assertErrors, s.failed = 0, false
 	s.procs.Reset()
 	s.prog.Reset()
+	s.vars.Reset()
 }

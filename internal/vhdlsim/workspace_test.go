@@ -314,7 +314,7 @@ func TestWorkspaceResetKeepsNoRun(t *testing.T) {
 // most recycledRunAllocs allocations outright, so the per-run setup of
 // processes and wait sites cannot grow back unnoticed.
 func TestWorkspaceRecycledRunAllocs(t *testing.T) {
-	const recycledRunAllocs = 45
+	const recycledRunAllocs = 43
 	units := parseElabUnits(t, wsCounter)
 	run := func(w *workspace) {
 		res, err := w.simulate(units, "tb", Options{MaxTime: 100000})
