@@ -43,7 +43,7 @@ type Hooks[X any] interface {
 	Cond(op *Op[X]) bool                           // whether a condition holds
 	Case(op *Op[X]) int                            // the arm taken, or the arm count for none
 	Delay(op *Op[X]) Time                          // a delay, faulting when unknown
-	Wait(op *Op[X], r *WaitReg)                    // build a wait site's registration into r
+	Wait(op *Op[X], r *WaitReg)                    // build a wait site's registration into r: Init, then Watch
 	Loop(op *Op[X]) (first, last int64, down bool) // a counted loop's values (op is its OpNext); binds its variable
 	Iter(op *Op[X], v int64)                       // set the loop variable for the next pass
 	Leave(op *Op[X])                               // unbind the loop variable

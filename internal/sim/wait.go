@@ -42,9 +42,9 @@ type Sampler interface {
 	Sample(item int) hdl.Logic
 }
 
-// Watcher observes one WatchList for its registration. It is live while
+// watcher observes one WatchList for its registration. It is live while
 // the registration is armed and has not fired.
-type Watcher struct {
+type watcher struct {
 	reg      *WaitReg
 	list     *WatchList
 	edge     Edge
@@ -53,7 +53,7 @@ type Watcher struct {
 	attached bool      // still present in its list
 }
 
-func (w *Watcher) notify() {
+func (w *watcher) notify() {
 	if w.reg.fired {
 		return
 	}
@@ -71,7 +71,7 @@ func (w *Watcher) notify() {
 // WatchList is the per-signal watcher registry. Front-end signal types
 // embed one and call Notify whenever the signal's value changes.
 type WatchList struct {
-	watchers   []*Watcher
+	watchers   []*watcher
 	persistent []func()
 }
 
@@ -99,14 +99,14 @@ func (l *WatchList) Watch(fire func()) {
 
 // WaitReg is a wait site's registration: the process it resumes and
 // its watchers, held by value. The first watcher to fire fires the
-// registration, once per arming, which kills every watcher. A registration is built once, by Init
-// and then Watch for every watched signal, and must not move after its
-// first Watch: its watchers point back at it.
+// registration, once per arming, which kills every watcher. It is built
+// once, by Init and then Watch per watched signal, and must not move
+// after its first Watch: its watchers point back at it.
 type WaitReg struct {
 	p        *Process
 	sample   Sampler
 	fired    bool
-	watchers []Watcher
+	watchers []watcher
 }
 
 // Init empties r and makes it an unarmed registration that resumes p,
@@ -119,7 +119,7 @@ func (r *WaitReg) Init(p *Process, sample Sampler) {
 // Watch adds a watcher on list that fires on edge of the bit sampled
 // for item, or on any change when edge is Level.
 func (r *WaitReg) Watch(list *WatchList, edge Edge, item int) {
-	r.watchers = append(r.watchers, Watcher{reg: r, list: list, edge: edge, item: item})
+	r.watchers = append(r.watchers, watcher{reg: r, list: list, edge: edge, item: item})
 }
 
 // Empty reports whether the registration watches nothing (callers
