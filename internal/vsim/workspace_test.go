@@ -278,8 +278,15 @@ func TestWorkspaceRecycledRunAllocs(t *testing.T) {
 	if second > 0.8*first {
 		t.Errorf("recycled run: %v allocs, want at most 80%% of the first run's %v", second, first)
 	}
-	if second > recycledRunAllocs {
-		t.Errorf("recycled run: %v allocs, want at most %d", second, recycledRunAllocs)
+	// The race detector drops sync.Pool entries at random, so the run's
+	// $finish line sometimes gets a new fmt printer: the least of a few
+	// measurements is the run's own count.
+	least := second
+	for i := 0; i < 8 && least > recycledRunAllocs; i++ {
+		least = min(least, testing.AllocsPerRun(5, func() { run(w) }))
+	}
+	if least > recycledRunAllocs {
+		t.Errorf("recycled run: %v allocs, want at most %d", least, recycledRunAllocs)
 	}
 	if 2*secondB > firstB {
 		t.Errorf("recycled run: %d B, want at most half of the first run's %d B", secondB, firstB)
