@@ -30,8 +30,8 @@ type sampleFunc func(item int) hdl.Logic
 func (f sampleFunc) Sample(item int) hdl.Logic { return f(item) }
 
 // TestWaitRegFireDetachRearm pins the shared one-shot protocol: the
-// first notification fires the group exactly once, every member dies,
-// dead watchers are lazily pruned from their lists, and Rearm
+// first notification fires the registration exactly once, every
+// watcher dies, dead watchers are lazily pruned from their lists, and Rearm
 // re-attaches only pruned watchers (no duplicates when the entry is
 // still present).
 func TestWaitRegFireDetachRearm(t *testing.T) {
@@ -82,7 +82,7 @@ func TestWaitRegFireDetachRearm(t *testing.T) {
 }
 
 // TestWaitRegRearmWithoutPrune covers the lazy-prune interaction: when
-// the group fires but the signal is never written again before the
+// the registration fires but the signal is never written again before the
 // re-arm, the dead entry is still present in the list; Rearm must
 // revive it in place rather than attach a duplicate.
 func TestWaitRegRearmWithoutPrune(t *testing.T) {
