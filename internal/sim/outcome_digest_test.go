@@ -97,6 +97,20 @@ func outcomeDigests(t *testing.T) []string {
 	for _, c := range vhdlStmtCorpus {
 		add("vhdl/stmt/"+c.name, digestVHDL(t, c.name, c.src))
 	}
+	for _, c := range verilogExprCorpus() {
+		if c.raw {
+			add("verilog/expr/"+c.name, digestRawVerilog(t, c.name, c.src))
+		} else {
+			add("verilog/expr/"+c.name, digestVerilog(t, c.name, withDumpvars(c.src)))
+		}
+	}
+	for _, c := range vhdlExprCorpus() {
+		if c.raw {
+			add("vhdl/expr/"+c.name, digestRawVHDL(t, c.name, c.src))
+		} else {
+			add("vhdl/expr/"+c.name, digestVHDL(t, c.name, c.src))
+		}
+	}
 	return lines
 }
 
@@ -106,7 +120,9 @@ func outcomeDigests(t *testing.T) []string {
 // designs of TestDifferentialRandomClusters, of a design with three
 // instances of one module under two parameter valuations, and of the
 // statement-form corpus (every procedural statement, wait site and
-// statement-level fault of both front-ends). Unlike the
+// statement-level fault of both front-ends) and of the expression-form
+// corpus (every operator, select and expression fault of both
+// front-ends, expr_corpus_test.go). Unlike the
 // differential harness, which compares runs within one build, the
 // committed digests hold across changes to elaboration and simulation.
 // Run with -update-outcomes only when an outcome change is intended.
