@@ -1,11 +1,15 @@
 package sim
 
+import "repro/internal/hdl"
+
 // Machine is the one process machine both simulators run every always
 // block, initial block and VHDL process on. A front-end lowers a
-// process body with a Builder into a flat program of Ops and supplies
-// the leaf Hooks; the machine owns the control flow, the suspensions
-// and the per-op slots that outlive one pass: wait registrations, loop
-// counters and the front-end's slot X.
+// process body with a Builder into a flat program of Ops, whose
+// conditions, delays and sensitivities are lowered expressions the
+// machine evaluates itself, and supplies the leaf Hooks; the machine
+// owns the control flow, the suspensions and the per-op slots that
+// outlive one pass: wait registrations, loop counters and the
+// front-end's slot X.
 
 // OpKind is what an Op does when control reaches it.
 type OpKind uint8
@@ -13,25 +17,30 @@ type OpKind uint8
 const (
 	OpLeaf      OpKind = iota // Exec, then the next op
 	OpJump                    // continue at Next
-	OpIf                      // the next op if Cond holds, else Next
+	OpIf                      // the next op if E holds, else Next
 	OpCase                    // op pc+1+Case: a jump table of one OpJump per arm, plus one for no arm, follows
 	OpLoop                    // Loop sets the values of the OpNext that follows
-	OpNext                    // past Last: Leave, continue at Next; else charge a step, Iter(Cur), step Cur, next op
-	OpExit                    // Leave the loop whose OpNext is at Next, continue where it ends
-	OpDelay                   // suspend for Delay, resume at the next op
+	OpNext                    // past Last: continue at Next; else charge a step, set Var to Cur, step Cur, next op
+	OpExit                    // continue where the loop whose OpNext is at Next ends
+	OpDelay                   // suspend for E time units (faulting with Fault when unknown), resume at the next op
 	OpWait                    // arm the registration of op Next (itself, or the OpWaitUntil after it), suspend, resume at the next op
-	OpWaitUntil               // the next op if Cond holds, else charge a step, arm, suspend, test again on resume
+	OpWaitUntil               // the next op if E holds, else charge a step, arm, suspend, test again on resume
 	OpHalt                    // terminate the process
 )
 
-// Op is one operation of a program and its slot. Kind, Ticks and Next
-// are fixed by the lowering; the other fields are the slot.
+// Op is one operation of a program and its slot. Everything but Wait,
+// Cur, Last, Down and X is fixed by the lowering.
 type Op[X any] struct {
 	Kind  OpKind
 	Ticks uint32 // statement-budget steps charged whenever control reaches the op
 	Next  int32
 
-	Wait      *WaitReg // built by the Wait hook on the first arming, re-armed after
+	E     *Expr       // OpIf, OpWaitUntil: the condition; OpDelay: the amount
+	Sens  [2]int32    // an armed op: its sensitivity items in the Runtime (AddSens)
+	Fault string      // OpDelay: the unknown-amount fault; armed op: the empty-sensitivity fault, "" to resume at once
+	Var   *hdl.Vector // OpNext: the loop variable, set to each value as a 32-bit integer, or nil
+
+	Wait      *WaitReg // built from Sens on the first arming, re-armed after
 	Cur, Last int64    // OpNext: the next and the last value
 	Down      bool     // OpNext: counting down
 	X         X
@@ -40,13 +49,8 @@ type Op[X any] struct {
 // Hooks are a front-end's leaf operations on the op being executed.
 type Hooks[X any] interface {
 	Exec(op *Op[X])                                // run a leaf statement
-	Cond(op *Op[X]) bool                           // whether a condition holds
 	Case(op *Op[X]) int                            // the arm taken, or the arm count for none
-	Delay(op *Op[X]) Time                          // a delay, faulting when unknown
-	Wait(op *Op[X], r *WaitReg)                    // build a wait site's registration into r: Init, then Watch
-	Loop(op *Op[X]) (first, last int64, down bool) // a counted loop's values (op is its OpNext); binds its variable
-	Iter(op *Op[X], v int64)                       // set the loop variable for the next pass
-	Leave(op *Op[X])                               // unbind the loop variable
+	Loop(op *Op[X]) (first, last int64, down bool) // a counted loop's values (op is its OpNext)
 }
 
 // Machine is one process running its program. Its suspended state is
@@ -90,7 +94,7 @@ func (m *Machine[X]) Step() {
 		case OpJump:
 			m.pc = int(op.Next)
 		case OpIf:
-			if m.h.Cond(op) {
+			if m.rt.Truth(op.E) {
 				m.pc++
 			} else {
 				m.pc = int(op.Next)
@@ -103,12 +107,13 @@ func (m *Machine[X]) Step() {
 			next.Cur, next.Last, next.Down = m.h.Loop(next)
 		case OpNext:
 			if op.Down && op.Cur < op.Last || !op.Down && op.Cur > op.Last {
-				m.h.Leave(op)
 				m.pc = int(op.Next)
 				continue
 			}
 			m.rt.Tick()
-			m.h.Iter(op, op.Cur)
+			if op.Var != nil {
+				*op.Var = hdl.FromInt(op.Cur, 32)
+			}
 			if op.Down {
 				op.Cur--
 			} else {
@@ -116,20 +121,21 @@ func (m *Machine[X]) Step() {
 			}
 			m.pc++
 		case OpExit:
-			loop := &m.prog[op.Next]
-			m.h.Leave(loop)
-			m.pc = int(loop.Next)
+			m.pc = int(m.prog[op.Next].Next)
 		case OpDelay:
-			d := m.h.Delay(op)
+			d, ok := m.rt.Eval(op.E, 0).Uint()
+			if !ok {
+				panic(Fault{Msg: op.Fault})
+			}
 			m.pc++
-			m.Delay(d)
+			m.Delay(Time(d))
 			return
 		case OpWait:
 			m.pc++
 			m.arm(&m.prog[op.Next])
 			return
 		case OpWaitUntil:
-			if m.h.Cond(op) {
+			if m.rt.Truth(op.E) {
 				m.pc++
 				continue
 			}
@@ -143,12 +149,23 @@ func (m *Machine[X]) Step() {
 	}
 }
 
-// arm arms op's registration, building it on first use. One that
-// watches nothing resumes the process at once.
+// arm arms op's registration, building it on first use with a watcher
+// on every signal each sensitivity item reads. One that watches nothing
+// faults, or resumes the process at once when op has no fault for it.
 func (m *Machine[X]) arm(op *Op[X]) {
 	if op.Wait == nil {
-		op.Wait = m.rt.waits.Alloc()
-		m.h.Wait(op, op.Wait)
+		rt := m.rt
+		op.Wait = rt.waits.Alloc()
+		op.Wait.Init(&m.Process, rt)
+		for i := op.Sens[0]; i < op.Sens[1]; i++ {
+			it := rt.sens[i]
+			for _, l := range rt.Reads(it.E) {
+				op.Wait.Watch(l, it.Edge, int(i))
+			}
+		}
+		if op.Wait.Empty() && op.Fault != "" {
+			panic(Fault{Msg: op.Fault})
+		}
 	}
 	op.Wait.Rearm()
 	if op.Wait.Empty() {
@@ -189,6 +206,14 @@ func (b *Builder[X]) Emit(k OpKind, x X) int {
 	return len(b.ops) - 1 - b.start
 }
 
+// If emits an OpIf on cond and returns its index, a chain for Resolve.
+func (b *Builder[X]) If(cond *Expr) int {
+	var zero X
+	i := b.Emit(OpIf, zero)
+	b.Op(i).E = cond
+	return i
+}
+
 // Op returns op i of the program being built.
 func (b *Builder[X]) Op(i int) *Op[X] { return &b.ops[b.start+i] }
 
@@ -221,9 +246,9 @@ func (b *Builder[X]) Resolve(chain, target int) {
 
 // While lowers a loop that tests cond before every pass and charges a
 // step before every body.
-func (b *Builder[X]) While(cond X, body func()) {
+func (b *Builder[X]) While(cond *Expr, body func()) {
 	top := b.Label()
-	test := b.Emit(OpIf, cond)
+	test := b.If(cond)
 	b.Tick()
 	b.loops = append(b.loops, loop{next: -1, exits: -1})
 	body()
@@ -235,11 +260,13 @@ func (b *Builder[X]) While(cond X, body func()) {
 	b.Resolve(exits, end)
 }
 
-// Counted lowers a counted loop whose OpNext carries x.
-func (b *Builder[X]) Counted(x X, body func()) {
+// Counted lowers a counted loop whose OpNext carries x and e, and sets
+// v, if not nil, to the value of each pass.
+func (b *Builder[X]) Counted(x X, e *Expr, v *hdl.Vector, body func()) {
 	var zero X
 	b.Emit(OpLoop, zero)
 	next := b.Emit(OpNext, x)
+	b.Op(next).E, b.Op(next).Var = e, v
 	b.loops = append(b.loops, loop{next: next, exits: -1})
 	body()
 	b.loops = b.loops[:len(b.loops)-1]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/hdl"
 	"repro/internal/lex"
 )
 
@@ -84,14 +85,28 @@ type Runtime struct {
 
 	waits Arena[WaitReg] // the wait registrations of the run's Machines
 	stim  stimulusRun    // the stimulus harness process (StartStimulus)
+
+	// The run's lowered expressions (expr.go): their nodes and lists,
+	// the wait sites' sensitivity items, and the evaluator's state.
+	exprs    Arena[Expr]
+	lists    Slab[*Expr]
+	sens     []Sens
+	parts    []hdl.Vector // a concatenation's evaluated parts
+	reads    []*WatchList // the last Reads result
+	readMark uint32       // marks the watch lists of the Reads in progress
+	gen      uint32       // numbers top-level evaluations, for Dyn widths
+	rng      uint64       // the Verilog $random stream
 }
+
+// rngSeed starts every run's $random stream.
+const rngSeed = 0x9E3779B97F4A7C15
 
 // NewRuntime returns the shell of one run under opts on a fresh
 // kernel. defaultFile names the testbench when opts.File is empty, and
 // budgetFault is the fault text Tick raises once the statement budget
 // is spent.
 func NewRuntime(opts Options, defaultFile, budgetFault string) Runtime {
-	r := Runtime{Kernel: NewKernel(), defaultFile: defaultFile, budgetFault: budgetFault}
+	r := Runtime{Kernel: NewKernel(), defaultFile: defaultFile, budgetFault: budgetFault, rng: rngSeed}
 	r.Start(opts)
 	return r
 }
@@ -113,7 +128,8 @@ func (r *Runtime) Start(opts Options) {
 
 // Reset returns the runtime to the state NewRuntime left it in, before
 // Start: the kernel is reset, the log buffer truncated, the statement
-// budget refilled, and the wait registrations and the stimulus harness
+// budget refilled, the $random stream restarted, and the wait
+// registrations, the stimulus harness and the lowered expressions
 // cleared.
 func (r *Runtime) Reset() {
 	r.Kernel.reset()
@@ -122,6 +138,15 @@ func (r *Runtime) Reset() {
 	r.File, r.logCap = "", 0
 	r.waits.Reset()
 	r.stim = stimulusRun{}
+	r.exprs.Reset()
+	r.lists.Reset()
+	clear(r.sens)
+	r.sens = r.sens[:0]
+	clear(r.reads[:cap(r.reads)])
+	r.reads = r.reads[:0]
+	clear(r.parts[:cap(r.parts)])
+	r.parts = r.parts[:0]
+	r.readMark, r.gen, r.rng = 0, 0, rngSeed
 }
 
 // Logf appends formatted text to the log; writes past the cap are

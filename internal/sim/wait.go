@@ -73,6 +73,7 @@ func (w *watcher) notify() {
 type WatchList struct {
 	watchers   []*watcher
 	persistent []func()
+	mark       uint32 // Runtime.Reads: already in the read set being built
 }
 
 // Notify informs every live watcher of a change, pruning dead entries

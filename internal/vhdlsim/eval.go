@@ -6,361 +6,278 @@ import (
 	"repro/internal/vhdl"
 )
 
-// value is an evaluated VHDL expression: a vector plus a loose type tag
-// used for numeric_std width rules (integer op unsigned yields the
-// unsigned operand's width).
-type value struct {
-	v     hdl.Vector
-	isInt bool
-}
-
-func intVal(n int64) value { return value{v: hdl.FromInt(n, 32), isInt: true} }
-
-// indexValue interprets an evaluated expression as an array/bit index:
-// integers are signed 32-bit; vector values index unsigned (a 2-bit
-// address holding 2 must not sign-extend to -2).
-func indexValue(v value) (int64, bool) {
-	if v.isInt {
-		return v.v.Int()
-	}
-	u, ok := v.v.Uint()
-	if !ok || u > 1<<31 {
-		return 0, false
-	}
-	return int64(u), true
-}
-func vecVal(v hdl.Vector) value { return value{v: v} }
-func boolVal(b bool) value      { return value{v: hdl.FromBool(b)} }
-
-// env is the per-process variable environment.
-type env struct {
-	vars map[string]*varSlot
-}
-
+// varSlot is one process variable, constant or for loop variable:
+// its value and whether it is integer-typed.
 type varSlot struct {
 	val   hdl.Vector
 	isInt bool
 }
 
-// lookupValue resolves a name: process variable, signal, then generic.
-// kind: 0 unknown, 1 signal, 2 generic/constant, 3 variable.
-func (s *Simulator) lookupValue(inst *Instance, en *env, name string) (*Signal, *varSlot, hdl.Vector, int) {
-	if en != nil {
-		if vs, ok := en.vars[name]; ok {
-			return nil, vs, hdl.Vector{}, 3
+// lower lowers e, in scope inst and under the process variables in
+// s.scope, into the run's expression form (see sim.Expr): a name binds
+// to the innermost variable, else the signal, else the generic of that
+// name, and each node keeps the integer tag numeric_std's width rules
+// read. A node that names a signal keeps its watch list for read sets
+// even when a variable of that name shadows it, as the wait sites and
+// concurrent statements have always watched by name.
+func (s *Simulator) lower(inst *Instance, e vhdl.Expr) *sim.Expr {
+	rt := &s.Runtime
+	node := func(op sim.ExprOp) *sim.Expr { return rt.NewExpr(op) }
+	fault := func(format string, args ...any) *sim.Expr {
+		n := node(sim.XFault)
+		n.Msg = sim.Faultf(format, args...).Msg
+		return n
+	}
+	watch := func(n *sim.Expr, name string) *sim.Expr {
+		if sig, ok := inst.Signals[name]; ok {
+			n.Watch = &sig.watch
 		}
+		return n
 	}
-	if sig, ok := inst.Signals[name]; ok {
-		return sig, nil, hdl.Vector{}, 1
-	}
-	if v, ok := inst.Generics[name]; ok {
-		return nil, nil, v, 2
-	}
-	return nil, nil, hdl.Vector{}, 0
-}
-
-// eval evaluates an expression with no width context.
-func (s *Simulator) eval(inst *Instance, en *env, e vhdl.Expr) value {
-	return s.evalCtx(inst, en, e, 0)
-}
-
-// evalCtx evaluates with a target width for aggregates and literals.
-func (s *Simulator) evalCtx(inst *Instance, en *env, e vhdl.Expr, ctx int) value {
 	switch x := e.(type) {
 	case *vhdl.IntLit:
-		return intVal(x.Value)
+		n := node(sim.XConst)
+		n.V, n.Signed = hdl.FromInt(x.Value, 32), true
+		return n
 	case *vhdl.CharLit:
-		return vecVal(hdl.Scalar(x.Value))
+		n := node(sim.XConst)
+		n.V = hdl.Scalar(x.Value)
+		return n
 	case *vhdl.BitStrLit:
 		// Safe to share the AST literal's storage: Vectors are
 		// immutable by convention once published (see hdl.Vector.SetBit).
-		return vecVal(x.Value)
+		n := node(sim.XConst)
+		n.V = x.Value
+		return n
 	case *vhdl.BoolLit:
-		return boolVal(x.Value)
+		n := node(sim.XConst)
+		n.V = hdl.FromBool(x.Value)
+		return n
 	case *vhdl.StrLit:
-		panic(sim.Faultf("string literal in a value context at %v", x.Pos))
+		return fault("string literal in a value context at %v", x.Pos)
 	case *vhdl.Name:
-		sig, vs, gv, kind := s.lookupValue(inst, en, x.Ident)
-		switch kind {
-		case 1:
-			return value{v: sig.Val, isInt: sig.Kind == KindInt}
-		case 2:
-			return value{v: gv, isInt: gv.Width() == 32}
-		case 3:
-			return value{v: vs.val, isInt: vs.isInt}
-		default:
-			panic(sim.Faultf("reference to undeclared name %q", x.Ident))
+		n := node(sim.XLoad)
+		if !s.bind(inst, n, x.Ident) {
+			n.Op, n.Msg = sim.XFault, sim.Faultf("reference to undeclared name %q", x.Ident).Msg
 		}
+		return watch(n, x.Ident)
 	case *vhdl.AggregateExpr:
-		if ctx <= 0 {
-			panic(sim.Faultf("aggregate used without a sized context at %v", x.Pos))
-		}
-		fill := s.eval(inst, en, x.Others)
-		return vecVal(hdl.NewVector(ctx, fill.v.Bit(0)))
+		n := node(sim.HAggregate)
+		n.A, n.Msg = s.lower(inst, x.Others), sim.Faultf("aggregate used without a sized context at %v", x.Pos).Msg
+		return n
 	case *vhdl.UnaryExpr:
-		v := s.evalCtx(inst, en, x.X, ctx)
+		a := s.lower(inst, x.X)
+		n := node(sim.HUnary)
+		n.A, n.Signed = a, a.Signed
 		switch x.Op {
 		case "not":
-			return value{v: v.v.BitwiseNot(), isInt: false}
+			n.Fn1, n.Signed = hdl.Vector.BitwiseNot, false
 		case "-":
-			return value{v: v.v.Neg(), isInt: v.isInt}
+			n.Fn1 = hdl.Vector.Neg
 		case "+":
-			return v
+		default:
+			n.Op, n.Msg = sim.XFault, sim.Faultf("unsupported unary operator %q", x.Op).Msg
 		}
-		panic(sim.Faultf("unsupported unary operator %q", x.Op))
+		return n
 	case *vhdl.BinaryExpr:
-		return s.evalBinary(inst, en, x, ctx)
+		return s.lowerBinary(inst, x)
 	case *vhdl.CallOrIndex:
-		return s.evalCallOrIndex(inst, en, x, ctx)
+		return watch(s.lowerCall(inst, x), x.Name)
 	case *vhdl.AttrExpr:
-		return s.evalAttr(inst, en, x)
+		n := node(sim.XConst)
+		sig, isSig := inst.Signals[x.Base]
+		vs, isVar := s.scope[x.Base]
+		gv, isGen := inst.Generics[x.Base]
+		switch {
+		case x.Attr == "event" && isVar || x.Attr == "event" && !isSig:
+			n = fault("'event on non-signal %q", x.Base)
+		case x.Attr == "event":
+			n.Op, n.Stamp = sim.HEvent, &sig.eventStamp
+		case x.Attr == "length" && isVar:
+			n.Op, n.Ref, n.Signed = sim.HLength, &vs.val, true
+		case x.Attr == "length" && isSig:
+			n.V, n.Signed = hdl.FromInt(int64(sig.Width), 32), true
+		case x.Attr == "length" && isGen:
+			n.V, n.Signed = hdl.FromInt(int64(gv.Width()), 32), true
+		default:
+			n = fault("unsupported attribute %q'%s", x.Base, x.Attr)
+		}
+		return watch(n, x.Base)
 	default:
-		panic(sim.Faultf("unsupported expression at %v", e.ExprPos()))
+		return fault("unsupported expression at %v", e.ExprPos())
 	}
 }
 
-// numericPair applies the numeric_std width rule: integer adapts to the
-// vector operand's width; two vectors meet at the larger width.
-func numericPair(l, r value) (hdl.Vector, hdl.Vector, bool) {
+// bind makes n read name: the innermost process variable, else the
+// signal, else the generic of that name. It reports false when there is
+// none.
+func (s *Simulator) bind(inst *Instance, n *sim.Expr, name string) bool {
+	if vs, ok := s.scope[name]; ok {
+		n.Ref, n.Signed = &vs.val, vs.isInt
+		n.Own = true
+		return true
+	}
+	if sig, ok := inst.Signals[name]; ok {
+		n.Ref, n.Signed, n.Hi, n.Lo = &sig.Val, sig.Kind == KindInt, sig.MSB, sig.LSB
+		return true
+	}
+	if v, ok := inst.Generics[name]; ok {
+		n.V, n.Signed, n.Hi, n.Lo = v, v.Width() == 32, v.Width()-1, 0
+		n.Ref = &n.V
+		return true
+	}
+	return false
+}
+
+// binaryFns are the functions of VHDL's binary operators, by the op
+// that evaluates them.
+var binaryFns = map[string]struct {
+	op sim.ExprOp
+	fn func(l, r hdl.Vector) hdl.Vector
+}{
+	"and":  {sim.HLogic, hdl.Vector.BitwiseAnd},
+	"or":   {sim.HLogic, hdl.Vector.BitwiseOr},
+	"xor":  {sim.HLogic, hdl.Vector.BitwiseXor},
+	"nand": {sim.HLogic, func(l, r hdl.Vector) hdl.Vector { return l.BitwiseAnd(r).BitwiseNot() }},
+	"nor":  {sim.HLogic, func(l, r hdl.Vector) hdl.Vector { return l.BitwiseOr(r).BitwiseNot() }},
+	"xnor": {sim.HLogic, hdl.Vector.BitwiseXnor},
+	"+":    {sim.HNum, hdl.Vector.Add},
+	"-":    {sim.HNum, hdl.Vector.Sub},
+	"*":    {sim.HNum, hdl.Vector.Mul},
+	"/":    {sim.HNum, hdl.Vector.Div},
+	"mod":  {sim.HNum, hdl.Vector.Mod},
+	"rem":  {sim.HNum, hdl.Vector.Mod},
+	"**":   {sim.HNum, hdl.Vector.Pow},
+	"sll":  {sim.HNum, hdl.Vector.Shl},
+	"srl":  {sim.HNum, hdl.Vector.Shr},
+	"=":    {sim.HCompare, hdl.Vector.CaseEq},
+	"/=":   {sim.HCompare, func(l, r hdl.Vector) hdl.Vector { return hdl.FromBool(!l.CaseEq(r).Equal(hdl.FromBool(true))) }},
+	"<":    {sim.HCompare, hdl.Vector.Lt},
+	"<=":   {sim.HCompare, hdl.Vector.Le},
+	">":    {sim.HCompare, hdl.Vector.Gt},
+	">=":   {sim.HCompare, hdl.Vector.Ge},
+}
+
+func (s *Simulator) lowerBinary(inst *Instance, x *vhdl.BinaryExpr) *sim.Expr {
+	a, b := s.lower(inst, x.L), s.lower(inst, x.R)
+	if x.Op == "&" {
+		n := s.NewExpr(sim.VConcat)
+		n.Args = s.Exprs(2)
+		n.Args[0], n.Args[1] = a, b
+		return n
+	}
+	f, ok := binaryFns[x.Op]
+	n := s.NewExpr(f.op)
+	n.A, n.B, n.Fn2 = a, b, f.fn
 	switch {
-	case l.isInt && r.isInt:
-		return l.v, r.v, true
-	case l.isInt:
-		return l.v.Resize(maxi(r.v.Width(), 1)), r.v, false
-	case r.isInt:
-		return l.v, r.v.Resize(maxi(l.v.Width(), 1)), false
-	default:
-		w := maxi(l.v.Width(), r.v.Width())
-		return l.v.Resize(w), r.v.Resize(w), false
+	case !ok:
+		n.Op, n.Msg = sim.XFault, sim.Faultf("unsupported operator %q at %v", x.Op, x.Pos).Msg
+	case x.Op == "*" && !(a.Signed && b.Signed):
+		// numeric_std "*" of a vector yields a product a'length+b'length wide.
+		n.Op = sim.HMul
+	case f.op == sim.HNum:
+		n.Signed = a.Signed && b.Signed
 	}
+	return n
 }
 
-func maxi(a, b int) int {
-	if a > b {
-		return a
+// lowerCall lowers name(args): a select of a variable, signal or
+// generic, else a builtin function.
+func (s *Simulator) lowerCall(inst *Instance, x *vhdl.CallOrIndex) *sim.Expr {
+	n := s.NewExpr(sim.VIndex)
+	fault := func(format string, args ...any) *sim.Expr {
+		n.Op, n.Msg = sim.XFault, sim.Faultf(format, args...).Msg
+		n.A, n.B = nil, nil
+		n.Args = s.lowerList(inst, x.Args)
+		return n
 	}
-	return b
-}
-
-func (s *Simulator) evalBinary(inst *Instance, en *env, x *vhdl.BinaryExpr, ctx int) value {
-	// Short-circuit-free logical operators on booleans/vectors.
-	switch x.Op {
-	case "and", "or", "xor", "nand", "nor", "xnor":
-		l := s.eval(inst, en, x.L)
-		r := s.eval(inst, en, x.R)
-		w := maxi(l.v.Width(), r.v.Width())
-		lv, rv := l.v.Resize(w), r.v.Resize(w)
-		var out hdl.Vector
-		switch x.Op {
-		case "and":
-			out = lv.BitwiseAnd(rv)
-		case "or":
-			out = lv.BitwiseOr(rv)
-		case "xor":
-			out = lv.BitwiseXor(rv)
-		case "nand":
-			out = lv.BitwiseAnd(rv).BitwiseNot()
-		case "nor":
-			out = lv.BitwiseOr(rv).BitwiseNot()
-		case "xnor":
-			out = lv.BitwiseXnor(rv)
+	if s.bind(inst, n, x.Name) {
+		n.Signed = false
+		if x.IsSlice {
+			n.Op, n.A, n.B = sim.HSlice, s.lower(inst, x.Left), s.lower(inst, x.Right)
+			return n
 		}
-		return vecVal(out)
-	case "&":
-		l := s.eval(inst, en, x.L)
-		r := s.eval(inst, en, x.R)
-		return vecVal(hdl.Concat(l.v, r.v))
-	}
-	l := s.eval(inst, en, x.L)
-	r := s.eval(inst, en, x.R)
-	lv, rv, bothInt := numericPair(l, r)
-	switch x.Op {
-	case "+":
-		return value{v: lv.Add(rv), isInt: bothInt}
-	case "-":
-		return value{v: lv.Sub(rv), isInt: bothInt}
-	case "*":
-		if !bothInt {
-			// numeric_std "*" yields a product of width a'length+b'length.
-			pw := l.v.Width() + r.v.Width()
-			if l.isInt {
-				pw = 2 * r.v.Width()
-			} else if r.isInt {
-				pw = 2 * l.v.Width()
-			}
-			return value{v: lv.Resize(pw).Mul(rv.Resize(pw))}
+		if len(x.Args) != 1 {
+			return fault("bad index on %q at %v", x.Name, x.Pos)
 		}
-		return value{v: lv.Mul(rv), isInt: true}
-	case "/":
-		return value{v: lv.Div(rv), isInt: bothInt}
-	case "mod", "rem":
-		return value{v: lv.Mod(rv), isInt: bothInt}
-	case "**":
-		return value{v: lv.Pow(rv), isInt: bothInt}
-	case "sll":
-		return value{v: lv.Shl(rv), isInt: bothInt}
-	case "srl":
-		return value{v: lv.Shr(rv), isInt: bothInt}
-	case "=":
-		return boolVal(lv.CaseEq(rv).Equal(hdl.FromBool(true)))
-	case "/=":
-		return boolVal(!lv.CaseEq(rv).Equal(hdl.FromBool(true)))
-	case "<":
-		return boolVal(lv.Lt(rv).Equal(hdl.FromBool(true)))
-	case "<=":
-		return boolVal(lv.Le(rv).Equal(hdl.FromBool(true)))
-	case ">":
-		return boolVal(lv.Gt(rv).Equal(hdl.FromBool(true)))
-	case ">=":
-		return boolVal(lv.Ge(rv).Equal(hdl.FromBool(true)))
+		n.A = s.lower(inst, x.Args[0])
+		return n
 	}
-	panic(sim.Faultf("unsupported operator %q at %v", x.Op, x.Pos))
-}
-
-func (s *Simulator) evalCallOrIndex(inst *Instance, en *env, x *vhdl.CallOrIndex, ctx int) value {
-	// Signal/variable index or slice?
-	sig, vs, gv, kind := s.lookupValue(inst, en, x.Name)
-	if kind != 0 {
-		return s.evalSelect(inst, en, x, sig, vs, gv, kind)
-	}
-	// Builtin function.
+	arity := func(want int) bool { return len(x.Args) == want }
 	switch x.Name {
 	case "rising_edge", "falling_edge":
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("%s expects 1 argument", x.Name))
+		if !arity(1) {
+			return fault("%s expects 1 argument", x.Name)
 		}
 		nm, ok := x.Args[0].(*vhdl.Name)
 		if !ok {
-			panic(sim.Faultf("%s expects a signal name", x.Name))
+			return fault("%s expects a signal name", x.Name)
 		}
-		sg, _, _, k := s.lookupValue(inst, nil, nm.Ident)
-		if k != 1 {
-			panic(sim.Faultf("%s argument %q is not a signal", x.Name, nm.Ident))
+		sig, ok := inst.Signals[nm.Ident]
+		if !ok {
+			return fault("%s argument %q is not a signal", x.Name, nm.Ident)
 		}
-		if !sg.eventFlagNow(s) {
-			return boolVal(false)
+		n.Op, n.Ref, n.Prev, n.Stamp = sim.HRise, &sig.Val, &sig.Prev, &sig.eventStamp
+		if x.Name == "falling_edge" {
+			n.Op = sim.HFall
 		}
-		cur, prev := sg.Val.Bit(0), sg.Prev.Bit(0)
-		if x.Name == "rising_edge" {
-			return boolVal(cur == hdl.L1 && prev == hdl.L0)
+		n.A = s.NewExpr(sim.XConst)
+		n.A.Watch = &sig.watch
+		return n
+	case "to_unsigned", "to_signed", "conv_std_logic_vector", "resize":
+		if !arity(2) {
+			if x.Name == "resize" {
+				return fault("resize expects 2 arguments")
+			}
+			return fault("%s expects 2 arguments", x.Name)
 		}
-		return boolVal(cur == hdl.L0 && prev == hdl.L1)
-	case "to_unsigned", "to_signed", "conv_std_logic_vector":
-		if len(x.Args) != 2 {
-			panic(sim.Faultf("%s expects 2 arguments", x.Name))
+		n.Op, n.A, n.B, n.Msg = sim.HResize, s.lower(inst, x.Args[0]), s.lower(inst, x.Args[1]), "bad width in "+x.Name
+		if x.Name == "resize" && isSignedExpr(x.Args[0]) {
+			n.Op = sim.HSignResize
 		}
-		v := s.eval(inst, en, x.Args[0])
-		wV := s.eval(inst, en, x.Args[1])
-		w64, ok := wV.v.Uint()
-		if !ok || w64 == 0 || w64 > 1<<16 {
-			panic(sim.Faultf("bad width in %s", x.Name))
+		return n
+	case "shift_left", "shift_right":
+		if !arity(2) {
+			return fault("%s expects 2 arguments", x.Name)
 		}
-		return vecVal(v.v.Resize(int(w64)))
-	case "to_integer", "conv_integer":
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("%s expects 1 argument", x.Name))
+		n.Op, n.A, n.B, n.Fn2 = sim.VBin, s.lower(inst, x.Args[0]), s.lower(inst, x.Args[1]), hdl.Vector.Shl
+		if x.Name == "shift_right" {
+			n.Fn2 = hdl.Vector.Shr
+			if isSignedExpr(x.Args[0]) {
+				// numeric_std shift_right on signed is arithmetic.
+				n.Fn2 = hdl.Vector.AShr
+			}
 		}
-		v := s.eval(inst, en, x.Args[0])
-		return value{v: v.v.Resize(32), isInt: true}
-	case "std_logic_vector", "unsigned", "signed", "to_01":
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("%s expects 1 argument", x.Name))
+		return n
+	case "to_integer", "conv_integer", "std_logic_vector", "unsigned", "signed", "to_01", "abs", "integer":
+		if !arity(1) {
+			return fault("%s expects 1 argument", x.Name)
 		}
-		v := s.eval(inst, en, x.Args[0])
-		return vecVal(v.v)
-	case "resize":
-		if len(x.Args) != 2 {
-			panic(sim.Faultf("resize expects 2 arguments"))
+		n.Op, n.A, n.Fn1 = sim.VUnary, s.lower(inst, x.Args[0]), identity
+		switch x.Name {
+		case "to_integer", "conv_integer":
+			n.Fn1, n.Signed = toInteger, true
+		case "abs", "integer":
+			n.Signed = n.A.Signed
 		}
-		v := s.eval(inst, en, x.Args[0])
-		wV := s.eval(inst, en, x.Args[1])
-		w64, ok := wV.v.Uint()
-		if !ok || w64 == 0 || w64 > 1<<16 {
-			panic(sim.Faultf("bad width in resize"))
-		}
-		if isSignedExpr(x.Args[0]) {
-			return vecVal(v.v.SignExtend(int(w64)))
-		}
-		return vecVal(v.v.Resize(int(w64)))
-	case "shift_left":
-		if len(x.Args) != 2 {
-			panic(sim.Faultf("shift_left expects 2 arguments"))
-		}
-		return vecVal(s.eval(inst, en, x.Args[0]).v.Shl(s.eval(inst, en, x.Args[1]).v))
-	case "shift_right":
-		if len(x.Args) != 2 {
-			panic(sim.Faultf("shift_right expects 2 arguments"))
-		}
-		lv := s.eval(inst, en, x.Args[0]).v
-		rv := s.eval(inst, en, x.Args[1]).v
-		if isSignedExpr(x.Args[0]) {
-			// numeric_std shift_right on signed is arithmetic.
-			return vecVal(lv.AShr(rv))
-		}
-		return vecVal(lv.Shr(rv))
-	case "abs", "integer":
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("%s expects 1 argument", x.Name))
-		}
-		return s.eval(inst, en, x.Args[0])
-	default:
-		panic(sim.Faultf("call to undefined function %q at %v", x.Name, x.Pos))
+		return n
 	}
+	return fault("call to undefined function %q at %v", x.Name, x.Pos)
 }
 
-// evalSelect handles name(idx) and name(l downto r) on signals,
-// variables, and constants.
-func (s *Simulator) evalSelect(inst *Instance, en *env, x *vhdl.CallOrIndex, sig *Signal, vs *varSlot, gv hdl.Vector, kind int) value {
-	var base hdl.Vector
-	msb, lsb := 0, 0
-	switch kind {
-	case 1:
-		base, msb, lsb = sig.Val, sig.MSB, sig.LSB
-	case 3:
-		base, msb, lsb = vs.val, vs.val.Width()-1, 0
-	default:
-		base, msb, lsb = gv, gv.Width()-1, 0
+func identity(v hdl.Vector) hdl.Vector  { return v }
+func toInteger(v hdl.Vector) hdl.Vector { return v.Resize(32) }
+
+// lowerList lowers a list of expressions.
+func (s *Simulator) lowerList(inst *Instance, es []vhdl.Expr) []*sim.Expr {
+	if len(es) == 0 {
+		return nil
 	}
-	toBit := func(idx int) (int, bool) {
-		if msb >= lsb {
-			if idx < lsb || idx > msb {
-				return 0, false
-			}
-			return idx - lsb, true
-		}
-		if idx < msb || idx > lsb {
-			return 0, false
-		}
-		return lsb - idx, true
+	out := s.Exprs(len(es))
+	for i, e := range es {
+		out[i] = s.lower(inst, e)
 	}
-	if x.IsSlice {
-		l64, ok1 := indexValue(s.eval(inst, en, x.Left))
-		r64, ok2 := indexValue(s.eval(inst, en, x.Right))
-		if !ok1 || !ok2 {
-			return vecVal(hdl.XFill(1))
-		}
-		lb, okL := toBit(int(l64))
-		rb, okR := toBit(int(r64))
-		if !okL || !okR {
-			return vecVal(hdl.XFill(1))
-		}
-		if lb > rb {
-			lb, rb = rb, lb
-		}
-		return vecVal(base.Slice(lb, rb-lb+1))
-	}
-	if len(x.Args) != 1 {
-		panic(sim.Faultf("bad index on %q at %v", x.Name, x.Pos))
-	}
-	i64, ok := indexValue(s.eval(inst, en, x.Args[0]))
-	if !ok {
-		return vecVal(hdl.XFill(1))
-	}
-	bit, inRange := toBit(int(i64))
-	if !inRange {
-		return vecVal(hdl.XFill(1))
-	}
-	return vecVal(hdl.Scalar(base.Bit(bit)))
+	return out
 }
 
 // isSignedExpr reports whether an expression is syntactically a signed
@@ -381,27 +298,6 @@ func isSignedExpr(e vhdl.Expr) bool {
 		}
 	}
 	return false
-}
-
-func (s *Simulator) evalAttr(inst *Instance, en *env, x *vhdl.AttrExpr) value {
-	sig, vs, gv, kind := s.lookupValue(inst, en, x.Base)
-	switch x.Attr {
-	case "event":
-		if kind != 1 {
-			panic(sim.Faultf("'event on non-signal %q", x.Base))
-		}
-		return boolVal(sig.eventFlagNow(s))
-	case "length":
-		switch kind {
-		case 1:
-			return intVal(int64(sig.Width))
-		case 3:
-			return intVal(int64(vs.val.Width()))
-		case 2:
-			return intVal(int64(gv.Width()))
-		}
-	}
-	panic(sim.Faultf("unsupported attribute %q'%s", x.Base, x.Attr))
 }
 
 // eventFlagNow reports whether the signal changed in the delta cycle

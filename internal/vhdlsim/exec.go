@@ -6,9 +6,13 @@ import (
 	"repro/internal/vhdl"
 )
 
-// Signal watching and wait registrations live in internal/sim
-// (WatchList, WaitReg), shared with vsim. VHDL waits are all
-// level-sensitive (the edge predicates — rising_edge, 'event — are
+// Process bodies are lowered here into sim.Machine programs whose
+// expressions and targets are in the run's lowered form (sim.Expr,
+// sigTarget, varTarget), bound once when the run starts: a process
+// variable, constant or for loop variable is a slot the lowering binds
+// its name to lexically. Signal watching and wait registrations live in
+// internal/sim (WatchList, WaitReg), shared with vsim. VHDL waits are
+// all level-sensitive (the edge predicates — rising_edge, 'event — are
 // evaluated by the awakened process), so every watcher is sim.Level.
 
 // applyUpdate commits a signal value change, stamping the observation
@@ -53,69 +57,78 @@ func (s *Simulator) applyPartUpdate(r *sim.NBARecord) {
 	s.applyUpdate(sig, sig.Val.SetSlice(r.Lo, r.Val))
 }
 
-// sigTarget is a resolved signal assignment destination.
+// sigTarget is a signal assignment target in lowered form, and the
+// place its last resolution is kept: resolve fills ok, lo and width on
+// every execution, before the value is evaluated.
 type sigTarget struct {
-	sig   *Signal
-	lo    int
-	width int
-	ok    bool
+	sig  *Signal
+	a, b *sim.Expr // the index, or the slice's bounds (b nil: an index)
+	msg  string    // the fault a bad target raises, "" for none
+
+	ok        bool // false: discard the write (unknown or out-of-range select)
+	lo, width int
 }
 
-// resolveSigTarget resolves an assignment target expression.
-func (s *Simulator) resolveSigTarget(inst *Instance, en *env, target vhdl.Expr) sigTarget {
+// lowerSigTarget lowers an assignment target, which names a signal of
+// inst; its selects read process variables.
+func (s *Simulator) lowerSigTarget(inst *Instance, target vhdl.Expr) sigTarget {
+	var t sigTarget
+	name := ""
 	switch x := target.(type) {
 	case *vhdl.Name:
-		sig, _, _, kind := s.lookupValue(inst, nil, x.Ident)
-		if kind != 1 {
-			panic(sim.Faultf("assignment target %q is not a signal", x.Ident))
-		}
-		return sigTarget{sig: sig, lo: 0, width: sig.Width, ok: true}
+		name = x.Ident
 	case *vhdl.CallOrIndex:
-		sig, _, _, kind := s.lookupValue(inst, nil, x.Name)
-		if kind != 1 {
-			panic(sim.Faultf("assignment target %q is not a signal", x.Name))
+		name = x.Name
+		switch {
+		case x.IsSlice:
+			t.a, t.b = s.lower(inst, x.Left), s.lower(inst, x.Right)
+		case len(x.Args) != 1:
+			t.msg = sim.Faultf("bad index on assignment target %q", x.Name).Msg
+		default:
+			t.a = s.lower(inst, x.Args[0])
 		}
-		if x.IsSlice {
-			l64, ok1 := indexValue(s.eval(inst, en, x.Left))
-			r64, ok2 := indexValue(s.eval(inst, en, x.Right))
-			if !ok1 || !ok2 {
-				return sigTarget{ok: false, width: 1}
-			}
-			lb, okL := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(l64))
-			rb, okR := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(r64))
-			if !okL || !okR {
-				return sigTarget{ok: false, width: 1}
-			}
-			if lb > rb {
-				lb, rb = rb, lb
-			}
-			return sigTarget{sig: sig, lo: lb, width: rb - lb + 1, ok: true}
-		}
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("bad index on assignment target %q", x.Name))
-		}
-		i64, ok := indexValue(s.eval(inst, en, x.Args[0]))
-		if !ok {
-			return sigTarget{ok: false, width: 1}
-		}
-		bit, inRange := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
-		if !inRange {
-			return sigTarget{ok: false, width: 1}
-		}
-		return sigTarget{sig: sig, lo: bit, width: 1, ok: true}
 	default:
-		panic(sim.Faultf("unsupported assignment target at %v", target.ExprPos()))
+		return sigTarget{msg: sim.Faultf("unsupported assignment target at %v", target.ExprPos()).Msg}
+	}
+	sig, ok := inst.Signals[name]
+	if !ok {
+		return sigTarget{msg: sim.Faultf("assignment target %q is not a signal", name).Msg}
+	}
+	t.sig = sig
+	return t
+}
+
+// resolve evaluates the target's selects.
+func (s *Simulator) resolveSig(t *sigTarget) {
+	if t.msg != "" {
+		panic(sim.Fault{Msg: t.msg})
+	}
+	sig := t.sig
+	t.ok, t.lo, t.width = true, 0, sig.Width
+	switch {
+	case t.b != nil:
+		l64, ok1 := s.Index(t.a)
+		r64, ok2 := s.Index(t.b)
+		lb, okL := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(l64))
+		rb, okR := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(r64))
+		t.ok, t.lo, t.width = ok1 && ok2 && okL && okR, min(lb, rb), max(lb, rb)-min(lb, rb)+1
+	case t.a != nil:
+		i64, ok := s.Index(t.a)
+		bit, in := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
+		t.ok, t.lo, t.width = ok && in, bit, 1
+	}
+	if !t.ok {
+		t.width = 1
 	}
 }
 
 // assignSignal evaluates and schedules one signal assignment.
-func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valExpr vhdl.Expr, afterNs vhdl.Expr) {
-	t := s.resolveSigTarget(inst, en, target)
-	val := s.evalCtx(inst, en, valExpr, t.width)
+func (s *Simulator) assignSignal(t *sigTarget, value, after *sim.Expr) {
+	s.resolveSig(t)
+	val := s.Eval(value, t.width)
 	var delay sim.Time
-	if afterNs != nil {
-		dv := s.eval(inst, en, afterNs)
-		d64, ok := dv.v.Uint()
+	if after != nil {
+		d64, ok := s.Eval(after, 0).Uint()
 		if !ok {
 			panic(sim.Faultf("unknown delay value"))
 		}
@@ -125,45 +138,175 @@ func (s *Simulator) assignSignal(inst *Instance, en *env, target vhdl.Expr, valE
 		return
 	}
 	if t.lo == 0 && t.width == t.sig.Width {
-		s.scheduleUpdate(t.sig, val.v.Resize(t.width), delay)
+		s.scheduleUpdate(t.sig, val.Resize(t.width), delay)
 		return
 	}
 	// Partial write: read-modify-write against the value the signal
-	// will hold when the update applies; we approximate with current
-	// value captured at apply time.
+	// holds when the update applies.
 	r := s.Kernel.ScheduleUpdate(delay)
 	r.Sig = t.sig
-	r.Val = val.v.Resize(t.width)
+	r.Val = val.Resize(t.width)
 	r.Lo = t.lo
 	r.Apply = s.updPart
+}
+
+// varTarget is a variable assignment target in lowered form.
+type varTarget struct {
+	slot *varSlot
+	a, b *sim.Expr // the index, or the slice's bounds (b nil: an index)
+	msg  string    // the fault a bad target raises, "" for none
+}
+
+func (s *Simulator) lowerVarTarget(inst *Instance, target vhdl.Expr) varTarget {
+	var t varTarget
+	name := ""
+	switch x := target.(type) {
+	case *vhdl.Name:
+		name = x.Ident
+	case *vhdl.CallOrIndex:
+		name = x.Name
+		switch {
+		case x.IsSlice:
+			t.a, t.b = s.lower(inst, x.Left), s.lower(inst, x.Right)
+		case len(x.Args) != 1:
+			t.msg = sim.Faultf("bad index on variable %q", x.Name).Msg
+		default:
+			t.a = s.lower(inst, x.Args[0])
+		}
+	default:
+		return varTarget{msg: "unsupported variable assignment target"}
+	}
+	slot, ok := s.scope[name]
+	if !ok {
+		return varTarget{msg: sim.Faultf("assignment target %q is not a variable", name).Msg}
+	}
+	t.slot = slot
+	return t
+}
+
+// assignVar evaluates and performs one variable assignment. A select
+// with an unknown index writes nothing and evaluates no value.
+func (s *Simulator) assignVar(t *varTarget, value *sim.Expr) {
+	if t.msg != "" {
+		panic(sim.Fault{Msg: t.msg})
+	}
+	vs := t.slot
+	switch {
+	case t.b != nil:
+		l64, ok1 := s.Index(t.a)
+		r64, ok2 := s.Index(t.b)
+		if !ok1 || !ok2 {
+			return
+		}
+		lo, hi := int(min(l64, r64)), int(max(l64, r64))
+		val := s.Eval(value, hi-lo+1)
+		vs.val = vs.val.SetSlice(lo, val.Resize(hi-lo+1))
+	case t.a != nil:
+		i64, ok := s.Index(t.a)
+		if !ok {
+			return
+		}
+		val := s.Eval(value, 1)
+		vs.val = vs.val.SetSlice(int(i64), val.Resize(1))
+	default:
+		val := s.Eval(value, vs.val.Width())
+		vs.val = val.Resize(vs.val.Width())
+	}
+}
+
+// msgPart is one piece of a lowered report or assert message: literal
+// text, or an expression rendered in decimal.
+type msgPart struct {
+	text string
+	e    *sim.Expr
+}
+
+// lowerMessage lowers a report or assert message (strings and &
+// concatenations of strings and values).
+func (s *Simulator) lowerMessage(inst *Instance, e vhdl.Expr) []msgPart {
+	parts := s.msgs.Alloc(countParts(e))
+	s.fillMessage(inst, e, parts)
+	return parts
+}
+
+func countParts(e vhdl.Expr) int {
+	switch x := e.(type) {
+	case nil:
+		return 0
+	case *vhdl.BinaryExpr:
+		if x.Op == "&" {
+			return countParts(x.L) + countParts(x.R)
+		}
+	}
+	return 1
+}
+
+func (s *Simulator) fillMessage(inst *Instance, e vhdl.Expr, parts []msgPart) []msgPart {
+	switch x := e.(type) {
+	case nil:
+		return parts
+	case *vhdl.StrLit:
+		parts[0].text = x.Value
+		return parts[1:]
+	case *vhdl.BinaryExpr:
+		if x.Op == "&" {
+			return s.fillMessage(inst, x.R, s.fillMessage(inst, x.L, parts))
+		}
+	}
+	parts[0].e = s.lower(inst, e)
+	return parts[1:]
+}
+
+// messageText renders a lowered message; integers render signed.
+func (s *Simulator) messageText(parts []msgPart) string {
+	msg := ""
+	for _, p := range parts {
+		if p.e == nil {
+			msg += p.text
+			continue
+		}
+		v := s.Eval(p.e, 0)
+		if p.e.Signed {
+			msg += v.SignedDecString()
+		} else {
+			msg += v.DecString()
+		}
+	}
+	return msg
 }
 
 // ---------------------------------------------------------------- exec
 
 // opSlot is the VHDL slot of a program op (see sim.Machine).
 type opSlot struct {
-	stmt  vhdl.Stmt   // OpLeaf: the statement; OpCase: the case; OpNext: the for loop; OpWait: a wait on (nil: the sensitivity list)
-	expr  vhdl.Expr   // OpIf, OpWaitUntil: the condition; OpDelay: the duration
-	decls []vhdl.Decl // the first op of a process with declarations
+	stmt  vhdl.Stmt   // OpLeaf: the statement; OpCase: the case
+	sig   sigTarget   // OpLeaf signal assignment: its target
+	vt    varTarget   // OpLeaf variable assignment: its target
+	e     *sim.Expr   // OpLeaf: an assignment's value, an assertion's condition; OpCase: the subject; OpNext: the right bound
+	after *sim.Expr   // OpLeaf signal assignment: its delay, or nil
+	msg   []msgPart   // OpLeaf: a report's or assertion's message
+	list  []*sim.Expr // OpCase: the choices, arm by arm
+	decls []varInit   // the first op of a process with declarations
+}
 
-	loopVar varSlot  // OpNext: the loop variable
-	prev    *varSlot // OpNext: the binding it shadows, if had
-	had     bool
+// varInit initializes one variable or constant when its process starts.
+type varInit struct {
+	slot  *varSlot
+	def   hdl.Vector // a variable's value before its initializer
+	init  *sim.Expr  // the initializer, or a constant's value
+	isVar bool
+	fault string // a declaration that does not elaborate
 }
 
 type op = sim.Op[opSlot]
 
-// proc is one process: the process machine running its lowered body,
-// and the scope and variables the leaf hooks evaluate in.
+// proc is one process: the process machine running its lowered body.
 type proc struct {
 	sim.Machine[opSlot]
-	s    *Simulator
-	inst *Instance
-	en   env
-	sens []*Signal // the signals of the sensitivity list
+	s *Simulator
 }
 
-// bindProcess starts a process. It evaluates its declarations and runs
+// bindProcess starts a process. It initializes its variables and runs
 // its body at time zero; then, with a sensitivity list naming a signal,
 // it waits on the list before every further run, and without one it
 // charges a step and runs the body again (the statement budget catches
@@ -175,22 +318,21 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 		name = inst.Path + ".process"
 	}
 	p := s.procs.Alloc()
-	p.s, p.inst = s, inst
-	p.en.vars = s.vars.Get(0)
+	p.s = s
 	p.Start(&s.Runtime, name, p)
-	for _, se := range ps.Sens {
-		p.sens = append(p.sens, collectSignals(inst, se)...)
-	}
+	clear(s.scope)
+	sens := s.lowerList(inst, ps.Sens)
 	b := &s.prog
 	b.Begin()
 	if len(ps.Decls) > 0 {
-		b.Emit(sim.OpLeaf, opSlot{decls: ps.Decls})
+		b.Emit(sim.OpLeaf, opSlot{decls: s.lowerDecls(inst, ps.Decls)})
 	}
 	top := b.Label()
-	lowerStmts(b, ps.Body)
-	if len(p.sens) > 0 {
+	s.lowerStmts(inst, ps.Body)
+	if len(s.Reads(sens...)) > 0 {
 		w := b.Emit(sim.OpWait, opSlot{})
 		b.Op(w).Next = int32(w)
+		b.Op(w).Sens = s.addSens(sens)
 	} else {
 		b.Tick()
 	}
@@ -198,40 +340,124 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 	p.SetProgram(b.End())
 }
 
-func lowerStmts(b *sim.Builder[opSlot], list []vhdl.Stmt) {
+// addSens records one level-sensitive item per expression.
+func (s *Simulator) addSens(es []*sim.Expr) [2]int32 {
+	items := s.items[:0]
+	for _, e := range es {
+		items = append(items, sim.Sens{E: e, Edge: sim.Level})
+	}
+	s.items = items
+	return s.AddSens(items...)
+}
+
+// lowerDecls binds a process's variables and constants, in order, each
+// initializer seeing the ones declared before it.
+func (s *Simulator) lowerDecls(inst *Instance, decls []vhdl.Decl) []varInit {
+	n := 0
+	for _, d := range decls {
+		switch vd := d.(type) {
+		case *vhdl.VarDecl:
+			n += len(vd.Names)
+		case *vhdl.ConstDecl:
+			n++
+		}
+	}
+	inits := s.inits.Alloc(n)[:0]
+	for _, d := range decls {
+		switch vd := d.(type) {
+		case *vhdl.VarDecl:
+			for _, nm := range vd.Names {
+				in := varInit{slot: s.vars.Alloc(), isVar: true}
+				sp, err := inst.makeSigSpec("v", vd.Type, nil)
+				if err != nil {
+					in.fault = err.Error()
+				} else {
+					in.def, in.slot.isInt = sp.init, sp.kind == KindInt
+				}
+				if vd.Init != nil {
+					in.init = s.lower(inst, vd.Init)
+				}
+				inits = append(inits, in)
+				s.scope[nm] = in.slot
+			}
+		case *vhdl.ConstDecl:
+			in := varInit{slot: s.vars.Alloc(), init: s.lower(inst, vd.Value)}
+			in.slot.isInt = in.init.Signed
+			inits = append(inits, in)
+			s.scope[vd.Name] = in.slot
+		}
+	}
+	return inits
+}
+
+func (s *Simulator) lowerStmts(inst *Instance, list []vhdl.Stmt) {
 	for _, st := range list {
-		lowerStmt(b, st)
+		s.lowerStmt(inst, st)
 	}
 }
 
 // lowerStmt lowers one statement, which charges a step when it starts.
-func lowerStmt(b *sim.Builder[opSlot], st vhdl.Stmt) {
+func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
+	b := &s.prog
 	b.Tick()
 	switch x := st.(type) {
-	case *vhdl.SigAssign, *vhdl.VarAssign, *vhdl.AssertStmt, *vhdl.ReportStmt:
-		b.Emit(sim.OpLeaf, opSlot{stmt: x})
+	case *vhdl.SigAssign:
+		sl := opSlot{stmt: x, sig: s.lowerSigTarget(inst, x.Target), e: s.lower(inst, x.Value)}
+		if x.AfterNs != nil {
+			sl.after = s.lower(inst, x.AfterNs)
+		}
+		b.Emit(sim.OpLeaf, sl)
+	case *vhdl.VarAssign:
+		b.Emit(sim.OpLeaf, opSlot{stmt: x, vt: s.lowerVarTarget(inst, x.Target), e: s.lower(inst, x.Value)})
+	case *vhdl.AssertStmt:
+		b.Emit(sim.OpLeaf, opSlot{stmt: x, e: s.lower(inst, x.Cond), msg: s.lowerMessage(inst, x.Report)})
+	case *vhdl.ReportStmt:
+		b.Emit(sim.OpLeaf, opSlot{stmt: x, msg: s.lowerMessage(inst, x.Message)})
 	case *vhdl.IfStmt:
 		end := -1
 		for i, br := range x.Branches {
-			test := b.Emit(sim.OpIf, opSlot{expr: br.Cond})
-			lowerStmts(b, br.Body)
+			test := b.If(s.lower(inst, br.Cond))
+			s.lowerStmts(inst, br.Body)
 			if i < len(x.Branches)-1 || len(x.Else) > 0 {
 				end = b.Jump(end)
 			}
 			b.Resolve(test, b.Label())
 		}
-		lowerStmts(b, x.Else)
+		s.lowerStmts(inst, x.Else)
 		b.Resolve(end, b.Label())
 	case *vhdl.CaseStmt:
-		b.Case(opSlot{stmt: x}, len(x.Arms), func(i int) { lowerStmts(b, x.Arms[i].Body) })
+		n := 0
+		for _, arm := range x.Arms {
+			n += len(arm.Choices)
+		}
+		choices := s.Exprs(n)[:0]
+		for _, arm := range x.Arms {
+			for _, c := range arm.Choices {
+				choices = append(choices, s.lower(inst, c))
+			}
+		}
+		sl := opSlot{stmt: x, e: s.lower(inst, x.Expr), list: choices}
+		b.Case(sl, len(x.Arms), func(i int) { s.lowerStmts(inst, x.Arms[i].Body) })
 	case *vhdl.ForStmt:
-		b.Counted(opSlot{stmt: x}, func() { lowerStmts(b, x.Body) })
+		// The loop variable lives in a slot of its own, bound over any
+		// variable or signal of its name for the body only.
+		left, right := s.lower(inst, x.Left), s.lower(inst, x.Right)
+		v := s.vars.Alloc()
+		v.isInt = true
+		prev, had := s.scope[x.Var]
+		s.scope[x.Var] = v
+		b.Counted(opSlot{e: right, stmt: x}, left, &v.val, func() { s.lowerStmts(inst, x.Body) })
+		if had {
+			s.scope[x.Var] = prev
+		} else {
+			delete(s.scope, x.Var)
+		}
 	case *vhdl.WhileStmt:
-		b.While(opSlot{expr: x.Cond}, func() { lowerStmts(b, x.Body) })
+		b.While(s.lower(inst, x.Cond), func() { s.lowerStmts(inst, x.Body) })
 	case *vhdl.ExitStmt:
 		skip := -1
 		if x.When != nil {
-			skip = b.Emit(sim.OpIf, opSlot{expr: x.When})
+			skip = b.If(s.lower(inst, x.When))
 		}
 		if !b.Exit() {
 			b.Emit(sim.OpLeaf, opSlot{stmt: x}) // faults when executed
@@ -242,47 +468,53 @@ func lowerStmt(b *sim.Builder[opSlot], st vhdl.Stmt) {
 		case x.Forever:
 			b.Emit(sim.OpHalt, opSlot{})
 		case x.ForNs != nil && x.Until == nil:
-			b.Emit(sim.OpDelay, opSlot{expr: x.ForNs})
+			d := b.Emit(sim.OpDelay, opSlot{})
+			b.Op(d).E, b.Op(d).Fault = s.lower(inst, x.ForNs), "unknown wait duration"
 		case x.Until != nil: // suspends once before the first test
 			b.Tick()
 			w := b.Emit(sim.OpWait, opSlot{})
 			b.Op(w).Next = int32(w + 1)
-			b.Emit(sim.OpWaitUntil, opSlot{expr: x.Until})
+			cond := s.lower(inst, x.Until)
+			u := b.Op(b.Emit(sim.OpWaitUntil, opSlot{}))
+			u.E, u.Fault = cond, "wait until condition references no signals"
+			u.Sens = s.AddSens(sim.Sens{E: cond, Edge: sim.Level})
 		default: // wait on
-			w := b.Emit(sim.OpWait, opSlot{stmt: x})
-			b.Op(w).Next = int32(w)
+			w := b.Emit(sim.OpWait, opSlot{})
+			o := b.Op(w)
+			o.Next, o.Fault = int32(w), "wait on references no signals"
+			o.Sens = s.addSens(s.lowerList(inst, x.OnSignals))
 		}
 	}
 }
 
 // Exec runs a leaf statement, or, for the statement-less first op,
-// evaluates the process declarations: variables persist across runs.
+// initializes the process variables: variables persist across runs.
 func (p *proc) Exec(o *op) {
-	s, inst, en := p.s, p.inst, &p.en
+	s := p.s
 	switch x := o.X.stmt.(type) {
 	case nil:
-		for _, d := range o.X.decls {
-			switch vd := d.(type) {
-			case *vhdl.VarDecl:
-				for _, nm := range vd.Names {
-					slot, err := s.makeVarSlot(inst, en, vd)
-					if err != nil {
-						panic(sim.Faultf("%v", err))
-					}
-					en.vars[nm] = slot
-				}
-			case *vhdl.ConstDecl:
-				v := s.eval(inst, en, vd.Value)
-				en.vars[vd.Name] = &varSlot{val: v.v, isInt: v.isInt}
+		for i := range o.X.decls {
+			in := &o.X.decls[i]
+			if in.fault != "" {
+				panic(sim.Fault{Msg: in.fault})
+			}
+			if !in.isVar {
+				in.slot.val = s.Eval(in.init, 0)
+				continue
+			}
+			in.slot.val = in.def
+			if in.init != nil {
+				w := in.def.Width()
+				in.slot.val = s.Eval(in.init, w).Resize(w)
 			}
 		}
 	case *vhdl.SigAssign:
-		s.assignSignal(inst, en, x.Target, x.Value, x.AfterNs)
+		s.assignSignal(&o.X.sig, o.X.e, o.X.after)
 	case *vhdl.VarAssign:
-		s.execVarAssign(inst, en, x)
+		s.assignVar(&o.X.vt, o.X.e)
 	case *vhdl.AssertStmt:
-		if !s.truthy(s.eval(inst, en, x.Cond)) {
-			msg := s.messageText(inst, en, x.Report)
+		if !s.Truth(o.X.e) {
+			msg := s.messageText(o.X.msg)
 			if msg == "" {
 				msg = "Assertion violation."
 			}
@@ -293,94 +525,47 @@ func (p *proc) Exec(o *op) {
 			s.reportSeverity(sev, msg, x.Pos)
 		}
 	case *vhdl.ReportStmt:
-		s.reportSeverity(sevOrNote(x.Severity), s.messageText(inst, en, x.Message), x.Pos)
+		s.reportSeverity(sevOrNote(x.Severity), s.messageText(o.X.msg), x.Pos)
 	case *vhdl.ExitStmt:
 		panic(sim.Faultf("exit statement outside a loop"))
 	}
 }
 
-func (p *proc) Cond(o *op) bool { return p.s.truthy(p.s.eval(p.inst, &p.en, o.X.expr)) }
-
 // Case takes the first arm with a choice equal to the subject, else the
 // others arm.
 func (p *proc) Case(o *op) int {
-	s, inst, en := p.s, p.inst, &p.en
+	s := p.s
 	x := o.X.stmt.(*vhdl.CaseStmt)
-	subject := s.eval(inst, en, x.Expr)
+	subject := s.Eval(o.X.e, 0)
 	others := len(x.Arms)
+	choices := o.X.list
 	for i := range x.Arms {
-		if x.Arms[i].Choices == nil {
+		n := len(x.Arms[i].Choices)
+		if n == 0 {
 			others = i
 		}
-		for _, c := range x.Arms[i].Choices {
-			cv := s.evalCtx(inst, en, c, subject.v.Width())
-			lv, rv, _ := numericPair(subject, cv)
+		for _, c := range choices[:n] {
+			cv := s.Eval(c, subject.Width())
+			lv, rv := sim.NumericPair(o.X.e.Signed, c.Signed, subject, cv)
 			if lv.CaseEq(rv).Equal(hdl.FromBool(true)) {
 				return i
 			}
 		}
+		choices = choices[n:]
 	}
 	return others
 }
 
-func (p *proc) Delay(o *op) sim.Time {
-	d64, ok := p.s.eval(p.inst, &p.en, o.X.expr).v.Uint()
-	if !ok {
-		panic(sim.Faultf("unknown wait duration"))
-	}
-	return sim.Time(d64)
-}
-
-// Wait builds the registration of the process's sensitivity list, of a
-// wait until, on its condition's signals, or of a wait on; the last two
-// must watch a signal.
-func (p *proc) Wait(o *op, r *sim.WaitReg) {
-	sigs, what := p.sens, ""
-	if w, on := o.X.stmt.(*vhdl.WaitStmt); on {
-		sigs, what = nil, "wait on"
-		for _, nm := range w.OnSignals {
-			sigs = append(sigs, collectSignals(p.inst, nm)...)
-		}
-	} else if o.X.expr != nil {
-		sigs, what = collectSignals(p.inst, o.X.expr), "wait until condition"
-	}
-	if len(sigs) == 0 {
-		panic(sim.Faultf("%s references no signals", what))
-	}
-	r.Init(&p.Process, nil)
-	for _, sg := range sigs {
-		r.Watch(&sg.watch, sim.Level, 0)
-	}
-}
-
-// Loop evaluates a for loop's bounds and binds its variable, which
-// lives in the slot, over any variable or signal of its name.
+// Loop evaluates a for loop's bounds (op.E the left, X.e the right)
+// and starts its variable at the left.
 func (p *proc) Loop(o *op) (first, last int64, down bool) {
-	x := o.X.stmt.(*vhdl.ForStmt)
-	lV := p.s.eval(p.inst, &p.en, x.Left)
-	rV := p.s.eval(p.inst, &p.en, x.Right)
-	l64, ok1 := lV.v.Int()
-	r64, ok2 := rV.v.Int()
+	l64, ok1 := p.s.Eval(o.E, 0).Int()
+	r64, ok2 := p.s.Eval(o.X.e, 0).Int()
 	if !ok1 || !ok2 {
 		panic(sim.Faultf("for-loop bounds are not computable"))
 	}
-	sl := &o.X
-	sl.loopVar = varSlot{val: hdl.FromInt(l64, 32), isInt: true}
-	sl.prev, sl.had = p.en.vars[x.Var]
-	p.en.vars[x.Var] = &sl.loopVar
-	return l64, r64, x.Descending
-}
-
-func (p *proc) Iter(o *op, v int64) { o.X.loopVar.val = hdl.FromInt(v, 32) }
-
-// Leave restores the binding the loop variable shadowed.
-func (p *proc) Leave(o *op) {
-	name := o.X.stmt.(*vhdl.ForStmt).Var
-	if o.X.had {
-		p.en.vars[name] = o.X.prev
-	} else {
-		delete(p.en.vars, name)
-	}
+	*o.Var = hdl.FromInt(l64, 32)
+	return l64, r64, o.X.stmt.(*vhdl.ForStmt).Descending
 }
 
 func sevOrNote(s string) string {
@@ -388,117 +573,4 @@ func sevOrNote(s string) string {
 		return "note"
 	}
 	return s
-}
-
-// truthy interprets a value as a condition: boolean true or bit '1'.
-func (s *Simulator) truthy(v value) bool {
-	return v.v.ToBool() == hdl.L1
-}
-
-func (s *Simulator) execVarAssign(inst *Instance, en *env, x *vhdl.VarAssign) {
-	switch t := x.Target.(type) {
-	case *vhdl.Name:
-		vs, ok := en.vars[t.Ident]
-		if !ok {
-			panic(sim.Faultf("assignment target %q is not a variable", t.Ident))
-		}
-		val := s.evalCtx(inst, en, x.Value, vs.val.Width())
-		vs.val = val.v.Resize(vs.val.Width())
-	case *vhdl.CallOrIndex:
-		vs, ok := en.vars[t.Name]
-		if !ok {
-			panic(sim.Faultf("assignment target %q is not a variable", t.Name))
-		}
-		if t.IsSlice {
-			l64, ok1 := indexValue(s.eval(inst, en, t.Left))
-			r64, ok2 := indexValue(s.eval(inst, en, t.Right))
-			if !ok1 || !ok2 {
-				return
-			}
-			lo, hi := int(r64), int(l64)
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			val := s.evalCtx(inst, en, x.Value, hi-lo+1)
-			vs.val = vs.val.SetSlice(lo, val.v.Resize(hi-lo+1))
-			return
-		}
-		if len(t.Args) != 1 {
-			panic(sim.Faultf("bad index on variable %q", t.Name))
-		}
-		i64, ok2 := indexValue(s.eval(inst, en, t.Args[0]))
-		if !ok2 {
-			return
-		}
-		val := s.evalCtx(inst, en, x.Value, 1)
-		vs.val = vs.val.SetSlice(int(i64), val.v.Resize(1))
-	default:
-		panic(sim.Faultf("unsupported variable assignment target"))
-	}
-}
-
-// collectSignals gathers signals read by an expression.
-func collectSignals(inst *Instance, e vhdl.Expr) []*Signal {
-	var out []*Signal
-	seen := map[*Signal]bool{}
-	add := func(sig *Signal) {
-		if sig != nil && !seen[sig] {
-			seen[sig] = true
-			out = append(out, sig)
-		}
-	}
-	var walk func(vhdl.Expr)
-	walk = func(e vhdl.Expr) {
-		switch x := e.(type) {
-		case *vhdl.Name:
-			if sig, ok := inst.Signals[x.Ident]; ok {
-				add(sig)
-			}
-		case *vhdl.UnaryExpr:
-			walk(x.X)
-		case *vhdl.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *vhdl.CallOrIndex:
-			if sig, ok := inst.Signals[x.Name]; ok {
-				add(sig)
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-			if x.IsSlice {
-				walk(x.Left)
-				walk(x.Right)
-			}
-		case *vhdl.AttrExpr:
-			if sig, ok := inst.Signals[x.Base]; ok {
-				add(sig)
-			}
-		case *vhdl.AggregateExpr:
-			walk(x.Others)
-		}
-	}
-	walk(e)
-	return out
-}
-
-// messageText renders a report/assert message expression (strings and
-// simple & concatenations of strings).
-func (s *Simulator) messageText(inst *Instance, en *env, e vhdl.Expr) string {
-	switch x := e.(type) {
-	case nil:
-		return ""
-	case *vhdl.StrLit:
-		return x.Value
-	case *vhdl.BinaryExpr:
-		if x.Op == "&" {
-			return s.messageText(inst, en, x.L) + s.messageText(inst, en, x.R)
-		}
-	}
-	// Fall back to a numeric rendering; integers are signed.
-	v := s.eval(inst, en, e)
-	if v.isInt {
-		return v.v.SignedDecString()
-	}
-	return v.v.DecString()
 }

@@ -30,11 +30,24 @@ type Simulator struct {
 	updFull func(*sim.NBARecord)
 	updPart func(*sim.NBARecord)
 
-	// procs, prog and vars hold the run's processes: each one's process
-	// machine, the statement program it runs and its variable map.
+	// procs, prog, vars, inits and msgs hold the run's processes: each
+	// one's process machine and the statement program it runs, their
+	// variables and initializers, and their lowered messages. scope and
+	// items are lowering scratch: the variables in scope by name, and a
+	// wait site's sensitivity items.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
-	vars  sim.Maps[string, *varSlot]
+	vars  sim.Arena[varSlot]
+	inits sim.Slab[varInit]
+	msgs  sim.Slab[msgPart]
+	scope map[string]*varSlot
+	items []sim.Sens
+
+	// ports and concs are the run's port bindings and concurrent
+	// assignments in lowered form.
+	ports sim.Arena[portRT]
+	concs sim.Arena[concRT]
+	waves sim.Slab[wave]
 }
 
 // Simulate elaborates the entity named top from the units and runs it,
@@ -96,93 +109,107 @@ func (s *Simulator) run(d *Design, opts Options, sh *stimShell) *Result {
 	return res
 }
 
-// bindPort wires one port association: in-ports copy parent actual to
-// the child port signal; out-ports copy the child port to the parent
-// actual (which must be an assignable name).
+// portRT is one port association in lowered form: in-ports copy the
+// parent actual to the child port signal; out-ports copy the child port
+// to the parent actual, which must be an assignable name.
+type portRT struct {
+	s      *Simulator
+	in     bool
+	port   *Signal
+	actual *sim.Expr // an in-port's actual
+	target sigTarget // an out-port's actual
+}
+
+func (p *portRT) update() {
+	s := p.s
+	defer s.Recover()
+	if p.in {
+		s.applyUpdate(p.port, s.Eval(p.actual, 0))
+		return
+	}
+	t := &p.target
+	s.resolveSig(t)
+	if !t.ok {
+		return
+	}
+	if t.lo == 0 && t.width == t.sig.Width {
+		s.applyUpdate(t.sig, p.port.Val)
+	} else {
+		s.applyUpdate(t.sig, t.sig.Val.SetSlice(t.lo, p.port.Val.Resize(t.width)))
+	}
+}
+
+// bindPort wires one port association: an in-port updates on every
+// change of a signal its actual reads, an out-port on every change of
+// the child port.
 func (s *Simulator) bindPort(pb *portBind) {
-	update := func() {
-		defer s.Recover()
-		if pb.dir == vhdl.DirIn {
-			val := s.eval(pb.parentScope, nil, pb.actual)
-			sig := pb.childScope.Signals[pb.portName]
-			s.applyUpdate(sig, val.v)
-			return
-		}
-		// out port: child port drives the parent actual.
-		src := pb.childScope.Signals[pb.portName]
-		t := s.resolveSigTarget(pb.parentScope, nil, pb.actual)
-		if !t.ok {
-			return
-		}
-		if t.lo == 0 && t.width == t.sig.Width {
-			s.applyUpdate(t.sig, src.Val)
-		} else {
-			s.applyUpdate(t.sig, t.sig.Val.SetSlice(t.lo, src.Val.Resize(t.width)))
-		}
-	}
+	clear(s.scope)
+	p := s.ports.Alloc()
+	p.s, p.in, p.port = s, pb.dir == vhdl.DirIn, pb.childScope.Signals[pb.portName]
+	update := p.update
 	fire := func() { s.Kernel.Active(update) }
-	func() {
-		defer s.Recover()
-		if pb.dir == vhdl.DirIn {
-			for _, sg := range collectSignals(pb.parentScope, pb.actual) {
-				sg.watch.Watch(fire)
-			}
-		} else {
-			src := pb.childScope.Signals[pb.portName]
-			src.watch.Watch(fire)
+	if p.in {
+		p.actual = s.lower(pb.parentScope, pb.actual)
+		for _, l := range s.Reads(p.actual) {
+			l.Watch(fire)
 		}
-	}()
+	} else {
+		p.target = s.lowerSigTarget(pb.parentScope, pb.actual)
+		p.port.watch.Watch(fire)
+	}
 	s.Kernel.Active(update)
 }
 
+// concRT is one concurrent assignment in lowered form.
+type concRT struct {
+	s      *Simulator
+	target sigTarget
+	waves  []wave
+}
+
+// wave is one conditional waveform of a concurrent assignment.
+type wave struct {
+	cond, value, after *sim.Expr // cond and after nil when absent
+}
+
+func (c *concRT) update() {
+	s := c.s
+	defer s.Recover()
+	for i := range c.waves {
+		w := &c.waves[i]
+		if w.cond != nil && !s.Truth(w.cond) {
+			continue
+		}
+		s.assignSignal(&c.target, w.value, w.after)
+		return
+	}
+}
+
+// bindConcAssign lowers a concurrent assignment, which updates on every
+// change of a signal its values and conditions read.
 func (s *Simulator) bindConcAssign(bc *boundConc) {
+	clear(s.scope)
 	inst, ca := bc.scope, bc.ca
-	update := func() {
-		defer s.Recover()
-		for _, w := range ca.Waves {
-			if w.Cond != nil && !s.truthy(s.eval(inst, nil, w.Cond)) {
-				continue
-			}
-			s.assignSignal(inst, nil, ca.Target, w.Value, w.AfterNs)
-			return
+	c := s.concs.Alloc()
+	c.s, c.target, c.waves = s, s.lowerSigTarget(inst, ca.Target), s.waves.Alloc(len(ca.Waves))
+	reads := s.Exprs(2 * len(ca.Waves))
+	for i, w := range ca.Waves {
+		lw := &c.waves[i]
+		lw.value = s.lower(inst, w.Value)
+		if w.Cond != nil {
+			lw.cond = s.lower(inst, w.Cond)
 		}
+		if w.AfterNs != nil {
+			lw.after = s.lower(inst, w.AfterNs)
+		}
+		reads[2*i], reads[2*i+1] = lw.value, lw.cond
 	}
+	update := c.update
 	fire := func() { s.Kernel.Active(update) }
-	func() {
-		defer s.Recover()
-		seen := map[*Signal]bool{}
-		for _, w := range ca.Waves {
-			for _, sg := range collectSignals(inst, w.Value) {
-				if !seen[sg] {
-					seen[sg] = true
-					sg.watch.Watch(fire)
-				}
-			}
-			if w.Cond != nil {
-				for _, sg := range collectSignals(inst, w.Cond) {
-					if !seen[sg] {
-						seen[sg] = true
-						sg.watch.Watch(fire)
-					}
-				}
-			}
-		}
-	}()
+	for _, l := range s.Reads(reads...) {
+		l.Watch(fire)
+	}
 	s.Kernel.Active(update)
-}
-
-func (s *Simulator) makeVarSlot(inst *Instance, en *env, vd *vhdl.VarDecl) (*varSlot, error) {
-	// Reuse signal sizing logic through a throwaway signal spec.
-	sp, err := inst.makeSigSpec("v", vd.Type, nil)
-	if err != nil {
-		return nil, err
-	}
-	slot := &varSlot{val: sp.init, isInt: sp.kind == KindInt}
-	if vd.Init != nil {
-		v := s.evalCtx(inst, en, vd.Init, slot.val.Width())
-		slot.val = v.v.Resize(slot.val.Width())
-	}
-	return slot, nil
 }
 
 // reportSeverity renders an assert/report message in xsim style and

@@ -27,6 +27,7 @@ var workspaces = sync.Pool{New: func() any {
 	w.s.Runtime = sim.NewRuntime(Options{}, "tb.vhd", "statement budget exceeded (possible infinite loop)")
 	w.s.updFull = w.s.applyFullUpdate
 	w.s.updPart = w.s.applyPartUpdate
+	w.s.scope = map[string]*varSlot{}
 	return w
 }}
 
@@ -60,4 +61,12 @@ func (s *Simulator) reset() {
 	s.procs.Reset()
 	s.prog.Reset()
 	s.vars.Reset()
+	s.inits.Reset()
+	s.msgs.Reset()
+	clear(s.scope)
+	clear(s.items[:cap(s.items)])
+	s.items = s.items[:0]
+	s.ports.Reset()
+	s.concs.Reset()
+	s.waves.Reset()
 }

@@ -25,7 +25,7 @@ func (inst *Instance) evalConst(e verilog.Expr) (hdl.Vector, error) {
 		if err != nil {
 			return hdl.Vector{}, err
 		}
-		return applyUnary(x.Op, v), nil
+		return unaryFn(x.Op)(v), nil
 	case *verilog.Binary:
 		l, err := inst.evalConst(x.L)
 		if err != nil {
@@ -35,7 +35,7 @@ func (inst *Instance) evalConst(e verilog.Expr) (hdl.Vector, error) {
 		if err != nil {
 			return hdl.Vector{}, err
 		}
-		return applyBinary(x.Op, l, r), nil
+		return binaryFn(x.Op)(l, r), nil
 	case *verilog.Ternary:
 		c, err := inst.evalConst(x.Cond)
 		if err != nil {
@@ -87,509 +87,332 @@ func (inst *Instance) evalRange(r *verilog.Range) (width, msb, lsb int, err erro
 	return w, m, l, nil
 }
 
-// applyUnary implements all supported unary operators.
-func applyUnary(op string, v hdl.Vector) hdl.Vector {
+// unaryFn is the hdl function of a unary operator.
+func unaryFn(op string) func(hdl.Vector) hdl.Vector {
 	switch op {
 	case "!":
-		return v.LogicalNot()
+		return hdl.Vector.LogicalNot
 	case "~":
-		return v.BitwiseNot()
+		return hdl.Vector.BitwiseNot
 	case "-":
-		return v.Neg()
-	case "+":
-		return v
+		return hdl.Vector.Neg
 	case "&":
-		return v.ReduceAnd()
+		return hdl.Vector.ReduceAnd
 	case "|":
-		return v.ReduceOr()
+		return hdl.Vector.ReduceOr
 	case "^":
-		return v.ReduceXor()
+		return hdl.Vector.ReduceXor
 	case "~&":
-		return v.ReduceAnd().LogicalNot()
+		return func(v hdl.Vector) hdl.Vector { return v.ReduceAnd().LogicalNot() }
 	case "~|":
-		return v.ReduceOr().LogicalNot()
+		return func(v hdl.Vector) hdl.Vector { return v.ReduceOr().LogicalNot() }
 	case "~^", "^~":
-		return v.ReduceXor().LogicalNot()
+		return func(v hdl.Vector) hdl.Vector { return v.ReduceXor().LogicalNot() }
+	case "+":
+		return func(v hdl.Vector) hdl.Vector { return v }
 	}
-	return hdl.XFill(v.Width())
+	return func(v hdl.Vector) hdl.Vector { return hdl.XFill(v.Width()) }
 }
 
-// applyBinary implements all supported binary operators.
-func applyBinary(op string, l, r hdl.Vector) hdl.Vector {
+// binaryFn is the hdl function of a binary operator.
+func binaryFn(op string) func(l, r hdl.Vector) hdl.Vector {
 	switch op {
 	case "+":
-		return l.Add(r)
+		return hdl.Vector.Add
 	case "-":
-		return l.Sub(r)
+		return hdl.Vector.Sub
 	case "*":
-		return l.Mul(r)
+		return hdl.Vector.Mul
 	case "/":
-		return l.Div(r)
+		return hdl.Vector.Div
 	case "%":
-		return l.Mod(r)
+		return hdl.Vector.Mod
 	case "**":
-		return l.Pow(r)
+		return hdl.Vector.Pow
 	case "&":
-		return l.BitwiseAnd(r)
+		return hdl.Vector.BitwiseAnd
 	case "|":
-		return l.BitwiseOr(r)
+		return hdl.Vector.BitwiseOr
 	case "^":
-		return l.BitwiseXor(r)
+		return hdl.Vector.BitwiseXor
 	case "~^", "^~":
-		return l.BitwiseXnor(r)
+		return hdl.Vector.BitwiseXnor
 	case "&&":
-		return l.LogicalAnd(r)
+		return hdl.Vector.LogicalAnd
 	case "||":
-		return l.LogicalOr(r)
+		return hdl.Vector.LogicalOr
 	case "==":
-		return l.Eq(r)
+		return hdl.Vector.Eq
 	case "!=":
-		return l.Neq(r)
+		return hdl.Vector.Neq
 	case "===":
-		return l.CaseEq(r)
+		return hdl.Vector.CaseEq
 	case "!==":
-		return l.CaseNeq(r)
+		return hdl.Vector.CaseNeq
 	case "<":
-		return l.Lt(r)
+		return hdl.Vector.Lt
 	case "<=":
-		return l.Le(r)
+		return hdl.Vector.Le
 	case ">":
-		return l.Gt(r)
+		return hdl.Vector.Gt
 	case ">=":
-		return l.Ge(r)
-	case "<<":
-		return l.Shl(r)
+		return hdl.Vector.Ge
+	case "<<", "<<<":
+		return hdl.Vector.Shl
 	case ">>":
-		return l.Shr(r)
-	case "<<<":
-		return l.Shl(r)
+		return hdl.Vector.Shr
 	case ">>>":
-		return l.AShr(r)
+		return hdl.Vector.AShr
 	}
-	return hdl.XFill(hdlMax(l.Width(), r.Width()))
+	return func(l, r hdl.Vector) hdl.Vector { return hdl.XFill(max(l.Width(), r.Width())) }
 }
 
-func hdlMax(a, b int) int {
-	if a > b {
-		return a
+// signedCompare is the function of a relational operator over two
+// signed operands: a two's-complement comparison.
+func signedCompare(op string) func(l, r hdl.Vector) hdl.Vector {
+	switch op {
+	case "<":
+		return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, -1) }
+	case "<=":
+		return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, 0) }
+	case ">":
+		return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 1, 1) }
 	}
-	return b
+	return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 0, 1) }
 }
 
-// lookup resolves a name in the instance scope: signals first, then
-// parameters. Returns (signal, paramValue, kind): kind 0 none, 1 signal,
-// 2 param.
-func (inst *Instance) lookup(name string) (*Signal, hdl.Vector, int) {
-	if s, ok := inst.Signals[name]; ok {
-		return s, hdl.Vector{}, 1
-	}
-	if v, ok := inst.Params[name]; ok {
-		return nil, v, 2
-	}
-	return nil, hdl.Vector{}, 0
-}
-
-// natWidth infers the self-determined bit width of an expression, per
-// the IEEE 1364 expression sizing rules.
-func (s *Simulator) natWidth(inst *Instance, e verilog.Expr) int {
-	switch x := e.(type) {
-	case *verilog.Number:
-		return x.Value.Width()
-	case *verilog.StringLit:
-		if len(x.Value) == 0 {
-			return 8
-		}
-		return 8 * len(x.Value)
-	case *verilog.Ident:
-		sig, pv, kind := inst.lookup(x.Name)
-		switch kind {
-		case 1:
-			return sig.Width
-		case 2:
-			return pv.Width()
-		}
-		return 1
-	case *verilog.Unary:
-		switch x.Op {
-		case "~", "-", "+":
-			return s.natWidth(inst, x.X)
-		}
-		return 1
-	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			return hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R))
-		case "<<", ">>", "<<<", ">>>", "**":
-			return s.natWidth(inst, x.L)
-		}
-		return 1
-	case *verilog.Ternary:
-		return hdlMax(s.natWidth(inst, x.Then), s.natWidth(inst, x.Else))
-	case *verilog.ConcatExpr:
-		total := 0
-		for _, p := range x.Parts {
-			total += s.natWidth(inst, p)
-		}
-		return total
-	case *verilog.ReplicateExpr:
-		nv := s.eval(inst, x.Count)
-		n, ok := nv.Uint()
-		if !ok || n > 4096 {
-			return 1
-		}
-		return int(n) * s.natWidth(inst, x.Value)
-	case *verilog.Index:
-		if base, ok := x.Base.(*verilog.Ident); ok {
-			if sig, _, kind := inst.lookup(base.Name); kind == 1 && sig.IsMem {
-				return sig.Width
-			}
-		}
-		return 1
-	case *verilog.PartSelect:
-		mV := s.eval(inst, x.MSB)
-		lV := s.eval(inst, x.LSB)
-		m64, ok1 := mV.Int()
-		l64, ok2 := lV.Int()
-		if !ok1 || !ok2 {
-			return 1
-		}
-		w := int(m64 - l64)
-		if w < 0 {
-			w = -w
-		}
-		return w + 1
-	case *verilog.SysFuncCall:
-		switch x.Name {
-		case "$time", "$realtime", "$stime":
-			return 64
-		case "$signed", "$unsigned":
-			if len(x.Args) == 1 {
-				return s.natWidth(inst, x.Args[0])
-			}
-		}
-		return 32
-	}
-	return 1
-}
-
-// eval evaluates an expression self-determined.
-func (s *Simulator) eval(inst *Instance, e verilog.Expr) hdl.Vector {
-	return s.evalCtx(inst, e, 0)
-}
-
-// evalCtx evaluates an expression with a context width: operands of
-// width-transparent operators are zero-extended to the largest of the
-// context and their natural widths before the operation, matching
-// Verilog's context-determined expression sizing. ctx 0 means
-// self-determined.
-func (s *Simulator) evalCtx(inst *Instance, e verilog.Expr, ctx int) hdl.Vector {
-	switch x := e.(type) {
-	case *verilog.Number:
-		// Safe to share the AST literal's storage: Vectors are
-		// immutable by convention once published (see hdl.Vector.SetBit).
-		v := x.Value
-		if ctx > v.Width() {
-			v = v.Resize(ctx)
-		}
-		return v
-	case *verilog.StringLit:
-		// Strings in expression position become packed ASCII vectors.
-		w := 8 * len(x.Value)
-		if w == 0 {
-			w = 8
-		}
-		v := hdl.NewVector(w, hdl.L0)
-		for i := 0; i < len(x.Value); i++ {
-			ch := x.Value[len(x.Value)-1-i]
-			for b := 0; b < 8; b++ {
-				if ch&(1<<b) != 0 {
-					v.SetBit(i*8+b, hdl.L1)
-				}
-			}
-		}
-		return v
-	case *verilog.Ident:
-		sig, pv, kind := inst.lookup(x.Name)
-		var v hdl.Vector
-		switch kind {
-		case 1:
-			if sig.IsMem {
-				panic(sim.Faultf("memory %q used without an index", x.Name))
-			}
-			v = sig.Val
-		case 2:
-			v = pv
-		default:
-			panic(sim.Faultf("reference to undeclared identifier %q", x.Name))
-		}
-		if ctx > v.Width() {
-			v = v.Resize(ctx)
-		}
-		return v
-	case *verilog.Unary:
-		switch x.Op {
-		case "~", "-", "+":
-			w := hdlMax(ctx, s.natWidth(inst, x.X))
-			return applyUnary(x.Op, s.evalCtx(inst, x.X, w))
-		}
-		return applyUnary(x.Op, s.eval(inst, x.X))
-	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			w := hdlMax(ctx, hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R)))
-			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.evalCtx(inst, x.R, w))
-		case "<<", ">>", "<<<", ">>>", "**":
-			w := hdlMax(ctx, s.natWidth(inst, x.L))
-			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.eval(inst, x.R))
-		case "==", "!=", "===", "!==":
-			w := hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R))
-			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.evalCtx(inst, x.R, w))
-		case "<", "<=", ">", ">=":
-			// Per IEEE 1364, the comparison is signed only when both
-			// operands are signed (integers, signed regs, plain decimals).
-			if s.exprSigned(inst, x.L) && s.exprSigned(inst, x.R) {
-				return signedCompare(x.Op, s.eval(inst, x.L), s.eval(inst, x.R))
-			}
-			w := hdlMax(s.natWidth(inst, x.L), s.natWidth(inst, x.R))
-			return applyBinary(x.Op, s.evalCtx(inst, x.L, w), s.evalCtx(inst, x.R, w))
-		}
-		return applyBinary(x.Op, s.eval(inst, x.L), s.eval(inst, x.R))
-	case *verilog.Ternary:
-		branchW := hdlMax(ctx, hdlMax(s.natWidth(inst, x.Then), s.natWidth(inst, x.Else)))
-		c := s.eval(inst, x.Cond).ToBool()
-		switch c {
-		case hdl.L1:
-			return s.evalCtx(inst, x.Then, branchW)
-		case hdl.L0:
-			return s.evalCtx(inst, x.Else, branchW)
-		default:
-			// X condition: bitwise merge per Verilog semantics.
-			t := s.evalCtx(inst, x.Then, branchW)
-			f := s.evalCtx(inst, x.Else, branchW)
-			w := hdlMax(t.Width(), f.Width())
-			t, f = t.Resize(w), f.Resize(w)
-			out := hdl.NewVector(w, hdl.LX)
-			for i := 0; i < w; i++ {
-				if tb := t.Bit(i); tb == f.Bit(i) && tb.IsKnown() {
-					out.SetBit(i, tb)
-				}
-			}
-			return out
-		}
-	case *verilog.ConcatExpr:
-		parts := make([]hdl.Vector, 0, len(x.Parts))
-		for _, p := range x.Parts {
-			parts = append(parts, s.eval(inst, p))
-		}
-		return hdl.Concat(parts...)
-	case *verilog.ReplicateExpr:
-		nv := s.eval(inst, x.Count)
-		n, ok := nv.Uint()
-		if !ok || n > 4096 {
-			panic(sim.Faultf("bad replication count"))
-		}
-		return hdl.Replicate(int(n), s.eval(inst, x.Value))
-	case *verilog.Index:
-		return s.evalIndex(inst, x)
-	case *verilog.PartSelect:
-		return s.evalPartSelect(inst, x)
-	case *verilog.SysFuncCall:
-		return s.evalSysFuncCtx(inst, x, ctx)
-	default:
-		panic(sim.Faultf("unsupported expression at %v", e.ExprPos()))
-	}
-}
-
-// evalSysFuncCtx applies context width to $signed/$unsigned results:
-// $signed sign-extends into a wider context, $unsigned zero-extends.
-func (s *Simulator) evalSysFuncCtx(inst *Instance, x *verilog.SysFuncCall, ctx int) hdl.Vector {
-	v := s.evalSysFunc(inst, x)
-	if ctx > v.Width() {
-		if x.Name == "$signed" {
-			return v.SignExtend(ctx)
-		}
-		return v.Resize(ctx)
-	}
-	return v
-}
-
-// evalIndexValue evaluates an index/select expression honouring its
-// signedness: unsigned vectors index as non-negative values (a 2-bit
-// address holding 2 must not sign-extend to -2), while signed integers
-// may legitimately produce negative (out-of-range) indices.
-func (s *Simulator) evalIndexValue(inst *Instance, e verilog.Expr) (int64, bool) {
-	v := s.eval(inst, e)
-	if s.exprSigned(inst, e) {
-		return v.Int()
-	}
-	u, ok := v.Uint()
-	if !ok || u > 1<<31 {
-		return 0, false
-	}
-	return int64(u), ok
-}
-
-func (s *Simulator) evalIndex(inst *Instance, x *verilog.Index) hdl.Vector {
-	base, ok := x.Base.(*verilog.Ident)
-	if !ok {
-		// Index of a computed value: evaluate then select bit.
-		v := s.eval(inst, x.Base)
-		i64, known := s.evalIndexValue(inst, x.Idx)
-		if !known {
-			return hdl.XFill(1)
-		}
-		return hdl.Scalar(v.Bit(int(i64)))
-	}
-	sig, pv, kind := inst.lookup(base.Name)
-	i64, known := s.evalIndexValue(inst, x.Idx)
-	switch kind {
-	case 1:
-		if !known {
-			if sig.IsMem {
-				return hdl.XFill(sig.Width)
-			}
-			return hdl.XFill(1)
-		}
-		if sig.IsMem {
-			return sig.MemWord(int(i64))
-		}
-		bit, inRange := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
-		if !inRange {
-			return hdl.XFill(1)
-		}
-		return hdl.Scalar(sig.Val.Bit(bit))
-	case 2:
-		if !known {
-			return hdl.XFill(1)
-		}
-		return hdl.Scalar(pv.Bit(int(i64)))
-	default:
-		panic(sim.Faultf("reference to undeclared identifier %q", base.Name))
-	}
-}
-
-func (s *Simulator) evalPartSelect(inst *Instance, x *verilog.PartSelect) hdl.Vector {
-	base, ok := x.Base.(*verilog.Ident)
-	if !ok {
-		panic(sim.Faultf("part select requires a simple name at %v", x.Pos))
-	}
-	sig, pv, kind := inst.lookup(base.Name)
-	m64, ok1 := s.evalIndexValue(inst, x.MSB)
-	l64, ok2 := s.evalIndexValue(inst, x.LSB)
-	if !ok1 || !ok2 {
-		return hdl.XFill(1)
-	}
-	m, l := int(m64), int(l64)
-	switch kind {
-	case 1:
-		if sig.IsMem {
-			panic(sim.Faultf("part select on memory %q", base.Name))
-		}
-		loBit, ok1 := sim.DeclIndexToBit(sig.MSB, sig.LSB, l)
-		hiBit, ok2 := sim.DeclIndexToBit(sig.MSB, sig.LSB, m)
-		if !ok1 || !ok2 {
-			w := m - l
-			if w < 0 {
-				w = -w
-			}
-			return hdl.XFill(w + 1)
-		}
-		if loBit > hiBit {
-			loBit, hiBit = hiBit, loBit
-		}
-		return sig.Val.Slice(loBit, hiBit-loBit+1)
-	case 2:
-		if l > m {
-			m, l = l, m
-		}
-		return pv.Slice(l, m-l+1)
-	default:
-		panic(sim.Faultf("reference to undeclared identifier %q", base.Name))
-	}
-}
-
-// exprSigned infers whether an expression is signed under the IEEE 1364
-// self-determined typing rules (subset: idents, literals, arithmetic,
-// $signed/$unsigned, parenthesised combinations).
-func (s *Simulator) exprSigned(inst *Instance, e verilog.Expr) bool {
-	switch x := e.(type) {
-	case *verilog.Number:
-		return x.Signed
-	case *verilog.Ident:
-		sig, _, kind := inst.lookup(x.Name)
-		if kind == 1 {
-			return sig.Signed
-		}
-		return false // parameters treated as unsigned vectors
-	case *verilog.Unary:
-		switch x.Op {
-		case "~", "-", "+":
-			return s.exprSigned(inst, x.X)
-		}
-		return false
-	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "**":
-			return s.exprSigned(inst, x.L) && s.exprSigned(inst, x.R)
-		}
-		return false
-	case *verilog.Ternary:
-		return s.exprSigned(inst, x.Then) && s.exprSigned(inst, x.Else)
-	case *verilog.SysFuncCall:
-		return x.Name == "$signed"
-	}
-	return false
-}
-
-// signedCompare compares two vectors as two's-complement numbers.
-func signedCompare(op string, l, r hdl.Vector) hdl.Vector {
+// compareInts reports, as a bit, whether the sign of l-r, as
+// two's-complement numbers, lies in [lo, hi]; X when either is unknown.
+func compareInts(l, r hdl.Vector, lo, hi int) hdl.Vector {
 	li, ok1 := l.Int()
 	ri, ok2 := r.Int()
 	if !ok1 || !ok2 {
 		return hdl.Scalar(hdl.LX)
 	}
-	var res bool
-	switch op {
-	case "<":
-		res = li < ri
-	case "<=":
-		res = li <= ri
-	case ">":
-		res = li > ri
-	case ">=":
-		res = li >= ri
+	c := 0
+	if li < ri {
+		c = -1
+	} else if li > ri {
+		c = 1
 	}
-	return hdl.FromBool(res)
+	return hdl.FromBool(lo <= c && c <= hi)
 }
 
-func (s *Simulator) evalSysFunc(inst *Instance, x *verilog.SysFuncCall) hdl.Vector {
-	switch x.Name {
-	case "$time", "$stime", "$realtime":
-		return hdl.FromUint(uint64(s.Kernel.Now()), 64)
-	case "$random", "$urandom":
-		// One stream per run, drawn in execution order.
-		s.rng = s.rng*6364136223846793005 + 1442695040888963407
-		return hdl.FromUint(s.rng>>16, 32)
-	case "$clog2":
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("$clog2 expects 1 argument"))
-		}
-		v := s.eval(inst, x.Args[0])
-		n, ok := v.Uint()
-		if !ok {
-			return hdl.XFill(32)
-		}
-		c := 0
-		for (uint64(1) << c) < n {
-			c++
-		}
-		return hdl.FromUint(uint64(c), 32)
-	case "$signed", "$unsigned":
-		if len(x.Args) != 1 {
-			panic(sim.Faultf("%s expects 1 argument", x.Name))
-		}
-		return s.eval(inst, x.Args[0])
-	default:
-		panic(sim.Faultf("unsupported system function %s", x.Name))
+// lower lowers e, in scope inst, into the run's expression form (see
+// sim.Expr): every name bound to its signal, parameter value or fault,
+// every node sized and typed by the IEEE 1364 rules.
+func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
+	rt := &s.Runtime
+	node := func(op sim.ExprOp, w int) *sim.Expr {
+		n := rt.NewExpr(op)
+		n.W = w
+		return n
 	}
+	fault := func(w int, format string, args ...any) *sim.Expr {
+		n := node(sim.XFault, w)
+		n.Msg = sim.Faultf(format, args...).Msg
+		return n
+	}
+	switch x := e.(type) {
+	case *verilog.Number:
+		n := node(sim.VConst, x.Value.Width())
+		n.V, n.Signed, n.Const = x.Value, x.Signed, true
+		return n
+	case *verilog.StringLit:
+		n := node(sim.XConst, max(8*len(x.Value), 8))
+		n.V, n.Const = packString(x.Value), true
+		return n
+	case *verilog.Ident:
+		if sig, ok := inst.Signals[x.Name]; ok {
+			if sig.IsMem {
+				n := fault(sig.Width, "memory %q used without an index", x.Name)
+				n.Signed, n.Watch = sig.Signed, &sig.watch
+				return n
+			}
+			n := node(sim.VLoad, sig.Width)
+			n.Ref, n.Signed, n.Watch = &sig.Val, sig.Signed, &sig.watch
+			return n
+		}
+		if v, ok := inst.Params[x.Name]; ok {
+			n := node(sim.VConst, v.Width())
+			n.V, n.Const = v, true
+			return n
+		}
+		return fault(1, "reference to undeclared identifier %q", x.Name)
+	case *verilog.Unary:
+		a := s.lower(inst, x.X)
+		n := node(sim.VUnary, 1)
+		n.A, n.Fn1, n.Const = a, unaryFn(x.Op), a.Const
+		switch x.Op {
+		case "~", "-", "+":
+			n.Op, n.W, n.Dyn, n.Signed = sim.VUnaryCtx, a.W, a.Dyn, a.Signed
+		}
+		return n
+	case *verilog.Binary:
+		a, b := s.lower(inst, x.L), s.lower(inst, x.R)
+		n := node(sim.VBin, 1)
+		n.A, n.B, n.Fn2, n.Const = a, b, binaryFn(x.Op), a.Const && b.Const
+		switch x.Op {
+		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
+			n.Op, n.W, n.Dyn = sim.VBinCtx, max(a.W, b.W), a.Dyn || b.Dyn
+		case "<<", ">>", "<<<", ">>>", "**":
+			n.Op, n.W, n.Dyn = sim.VShift, a.W, a.Dyn
+		case "==", "!=", "===", "!==":
+			n.Op = sim.VCompare
+		case "<", "<=", ">", ">=":
+			// Per IEEE 1364, the comparison is signed only when both
+			// operands are signed (integers, signed regs, plain decimals).
+			if a.Signed && b.Signed {
+				n.Fn2 = signedCompare(x.Op)
+			} else {
+				n.Op = sim.VCompare
+			}
+		}
+		switch x.Op {
+		case "+", "-", "*", "/", "%", "**":
+			n.Signed = a.Signed && b.Signed
+		}
+		return n
+	case *verilog.Ternary:
+		c, t, f := s.lower(inst, x.Cond), s.lower(inst, x.Then), s.lower(inst, x.Else)
+		n := node(sim.VTernary, max(t.W, f.W))
+		n.A, n.B, n.C = c, t, f
+		n.Dyn, n.Signed, n.Const = t.Dyn || f.Dyn, t.Signed && f.Signed, c.Const && t.Const && f.Const
+		return n
+	case *verilog.ConcatExpr:
+		n := node(sim.VConcat, 0)
+		n.Args, n.Const = rt.Exprs(len(x.Parts)), true
+		for i, p := range x.Parts {
+			a := s.lower(inst, p)
+			n.Args[i] = a
+			n.W += a.W
+			n.Dyn = n.Dyn || a.Dyn
+			n.Const = n.Const && a.Const
+		}
+		return n
+	case *verilog.ReplicateExpr:
+		c, v := s.lower(inst, x.Count), s.lower(inst, x.Value)
+		n := node(sim.VReplicate, 1)
+		n.A, n.B, n.Dyn = c, v, true
+		if c.Const && !v.Dyn {
+			if k, ok := rt.Eval(c, 0).Uint(); ok && k <= 4096 {
+				n.W = int(k) * v.W
+			}
+			n.Dyn = false
+		}
+		return n
+	case *verilog.Index:
+		idx := s.lower(inst, x.Idx)
+		base, ok := x.Base.(*verilog.Ident)
+		if !ok {
+			n := node(sim.VIndexExpr, 1)
+			n.A, n.B = s.lower(inst, x.Base), idx
+			return n
+		}
+		n := node(sim.VIndex, 1)
+		n.A = idx
+		if sig, ok := inst.Signals[base.Name]; ok {
+			n.Watch = &sig.watch
+			if sig.IsMem {
+				n.Op, n.W, n.Mem = sim.VIndexMem, sig.Width, sig
+				return n
+			}
+			n.Ref, n.Hi, n.Lo = &sig.Val, sig.MSB, sig.LSB
+			return n
+		}
+		if v, ok := inst.Params[base.Name]; ok {
+			n.Op, n.V = sim.VIndexConst, v
+			return n
+		}
+		n.Op, n.Msg = sim.VIndexBad, sim.Faultf("reference to undeclared identifier %q", base.Name).Msg
+		return n
+	case *verilog.PartSelect:
+		m, l := s.lower(inst, x.MSB), s.lower(inst, x.LSB)
+		n := node(sim.VPart, 1)
+		n.A, n.B = m, l
+		if base, ok := x.Base.(*verilog.Ident); !ok {
+			n.Op, n.Msg = sim.XFault, sim.Faultf("part select requires a simple name at %v", x.Pos).Msg
+			n.Args = rt.Exprs(1)
+			n.Args[0] = s.lower(inst, x.Base)
+		} else if sig, ok := inst.Signals[base.Name]; ok {
+			n.Watch = &sig.watch
+			if sig.IsMem {
+				n.Op, n.Msg = sim.VPartBad, sim.Faultf("part select on memory %q", base.Name).Msg
+			} else {
+				n.Ref, n.Hi, n.Lo = &sig.Val, sig.MSB, sig.LSB
+			}
+		} else if v, ok := inst.Params[base.Name]; ok {
+			n.Op, n.V = sim.VPartConst, v
+		} else {
+			n.Op, n.Msg = sim.VPartBad, sim.Faultf("reference to undeclared identifier %q", base.Name).Msg
+		}
+		if n.Dyn = !m.Const || !l.Const; !n.Dyn {
+			n.W = rt.PartWidth(n)
+		}
+		return n
+	case *verilog.SysFuncCall:
+		var n *sim.Expr
+		switch x.Name {
+		case "$time", "$realtime", "$stime":
+			n = node(sim.VTime, 64)
+		case "$random", "$urandom":
+			n = node(sim.VRandom, 32)
+		case "$clog2":
+			if len(x.Args) != 1 {
+				n = fault(32, "$clog2 expects 1 argument")
+				break
+			}
+			n = node(sim.VClog2, 32)
+			n.A = s.lower(inst, x.Args[0])
+			return n
+		case "$signed", "$unsigned":
+			if len(x.Args) != 1 {
+				n = fault(32, "%s expects 1 argument", x.Name)
+				n.Signed = x.Name == "$signed"
+				break
+			}
+			a := s.lower(inst, x.Args[0])
+			n = node(sim.VUnsigned, a.W)
+			n.A, n.Dyn, n.Const = a, a.Dyn, a.Const
+			if x.Name == "$signed" {
+				n.Op, n.Signed = sim.VSigned, true
+			}
+			return n
+		default:
+			n = fault(32, "unsupported system function %s", x.Name)
+		}
+		// Arguments evaluation ignores still belong to the read set.
+		n.Args = s.lowerList(inst, x.Args)
+		return n
+	default:
+		return fault(1, "unsupported expression at %v", e.ExprPos())
+	}
+}
+
+// lowerList lowers a list of expressions.
+func (s *Simulator) lowerList(inst *Instance, es []verilog.Expr) []*sim.Expr {
+	if len(es) == 0 {
+		return nil
+	}
+	out := s.Exprs(len(es))
+	for i, e := range es {
+		out[i] = s.lower(inst, e)
+	}
+	return out
+}
+
+// packString packs a string literal into a vector, 8 bits a character
+// and the last character lowest, as Verilog does in expression position.
+func packString(str string) hdl.Vector {
+	w := max(8*len(str), 8)
+	v := hdl.NewVector(w, hdl.L0)
+	for i := 0; i < len(str); i++ {
+		ch := str[len(str)-1-i]
+		for b := 0; b < 8; b++ {
+			if ch&(1<<b) != 0 {
+				v.SetBit(i*8+b, hdl.L1)
+			}
+		}
+	}
+	return v
 }

@@ -8,10 +8,13 @@ import (
 	"repro/internal/verilog"
 )
 
-// Signal watching, wait registrations and the IEEE 1364 edge table
-// live in internal/sim (WatchList, WaitReg), shared with vhdlsim; this
-// front-end contributes only the Verilog specifics: which signals an
-// event control watches, the bit an edge samples, and @* expansion.
+// Process bodies are lowered here into sim.Machine programs whose
+// expressions and targets are in the run's lowered form (sim.Expr,
+// lval), bound once when the run starts. Signal watching, wait
+// registrations and the IEEE 1364 edge table live in internal/sim,
+// shared with vhdlsim; this front-end contributes only the Verilog
+// specifics: the sensitivity items of an event control, @* expansion,
+// assignment targets and system tasks.
 
 // setSignal writes v (resized to the signal width) and notifies watchers.
 func (s *Simulator) setSignal(sig *Signal, v hdl.Vector) {
@@ -35,193 +38,154 @@ func (s *Simulator) setMemWord(sig *Signal, idx int, v hdl.Vector) {
 
 // ------------------------------------------------------------- targets
 
-// target is a resolved primitive assignment destination.
-type target struct {
-	sig    *Signal
-	lo     int // bit offset for vector writes
-	width  int
-	memIdx int
-	isMem  bool
-	ok     bool // false: discard the write (out-of-range select)
+// lval is one primitive assignment target in lowered form, MSB-first
+// within its assignment, and the place its last resolution is kept:
+// resolve fills ok, lo, width and word on every execution, before the
+// value is evaluated, and the writes read them back.
+type lval struct {
+	kind lvKind
+	sig  *Signal
+	a, b *sim.Expr // the index, or the part-select's bounds
+	msg  string    // lvFault: the fault text
+
+	ok    bool // false: discard the write (unknown or out-of-range select)
+	lo    int  // bit offset of a vector write
+	width int
+	word  int // a memory word's index
 }
 
-// lhsBinding is where an assignment's targets are resolved, once for
-// the run (see targets).
-type lhsBinding struct {
-	ts      []target
-	total   int
-	dynamic bool // the shape has runtime indexes
+type lvKind uint8
+
+const (
+	lvWhole lvKind = iota
+	lvBit
+	lvPart
+	lvMem
+	lvFault
+)
+
+// lowerLHS lowers an assignment target, in scope inst, into its
+// primitive targets, MSB-first for concatenations.
+func (s *Simulator) lowerLHS(inst *Instance, lhs verilog.Expr) []lval {
+	ts := s.lvals.Alloc(countLHS(lhs))
+	s.fillLHS(inst, lhs, ts)
+	return ts
 }
 
-// targets resolves an assignment target through its binding. A static
-// shape (see staticLHS) resolves on its first execution, when name
-// lookup sees the fully elaborated scope, and stays bound. A dynamic one
-// re-resolves on every execution into the simulator's scratch buffer,
-// which the caller consumes before the next resolve: hot loops execute
-// the same assignments every cycle, and neither way allocates then.
-func (s *Simulator) targets(b *lhsBinding, inst *Instance, lhs verilog.Expr) ([]target, int) {
-	if b.ts == nil && !b.dynamic {
-		if !staticLHS(inst, lhs) {
-			b.dynamic = true
-		} else {
-			b.ts, b.total = s.appendTargets(nil, inst, lhs)
+func countLHS(lhs verilog.Expr) int {
+	c, ok := lhs.(*verilog.ConcatExpr)
+	if !ok {
+		return 1
+	}
+	n := 0
+	for _, p := range c.Parts {
+		n += countLHS(p)
+	}
+	return n
+}
+
+// fillLHS lowers lhs into ts and returns the rest of ts.
+func (s *Simulator) fillLHS(inst *Instance, lhs verilog.Expr, ts []lval) []lval {
+	t := &ts[0]
+	fault := func(format string, args ...any) []lval {
+		t.kind, t.msg = lvFault, sim.Faultf(format, args...).Msg
+		return ts[1:]
+	}
+	signal := func(name string) *Signal {
+		sig, ok := inst.Signals[name]
+		if !ok {
+			return nil
 		}
+		return sig
 	}
-	if b.dynamic {
-		ts, total := s.appendTargets(s.targetScratch[:0], inst, lhs)
-		s.targetScratch = ts[:0]
-		return ts, total
-	}
-	return b.ts, b.total
-}
-
-// appendTargets flattens an lvalue into primitive targets appended to
-// buf, MSB-first for concatenations, and returns the total width.
-func (s *Simulator) appendTargets(buf []target, inst *Instance, lhs verilog.Expr) ([]target, int) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		sig, _, kind := inst.lookup(x.Name)
-		if kind != 1 {
-			panic(sim.Faultf("assignment to non-signal %q", x.Name))
+		sig := signal(x.Name)
+		if sig == nil {
+			return fault("assignment to non-signal %q", x.Name)
 		}
 		if sig.IsMem {
-			panic(sim.Faultf("assignment to memory %q without an index", x.Name))
+			return fault("assignment to memory %q without an index", x.Name)
 		}
-		return append(buf, target{sig: sig, lo: 0, width: sig.Width, ok: true}), sig.Width
+		t.kind, t.sig = lvWhole, sig
 	case *verilog.Index:
-		base, okb := x.Base.(*verilog.Ident)
-		if !okb {
-			panic(sim.Faultf("unsupported assignment target at %v", x.Pos))
+		base, ok := x.Base.(*verilog.Ident)
+		if !ok {
+			return fault("unsupported assignment target at %v", x.Pos)
 		}
-		sig, _, kind := inst.lookup(base.Name)
-		if kind != 1 {
-			panic(sim.Faultf("assignment to non-signal %q", base.Name))
+		sig := signal(base.Name)
+		if sig == nil {
+			return fault("assignment to non-signal %q", base.Name)
 		}
-		i64, known := s.evalIndexValue(inst, x.Idx)
+		t.kind, t.sig, t.a = lvBit, sig, s.lower(inst, x.Idx)
 		if sig.IsMem {
-			if !known {
-				return append(buf, target{ok: false, width: sig.Width}), sig.Width
-			}
-			return append(buf, target{sig: sig, isMem: true, memIdx: int(i64), width: sig.Width, ok: true}), sig.Width
+			t.kind = lvMem
 		}
-		if !known {
-			return append(buf, target{ok: false, width: 1}), 1
-		}
-		bit, inRange := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
-		if !inRange {
-			return append(buf, target{ok: false, width: 1}), 1
-		}
-		return append(buf, target{sig: sig, lo: bit, width: 1, ok: true}), 1
 	case *verilog.PartSelect:
-		base, okb := x.Base.(*verilog.Ident)
-		if !okb {
-			panic(sim.Faultf("unsupported assignment target at %v", x.Pos))
+		base, ok := x.Base.(*verilog.Ident)
+		if !ok {
+			return fault("unsupported assignment target at %v", x.Pos)
 		}
-		sig, _, kind := inst.lookup(base.Name)
-		if kind != 1 || sig.IsMem {
-			panic(sim.Faultf("bad part-select assignment target %q", base.Name))
+		sig := signal(base.Name)
+		if sig == nil || sig.IsMem {
+			return fault("bad part-select assignment target %q", base.Name)
 		}
-		m64, ok1 := s.evalIndexValue(inst, x.MSB)
-		l64, ok2 := s.evalIndexValue(inst, x.LSB)
-		if !ok1 || !ok2 {
-			return append(buf, target{ok: false, width: 1}), 1
-		}
-		loBit, okLo := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(l64))
-		hiBit, okHi := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(m64))
-		if !okLo || !okHi {
-			w := int(m64 - l64)
-			if w < 0 {
-				w = -w
-			}
-			return append(buf, target{ok: false, width: w + 1}), w + 1
-		}
-		if loBit > hiBit {
-			loBit, hiBit = hiBit, loBit
-		}
-		w := hiBit - loBit + 1
-		return append(buf, target{sig: sig, lo: loBit, width: w, ok: true}), w
-	case *verilog.ConcatExpr:
-		total := 0
-		for _, part := range x.Parts { // MSB-first
-			var w int
-			buf, w = s.appendTargets(buf, inst, part)
-			total += w
-		}
-		return buf, total
-	default:
-		panic(sim.Faultf("unsupported assignment target at %v", lhs.ExprPos()))
-	}
-}
-
-// isConstIndex reports whether an index expression's value cannot
-// change between executions of its statement: it reads no signals and
-// calls no system functions, so it is parameters and literals only.
-// Conservative: anything unrecognized is treated as dynamic.
-func isConstIndex(inst *Instance, e verilog.Expr) bool {
-	con := true
-	var walk func(verilog.Expr)
-	walk = func(e verilog.Expr) {
-		if !con {
-			return
-		}
-		switch x := e.(type) {
-		case *verilog.Number, *verilog.StringLit:
-		case *verilog.Ident:
-			if _, _, kind := inst.lookup(x.Name); kind != 2 {
-				con = false // signal read, or undeclared (faults either way)
-			}
-		case *verilog.Unary:
-			walk(x.X)
-		case *verilog.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *verilog.Ternary:
-			walk(x.Cond)
-			walk(x.Then)
-			walk(x.Else)
-		case *verilog.ConcatExpr:
-			for _, p := range x.Parts {
-				walk(p)
-			}
-		case *verilog.ReplicateExpr:
-			walk(x.Count)
-			walk(x.Value)
-		default:
-			con = false // $random etc., nested selects
-		}
-	}
-	walk(e)
-	return con
-}
-
-// staticLHS reports whether an assignment target resolves to the same
-// primitive targets on every execution — plain identifiers, constant
-// bit/part-selects and memory indexes, and concatenations thereof.
-// Static targets are resolved once and the resolution cached
-// (pre-bound), so steady-state assignment scheduling does neither
-// name lookups nor allocation.
-func staticLHS(inst *Instance, lhs verilog.Expr) bool {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		return true
-	case *verilog.Index:
-		return isConstIndex(inst, x.Idx)
-	case *verilog.PartSelect:
-		return isConstIndex(inst, x.MSB) && isConstIndex(inst, x.LSB)
+		t.kind, t.sig, t.a, t.b = lvPart, sig, s.lower(inst, x.MSB), s.lower(inst, x.LSB)
 	case *verilog.ConcatExpr:
 		for _, p := range x.Parts {
-			if !staticLHS(inst, p) {
-				return false
-			}
+			ts = s.fillLHS(inst, p, ts)
 		}
-		return true
+		return ts
+	default:
+		return fault("unsupported assignment target at %v", lhs.ExprPos())
 	}
-	return false
+	return ts[1:]
 }
 
-// applyTargets writes val (of at least totalWidth bits) into the targets,
-// slicing MSB-first as Verilog concatenation assignment requires.
-func (s *Simulator) applyTargets(ts []target, total int, val hdl.Vector) {
+// resolve evaluates the targets' selects, in order, and returns their
+// total width, the context the assigned value is evaluated in.
+func (s *Simulator) resolve(ts []lval) int {
+	total := 0
+	for i := range ts {
+		t := &ts[i]
+		t.ok, t.lo = false, 0
+		switch t.kind {
+		case lvFault:
+			panic(sim.Fault{Msg: t.msg})
+		case lvWhole:
+			t.ok, t.width = true, t.sig.Width
+		case lvMem:
+			idx, known := s.Index(t.a)
+			t.ok, t.width, t.word = known, t.sig.Width, int(idx)
+		case lvBit:
+			t.width = 1
+			if idx, known := s.Index(t.a); known {
+				t.lo, t.ok = sim.DeclIndexToBit(t.sig.MSB, t.sig.LSB, int(idx))
+			}
+		case lvPart:
+			t.width = 1
+			m64, ok1 := s.Index(t.a)
+			l64, ok2 := s.Index(t.b)
+			if !ok1 || !ok2 {
+				break
+			}
+			loBit, okLo := sim.DeclIndexToBit(t.sig.MSB, t.sig.LSB, int(l64))
+			hiBit, okHi := sim.DeclIndexToBit(t.sig.MSB, t.sig.LSB, int(m64))
+			if !okLo || !okHi {
+				t.width = int(max(m64-l64, l64-m64)) + 1
+				break
+			}
+			t.ok, t.lo, t.width = true, min(loBit, hiBit), max(loBit, hiBit)-min(loBit, hiBit)+1
+		}
+		total += t.width
+	}
+	return total
+}
+
+// applyTargets writes val (of at least total bits) into the resolved
+// targets, slicing MSB-first as Verilog concatenation assignment
+// requires.
+func (s *Simulator) applyTargets(ts []lval, total int, val hdl.Vector) {
 	val = val.Resize(total)
 	hi := total
 	for _, t := range ts {
@@ -231,8 +195,8 @@ func (s *Simulator) applyTargets(ts []target, total int, val hdl.Vector) {
 		if !t.ok {
 			continue
 		}
-		if t.isMem {
-			s.setMemWord(t.sig, t.memIdx, part)
+		if t.kind == lvMem {
+			s.setMemWord(t.sig, t.word, part)
 			continue
 		}
 		if t.lo == 0 && t.width == t.sig.Width {
@@ -243,15 +207,13 @@ func (s *Simulator) applyTargets(ts []target, total int, val hdl.Vector) {
 	}
 }
 
-// scheduleNBA queues one pooled kernel update record per primitive
+// scheduleNBA queues one pooled kernel update record per resolved
 // target, slicing val MSB-first exactly as applyTargets would at apply
 // time (vectors are immutable, so slicing at schedule time is
-// equivalent). This replaces the closure-per-assignment NBA
-// representation: the records live in the kernel's recycled region
-// buffer and the target list is either a cached static binding or the
-// simulator's scratch, so a steady-state nonblocking assignment
-// performs no allocation at all.
-func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector) {
+// equivalent). The records live in the kernel's recycled region buffer
+// and carry their own copy of the target's bounds, so a steady-state
+// nonblocking assignment performs no allocation at all.
+func (s *Simulator) scheduleNBA(ts []lval, total int, val hdl.Vector) {
 	val = val.Resize(total)
 	hi := total
 	for i := range ts {
@@ -265,8 +227,8 @@ func (s *Simulator) scheduleNBA(ts []target, total int, val hdl.Vector) {
 		r := s.Kernel.NBAPut()
 		r.Sig = t.sig
 		r.Val = part
-		if t.isMem {
-			r.Aux = t.memIdx
+		if t.kind == lvMem {
+			r.Aux = t.word
 			r.Apply = s.nbaMem
 		} else {
 			r.Lo = t.lo
@@ -291,159 +253,47 @@ func (s *Simulator) applyMemNBA(r *sim.NBARecord) {
 	s.setMemWord(r.Sig.(*Signal), r.Aux, r.Val)
 }
 
-// ---------------------------------------------------------- sensitivity
+// ---------------------------------------------------------------- exec
 
 // edges maps a sensitivity item's edge onto a watcher's.
 var edges = [...]sim.Edge{verilog.EdgeLevel: sim.Level, verilog.EdgePos: sim.Rising, verilog.EdgeNeg: sim.Falling}
 
-// collectSignals gathers the signals an expression reads in scope inst.
-func collectSignals(inst *Instance, e verilog.Expr) []*Signal {
-	var out []*Signal
-	seen := map[*Signal]bool{}
-	var walk func(verilog.Expr)
-	add := func(sig *Signal) {
-		if sig != nil && !seen[sig] {
-			seen[sig] = true
-			out = append(out, sig)
-		}
-	}
-	walk = func(e verilog.Expr) {
-		switch x := e.(type) {
-		case *verilog.Ident:
-			sig, _, kind := inst.lookup(x.Name)
-			if kind == 1 {
-				add(sig)
-			}
-		case *verilog.Unary:
-			walk(x.X)
-		case *verilog.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *verilog.Ternary:
-			walk(x.Cond)
-			walk(x.Then)
-			walk(x.Else)
-		case *verilog.ConcatExpr:
-			for _, p := range x.Parts {
-				walk(p)
-			}
-		case *verilog.ReplicateExpr:
-			walk(x.Count)
-			walk(x.Value)
-		case *verilog.Index:
-			walk(x.Base)
-			walk(x.Idx)
-		case *verilog.PartSelect:
-			walk(x.Base)
-			walk(x.MSB)
-			walk(x.LSB)
-		case *verilog.SysFuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return out
-}
-
-// collectStmtReads gathers every expression read by a statement, for
-// @* sensitivity expansion.
-func collectStmtReads(st verilog.Stmt, out *[]verilog.Expr) {
-	switch x := st.(type) {
-	case *verilog.Block:
-		for _, s := range x.Stmts {
-			collectStmtReads(s, out)
-		}
-	case *verilog.If:
-		*out = append(*out, x.Cond)
-		collectStmtReads(x.Then, out)
-		if x.Else != nil {
-			collectStmtReads(x.Else, out)
-		}
-	case *verilog.Case:
-		*out = append(*out, x.Expr)
-		for _, item := range x.Items {
-			*out = append(*out, item.Exprs...)
-			collectStmtReads(item.Body, out)
-		}
-	case *verilog.For:
-		collectStmtReads(x.Init, out)
-		*out = append(*out, x.Cond)
-		collectStmtReads(x.Step, out)
-		collectStmtReads(x.Body, out)
-	case *verilog.While:
-		*out = append(*out, x.Cond)
-		collectStmtReads(x.Body, out)
-	case *verilog.Repeat:
-		*out = append(*out, x.Count)
-		collectStmtReads(x.Body, out)
-	case *verilog.Forever:
-		collectStmtReads(x.Body, out)
-	case *verilog.Assign:
-		*out = append(*out, x.RHS)
-		// Index expressions on the LHS are also reads.
-		collectLValueIndexReads(x.LHS, out)
-	case *verilog.DelayStmt:
-		collectStmtReads(x.Body, out)
-	case *verilog.EventWait:
-		collectStmtReads(x.Body, out)
-	case *verilog.SysCall:
-		*out = append(*out, x.Args...)
-	}
-}
-
-func collectLValueIndexReads(e verilog.Expr, out *[]verilog.Expr) {
-	switch x := e.(type) {
-	case *verilog.Index:
-		*out = append(*out, x.Idx)
-		collectLValueIndexReads(x.Base, out)
-	case *verilog.PartSelect:
-		*out = append(*out, x.MSB, x.LSB)
-		collectLValueIndexReads(x.Base, out)
-	case *verilog.ConcatExpr:
-		for _, p := range x.Parts {
-			collectLValueIndexReads(p, out)
-		}
-	}
-}
-
-// expandStar converts @* into an explicit level sensitivity list.
-func (s *Simulator) expandStar(body verilog.Stmt) *verilog.SensList {
-	var reads []verilog.Expr
-	collectStmtReads(body, &reads)
-	sl := &verilog.SensList{}
-	for _, e := range reads {
-		sl.Items = append(sl.Items, verilog.SensItem{Edge: verilog.EdgeLevel, Sig: e})
-	}
-	return sl
-}
-
-// ---------------------------------------------------------------- exec
-
 // opSlot is the Verilog slot of a program op (see sim.Machine).
 type opSlot struct {
-	stmt verilog.Stmt      // OpLeaf: assignment or system task; OpCase: the case; OpWait: the body @* expands from
-	expr verilog.Expr      // OpIf, OpWaitUntil: the condition; OpDelay: the amount; OpNext: the repeat count
-	sens *verilog.SensList // OpWait: the event control
-	lhs  lhsBinding        // OpLeaf: an assignment's targets
-	p    *proc             // OpWait: the process its edges are sampled in
-}
-
-// Sample samples bit 0 of an event control's item, for its edge
-// watchers.
-func (x *opSlot) Sample(item int) hdl.Logic {
-	return x.p.s.eval(x.p.inst, x.sens.Items[item].Sig).Bit(0)
+	lhs  []lval           // OpLeaf assignment: its targets
+	e    *sim.Expr        // OpLeaf assignment: its value; OpCase: the subject
+	nba  bool             // OpLeaf assignment: nonblocking
+	call *verilog.SysCall // OpLeaf: a system task
+	kase *verilog.Case    // OpCase
+	list []*sim.Expr      // OpLeaf: the task's arguments (nil for a leading string); OpCase: the patterns, item by item
 }
 
 type op = sim.Op[opSlot]
 
 // proc is one always or initial block: the process machine running its
-// lowered body, and the scope the leaf hooks evaluate in.
+// lowered body, and the scope its system tasks report.
 type proc struct {
 	sim.Machine[opSlot]
 	s    *Simulator
 	inst *Instance
+}
+
+// lowering lowers one process body into the simulator's program
+// builder. Every expression an @* expands from is kept in star as it is
+// lowered, except inside a wait (cond) statement, which @* does not
+// read.
+type lowering struct {
+	s     *Simulator
+	inst  *Instance
+	b     *sim.Builder[opSlot]
+	quiet int // nesting depth of wait (cond) statements
+}
+
+// read keeps es as expressions an enclosing @* reads.
+func (l *lowering) read(es ...*sim.Expr) {
+	if l.quiet == 0 {
+		l.s.star = append(l.s.star, es...)
+	}
 }
 
 // bindProcess starts an initial block (always false), which runs its
@@ -454,174 +304,206 @@ func (s *Simulator) bindProcess(inst *Instance, name string, body verilog.Stmt, 
 	p := s.procs.Alloc()
 	p.s, p.inst = s, inst
 	p.Start(&s.Runtime, name, p)
-	b := &s.prog
+	l := lowering{s: s, inst: inst, b: &s.prog}
+	b := l.b
 	b.Begin()
+	s.star = s.star[:0]
 	switch {
 	case !always:
-		lowerStmt(b, body)
+		l.stmt(body)
 		b.Emit(sim.OpHalt, opSlot{})
 	case sens == nil:
 		top := b.Label()
 		b.Tick()
-		lowerStmt(b, body)
+		l.stmt(body)
 		b.Jump(top)
 	default:
-		b.Op(b.Emit(sim.OpWait, opSlot{stmt: body, sens: sens})).Next = 0
-		lowerStmt(b, body)
+		b.Op(b.Emit(sim.OpWait, opSlot{})).Next = 0
+		l.stmt(body)
+		b.Op(0).Sens = l.sens(sens, 0)
 		b.Jump(0)
 	}
 	p.SetProgram(b.End())
 }
 
-// lowerStmt lowers one statement, which charges a step when it starts.
-func lowerStmt(b *sim.Builder[opSlot], st verilog.Stmt) {
+// sens records an event control's sensitivity items: @* expands to a
+// level item for every expression its statement reads (those kept in
+// star since from), an explicit list to one item per entry.
+func (l *lowering) sens(sl *verilog.SensList, from int) [2]int32 {
+	s := l.s
+	items := s.items[:0]
+	if sl.Star {
+		for _, e := range s.star[from:] {
+			items = append(items, sim.Sens{E: e, Edge: sim.Level})
+		}
+	} else {
+		for _, it := range sl.Items {
+			items = append(items, sim.Sens{E: s.lower(l.inst, it.Sig), Edge: edges[it.Edge]})
+		}
+	}
+	s.items = items
+	return s.AddSens(items...)
+}
+
+// stmt lowers one statement, which charges a step when it starts.
+func (l *lowering) stmt(st verilog.Stmt) {
+	s, inst, b := l.s, l.inst, l.b
 	b.Tick()
 	switch x := st.(type) {
 	case *verilog.Block:
 		for _, inner := range x.Stmts {
-			lowerStmt(b, inner)
+			l.stmt(inner)
 		}
 	case *verilog.If:
-		test := b.Emit(sim.OpIf, opSlot{expr: x.Cond})
-		lowerStmt(b, x.Then)
+		cond := s.lower(inst, x.Cond)
+		l.read(cond)
+		test := b.If(cond)
+		l.stmt(x.Then)
 		if x.Else != nil {
 			end := b.Jump(-1)
 			b.Resolve(test, b.Label())
-			lowerStmt(b, x.Else)
+			l.stmt(x.Else)
 			test = end
 		}
 		b.Resolve(test, b.Label())
 	case *verilog.Case:
-		b.Case(opSlot{stmt: x}, len(x.Items), func(i int) { lowerStmt(b, x.Items[i].Body) })
+		subj := s.lower(inst, x.Expr)
+		n := 0
+		for _, it := range x.Items {
+			n += len(it.Exprs)
+		}
+		pats := s.Exprs(n)[:0]
+		l.read(subj)
+		for _, it := range x.Items {
+			for _, p := range it.Exprs {
+				pats = append(pats, s.lower(inst, p))
+			}
+			l.read(pats[len(pats)-len(it.Exprs):]...)
+		}
+		b.Case(opSlot{kase: x, e: subj, list: pats}, len(x.Items), func(i int) { l.stmt(x.Items[i].Body) })
 	case *verilog.For:
-		lowerStmt(b, x.Init)
-		b.While(opSlot{expr: x.Cond}, func() {
-			lowerStmt(b, x.Body)
-			lowerStmt(b, x.Step)
+		l.stmt(x.Init)
+		cond := s.lower(inst, x.Cond)
+		l.read(cond)
+		b.While(cond, func() {
+			l.stmt(x.Body)
+			l.stmt(x.Step)
 		})
 	case *verilog.While:
-		b.While(opSlot{expr: x.Cond}, func() { lowerStmt(b, x.Body) })
+		cond := s.lower(inst, x.Cond)
+		l.read(cond)
+		b.While(cond, func() { l.stmt(x.Body) })
 	case *verilog.Repeat:
-		b.Counted(opSlot{expr: x.Count}, func() { lowerStmt(b, x.Body) })
+		count := s.lower(inst, x.Count)
+		l.read(count)
+		b.Counted(opSlot{}, count, nil, func() { l.stmt(x.Body) })
 	case *verilog.Forever:
 		top := b.Label()
 		b.Tick()
-		lowerStmt(b, x.Body)
+		l.stmt(x.Body)
 		b.Jump(top)
-	case *verilog.Assign, *verilog.SysCall:
-		b.Emit(sim.OpLeaf, opSlot{stmt: x})
+	case *verilog.Assign:
+		lhs := s.lowerLHS(inst, x.LHS)
+		rhs := s.lower(inst, x.RHS)
+		l.read(rhs)
+		for i := range lhs {
+			if lhs[i].a != nil {
+				l.read(lhs[i].a)
+			}
+			if lhs[i].b != nil {
+				l.read(lhs[i].b)
+			}
+		}
+		b.Emit(sim.OpLeaf, opSlot{lhs: lhs, e: rhs, nba: !x.Blocking})
+	case *verilog.SysCall:
+		args := s.Exprs(len(x.Args))
+		for i, a := range x.Args {
+			if _, lit := a.(*verilog.StringLit); i > 0 || !lit {
+				args[i] = s.lower(inst, a)
+				l.read(args[i])
+			}
+		}
+		b.Emit(sim.OpLeaf, opSlot{call: x, list: args})
 	case *verilog.DelayStmt:
-		b.Emit(sim.OpDelay, opSlot{expr: x.Amount})
-		lowerGuarded(b, x.Body)
+		d := b.Emit(sim.OpDelay, opSlot{})
+		b.Op(d).E, b.Op(d).Fault = s.lower(inst, x.Amount), "delay amount is unknown"
+		l.guarded(x.Body)
 	case *verilog.EventWait:
-		w := b.Emit(sim.OpWait, opSlot{stmt: x.Body, sens: x.Sens})
+		w := b.Emit(sim.OpWait, opSlot{})
 		b.Op(w).Next = int32(w)
-		lowerGuarded(b, x.Body)
+		from := len(s.star)
+		l.guarded(x.Body)
+		b.Op(w).Sens = l.sens(x.Sens, from)
 	case *verilog.WaitStmt:
 		b.Label() // resumes test the condition again
-		b.Emit(sim.OpWaitUntil, opSlot{expr: x.Cond})
-		lowerStmt(b, x.Body)
+		cond := s.lower(inst, x.Cond)
+		w := b.Emit(sim.OpWaitUntil, opSlot{})
+		o := b.Op(w)
+		o.E, o.Fault = cond, "wait condition can never change"
+		o.Sens = s.AddSens(sim.Sens{E: cond, Edge: sim.Level})
+		l.quiet++
+		l.stmt(x.Body)
+		l.quiet--
 	}
 }
 
-// lowerGuarded lowers the statement a delay or event control guards; a
-// bare `#d;` or `@(...);` guards nothing, not even a step.
-func lowerGuarded(b *sim.Builder[opSlot], st verilog.Stmt) {
+// guarded lowers the statement a delay or event control guards; a bare
+// `#d;` or `@(...);` guards nothing, not even a step.
+func (l *lowering) guarded(st verilog.Stmt) {
 	if _, null := st.(*verilog.Null); st != nil && !null {
-		lowerStmt(b, st)
+		l.stmt(st)
 	}
 }
 
 // Exec runs an assignment or a system task.
 func (p *proc) Exec(o *op) {
-	s, inst := p.s, p.inst
-	switch x := o.X.stmt.(type) {
-	case *verilog.Assign:
-		ts, total := s.targets(&o.X.lhs, inst, x.LHS)
-		val := s.evalCtx(inst, x.RHS, total)
-		if x.Blocking {
-			s.applyTargets(ts, total, val)
-		} else {
-			// NBA updates apply later, as typed kernel records carrying
-			// their own copy of the resolved target bounds — nothing from
-			// the scratch resolution is retained.
-			s.scheduleNBA(ts, total, val)
-		}
-	case *verilog.SysCall:
-		s.execSysCall(inst, x)
+	s := p.s
+	if o.X.call != nil {
+		s.execSysCall(p.inst, o.X.call, o.X.list)
+		return
+	}
+	total := s.resolve(o.X.lhs)
+	val := s.Eval(o.X.e, total)
+	if o.X.nba {
+		// NBA updates apply later, as typed kernel records carrying
+		// their own copy of the resolved target bounds.
+		s.scheduleNBA(o.X.lhs, total, val)
+	} else {
+		s.applyTargets(o.X.lhs, total, val)
 	}
 }
-
-func (p *proc) Cond(o *op) bool { return p.s.eval(p.inst, o.X.expr).ToBool() == hdl.L1 }
 
 // Case takes the first item with a pattern matching the subject, else
 // the default item.
 func (p *proc) Case(o *op) int {
-	s, inst := p.s, p.inst
-	x := o.X.stmt.(*verilog.Case)
-	subject := s.eval(inst, x.Expr)
+	s, x := p.s, o.X.kase
+	subject := s.Eval(o.X.e, 0)
 	deflt := len(x.Items)
+	pats := o.X.list
 	for i := range x.Items {
-		if x.Items[i].Exprs == nil {
+		n := len(x.Items[i].Exprs)
+		if n == 0 {
 			deflt = i
 		}
-		for _, pat := range x.Items[i].Exprs {
-			if caseMatches(x.Kind, subject, s.eval(inst, pat)) {
+		for _, pat := range pats[:n] {
+			if caseMatches(x.Kind, subject, s.Eval(pat, 0)) {
 				return i
 			}
 		}
+		pats = pats[n:]
 	}
 	return deflt
-}
-
-func (p *proc) Delay(o *op) sim.Time {
-	n, ok := p.s.eval(p.inst, o.X.expr).Uint()
-	if !ok {
-		panic(sim.Faultf("delay amount is unknown"))
-	}
-	return sim.Time(n)
-}
-
-// Wait builds an event control's registration, expanding @* from the
-// statement it guards, with a watcher on every signal each item reads,
-// or a wait (cond)'s level-sensitive one, which must watch a signal.
-func (p *proc) Wait(o *op, r *sim.WaitReg) {
-	o.X.p = p
-	r.Init(&p.Process, &o.X)
-	sens := o.X.sens
-	if sens == nil {
-		for _, sg := range collectSignals(p.inst, o.X.expr) {
-			r.Watch(&sg.watch, sim.Level, 0)
-		}
-		if r.Empty() {
-			panic(sim.Faultf("wait condition can never change"))
-		}
-		return
-	}
-	if sens.Star {
-		sens = p.s.expandStar(o.X.stmt)
-	}
-	for i, it := range sens.Items {
-		for _, sg := range collectSignals(p.inst, it.Sig) {
-			r.Watch(&sg.watch, edges[it.Edge], i)
-		}
-	}
 }
 
 // Loop counts a repeat from 1; an unknown count runs no pass, and one
 // past int64 could not run out before the statement budget does.
 func (p *proc) Loop(o *op) (first, last int64, down bool) {
-	n, ok := p.s.eval(p.inst, o.X.expr).Uint()
+	n, ok := p.s.Eval(o.E, 0).Uint()
 	if !ok {
 		return 1, 0, false
 	}
 	return 1, int64(min(n, math.MaxInt64)), false
 }
-
-// Iter and Leave have nothing to do: a repeat binds no variable.
-func (p *proc) Iter(*op, int64) {}
-
-func (p *proc) Leave(*op) {}
 
 // caseMatches compares subject and pattern under case/casez/casex rules.
 func caseMatches(kind verilog.CaseKind, subject, pat hdl.Vector) bool {

@@ -27,16 +27,10 @@ type Simulator struct {
 	sim.Runtime
 
 	vcd vcdDump
-	rng uint64 // $random stream, from a fixed seed
 
 	finished bool
 	stopped  bool
 	dumpReq  bool // $dumpvars executed; honoured at the delta boundary
-
-	// targetScratch holds the targets of a dynamic assignment target
-	// (see targets), consumed at once: applied, or copied into pooled
-	// kernel records by NBA scheduling.
-	targetScratch []target
 
 	// nbaVec/nbaMem are the pre-bound NBA record apply hooks (method
 	// values created once here; creating one per scheduled update would
@@ -45,9 +39,15 @@ type Simulator struct {
 	nbaMem func(*sim.NBARecord)
 
 	// procs and prog hold the run's always and initial blocks: each
-	// one's process machine and the statement program it runs.
+	// one's process machine and the statement program it runs; lvals
+	// the lowered assignment targets. star and items are lowering
+	// scratch: the expressions an @* reads, and an event control's
+	// sensitivity items.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
+	lvals sim.Slab[lval]
+	star  []*sim.Expr
+	items []sim.Sens
 }
 
 // Simulate elaborates top from modules and runs it to completion, on
@@ -117,13 +117,14 @@ func (s *Simulator) run(d *Design, opts Options, sh *stimShell) *Result {
 	return res
 }
 
-// contAssignRT is the runtime state of one continuous assignment.
+// contAssignRT is the runtime state of one continuous assignment: its
+// lowered target and value.
 type contAssignRT struct {
 	s       *Simulator
-	a       *boundAssign
+	lhs     []lval
+	rhs     *sim.Expr
 	pending bool
 	run     func() // pre-built event closure: scheduling must not allocate
-	lhs     lhsBinding
 }
 
 func (c *contAssignRT) schedule() {
@@ -136,34 +137,31 @@ func (c *contAssignRT) schedule() {
 
 func (c *contAssignRT) update() {
 	defer c.s.Recover()
-	ts, total := c.s.targets(&c.lhs, c.a.lhsScope, c.a.lhs)
-	val := c.s.evalCtx(c.a.rhsScope, c.a.rhs, total)
-	c.s.applyTargets(ts, total, val)
+	total := c.s.resolve(c.lhs)
+	c.s.applyTargets(c.lhs, total, c.s.Eval(c.rhs, total))
 }
 
+// bindContAssign lowers a continuous assignment, watches every signal
+// its value reads and schedules its evaluation at time zero.
 func (s *Simulator) bindContAssign(a *boundAssign) {
-	rt := &contAssignRT{s: s, a: a}
+	rt := &contAssignRT{s: s, lhs: s.lowerLHS(a.lhsScope, a.lhs), rhs: s.lower(a.rhsScope, a.rhs)}
 	rt.run = func() {
 		rt.pending = false
 		rt.update()
 	}
-	// Persistent watchers on every RHS signal.
-	func() {
-		defer s.Recover()
-		for _, sig := range collectSignals(a.rhsScope, a.rhs) {
-			sig.watch.Watch(rt.schedule)
-		}
-	}()
-	// Initial evaluation at time zero.
+	for _, l := range s.Reads(rt.rhs) {
+		l.Watch(rt.schedule)
+	}
 	rt.schedule()
 }
 
 // ---------------------------------------------------------------- tasks
 
-func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
+// execSysCall runs system task x, whose arguments args are lowered.
+func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall, args []*sim.Expr) {
 	switch x.Name {
 	case "$display", "$write", "$strobe", "$error", "$info", "$warning":
-		text := s.formatArgs(inst, x.Args)
+		text := s.formatArgs(inst, x.Args, args)
 		if x.Name == "$error" {
 			text = "ERROR: " + text
 		}
@@ -172,7 +170,7 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 			s.Logf("\n")
 		}
 	case "$monitor":
-		s.installMonitor(inst, x.Args)
+		s.installMonitor(inst, x.Args, args)
 	case "$finish":
 		s.finished = true
 		s.Logf("%s:%d: $finish called at %d (1ns)\n", s.File, x.Pos.Line, s.Kernel.Now())
@@ -184,7 +182,7 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 		s.Kernel.Finish()
 		panic(sim.TerminateProcess{})
 	case "$fatal":
-		s.Logf("FATAL: %s\n", s.formatArgs(inst, x.Args))
+		s.Logf("FATAL: %s\n", s.formatArgs(inst, x.Args, args))
 		s.finished = true
 		s.Kernel.Finish()
 		panic(sim.TerminateProcess{})
@@ -201,10 +199,10 @@ func (s *Simulator) execSysCall(inst *Instance, x *verilog.SysCall) {
 
 // installMonitor implements $monitor: print now, then re-print whenever
 // any referenced signal changes (at most one line per delta batch).
-func (s *Simulator) installMonitor(inst *Instance, args []verilog.Expr) {
+func (s *Simulator) installMonitor(inst *Instance, src []verilog.Expr, args []*sim.Expr) {
 	print := func() {
 		defer s.Recover()
-		s.Logf("%s\n", s.formatArgs(inst, args))
+		s.Logf("%s\n", s.formatArgs(inst, src, args))
 	}
 	pending := false
 	run := func() {
@@ -218,56 +216,54 @@ func (s *Simulator) installMonitor(inst *Instance, args []verilog.Expr) {
 		pending = true
 		s.Kernel.Active(run)
 	}
-	func() {
-		defer s.Recover()
-		for _, a := range args {
-			for _, sig := range collectSignals(inst, a) {
-				sig.watch.Watch(firePrint)
-			}
+	for _, a := range args {
+		for _, l := range s.Reads(a) {
+			l.Watch(firePrint)
 		}
-	}()
+	}
 	print()
 }
 
-// formatArgs renders $display-style arguments: a leading string literal
-// containing % directives is treated as a format string.
-func (s *Simulator) formatArgs(inst *Instance, args []verilog.Expr) string {
-	if len(args) == 0 {
+// formatArgs renders $display-style arguments, src as written and args
+// lowered: a leading string literal containing % directives is treated
+// as a format string.
+func (s *Simulator) formatArgs(inst *Instance, src []verilog.Expr, args []*sim.Expr) string {
+	if len(src) == 0 {
 		return ""
 	}
-	if lit, ok := args[0].(*verilog.StringLit); ok && strings.Contains(lit.Value, "%") {
-		return s.formatString(inst, lit.Value, args[1:])
+	if lit, ok := src[0].(*verilog.StringLit); ok && strings.Contains(lit.Value, "%") {
+		return s.formatString(inst, lit.Value, src[1:], args[1:])
 	}
 	var sb strings.Builder
-	for i, a := range args {
+	for i, a := range src {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
 		if lit, ok := a.(*verilog.StringLit); ok {
 			sb.WriteString(lit.Value)
 		} else {
-			sb.WriteString(s.decimal(inst, a, s.eval(inst, a)))
+			sb.WriteString(decimal(args[i], s.Eval(args[i], 0)))
 		}
 	}
 	return sb.String()
 }
 
 // decimal renders v, the value of e, in decimal: signed when e is.
-func (s *Simulator) decimal(inst *Instance, e verilog.Expr, v hdl.Vector) string {
-	if s.exprSigned(inst, e) {
+func decimal(e *sim.Expr, v hdl.Vector) string {
+	if e.Signed {
 		return v.SignedDecString()
 	}
 	return v.DecString()
 }
 
-func (s *Simulator) formatString(inst *Instance, format string, args []verilog.Expr) string {
+func (s *Simulator) formatString(inst *Instance, format string, src []verilog.Expr, args []*sim.Expr) string {
 	var sb strings.Builder
 	argi := 0
 	nextArg := func() (hdl.Vector, bool) {
 		if argi >= len(args) {
 			return hdl.Vector{}, false
 		}
-		v := s.eval(inst, args[argi])
+		v := s.Eval(args[argi], 0)
 		argi++
 		return v, true
 	}
@@ -295,7 +291,7 @@ func (s *Simulator) formatString(inst *Instance, format string, args []verilog.E
 			sb.WriteByte('%')
 		case 'd', 'D':
 			if v, ok := nextArg(); ok {
-				sb.WriteString(s.decimal(inst, args[argi-1], v))
+				sb.WriteString(decimal(args[argi-1], v))
 			}
 		case 'b', 'B':
 			if v, ok := nextArg(); ok {
@@ -320,8 +316,8 @@ func (s *Simulator) formatString(inst *Instance, format string, args []verilog.E
 				}
 			}
 		case 's':
-			if argi < len(args) {
-				if lit, isStr := args[argi].(*verilog.StringLit); isStr {
+			if argi < len(src) {
+				if lit, isStr := src[argi].(*verilog.StringLit); isStr {
 					sb.WriteString(lit.Value)
 					argi++
 					break

@@ -22,14 +22,10 @@ type workspace struct {
 	sh stimShell
 }
 
-// rngSeed starts every run's $random stream.
-const rngSeed = 0x9E3779B97F4A7C15
-
 // workspaces is the only place a workspace is made.
 var workspaces = sync.Pool{New: func() any {
 	w := &workspace{}
 	w.s.Runtime = sim.NewRuntime(Options{}, "tb.v", "statement budget exceeded (possible infinite loop in RTL)")
-	w.s.rng = rngSeed
 	w.s.nbaVec = w.s.applyVecNBA
 	w.s.nbaMem = w.s.applyMemNBA
 	return w
@@ -62,9 +58,12 @@ func (w *workspace) simulate(modules map[string]*verilog.Module, top string, opt
 func (s *Simulator) reset() {
 	s.Runtime.Reset()
 	s.vcd = vcdDump{}
-	s.rng = rngSeed
 	s.finished, s.stopped, s.dumpReq = false, false, false
-	clear(s.targetScratch[:cap(s.targetScratch)])
 	s.procs.Reset()
 	s.prog.Reset()
+	s.lvals.Reset()
+	clear(s.star[:cap(s.star)])
+	s.star = s.star[:0]
+	clear(s.items[:cap(s.items)])
+	s.items = s.items[:0]
 }
