@@ -226,8 +226,18 @@ func (k *Kernel) Schedule(delay Time, fn func()) {
 	k.future.push(futureEvent{at: k.now + delay, seq: k.seq, fn: fn})
 }
 
-// Active queues fn into the current delta's active region.
-func (k *Kernel) Active(fn func()) { k.active = append(k.active, fn) }
+// Active queues fn into the current delta's active region. When the
+// queue is full and at least half of it has run, the unrun rest moves
+// to its front first, so a drain that never empties (a zero-delay loop
+// reactivating itself) holds its live events, not every event it ran.
+func (k *Kernel) Active(fn func()) {
+	if h := k.activeHead; len(k.active) == cap(k.active) && h > 0 && 2*h >= len(k.active) {
+		n := copy(k.active, k.active[h:])
+		clear(k.active[n:])
+		k.active, k.activeHead = k.active[:n], 0
+	}
+	k.active = append(k.active, fn)
+}
 
 // Finish requests simulation stop at the end of the current event.
 func (k *Kernel) Finish() { k.finished = true }

@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/hdl"
+import (
+	"fmt"
+
+	"repro/internal/hdl"
+)
 
 // NBARecord is one pending signal update in typed, pooled form: the
 // target (an opaque front-end signal pointer), the resolved write
@@ -38,13 +42,28 @@ type NBARecord struct {
 	fire func()
 }
 
+// MaxNBA bounds the updates one delta cycle may queue. A zero-delay
+// loop that schedules an update on every pass (an always @* that reads
+// no signal, a VHDL process with no wait) would otherwise queue one
+// record per pass until the statement budget stops it, holding
+// millions at once; NBAPut cuts the run at this bound with a fault
+// instead. The largest region of any pinned run holds 400 records.
+const MaxNBA = 1 << 16
+
+// nbaFault is the fault NBAPut raises past MaxNBA.
+var nbaFault = fmt.Sprintf("more than %d updates queued in one delta cycle (zero-delay loop?)", MaxNBA)
+
 // NBAPut appends a zeroed update record to the nonblocking-assignment
 // region of the current time slot and returns it for the caller to
 // fill in. Records apply in put order. The pointer is valid only until
 // the next NBAPut call on this kernel: the backing slice is recycled
 // across delta cycles (nbaSpare), records included, and may move when
-// it grows.
+// it grows. Past MaxNBA records it panics with a Fault, which the
+// process dispatch or Recover around the caller records.
 func (k *Kernel) NBAPut() *NBARecord {
+	if len(k.nba) >= MaxNBA {
+		panic(Fault{Msg: nbaFault})
+	}
 	if len(k.nba) < cap(k.nba) {
 		k.nba = k.nba[:len(k.nba)+1]
 	} else {

@@ -127,7 +127,7 @@ end architecture;
 }
 
 // elabSimAllocBytes returns the heap bytes one Elaborate plus
-// SimulateDesign of units allocates.
+// simulation of units on a fresh workspace allocates.
 func elabSimAllocBytes(t *testing.T, units []*vhdl.DesignFile) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
@@ -136,7 +136,9 @@ func elabSimAllocBytes(t *testing.T, units []*vhdl.DesignFile) uint64 {
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}
-	res := SimulateDesign(d, Options{MaxTime: 100000})
+	// A fresh workspace, not a pooled one: a pooled workspace an
+	// earlier, larger run grew would serve this one allocation-free.
+	res := workspaces.New().(*workspace).s.run(d, Options{MaxTime: 100000}, nil)
 	runtime.ReadMemStats(&after)
 	if res.TimedOut || res.AssertErrors != 0 || res.Fault != "" {
 		t.Fatalf("chain did not finish cleanly: %s", res.Log)

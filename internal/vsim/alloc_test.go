@@ -178,7 +178,7 @@ endmodule
 }
 
 // elabSimAllocBytes returns the heap bytes one Elaborate plus
-// SimulateDesign of mods allocates.
+// simulation of mods on a fresh workspace allocates.
 func elabSimAllocBytes(t *testing.T, mods map[string]*verilog.Module) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
@@ -187,7 +187,9 @@ func elabSimAllocBytes(t *testing.T, mods map[string]*verilog.Module) uint64 {
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}
-	res := SimulateDesign(d, Options{})
+	// A fresh workspace, not a pooled one: a pooled workspace an
+	// earlier, larger run grew would serve this one allocation-free.
+	res := workspaces.New().(*workspace).s.run(d, Options{}, nil)
 	runtime.ReadMemStats(&after)
 	if !res.Finished || res.Fault != "" {
 		t.Fatalf("chain did not finish cleanly: %s", res.Log)
