@@ -5,22 +5,17 @@ import "repro/internal/hdl"
 // Expr is one node of a lowered expression, the one run-time form of
 // every expression both simulators evaluate. A front-end lowers each
 // AST expression once, when it binds the run: a name becomes the value
-// it reads (a signal's or a variable's), a constant, or a node that
-// faults when evaluated; an operator becomes its op and, where it has
-// one, its hdl function; a Verilog node keeps its natural width and
-// signedness, a VHDL node its integer tag. Evaluation (Runtime.Eval)
-// then dispatches on the op alone, with no name lookup and no
-// operator string.
+// it reads, a constant, or a node that faults when evaluated; an
+// operator becomes its op and hdl function; a Verilog node keeps its
+// natural width and signedness, a VHDL node its integer tag. Eval then
+// dispatches on the op alone.
 //
-// Verilog sizes context-transparent operands to the largest of the
-// context width and their natural widths (IEEE 1364 §5.4), so a
-// context width flows down at run time as ctx. A node's natural width
-// is fixed at lowering, except where IEEE 1364 forbids what the source
-// says: a part-select with non-constant bounds and a replication with
-// a non-constant count (Dyn). Their width follows the values, taken
-// once per top-level evaluation: the first width query evaluates the
-// bounds or the count and later queries of the same evaluation reuse
-// it, so a width costs one pass over the tree however deep it nests.
+// A Verilog context width flows down at run time as ctx (IEEE 1364
+// §5.4). Natural widths are fixed at lowering, except where IEEE 1364
+// forbids what the source says: a part-select with non-constant bounds
+// and a replication with a non-constant count (Dyn). Their width is
+// taken once per top-level evaluation, at the first query, so sizing
+// stays one pass over the tree however deep it nests.
 type Expr struct {
 	Op     ExprOp
 	Signed bool // Verilog: signed under IEEE 1364 typing; VHDL: integer-typed
@@ -69,7 +64,6 @@ const (
 	VConcat                   // the concatenation of Args, self-determined
 	VReplicate                // A copies of B
 	VIndex                    // bit A of *Ref, declared Hi:Lo
-	VIndexConst               // bit A of V
 	VIndexMem                 // word A of Mem, W bits
 	VIndexExpr                // bit B of A
 	VIndexBad                 // evaluate index A, then fault with Msg
@@ -201,12 +195,6 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 			return hdl.XFill(1)
 		}
 		return hdl.Scalar(e.Ref.Bit(bit))
-	case VIndexConst:
-		i, ok := r.index(e.A)
-		if !ok {
-			return hdl.XFill(1)
-		}
-		return hdl.Scalar(e.V.Bit(int(i)))
 	case VIndexMem:
 		i, ok := r.index(e.A)
 		if !ok {
@@ -224,7 +212,7 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 		r.index(e.A)
 		panic(Fault{Msg: e.Msg})
 	case VPart, HSlice:
-		m, l, ok := r.bounds(e)
+		m, l, ok := r.bounds(e.A, e.B)
 		if !ok {
 			return hdl.XFill(1)
 		}
@@ -242,7 +230,7 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 		}
 		return e.Ref.Slice(lo, hi-lo+1)
 	case VPartConst:
-		m, l, ok := r.bounds(e)
+		m, l, ok := r.bounds(e.A, e.B)
 		if !ok {
 			return hdl.XFill(1)
 		}
@@ -251,7 +239,7 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 		}
 		return e.V.Slice(l, m-l+1)
 	case VPartBad:
-		if _, _, ok := r.bounds(e); !ok {
+		if _, _, ok := r.bounds(e.A, e.B); !ok {
 			return hdl.XFill(1)
 		}
 		panic(Fault{Msg: e.Msg})
@@ -346,10 +334,10 @@ func (e *Expr) declared() (hi, lo int) {
 	return e.Hi, e.Lo
 }
 
-// bounds evaluates a part-select's or slice's bounds A and B as indexes.
-func (r *Runtime) bounds(e *Expr) (a, b int, ok bool) {
-	a64, ok1 := r.index(e.A)
-	b64, ok2 := r.index(e.B)
+// bounds evaluates a part-select's or slice's bounds as indexes.
+func (r *Runtime) bounds(a, b *Expr) (m, l int, ok bool) {
+	a64, ok1 := r.index(a)
+	b64, ok2 := r.index(b)
 	return int(a64), int(b64), ok1 && ok2
 }
 
@@ -438,19 +426,56 @@ func (r *Runtime) PartWidth(e *Expr) int {
 	return r.partWidth(e)
 }
 
-// Sens is one item of a wait site's sensitivity: the expression whose
-// signals it watches and the edge it fires on.
-type Sens struct {
+// sensItem is one item of a wait site's sensitivity: the expression
+// whose signals it watches and the edge it fires on.
+type sensItem struct {
 	E    *Expr
 	Edge Edge
 }
 
-// AddSens appends a wait site's sensitivity items and returns the
-// range of their item numbers, for an OpWait or OpWaitUntil's Sens.
-func (r *Runtime) AddSens(items ...Sens) [2]int32 {
-	lo := len(r.sens)
-	r.sens = append(r.sens, items...)
-	return [2]int32{int32(lo), int32(len(r.sens))}
+// AddSens appends one sensitivity item on edge per expression and
+// returns the range of the items added so far since item from (-1: of
+// these), for an OpWait or OpWaitUntil's Sens.
+func (r *Runtime) AddSens(from int32, edge Edge, es ...*Expr) [2]int32 {
+	if from < 0 {
+		from = int32(len(r.sens))
+	}
+	for _, e := range es {
+		r.sens = append(r.sens, sensItem{E: e, Edge: edge})
+	}
+	return [2]int32{from, int32(len(r.sens))}
+}
+
+// Place resolves the select of an assignment target declared hi:lo:
+// the whole of it (a nil), bit a, or the part a:b (VHDL a to/downto b).
+// An unknown or out-of-range select reports !ok and width 1, or for an
+// out-of-range part with span set (Verilog) the width its bounds span.
+func (r *Runtime) Place(a, b *Expr, hi, lo int, span bool) (ok bool, off, width int) {
+	switch {
+	case a == nil:
+		return true, 0, spanWidth(hi, lo)
+	case b == nil:
+		i, known := r.Index(a)
+		bit, in := DeclIndexToBit(hi, lo, int(i))
+		if !known || !in {
+			return false, 0, 1
+		}
+		return true, bit, 1
+	}
+	r.gen++
+	m, l, known := r.bounds(a, b)
+	if !known {
+		return false, 0, 1
+	}
+	mb, okM := DeclIndexToBit(hi, lo, m)
+	lb, okL := DeclIndexToBit(hi, lo, l)
+	switch {
+	case okM && okL:
+		return true, min(mb, lb), spanWidth(mb, lb)
+	case span:
+		return false, 0, spanWidth(m, l)
+	}
+	return false, 0, 1
 }
 
 // Sample samples bit 0 of sensitivity item item, for its edge watchers.

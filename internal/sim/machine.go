@@ -1,15 +1,19 @@
 package sim
 
-import "repro/internal/hdl"
+import (
+	"math"
+
+	"repro/internal/hdl"
+)
 
 // Machine is the one process machine both simulators run every always
 // block, initial block and VHDL process on. A front-end lowers a
 // process body with a Builder into a flat program of Ops, whose
-// conditions, delays and sensitivities are lowered expressions the
-// machine evaluates itself, and supplies the leaf Hooks; the machine
-// owns the control flow, the suspensions and the per-op slots that
-// outlive one pass: wait registrations, loop counters and the
-// front-end's slot X.
+// conditions, case patterns, loop bounds, delays and sensitivities are
+// lowered expressions the machine evaluates itself, and supplies the
+// leaf statements (Hooks); the machine owns the control flow, the
+// suspensions and the per-op slots that outlive one pass: wait
+// registrations, loop counters and the front-end's slot X.
 
 // OpKind is what an Op does when control reaches it.
 type OpKind uint8
@@ -18,8 +22,8 @@ const (
 	OpLeaf      OpKind = iota // Exec, then the next op
 	OpJump                    // continue at Next
 	OpIf                      // the next op if E holds, else Next
-	OpCase                    // op pc+1+Case: a jump table of one OpJump per arm, plus one for no arm, follows
-	OpLoop                    // Loop sets the values of the OpNext that follows
+	OpCase                    // the jump-table OpJump of the arm taken (see taken): one per arm, plus one for no arm, follows
+	OpLoop                    // start the loop of the OpNext that follows (see loop)
 	OpNext                    // past Last: continue at Next; else charge a step, set Var to Cur, step Cur, next op
 	OpExit                    // continue where the loop whose OpNext is at Next ends
 	OpDelay                   // suspend for E time units (faulting with Fault when unknown), resume at the next op
@@ -35,9 +39,12 @@ type Op[X any] struct {
 	Ticks uint32 // statement-budget steps charged whenever control reaches the op
 	Next  int32
 
-	E     *Expr       // OpIf, OpWaitUntil: the condition; OpDelay: the amount
+	E     *Expr       // OpIf, OpWaitUntil: the condition; OpDelay: the amount; OpCase: the subject; OpNext: the count or first value
+	To    *Expr       // OpNext of a for loop: the last value (nil: E is a repeat count)
+	Pats  []*Expr     // OpJump of a case arm: its patterns (nil: a default arm)
+	Match Match       // OpCase: whether a pattern matches the subject
 	Sens  [2]int32    // an armed op: its sensitivity items in the Runtime (AddSens)
-	Fault string      // OpDelay: the unknown-amount fault; armed op: the empty-sensitivity fault, "" to resume at once
+	Fault string      // OpDelay, OpNext: the unknown-value fault; armed op: the empty-sensitivity fault, "" to resume at once
 	Var   *hdl.Vector // OpNext: the loop variable, set to each value as a 32-bit integer, or nil
 
 	Wait      *WaitReg // built from Sens on the first arming, re-armed after
@@ -46,11 +53,16 @@ type Op[X any] struct {
 	X         X
 }
 
-// Hooks are a front-end's leaf operations on the op being executed.
+// Match is how a case statement matches its patterns.
+type Match interface {
+	// Match reports whether pattern pat matches subject, the value of
+	// the case's subject expression s.
+	Match(r *Runtime, subject hdl.Vector, s, pat *Expr) bool
+}
+
+// Hooks are a front-end's leaf statements.
 type Hooks[X any] interface {
-	Exec(op *Op[X])                                // run a leaf statement
-	Case(op *Op[X]) int                            // the arm taken, or the arm count for none
-	Loop(op *Op[X]) (first, last int64, down bool) // a counted loop's values (op is its OpNext)
+	Exec(op *Op[X]) // run the leaf statement of op
 }
 
 // Machine is one process running its program. Its suspended state is
@@ -100,11 +112,10 @@ func (m *Machine[X]) Step() {
 				m.pc = int(op.Next)
 			}
 		case OpCase:
-			m.pc += 1 + m.h.Case(op)
+			m.pc += 1 + m.taken(op)
 		case OpLoop:
 			m.pc++
-			next := &m.prog[m.pc]
-			next.Cur, next.Last, next.Down = m.h.Loop(next)
+			m.loop(&m.prog[m.pc])
 		case OpNext:
 			if op.Down && op.Cur < op.Last || !op.Down && op.Cur > op.Last {
 				m.pc = int(op.Next)
@@ -147,6 +158,47 @@ func (m *Machine[X]) Step() {
 			return
 		}
 	}
+}
+
+// taken evaluates the subject of case op, the op at pc, and returns the
+// first arm with a pattern that matches it, else the last default arm,
+// else the arm count (no arm).
+func (m *Machine[X]) taken(op *Op[X]) int {
+	subject := m.rt.Eval(op.E, 0)
+	arms := m.prog[m.pc+1 : m.pc+1+int(op.Next)]
+	taken := len(arms)
+	for i := range arms {
+		if arms[i].Pats == nil {
+			taken = i
+		}
+		for _, p := range arms[i].Pats {
+			if op.Match.Match(m.rt, subject, op.E, p) {
+				return i
+			}
+		}
+	}
+	return taken
+}
+
+// loop starts the counted loop whose OpNext is op: a repeat counts from
+// 1 to E, not at all when E is unknown and no further than int64 could
+// reach before the statement budget does; a for loop runs from E to To,
+// faulting when either is unknown.
+func (m *Machine[X]) loop(op *Op[X]) {
+	if op.To == nil {
+		n, ok := m.rt.Eval(op.E, 0).Uint()
+		op.Cur, op.Last = 1, int64(min(n, math.MaxInt64))
+		if !ok {
+			op.Last = 0
+		}
+		return
+	}
+	first, ok1 := m.rt.Eval(op.E, 0).Int()
+	last, ok2 := m.rt.Eval(op.To, 0).Int()
+	if !ok1 || !ok2 {
+		panic(Fault{Msg: op.Fault})
+	}
+	op.Cur, op.Last = first, last
 }
 
 // arm arms op's registration, building it on first use with a watcher
@@ -260,18 +312,19 @@ func (b *Builder[X]) While(cond *Expr, body func()) {
 	b.Resolve(exits, end)
 }
 
-// Counted lowers a counted loop whose OpNext carries x and e, and sets
-// v, if not nil, to the value of each pass.
-func (b *Builder[X]) Counted(x X, e *Expr, v *hdl.Vector, body func()) {
+// Counted lowers a counted loop whose OpNext is next (its E, To, Var,
+// Down and Fault; see loop).
+func (b *Builder[X]) Counted(next Op[X], body func()) {
 	var zero X
 	b.Emit(OpLoop, zero)
-	next := b.Emit(OpNext, x)
-	b.Op(next).E, b.Op(next).Var = e, v
-	b.loops = append(b.loops, loop{next: next, exits: -1})
+	n := b.Emit(OpNext, next.X)
+	o := b.Op(n)
+	o.E, o.To, o.Var, o.Down, o.Fault = next.E, next.To, next.Var, next.Down, next.Fault
+	b.loops = append(b.loops, loop{next: n, exits: -1})
 	body()
 	b.loops = b.loops[:len(b.loops)-1]
-	b.Jump(next)
-	b.Resolve(next, b.Label())
+	b.Jump(n)
+	b.Resolve(n, b.Label())
 }
 
 // Exit lowers a jump out of the innermost enclosing loop, reporting
@@ -290,18 +343,21 @@ func (b *Builder[X]) Exit() bool {
 	return true
 }
 
-// Case lowers a case dispatch on x over arms arms, lowering arm i with
-// arm(i).
-func (b *Builder[X]) Case(x X, arms int, arm func(i int)) {
+// Case lowers a case dispatch on subject over arms arms, matched by
+// match: arm(i) lowers arm i and returns its patterns (nil: a default
+// arm).
+func (b *Builder[X]) Case(subject *Expr, match Match, arms int, arm func(i int) []*Expr) {
 	var zero X
-	c := b.Emit(OpCase, x)
+	c := b.Emit(OpCase, zero)
+	b.Op(c).E, b.Op(c).Match, b.Op(c).Next = subject, match, int32(arms)
 	for range arms + 1 {
 		b.Emit(OpJump, zero)
 	}
 	end := -1
 	for i := range arms {
 		b.Resolve(c+1+i, b.Label())
-		arm(i)
+		pats := arm(i)
+		b.Op(c + 1 + i).Pats = pats
 		if i < arms-1 {
 			end = b.Jump(end)
 		}

@@ -90,7 +90,7 @@ type Runtime struct {
 	// the wait sites' sensitivity items, and the evaluator's state.
 	exprs    Arena[Expr]
 	lists    Slab[*Expr]
-	sens     []Sens
+	sens     []sensItem
 	parts    []hdl.Vector // a concatenation's evaluated parts
 	reads    []*WatchList // the last Reads result
 	readMark uint32       // marks the watch lists of the Reads in progress

@@ -435,19 +435,9 @@ func (inst *Instance) evalConstCtx(e vhdl.Expr, ctx int) (hdl.Vector, error) {
 		if err != nil {
 			return hdl.Vector{}, err
 		}
-		switch x.Op {
-		case "+":
-			return l.Add(r), nil
-		case "-":
-			return l.Sub(r), nil
-		case "*":
-			return l.Mul(r), nil
-		case "/":
-			return l.Div(r), nil
-		case "mod", "rem":
-			return l.Mod(r), nil
-		case "**":
-			return l.Pow(r), nil
+		// The arithmetic operators, on the operands as they are.
+		if f := binaryFns[x.Op]; f.op == sim.HNum && x.Op != "sll" && x.Op != "srl" {
+			return f.fn(l, r), nil
 		}
 		return hdl.Vector{}, sim.ElabErrf(x.Pos, "unsupported constant operator %q", x.Op)
 	case *vhdl.AggregateExpr:

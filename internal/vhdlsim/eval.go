@@ -34,25 +34,22 @@ func (s *Simulator) lower(inst *Instance, e vhdl.Expr) *sim.Expr {
 		}
 		return n
 	}
+	konst := func(v hdl.Vector, isInt bool) *sim.Expr {
+		n := node(sim.XConst)
+		n.V, n.Signed = v, isInt
+		return n
+	}
 	switch x := e.(type) {
 	case *vhdl.IntLit:
-		n := node(sim.XConst)
-		n.V, n.Signed = hdl.FromInt(x.Value, 32), true
-		return n
+		return konst(hdl.FromInt(x.Value, 32), true)
 	case *vhdl.CharLit:
-		n := node(sim.XConst)
-		n.V = hdl.Scalar(x.Value)
-		return n
+		return konst(hdl.Scalar(x.Value), false)
 	case *vhdl.BitStrLit:
 		// Safe to share the AST literal's storage: Vectors are
 		// immutable by convention once published (see hdl.Vector.SetBit).
-		n := node(sim.XConst)
-		n.V = x.Value
-		return n
+		return konst(x.Value, false)
 	case *vhdl.BoolLit:
-		n := node(sim.XConst)
-		n.V = hdl.FromBool(x.Value)
-		return n
+		return konst(hdl.FromBool(x.Value), false)
 	case *vhdl.StrLit:
 		return fault("string literal in a value context at %v", x.Pos)
 	case *vhdl.Name:
@@ -84,21 +81,23 @@ func (s *Simulator) lower(inst *Instance, e vhdl.Expr) *sim.Expr {
 	case *vhdl.CallOrIndex:
 		return watch(s.lowerCall(inst, x), x.Name)
 	case *vhdl.AttrExpr:
-		n := node(sim.XConst)
 		sig, isSig := inst.Signals[x.Base]
 		vs, isVar := s.scope[x.Base]
 		gv, isGen := inst.Generics[x.Base]
+		var n *sim.Expr
 		switch {
-		case x.Attr == "event" && isVar || x.Attr == "event" && !isSig:
+		case x.Attr == "event" && (isVar || !isSig):
 			n = fault("'event on non-signal %q", x.Base)
 		case x.Attr == "event":
-			n.Op, n.Stamp = sim.HEvent, &sig.eventStamp
+			n = node(sim.HEvent)
+			n.Stamp = &sig.eventStamp
 		case x.Attr == "length" && isVar:
-			n.Op, n.Ref, n.Signed = sim.HLength, &vs.val, true
+			n = node(sim.HLength)
+			n.Ref, n.Signed = &vs.val, true
 		case x.Attr == "length" && isSig:
-			n.V, n.Signed = hdl.FromInt(int64(sig.Width), 32), true
+			n = konst(hdl.FromInt(int64(sig.Width), 32), true)
 		case x.Attr == "length" && isGen:
-			n.V, n.Signed = hdl.FromInt(int64(gv.Width()), 32), true
+			n = konst(hdl.FromInt(int64(gv.Width()), 32), true)
 		default:
 			n = fault("unsupported attribute %q'%s", x.Base, x.Attr)
 		}
@@ -203,12 +202,17 @@ func (s *Simulator) lowerCall(inst *Instance, x *vhdl.CallOrIndex) *sim.Expr {
 		n.A = s.lower(inst, x.Args[0])
 		return n
 	}
-	arity := func(want int) bool { return len(x.Args) == want }
+	want, builtin := builtinArity[x.Name]
+	switch {
+	case !builtin:
+		return fault("call to undefined function %q at %v", x.Name, x.Pos)
+	case len(x.Args) != want && want == 1:
+		return fault("%s expects 1 argument", x.Name)
+	case len(x.Args) != want:
+		return fault("%s expects %d arguments", x.Name, want)
+	}
 	switch x.Name {
 	case "rising_edge", "falling_edge":
-		if !arity(1) {
-			return fault("%s expects 1 argument", x.Name)
-		}
 		nm, ok := x.Args[0].(*vhdl.Name)
 		if !ok {
 			return fault("%s expects a signal name", x.Name)
@@ -223,23 +227,12 @@ func (s *Simulator) lowerCall(inst *Instance, x *vhdl.CallOrIndex) *sim.Expr {
 		}
 		n.A = s.NewExpr(sim.XConst)
 		n.A.Watch = &sig.watch
-		return n
 	case "to_unsigned", "to_signed", "conv_std_logic_vector", "resize":
-		if !arity(2) {
-			if x.Name == "resize" {
-				return fault("resize expects 2 arguments")
-			}
-			return fault("%s expects 2 arguments", x.Name)
-		}
 		n.Op, n.A, n.B, n.Msg = sim.HResize, s.lower(inst, x.Args[0]), s.lower(inst, x.Args[1]), "bad width in "+x.Name
 		if x.Name == "resize" && isSignedExpr(x.Args[0]) {
 			n.Op = sim.HSignResize
 		}
-		return n
 	case "shift_left", "shift_right":
-		if !arity(2) {
-			return fault("%s expects 2 arguments", x.Name)
-		}
 		n.Op, n.A, n.B, n.Fn2 = sim.VBin, s.lower(inst, x.Args[0]), s.lower(inst, x.Args[1]), hdl.Vector.Shl
 		if x.Name == "shift_right" {
 			n.Fn2 = hdl.Vector.Shr
@@ -248,11 +241,7 @@ func (s *Simulator) lowerCall(inst *Instance, x *vhdl.CallOrIndex) *sim.Expr {
 				n.Fn2 = hdl.Vector.AShr
 			}
 		}
-		return n
-	case "to_integer", "conv_integer", "std_logic_vector", "unsigned", "signed", "to_01", "abs", "integer":
-		if !arity(1) {
-			return fault("%s expects 1 argument", x.Name)
-		}
+	default: // conversions
 		n.Op, n.A, n.Fn1 = sim.VUnary, s.lower(inst, x.Args[0]), identity
 		switch x.Name {
 		case "to_integer", "conv_integer":
@@ -260,9 +249,15 @@ func (s *Simulator) lowerCall(inst *Instance, x *vhdl.CallOrIndex) *sim.Expr {
 		case "abs", "integer":
 			n.Signed = n.A.Signed
 		}
-		return n
 	}
-	return fault("call to undefined function %q at %v", x.Name, x.Pos)
+	return n
+}
+
+// builtinArity is the argument count of each builtin function.
+var builtinArity = map[string]int{
+	"rising_edge": 1, "falling_edge": 1, "to_unsigned": 2, "to_signed": 2, "conv_std_logic_vector": 2,
+	"resize": 2, "shift_left": 2, "shift_right": 2, "to_integer": 1, "conv_integer": 1,
+	"std_logic_vector": 1, "unsigned": 1, "signed": 1, "to_01": 1, "abs": 1, "integer": 1,
 }
 
 func identity(v hdl.Vector) hdl.Vector  { return v }
@@ -298,11 +293,4 @@ func isSignedExpr(e vhdl.Expr) bool {
 		}
 	}
 	return false
-}
-
-// eventFlagNow reports whether the signal changed in the delta cycle
-// currently executing (the one its wakeups run in). The stamp is the
-// kernel's run-global delta serial; zero means "never changed".
-func (sig *Signal) eventFlagNow(s *Simulator) bool {
-	return sig.eventStamp == s.Kernel.DeltaSerial()
 }

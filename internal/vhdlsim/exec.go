@@ -8,7 +8,7 @@ import (
 
 // Process bodies are lowered here into sim.Machine programs whose
 // expressions and targets are in the run's lowered form (sim.Expr,
-// sigTarget, varTarget), bound once when the run starts: a process
+// target), bound once when the run starts: a process
 // variable, constant or for loop variable is a slot the lowering binds
 // its name to lexically. Signal watching and wait registrations live in
 // internal/sim (WatchList, WaitReg), shared with vsim. VHDL waits are
@@ -57,11 +57,13 @@ func (s *Simulator) applyPartUpdate(r *sim.NBARecord) {
 	s.applyUpdate(sig, sig.Val.SetSlice(r.Lo, r.Val))
 }
 
-// sigTarget is a signal assignment target in lowered form, and the
-// place its last resolution is kept: resolve fills ok, lo and width on
-// every execution, before the value is evaluated.
-type sigTarget struct {
-	sig  *Signal
+// target is a signal or variable assignment target in lowered form,
+// and the place a signal target's last resolution is kept: resolveSig
+// fills ok, lo and width on every execution, before the value is
+// evaluated.
+type target struct {
+	sig  *Signal   // a signal target
+	slot *varSlot  // a variable target
 	a, b *sim.Expr // the index, or the slice's bounds (b nil: an index)
 	msg  string    // the fault a bad target raises, "" for none
 
@@ -69,12 +71,16 @@ type sigTarget struct {
 	lo, width int
 }
 
-// lowerSigTarget lowers an assignment target, which names a signal of
-// inst; its selects read process variables.
-func (s *Simulator) lowerSigTarget(inst *Instance, target vhdl.Expr) sigTarget {
-	var t sigTarget
-	name := ""
-	switch x := target.(type) {
+// lowerTarget lowers an assignment target, which names a signal of inst
+// or, for a variable assignment, a variable in scope; its selects read
+// process variables.
+func (s *Simulator) lowerTarget(inst *Instance, e vhdl.Expr, variable bool) target {
+	var t target
+	name, kind, what := "", "assignment target", "signal"
+	if variable {
+		kind, what = "variable", "variable"
+	}
+	switch x := e.(type) {
 	case *vhdl.Name:
 		name = x.Ident
 	case *vhdl.CallOrIndex:
@@ -83,47 +89,38 @@ func (s *Simulator) lowerSigTarget(inst *Instance, target vhdl.Expr) sigTarget {
 		case x.IsSlice:
 			t.a, t.b = s.lower(inst, x.Left), s.lower(inst, x.Right)
 		case len(x.Args) != 1:
-			t.msg = sim.Faultf("bad index on assignment target %q", x.Name).Msg
+			t.msg = sim.Faultf("bad index on %s %q", kind, x.Name).Msg
 		default:
 			t.a = s.lower(inst, x.Args[0])
 		}
 	default:
-		return sigTarget{msg: sim.Faultf("unsupported assignment target at %v", target.ExprPos()).Msg}
+		if variable {
+			return target{msg: "unsupported variable assignment target"}
+		}
+		return target{msg: sim.Faultf("unsupported assignment target at %v", e.ExprPos()).Msg}
 	}
-	sig, ok := inst.Signals[name]
+	var ok bool
+	if variable {
+		t.slot, ok = s.scope[name]
+	} else {
+		t.sig, ok = inst.Signals[name]
+	}
 	if !ok {
-		return sigTarget{msg: sim.Faultf("assignment target %q is not a signal", name).Msg}
+		return target{msg: sim.Faultf("assignment target %q is not a %s", name, what).Msg}
 	}
-	t.sig = sig
 	return t
 }
 
-// resolve evaluates the target's selects.
-func (s *Simulator) resolveSig(t *sigTarget) {
+// resolveSig evaluates a signal target's selects.
+func (s *Simulator) resolveSig(t *target) {
 	if t.msg != "" {
 		panic(sim.Fault{Msg: t.msg})
 	}
-	sig := t.sig
-	t.ok, t.lo, t.width = true, 0, sig.Width
-	switch {
-	case t.b != nil:
-		l64, ok1 := s.Index(t.a)
-		r64, ok2 := s.Index(t.b)
-		lb, okL := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(l64))
-		rb, okR := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(r64))
-		t.ok, t.lo, t.width = ok1 && ok2 && okL && okR, min(lb, rb), max(lb, rb)-min(lb, rb)+1
-	case t.a != nil:
-		i64, ok := s.Index(t.a)
-		bit, in := sim.DeclIndexToBit(sig.MSB, sig.LSB, int(i64))
-		t.ok, t.lo, t.width = ok && in, bit, 1
-	}
-	if !t.ok {
-		t.width = 1
-	}
+	t.ok, t.lo, t.width = s.Place(t.a, t.b, t.sig.MSB, t.sig.LSB, false)
 }
 
 // assignSignal evaluates and schedules one signal assignment.
-func (s *Simulator) assignSignal(t *sigTarget, value, after *sim.Expr) {
+func (s *Simulator) assignSignal(t *target, value, after *sim.Expr) {
 	s.resolveSig(t)
 	val := s.Eval(value, t.width)
 	var delay sim.Time
@@ -150,47 +147,13 @@ func (s *Simulator) assignSignal(t *sigTarget, value, after *sim.Expr) {
 	r.Apply = s.updPart
 }
 
-// varTarget is a variable assignment target in lowered form.
-type varTarget struct {
-	slot *varSlot
-	a, b *sim.Expr // the index, or the slice's bounds (b nil: an index)
-	msg  string    // the fault a bad target raises, "" for none
-}
-
-func (s *Simulator) lowerVarTarget(inst *Instance, target vhdl.Expr) varTarget {
-	var t varTarget
-	name := ""
-	switch x := target.(type) {
-	case *vhdl.Name:
-		name = x.Ident
-	case *vhdl.CallOrIndex:
-		name = x.Name
-		switch {
-		case x.IsSlice:
-			t.a, t.b = s.lower(inst, x.Left), s.lower(inst, x.Right)
-		case len(x.Args) != 1:
-			t.msg = sim.Faultf("bad index on variable %q", x.Name).Msg
-		default:
-			t.a = s.lower(inst, x.Args[0])
-		}
-	default:
-		return varTarget{msg: "unsupported variable assignment target"}
-	}
-	slot, ok := s.scope[name]
-	if !ok {
-		return varTarget{msg: sim.Faultf("assignment target %q is not a variable", name).Msg}
-	}
-	t.slot = slot
-	return t
-}
-
 // assignVar evaluates and performs one variable assignment. A select
 // with an unknown index writes nothing and evaluates no value.
-func (s *Simulator) assignVar(t *varTarget, value *sim.Expr) {
+func (s *Simulator) assignVar(t *target, value *sim.Expr) {
 	if t.msg != "" {
 		panic(sim.Fault{Msg: t.msg})
 	}
-	vs := t.slot
+	lo, w := 0, t.slot.val.Width()
 	switch {
 	case t.b != nil:
 		l64, ok1 := s.Index(t.a)
@@ -198,20 +161,15 @@ func (s *Simulator) assignVar(t *varTarget, value *sim.Expr) {
 		if !ok1 || !ok2 {
 			return
 		}
-		lo, hi := int(min(l64, r64)), int(max(l64, r64))
-		val := s.Eval(value, hi-lo+1)
-		vs.val = vs.val.SetSlice(lo, val.Resize(hi-lo+1))
+		lo, w = int(min(l64, r64)), int(max(l64, r64)-min(l64, r64))+1
 	case t.a != nil:
 		i64, ok := s.Index(t.a)
 		if !ok {
 			return
 		}
-		val := s.Eval(value, 1)
-		vs.val = vs.val.SetSlice(int(i64), val.Resize(1))
-	default:
-		val := s.Eval(value, vs.val.Width())
-		vs.val = val.Resize(vs.val.Width())
+		lo, w = int(i64), 1
 	}
+	t.slot.val = t.slot.val.SetSlice(lo, s.Eval(value, w).Resize(w))
 }
 
 // msgPart is one piece of a lowered report or assert message: literal
@@ -224,37 +182,22 @@ type msgPart struct {
 // lowerMessage lowers a report or assert message (strings and &
 // concatenations of strings and values).
 func (s *Simulator) lowerMessage(inst *Instance, e vhdl.Expr) []msgPart {
-	parts := s.msgs.Alloc(countParts(e))
-	s.fillMessage(inst, e, parts)
-	return parts
+	s.parts = s.appendMessage(s.parts[:0], inst, e)
+	return append(s.msgs.Alloc(len(s.parts))[:0], s.parts...)
 }
 
-func countParts(e vhdl.Expr) int {
-	switch x := e.(type) {
-	case nil:
-		return 0
-	case *vhdl.BinaryExpr:
-		if x.Op == "&" {
-			return countParts(x.L) + countParts(x.R)
-		}
-	}
-	return 1
-}
-
-func (s *Simulator) fillMessage(inst *Instance, e vhdl.Expr, parts []msgPart) []msgPart {
+func (s *Simulator) appendMessage(parts []msgPart, inst *Instance, e vhdl.Expr) []msgPart {
 	switch x := e.(type) {
 	case nil:
 		return parts
 	case *vhdl.StrLit:
-		parts[0].text = x.Value
-		return parts[1:]
+		return append(parts, msgPart{text: x.Value})
 	case *vhdl.BinaryExpr:
 		if x.Op == "&" {
-			return s.fillMessage(inst, x.R, s.fillMessage(inst, x.L, parts))
+			return s.appendMessage(s.appendMessage(parts, inst, x.L), inst, x.R)
 		}
 	}
-	parts[0].e = s.lower(inst, e)
-	return parts[1:]
+	return append(parts, msgPart{e: s.lower(inst, e)})
 }
 
 // messageText renders a lowered message; integers render signed.
@@ -277,16 +220,14 @@ func (s *Simulator) messageText(parts []msgPart) string {
 
 // ---------------------------------------------------------------- exec
 
-// opSlot is the VHDL slot of a program op (see sim.Machine).
+// opSlot is the VHDL slot of an OpLeaf (see sim.Machine).
 type opSlot struct {
-	stmt  vhdl.Stmt   // OpLeaf: the statement; OpCase: the case
-	sig   sigTarget   // OpLeaf signal assignment: its target
-	vt    varTarget   // OpLeaf variable assignment: its target
-	e     *sim.Expr   // OpLeaf: an assignment's value, an assertion's condition; OpCase: the subject; OpNext: the right bound
-	after *sim.Expr   // OpLeaf signal assignment: its delay, or nil
-	msg   []msgPart   // OpLeaf: a report's or assertion's message
-	list  []*sim.Expr // OpCase: the choices, arm by arm
-	decls []varInit   // the first op of a process with declarations
+	stmt  vhdl.Stmt // the statement
+	t     target    // an assignment's target
+	e     *sim.Expr // an assignment's value, an assertion's condition
+	after *sim.Expr // a signal assignment's delay, or nil
+	msg   []msgPart // a report's or assertion's message
+	decls []varInit // the first op of a process with declarations
 }
 
 // varInit initializes one variable or constant when its process starts.
@@ -332,22 +273,12 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 	if len(s.Reads(sens...)) > 0 {
 		w := b.Emit(sim.OpWait, opSlot{})
 		b.Op(w).Next = int32(w)
-		b.Op(w).Sens = s.addSens(sens)
+		b.Op(w).Sens = s.AddSens(-1, sim.Level, sens...)
 	} else {
 		b.Tick()
 	}
 	b.Jump(top)
 	p.SetProgram(b.End())
-}
-
-// addSens records one level-sensitive item per expression.
-func (s *Simulator) addSens(es []*sim.Expr) [2]int32 {
-	items := s.items[:0]
-	for _, e := range es {
-		items = append(items, sim.Sens{E: e, Edge: sim.Level})
-	}
-	s.items = items
-	return s.AddSens(items...)
 }
 
 // lowerDecls binds a process's variables and constants, in order, each
@@ -402,13 +333,13 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 	b.Tick()
 	switch x := st.(type) {
 	case *vhdl.SigAssign:
-		sl := opSlot{stmt: x, sig: s.lowerSigTarget(inst, x.Target), e: s.lower(inst, x.Value)}
+		sl := opSlot{stmt: x, t: s.lowerTarget(inst, x.Target, false), e: s.lower(inst, x.Value)}
 		if x.AfterNs != nil {
 			sl.after = s.lower(inst, x.AfterNs)
 		}
 		b.Emit(sim.OpLeaf, sl)
 	case *vhdl.VarAssign:
-		b.Emit(sim.OpLeaf, opSlot{stmt: x, vt: s.lowerVarTarget(inst, x.Target), e: s.lower(inst, x.Value)})
+		b.Emit(sim.OpLeaf, opSlot{stmt: x, t: s.lowerTarget(inst, x.Target, true), e: s.lower(inst, x.Value)})
 	case *vhdl.AssertStmt:
 		b.Emit(sim.OpLeaf, opSlot{stmt: x, e: s.lower(inst, x.Cond), msg: s.lowerMessage(inst, x.Report)})
 	case *vhdl.ReportStmt:
@@ -426,18 +357,10 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 		s.lowerStmts(inst, x.Else)
 		b.Resolve(end, b.Label())
 	case *vhdl.CaseStmt:
-		n := 0
-		for _, arm := range x.Arms {
-			n += len(arm.Choices)
-		}
-		choices := s.Exprs(n)[:0]
-		for _, arm := range x.Arms {
-			for _, c := range arm.Choices {
-				choices = append(choices, s.lower(inst, c))
-			}
-		}
-		sl := opSlot{stmt: x, e: s.lower(inst, x.Expr), list: choices}
-		b.Case(sl, len(x.Arms), func(i int) { s.lowerStmts(inst, x.Arms[i].Body) })
+		b.Case(s.lower(inst, x.Expr), choices{}, len(x.Arms), func(i int) []*sim.Expr {
+			s.lowerStmts(inst, x.Arms[i].Body)
+			return s.lowerList(inst, x.Arms[i].Choices)
+		})
 	case *vhdl.ForStmt:
 		// The loop variable lives in a slot of its own, bound over any
 		// variable or signal of its name for the body only.
@@ -446,7 +369,8 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 		v.isInt = true
 		prev, had := s.scope[x.Var]
 		s.scope[x.Var] = v
-		b.Counted(opSlot{e: right, stmt: x}, left, &v.val, func() { s.lowerStmts(inst, x.Body) })
+		next := op{E: left, To: right, Var: &v.val, Down: x.Descending, Fault: "for-loop bounds are not computable"}
+		b.Counted(next, func() { s.lowerStmts(inst, x.Body) })
 		if had {
 			s.scope[x.Var] = prev
 		} else {
@@ -477,12 +401,12 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 			cond := s.lower(inst, x.Until)
 			u := b.Op(b.Emit(sim.OpWaitUntil, opSlot{}))
 			u.E, u.Fault = cond, "wait until condition references no signals"
-			u.Sens = s.AddSens(sim.Sens{E: cond, Edge: sim.Level})
+			u.Sens = s.AddSens(-1, sim.Level, cond)
 		default: // wait on
 			w := b.Emit(sim.OpWait, opSlot{})
 			o := b.Op(w)
 			o.Next, o.Fault = int32(w), "wait on references no signals"
-			o.Sens = s.addSens(s.lowerList(inst, x.OnSignals))
+			o.Sens = s.AddSens(-1, sim.Level, s.lowerList(inst, x.OnSignals)...)
 		}
 	}
 }
@@ -509,9 +433,9 @@ func (p *proc) Exec(o *op) {
 			}
 		}
 	case *vhdl.SigAssign:
-		s.assignSignal(&o.X.sig, o.X.e, o.X.after)
+		s.assignSignal(&o.X.t, o.X.e, o.X.after)
 	case *vhdl.VarAssign:
-		s.assignVar(&o.X.vt, o.X.e)
+		s.assignVar(&o.X.t, o.X.e)
 	case *vhdl.AssertStmt:
 		if !s.Truth(o.X.e) {
 			msg := s.messageText(o.X.msg)
@@ -531,41 +455,13 @@ func (p *proc) Exec(o *op) {
 	}
 }
 
-// Case takes the first arm with a choice equal to the subject, else the
-// others arm.
-func (p *proc) Case(o *op) int {
-	s := p.s
-	x := o.X.stmt.(*vhdl.CaseStmt)
-	subject := s.Eval(o.X.e, 0)
-	others := len(x.Arms)
-	choices := o.X.list
-	for i := range x.Arms {
-		n := len(x.Arms[i].Choices)
-		if n == 0 {
-			others = i
-		}
-		for _, c := range choices[:n] {
-			cv := s.Eval(c, subject.Width())
-			lv, rv := sim.NumericPair(o.X.e.Signed, c.Signed, subject, cv)
-			if lv.CaseEq(rv).Equal(hdl.FromBool(true)) {
-				return i
-			}
-		}
-		choices = choices[n:]
-	}
-	return others
-}
+// choices match case choices equal to the subject under the numeric_std
+// width rule (sim.Match).
+type choices struct{}
 
-// Loop evaluates a for loop's bounds (op.E the left, X.e the right)
-// and starts its variable at the left.
-func (p *proc) Loop(o *op) (first, last int64, down bool) {
-	l64, ok1 := p.s.Eval(o.E, 0).Int()
-	r64, ok2 := p.s.Eval(o.X.e, 0).Int()
-	if !ok1 || !ok2 {
-		panic(sim.Faultf("for-loop bounds are not computable"))
-	}
-	*o.Var = hdl.FromInt(l64, 32)
-	return l64, r64, o.X.stmt.(*vhdl.ForStmt).Descending
+func (choices) Match(r *sim.Runtime, subject hdl.Vector, s, c *sim.Expr) bool {
+	lv, rv := sim.NumericPair(s.Signed, c.Signed, subject, r.Eval(c, subject.Width()))
+	return lv.CaseEq(rv).Equal(hdl.FromBool(true))
 }
 
 func sevOrNote(s string) string {

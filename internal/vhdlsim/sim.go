@@ -33,19 +33,18 @@ type Simulator struct {
 	// procs, prog, vars, inits and msgs hold the run's processes: each
 	// one's process machine and the statement program it runs, their
 	// variables and initializers, and their lowered messages. scope and
-	// items are lowering scratch: the variables in scope by name, and a
-	// wait site's sensitivity items.
+	// parts are lowering scratch: the variables in scope by name, and
+	// one message's parts.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
 	vars  sim.Arena[varSlot]
 	inits sim.Slab[varInit]
 	msgs  sim.Slab[msgPart]
 	scope map[string]*varSlot
-	items []sim.Sens
+	parts []msgPart
 
-	// ports and concs are the run's port bindings and concurrent
-	// assignments in lowered form.
-	ports sim.Arena[portRT]
+	// concs are the run's port associations and concurrent assignments
+	// in lowered form.
 	concs sim.Arena[concRT]
 	waves sim.Slab[wave]
 }
@@ -95,75 +94,19 @@ func (s *Simulator) run(d *Design, opts Options, sh *stimShell) *Result {
 	res := &Result{Outcome: s.Execute(), AssertErrors: s.assertErrors, Failed: s.failed}
 	if opts.CaptureFinal {
 		res.Final = map[string]string{}
-		var walk func(inst *Instance)
-		walk = func(inst *Instance) {
-			for name, sg := range inst.Signals {
-				res.Final[inst.Path+"."+name] = sg.Val.BinString()
-			}
-			for _, c := range inst.Children {
-				walk(c)
-			}
-		}
-		walk(d.Top)
+		d.arena.Each(func(sg *Signal) { res.Final[sg.Name] = sg.Val.BinString() })
 	}
 	return res
 }
 
-// portRT is one port association in lowered form: in-ports copy the
-// parent actual to the child port signal; out-ports copy the child port
-// to the parent actual, which must be an assignable name.
-type portRT struct {
-	s      *Simulator
-	in     bool
-	port   *Signal
-	actual *sim.Expr // an in-port's actual
-	target sigTarget // an out-port's actual
-}
-
-func (p *portRT) update() {
-	s := p.s
-	defer s.Recover()
-	if p.in {
-		s.applyUpdate(p.port, s.Eval(p.actual, 0))
-		return
-	}
-	t := &p.target
-	s.resolveSig(t)
-	if !t.ok {
-		return
-	}
-	if t.lo == 0 && t.width == t.sig.Width {
-		s.applyUpdate(t.sig, p.port.Val)
-	} else {
-		s.applyUpdate(t.sig, t.sig.Val.SetSlice(t.lo, p.port.Val.Resize(t.width)))
-	}
-}
-
-// bindPort wires one port association: an in-port updates on every
-// change of a signal its actual reads, an out-port on every change of
-// the child port.
-func (s *Simulator) bindPort(pb *portBind) {
-	clear(s.scope)
-	p := s.ports.Alloc()
-	p.s, p.in, p.port = s, pb.dir == vhdl.DirIn, pb.childScope.Signals[pb.portName]
-	update := p.update
-	fire := func() { s.Kernel.Active(update) }
-	if p.in {
-		p.actual = s.lower(pb.parentScope, pb.actual)
-		for _, l := range s.Reads(p.actual) {
-			l.Watch(fire)
-		}
-	} else {
-		p.target = s.lowerSigTarget(pb.parentScope, pb.actual)
-		p.port.watch.Watch(fire)
-	}
-	s.Kernel.Active(update)
-}
-
-// concRT is one concurrent assignment in lowered form.
+// concRT is one concurrent assignment or port association in lowered
+// form. A port association is an in-port's actual driving the child
+// port, or an out-port's child port driving the actual, which must be
+// an assignable name; it applies at once, its value self-determined.
 type concRT struct {
 	s      *Simulator
-	target sigTarget
+	port   bool
+	target target
 	waves  []wave
 }
 
@@ -180,19 +123,45 @@ func (c *concRT) update() {
 		if w.cond != nil && !s.Truth(w.cond) {
 			continue
 		}
-		s.assignSignal(&c.target, w.value, w.after)
+		if !c.port {
+			s.assignSignal(&c.target, w.value, w.after)
+			return
+		}
+		t := &c.target
+		if s.resolveSig(t); !t.ok {
+			return
+		}
+		if v := s.Eval(w.value, 0); t.lo == 0 && t.width == t.sig.Width {
+			s.applyUpdate(t.sig, v)
+		} else {
+			s.applyUpdate(t.sig, t.sig.Val.SetSlice(t.lo, v.Resize(t.width)))
+		}
 		return
 	}
 }
 
-// bindConcAssign lowers a concurrent assignment, which updates on every
-// change of a signal its values and conditions read.
+// bindPort lowers one port association.
+func (s *Simulator) bindPort(pb *portBind) {
+	clear(s.scope)
+	port := pb.childScope.Signals[pb.portName]
+	c := s.concs.Alloc()
+	c.s, c.port, c.waves = s, true, s.waves.Alloc(1)
+	if pb.dir == vhdl.DirIn {
+		c.target.sig, c.waves[0].value = port, s.lower(pb.parentScope, pb.actual)
+	} else {
+		load := s.NewExpr(sim.XLoad)
+		load.Ref, load.Watch = &port.Val, &port.watch
+		c.target, c.waves[0].value = s.lowerTarget(pb.parentScope, pb.actual, false), load
+	}
+	c.watch()
+}
+
+// bindConcAssign lowers a concurrent assignment.
 func (s *Simulator) bindConcAssign(bc *boundConc) {
 	clear(s.scope)
 	inst, ca := bc.scope, bc.ca
 	c := s.concs.Alloc()
-	c.s, c.target, c.waves = s, s.lowerSigTarget(inst, ca.Target), s.waves.Alloc(len(ca.Waves))
-	reads := s.Exprs(2 * len(ca.Waves))
+	c.s, c.target, c.waves = s, s.lowerTarget(inst, ca.Target, false), s.waves.Alloc(len(ca.Waves))
 	for i, w := range ca.Waves {
 		lw := &c.waves[i]
 		lw.value = s.lower(inst, w.Value)
@@ -202,7 +171,17 @@ func (s *Simulator) bindConcAssign(bc *boundConc) {
 		if w.AfterNs != nil {
 			lw.after = s.lower(inst, w.AfterNs)
 		}
-		reads[2*i], reads[2*i+1] = lw.value, lw.cond
+	}
+	c.watch()
+}
+
+// watch schedules c's update on every change of a signal its values and
+// conditions read, and once at time zero.
+func (c *concRT) watch() {
+	s := c.s
+	reads := s.Exprs(2 * len(c.waves))
+	for i, w := range c.waves {
+		reads[2*i], reads[2*i+1] = w.value, w.cond
 	}
 	update := c.update
 	fire := func() { s.Kernel.Active(update) }

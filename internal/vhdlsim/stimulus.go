@@ -111,7 +111,7 @@ func (sh *stimShell) AwaitClock(p *sim.Process) {
 // wait when it is false.
 func (sh *stimShell) Rose() bool {
 	clk, s := sh.clk, sh.s
-	if clk.eventFlagNow(s) && clk.Val.Bit(0) == hdl.L1 && clk.Prev.Bit(0) == hdl.L0 {
+	if clk.eventStamp == s.Kernel.DeltaSerial() && clk.Val.Bit(0) == hdl.L1 && clk.Prev.Bit(0) == hdl.L0 {
 		return true
 	}
 	s.Tick()

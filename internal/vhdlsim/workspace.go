@@ -64,9 +64,8 @@ func (s *Simulator) reset() {
 	s.inits.Reset()
 	s.msgs.Reset()
 	clear(s.scope)
-	clear(s.items[:cap(s.items)])
-	s.items = s.items[:0]
-	s.ports.Reset()
+	clear(s.parts[:cap(s.parts)])
+	s.parts = s.parts[:0]
 	s.concs.Reset()
 	s.waves.Reset()
 }

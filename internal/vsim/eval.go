@@ -2,6 +2,7 @@ package vsim
 
 import (
 	"repro/internal/hdl"
+	"repro/internal/lex"
 	"repro/internal/sim"
 	"repro/internal/verilog"
 )
@@ -25,7 +26,7 @@ func (inst *Instance) evalConst(e verilog.Expr) (hdl.Vector, error) {
 		if err != nil {
 			return hdl.Vector{}, err
 		}
-		return unaryFn(x.Op)(v), nil
+		return unaryFns[x.Op](v), nil
 	case *verilog.Binary:
 		l, err := inst.evalConst(x.L)
 		if err != nil {
@@ -35,7 +36,7 @@ func (inst *Instance) evalConst(e verilog.Expr) (hdl.Vector, error) {
 		if err != nil {
 			return hdl.Vector{}, err
 		}
-		return binaryFn(x.Op)(l, r), nil
+		return binaryFns[x.Op](l, r), nil
 	case *verilog.Ternary:
 		c, err := inst.evalConst(x.Cond)
 		if err != nil {
@@ -87,98 +88,36 @@ func (inst *Instance) evalRange(r *verilog.Range) (width, msb, lsb int, err erro
 	return w, m, l, nil
 }
 
-// unaryFn is the hdl function of a unary operator.
-func unaryFn(op string) func(hdl.Vector) hdl.Vector {
-	switch op {
-	case "!":
-		return hdl.Vector.LogicalNot
-	case "~":
-		return hdl.Vector.BitwiseNot
-	case "-":
-		return hdl.Vector.Neg
-	case "&":
-		return hdl.Vector.ReduceAnd
-	case "|":
-		return hdl.Vector.ReduceOr
-	case "^":
-		return hdl.Vector.ReduceXor
-	case "~&":
-		return func(v hdl.Vector) hdl.Vector { return v.ReduceAnd().LogicalNot() }
-	case "~|":
-		return func(v hdl.Vector) hdl.Vector { return v.ReduceOr().LogicalNot() }
-	case "~^", "^~":
-		return func(v hdl.Vector) hdl.Vector { return v.ReduceXor().LogicalNot() }
-	case "+":
-		return func(v hdl.Vector) hdl.Vector { return v }
-	}
-	return func(v hdl.Vector) hdl.Vector { return hdl.XFill(v.Width()) }
+// unaryFns and binaryFns are the hdl functions of the operators the
+// parser produces.
+var unaryFns = map[string]func(hdl.Vector) hdl.Vector{
+	"!": hdl.Vector.LogicalNot, "~": hdl.Vector.BitwiseNot, "-": hdl.Vector.Neg,
+	"+": func(v hdl.Vector) hdl.Vector { return v },
+	"&": hdl.Vector.ReduceAnd, "|": hdl.Vector.ReduceOr, "^": hdl.Vector.ReduceXor,
+	"~&": func(v hdl.Vector) hdl.Vector { return v.ReduceAnd().LogicalNot() },
+	"~|": func(v hdl.Vector) hdl.Vector { return v.ReduceOr().LogicalNot() },
+	"~^": func(v hdl.Vector) hdl.Vector { return v.ReduceXor().LogicalNot() },
+	"^~": func(v hdl.Vector) hdl.Vector { return v.ReduceXor().LogicalNot() },
 }
 
-// binaryFn is the hdl function of a binary operator.
-func binaryFn(op string) func(l, r hdl.Vector) hdl.Vector {
-	switch op {
-	case "+":
-		return hdl.Vector.Add
-	case "-":
-		return hdl.Vector.Sub
-	case "*":
-		return hdl.Vector.Mul
-	case "/":
-		return hdl.Vector.Div
-	case "%":
-		return hdl.Vector.Mod
-	case "**":
-		return hdl.Vector.Pow
-	case "&":
-		return hdl.Vector.BitwiseAnd
-	case "|":
-		return hdl.Vector.BitwiseOr
-	case "^":
-		return hdl.Vector.BitwiseXor
-	case "~^", "^~":
-		return hdl.Vector.BitwiseXnor
-	case "&&":
-		return hdl.Vector.LogicalAnd
-	case "||":
-		return hdl.Vector.LogicalOr
-	case "==":
-		return hdl.Vector.Eq
-	case "!=":
-		return hdl.Vector.Neq
-	case "===":
-		return hdl.Vector.CaseEq
-	case "!==":
-		return hdl.Vector.CaseNeq
-	case "<":
-		return hdl.Vector.Lt
-	case "<=":
-		return hdl.Vector.Le
-	case ">":
-		return hdl.Vector.Gt
-	case ">=":
-		return hdl.Vector.Ge
-	case "<<", "<<<":
-		return hdl.Vector.Shl
-	case ">>":
-		return hdl.Vector.Shr
-	case ">>>":
-		return hdl.Vector.AShr
-	}
-	return func(l, r hdl.Vector) hdl.Vector { return hdl.XFill(max(l.Width(), r.Width())) }
+var binaryFns = map[string]func(l, r hdl.Vector) hdl.Vector{
+	"+": hdl.Vector.Add, "-": hdl.Vector.Sub, "*": hdl.Vector.Mul, "/": hdl.Vector.Div,
+	"%": hdl.Vector.Mod, "**": hdl.Vector.Pow,
+	"&": hdl.Vector.BitwiseAnd, "|": hdl.Vector.BitwiseOr, "^": hdl.Vector.BitwiseXor,
+	"~^": hdl.Vector.BitwiseXnor, "^~": hdl.Vector.BitwiseXnor,
+	"&&": hdl.Vector.LogicalAnd, "||": hdl.Vector.LogicalOr,
+	"==": hdl.Vector.Eq, "!=": hdl.Vector.Neq, "===": hdl.Vector.CaseEq, "!==": hdl.Vector.CaseNeq,
+	"<": hdl.Vector.Lt, "<=": hdl.Vector.Le, ">": hdl.Vector.Gt, ">=": hdl.Vector.Ge,
+	"<<": hdl.Vector.Shl, "<<<": hdl.Vector.Shl, ">>": hdl.Vector.Shr, ">>>": hdl.Vector.AShr,
 }
 
-// signedCompare is the function of a relational operator over two
-// signed operands: a two's-complement comparison.
-func signedCompare(op string) func(l, r hdl.Vector) hdl.Vector {
-	switch op {
-	case "<":
-		return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, -1) }
-	case "<=":
-		return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, 0) }
-	case ">":
-		return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 1, 1) }
-	}
-	return func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 0, 1) }
+// signedFns are the relational operators over two signed operands:
+// two's-complement comparisons.
+var signedFns = map[string]func(l, r hdl.Vector) hdl.Vector{
+	"<":  func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, -1) },
+	"<=": func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, 0) },
+	">":  func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 1, 1) },
+	">=": func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 0, 1) },
 }
 
 // compareInts reports, as a bit, whether the sign of l-r, as
@@ -242,7 +181,7 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 	case *verilog.Unary:
 		a := s.lower(inst, x.X)
 		n := node(sim.VUnary, 1)
-		n.A, n.Fn1, n.Const = a, unaryFn(x.Op), a.Const
+		n.A, n.Fn1, n.Const = a, unaryFns[x.Op], a.Const
 		switch x.Op {
 		case "~", "-", "+":
 			n.Op, n.W, n.Dyn, n.Signed = sim.VUnaryCtx, a.W, a.Dyn, a.Signed
@@ -251,7 +190,7 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 	case *verilog.Binary:
 		a, b := s.lower(inst, x.L), s.lower(inst, x.R)
 		n := node(sim.VBin, 1)
-		n.A, n.B, n.Fn2, n.Const = a, b, binaryFn(x.Op), a.Const && b.Const
+		n.A, n.B, n.Fn2, n.Const = a, b, binaryFns[x.Op], a.Const && b.Const
 		switch x.Op {
 		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
 			n.Op, n.W, n.Dyn = sim.VBinCtx, max(a.W, b.W), a.Dyn || b.Dyn
@@ -263,7 +202,7 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 			// Per IEEE 1364, the comparison is signed only when both
 			// operands are signed (integers, signed regs, plain decimals).
 			if a.Signed && b.Signed {
-				n.Fn2 = signedCompare(x.Op)
+				n.Fn2 = signedFns[x.Op]
 			} else {
 				n.Op = sim.VCompare
 			}
@@ -301,55 +240,8 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 			n.Dyn = false
 		}
 		return n
-	case *verilog.Index:
-		idx := s.lower(inst, x.Idx)
-		base, ok := x.Base.(*verilog.Ident)
-		if !ok {
-			n := node(sim.VIndexExpr, 1)
-			n.A, n.B = s.lower(inst, x.Base), idx
-			return n
-		}
-		n := node(sim.VIndex, 1)
-		n.A = idx
-		if sig, ok := inst.Signals[base.Name]; ok {
-			n.Watch = &sig.watch
-			if sig.IsMem {
-				n.Op, n.W, n.Mem = sim.VIndexMem, sig.Width, sig
-				return n
-			}
-			n.Ref, n.Hi, n.Lo = &sig.Val, sig.MSB, sig.LSB
-			return n
-		}
-		if v, ok := inst.Params[base.Name]; ok {
-			n.Op, n.V = sim.VIndexConst, v
-			return n
-		}
-		n.Op, n.Msg = sim.VIndexBad, sim.Faultf("reference to undeclared identifier %q", base.Name).Msg
-		return n
-	case *verilog.PartSelect:
-		m, l := s.lower(inst, x.MSB), s.lower(inst, x.LSB)
-		n := node(sim.VPart, 1)
-		n.A, n.B = m, l
-		if base, ok := x.Base.(*verilog.Ident); !ok {
-			n.Op, n.Msg = sim.XFault, sim.Faultf("part select requires a simple name at %v", x.Pos).Msg
-			n.Args = rt.Exprs(1)
-			n.Args[0] = s.lower(inst, x.Base)
-		} else if sig, ok := inst.Signals[base.Name]; ok {
-			n.Watch = &sig.watch
-			if sig.IsMem {
-				n.Op, n.Msg = sim.VPartBad, sim.Faultf("part select on memory %q", base.Name).Msg
-			} else {
-				n.Ref, n.Hi, n.Lo = &sig.Val, sig.MSB, sig.LSB
-			}
-		} else if v, ok := inst.Params[base.Name]; ok {
-			n.Op, n.V = sim.VPartConst, v
-		} else {
-			n.Op, n.Msg = sim.VPartBad, sim.Faultf("reference to undeclared identifier %q", base.Name).Msg
-		}
-		if n.Dyn = !m.Const || !l.Const; !n.Dyn {
-			n.W = rt.PartWidth(n)
-		}
-		return n
+	case *verilog.Index, *verilog.PartSelect:
+		return s.lowerSelect(inst, e)
 	case *verilog.SysFuncCall:
 		var n *sim.Expr
 		switch x.Name {
@@ -387,6 +279,61 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 	default:
 		return fault(1, "unsupported expression at %v", e.ExprPos())
 	}
+}
+
+// lowerSelect lowers a bit, word or part select, base[a] or base[a:b].
+func (s *Simulator) lowerSelect(inst *Instance, e verilog.Expr) *sim.Expr {
+	n := s.NewExpr(sim.VIndex)
+	n.W = 1
+	var base verilog.Expr
+	var pos lex.Pos
+	if x, ok := e.(*verilog.Index); ok {
+		base, n.A = x.Base, s.lower(inst, x.Idx)
+	} else {
+		x := e.(*verilog.PartSelect)
+		base, pos, n.Op, n.A, n.B = x.Base, x.Pos, sim.VPart, s.lower(inst, x.MSB), s.lower(inst, x.LSB)
+	}
+	part := n.B != nil
+	id, named := base.(*verilog.Ident)
+	var sig *Signal
+	var param hdl.Vector
+	isSig, isParam := false, false
+	if named {
+		sig, isSig = inst.Signals[id.Name]
+		param, isParam = inst.Params[id.Name]
+	}
+	switch {
+	case !named && part:
+		n.Op, n.Msg, n.Args = sim.XFault, sim.Faultf("part select requires a simple name at %v", pos).Msg, s.Exprs(1)
+		n.Args[0] = s.lower(inst, base)
+	case !named:
+		n.Op, n.A, n.B = sim.VIndexExpr, s.lower(inst, base), n.A
+	case isSig && sig.IsMem && part:
+		n.Op, n.Msg = sim.VPartBad, sim.Faultf("part select on memory %q", id.Name).Msg
+	case isSig && sig.IsMem:
+		n.Op, n.W, n.Mem = sim.VIndexMem, sig.Width, sig
+	case isSig:
+		n.Ref, n.Hi, n.Lo = &sig.Val, sig.MSB, sig.LSB
+	case isParam && part:
+		n.Op, n.V = sim.VPartConst, param
+	case isParam:
+		n.V, n.Own = param, true
+		n.Ref = &n.V
+	default:
+		n.Op, n.Msg = sim.VIndexBad, sim.Faultf("reference to undeclared identifier %q", id.Name).Msg
+		if part {
+			n.Op = sim.VPartBad
+		}
+	}
+	if isSig {
+		n.Watch = &sig.watch
+	}
+	if part {
+		if n.Dyn = !n.A.Const || !n.B.Const; !n.Dyn {
+			n.W = s.PartWidth(n)
+		}
+	}
+	return n
 }
 
 // lowerList lowers a list of expressions.

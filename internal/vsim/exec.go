@@ -1,20 +1,14 @@
 package vsim
 
 import (
-	"math"
-
 	"repro/internal/hdl"
 	"repro/internal/sim"
 	"repro/internal/verilog"
 )
 
-// Process bodies are lowered here into sim.Machine programs whose
-// expressions and targets are in the run's lowered form (sim.Expr,
-// lval), bound once when the run starts. Signal watching, wait
-// registrations and the IEEE 1364 edge table live in internal/sim,
-// shared with vhdlsim; this front-end contributes only the Verilog
-// specifics: the sensitivity items of an event control, @* expansion,
-// assignment targets and system tasks.
+// Process bodies lower here into sim.Machine programs over lowered
+// expressions (sim.Expr) and targets (lval), bound when the run starts;
+// signal watching and the IEEE 1364 edge table live in internal/sim.
 
 // setSignal writes v (resized to the signal width) and notifies watchers.
 func (s *Simulator) setSignal(sig *Signal, v hdl.Vector) {
@@ -41,12 +35,11 @@ func (s *Simulator) setMemWord(sig *Signal, idx int, v hdl.Vector) {
 // lval is one primitive assignment target in lowered form, MSB-first
 // within its assignment, and the place its last resolution is kept:
 // resolve fills ok, lo, width and word on every execution, before the
-// value is evaluated, and the writes read them back.
+// value is evaluated, and write reads them back.
 type lval struct {
-	kind lvKind
 	sig  *Signal
-	a, b *sim.Expr // the index, or the part-select's bounds
-	msg  string    // lvFault: the fault text
+	a, b *sim.Expr // the index (a memory word's), or the part-select's bounds
+	msg  string    // the fault a bad target raises, "" for none
 
 	ok    bool // false: discard the write (unknown or out-of-range select)
 	lo    int  // bit offset of a vector write
@@ -54,92 +47,53 @@ type lval struct {
 	word  int // a memory word's index
 }
 
-type lvKind uint8
-
-const (
-	lvWhole lvKind = iota
-	lvBit
-	lvPart
-	lvMem
-	lvFault
-)
-
 // lowerLHS lowers an assignment target, in scope inst, into its
 // primitive targets, MSB-first for concatenations.
 func (s *Simulator) lowerLHS(inst *Instance, lhs verilog.Expr) []lval {
-	ts := s.lvals.Alloc(countLHS(lhs))
-	s.fillLHS(inst, lhs, ts)
-	return ts
+	s.lhs = s.appendLHS(s.lhs[:0], inst, lhs)
+	return append(s.lvals.Alloc(len(s.lhs))[:0], s.lhs...)
 }
 
-func countLHS(lhs verilog.Expr) int {
-	c, ok := lhs.(*verilog.ConcatExpr)
-	if !ok {
-		return 1
-	}
-	n := 0
-	for _, p := range c.Parts {
-		n += countLHS(p)
-	}
-	return n
-}
-
-// fillLHS lowers lhs into ts and returns the rest of ts.
-func (s *Simulator) fillLHS(inst *Instance, lhs verilog.Expr, ts []lval) []lval {
-	t := &ts[0]
+func (s *Simulator) appendLHS(ts []lval, inst *Instance, lhs verilog.Expr) []lval {
 	fault := func(format string, args ...any) []lval {
-		t.kind, t.msg = lvFault, sim.Faultf(format, args...).Msg
-		return ts[1:]
+		return append(ts, lval{msg: sim.Faultf(format, args...).Msg})
 	}
-	signal := func(name string) *Signal {
-		sig, ok := inst.Signals[name]
-		if !ok {
-			return nil
-		}
-		return sig
-	}
+	var t lval
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		sig := signal(x.Name)
-		if sig == nil {
+		if t.sig = inst.Signals[x.Name]; t.sig == nil {
 			return fault("assignment to non-signal %q", x.Name)
 		}
-		if sig.IsMem {
+		if t.sig.IsMem {
 			return fault("assignment to memory %q without an index", x.Name)
 		}
-		t.kind, t.sig = lvWhole, sig
 	case *verilog.Index:
 		base, ok := x.Base.(*verilog.Ident)
 		if !ok {
 			return fault("unsupported assignment target at %v", x.Pos)
 		}
-		sig := signal(base.Name)
-		if sig == nil {
+		if t.sig = inst.Signals[base.Name]; t.sig == nil {
 			return fault("assignment to non-signal %q", base.Name)
 		}
-		t.kind, t.sig, t.a = lvBit, sig, s.lower(inst, x.Idx)
-		if sig.IsMem {
-			t.kind = lvMem
-		}
+		t.a = s.lower(inst, x.Idx)
 	case *verilog.PartSelect:
 		base, ok := x.Base.(*verilog.Ident)
 		if !ok {
 			return fault("unsupported assignment target at %v", x.Pos)
 		}
-		sig := signal(base.Name)
-		if sig == nil || sig.IsMem {
+		if t.sig = inst.Signals[base.Name]; t.sig == nil || t.sig.IsMem {
 			return fault("bad part-select assignment target %q", base.Name)
 		}
-		t.kind, t.sig, t.a, t.b = lvPart, sig, s.lower(inst, x.MSB), s.lower(inst, x.LSB)
+		t.a, t.b = s.lower(inst, x.MSB), s.lower(inst, x.LSB)
 	case *verilog.ConcatExpr:
 		for _, p := range x.Parts {
-			ts = s.fillLHS(inst, p, ts)
+			ts = s.appendLHS(ts, inst, p)
 		}
 		return ts
 	default:
 		return fault("unsupported assignment target at %v", lhs.ExprPos())
 	}
-	return ts[1:]
+	return append(ts, t)
 }
 
 // resolve evaluates the targets' selects, in order, and returns their
@@ -148,72 +102,27 @@ func (s *Simulator) resolve(ts []lval) int {
 	total := 0
 	for i := range ts {
 		t := &ts[i]
-		t.ok, t.lo = false, 0
-		switch t.kind {
-		case lvFault:
+		switch {
+		case t.msg != "":
 			panic(sim.Fault{Msg: t.msg})
-		case lvWhole:
-			t.ok, t.width = true, t.sig.Width
-		case lvMem:
+		case t.sig.IsMem:
 			idx, known := s.Index(t.a)
 			t.ok, t.width, t.word = known, t.sig.Width, int(idx)
-		case lvBit:
-			t.width = 1
-			if idx, known := s.Index(t.a); known {
-				t.lo, t.ok = sim.DeclIndexToBit(t.sig.MSB, t.sig.LSB, int(idx))
-			}
-		case lvPart:
-			t.width = 1
-			m64, ok1 := s.Index(t.a)
-			l64, ok2 := s.Index(t.b)
-			if !ok1 || !ok2 {
-				break
-			}
-			loBit, okLo := sim.DeclIndexToBit(t.sig.MSB, t.sig.LSB, int(l64))
-			hiBit, okHi := sim.DeclIndexToBit(t.sig.MSB, t.sig.LSB, int(m64))
-			if !okLo || !okHi {
-				t.width = int(max(m64-l64, l64-m64)) + 1
-				break
-			}
-			t.ok, t.lo, t.width = true, min(loBit, hiBit), max(loBit, hiBit)-min(loBit, hiBit)+1
+		default:
+			t.ok, t.lo, t.width = s.Place(t.a, t.b, t.sig.MSB, t.sig.LSB, true)
 		}
 		total += t.width
 	}
 	return total
 }
 
-// applyTargets writes val (of at least total bits) into the resolved
-// targets, slicing MSB-first as Verilog concatenation assignment
-// requires.
-func (s *Simulator) applyTargets(ts []lval, total int, val hdl.Vector) {
-	val = val.Resize(total)
-	hi := total
-	for _, t := range ts {
-		lo := hi - t.width
-		part := val.Slice(lo, t.width)
-		hi = lo
-		if !t.ok {
-			continue
-		}
-		if t.kind == lvMem {
-			s.setMemWord(t.sig, t.word, part)
-			continue
-		}
-		if t.lo == 0 && t.width == t.sig.Width {
-			s.setSignal(t.sig, part)
-		} else {
-			s.setSignal(t.sig, t.sig.Val.SetSlice(t.lo, part))
-		}
-	}
-}
-
-// scheduleNBA queues one pooled kernel update record per resolved
-// target, slicing val MSB-first exactly as applyTargets would at apply
-// time (vectors are immutable, so slicing at schedule time is
-// equivalent). The records live in the kernel's recycled region buffer
-// and carry their own copy of the target's bounds, so a steady-state
+// write writes val (of at least total bits) into the resolved targets,
+// slicing MSB-first as Verilog concatenation assignment requires: at
+// once, or as pooled kernel update records of the NBA region, which
+// carry their own copy of the target's bounds (vectors are immutable,
+// so slicing at schedule time is equivalent), so a steady-state
 // nonblocking assignment performs no allocation at all.
-func (s *Simulator) scheduleNBA(ts []lval, total int, val hdl.Vector) {
+func (s *Simulator) write(ts []lval, total int, val hdl.Vector, nba bool) {
 	val = val.Resize(total)
 	hi := total
 	for i := range ts {
@@ -221,19 +130,20 @@ func (s *Simulator) scheduleNBA(ts []lval, total int, val hdl.Vector) {
 		lo := hi - t.width
 		part := val.Slice(lo, t.width)
 		hi = lo
-		if !t.ok {
-			continue
-		}
-		r := s.Kernel.NBAPut()
-		r.Sig = t.sig
-		r.Val = part
-		if t.kind == lvMem {
-			r.Aux = t.word
-			r.Apply = s.nbaMem
-		} else {
-			r.Lo = t.lo
-			r.Width = t.width
-			r.Apply = s.nbaVec
+		switch {
+		case !t.ok:
+		case nba:
+			r := s.Kernel.NBAPut()
+			r.Sig, r.Val, r.Lo, r.Width, r.Aux, r.Apply = t.sig, part, t.lo, t.width, t.word, s.nbaVec
+			if t.sig.IsMem {
+				r.Apply = s.nbaMem
+			}
+		case t.sig.IsMem:
+			s.setMemWord(t.sig, t.word, part)
+		case t.lo == 0 && t.width == t.sig.Width:
+			s.setSignal(t.sig, part)
+		default:
+			s.setSignal(t.sig, t.sig.Val.SetSlice(t.lo, part))
 		}
 	}
 }
@@ -258,7 +168,7 @@ func (s *Simulator) applyMemNBA(r *sim.NBARecord) {
 // edges maps a sensitivity item's edge onto a watcher's.
 var edges = [...]sim.Edge{verilog.EdgeLevel: sim.Level, verilog.EdgePos: sim.Rising, verilog.EdgeNeg: sim.Falling}
 
-// opSlot is the Verilog slot of a program op (see sim.Machine).
+// opSlot is the Verilog slot of an OpLeaf (see sim.Machine).
 type opSlot struct {
 	lhs  []lval           // OpLeaf assignment: its targets
 	e    *sim.Expr        // OpLeaf assignment: its value; OpCase: the subject
@@ -289,10 +199,31 @@ type lowering struct {
 	quiet int // nesting depth of wait (cond) statements
 }
 
-// read keeps es as expressions an enclosing @* reads.
+// expr lowers e, which an enclosing @* reads.
+func (l *lowering) expr(e verilog.Expr) *sim.Expr {
+	n := l.s.lower(l.inst, e)
+	l.read(n)
+	return n
+}
+
+// list lowers es, which an enclosing @* reads; nil for none.
+func (l *lowering) list(es []verilog.Expr) []*sim.Expr {
+	if es == nil {
+		return nil
+	}
+	out := l.s.Exprs(len(es))
+	for i, e := range es {
+		out[i] = l.expr(e)
+	}
+	return out
+}
+
+// read keeps es, but for nils, as expressions an enclosing @* reads.
 func (l *lowering) read(es ...*sim.Expr) {
-	if l.quiet == 0 {
-		l.s.star = append(l.s.star, es...)
+	for _, e := range es {
+		if e != nil && l.quiet == 0 {
+			l.s.star = append(l.s.star, e)
+		}
 	}
 }
 
@@ -331,18 +262,14 @@ func (s *Simulator) bindProcess(inst *Instance, name string, body verilog.Stmt, 
 // star since from), an explicit list to one item per entry.
 func (l *lowering) sens(sl *verilog.SensList, from int) [2]int32 {
 	s := l.s
-	items := s.items[:0]
 	if sl.Star {
-		for _, e := range s.star[from:] {
-			items = append(items, sim.Sens{E: e, Edge: sim.Level})
-		}
-	} else {
-		for _, it := range sl.Items {
-			items = append(items, sim.Sens{E: s.lower(l.inst, it.Sig), Edge: edges[it.Edge]})
-		}
+		return s.AddSens(-1, sim.Level, s.star[from:]...)
 	}
-	s.items = items
-	return s.AddSens(items...)
+	items := s.AddSens(-1, sim.Level)
+	for _, it := range sl.Items {
+		items = s.AddSens(items[0], edges[it.Edge], s.lower(l.inst, it.Sig))
+	}
+	return items
 }
 
 // stmt lowers one statement, which charges a step when it starts.
@@ -355,9 +282,7 @@ func (l *lowering) stmt(st verilog.Stmt) {
 			l.stmt(inner)
 		}
 	case *verilog.If:
-		cond := s.lower(inst, x.Cond)
-		l.read(cond)
-		test := b.If(cond)
+		test := b.If(l.expr(x.Cond))
 		l.stmt(x.Then)
 		if x.Else != nil {
 			end := b.Jump(-1)
@@ -367,36 +292,20 @@ func (l *lowering) stmt(st verilog.Stmt) {
 		}
 		b.Resolve(test, b.Label())
 	case *verilog.Case:
-		subj := s.lower(inst, x.Expr)
-		n := 0
-		for _, it := range x.Items {
-			n += len(it.Exprs)
-		}
-		pats := s.Exprs(n)[:0]
-		l.read(subj)
-		for _, it := range x.Items {
-			for _, p := range it.Exprs {
-				pats = append(pats, s.lower(inst, p))
-			}
-			l.read(pats[len(pats)-len(it.Exprs):]...)
-		}
-		b.Case(opSlot{kase: x, e: subj, list: pats}, len(x.Items), func(i int) { l.stmt(x.Items[i].Body) })
+		b.Case(l.expr(x.Expr), caseKind(x.Kind), len(x.Items), func(i int) []*sim.Expr {
+			l.stmt(x.Items[i].Body)
+			return l.list(x.Items[i].Exprs)
+		})
 	case *verilog.For:
 		l.stmt(x.Init)
-		cond := s.lower(inst, x.Cond)
-		l.read(cond)
-		b.While(cond, func() {
+		b.While(l.expr(x.Cond), func() {
 			l.stmt(x.Body)
 			l.stmt(x.Step)
 		})
 	case *verilog.While:
-		cond := s.lower(inst, x.Cond)
-		l.read(cond)
-		b.While(cond, func() { l.stmt(x.Body) })
+		b.While(l.expr(x.Cond), func() { l.stmt(x.Body) })
 	case *verilog.Repeat:
-		count := s.lower(inst, x.Count)
-		l.read(count)
-		b.Counted(opSlot{}, count, nil, func() { l.stmt(x.Body) })
+		b.Counted(op{E: l.expr(x.Count)}, func() { l.stmt(x.Body) })
 	case *verilog.Forever:
 		top := b.Label()
 		b.Tick()
@@ -404,23 +313,15 @@ func (l *lowering) stmt(st verilog.Stmt) {
 		b.Jump(top)
 	case *verilog.Assign:
 		lhs := s.lowerLHS(inst, x.LHS)
-		rhs := s.lower(inst, x.RHS)
-		l.read(rhs)
-		for i := range lhs {
-			if lhs[i].a != nil {
-				l.read(lhs[i].a)
-			}
-			if lhs[i].b != nil {
-				l.read(lhs[i].b)
-			}
+		for _, t := range lhs {
+			l.read(t.a, t.b)
 		}
-		b.Emit(sim.OpLeaf, opSlot{lhs: lhs, e: rhs, nba: !x.Blocking})
+		b.Emit(sim.OpLeaf, opSlot{lhs: lhs, e: l.expr(x.RHS), nba: !x.Blocking})
 	case *verilog.SysCall:
 		args := s.Exprs(len(x.Args))
 		for i, a := range x.Args {
-			if _, lit := a.(*verilog.StringLit); i > 0 || !lit {
-				args[i] = s.lower(inst, a)
-				l.read(args[i])
+			if _, text := a.(*verilog.StringLit); i > 0 || !text {
+				args[i] = l.expr(a)
 			}
 		}
 		b.Emit(sim.OpLeaf, opSlot{call: x, list: args})
@@ -440,7 +341,7 @@ func (l *lowering) stmt(st verilog.Stmt) {
 		w := b.Emit(sim.OpWaitUntil, opSlot{})
 		o := b.Op(w)
 		o.E, o.Fault = cond, "wait condition can never change"
-		o.Sens = s.AddSens(sim.Sens{E: cond, Edge: sim.Level})
+		o.Sens = s.AddSens(-1, sim.Level, cond)
 		l.quiet++
 		l.stmt(x.Body)
 		l.quiet--
@@ -463,46 +364,14 @@ func (p *proc) Exec(o *op) {
 		return
 	}
 	total := s.resolve(o.X.lhs)
-	val := s.Eval(o.X.e, total)
-	if o.X.nba {
-		// NBA updates apply later, as typed kernel records carrying
-		// their own copy of the resolved target bounds.
-		s.scheduleNBA(o.X.lhs, total, val)
-	} else {
-		s.applyTargets(o.X.lhs, total, val)
-	}
+	s.write(o.X.lhs, total, s.Eval(o.X.e, total), o.X.nba)
 }
 
-// Case takes the first item with a pattern matching the subject, else
-// the default item.
-func (p *proc) Case(o *op) int {
-	s, x := p.s, o.X.kase
-	subject := s.Eval(o.X.e, 0)
-	deflt := len(x.Items)
-	pats := o.X.list
-	for i := range x.Items {
-		n := len(x.Items[i].Exprs)
-		if n == 0 {
-			deflt = i
-		}
-		for _, pat := range pats[:n] {
-			if caseMatches(x.Kind, subject, s.Eval(pat, 0)) {
-				return i
-			}
-		}
-		pats = pats[n:]
-	}
-	return deflt
-}
+// caseKind matches case, casez and casex patterns (sim.Match).
+type caseKind verilog.CaseKind
 
-// Loop counts a repeat from 1; an unknown count runs no pass, and one
-// past int64 could not run out before the statement budget does.
-func (p *proc) Loop(o *op) (first, last int64, down bool) {
-	n, ok := p.s.Eval(o.E, 0).Uint()
-	if !ok {
-		return 1, 0, false
-	}
-	return 1, int64(min(n, math.MaxInt64)), false
+func (k caseKind) Match(r *sim.Runtime, subj hdl.Vector, _, pat *sim.Expr) bool {
+	return caseMatches(verilog.CaseKind(k), subj, r.Eval(pat, 0))
 }
 
 // caseMatches compares subject and pattern under case/casez/casex rules.

@@ -40,14 +40,13 @@ type Simulator struct {
 
 	// procs and prog hold the run's always and initial blocks: each
 	// one's process machine and the statement program it runs; lvals
-	// the lowered assignment targets. star and items are lowering
-	// scratch: the expressions an @* reads, and an event control's
-	// sensitivity items.
+	// the lowered assignment targets. star and lhs are lowering
+	// scratch: the expressions an @* reads, and one assignment's targets.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
 	lvals sim.Slab[lval]
 	star  []*sim.Expr
-	items []sim.Sens
+	lhs   []lval
 }
 
 // Simulate elaborates top from modules and runs it to completion, on
@@ -138,7 +137,7 @@ func (c *contAssignRT) schedule() {
 func (c *contAssignRT) update() {
 	defer c.s.Recover()
 	total := c.s.resolve(c.lhs)
-	c.s.applyTargets(c.lhs, total, c.s.Eval(c.rhs, total))
+	c.s.write(c.lhs, total, c.s.Eval(c.rhs, total), false)
 }
 
 // bindContAssign lowers a continuous assignment, watches every signal

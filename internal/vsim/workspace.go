@@ -64,6 +64,6 @@ func (s *Simulator) reset() {
 	s.lvals.Reset()
 	clear(s.star[:cap(s.star)])
 	s.star = s.star[:0]
-	clear(s.items[:cap(s.items)])
-	s.items = s.items[:0]
+	clear(s.lhs[:cap(s.lhs)])
+	s.lhs = s.lhs[:0]
 }
