@@ -66,10 +66,9 @@ const (
 	VIndex                    // bit A of *Ref, declared Hi:Lo
 	VIndexMem                 // word A of Mem, W bits
 	VIndexExpr                // bit B of A
-	VIndexBad                 // evaluate index A, then fault with Msg
 	VPart                     // bits A:B of *Ref, declared Hi:Lo
 	VPartConst                // bits A:B of V
-	VPartBad                  // evaluate bounds A and B, then fault with Msg when both are known
+	VSelectBad                // evaluate index A, or bounds A and B, then fault with Msg unless a bound is unknown
 	VTime                     // $time, zero-extended to the context
 	VRandom                   // $random, zero-extended to the context
 	VClog2                    // $clog2(A), zero-extended to the context
@@ -208,9 +207,6 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 			return hdl.XFill(1)
 		}
 		return hdl.Scalar(v.Bit(int(i)))
-	case VIndexBad:
-		r.index(e.A)
-		panic(Fault{Msg: e.Msg})
 	case VPart, HSlice:
 		m, l, ok := r.bounds(e.A, e.B)
 		if !ok {
@@ -238,8 +234,10 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 			m, l = l, m
 		}
 		return e.V.Slice(l, m-l+1)
-	case VPartBad:
-		if _, _, ok := r.bounds(e.A, e.B); !ok {
+	case VSelectBad:
+		if e.B == nil {
+			r.index(e.A)
+		} else if _, _, ok := r.bounds(e.A, e.B); !ok {
 			return hdl.XFill(1)
 		}
 		panic(Fault{Msg: e.Msg})
@@ -382,7 +380,7 @@ func (r *Runtime) width(e *Expr) int {
 	}
 	var w int
 	switch e.Op {
-	case VPart, VPartConst, VPartBad, XFault:
+	case VPart, VPartConst, VSelectBad, XFault:
 		w = r.partWidth(e)
 	case VReplicate:
 		n, ok := r.eval(e.A, 0).Uint()

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/hdl"
-)
+import "repro/internal/hdl"
 
 // NBARecord is one pending signal update in typed, pooled form: the
 // target (an opaque front-end signal pointer), the resolved write
@@ -46,12 +42,12 @@ type NBARecord struct {
 // loop that schedules an update on every pass (an always @* that reads
 // no signal, a VHDL process with no wait) would otherwise queue one
 // record per pass until the statement budget stops it, holding
-// millions at once; NBAPut cuts the run at this bound with a fault
-// instead. The largest region of any pinned run holds 400 records.
-const MaxNBA = 1 << 16
-
-// nbaFault is the fault NBAPut raises past MaxNBA.
-var nbaFault = fmt.Sprintf("more than %d updates queued in one delta cycle (zero-delay loop?)", MaxNBA)
+// millions at once; NBAPut cuts the run at this bound with nbaFault
+// instead. The largest region any test reaches holds 400 records.
+const (
+	MaxNBA   = 1 << 16
+	nbaFault = "more than 65536 updates queued in one delta cycle (zero-delay loop?)"
+)
 
 // NBAPut appends a zeroed update record to the nonblocking-assignment
 // region of the current time slot and returns it for the caller to

@@ -222,21 +222,11 @@ func (s *Simulator) messageText(parts []msgPart) string {
 
 // opSlot is the VHDL slot of an OpLeaf (see sim.Machine).
 type opSlot struct {
-	stmt  vhdl.Stmt // the statement
-	t     target    // an assignment's target
-	e     *sim.Expr // an assignment's value, an assertion's condition
+	node  any       // the statement, or the declaration initialized
+	t     target    // an assignment's or declaration's target
+	e     *sim.Expr // an assignment's value or initializer, an assertion's condition
 	after *sim.Expr // a signal assignment's delay, or nil
 	msg   []msgPart // a report's or assertion's message
-	decls []varInit // the first op of a process with declarations
-}
-
-// varInit initializes one variable or constant when its process starts.
-type varInit struct {
-	slot  *varSlot
-	def   hdl.Vector // a variable's value before its initializer
-	init  *sim.Expr  // the initializer, or a constant's value
-	isVar bool
-	fault string // a declaration that does not elaborate
 }
 
 type op = sim.Op[opSlot]
@@ -265,9 +255,7 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 	sens := s.lowerList(inst, ps.Sens)
 	b := &s.prog
 	b.Begin()
-	if len(ps.Decls) > 0 {
-		b.Emit(sim.OpLeaf, opSlot{decls: s.lowerDecls(inst, ps.Decls)})
-	}
+	s.lowerDecls(inst, ps.Decls)
 	top := b.Label()
 	s.lowerStmts(inst, ps.Body)
 	if len(s.Reads(sens...)) > 0 {
@@ -282,43 +270,32 @@ func (s *Simulator) bindProcess(bp *boundProcess) {
 }
 
 // lowerDecls binds a process's variables and constants, in order, each
-// initializer seeing the ones declared before it.
-func (s *Simulator) lowerDecls(inst *Instance, decls []vhdl.Decl) []varInit {
-	n := 0
-	for _, d := range decls {
-		switch vd := d.(type) {
-		case *vhdl.VarDecl:
-			n += len(vd.Names)
-		case *vhdl.ConstDecl:
-			n++
-		}
-	}
-	inits := s.inits.Alloc(n)[:0]
+// initializer seeing the ones declared before it, and lowers their
+// initializations, which run once, when the process starts.
+func (s *Simulator) lowerDecls(inst *Instance, decls []vhdl.Decl) {
 	for _, d := range decls {
 		switch vd := d.(type) {
 		case *vhdl.VarDecl:
 			for _, nm := range vd.Names {
-				in := varInit{slot: s.vars.Alloc(), isVar: true}
+				x := opSlot{node: vd, t: target{slot: s.vars.Alloc()}}
 				sp, err := inst.makeSigSpec("v", vd.Type, nil)
 				if err != nil {
-					in.fault = err.Error()
-				} else {
-					in.def, in.slot.isInt = sp.init, sp.kind == KindInt
+					x.t.msg = err.Error()
 				}
+				x.t.slot.val, x.t.slot.isInt = sp.init, sp.kind == KindInt
 				if vd.Init != nil {
-					in.init = s.lower(inst, vd.Init)
+					x.e = s.lower(inst, vd.Init)
 				}
-				inits = append(inits, in)
-				s.scope[nm] = in.slot
+				s.prog.Emit(sim.OpLeaf, x)
+				s.scope[nm] = x.t.slot
 			}
 		case *vhdl.ConstDecl:
-			in := varInit{slot: s.vars.Alloc(), init: s.lower(inst, vd.Value)}
-			in.slot.isInt = in.init.Signed
-			inits = append(inits, in)
-			s.scope[vd.Name] = in.slot
+			x := opSlot{node: vd, t: target{slot: s.vars.Alloc()}, e: s.lower(inst, vd.Value)}
+			x.t.slot.isInt = x.e.Signed
+			s.prog.Emit(sim.OpLeaf, x)
+			s.scope[vd.Name] = x.t.slot
 		}
 	}
-	return inits
 }
 
 func (s *Simulator) lowerStmts(inst *Instance, list []vhdl.Stmt) {
@@ -333,17 +310,17 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 	b.Tick()
 	switch x := st.(type) {
 	case *vhdl.SigAssign:
-		sl := opSlot{stmt: x, t: s.lowerTarget(inst, x.Target, false), e: s.lower(inst, x.Value)}
+		sl := opSlot{node: x, t: s.lowerTarget(inst, x.Target, false), e: s.lower(inst, x.Value)}
 		if x.AfterNs != nil {
 			sl.after = s.lower(inst, x.AfterNs)
 		}
 		b.Emit(sim.OpLeaf, sl)
 	case *vhdl.VarAssign:
-		b.Emit(sim.OpLeaf, opSlot{stmt: x, t: s.lowerTarget(inst, x.Target, true), e: s.lower(inst, x.Value)})
+		b.Emit(sim.OpLeaf, opSlot{node: x, t: s.lowerTarget(inst, x.Target, true), e: s.lower(inst, x.Value)})
 	case *vhdl.AssertStmt:
-		b.Emit(sim.OpLeaf, opSlot{stmt: x, e: s.lower(inst, x.Cond), msg: s.lowerMessage(inst, x.Report)})
+		b.Emit(sim.OpLeaf, opSlot{node: x, e: s.lower(inst, x.Cond), msg: s.lowerMessage(inst, x.Report)})
 	case *vhdl.ReportStmt:
-		b.Emit(sim.OpLeaf, opSlot{stmt: x, msg: s.lowerMessage(inst, x.Message)})
+		b.Emit(sim.OpLeaf, opSlot{node: x, msg: s.lowerMessage(inst, x.Message)})
 	case *vhdl.IfStmt:
 		end := -1
 		for i, br := range x.Branches {
@@ -384,7 +361,7 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 			skip = b.If(s.lower(inst, x.When))
 		}
 		if !b.Exit() {
-			b.Emit(sim.OpLeaf, opSlot{stmt: x}) // faults when executed
+			b.Emit(sim.OpLeaf, opSlot{node: x}) // faults when executed
 		}
 		b.Resolve(skip, b.Label())
 	case *vhdl.WaitStmt:
@@ -411,27 +388,17 @@ func (s *Simulator) lowerStmt(inst *Instance, st vhdl.Stmt) {
 	}
 }
 
-// Exec runs a leaf statement, or, for the statement-less first op,
-// initializes the process variables: variables persist across runs.
+// Exec runs a leaf statement or initializes a declared variable or
+// constant: variables persist across runs.
 func (p *proc) Exec(o *op) {
 	s := p.s
-	switch x := o.X.stmt.(type) {
-	case nil:
-		for i := range o.X.decls {
-			in := &o.X.decls[i]
-			if in.fault != "" {
-				panic(sim.Fault{Msg: in.fault})
-			}
-			if !in.isVar {
-				in.slot.val = s.Eval(in.init, 0)
-				continue
-			}
-			in.slot.val = in.def
-			if in.init != nil {
-				w := in.def.Width()
-				in.slot.val = s.Eval(in.init, w).Resize(w)
-			}
+	switch x := o.X.node.(type) {
+	case *vhdl.VarDecl:
+		if o.X.e != nil || o.X.t.msg != "" {
+			s.assignVar(&o.X.t, o.X.e)
 		}
+	case *vhdl.ConstDecl:
+		o.X.t.slot.val = s.Eval(o.X.e, 0)
 	case *vhdl.SigAssign:
 		s.assignSignal(&o.X.t, o.X.e, o.X.after)
 	case *vhdl.VarAssign:

@@ -30,15 +30,14 @@ type Simulator struct {
 	updFull func(*sim.NBARecord)
 	updPart func(*sim.NBARecord)
 
-	// procs, prog, vars, inits and msgs hold the run's processes: each
-	// one's process machine and the statement program it runs, their
-	// variables and initializers, and their lowered messages. scope and
+	// procs, prog, vars and msgs hold the run's processes: each one's
+	// process machine and the statement program it runs, their
+	// variables, and their lowered messages. scope and
 	// parts are lowering scratch: the variables in scope by name, and
 	// one message's parts.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
 	vars  sim.Arena[varSlot]
-	inits sim.Slab[varInit]
 	msgs  sim.Slab[msgPart]
 	scope map[string]*varSlot
 	parts []msgPart

@@ -61,7 +61,6 @@ func (s *Simulator) reset() {
 	s.procs.Reset()
 	s.prog.Reset()
 	s.vars.Reset()
-	s.inits.Reset()
 	s.msgs.Reset()
 	clear(s.scope)
 	clear(s.parts[:cap(s.parts)])

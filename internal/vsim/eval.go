@@ -309,7 +309,7 @@ func (s *Simulator) lowerSelect(inst *Instance, e verilog.Expr) *sim.Expr {
 	case !named:
 		n.Op, n.A, n.B = sim.VIndexExpr, s.lower(inst, base), n.A
 	case isSig && sig.IsMem && part:
-		n.Op, n.Msg = sim.VPartBad, sim.Faultf("part select on memory %q", id.Name).Msg
+		n.Op, n.Msg = sim.VSelectBad, sim.Faultf("part select on memory %q", id.Name).Msg
 	case isSig && sig.IsMem:
 		n.Op, n.W, n.Mem = sim.VIndexMem, sig.Width, sig
 	case isSig:
@@ -320,10 +320,7 @@ func (s *Simulator) lowerSelect(inst *Instance, e verilog.Expr) *sim.Expr {
 		n.V, n.Own = param, true
 		n.Ref = &n.V
 	default:
-		n.Op, n.Msg = sim.VIndexBad, sim.Faultf("reference to undeclared identifier %q", id.Name).Msg
-		if part {
-			n.Op = sim.VPartBad
-		}
+		n.Op, n.Msg = sim.VSelectBad, sim.Faultf("reference to undeclared identifier %q", id.Name).Msg
 	}
 	if isSig {
 		n.Watch = &sig.watch

@@ -188,41 +188,29 @@ type proc struct {
 	inst *Instance
 }
 
-// lowering lowers one process body into the simulator's program
-// builder. Every expression an @* expands from is kept in star as it is
-// lowered, except inside a wait (cond) statement, which @* does not
-// read.
-type lowering struct {
-	s     *Simulator
-	inst  *Instance
-	b     *sim.Builder[opSlot]
-	quiet int // nesting depth of wait (cond) statements
-}
+// A process body lowers in the scope of inst. Every expression an @*
+// expands from is kept in star as it is lowered, except inside a wait
+// (cond) statement (quiet), which @* does not read.
 
 // expr lowers e, which an enclosing @* reads.
-func (l *lowering) expr(e verilog.Expr) *sim.Expr {
-	n := l.s.lower(l.inst, e)
-	l.read(n)
+func (s *Simulator) expr(e verilog.Expr) *sim.Expr {
+	n := s.lower(s.inst, e)
+	s.read(n)
 	return n
 }
 
 // list lowers es, which an enclosing @* reads; nil for none.
-func (l *lowering) list(es []verilog.Expr) []*sim.Expr {
-	if es == nil {
-		return nil
-	}
-	out := l.s.Exprs(len(es))
-	for i, e := range es {
-		out[i] = l.expr(e)
-	}
+func (s *Simulator) list(es []verilog.Expr) []*sim.Expr {
+	out := s.lowerList(s.inst, es)
+	s.read(out...)
 	return out
 }
 
 // read keeps es, but for nils, as expressions an enclosing @* reads.
-func (l *lowering) read(es ...*sim.Expr) {
+func (s *Simulator) read(es ...*sim.Expr) {
 	for _, e := range es {
-		if e != nil && l.quiet == 0 {
-			l.s.star = append(l.s.star, e)
+		if e != nil && s.quiet == 0 {
+			s.star = append(s.star, e)
 		}
 	}
 }
@@ -235,23 +223,22 @@ func (s *Simulator) bindProcess(inst *Instance, name string, body verilog.Stmt, 
 	p := s.procs.Alloc()
 	p.s, p.inst = s, inst
 	p.Start(&s.Runtime, name, p)
-	l := lowering{s: s, inst: inst, b: &s.prog}
-	b := l.b
+	b := &s.prog
 	b.Begin()
-	s.star = s.star[:0]
+	s.inst, s.star = inst, s.star[:0]
 	switch {
 	case !always:
-		l.stmt(body)
+		s.stmt(body)
 		b.Emit(sim.OpHalt, opSlot{})
 	case sens == nil:
 		top := b.Label()
 		b.Tick()
-		l.stmt(body)
+		s.stmt(body)
 		b.Jump(top)
 	default:
 		b.Op(b.Emit(sim.OpWait, opSlot{})).Next = 0
-		l.stmt(body)
-		b.Op(0).Sens = l.sens(sens, 0)
+		s.stmt(body)
+		b.Op(0).Sens = s.sens(sens, 0)
 		b.Jump(0)
 	}
 	p.SetProgram(b.End())
@@ -260,81 +247,80 @@ func (s *Simulator) bindProcess(inst *Instance, name string, body verilog.Stmt, 
 // sens records an event control's sensitivity items: @* expands to a
 // level item for every expression its statement reads (those kept in
 // star since from), an explicit list to one item per entry.
-func (l *lowering) sens(sl *verilog.SensList, from int) [2]int32 {
-	s := l.s
+func (s *Simulator) sens(sl *verilog.SensList, from int) [2]int32 {
 	if sl.Star {
 		return s.AddSens(-1, sim.Level, s.star[from:]...)
 	}
 	items := s.AddSens(-1, sim.Level)
 	for _, it := range sl.Items {
-		items = s.AddSens(items[0], edges[it.Edge], s.lower(l.inst, it.Sig))
+		items = s.AddSens(items[0], edges[it.Edge], s.lower(s.inst, it.Sig))
 	}
 	return items
 }
 
 // stmt lowers one statement, which charges a step when it starts.
-func (l *lowering) stmt(st verilog.Stmt) {
-	s, inst, b := l.s, l.inst, l.b
+func (s *Simulator) stmt(st verilog.Stmt) {
+	inst, b := s.inst, &s.prog
 	b.Tick()
 	switch x := st.(type) {
 	case *verilog.Block:
 		for _, inner := range x.Stmts {
-			l.stmt(inner)
+			s.stmt(inner)
 		}
 	case *verilog.If:
-		test := b.If(l.expr(x.Cond))
-		l.stmt(x.Then)
+		test := b.If(s.expr(x.Cond))
+		s.stmt(x.Then)
 		if x.Else != nil {
 			end := b.Jump(-1)
 			b.Resolve(test, b.Label())
-			l.stmt(x.Else)
+			s.stmt(x.Else)
 			test = end
 		}
 		b.Resolve(test, b.Label())
 	case *verilog.Case:
-		b.Case(l.expr(x.Expr), caseKind(x.Kind), len(x.Items), func(i int) []*sim.Expr {
-			l.stmt(x.Items[i].Body)
-			return l.list(x.Items[i].Exprs)
+		b.Case(s.expr(x.Expr), caseKind(x.Kind), len(x.Items), func(i int) []*sim.Expr {
+			s.stmt(x.Items[i].Body)
+			return s.list(x.Items[i].Exprs)
 		})
 	case *verilog.For:
-		l.stmt(x.Init)
-		b.While(l.expr(x.Cond), func() {
-			l.stmt(x.Body)
-			l.stmt(x.Step)
+		s.stmt(x.Init)
+		b.While(s.expr(x.Cond), func() {
+			s.stmt(x.Body)
+			s.stmt(x.Step)
 		})
 	case *verilog.While:
-		b.While(l.expr(x.Cond), func() { l.stmt(x.Body) })
+		b.While(s.expr(x.Cond), func() { s.stmt(x.Body) })
 	case *verilog.Repeat:
-		b.Counted(op{E: l.expr(x.Count)}, func() { l.stmt(x.Body) })
+		b.Counted(op{E: s.expr(x.Count)}, func() { s.stmt(x.Body) })
 	case *verilog.Forever:
 		top := b.Label()
 		b.Tick()
-		l.stmt(x.Body)
+		s.stmt(x.Body)
 		b.Jump(top)
 	case *verilog.Assign:
 		lhs := s.lowerLHS(inst, x.LHS)
 		for _, t := range lhs {
-			l.read(t.a, t.b)
+			s.read(t.a, t.b)
 		}
-		b.Emit(sim.OpLeaf, opSlot{lhs: lhs, e: l.expr(x.RHS), nba: !x.Blocking})
+		b.Emit(sim.OpLeaf, opSlot{lhs: lhs, e: s.expr(x.RHS), nba: !x.Blocking})
 	case *verilog.SysCall:
 		args := s.Exprs(len(x.Args))
 		for i, a := range x.Args {
 			if _, text := a.(*verilog.StringLit); i > 0 || !text {
-				args[i] = l.expr(a)
+				args[i] = s.expr(a)
 			}
 		}
 		b.Emit(sim.OpLeaf, opSlot{call: x, list: args})
 	case *verilog.DelayStmt:
 		d := b.Emit(sim.OpDelay, opSlot{})
 		b.Op(d).E, b.Op(d).Fault = s.lower(inst, x.Amount), "delay amount is unknown"
-		l.guarded(x.Body)
+		s.guarded(x.Body)
 	case *verilog.EventWait:
 		w := b.Emit(sim.OpWait, opSlot{})
 		b.Op(w).Next = int32(w)
 		from := len(s.star)
-		l.guarded(x.Body)
-		b.Op(w).Sens = l.sens(x.Sens, from)
+		s.guarded(x.Body)
+		b.Op(w).Sens = s.sens(x.Sens, from)
 	case *verilog.WaitStmt:
 		b.Label() // resumes test the condition again
 		cond := s.lower(inst, x.Cond)
@@ -342,17 +328,17 @@ func (l *lowering) stmt(st verilog.Stmt) {
 		o := b.Op(w)
 		o.E, o.Fault = cond, "wait condition can never change"
 		o.Sens = s.AddSens(-1, sim.Level, cond)
-		l.quiet++
-		l.stmt(x.Body)
-		l.quiet--
+		s.quiet++
+		s.stmt(x.Body)
+		s.quiet--
 	}
 }
 
 // guarded lowers the statement a delay or event control guards; a bare
 // `#d;` or `@(...);` guards nothing, not even a step.
-func (l *lowering) guarded(st verilog.Stmt) {
+func (s *Simulator) guarded(st verilog.Stmt) {
 	if _, null := st.(*verilog.Null); st != nil && !null {
-		l.stmt(st)
+		s.stmt(st)
 	}
 }
 

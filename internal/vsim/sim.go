@@ -40,11 +40,13 @@ type Simulator struct {
 
 	// procs and prog hold the run's always and initial blocks: each
 	// one's process machine and the statement program it runs; lvals
-	// the lowered assignment targets. star and lhs are lowering
-	// scratch: the expressions an @* reads, and one assignment's targets.
+	// the lowered assignment targets. inst, quiet, star and lhs are
+	// lowering scratch (see read) and one assignment's targets.
 	procs sim.Arena[proc]
 	prog  sim.Builder[opSlot]
 	lvals sim.Slab[lval]
+	inst  *Instance
+	quiet int
 	star  []*sim.Expr
 	lhs   []lval
 }

@@ -62,6 +62,7 @@ func (s *Simulator) reset() {
 	s.procs.Reset()
 	s.prog.Reset()
 	s.lvals.Reset()
+	s.inst = nil
 	clear(s.star[:cap(s.star)])
 	s.star = s.star[:0]
 	clear(s.lhs[:cap(s.lhs)])
