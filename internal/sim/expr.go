@@ -253,7 +253,7 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 			return widen(hdl.XFill(32), ctx)
 		}
 		c := 0
-		for (uint64(1) << c) < n {
+		for c < 64 && uint64(1)<<c < n {
 			c++
 		}
 		return widen(hdl.FromUint(uint64(c), 32), ctx)

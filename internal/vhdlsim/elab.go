@@ -1,9 +1,11 @@
-// Package vhdlsim elaborates a parsed VHDL design and interprets it on
-// the shared event kernel. VHDL semantics differ from Verilog in ways
-// this interpreter models faithfully for the supported subset: every
-// process runs once at time zero; signal assignments always take effect
-// in the next delta (or after an explicit `after` delay); variables
-// update immediately and persist across process activations.
+// Package vhdlsim elaborates a parsed VHDL design and lowers its
+// processes, concurrent assignments and port associations, once per
+// run, into the process programs and expression form internal/sim runs
+// on the shared event kernel. VHDL semantics differ from Verilog in
+// ways the lowering keeps for the supported subset: every process runs
+// once at time zero; signal assignments always take effect in the next
+// delta (or after an explicit `after` delay); variables update
+// immediately and persist across process activations.
 package vhdlsim
 
 import (

@@ -1,8 +1,9 @@
 // Package vsim elaborates a parsed Verilog design into a signal/process
-// network and interprets it on the sim kernel. It supports the
-// synthesisable subset produced by package bench plus the testbench
-// constructs (initial blocks, delays, event controls, system tasks)
-// needed for self-checking simulation.
+// network and lowers its processes and continuous assignments, once per
+// run, into the process programs and expression form internal/sim runs
+// on the sim kernel. It supports the synthesisable subset produced by
+// package bench plus the testbench constructs (initial blocks, delays,
+// event controls, system tasks) needed for self-checking simulation.
 package vsim
 
 import (

@@ -109,6 +109,21 @@ endmodule`)
 	}
 }
 
+// TestSimClog2Wide pins $clog2 of values at and past 2^63, whose search
+// for the next power of two once shifted past 64 bits and never ended.
+func TestSimClog2Wide(t *testing.T) {
+	res := run(t, "tb", `
+module tb;
+  initial begin
+    $display("%0d %0d %0d", $clog2(64'h8000000000000000), $clog2(64'h8000000000000001), $clog2(64'hffffffffffffffff));
+    $finish;
+  end
+endmodule`)
+	if !strings.HasPrefix(res.Log, "63 64 64\n") {
+		t.Errorf("log:\n%s", res.Log)
+	}
+}
+
 func TestSimCasexWildcards(t *testing.T) {
 	res := run(t, "tb", `
 module tb;

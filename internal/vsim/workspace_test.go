@@ -261,7 +261,7 @@ func TestWorkspaceResetKeepsNoRun(t *testing.T) {
 // most recycledRunAllocs allocations outright, so the per-run setup of
 // processes and wait sites cannot grow back unnoticed.
 func TestWorkspaceRecycledRunAllocs(t *testing.T) {
-	const recycledRunAllocs = 46
+	const recycledRunAllocs = 33
 	mods := mustParse(t, counterSrc)
 	run := func(w *workspace) {
 		if res, err := w.simulate(mods, "tb", Options{}); err != nil || !res.Finished {
