@@ -19,8 +19,8 @@
 // starts. Every always block, initial block and VHDL process becomes a
 // flat program of Ops (machine.go) that one Machine runs: leaves,
 // jumps, case dispatch, counted loops, delays and waits, with only the
-// leaf statements, case matching and loop bounds left to the
-// front-end's hooks. Every run-time expression becomes an Expr tree
+// leaf statements (Hooks) and case matching (Match) left to the
+// front-end. Every run-time expression becomes an Expr tree
 // (expr.go): names bound to the value they read, operators to their hdl
 // functions, Verilog nodes sized and typed and VHDL nodes tagged
 // integer or not. Runtime.Eval evaluates it with no name lookup;
@@ -68,12 +68,7 @@
 // rising clk edge and one time unit, and compares every output
 // case-equal, charging the statement budget what the textual
 // statements would cost, so the run keeps the textual testbench's
-// timeline event for event.
-//
-// The kernel knows nothing about HDL syntax. Front-ends elaborate
-// their ASTs into nets, processes and sensitivities; the kernel owns
-// time, the event queues and value propagation (4-state logic from
-// internal/hdl). Testbench constructs ($display-style checks, $finish)
-// surface as log lines and stop conditions that internal/edatool
-// shapes into tool-flavoured output.
+// timeline event for event. Testbench constructs ($display-style
+// checks, $finish) surface as log lines and stop conditions that
+// internal/edatool shapes into tool-flavoured output.
 package sim

@@ -1,6 +1,8 @@
 package vsim
 
 import (
+	"cmp"
+
 	"repro/internal/hdl"
 	"repro/internal/lex"
 	"repro/internal/sim"
@@ -120,7 +122,7 @@ var signedFns = map[string]func(l, r hdl.Vector) hdl.Vector{
 	">=": func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 0, 1) },
 }
 
-// compareInts reports, as a bit, whether the sign of l-r, as
+// compareInts reports, as a bit, whether cmp.Compare of l and r, as
 // two's-complement numbers, lies in [lo, hi]; X when either is unknown.
 func compareInts(l, r hdl.Vector, lo, hi int) hdl.Vector {
 	li, ok1 := l.Int()
@@ -128,12 +130,7 @@ func compareInts(l, r hdl.Vector, lo, hi int) hdl.Vector {
 	if !ok1 || !ok2 {
 		return hdl.Scalar(hdl.LX)
 	}
-	c := 0
-	if li < ri {
-		c = -1
-	} else if li > ri {
-		c = 1
-	}
+	c := cmp.Compare(li, ri)
 	return hdl.FromBool(lo <= c && c <= hi)
 }
 

@@ -360,26 +360,16 @@ func (k caseKind) Match(r *sim.Runtime, subj hdl.Vector, _, pat *sim.Expr) bool 
 	return caseMatches(verilog.CaseKind(k), subj, r.Eval(pat, 0))
 }
 
-// caseMatches compares subject and pattern under case/casez/casex rules.
+// caseMatches compares subject and pattern under case/casez/casex
+// rules: casez ignores Z bits on either side, casex X and Z bits.
 func caseMatches(kind verilog.CaseKind, subject, pat hdl.Vector) bool {
-	w := subject.Width()
-	if pat.Width() > w {
-		w = pat.Width()
-	}
+	w := max(subject.Width(), pat.Width())
 	sv, pv := subject.Resize(w), pat.Resize(w)
-	for i := 0; i < w; i++ {
+	for i := range w {
 		sb, pb := sv.Bit(i), pv.Bit(i)
-		switch kind {
-		case verilog.CaseZ:
-			if sb == hdl.LZ || pb == hdl.LZ {
-				continue
-			}
-		case verilog.CaseX:
-			if sb == hdl.LZ || pb == hdl.LZ || sb == hdl.LX || pb == hdl.LX {
-				continue
-			}
-		}
-		if sb != pb {
+		wild := kind != verilog.CaseExact && (sb == hdl.LZ || pb == hdl.LZ) ||
+			kind == verilog.CaseX && (sb == hdl.LX || pb == hdl.LX)
+		if !wild && sb != pb {
 			return false
 		}
 	}

@@ -150,10 +150,11 @@ func (s *Simulator) bindContAssign(a *boundAssign) {
 		rt.pending = false
 		rt.update()
 	}
+	schedule := rt.schedule
 	for _, l := range s.Reads(rt.rhs) {
-		l.Watch(rt.schedule)
+		l.Watch(schedule)
 	}
-	rt.schedule()
+	schedule()
 }
 
 // ---------------------------------------------------------------- tasks
