@@ -37,7 +37,8 @@ func edgeMatch(old, nv hdl.Logic, edge Edge) bool {
 }
 
 // Sampler samples the bit whose edges the watchers of a registration's
-// sensitivity item fire on (vsim: bit 0 of the item's expression).
+// sensitivity item fire on: the Runtime samples bit 0 of a lowered
+// sensitivity item, vsim's stimulus shell its clock.
 type Sampler interface {
 	Sample(item int) hdl.Logic
 }
