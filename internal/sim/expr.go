@@ -21,15 +21,15 @@ type Expr struct {
 	Signed bool // Verilog: signed under IEEE 1364 typing; VHDL: integer-typed
 	Dyn    bool // Verilog: the natural width depends on run-time values
 	Const  bool // Verilog: literals and parameters under pure operators only
-	W      int  // Verilog: the natural width, when not Dyn
+	Own    bool // a select declared by its value's own width (a VHDL variable's), not Hi and Lo
+	gen    uint32
+	W      int // Verilog: the natural width, when not Dyn
 
 	A, B, C *Expr   // operands, in source order
 	Args    []*Expr // a concatenation's parts; read-set-only operands of a fault
 
-	V      hdl.Vector  // a constant, or a constant select base
 	Ref    *hdl.Vector // the value a load or select reads
 	Hi, Lo int         // a select's declared left (MSB) and right bounds
-	Own    bool        // a select declared by its value's own width (a VHDL variable's), not Hi and Lo
 
 	Fn1 func(hdl.Vector) hdl.Vector
 	Fn2 func(l, r hdl.Vector) hdl.Vector
@@ -40,8 +40,7 @@ type Expr struct {
 	Stamp *uint64                              // and its change stamp (Kernel.ObserverSerial)
 	Msg   string                               // the fault text
 
-	gen  uint32 // the evaluation dynW was taken in
-	dynW int
+	dynW int // the Dyn width taken in evaluation gen
 }
 
 // ExprOp is what a node computes. X ops are shared, V ops follow
@@ -49,10 +48,8 @@ type Expr struct {
 type ExprOp uint8
 
 const (
-	XConst      ExprOp = iota // V
-	XLoad                     // *Ref
+	XLoad       ExprOp = iota // *Ref: a signal's, a variable's or a constant value
 	XFault                    // fault with Msg (a Dyn one is a part-select of a non-name)
-	VConst                    // V, zero-extended to the context
 	VLoad                     // *Ref, zero-extended to the context
 	VUnaryCtx                 // Fn1 of A sized to max(ctx, W(A))
 	VUnary                    // Fn1 of A self-determined
@@ -67,7 +64,7 @@ const (
 	VIndexMem                 // word A of Mem, W bits
 	VIndexExpr                // bit B of A
 	VPart                     // bits A:B of *Ref, declared Hi:Lo
-	VPartConst                // bits A:B of V
+	VPartConst                // bits A:B of *Ref, a constant
 	VSelectBad                // evaluate index A, or bounds A and B, then fault with Msg unless a bound is unknown
 	VTime                     // $time, zero-extended to the context
 	VRandom                   // $random, zero-extended to the context
@@ -126,12 +123,8 @@ func widen(v hdl.Vector, ctx int) hdl.Vector {
 
 func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 	switch e.Op {
-	case XConst:
-		return e.V
 	case XLoad:
 		return *e.Ref
-	case VConst:
-		return widen(e.V, ctx)
 	case VLoad:
 		return widen(*e.Ref, ctx)
 	case VUnaryCtx:
@@ -233,7 +226,7 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 		if l > m {
 			m, l = l, m
 		}
-		return e.V.Slice(l, m-l+1)
+		return e.Ref.Slice(l, m-l+1)
 	case VSelectBad:
 		if e.B == nil {
 			r.index(e.A)
@@ -505,6 +498,14 @@ func (r *Runtime) appendReads(e *Expr) {
 	for _, a := range e.Args {
 		r.appendReads(a)
 	}
+}
+
+// Const returns a pointer to a copy of constant v, for a node's Ref,
+// from storage Reset keeps.
+func (r *Runtime) Const(v hdl.Vector) *hdl.Vector {
+	c := r.consts.Alloc()
+	*c = v
+	return c
 }
 
 // NewExpr returns a zero node with op op, from storage Reset keeps.

@@ -86,9 +86,11 @@ type Runtime struct {
 	waits Arena[WaitReg] // the wait registrations of the run's Machines
 	stim  stimulusRun    // the stimulus harness process (StartStimulus)
 
-	// The run's lowered expressions (expr.go): their nodes and lists,
-	// the wait sites' sensitivity items, and the evaluator's state.
+	// The run's lowered expressions (expr.go): their nodes, constants
+	// and lists, the wait sites' sensitivity items, and the evaluator's
+	// state.
 	exprs    Arena[Expr]
+	consts   Arena[hdl.Vector]
 	lists    Slab[*Expr]
 	sens     []sensItem
 	parts    []hdl.Vector // a concatenation's evaluated parts
@@ -139,6 +141,7 @@ func (r *Runtime) Reset() {
 	r.waits.Reset()
 	r.stim = stimulusRun{}
 	r.exprs.Reset()
+	r.consts.Reset()
 	r.lists.Reset()
 	clear(r.sens)
 	r.sens = r.sens[:0]

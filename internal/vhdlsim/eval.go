@@ -35,8 +35,8 @@ func (s *Simulator) lower(inst *Instance, e vhdl.Expr) *sim.Expr {
 		return n
 	}
 	konst := func(v hdl.Vector, isInt bool) *sim.Expr {
-		n := node(sim.XConst)
-		n.V, n.Signed = v, isInt
+		n := node(sim.XLoad)
+		n.Ref, n.Signed = rt.Const(v), isInt
 		return n
 	}
 	switch x := e.(type) {
@@ -121,8 +121,7 @@ func (s *Simulator) bind(inst *Instance, n *sim.Expr, name string) bool {
 		return true
 	}
 	if v, ok := inst.Generics[name]; ok {
-		n.V, n.Signed, n.Hi, n.Lo = v, v.Width() == 32, v.Width()-1, 0
-		n.Ref = &n.V
+		n.Ref, n.Signed, n.Hi, n.Lo = s.Const(v), v.Width() == 32, v.Width()-1, 0
 		return true
 	}
 	return false
@@ -225,7 +224,7 @@ func (s *Simulator) lowerCall(inst *Instance, x *vhdl.CallOrIndex) *sim.Expr {
 		if x.Name == "falling_edge" {
 			n.Op = sim.HFall
 		}
-		n.A = s.NewExpr(sim.XConst)
+		n.A = s.NewExpr(sim.XLoad)
 		n.A.Watch = &sig.watch
 	case "to_unsigned", "to_signed", "conv_std_logic_vector", "resize":
 		n.Op, n.A, n.B, n.Msg = sim.HResize, s.lower(inst, x.Args[0]), s.lower(inst, x.Args[1]), "bad width in "+x.Name

@@ -151,12 +151,14 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 	}
 	switch x := e.(type) {
 	case *verilog.Number:
-		n := node(sim.VConst, x.Value.Width())
-		n.V, n.Signed, n.Const = x.Value, x.Signed, true
+		// Safe to share the AST literal's storage: Vectors are
+		// immutable by convention once published (see hdl.Vector.SetBit).
+		n := node(sim.VLoad, x.Value.Width())
+		n.Ref, n.Signed, n.Const = &x.Value, x.Signed, true
 		return n
 	case *verilog.StringLit:
-		n := node(sim.XConst, max(8*len(x.Value), 8))
-		n.V, n.Const = packString(x.Value), true
+		n := node(sim.XLoad, max(8*len(x.Value), 8))
+		n.Ref, n.Const = rt.Const(packString(x.Value)), true
 		return n
 	case *verilog.Ident:
 		if sig, ok := inst.Signals[x.Name]; ok {
@@ -170,8 +172,8 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 			return n
 		}
 		if v, ok := inst.Params[x.Name]; ok {
-			n := node(sim.VConst, v.Width())
-			n.V, n.Const = v, true
+			n := node(sim.VLoad, v.Width())
+			n.Ref, n.Const = rt.Const(v), true
 			return n
 		}
 		return fault(1, "reference to undeclared identifier %q", x.Name)
@@ -312,10 +314,9 @@ func (s *Simulator) lowerSelect(inst *Instance, e verilog.Expr) *sim.Expr {
 	case isSig:
 		n.Ref, n.Hi, n.Lo = &sig.Val, sig.MSB, sig.LSB
 	case isParam && part:
-		n.Op, n.V = sim.VPartConst, param
+		n.Op, n.Ref = sim.VPartConst, s.Const(param)
 	case isParam:
-		n.V, n.Own = param, true
-		n.Ref = &n.V
+		n.Ref, n.Own = s.Const(param), true
 	default:
 		n.Op, n.Msg = sim.VSelectBad, sim.Faultf("reference to undeclared identifier %q", id.Name).Msg
 	}
