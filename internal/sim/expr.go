@@ -67,7 +67,7 @@ const (
 	VPartConst                // bits A:B of *Ref, a constant
 	VSelectBad                // evaluate index A, or bounds A and B, then fault with Msg unless a bound is unknown
 	VTime                     // $time, zero-extended to the context
-	VRandom                   // $random, zero-extended to the context
+	VRandom                   // $random (Signed) or $urandom, zero-extended to the context
 	VClog2                    // $clog2(A), zero-extended to the context
 	VSigned                   // A self-determined, sign-extended to the context
 	VUnsigned                 // A self-determined, zero-extended to the context

@@ -113,13 +113,45 @@ var binaryFns = map[string]func(l, r hdl.Vector) hdl.Vector{
 	"<<": hdl.Vector.Shl, "<<<": hdl.Vector.Shl, ">>": hdl.Vector.Shr, ">>>": hdl.Vector.AShr,
 }
 
-// signedFns are the relational operators over two signed operands:
-// two's-complement comparisons.
+// signedFns are the relational and division operators over two signed
+// operands: two's-complement comparisons, and division and remainder
+// truncating toward zero (the remainder takes the dividend's sign).
 var signedFns = map[string]func(l, r hdl.Vector) hdl.Vector{
 	"<":  func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, -1) },
 	"<=": func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, -1, 0) },
 	">":  func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 1, 1) },
 	">=": func(l, r hdl.Vector) hdl.Vector { return compareInts(l, r, 0, 1) },
+	"/":  func(l, r hdl.Vector) hdl.Vector { return divInts(l, r, false) },
+	"%":  func(l, r hdl.Vector) hdl.Vector { return divInts(l, r, true) },
+}
+
+// divInts divides l by r as two's-complement numbers at their common
+// width: the unsigned quotient or remainder of their magnitudes, given
+// a sign as truncation toward zero does. A quotient is negative when
+// the signs differ; a remainder takes the dividend's sign. An unknown
+// operand or a zero divisor yields all-X, as unsigned division does.
+func divInts(l, r hdl.Vector, rem bool) hdl.Vector {
+	w := max(l.Width(), r.Width())
+	l, r = l.SignExtend(w), r.SignExtend(w)
+	ln, rn := l.Bit(w-1) == hdl.L1, r.Bit(w-1) == hdl.L1
+	if ln {
+		l = l.Neg()
+	}
+	if rn {
+		r = r.Neg()
+	}
+	if rem {
+		v := l.Mod(r)
+		if ln {
+			v = v.Neg()
+		}
+		return v
+	}
+	v := l.Div(r)
+	if ln != rn {
+		v = v.Neg()
+	}
+	return v
 }
 
 // compareInts reports, as a bit, whether cmp.Compare of l and r, as
@@ -210,6 +242,9 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 		case "+", "-", "*", "/", "%", "**":
 			n.Signed = a.Signed && b.Signed
 		}
+		if n.Signed && (x.Op == "/" || x.Op == "%") {
+			n.Fn2 = signedFns[x.Op]
+		}
 		return n
 	case *verilog.Ternary:
 		c, t, f := s.lower(inst, x.Cond), s.lower(inst, x.Then), s.lower(inst, x.Else)
@@ -248,6 +283,7 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 			n = node(sim.VTime, 64)
 		case "$random", "$urandom":
 			n = node(sim.VRandom, 32)
+			n.Signed = x.Name == "$random"
 		case "$clog2":
 			if len(x.Args) != 1 {
 				n = fault(32, "$clog2 expects 1 argument")

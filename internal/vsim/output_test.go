@@ -1,6 +1,8 @@
 package vsim
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -148,5 +150,39 @@ endmodule`)
 	want := "-5 -3 253\n-5 -3 253\n-2\n"
 	if !strings.HasPrefix(res.Log, want) {
 		t.Errorf("log = %q, want it to start %q", res.Log, want)
+	}
+}
+
+// TestRandomSigned: $random is a signed 32-bit integer (IEEE 1364
+// §17.9.1) and $urandom an unsigned one. So $random % 16 lies in
+// -15..15 and takes negative values, %0d prints negative draws, and
+// $urandom draws print in 0..2^32-1.
+func TestRandomSigned(t *testing.T) {
+	res, err := Simulate(parseTestDesign(t, `
+module tb;
+  integer k;
+  initial for (k = 0; k < 64; k = k + 1) $display("%0d %0d %0d", $random % 16, $random, $urandom);
+endmodule`), "tb", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var negMod, negDraw int
+	for _, line := range strings.Split(strings.TrimSpace(res.Log), "\n") {
+		var m, r, u int64
+		if _, err := fmt.Sscan(line, &m, &r, &u); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if m < -15 || m > 15 || r < math.MinInt32 || r > math.MaxInt32 || u < 0 || u > math.MaxUint32 {
+			t.Errorf("line %q: a draw is out of range", line)
+		}
+		if m < 0 {
+			negMod++
+		}
+		if r < 0 {
+			negDraw++
+		}
+	}
+	if negMod == 0 || negDraw == 0 {
+		t.Errorf("64 draws: %d negative $random %% 16, %d negative $random; want some of each:\n%s", negMod, negDraw, res.Log)
 	}
 }
