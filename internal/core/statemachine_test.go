@@ -471,3 +471,69 @@ func TestFingerprintStable(t *testing.T) {
 		t.Errorf("Fingerprint = %q, want %q", got, want)
 	}
 }
+
+// TestResumeSiteIndexSnapshotStartsFresh: a checkpoint whose session
+// snapshot is in the older site-index form (each defect named by its
+// index in the site enumeration, {"kind","desc","marker","site"}, with
+// no edit) is unusable. Resume must start over and still reach the
+// uninterrupted result, rather than resume with defects that edit
+// nothing.
+func TestResumeSiteIndexSnapshotStartsFresh(t *testing.T) {
+	model := machineModel(t)
+	for _, id := range machineProblems {
+		prob := requireProblem(t, id)
+		cps, want := collectCheckpoints(t, model, edatool.Verilog, prob)
+		for i, data := range cps {
+			old, ok := siteIndexCheckpoint(t, data)
+			if !ok {
+				continue
+			}
+			cfg := DefaultConfig(model, edatool.Verilog)
+			var lines []string
+			cfg.Trace = func(stage, detail string) {
+				if stage == "job" {
+					lines = append(lines, detail)
+				}
+			}
+			m, resumed := New(cfg).Resume(prob, &memStore{data: old})
+			if resumed || m.Steps() != 0 || len(lines) != 1 || !strings.HasPrefix(lines[0], "checkpoint unusable (") {
+				t.Fatalf("%s boundary %d: resumed %v at step %d, trace %q", id, i, resumed, m.Steps(), lines)
+			}
+			got, err := m.RunCheckpointed(context.Background(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, got, want)
+			return
+		}
+	}
+	t.Fatal("no checkpoint of the machine problems holds an active RTL defect")
+}
+
+// siteIndexCheckpoint rewrites a checkpoint's active RTL defects into
+// the site-index form. It reports false when there are none.
+func siteIndexCheckpoint(t *testing.T, data []byte) ([]byte, bool) {
+	t.Helper()
+	var cp Checkpoint
+	var sess map[string]any
+	if err := json.Unmarshal(data, &cp); err != nil || json.Unmarshal(cp.Session, &sess) != nil {
+		t.Fatalf("checkpoint decode: %s", data)
+	}
+	muts, _ := sess["rtl_muts"].([]any)
+	if len(muts) == 0 {
+		return nil, false
+	}
+	for i, v := range muts {
+		mut := v.(map[string]any)
+		muts[i] = map[string]any{"kind": mut["kind"], "desc": mut["desc"], "marker": mut["marker"], "site": i}
+	}
+	var err error
+	if cp.Session, err = json.Marshal(sess); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, true
+}

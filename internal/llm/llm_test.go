@@ -257,15 +257,3 @@ func TestGenerateTestbenchLeavesStimulus(t *testing.T) {
 		}
 	}
 }
-
-func TestReplaceNth(t *testing.T) {
-	if got := replaceNth("a.b.c.d", ".", "-", 1); got != "a.b-c.d" {
-		t.Errorf("replaceNth = %q", got)
-	}
-	if got := replaceNth("abc", "x", "y", 0); got != "abc" {
-		t.Errorf("missing pattern should be no-op, got %q", got)
-	}
-	if got := replaceNth("aa", "a", "b", 5); got != "aa" {
-		t.Errorf("out-of-range occurrence should be no-op, got %q", got)
-	}
-}

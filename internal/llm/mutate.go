@@ -14,309 +14,226 @@ const (
 	MutFunctional
 )
 
-// Mutation is one concrete defect injected into generated code. Apply
-// transforms source text; Marker is a substring of the resulting broken
-// region used to decide whether agent feedback localises the defect.
-//
-// site records the defect's index in the deterministic site enumeration
-// for its (base source, kind), which is how a serialized session
-// snapshot re-binds Apply after a restore: closures cannot cross a
-// process boundary, but the enumeration that produced them can be
-// replayed.
+// Mutation is one concrete defect injected into generated code: a
+// textual Edit of the source it was sampled from. Marker is a substring
+// of the resulting broken region used to decide whether agent feedback
+// localises the defect. A Mutation is a plain value, so a session
+// snapshot stores it as it is.
 type Mutation struct {
-	Kind   MutKind
-	Desc   string
-	Marker string
-	Apply  func(src string) string
-
-	site int
+	Kind   MutKind `json:"kind"`
+	Desc   string  `json:"desc"`
+	Marker string  `json:"marker"`
+	Edit   `json:"edit"`
 }
 
-// mutantSite is an applicable mutation opportunity found in the source.
-// weight biases sampling: subtle boundary defects carry more weight than
-// loud structural ones, matching the empirical skew of LLM functional
-// bugs toward corner cases.
-type mutantSite struct {
-	desc   string
-	marker string
-	weight int
-	apply  func(string) string
+// Edit replaces occurrence N (0-based) of From with To. A Semi edit
+// instead drops the first ";" after that occurrence, VHDL's
+// missing-semicolon defect. An edit whose occurrence or semicolon is
+// missing leaves the source as it is.
+type Edit struct {
+	From string `json:"from"`
+	To   string `json:"to,omitempty"`
+	N    int    `json:"n,omitempty"`
+	Semi bool   `json:"semi,omitempty"`
 }
 
-// replaceNth replaces the n-th occurrence (0-based) of old with new.
-func replaceNth(src, old, new string, n int) string {
+// Apply returns src with the edit made.
+func (e Edit) Apply(src string) string {
 	idx := 0
-	for i := 0; i <= n; i++ {
-		j := strings.Index(src[idx:], old)
+	for i := 0; ; i++ {
+		j := strings.Index(src[idx:], e.From)
 		if j < 0 {
 			return src
 		}
 		idx += j
-		if i < n {
-			idx += len(old)
+		if i == e.N {
+			break
 		}
+		idx += len(e.From)
 	}
-	return src[:idx] + new + src[idx+len(old):]
+	if !e.Semi {
+		return src[:idx] + e.To + src[idx+len(e.From):]
+	}
+	idx += len(e.From)
+	semi := strings.IndexByte(src[idx:], ';')
+	if semi < 0 {
+		return src
+	}
+	return src[:idx+semi] + src[idx+semi+1:]
 }
 
-func countOcc(src, sub string) int { return strings.Count(src, sub) }
-
-// ---------------------------------------------------------------- syntax
-
-// syntaxSites enumerates syntax-defect opportunities for the language.
-func syntaxSites(src string, verilog bool) []mutantSite {
-	var sites []mutantSite
-	addOccs := func(tok, repl, desc string, limit int) {
-		n := countOcc(src, tok)
-		if n > limit {
-			n = limit
-		}
-		for i := 0; i < n; i++ {
-			i := i
-			sites = append(sites, mutantSite{
-				desc:   desc,
-				marker: strings.TrimSpace(repl),
-				apply:  func(s string) string { return replaceNth(s, tok, repl, i) },
-			})
-		}
-	}
-	if verilog {
-		// Drop a semicolon after an assignment.
-		addOccs(";\n", "\n", "missing semicolon", 4)
-		// Misspell endmodule.
-		if strings.Contains(src, "endmodule") {
-			sites = append(sites, mutantSite{
-				desc:   "misspelled endmodule",
-				marker: "endmodul",
-				apply:  func(s string) string { return strings.Replace(s, "endmodule", "endmodul", 1) },
-			})
-		}
-		// Misspell begin.
-		addOccs("begin", "begn", "misspelled 'begin'", 2)
-		// Unbalanced parenthesis in an expression.
-		addOccs(");\n", ";\n", "missing closing parenthesis", 3)
-		// reg keyword dropped from an output that is written procedurally.
-		if strings.Contains(src, "output reg") {
-			sites = append(sites, mutantSite{
-				desc:   "output missing 'reg' despite procedural assignment",
-				marker: "non-register",
-				apply:  func(s string) string { return strings.Replace(s, "output reg", "output", 1) },
-			})
-		}
-		// Undeclared identifier: rename a use of a known signal.
-		for _, id := range []string{"reset", "count", "state", "din", "sel", "cin"} {
-			tok := "(" + id + ")"
-			if strings.Contains(src, tok) {
-				id := id
-				sites = append(sites, mutantSite{
-					desc:   "reference to undeclared identifier",
-					marker: id + "_sig",
-					apply: func(s string) string {
-						return strings.Replace(s, "("+id+")", "("+id+"_sig)", 1)
-					},
-				})
-			}
-		}
-		// endcase dropped.
-		addOccs("endcase", "", "missing endcase", 1)
-	} else {
-		// VHDL: drop the semicolon of an assignment statement (library
-		// and use clauses are too forgiving to bother mutating).
-		for _, tok := range []string{"<= ", ":= "} {
-			n := countOcc(src, tok)
-			if n > 3 {
-				n = 3
-			}
-			for i := 0; i < n; i++ {
-				i, tok := i, tok
-				sites = append(sites, mutantSite{
-					desc:   "missing semicolon",
-					marker: ";",
-					apply: func(s string) string {
-						// Remove the first ";" after the i-th assignment.
-						idx := 0
-						for k := 0; k <= i; k++ {
-							j := strings.Index(s[idx:], tok)
-							if j < 0 {
-								return s
-							}
-							idx += j + len(tok)
-						}
-						semi := strings.Index(s[idx:], ";")
-						if semi < 0 {
-							return s
-						}
-						return s[:idx+semi] + s[idx+semi+1:]
-					},
-				})
-			}
-		}
-		// end if dropped.
-		addOccs("end if;", "", "missing 'end if'", 2)
-		// Misspell entity.
-		if strings.Contains(src, "end entity;") {
-			sites = append(sites, mutantSite{
-				desc:   "misspelled 'entity'",
-				marker: "entty",
-				apply:  func(s string) string { return strings.Replace(s, "end entity;", "end entty;", 1) },
-			})
-		}
-		// Signal assigned with := instead of <=.
-		if idx := strings.Index(src, "  q <= "); idx >= 0 {
-			sites = append(sites, mutantSite{
-				desc:   "signal assigned with ':='",
-				marker: "q :=",
-				apply:  func(s string) string { return strings.Replace(s, "  q <= ", "  q := ", 1) },
-			})
-		}
-		// end process dropped.
-		addOccs("end process;", "", "missing 'end process'", 1)
-		// Misspell architecture.
-		if strings.Contains(src, "architecture rtl") {
-			sites = append(sites, mutantSite{
-				desc:   "misspelled 'architecture'",
-				marker: "architcture",
-				apply:  func(s string) string { return strings.Replace(s, "architecture rtl", "architcture rtl", 1) },
-			})
-		}
-		// Undeclared identifier.
-		for _, id := range []string{"reset", "cnt", "state", "din", "sel", "r"} {
-			tok := id + " = '1'"
-			if strings.Contains(src, tok) {
-				id := id
-				sites = append(sites, mutantSite{
-					desc:   "reference to undeclared identifier",
-					marker: id + "_sig",
-					apply: func(s string) string {
-						return strings.Replace(s, id+" = '1'", id+"_sig = '1'", 1)
-					},
-				})
-			}
-		}
-	}
-	return sites
+// site is one row of the defect table: a defect the model makes at up
+// to max occurrences of from. marker defaults to to, trimmed. weight
+// biases sampling (0 reads as 1): subtle boundary defects carry more
+// weight than loud structural ones, matching the empirical skew of LLM
+// functional bugs toward corner cases.
+type site struct {
+	from, to, desc string
+	max            int
+	marker         string
+	weight         int
+	semi           bool
 }
 
-// ---------------------------------------------------------- functional
+// defects is the defect table, indexed by HDL (verilogRows, vhdlRows)
+// and kind. Sampling draws from the enumeration by position, so the
+// row order is part of every sampled defect.
+var defects = [2][2][]site{
+	verilogRows: {
+		MutSyntax: {
+			{";\n", "\n", "missing semicolon", 4, "", 0, false},
+			{"endmodule", "endmodul", "misspelled endmodule", 1, "", 0, false},
+			{"begin", "begn", "misspelled 'begin'", 2, "", 0, false},
+			{");\n", ";\n", "missing closing parenthesis", 3, "", 0, false},
+			// reg dropped from an output that is written procedurally.
+			{"output reg", "output", "output missing 'reg' despite procedural assignment", 1, "non-register", 0, false},
+			{"(reset)", "(reset_sig)", "reference to undeclared identifier", 1, "reset_sig", 0, false},
+			{"(count)", "(count_sig)", "reference to undeclared identifier", 1, "count_sig", 0, false},
+			{"(state)", "(state_sig)", "reference to undeclared identifier", 1, "state_sig", 0, false},
+			{"(din)", "(din_sig)", "reference to undeclared identifier", 1, "din_sig", 0, false},
+			{"(sel)", "(sel_sig)", "reference to undeclared identifier", 1, "sel_sig", 0, false},
+			{"(cin)", "(cin_sig)", "reference to undeclared identifier", 1, "cin_sig", 0, false},
+			{"endcase", "", "missing endcase", 1, "", 0, false},
+		},
+		MutFunctional: {
+			{" + 1", " + 2", "off-by-one increment", 3, "", 1, false},
+			{" - 1", " - 2", "off-by-one decrement", 3, "", 1, false},
+			{" & ", " | ", "AND swapped with OR", 3, "", 1, false},
+			{" | ", " & ", "OR swapped with AND", 3, "", 1, false},
+			{" ^ ", " & ", "XOR swapped with AND", 3, "", 1, false},
+			{" == ", " != ", "equality inverted", 3, "", 1, false},
+			{" < ", " >= ", "comparison inverted", 3, "", 1, false},
+			{" > ", " <= ", "comparison inverted", 3, "", 1, false},
+			{"posedge", "negedge", "wrong clock edge", 3, "", 1, false},
+			{"? a : b", "? b : a", "mux arms swapped", 3, "", 1, false},
+			{"? b : a", "? a : b", "mux arms swapped", 3, "", 1, false},
+			{"if (reset)", "if (!reset)", "reset polarity inverted", 3, "", 1, false},
+			{"<= 1'b1", "<= 1'b0", "constant flipped", 3, "", 1, false},
+			{"<= 0;\n", "<= 1;\n", "reset value wrong", 3, "", 1, false},
+			{" >> ", " << ", "shift direction reversed", 3, "", 1, false},
+			{" << ", " >> ", "shift direction reversed", 3, "", 1, false},
+			{"~", "", "inversion dropped", 3, "", 1, false},
+			// Subtle boundary defects: off-by-one thresholds and wrong
+			// case constants. These are the defects most likely to slip
+			// past a low-coverage self-generated testbench while still
+			// failing the exhaustive reference bench — the gap that
+			// keeps AIVRIL 2 below 100% functional in the paper.
+			{">= 4'd9", ">= 4'd10", "wrap threshold off by one", 3, "", 6, false},
+			{"== 2'b11", "== 2'b10", "terminal count off by one", 3, "", 6, false},
+			{"!= 4'd15", "!= 4'd14", "saturation limit off by one", 3, "", 6, false},
+			{">= 3'd5", ">= 3'd6", "threshold off by one", 3, "", 6, false},
+			{"== 2'd3", "== 2'd2", "count limit off by one", 3, "", 6, false},
+			{"cnt <= 2'd3", "cnt <= 2'd2", "stretch length off by one", 3, "", 6, false},
+			{"q <= 4'b0001", "q <= 4'b0010", "initial pattern wrong", 3, "", 6, false},
+			{"state <= 4'd1", "state <= 4'd0", "FSM transition dropped", 3, "", 6, false},
+			{"4'd0: state <= din ? 4'd1 : 4'd0", "4'd0: state <= 4'd0", "FSM arc stuck", 3, "", 6, false},
+			{"4'd4", "4'd3", "state constant off by one", 3, "", 6, false},
+			{"8'hFF", "8'hFE", "saturation constant off by one", 3, "", 6, false},
+		},
+	},
+	vhdlRows: {
+		MutSyntax: {
+			// The semicolon of an assignment statement (library and use
+			// clauses are too forgiving to bother mutating).
+			{"<= ", "", "missing semicolon", 3, ";", 0, true},
+			{":= ", "", "missing semicolon", 3, ";", 0, true},
+			{"end if;", "", "missing 'end if'", 2, "", 0, false},
+			{"end entity;", "end entty;", "misspelled 'entity'", 1, "entty", 0, false},
+			{"  q <= ", "  q := ", "signal assigned with ':='", 1, "", 0, false},
+			{"end process;", "", "missing 'end process'", 1, "", 0, false},
+			{"architecture rtl", "architcture rtl", "misspelled 'architecture'", 1, "architcture", 0, false},
+			{"reset = '1'", "reset_sig = '1'", "reference to undeclared identifier", 1, "reset_sig", 0, false},
+			{"cnt = '1'", "cnt_sig = '1'", "reference to undeclared identifier", 1, "cnt_sig", 0, false},
+			{"state = '1'", "state_sig = '1'", "reference to undeclared identifier", 1, "state_sig", 0, false},
+			{"din = '1'", "din_sig = '1'", "reference to undeclared identifier", 1, "din_sig", 0, false},
+			{"sel = '1'", "sel_sig = '1'", "reference to undeclared identifier", 1, "sel_sig", 0, false},
+			{"r = '1'", "r_sig = '1'", "reference to undeclared identifier", 1, "r_sig", 0, false},
+		},
+		MutFunctional: {
+			{" + 1", " + 2", "off-by-one increment", 3, "", 1, false},
+			{" - 1", " - 2", "off-by-one decrement", 3, "", 1, false},
+			{" and ", " or ", "AND swapped with OR", 3, "", 1, false},
+			{" or ", " and ", "OR swapped with AND", 3, "", 1, false},
+			{" xor ", " and ", "XOR swapped with AND", 3, "", 1, false},
+			{"rising_edge", "falling_edge", "wrong clock edge", 3, "", 1, false},
+			{"reset = '1'", "reset = '0'", "reset polarity inverted", 3, "", 1, false},
+			{"<= '1'", "<= '0'", "constant flipped", 3, "", 1, false},
+			{"(others => '0')", "(others => '1')", "reset value wrong", 3, "", 1, false},
+			{"shift_right", "shift_left", "shift direction reversed", 3, "", 1, false},
+			{"shift_left", "shift_right", "shift direction reversed", 3, "", 1, false},
+			{"not ", "", "inversion dropped", 3, "", 1, false},
+			{" /= ", " = ", "inequality inverted", 3, "", 1, false},
+			// Subtle boundary defects, as for Verilog.
+			{">= 9", ">= 10", "wrap threshold off by one", 3, "", 6, false},
+			{"= \"11\"", "= \"10\"", "terminal count off by one", 3, "", 6, false},
+			{"/= 15", "/= 14", "saturation limit off by one", 3, "", 6, false},
+			{">= 5", ">= 6", "threshold off by one", 3, "", 6, false},
+			{"r <= \"0001\"", "r <= \"0010\"", "initial pattern wrong", 3, "", 6, false},
+			{"state <= 1; else state <= 0", "state <= 0; else state <= 0", "FSM arc stuck", 3, "", 6, false},
+			{"cnt <= \"11\"", "cnt <= \"10\"", "stretch length off by one", 3, "", 6, false},
+			{"when 4 =>", "when 3 =>", "state constant off by one", 3, "", 6, false},
+			{"\"11111111\"", "\"11111110\"", "saturation constant off by one", 3, "", 6, false},
+		},
+	},
+}
 
-// funcSites enumerates behaviour-changing (but compilable) mutations.
-func funcSites(src string, verilog bool) []mutantSite {
-	var sites []mutantSite
-	type swap struct {
-		from, to, desc string
-		weight         int
-	}
-	var swaps []swap
+// The HDL index of the defect table.
+const (
+	verilogRows = 0
+	vhdlRows    = 1
+)
+
+// candidate is one enumerated defect: occurrence n of a row's from,
+// with the row's sampling weight.
+type candidate struct {
+	row    *site
+	n      int
+	weight int
+}
+
+// candidates enumerates the defects of one kind that src admits: for
+// each table row in order, its first max occurrences of from. It is a
+// pure function of (src, HDL, kind).
+func candidates(src string, verilog bool, kind MutKind) []candidate {
+	rows := defects[vhdlRows][kind]
 	if verilog {
-		swaps = []swap{
-			{" + 1", " + 2", "off-by-one increment", 1},
-			{" - 1", " - 2", "off-by-one decrement", 1},
-			{" & ", " | ", "AND swapped with OR", 1},
-			{" | ", " & ", "OR swapped with AND", 1},
-			{" ^ ", " & ", "XOR swapped with AND", 1},
-			{" == ", " != ", "equality inverted", 1},
-			{" < ", " >= ", "comparison inverted", 1},
-			{" > ", " <= ", "comparison inverted", 1},
-			{"posedge", "negedge", "wrong clock edge", 1},
-			{"? a : b", "? b : a", "mux arms swapped", 1},
-			{"? b : a", "? a : b", "mux arms swapped", 1},
-			{"if (reset)", "if (!reset)", "reset polarity inverted", 1},
-			{"<= 1'b1", "<= 1'b0", "constant flipped", 1},
-			{"<= 0;\n", "<= 1;\n", "reset value wrong", 1},
-			{" >> ", " << ", "shift direction reversed", 1},
-			{" << ", " >> ", "shift direction reversed", 1},
-			{"~", "", "inversion dropped", 1},
-		}
-	} else {
-		swaps = []swap{
-			{" + 1", " + 2", "off-by-one increment", 1},
-			{" - 1", " - 2", "off-by-one decrement", 1},
-			{" and ", " or ", "AND swapped with OR", 1},
-			{" or ", " and ", "OR swapped with AND", 1},
-			{" xor ", " and ", "XOR swapped with AND", 1},
-			{"rising_edge", "falling_edge", "wrong clock edge", 1},
-			{"reset = '1'", "reset = '0'", "reset polarity inverted", 1},
-			{"<= '1'", "<= '0'", "constant flipped", 1},
-			{"(others => '0')", "(others => '1')", "reset value wrong", 1},
-			{"shift_right", "shift_left", "shift direction reversed", 1},
-			{"shift_left", "shift_right", "shift direction reversed", 1},
-			{"not ", "", "inversion dropped", 1},
-			{" /= ", " = ", "inequality inverted", 1},
-		}
+		rows = defects[verilogRows][kind]
 	}
-	// Subtle boundary defects: off-by-one thresholds and wrong case
-	// constants. These are the defects most likely to slip past a
-	// low-coverage self-generated testbench while still failing the
-	// exhaustive reference bench — the gap that keeps AIVRIL 2 below
-	// 100% functional in the paper.
-	if verilog {
-		swaps = append(swaps,
-			swap{">= 4'd9", ">= 4'd10", "wrap threshold off by one", 6},
-			swap{"== 2'b11", "== 2'b10", "terminal count off by one", 6},
-			swap{"!= 4'd15", "!= 4'd14", "saturation limit off by one", 6},
-			swap{">= 3'd5", ">= 3'd6", "threshold off by one", 6},
-			swap{"== 2'd3", "== 2'd2", "count limit off by one", 6},
-			swap{"cnt <= 2'd3", "cnt <= 2'd2", "stretch length off by one", 6},
-			swap{"q <= 4'b0001", "q <= 4'b0010", "initial pattern wrong", 6},
-			swap{"state <= 4'd1", "state <= 4'd0", "FSM transition dropped", 6},
-			swap{"4'd0: state <= din ? 4'd1 : 4'd0", "4'd0: state <= 4'd0", "FSM arc stuck", 6},
-			swap{"4'd4", "4'd3", "state constant off by one", 6},
-			swap{"8'hFF", "8'hFE", "saturation constant off by one", 6},
-		)
-	} else {
-		swaps = append(swaps,
-			swap{">= 9", ">= 10", "wrap threshold off by one", 6},
-			swap{"= \"11\"", "= \"10\"", "terminal count off by one", 6},
-			swap{"/= 15", "/= 14", "saturation limit off by one", 6},
-			swap{">= 5", ">= 6", "threshold off by one", 6},
-			swap{"r <= \"0001\"", "r <= \"0010\"", "initial pattern wrong", 6},
-			swap{"state <= 1; else state <= 0", "state <= 0; else state <= 0", "FSM arc stuck", 6},
-			swap{"cnt <= \"11\"", "cnt <= \"10\"", "stretch length off by one", 6},
-			swap{"when 4 =>", "when 3 =>", "state constant off by one", 6},
-			swap{"\"11111111\"", "\"11111110\"", "saturation constant off by one", 6},
-		)
-	}
-	for _, sw := range swaps {
-		sw := sw
-		n := countOcc(src, sw.from)
-		if n > 3 {
-			n = 3
-		}
-		for i := 0; i < n; i++ {
-			i := i
-			// Skip mutations that would produce identical code.
-			if sw.from == sw.to {
-				continue
+	var out []candidate
+	for i := range rows {
+		r := &rows[i]
+		for n, idx := 0, 0; n < r.max; n++ {
+			j := strings.Index(src[idx:], r.from)
+			if j < 0 {
+				break
 			}
-			sites = append(sites, mutantSite{
-				desc:   sw.desc,
-				marker: strings.TrimSpace(sw.to),
-				weight: sw.weight,
-				apply:  func(s string) string { return replaceNth(s, sw.from, sw.to, i) },
-			})
+			idx += j + len(r.from)
+			out = append(out, candidate{row: r, n: n, weight: max(r.weight, 1)})
 		}
 	}
-	return sites
+	return out
+}
+
+// mutation is the candidate as a defect of the given kind.
+func (c candidate) mutation(kind MutKind) Mutation {
+	r := c.row
+	marker := r.marker
+	if marker == "" {
+		marker = strings.TrimSpace(r.to)
+	}
+	return Mutation{Kind: kind, Desc: r.desc, Marker: marker, Edit: Edit{From: r.from, To: r.to, N: c.n, Semi: r.semi}}
 }
 
 // sampleMutations picks up to n distinct mutation sites of the given kind.
 func sampleMutations(rng *rand.Rand, src string, verilog bool, kind MutKind, n int) []Mutation {
-	var sites []mutantSite
-	if kind == MutSyntax {
-		sites = syntaxSites(src, verilog)
-	} else {
-		sites = funcSites(src, verilog)
-	}
+	sites := candidates(src, verilog, kind)
 	if len(sites) == 0 || n <= 0 {
 		return nil
 	}
 	// Weighted sampling without replacement.
 	total := 0
-	for i := range sites {
-		if sites[i].weight <= 0 {
-			sites[i].weight = 1
-		}
-		total += sites[i].weight
+	for _, s := range sites {
+		total += s.weight
 	}
 	var out []Mutation
 	for len(out) < n && total > 0 {
@@ -327,10 +244,7 @@ func sampleMutations(rng *rand.Rand, src string, verilog bool, kind MutKind, n i
 				continue
 			}
 			if pick < w {
-				out = append(out, Mutation{
-					Kind: kind, Desc: sites[i].desc, Marker: sites[i].marker, Apply: sites[i].apply,
-					site: i,
-				})
+				out = append(out, sites[i].mutation(kind))
 				total -= w
 				sites[i].weight = 0
 				break

@@ -13,8 +13,9 @@ type pinnedSite struct {
 // order.
 func pinnedSites(src string, verilog bool, kind MutKind) []pinnedSite {
 	var out []pinnedSite
-	for _, s := range enumerateSites(src, verilog, kind) {
-		out = append(out, pinnedSite{desc: s.desc, marker: s.marker, weight: s.weight, text: s.apply(src)})
+	for _, c := range candidates(src, verilog, kind) {
+		m := c.mutation(kind)
+		out = append(out, pinnedSite{desc: m.Desc, marker: m.Marker, weight: c.weight, text: m.Apply(src)})
 	}
 	return out
 }

@@ -35,80 +35,32 @@ func (c *countedSource) Seed(seed int64) {
 	c.n = 0
 }
 
-// mutSnapshot serializes one active Mutation. The closure is re-bound
-// on restore from the deterministic site enumeration of the base
-// source the defect was sampled from.
-type mutSnapshot struct {
-	Kind   MutKind `json:"kind"`
-	Desc   string  `json:"desc"`
-	Marker string  `json:"marker"`
-	Site   int     `json:"site"`
-}
-
 // sessionSnapshot is the serialized form of a simSession. Draws pins
 // the RNG position; the mutation lists pin the active defect sets; the
 // flags pin the conversation phase.
 type sessionSnapshot struct {
-	Seed    int64         `json:"seed"`
-	Draws   uint64        `json:"draws"`
-	Started bool          `json:"started"`
-	Cogen   bool          `json:"cogen"`
-	TBCode  string        `json:"tb_code,omitempty"`
-	RTLMuts []mutSnapshot `json:"rtl_muts,omitempty"`
-	TBMuts  []mutSnapshot `json:"tb_muts,omitempty"`
+	Seed    int64      `json:"seed"`
+	Draws   uint64     `json:"draws"`
+	Started bool       `json:"started"`
+	Cogen   bool       `json:"cogen"`
+	TBCode  string     `json:"tb_code,omitempty"`
+	RTLMuts []Mutation `json:"rtl_muts,omitempty"`
+	TBMuts  []Mutation `json:"tb_muts,omitempty"`
 }
 
-func snapshotMuts(muts []Mutation) []mutSnapshot {
-	if len(muts) == 0 {
-		return nil
-	}
-	out := make([]mutSnapshot, len(muts))
+// checkMuts rejects a mutation no sampled defect can be: an unknown
+// kind, or an edit with nothing to find (as every mutation of an older
+// snapshot, which stored a site index in place of the edit, decodes).
+func checkMuts(muts []Mutation) error {
 	for i, m := range muts {
-		out[i] = mutSnapshot{Kind: m.Kind, Desc: m.Desc, Marker: m.Marker, Site: m.site}
-	}
-	return out
-}
-
-// enumerateSites exposes the deterministic site enumeration snapshots
-// index into.
-func enumerateSites(src string, verilog bool, kind MutKind) []mutantSite {
-	if kind == MutSyntax {
-		return syntaxSites(src, verilog)
-	}
-	return funcSites(src, verilog)
-}
-
-// restoreMuts re-binds serialized mutations against the base source
-// they were sampled from, validating that the referenced sites still
-// describe the same defects.
-func restoreMuts(snaps []mutSnapshot, baseSrc string, verilog bool) ([]Mutation, error) {
-	if len(snaps) == 0 {
-		return nil, nil
-	}
-	// The enumerations are cheap and per-kind, so rebuild lazily.
-	var byKind [2][]mutantSite
-	have := [2]bool{}
-	out := make([]Mutation, len(snaps))
-	for i, s := range snaps {
-		k := int(s.Kind)
-		if k < 0 || k > 1 {
-			return nil, fmt.Errorf("llm: snapshot mutation %d has invalid kind %d", i, s.Kind)
+		if m.Kind != MutSyntax && m.Kind != MutFunctional {
+			return fmt.Errorf("llm: snapshot mutation %d has invalid kind %d", i, m.Kind)
 		}
-		if !have[k] {
-			byKind[k] = enumerateSites(baseSrc, verilog, s.Kind)
-			have[k] = true
+		if m.From == "" {
+			return fmt.Errorf("llm: snapshot mutation %d (%q) has no edit", i, m.Desc)
 		}
-		sites := byKind[k]
-		if s.Site < 0 || s.Site >= len(sites) {
-			return nil, fmt.Errorf("llm: snapshot mutation %d site %d out of range (%d sites)", i, s.Site, len(sites))
-		}
-		site := sites[s.Site]
-		if site.desc != s.Desc {
-			return nil, fmt.Errorf("llm: snapshot mutation %d site %d is %q, snapshot says %q", i, s.Site, site.desc, s.Desc)
-		}
-		out[i] = Mutation{Kind: s.Kind, Desc: s.Desc, Marker: s.Marker, Apply: site.apply, site: s.Site}
 	}
-	return out, nil
+	return nil
 }
 
 // Snapshot implements Session.
@@ -119,8 +71,8 @@ func (s *simSession) Snapshot() ([]byte, error) {
 		Started: s.started,
 		Cogen:   s.cogen,
 		TBCode:  s.tbCode,
-		RTLMuts: snapshotMuts(s.rtlMuts),
-		TBMuts:  snapshotMuts(s.tbMuts),
+		RTLMuts: s.rtlMuts,
+		TBMuts:  s.tbMuts,
 	})
 }
 
@@ -136,12 +88,10 @@ func (s *simSession) Restore(data []byte) error {
 	if snap.Seed != s.seed {
 		return fmt.Errorf("llm: snapshot is for a different task (seed %d, session %d)", snap.Seed, s.seed)
 	}
-	rtlMuts, err := restoreMuts(snap.RTLMuts, s.golden(), s.verilog())
-	if err != nil {
+	if err := checkMuts(snap.RTLMuts); err != nil {
 		return err
 	}
-	tbMuts, err := restoreMuts(snap.TBMuts, snap.TBCode, s.verilog())
-	if err != nil {
+	if err := checkMuts(snap.TBMuts); err != nil {
 		return err
 	}
 	src := newCountedSource(s.seed)
@@ -154,7 +104,7 @@ func (s *simSession) Restore(data []byte) error {
 	s.started = snap.Started
 	s.cogen = snap.Cogen
 	s.tbCode = snap.TBCode
-	s.rtlMuts = rtlMuts
-	s.tbMuts = tbMuts
+	s.rtlMuts = snap.RTLMuts
+	s.tbMuts = snap.TBMuts
 	return nil
 }

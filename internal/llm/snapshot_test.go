@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -138,6 +139,61 @@ func TestCountedSourceStreamIdentity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if direct.Int63() != replay.Int63() {
 			t.Fatalf("replayed source diverged at draw %d", i)
+		}
+	}
+}
+
+// siteIndexForm rewrites a snapshot's mutations into the older form
+// that named each defect by its index in the site enumeration
+// ({"kind","desc","marker","site"}) instead of storing its edit.
+func siteIndexForm(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(snap, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"rtl_muts", "tb_muts"} {
+		muts, _ := m[key].([]any)
+		for i, v := range muts {
+			mut := v.(map[string]any)
+			muts[i] = map[string]any{"kind": mut["kind"], "desc": mut["desc"], "marker": mut["marker"], "site": i}
+		}
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSnapshotRejectsSiteIndexForm: a snapshot in the older site-index
+// form carries no edits, so Restore must fail rather than restore its
+// defects as edits that change nothing.
+func TestSnapshotRejectsSiteIndexForm(t *testing.T) {
+	suite := bench.NewSuite()
+	for _, lang := range []edatool.Language{edatool.Verilog, edatool.VHDL} {
+		pre := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
+		pre.GenerateTestbench()
+		pre.started = true
+		pre.rtlMuts = append(sampleMutations(rand.New(rand.NewSource(1)), pre.golden(), pre.verilog(), MutSyntax, 2),
+			sampleMutations(rand.New(rand.NewSource(2)), pre.golden(), pre.verilog(), MutFunctional, 1)...)
+		if len(pre.rtlMuts) != 3 {
+			t.Fatalf("%s: sampled %d defects, want 3", lang, len(pre.rtlMuts))
+		}
+		snap, err := pre.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
+		if err := post.Restore(snap); err != nil || len(post.rtlMuts) != 3 {
+			t.Fatalf("%s: current form: restore error %v, %d defects", lang, err, len(post.rtlMuts))
+		}
+		old := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
+		if err := old.Restore(siteIndexForm(t, snap)); err == nil {
+			t.Errorf("%s: restore accepted a site-index snapshot", lang)
+		}
+		if old.started || old.rtlMuts != nil {
+			t.Errorf("%s: a rejected snapshot changed the session", lang)
 		}
 	}
 }
