@@ -339,6 +339,14 @@ func (s *Server) recover() error {
 	return nil
 }
 
+// The bounds on a spec's budgets, so that no job holds a worker without
+// end: the simulators' default time limit, and a repair budget well
+// above the 8 iterations a sweep uses.
+const (
+	maxSpecSimTime = 1_000_000
+	maxSpecIters   = 32
+)
+
 // resolved is a Spec bound to the concrete objects it names.
 type resolved struct {
 	prob *bench.Problem
@@ -378,6 +386,12 @@ func (s *Server) resolve(spec Spec) (resolved, error) {
 	}
 	if name != "offline" {
 		r.tag = name
+	}
+	if spec.MaxSyntaxIters > maxSpecIters || spec.MaxFuncIters > maxSpecIters {
+		return r, specErrf("max_syntax_iters and max_func_iters may be at most %d", maxSpecIters)
+	}
+	if spec.MaxSimTime > maxSpecSimTime {
+		return r, specErrf("max_sim_time %d exceeds %d", spec.MaxSimTime, maxSpecSimTime)
 	}
 	cfg := core.DefaultConfig(model, r.lang)
 	cfg.Provider = nil // built per run, with the job's trace plumbing

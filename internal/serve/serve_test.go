@@ -80,10 +80,16 @@ func TestJobLifecycleHTTP(t *testing.T) {
 		{Problem: "gate_xor", Model: "no-such-model"},
 		{Problem: "gate_xor", Model: "claude-3.5-sonnet", Language: "ada"},
 		{Problem: "gate_xor", Model: "claude-3.5-sonnet", Provider: "no-such-provider"},
+		{Problem: "gate_xor", Model: "claude-3.5-sonnet", MaxSimTime: 1_000_001},
+		{Problem: "gate_xor", Model: "claude-3.5-sonnet", MaxSyntaxIters: 33},
+		{Problem: "gate_xor", Model: "claude-3.5-sonnet", MaxFuncIters: 1_000_000_000},
 	} {
 		if code := postJob(t, ts.URL, bad); code != http.StatusBadRequest {
 			t.Fatalf("bad spec %+v: status %d, want 400", bad, code)
 		}
+	}
+	if _, err := s.resolve(Spec{Problem: "gate_xor", Model: "claude-3.5-sonnet", MaxSyntaxIters: 32, MaxFuncIters: 32, MaxSimTime: 1_000_000}); err != nil {
+		t.Errorf("spec at the budget bounds: %v", err)
 	}
 
 	body, _ := json.Marshal(spec("gate_xor"))
