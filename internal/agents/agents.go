@@ -80,13 +80,6 @@ func (a *CodeAgent) AnalysisLatency(ctx context.Context, kind llm.FeedbackKind, 
 // ReviewAgent supervises the Syntax Optimization loop.
 type ReviewAgent struct{}
 
-// Review latency model (seconds): base LLM call plus per-diagnostic
-// reading/summarisation cost.
-const (
-	reviewBaseLatency = 1.2
-	reviewPerItem     = 0.25
-)
-
 // ParseCompileLog converts a raw compiler log into a structured syntax
 // corrective prompt. Snippet lines (indented, following a diagnostic)
 // are attached to the preceding item.
@@ -218,21 +211,10 @@ func (ReviewAgent) CorrectivePrompt(fb *llm.Feedback) string {
 	return sb.String()
 }
 
-// Latency returns the modelled wall-clock of one review call.
-func (ReviewAgent) Latency(fb *llm.Feedback) float64 {
-	return reviewBaseLatency + reviewPerItem*float64(len(fb.Items))
-}
-
 // ----------------------------------------------------------- verification
 
 // VerificationAgent supervises the Functional Optimization loop.
 type VerificationAgent struct{}
-
-// Verification latency model.
-const (
-	verifyBaseLatency = 1.8
-	verifyPerItem     = 0.35
-)
 
 // failLine matches testbench failure output in both languages:
 //
@@ -289,9 +271,4 @@ func (VerificationAgent) CorrectivePrompt(fb *llm.Feedback) string {
 		fmt.Fprintf(&sb, "%d. %s\n   suggestion: %s\n", i+1, item.Message, item.Hint)
 	}
 	return sb.String()
-}
-
-// Latency returns the modelled wall-clock of one verification call.
-func (VerificationAgent) Latency(fb *llm.Feedback) float64 {
-	return verifyBaseLatency + verifyPerItem*float64(len(fb.Items))
 }

@@ -182,15 +182,18 @@ func TestCodeAgentRoundTrip(t *testing.T) {
 }
 
 func TestLatencyScalesWithItems(t *testing.T) {
-	var review ReviewAgent
-	small := &llm.Feedback{Items: make([]llm.FeedbackItem, 1)}
-	big := &llm.Feedback{Items: make([]llm.FeedbackItem, 10)}
-	if review.Latency(big) <= review.Latency(small) {
-		t.Error("review latency must grow with items")
+	suite := bench.NewSuite()
+	agent, err := NewCodeAgent(provider.NewOffline(llm.ProfileByName("claude-3.5-sonnet")), suite.ByID("gate_and"), edatool.Verilog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var verify VerificationAgent
-	if verify.Latency(big) <= verify.Latency(small) {
-		t.Error("verify latency must grow with items")
+	ctx := context.Background()
+	for _, kind := range []llm.FeedbackKind{llm.SyntaxFeedback, llm.FunctionalFeedback} {
+		small, err1 := agent.AnalysisLatency(ctx, kind, 1)
+		big, err2 := agent.AnalysisLatency(ctx, kind, 10)
+		if err1 != nil || err2 != nil || big <= small {
+			t.Errorf("kind %v: latency %v for 10 items, %v for 1 (errors %v, %v); must grow with items", kind, big, small, err1, err2)
+		}
 	}
 }
 

@@ -365,7 +365,7 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 		return nil
 	}
 	fb := m.p.verify.ParseSimLog(sim.Log)
-	m.res.Latency.Func += 0.35 * float64(len(fb.Items))
+	m.res.Latency.Func += llm.VerifyPerItem * float64(len(fb.Items))
 	m.p.trace("verify", "functional failures: %d", len(fb.Items))
 	m.p.tracePrompt(m.p.verify.CorrectivePrompt, fb)
 	m.res.FuncIters++

@@ -96,14 +96,21 @@ func (s *simSession) GenerateTestbench() (string, float64) {
 	return render(s.tbCode, s.tbMuts), s.skill.TBGenLatency
 }
 
+// The per-finding cost (seconds) of a Review and a Verification agent
+// call, on top of the profile's base latency.
+const (
+	ReviewPerItem = 0.25
+	VerifyPerItem = 0.35
+)
+
 // AnalysisLatency implements Session: the cost of the Review or
 // Verification agent's own LLM call on a log with n findings.
 func (s *simSession) AnalysisLatency(kind FeedbackKind, items int) float64 {
 	base := s.skill.ReviewLatency
-	per := 0.25
+	per := ReviewPerItem
 	if kind == FunctionalFeedback {
 		base = s.skill.VerifyLatency
-		per = 0.35
+		per = VerifyPerItem
 	}
 	return base + per*float64(items)
 }
