@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -496,7 +497,7 @@ func TestResumeSiteIndexSnapshotStartsFresh(t *testing.T) {
 				}
 			}
 			m, resumed := New(cfg).Resume(prob, &memStore{data: old})
-			if resumed || m.Steps() != 0 || len(lines) != 1 || !strings.HasPrefix(lines[0], "checkpoint unusable (") {
+			if resumed || m.Steps() != 0 || len(lines) != 1 || !strings.HasPrefix(lines[0], "checkpoint unusable (") || !strings.Contains(lines[0], "has no edit") {
 				t.Fatalf("%s boundary %d: resumed %v at step %d, trace %q", id, i, resumed, m.Steps(), lines)
 			}
 			got, err := m.RunCheckpointed(context.Background(), nil, nil)
@@ -515,19 +516,24 @@ func TestResumeSiteIndexSnapshotStartsFresh(t *testing.T) {
 func siteIndexCheckpoint(t *testing.T, data []byte) ([]byte, bool) {
 	t.Helper()
 	var cp Checkpoint
-	var sess map[string]any
+	var sess map[string]json.RawMessage
+	var muts []map[string]json.RawMessage
 	if err := json.Unmarshal(data, &cp); err != nil || json.Unmarshal(cp.Session, &sess) != nil {
 		t.Fatalf("checkpoint decode: %s", data)
 	}
-	muts, _ := sess["rtl_muts"].([]any)
-	if len(muts) == 0 {
+	if sess["rtl_muts"] == nil {
 		return nil, false
 	}
-	for i, v := range muts {
-		mut := v.(map[string]any)
-		muts[i] = map[string]any{"kind": mut["kind"], "desc": mut["desc"], "marker": mut["marker"], "site": i}
+	if err := json.Unmarshal(sess["rtl_muts"], &muts); err != nil {
+		t.Fatal(err)
+	}
+	for i, mut := range muts {
+		muts[i] = map[string]json.RawMessage{"kind": mut["kind"], "desc": mut["desc"], "marker": mut["marker"], "site": json.RawMessage(strconv.Itoa(i))}
 	}
 	var err error
+	if sess["rtl_muts"], err = json.Marshal(muts); err != nil {
+		t.Fatal(err)
+	}
 	if cp.Session, err = json.Marshal(sess); err != nil {
 		t.Fatal(err)
 	}

@@ -49,14 +49,15 @@ type sessionSnapshot struct {
 }
 
 // checkMuts rejects a mutation no sampled defect can be: an unknown
-// kind, or an edit with nothing to find (as every mutation of an older
-// snapshot, which stored a site index in place of the edit, decodes).
+// kind, a negative occurrence, or an edit with nothing to find (as
+// every mutation of an older snapshot, which stored a site index in
+// place of the edit, decodes).
 func checkMuts(muts []Mutation) error {
 	for i, m := range muts {
 		if m.Kind != MutSyntax && m.Kind != MutFunctional {
 			return fmt.Errorf("llm: snapshot mutation %d has invalid kind %d", i, m.Kind)
 		}
-		if m.From == "" {
+		if m.From == "" || m.N < 0 {
 			return fmt.Errorf("llm: snapshot mutation %d (%q) has no edit", i, m.Desc)
 		}
 	}

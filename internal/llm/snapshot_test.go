@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -148,18 +149,34 @@ func TestCountedSourceStreamIdentity(t *testing.T) {
 // ({"kind","desc","marker","site"}) instead of storing its edit.
 func siteIndexForm(t *testing.T, snap []byte) []byte {
 	t.Helper()
-	var m map[string]any
+	var m map[string]json.RawMessage
 	if err := json.Unmarshal(snap, &m); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"rtl_muts", "tb_muts"} {
-		muts, _ := m[key].([]any)
-		for i, v := range muts {
-			mut := v.(map[string]any)
-			muts[i] = map[string]any{"kind": mut["kind"], "desc": mut["desc"], "marker": mut["marker"], "site": i}
+		if m[key] != nil {
+			m[key] = siteIndexMuts(t, m[key])
 		}
 	}
 	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// siteIndexMuts rewrites a JSON list of mutations into the site-index
+// form.
+func siteIndexMuts(t *testing.T, list json.RawMessage) json.RawMessage {
+	t.Helper()
+	var muts []map[string]json.RawMessage
+	if err := json.Unmarshal(list, &muts); err != nil {
+		t.Fatal(err)
+	}
+	for i, mut := range muts {
+		muts[i] = map[string]json.RawMessage{"kind": mut["kind"], "desc": mut["desc"], "marker": mut["marker"], "site": json.RawMessage(fmt.Sprint(i))}
+	}
+	out, err := json.Marshal(muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +206,8 @@ func TestSnapshotRejectsSiteIndexForm(t *testing.T) {
 			t.Fatalf("%s: current form: restore error %v, %d defects", lang, err, len(post.rtlMuts))
 		}
 		old := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
-		if err := old.Restore(siteIndexForm(t, snap)); err == nil {
-			t.Errorf("%s: restore accepted a site-index snapshot", lang)
+		if err := old.Restore(siteIndexForm(t, snap)); err == nil || !strings.Contains(err.Error(), "has no edit") {
+			t.Errorf("%s: restore of a site-index snapshot: error %v, want one naming the missing edit", lang, err)
 		}
 		if old.started || old.rtlMuts != nil {
 			t.Errorf("%s: a rejected snapshot changed the session", lang)
