@@ -60,24 +60,3 @@ func Literature() []LiteratureEntry {
 		{"AIVRIL", "Closed Source", 67.3},
 	}
 }
-
-// PaperTable1 reproduces the paper's Table 1 values for comparison in
-// EXPERIMENTS.md (percentages; -1 encodes N/A).
-type PaperRow struct {
-	Model              string
-	VerilogS, VerilogF float64
-	VHDLS, VHDLF       float64
-	AIVRILVerilogS     float64
-	AIVRILVerilogF     float64
-	AIVRILVHDLS        float64
-	AIVRILVHDLF        float64
-}
-
-// PaperTable1 returns the published Table 1 for reference.
-func PaperTable1() []PaperRow {
-	return []PaperRow{
-		{"llama3-70b", 71.15, 37.82, 1.28, 0, 100, 55.13, 58.87, 32.69},
-		{"gpt-4o", 71.79, 51.29, 39.1, 27.56, 100, 72.44, 100, 59.62},
-		{"claude-3.5-sonnet", 91.03, 60.23, 88.46, 53.85, 100, 77, 100, 66},
-	}
-}

@@ -48,25 +48,3 @@ func TestLiteratureMatchesPaperTable2(t *testing.T) {
 		}
 	}
 }
-
-func TestPaperTable1Values(t *testing.T) {
-	rows := PaperTable1()
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	var claude *PaperRow
-	for i := range rows {
-		if rows[i].Model == "claude-3.5-sonnet" {
-			claude = &rows[i]
-		}
-	}
-	if claude == nil {
-		t.Fatal("claude row missing")
-	}
-	if claude.AIVRILVerilogF != 77 || claude.AIVRILVHDLF != 66 {
-		t.Errorf("claude AIVRIL2 values: %+v", claude)
-	}
-	if claude.VerilogS != 91.03 {
-		t.Errorf("claude baseline: %+v", claude)
-	}
-}

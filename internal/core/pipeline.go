@@ -95,20 +95,25 @@ type Latency struct {
 // Total returns the end-to-end latency.
 func (l Latency) Total() float64 { return l.Baseline + l.Syntax + l.Func }
 
+// Artefacts is what a run has committed to its result so far: the
+// generated code, the loop outcomes and counts, and the modelled
+// latency. A checkpoint carries it as the result holds it.
+type Artefacts struct {
+	Testbench    string  `json:"testbench,omitempty"`    // frozen self-generated bench
+	BaselineRTL  string  `json:"baseline_rtl,omitempty"` // the zero-shot artefact (baseline metrics)
+	FinalRTL     string  `json:"final_rtl,omitempty"`
+	SyntaxOK     bool    `json:"syntax_ok"`     // final RTL compiles cleanly
+	SelfVerified bool    `json:"self_verified"` // functional loop converged on the self bench
+	SyntaxIters  int     `json:"syntax_iters"`
+	FuncIters    int     `json:"func_iters"`
+	Latency      Latency `json:"latency"`
+}
+
 // Result is the outcome of one pipeline run on one problem.
 type Result struct {
 	Problem *bench.Problem
 
-	BaselineRTL string // the zero-shot artefact (baseline metrics)
-	FinalRTL    string
-	Testbench   string // frozen self-generated bench
-
-	SyntaxOK     bool // final RTL compiles cleanly
-	SelfVerified bool // functional loop converged on the self bench
-
-	SyntaxIters int
-	FuncIters   int
-	Latency     Latency
+	Artefacts
 
 	// Backend is always zero: nothing writes it. It remains only for
 	// the perfbench module, which still reads it (see sim.BackendStats).

@@ -52,23 +52,32 @@ func (s State) String() string {
 	return stateNames[s]
 }
 
-// ParseState inverts State.String for checkpoint decoding.
-func ParseState(name string) (State, error) {
+// MarshalText encodes a state as its name, the checkpoint's form.
+func (s State) MarshalText() ([]byte, error) {
+	if s < 0 || s >= NumStates {
+		return nil, fmt.Errorf("core: invalid machine state %d", int(s))
+	}
+	return []byte(stateNames[s]), nil
+}
+
+// UnmarshalText decodes a state from its name.
+func (s *State) UnmarshalText(name []byte) error {
 	for i, n := range stateNames {
-		if n == name {
-			return State(i), nil
+		if n == string(name) {
+			*s = State(i)
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown machine state %q", name)
+	return fmt.Errorf("core: unknown machine state %q", name)
 }
 
 // Checkpoint is the serializable machine snapshot taken at a step
 // boundary. It carries everything a fresh process needs to continue
-// the run: the state and loop counters, the working and committed
-// artefacts, the accumulated result fields, and the LLM session
-// snapshot (conversation state, defect stream position). The identity
-// fields pin which run the checkpoint belongs to, so a checkpoint can
-// never be restored into a mismatched configuration.
+// the run: the machine's position and the result's artefacts, both as
+// the machine holds them, and the LLM session snapshot (conversation
+// state, defect stream position). The identity fields pin which run
+// the checkpoint belongs to, so a checkpoint can never be restored
+// into a mismatched configuration.
 type Checkpoint struct {
 	Schema   int    `json:"schema"`
 	Problem  string `json:"problem"`
@@ -77,32 +86,46 @@ type Checkpoint struct {
 	Provider string `json:"provider,omitempty"`
 	Config   string `json:"config"`
 
-	State    string `json:"state"`
-	Steps    int    `json:"steps"`
-	TBIter   int    `json:"tb_iter"`
-	SynIter  int    `json:"syn_iter"`
-	FuncIter int    `json:"func_iter"`
-	InFunc   bool   `json:"in_func"`
-
-	// Working artefacts (not yet committed to the result).
-	TB  string `json:"tb,omitempty"`
-	RTL string `json:"rtl,omitempty"`
-
-	// Result-so-far.
-	Testbench    string  `json:"testbench,omitempty"`
-	BaselineRTL  string  `json:"baseline_rtl,omitempty"`
-	FinalRTL     string  `json:"final_rtl,omitempty"`
-	SyntaxOK     bool    `json:"syntax_ok"`
-	SelfVerified bool    `json:"self_verified"`
-	SyntaxIters  int     `json:"syntax_iters"`
-	FuncIters    int     `json:"func_iters"`
-	Latency      Latency `json:"latency"`
+	Position
+	Artefacts
 
 	Session json.RawMessage `json:"session,omitempty"`
 }
 
 // CheckpointSchema is the current Checkpoint.Schema value.
 const CheckpointSchema = 1
+
+// Position is where a machine stands in the flow: its state, its loop
+// counters and its working artefacts, which are not yet committed to
+// the result.
+type Position struct {
+	State    State `json:"state"`
+	Steps    int   `json:"steps"`     // transitions executed (including after a restore)
+	TBIter   int   `json:"tb_iter"`   // testbench-syntax iterations completed
+	SynIter  int   `json:"syn_iter"`  // current syntax-loop iteration
+	FuncIter int   `json:"func_iter"` // functional-loop iterations entered
+	InFunc   bool  `json:"in_func"`   // syntax loop nested inside the functional stage
+
+	TB  string `json:"tb,omitempty"`  // working testbench during the testbench-syntax loop
+	RTL string `json:"rtl,omitempty"` // working RTL revision
+}
+
+// check rejects a position no run under cfg reaches: a counter outside
+// its budget would let a loop run past it.
+func (pos Position) check(cfg Config) error {
+	switch {
+	case pos.State < 0 || pos.State >= NumStates:
+		return fmt.Errorf("core: invalid machine state %d", int(pos.State))
+	case pos.Steps < 0:
+		return fmt.Errorf("core: checkpoint steps %d", pos.Steps)
+	case pos.TBIter < 0 || pos.TBIter > cfg.MaxSyntaxIters,
+		pos.SynIter < 0 || pos.SynIter > cfg.MaxSyntaxIters,
+		pos.FuncIter < 0 || pos.FuncIter > cfg.MaxFuncIters:
+		return fmt.Errorf("core: checkpoint counters tb_iter %d, syn_iter %d, func_iter %d outside budgets %d/%d",
+			pos.TBIter, pos.SynIter, pos.FuncIter, cfg.MaxSyntaxIters, cfg.MaxFuncIters)
+	}
+	return nil
+}
 
 // Machine executes the pipeline one state transition at a time. Each
 // Step performs the agent turns of one state iteration and leaves the
@@ -114,27 +137,19 @@ type Machine struct {
 	prob *bench.Problem
 	code *agents.CodeAgent
 	res  *Result
-
-	state    State
-	tb       string // working testbench during the testbench-syntax loop
-	rtl      string // working RTL revision
-	tbIter   int    // testbench-syntax iterations completed
-	synIter  int    // current syntax-loop iteration
-	funcIter int    // functional-loop iterations entered
-	inFunc   bool   // syntax loop nested inside the functional stage
-	steps    int    // transitions executed (including after a restore)
+	pos  Position
 }
 
 // NewMachine returns a fresh machine for one problem.
 func (p *Pipeline) NewMachine(prob *bench.Problem) *Machine {
-	return &Machine{p: p, prob: prob, res: &Result{Problem: prob}, state: StateTestbenchGen}
+	return &Machine{p: p, prob: prob, res: &Result{Problem: prob}}
 }
 
 // State returns the machine's current state.
-func (m *Machine) State() State { return m.state }
+func (m *Machine) State() State { return m.pos.State }
 
 // Steps returns the number of transitions executed so far.
-func (m *Machine) Steps() int { return m.steps }
+func (m *Machine) Steps() int { return m.pos.Steps }
 
 // Result returns the result under construction. It is final once Step
 // has reported done, or once Abort has classified a step error.
@@ -165,11 +180,11 @@ func (m *Machine) ensureAgent() error {
 // failure the caller finalises via Abort. RunCheckpointed is the one
 // loop over Step.
 func (m *Machine) Step(ctx context.Context) (bool, error) {
-	if m.state == StateDone {
+	if m.pos.State == StateDone {
 		return true, nil
 	}
-	m.steps++
-	switch m.state {
+	m.pos.Steps++
+	switch m.pos.State {
 	case StateTestbenchGen:
 		return false, m.stepTestbenchGen(ctx)
 	case StateTestbenchSyntax:
@@ -181,10 +196,10 @@ func (m *Machine) Step(ctx context.Context) (bool, error) {
 	case StateFunctionalLoop:
 		return false, m.stepFunctionalLoop(ctx)
 	case StateVerdict:
-		m.state = StateDone
+		m.pos.State = StateDone
 		return true, nil
 	}
-	return false, fmt.Errorf("core: invalid machine state %d", int(m.state))
+	return false, fmt.Errorf("core: invalid machine state %d", int(m.pos.State))
 }
 
 // stepTestbenchGen generates the self-verification testbench (Fig. 2
@@ -199,9 +214,9 @@ func (m *Machine) stepTestbenchGen(ctx context.Context) error {
 	}
 	m.res.Latency.Syntax += lat
 	m.p.trace("testbench", "generated self-verification bench (%d bytes)", len(tb))
-	m.tb = tb
-	m.tbIter = 0
-	m.state = StateTestbenchSyntax
+	m.pos.TB = tb
+	m.pos.TBIter = 0
+	m.pos.State = StateTestbenchSyntax
 	return nil
 }
 
@@ -212,8 +227,8 @@ func (m *Machine) stepTestbenchGen(ctx context.Context) error {
 func (m *Machine) stepTestbenchSyntax(ctx context.Context) error {
 	cfg := m.p.cfg
 	lang := cfg.Language
-	if m.tbIter < cfg.MaxSyntaxIters {
-		stub, tb := stubDUT(m.prob, lang), edatool.Source{Name: tbFile(lang), Text: m.tb}
+	if m.pos.TBIter < cfg.MaxSyntaxIters {
+		stub, tb := stubDUT(m.prob, lang), edatool.Source{Name: tbFile(lang), Text: m.pos.TB}
 		comp := edatool.Compile(cfg.DesignCache, lang, stub, tb)
 		m.res.Latency.Syntax += compileLatency(stub, tb)
 		if !comp.OK {
@@ -226,20 +241,20 @@ func (m *Machine) stepTestbenchSyntax(ctx context.Context) error {
 			m.p.trace("review", "testbench syntax errors: %d", len(fb.Items))
 			m.p.tracePrompt(m.p.review.CorrectivePrompt, fb)
 			tb, lat, err := m.code.RepairTestbench(ctx, fb)
-			m.tb = tb
+			m.pos.TB = tb
 			if err != nil {
 				return err
 			}
 			m.res.Latency.Syntax += lat
 			m.res.SyntaxIters++
-			m.tbIter++
-			if m.tbIter < cfg.MaxSyntaxIters {
+			m.pos.TBIter++
+			if m.pos.TBIter < cfg.MaxSyntaxIters {
 				return nil // another testbench-syntax iteration
 			}
 		}
 	}
-	m.res.Testbench = m.tb
-	m.state = StateZeroShotRTL
+	m.res.Testbench = m.pos.TB
+	m.pos.State = StateZeroShotRTL
 	return nil
 }
 
@@ -253,10 +268,10 @@ func (m *Machine) stepZeroShotRTL(ctx context.Context) error {
 	m.res.Latency.Baseline += lat
 	m.res.BaselineRTL = rtl
 	m.p.trace("codegen", "zero-shot RTL generated (%d bytes)", len(rtl))
-	m.rtl = rtl
-	m.synIter = 0
-	m.inFunc = false
-	m.state = StateSyntaxLoop
+	m.pos.RTL = rtl
+	m.pos.SynIter = 0
+	m.pos.InFunc = false
+	m.pos.State = StateSyntaxLoop
 	return nil
 }
 
@@ -267,36 +282,36 @@ func (m *Machine) stepZeroShotRTL(ctx context.Context) error {
 func (m *Machine) stepSyntaxLoop(ctx context.Context) error {
 	cfg := m.p.cfg
 	latAcc := &m.res.Latency.Syntax
-	if m.inFunc {
+	if m.pos.InFunc {
 		latAcc = &m.res.Latency.Func
 	}
-	src := edatool.Source{Name: designFile(cfg.Language), Text: m.rtl}
+	src := edatool.Source{Name: designFile(cfg.Language), Text: m.pos.RTL}
 	comp := edatool.Compile(cfg.DesignCache, cfg.Language, src)
 	*latAcc += compileLatency(src)
 	if comp.OK {
 		return m.finishSyntaxLoop(true)
 	}
-	if m.synIter == cfg.MaxSyntaxIters {
+	if m.pos.SynIter >= cfg.MaxSyntaxIters {
 		return m.finishSyntaxLoop(false)
 	}
 	fb := m.p.review.ParseCompileLog(comp.Log)
 	alat, err := m.code.AnalysisLatency(ctx, llm.SyntaxFeedback, len(fb.Items))
 	if err != nil {
-		m.res.FinalRTL = m.rtl
+		m.res.FinalRTL = m.pos.RTL
 		return err
 	}
 	*latAcc += alat
 	m.p.trace("review", "syntax errors: %d", len(fb.Items))
 	m.p.tracePrompt(m.p.review.CorrectivePrompt, fb)
 	rtl, lat, err := m.code.GenerateRTL(ctx, fb)
-	m.rtl = rtl
+	m.pos.RTL = rtl
 	if err != nil {
-		m.res.FinalRTL = m.rtl
+		m.res.FinalRTL = m.pos.RTL
 		return err
 	}
 	*latAcc += lat
 	m.res.SyntaxIters++
-	m.synIter++
+	m.pos.SynIter++
 	return nil
 }
 
@@ -306,30 +321,30 @@ func (m *Machine) stepSyntaxLoop(ctx context.Context) error {
 // re-enters the next functional iteration. Failure is terminal either
 // way.
 func (m *Machine) finishSyntaxLoop(ok bool) error {
-	m.res.FinalRTL = m.rtl
-	if !m.inFunc {
+	m.res.FinalRTL = m.pos.RTL
+	if !m.pos.InFunc {
 		m.res.SyntaxOK = ok
 		if !ok {
 			m.p.trace("syntax", "loop exhausted without clean compile")
-			m.state = StateVerdict
+			m.pos.State = StateVerdict
 			return nil
 		}
 		if m.p.cfg.SkipFunctional {
 			m.res.SelfVerified = true // syntax-only flow claims success here
-			m.state = StateVerdict
+			m.pos.State = StateVerdict
 			return nil
 		}
-		m.funcIter = 0
-		m.state = StateFunctionalLoop
+		m.pos.FuncIter = 0
+		m.pos.State = StateFunctionalLoop
 		return nil
 	}
 	if !ok {
 		m.res.SyntaxOK = false
-		m.state = StateVerdict
+		m.pos.State = StateVerdict
 		return nil
 	}
-	m.funcIter++
-	m.state = StateFunctionalLoop
+	m.pos.FuncIter++
+	m.pos.State = StateFunctionalLoop
 	return nil
 }
 
@@ -340,13 +355,13 @@ func (m *Machine) finishSyntaxLoop(ok bool) error {
 func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 	cfg := m.p.cfg
 	lang := cfg.Language
-	if m.funcIter >= cfg.MaxFuncIters {
-		m.res.FinalRTL = m.rtl
-		m.state = StateVerdict
+	if m.pos.FuncIter >= cfg.MaxFuncIters {
+		m.res.FinalRTL = m.pos.RTL
+		m.pos.State = StateVerdict
 		return nil
 	}
 	sim := edatool.Simulate(cfg.DesignCache, lang, bench.TBName, cfg.MaxSimTime,
-		edatool.Source{Name: designFile(lang), Text: m.rtl},
+		edatool.Source{Name: designFile(lang), Text: m.pos.RTL},
 		edatool.Source{Name: tbFile(lang), Text: m.res.Testbench},
 	)
 	m.res.Latency.Func += sim.LatencyModel
@@ -359,9 +374,9 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 	m.res.Latency.Func += alat
 	if m.p.verify.Passed(sim.Log) {
 		m.res.SelfVerified = true
-		m.p.trace("verify", "all self-checks passed after %d functional iteration(s)", m.funcIter)
-		m.res.FinalRTL = m.rtl
-		m.state = StateVerdict
+		m.p.trace("verify", "all self-checks passed after %d functional iteration(s)", m.pos.FuncIter)
+		m.res.FinalRTL = m.pos.RTL
+		m.pos.State = StateVerdict
 		return nil
 	}
 	fb := m.p.verify.ParseSimLog(sim.Log)
@@ -370,7 +385,7 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 	m.p.tracePrompt(m.p.verify.CorrectivePrompt, fb)
 	m.res.FuncIters++
 	rtl, lat, err := m.code.GenerateRTL(ctx, fb)
-	m.rtl = rtl
+	m.pos.RTL = rtl
 	if err != nil {
 		return err
 	}
@@ -386,9 +401,9 @@ func (m *Machine) stepFunctionalLoop(ctx context.Context) error {
 		m.res.Latency.Func += lat
 	}
 	// Regenerated code may have regressed syntactically.
-	m.synIter = 0
-	m.inFunc = true
-	m.state = StateSyntaxLoop
+	m.pos.SynIter = 0
+	m.pos.InFunc = true
+	m.pos.State = StateSyntaxLoop
 	return nil
 }
 
@@ -423,24 +438,8 @@ func (m *Machine) Checkpoint() (*Checkpoint, error) {
 		Provider: m.providerName(),
 		Config:   m.p.cfg.Fingerprint(),
 
-		State:    m.state.String(),
-		Steps:    m.steps,
-		TBIter:   m.tbIter,
-		SynIter:  m.synIter,
-		FuncIter: m.funcIter,
-		InFunc:   m.inFunc,
-
-		TB:  m.tb,
-		RTL: m.rtl,
-
-		Testbench:    m.res.Testbench,
-		BaselineRTL:  m.res.BaselineRTL,
-		FinalRTL:     m.res.FinalRTL,
-		SyntaxOK:     m.res.SyntaxOK,
-		SelfVerified: m.res.SelfVerified,
-		SyntaxIters:  m.res.SyntaxIters,
-		FuncIters:    m.res.FuncIters,
-		Latency:      m.res.Latency,
+		Position:  m.pos,
+		Artefacts: m.res.Artefacts,
 	}
 	if m.code != nil {
 		snap, err := m.code.Session.Snapshot()
@@ -468,10 +467,6 @@ func (p *Pipeline) Restore(cp *Checkpoint, prob *bench.Problem) (*Machine, error
 	if prob == nil || prob.ID != cp.Problem {
 		return nil, fmt.Errorf("core: checkpoint is for problem %q", cp.Problem)
 	}
-	state, err := ParseState(cp.State)
-	if err != nil {
-		return nil, err
-	}
 	m := p.NewMachine(prob)
 	if got := p.cfg.Language.String(); got != cp.Language {
 		return nil, fmt.Errorf("core: checkpoint language %q, pipeline %q", cp.Language, got)
@@ -485,6 +480,9 @@ func (p *Pipeline) Restore(cp *Checkpoint, prob *bench.Problem) (*Machine, error
 	if cp.Provider != "" && m.providerName() != "" && m.providerName() != cp.Provider {
 		return nil, fmt.Errorf("core: checkpoint provider %q, pipeline %q", cp.Provider, m.providerName())
 	}
+	if err := cp.Position.check(p.cfg); err != nil {
+		return nil, err
+	}
 	if err := m.ensureAgent(); err != nil {
 		return nil, err
 	}
@@ -492,25 +490,11 @@ func (p *Pipeline) Restore(cp *Checkpoint, prob *bench.Problem) (*Machine, error
 		if err := m.code.Session.Restore(cp.Session); err != nil {
 			return nil, err
 		}
-	} else if state != StateTestbenchGen && state != StateVerdict && state != StateDone {
+	} else if st := cp.State; st != StateTestbenchGen && st != StateVerdict && st != StateDone {
 		return nil, errors.New("core: mid-run checkpoint lacks a session snapshot")
 	}
-	m.state = state
-	m.steps = cp.Steps
-	m.tbIter = cp.TBIter
-	m.synIter = cp.SynIter
-	m.funcIter = cp.FuncIter
-	m.inFunc = cp.InFunc
-	m.tb = cp.TB
-	m.rtl = cp.RTL
-	m.res.Testbench = cp.Testbench
-	m.res.BaselineRTL = cp.BaselineRTL
-	m.res.FinalRTL = cp.FinalRTL
-	m.res.SyntaxOK = cp.SyntaxOK
-	m.res.SelfVerified = cp.SelfVerified
-	m.res.SyntaxIters = cp.SyntaxIters
-	m.res.FuncIters = cp.FuncIters
-	m.res.Latency = cp.Latency
+	m.pos = cp.Position
+	m.res.Artefacts = cp.Artefacts
 	return m, nil
 }
 
@@ -529,18 +513,23 @@ type CheckpointStore interface {
 // store's checkpoint when it holds one for this pipeline, fresh when
 // the store is nil, empty, or holds a checkpoint that does not match.
 // resumed reports which. Both outcomes of a found checkpoint are
-// reported through cfg.Trace under stage "job".
+// reported through cfg.Trace under stage "job"; one that is JSON but
+// not a checkpoint, such as one naming an unknown state, is unusable.
 func (p *Pipeline) Resume(prob *bench.Problem, store CheckpointStore) (m *Machine, resumed bool) {
 	if store == nil {
 		return p.NewMachine(prob), false
 	}
 	// Declared past the nil check: Load takes it as an interface, so it
 	// lives on the heap, and a run without a store must not pay for it.
-	var cp Checkpoint
-	if !store.Load(&cp) {
+	var raw json.RawMessage
+	if !store.Load(&raw) {
 		return p.NewMachine(prob), false
 	}
-	m, err := p.Restore(&cp, prob)
+	var cp Checkpoint
+	err := json.Unmarshal(raw, &cp)
+	if err == nil {
+		m, err = p.Restore(&cp, prob)
+	}
 	if err != nil {
 		p.trace("job", "checkpoint unusable (%v); starting over", err)
 		return p.NewMachine(prob), false

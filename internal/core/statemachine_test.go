@@ -198,7 +198,7 @@ func TestCancellationAtEveryBoundary(t *testing.T) {
 	for _, id := range machineProblems {
 		prob := requireProblem(t, id)
 		cps, want := collectCheckpoints(t, model, lang, prob)
-		statesSeen := map[string]bool{}
+		statesSeen := map[State]bool{}
 		for i, data := range cps[:len(cps)-1] { // last boundary is Done
 			var cp Checkpoint
 			if err := json.Unmarshal(data, &cp); err != nil {
@@ -248,7 +248,7 @@ func TestCancellationAtEveryBoundary(t *testing.T) {
 		// satellite names, or the test is vacuous.
 		if id == "cmp_lt_w4" {
 			for _, st := range []State{StateTestbenchSyntax, StateSyntaxLoop, StateFunctionalLoop} {
-				if !statesSeen[st.String()] {
+				if !statesSeen[st] {
 					t.Errorf("%s: no boundary in state %s was exercised", id, st)
 				}
 			}
@@ -369,6 +369,7 @@ func TestResumeFallsBackToFresh(t *testing.T) {
 		{"empty store", edatool.Verilog, &memStore{}, false, ""},
 		{"matching checkpoint", edatool.Verilog, &memStore{data: cps[1]}, true, "resumed from checkpoint at state "},
 		{"mismatched checkpoint", edatool.VHDL, &memStore{data: cps[1]}, false, "checkpoint unusable ("},
+		{"unknown state", edatool.Verilog, &memStore{data: withField(t, cps[1], "state", "no-such-state")}, false, "checkpoint unusable (core: unknown machine state"},
 	} {
 		cfg := DefaultConfig(model, tc.lang)
 		var lines []string
@@ -424,7 +425,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 			return New(DefaultConfig(model, edatool.Verilog)), prob
 		}},
 		{"unknown state", func(c *Checkpoint) (*Pipeline, *bench.Problem) {
-			c.State = "no-such-state"
+			c.State = NumStates
 			return New(DefaultConfig(model, edatool.Verilog)), prob
 		}},
 		{"missing session", func(c *Checkpoint) (*Pipeline, *bench.Problem) {
@@ -442,7 +443,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 }
 
 // TestStateStringRoundTrip pins the state names (they are the
-// checkpoint schema) and their parse inverse.
+// checkpoint schema) and their text encoding both ways.
 func TestStateStringRoundTrip(t *testing.T) {
 	want := []string{"testbench-gen", "testbench-syntax", "zero-shot-rtl",
 		"syntax-loop", "functional-loop", "verdict", "done"}
@@ -451,13 +452,20 @@ func TestStateStringRoundTrip(t *testing.T) {
 		if st.String() != name {
 			t.Errorf("State(%d) = %q, want %q", i, st.String(), name)
 		}
-		parsed, err := ParseState(name)
-		if err != nil || parsed != st {
-			t.Errorf("ParseState(%q) = %v, %v", name, parsed, err)
+		if text, err := st.MarshalText(); err != nil || string(text) != name {
+			t.Errorf("State(%d).MarshalText() = %q, %v", i, text, err)
+		}
+		var parsed State
+		if err := parsed.UnmarshalText([]byte(name)); err != nil || parsed != st {
+			t.Errorf("UnmarshalText(%q) = %v, %v", name, parsed, err)
 		}
 	}
-	if _, err := ParseState("bogus"); err == nil {
-		t.Error("ParseState accepted a bogus name")
+	var st State
+	if err := st.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("UnmarshalText accepted a bogus name")
+	}
+	if _, err := NumStates.MarshalText(); err == nil {
+		t.Error("MarshalText encoded an invalid state")
 	}
 }
 

@@ -1,15 +1,9 @@
-// Package eval implements the unbiased pass@k estimator of Chen et
-// al. (2021), the metric behind every pass-rate number in the paper:
-//
-//	pass@k = 1 - C(n-c, k) / C(n, k)
-//
-// where n samples were drawn and c of them passed. The paper reports
-// pass@1 in two judgements: pass@1S (the artefact compiles) and
-// pass@1F (the artefact passes the suite's reference testbench — never
-// the self-generated one). With the reproduction's deterministic LLM
-// layer each cell is a single sample, so pass@1 reduces to c/n over
-// the suite; the estimator is still used so sampled configurations
-// stay comparable.
+// Package eval holds the arithmetic behind the paper's pass rates.
+// The paper reports pass@1 in two judgements: pass@1S (the artefact
+// compiles) and pass@1F (the artefact passes the suite's reference
+// testbench — never the self-generated one). With the reproduction's
+// deterministic LLM layer each cell is a single sample, so pass@1 is
+// the pass fraction c/n over the suite (Rate).
 //
 // The package is arithmetic only — the judgements themselves live in
 // internal/core (EvaluateSyntax, EvaluateFunctional) and are

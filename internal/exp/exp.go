@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: it runs the AIVRIL 2 pipeline
 // and its baselines over the full benchmark suite and aggregates the
 // metrics behind every table and figure in the paper's evaluation
-// (Table 1, Table 2, Figure 3, plus the ablations called out in
-// DESIGN.md).
+// (Table 1, Table 2, Figure 3), plus its ablations.
 package exp
 
 import (
@@ -84,25 +83,62 @@ func (s *Summary) DeltaF() (float64, bool) {
 	return 100 * (l - b) / b, true
 }
 
-// RemoteCell is the wire-complete description of one sweep cell for
-// dispatch to a job service: every knob that enters the config
-// fingerprint is present, so a dispatcher can reconstruct the service
-// spec and the server derives the identical content-addressed job ID
-// (callers should verify the returned ID against Job.Key() to catch
-// config drift). Configure hooks that touch knobs outside this set
-// cannot be dispatched remotely — the ID check turns that into a
-// loud per-cell error instead of a silent cache split.
+// RemoteCell is the job spec: the wire-complete description of one
+// sweep cell, the POST /jobs body of a job service and the "spec" of
+// its job records (internal/serve names it Spec). The zero value of
+// every optional knob selects the paper default, so {"problem": ...,
+// "model": ..., "language": ...} is a complete spec. Every knob that
+// enters the config fingerprint is present, so the server derives the
+// identical content-addressed job ID (callers should verify the
+// returned ID against Job.Key() to catch config drift). Configure
+// hooks that touch knobs outside this set cannot be dispatched
+// remotely — the ID check turns that into a loud per-cell error
+// instead of a silent cache split.
 type RemoteCell struct {
-	Problem  string
-	Model    string
-	Language string
-	Provider string // "" = offline
+	Problem  string `json:"problem"`
+	Model    string `json:"model"`
+	Language string `json:"language"`           // "verilog" (default) or "vhdl"
+	Provider string `json:"provider,omitempty"` // provider.Names entry; "" = "offline"
 
-	MaxSyntaxIters int
-	MaxFuncIters   int
-	MaxSimTime     uint64
-	CoGenTestbench bool
-	SkipFunctional bool
+	MaxSyntaxIters int    `json:"max_syntax_iters,omitempty"`
+	MaxFuncIters   int    `json:"max_func_iters,omitempty"`
+	MaxSimTime     uint64 `json:"max_sim_time,omitempty"`
+	// CoGenTestbench regenerates the bench every functional iteration
+	// (the AIVRIL 1 ablation); default keeps it frozen.
+	CoGenTestbench bool `json:"cogen_testbench,omitempty"`
+	SkipFunctional bool `json:"skip_functional,omitempty"`
+}
+
+// remoteCell describes the cell of problem in a sweep under cfg.
+// Configure is its inverse.
+func remoteCell(problem, model, lang, tag string, cfg core.Config) RemoteCell {
+	return RemoteCell{
+		Problem:        problem,
+		Model:          model,
+		Language:       lang,
+		Provider:       tag,
+		MaxSyntaxIters: cfg.MaxSyntaxIters,
+		MaxFuncIters:   cfg.MaxFuncIters,
+		MaxSimTime:     cfg.MaxSimTime,
+		CoGenTestbench: !cfg.FreezeTestbench,
+		SkipFunctional: cfg.SkipFunctional,
+	}
+}
+
+// Configure sets the cell's knobs on cfg, the default configuration of
+// the cell's model and language. A zero budget keeps cfg's.
+func (c RemoteCell) Configure(cfg *core.Config) {
+	if c.MaxSyntaxIters > 0 {
+		cfg.MaxSyntaxIters = c.MaxSyntaxIters
+	}
+	if c.MaxFuncIters > 0 {
+		cfg.MaxFuncIters = c.MaxFuncIters
+	}
+	if c.MaxSimTime > 0 {
+		cfg.MaxSimTime = c.MaxSimTime
+	}
+	cfg.FreezeTestbench = !c.CoGenTestbench
+	cfg.SkipFunctional = c.SkipFunctional
 }
 
 // Dispatch executes one cell on a remote job service and returns its
@@ -286,17 +322,7 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 	}
 	results := runner.Execute(r, jobs, func(i int, job runner.Job) (ProblemOutcome, error) {
 		if opts.Dispatch != nil {
-			return opts.Dispatch(job, RemoteCell{
-				Problem:        problems[i].ID,
-				Model:          model.Name(),
-				Language:       lang.String(),
-				Provider:       tag,
-				MaxSyntaxIters: cfg.MaxSyntaxIters,
-				MaxFuncIters:   cfg.MaxFuncIters,
-				MaxSimTime:     cfg.MaxSimTime,
-				CoGenTestbench: !cfg.FreezeTestbench,
-				SkipFunctional: cfg.SkipFunctional,
-			})
+			return opts.Dispatch(job, remoteCell(problems[i].ID, model.Name(), lang.String(), tag, cfg))
 		}
 		return evaluate(r, job, problems[i], lang, cfg, tag)
 	})

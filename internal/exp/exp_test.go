@@ -159,3 +159,24 @@ func TestConfigureChangesCacheCell(t *testing.T) {
 		t.Fatalf("ablation hit default-config cells: %+v", st)
 	}
 }
+
+// TestRemoteCellConfigureInverts: the cell a sweep describes from its
+// configuration configures a default one back to the same fingerprint,
+// so a dispatched cell runs under the job ID the sweep expects.
+func TestRemoteCellConfigureInverts(t *testing.T) {
+	model := llm.ProfileByName("gpt-4o")
+	for i, configure := range []func(*core.Config){
+		func(*core.Config) {},
+		func(c *core.Config) { c.FreezeTestbench = false },
+		func(c *core.Config) { c.SkipFunctional = true; c.MaxSyntaxIters = 8 },
+		func(c *core.Config) { c.MaxFuncIters = 32; c.MaxSimTime = 1000 },
+	} {
+		cfg := core.DefaultConfig(model, edatool.VHDL)
+		configure(&cfg)
+		back := core.DefaultConfig(model, edatool.VHDL)
+		remoteCell("gate_or", model.Name(), edatool.VHDL.String(), "", cfg).Configure(&back)
+		if got, want := back.Fingerprint(), cfg.Fingerprint(); got != want {
+			t.Errorf("case %d: configured back to %s, want %s", i, got, want)
+		}
+	}
+}

@@ -69,8 +69,8 @@ func TestAgentBenchWeakerThanReference(t *testing.T) {
 		sess := model.NewSession(GenRequest{Problem: p, Language: edatool.Verilog}).(*simSession)
 		// Build an uncorrupted agent bench for a fair coverage-only test.
 		agentTB, _ := sess.GenerateTestbench()
-		if sess.tbMuts != nil || len(sess.tbCode) == 0 {
-			agentTB = sess.tbCode // strip injected syntax defects
+		if sess.TBMuts != nil || len(sess.TBCode) == 0 {
+			agentTB = sess.TBCode // strip injected syntax defects
 		}
 		muts := sampleMutations(rng, p.GoldenVerilog, true, MutFunctional, 2)
 		for _, m := range muts {

@@ -16,7 +16,6 @@ package llm
 import (
 	"hash/fnv"
 	"math"
-	"math/rand"
 
 	"repro/internal/bench"
 	"repro/internal/edatool"
@@ -141,16 +140,14 @@ func (p *Profile) NewSession(req GenRequest) Session {
 	h.Write([]byte{0})
 	h.Write([]byte(req.Problem.ID))
 	h.Write([]byte{byte(req.Language)})
-	seed := int64(h.Sum64())
-	src := newCountedSource(seed)
-	return &simSession{
-		profile: p,
-		req:     req,
-		skill:   p.skill(req.Language),
-		seed:    seed,
-		src:     src,
-		rng:     rand.New(src),
+	s := &simSession{
+		profile:      p,
+		req:          req,
+		skill:        p.skill(req.Language),
+		conversation: conversation{Seed: int64(h.Sum64())},
 	}
+	s.rng = s.conversation.rand()
+	return s
 }
 
 // hardnessFactor scales defect probabilities by problem difficulty so

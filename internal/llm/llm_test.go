@@ -124,12 +124,12 @@ func TestRepairWithLocalisedFeedback(t *testing.T) {
 	for seed := 0; seed < 5; seed++ {
 		s := model.NewSession(GenRequest{Problem: prob, Language: edatool.Verilog}).(*simSession)
 		// Force a known defect set.
-		s.started = true
-		s.rtlMuts = sampleMutations(rand.New(rand.NewSource(int64(seed))), s.golden(), true, MutSyntax, 1)
-		if len(s.rtlMuts) == 0 {
+		s.Started = true
+		s.RTLMuts = sampleMutations(rand.New(rand.NewSource(int64(seed))), s.golden(), true, MutSyntax, 1)
+		if len(s.RTLMuts) == 0 {
 			t.Fatal("no mutation sites in golden")
 		}
-		m := s.rtlMuts[0]
+		m := s.RTLMuts[0]
 		fb := &Feedback{Kind: SyntaxFeedback, Items: []FeedbackItem{{
 			Line: 3, Message: "error mentioning " + m.Marker, Snippet: m.Marker, Hint: m.Desc,
 		}}}

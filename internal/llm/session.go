@@ -15,15 +15,22 @@ type simSession struct {
 	profile *Profile
 	req     GenRequest
 	skill   LangSkill
-	seed    int64
-	src     *countedSource
-	rng     *rand.Rand
+	rng     *rand.Rand // draws from conversation's stream, counting into Draws
 
-	rtlMuts []Mutation // active defects in the current RTL revision
-	tbMuts  []Mutation // active defects in the current testbench
-	tbCode  string     // frozen testbench body (before mutations)
-	started bool
-	cogen   bool // testbench regenerated mid-loop (AIVRIL 1 flow)
+	conversation
+}
+
+// conversation is what a session's turns change: the position in its
+// defect stream, the conversation phase and the active defect sets. A
+// session snapshot is its JSON.
+type conversation struct {
+	Seed    int64      `json:"seed"`
+	Draws   uint64     `json:"draws"` // RNG draws consumed since seeding
+	Started bool       `json:"started"`
+	Cogen   bool       `json:"cogen"`              // testbench regenerated mid-loop (AIVRIL 1 flow)
+	TBCode  string     `json:"tb_code,omitempty"`  // frozen testbench body (before mutations)
+	RTLMuts []Mutation `json:"rtl_muts,omitempty"` // active defects in the current RTL revision
+	TBMuts  []Mutation `json:"tb_muts,omitempty"`  // active defects in the current testbench
 }
 
 func (s *simSession) verilog() bool { return s.req.Language == edatool.Verilog }
@@ -48,8 +55,8 @@ func (s *simSession) GenerateTestbench() (string, float64) {
 	coverage := s.skill.TBCoverage
 	tbSynErr := s.skill.TBSyntaxErrRate
 	tbFuncErr := s.skill.TBFuncErrRate
-	if s.started { // co-generation mode
-		s.cogen = true
+	if s.Started { // co-generation mode
+		s.Cogen = true
 		coverage *= 0.7
 		tbSynErr = clamp01(tbSynErr * 1.5)
 		tbFuncErr = clamp01(tbFuncErr*1.8 + 0.15)
@@ -84,16 +91,16 @@ func (s *simSession) GenerateTestbench() (string, float64) {
 		out[k*nOut+o] = (out[k*nOut+o] + 1) & mask
 	}
 	if s.verilog() {
-		s.tbCode = p.VerilogTB(in, out)
+		s.TBCode = p.VerilogTB(in, out)
 	} else {
-		s.tbCode = p.VHDLTB(in, out)
+		s.TBCode = p.VHDLTB(in, out)
 	}
 	// The bench itself may be syntactically flawed.
-	s.tbMuts = nil
+	s.TBMuts = nil
 	if s.rng.Float64() < tbSynErr {
-		s.tbMuts = sampleMutations(s.rng, s.tbCode, s.verilog(), MutSyntax, 1)
+		s.TBMuts = sampleMutations(s.rng, s.TBCode, s.verilog(), MutSyntax, 1)
 	}
-	return render(s.tbCode, s.tbMuts), s.skill.TBGenLatency
+	return render(s.TBCode, s.TBMuts), s.skill.TBGenLatency
 }
 
 // The per-finding cost (seconds) of a Review and a Verification agent
@@ -117,40 +124,40 @@ func (s *simSession) AnalysisLatency(kind FeedbackKind, items int) float64 {
 
 // RepairTestbench applies syntax feedback to the testbench.
 func (s *simSession) RepairTestbench(feedback *Feedback) (string, float64) {
-	s.tbMuts = s.repair(s.tbMuts, feedback, s.tbCode)
-	return render(s.tbCode, s.tbMuts), s.skill.RepairLatency
+	s.TBMuts = s.repair(s.TBMuts, feedback, s.TBCode)
+	return render(s.TBCode, s.TBMuts), s.skill.RepairLatency
 }
 
 // GenerateRTL produces candidate RTL. A nil feedback means a fresh
 // zero-shot attempt: defects are sampled per the calibrated rates.
 // With feedback, the session repairs its current revision.
 func (s *simSession) GenerateRTL(feedback *Feedback) (string, float64) {
-	if feedback == nil || !s.started {
-		s.started = true
+	if feedback == nil || !s.Started {
+		s.Started = true
 		s.sampleInitialDefects()
-		return render(s.golden(), s.rtlMuts), s.skill.GenLatency
+		return render(s.golden(), s.RTLMuts), s.skill.GenLatency
 	}
-	s.rtlMuts = s.repair(s.rtlMuts, feedback, s.golden())
-	return render(s.golden(), s.rtlMuts), s.skill.RepairLatency
+	s.RTLMuts = s.repair(s.RTLMuts, feedback, s.golden())
+	return render(s.golden(), s.RTLMuts), s.skill.RepairLatency
 }
 
 // sampleInitialDefects draws the zero-shot defect set.
 func (s *simSession) sampleInitialDefects() {
 	p := s.req.Problem
-	s.rtlMuts = nil
+	s.RTLMuts = nil
 	if s.rng.Float64() < effectiveRate(s.skill.SyntaxErrRate, p.Hardness) {
 		n := 1
 		for n < 4 && s.rng.Float64() < s.skill.ExtraSyntaxErr {
 			n++
 		}
-		s.rtlMuts = append(s.rtlMuts, sampleMutations(s.rng, s.golden(), s.verilog(), MutSyntax, n)...)
+		s.RTLMuts = append(s.RTLMuts, sampleMutations(s.rng, s.golden(), s.verilog(), MutSyntax, n)...)
 	}
 	if s.rng.Float64() < effectiveRate(s.skill.FuncErrRate, p.Hardness) {
 		n := 1
 		for n < 3 && s.rng.Float64() < s.skill.ExtraFuncErr {
 			n++
 		}
-		s.rtlMuts = append(s.rtlMuts, sampleMutations(s.rng, s.golden(), s.verilog(), MutFunctional, n)...)
+		s.RTLMuts = append(s.RTLMuts, sampleMutations(s.rng, s.golden(), s.verilog(), MutFunctional, n)...)
 	}
 }
 
@@ -195,7 +202,7 @@ func (s *simSession) repair(muts []Mutation, feedback *Feedback, baseSrc string)
 	// paper attributes to simultaneous generation).
 	repairNoise := s.skill.RepairNoise
 	funcNoise := s.skill.FuncNoiseOnRepair
-	if s.cogen {
+	if s.Cogen {
 		repairNoise = clamp01(repairNoise * 1.8)
 		funcNoise = clamp01(funcNoise*2.0 + 0.10)
 	}

@@ -7,46 +7,44 @@ import (
 )
 
 // countedSource wraps math/rand's seeded source and counts the draws
-// consumed. Both Int63 and Uint64 advance the underlying generator by
-// exactly one step, so (seed, draws) fully determines the generator
-// state: a restore re-seeds and discards the counted number of draws,
-// landing byte-for-byte on the original stream position.
+// consumed into *n. Both Int63 and Uint64 advance the underlying
+// generator by exactly one step, so (seed, draws) fully determines the
+// generator state: a restore re-seeds and discards the counted number
+// of draws, landing byte-for-byte on the original stream position.
 type countedSource struct {
 	src rand.Source64
-	n   uint64
-}
-
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	n   *uint64
 }
 
 func (c *countedSource) Int63() int64 {
-	c.n++
+	*c.n++
 	return c.src.Int63()
 }
 
 func (c *countedSource) Uint64() uint64 {
-	c.n++
+	*c.n++
 	return c.src.Uint64()
 }
 
 func (c *countedSource) Seed(seed int64) {
 	c.src.Seed(seed)
-	c.n = 0
+	*c.n = 0
 }
 
-// sessionSnapshot is the serialized form of a simSession. Draws pins
-// the RNG position; the mutation lists pin the active defect sets; the
-// flags pin the conversation phase.
-type sessionSnapshot struct {
-	Seed    int64      `json:"seed"`
-	Draws   uint64     `json:"draws"`
-	Started bool       `json:"started"`
-	Cogen   bool       `json:"cogen"`
-	TBCode  string     `json:"tb_code,omitempty"`
-	RTLMuts []Mutation `json:"rtl_muts,omitempty"`
-	TBMuts  []Mutation `json:"tb_muts,omitempty"`
+// rand returns a generator at the conversation's stream position,
+// Draws draws past Seed, that counts its own draws into Draws.
+func (c *conversation) rand() *rand.Rand {
+	src := rand.NewSource(c.Seed).(rand.Source64)
+	for i := uint64(0); i < c.Draws; i++ {
+		src.Int63()
+	}
+	return rand.New(&countedSource{src: src, n: &c.Draws})
 }
+
+// maxDraws bounds the draw count a snapshot may claim, so a damaged
+// one cannot make Restore spin replaying draws. The largest count a
+// suite run reaches is a small fraction of it.
+const maxDraws = 1 << 20
 
 // checkMuts rejects a mutation no sampled defect can be: an unknown
 // kind, a negative occurrence, or an edit with nothing to find (as
@@ -66,15 +64,7 @@ func checkMuts(muts []Mutation) error {
 
 // Snapshot implements Session.
 func (s *simSession) Snapshot() ([]byte, error) {
-	return json.Marshal(sessionSnapshot{
-		Seed:    s.seed,
-		Draws:   s.src.n,
-		Started: s.started,
-		Cogen:   s.cogen,
-		TBCode:  s.tbCode,
-		RTLMuts: s.rtlMuts,
-		TBMuts:  s.tbMuts,
-	})
+	return json.Marshal(&s.conversation)
 }
 
 // Restore implements Session: it rewinds the session to the
@@ -82,30 +72,23 @@ func (s *simSession) Snapshot() ([]byte, error) {
 // every subsequent call produces the same output an uninterrupted
 // session would have.
 func (s *simSession) Restore(data []byte) error {
-	var snap sessionSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	var c conversation
+	if err := json.Unmarshal(data, &c); err != nil {
 		return fmt.Errorf("llm: decoding session snapshot: %w", err)
 	}
-	if snap.Seed != s.seed {
-		return fmt.Errorf("llm: snapshot is for a different task (seed %d, session %d)", snap.Seed, s.seed)
+	if c.Seed != s.Seed {
+		return fmt.Errorf("llm: snapshot is for a different task (seed %d, session %d)", c.Seed, s.Seed)
 	}
-	if err := checkMuts(snap.RTLMuts); err != nil {
+	if c.Draws > maxDraws {
+		return fmt.Errorf("llm: snapshot claims %d draws, more than %d", c.Draws, maxDraws)
+	}
+	if err := checkMuts(c.RTLMuts); err != nil {
 		return err
 	}
-	if err := checkMuts(snap.TBMuts); err != nil {
+	if err := checkMuts(c.TBMuts); err != nil {
 		return err
 	}
-	src := newCountedSource(s.seed)
-	for i := uint64(0); i < snap.Draws; i++ {
-		src.src.Int63()
-	}
-	src.n = snap.Draws
-	s.src = src
-	s.rng = rand.New(src)
-	s.started = snap.Started
-	s.cogen = snap.Cogen
-	s.tbCode = snap.TBCode
-	s.rtlMuts = snap.RTLMuts
-	s.tbMuts = snap.TBMuts
+	s.conversation = c
+	s.rng = s.conversation.rand()
 	return nil
 }

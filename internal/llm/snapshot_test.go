@@ -112,35 +112,67 @@ func TestSnapshotRejectsForeignSeed(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsExcessDraws: no run comes near maxDraws draws,
+// so a snapshot that claims more is damaged, and replaying its draws
+// would spin. Restore rejects it; a snapshot at the bound restores.
+func TestSnapshotRejectsExcessDraws(t *testing.T) {
+	prob := bench.NewSuite().ByID("gate_and")
+	s := snapshotSession(t, prob, edatool.Verilog)
+	s.GenerateTestbench()
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		draws uint64
+		ok    bool
+	}{{maxDraws, true}, {maxDraws + 1, false}} {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(snap, &m); err != nil {
+			t.Fatal(err)
+		}
+		m["draws"] = json.RawMessage(fmt.Sprint(tc.draws))
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snapshotSession(t, prob, edatool.Verilog).Restore(data); (err == nil) != tc.ok {
+			t.Errorf("%d draws: Restore error %v, want accepted %v", tc.draws, err, tc.ok)
+		}
+	}
+}
+
 // TestCountedSourceStreamIdentity: wrapping the stdlib source in the
 // draw counter must not change the stream — this is what keeps every
 // golden-pinned artefact byte-identical — and restoring by discarding
 // N draws lands on the same position.
 func TestCountedSourceStreamIdentity(t *testing.T) {
-	plain := rand.NewSource(42).(rand.Source64)
-	counted := newCountedSource(42)
-	rng := rand.New(counted)
+	counted := &conversation{Seed: 42}
+	rng := counted.rand()
 	ref := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		if ref.Float64() != rng.Float64() {
 			t.Fatalf("rand.Rand stream diverged at draw %d", i)
 		}
 	}
-	_ = plain
+	if counted.Draws != 500 {
+		t.Errorf("500 Float64 draws counted as %d", counted.Draws)
+	}
 
-	direct := newCountedSource(7)
+	direct := &conversation{Seed: 7}
+	directRng := direct.rand()
 	for i := 0; i < 333; i++ {
-		direct.Int63()
+		directRng.Int63()
 	}
-	replay := newCountedSource(7)
-	for i := uint64(0); i < direct.n; i++ {
-		replay.src.Int63()
-	}
-	replay.n = direct.n
+	replay := &conversation{Seed: 7, Draws: direct.Draws}
+	replayRng := replay.rand()
 	for i := 0; i < 100; i++ {
-		if direct.Int63() != replay.Int63() {
+		if directRng.Int63() != replayRng.Int63() {
 			t.Fatalf("replayed source diverged at draw %d", i)
 		}
+	}
+	if replay.Draws != direct.Draws {
+		t.Errorf("replayed source counted %d draws, original %d", replay.Draws, direct.Draws)
 	}
 }
 
@@ -191,25 +223,25 @@ func TestSnapshotRejectsSiteIndexForm(t *testing.T) {
 	for _, lang := range []edatool.Language{edatool.Verilog, edatool.VHDL} {
 		pre := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
 		pre.GenerateTestbench()
-		pre.started = true
-		pre.rtlMuts = append(sampleMutations(rand.New(rand.NewSource(1)), pre.golden(), pre.verilog(), MutSyntax, 2),
+		pre.Started = true
+		pre.RTLMuts = append(sampleMutations(rand.New(rand.NewSource(1)), pre.golden(), pre.verilog(), MutSyntax, 2),
 			sampleMutations(rand.New(rand.NewSource(2)), pre.golden(), pre.verilog(), MutFunctional, 1)...)
-		if len(pre.rtlMuts) != 3 {
-			t.Fatalf("%s: sampled %d defects, want 3", lang, len(pre.rtlMuts))
+		if len(pre.RTLMuts) != 3 {
+			t.Fatalf("%s: sampled %d defects, want 3", lang, len(pre.RTLMuts))
 		}
 		snap, err := pre.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		post := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
-		if err := post.Restore(snap); err != nil || len(post.rtlMuts) != 3 {
-			t.Fatalf("%s: current form: restore error %v, %d defects", lang, err, len(post.rtlMuts))
+		if err := post.Restore(snap); err != nil || len(post.RTLMuts) != 3 {
+			t.Fatalf("%s: current form: restore error %v, %d defects", lang, err, len(post.RTLMuts))
 		}
 		old := snapshotSession(t, suite.ByID("counter_up_w8"), lang)
 		if err := old.Restore(siteIndexForm(t, snap)); err == nil || !strings.Contains(err.Error(), "has no edit") {
 			t.Errorf("%s: restore of a site-index snapshot: error %v, want one naming the missing edit", lang, err)
 		}
-		if old.started || old.rtlMuts != nil {
+		if old.Started || old.RTLMuts != nil {
 			t.Errorf("%s: a rejected snapshot changed the session", lang)
 		}
 	}

@@ -311,20 +311,9 @@ func (c *Client) Await(ctx context.Context, id string) (serve.Record, error) {
 // transient provider outage) are resubmitted — idempotent, resuming
 // from the server-side checkpoint — until the context gives up.
 func (c *Client) Evaluate(ctx context.Context, job runner.Job, cell exp.RemoteCell) (exp.ProblemOutcome, error) {
-	spec := serve.Spec{
-		Problem:        cell.Problem,
-		Model:          cell.Model,
-		Language:       cell.Language,
-		Provider:       cell.Provider,
-		MaxSyntaxIters: cell.MaxSyntaxIters,
-		MaxFuncIters:   cell.MaxFuncIters,
-		MaxSimTime:     cell.MaxSimTime,
-		CoGenTestbench: cell.CoGenTestbench,
-		SkipFunctional: cell.SkipFunctional,
-	}
 	wantID := job.Key()
 	for {
-		rec, err := c.Submit(ctx, spec)
+		rec, err := c.Submit(ctx, cell)
 		if err != nil {
 			return exp.ProblemOutcome{}, err
 		}

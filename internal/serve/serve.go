@@ -45,23 +45,10 @@ const (
 	StatusInterrupted = "interrupted"
 )
 
-// Spec is the client-facing job description (the POST /jobs body).
-// The zero value of every optional knob selects the paper default, so
-// {"problem": ..., "model": ..., "language": ...} is a complete spec.
-type Spec struct {
-	Problem  string `json:"problem"`
-	Model    string `json:"model"`
-	Language string `json:"language"`           // "verilog" (default) or "vhdl"
-	Provider string `json:"provider,omitempty"` // provider.Names entry; "" = "offline"
-
-	MaxSyntaxIters int    `json:"max_syntax_iters,omitempty"`
-	MaxFuncIters   int    `json:"max_func_iters,omitempty"`
-	MaxSimTime     uint64 `json:"max_sim_time,omitempty"`
-	// CoGenTestbench regenerates the bench every functional iteration
-	// (the AIVRIL 1 ablation); default keeps it frozen.
-	CoGenTestbench bool `json:"cogen_testbench,omitempty"`
-	SkipFunctional bool `json:"skip_functional,omitempty"`
-}
+// Spec is the job description, the POST /jobs body: the sweep cell
+// type exp.RemoteCell, which client and server share. The alias remains
+// because the perfbench module names it.
+type Spec = exp.RemoteCell
 
 // Record is one job's full lifecycle state: the API representation and
 // the on-disk schema under <cache>/jobs/. IDs are content-addressed
@@ -395,17 +382,7 @@ func (s *Server) resolve(spec Spec) (resolved, error) {
 	}
 	cfg := core.DefaultConfig(model, r.lang)
 	cfg.Provider = nil // built per run, with the job's trace plumbing
-	if spec.MaxSyntaxIters > 0 {
-		cfg.MaxSyntaxIters = spec.MaxSyntaxIters
-	}
-	if spec.MaxFuncIters > 0 {
-		cfg.MaxFuncIters = spec.MaxFuncIters
-	}
-	if spec.MaxSimTime > 0 {
-		cfg.MaxSimTime = spec.MaxSimTime
-	}
-	cfg.FreezeTestbench = !spec.CoGenTestbench
-	cfg.SkipFunctional = spec.SkipFunctional
+	spec.Configure(&cfg)
 	r.cfg = cfg
 	r.rjob = runner.Job{
 		Problem:  r.prob.ID,
