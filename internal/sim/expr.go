@@ -50,7 +50,7 @@ type ExprOp uint8
 const (
 	XLoad       ExprOp = iota // *Ref: a signal's, a variable's or a constant value
 	XFault                    // fault with Msg (a Dyn one is a part-select of a non-name)
-	VLoad                     // *Ref, zero-extended to the context
+	VLoad                     // *Ref, extended to the context: sign-extended when Signed
 	VUnaryCtx                 // Fn1 of A sized to max(ctx, W(A))
 	VUnary                    // Fn1 of A self-determined
 	VBinCtx                   // Fn2 of A and B sized to max(ctx, W(A), W(B))
@@ -67,9 +67,9 @@ const (
 	VPartConst                // bits A:B of *Ref, a constant
 	VSelectBad                // evaluate index A, or bounds A and B, then fault with Msg unless a bound is unknown
 	VTime                     // $time, zero-extended to the context
-	VRandom                   // $random (Signed) or $urandom, zero-extended to the context
+	VRandom                   // $random (Signed) or $urandom, extended to the context as VLoad
 	VClog2                    // $clog2(A), zero-extended to the context
-	VSigned                   // A self-determined, sign-extended to the context
+	VSigned                   // A self-determined, extended to the context as VLoad
 	VUnsigned                 // A self-determined, zero-extended to the context
 	HUnary                    // Fn1 of A in the same context (nil Fn1: A)
 	HAggregate                // (others => A) at the context width; faults with Msg without one
@@ -114,11 +114,16 @@ func (r *Runtime) index(e *Expr) (int64, bool) {
 	return int64(u), true
 }
 
-func widen(v hdl.Vector, ctx int) hdl.Vector {
-	if ctx > v.Width() {
-		return v.Resize(ctx)
+// widen extends v to the context width ctx, sign-extending a signed
+// operand (IEEE 1364 §5.5.2).
+func widen(v hdl.Vector, ctx int, signed bool) hdl.Vector {
+	switch {
+	case ctx <= v.Width():
+		return v
+	case signed:
+		return v.SignExtend(ctx)
 	}
-	return v
+	return v.Resize(ctx)
 }
 
 func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
@@ -126,7 +131,7 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 	case XLoad:
 		return *e.Ref
 	case VLoad:
-		return widen(*e.Ref, ctx)
+		return widen(*e.Ref, ctx, e.Signed)
 	case VUnaryCtx:
 		return e.Fn1(r.eval(e.A, max(ctx, r.width(e.A))))
 	case VUnary:
@@ -235,29 +240,25 @@ func (r *Runtime) eval(e *Expr, ctx int) hdl.Vector {
 		}
 		panic(Fault{Msg: e.Msg})
 	case VTime:
-		return widen(hdl.FromUint(uint64(r.Kernel.Now()), 64), ctx)
+		return widen(hdl.FromUint(uint64(r.Kernel.Now()), 64), ctx, false)
 	case VRandom:
 		// One stream per run, drawn in execution order.
 		r.rng = r.rng*6364136223846793005 + 1442695040888963407
-		return widen(hdl.FromUint(r.rng>>16, 32), ctx)
+		return widen(hdl.FromUint(r.rng>>16, 32), ctx, e.Signed)
 	case VClog2:
 		n, ok := r.eval(e.A, 0).Uint()
 		if !ok {
-			return widen(hdl.XFill(32), ctx)
+			return widen(hdl.XFill(32), ctx, false)
 		}
 		c := 0
 		for c < 64 && uint64(1)<<c < n {
 			c++
 		}
-		return widen(hdl.FromUint(uint64(c), 32), ctx)
+		return widen(hdl.FromUint(uint64(c), 32), ctx, false)
 	case VSigned:
-		v := r.eval(e.A, 0)
-		if ctx > v.Width() {
-			return v.SignExtend(ctx)
-		}
-		return v
+		return widen(r.eval(e.A, 0), ctx, e.Signed)
 	case VUnsigned:
-		return widen(r.eval(e.A, 0), ctx)
+		return widen(r.eval(e.A, 0), ctx, false)
 	case HUnary:
 		v := r.eval(e.A, ctx)
 		if e.Fn1 == nil {

@@ -166,6 +166,29 @@ func compareInts(l, r hdl.Vector, lo, hi int) hdl.Vector {
 	return hdl.FromBool(lo <= c && c <= hi)
 }
 
+// unsign marks the signed loads among e's context-determined operands
+// unsigned: an unsigned expression zero-extends every operand, whatever
+// its own type, and only a signed one sign-extends them (IEEE 1364
+// §5.5.1). It stops at an unsigned node, which did the same for its own
+// operands when it was lowered.
+func unsign(e *sim.Expr) {
+	if !e.Signed {
+		return
+	}
+	switch e.Op {
+	case sim.VLoad, sim.VRandom, sim.VSigned:
+		e.Signed = false
+	case sim.VUnaryCtx, sim.VShift:
+		unsign(e.A)
+	case sim.VBinCtx:
+		unsign(e.A)
+		unsign(e.B)
+	case sim.VTernary:
+		unsign(e.B)
+		unsign(e.C)
+	}
+}
+
 // lower lowers e, in scope inst, into the run's expression form (see
 // sim.Expr): every name bound to its signal, parameter value or fault,
 // every node sized and typed by the IEEE 1364 rules.
@@ -226,7 +249,7 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
 			n.Op, n.W, n.Dyn = sim.VBinCtx, max(a.W, b.W), a.Dyn || b.Dyn
 		case "<<", ">>", "<<<", ">>>", "**":
-			n.Op, n.W, n.Dyn = sim.VShift, a.W, a.Dyn
+			n.Op, n.W, n.Dyn, n.Signed = sim.VShift, a.W, a.Dyn, a.Signed
 		case "==", "!=", "===", "!==":
 			n.Op = sim.VCompare
 		case "<", "<=", ">", ">=":
@@ -239,11 +262,15 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 			}
 		}
 		switch x.Op {
-		case "+", "-", "*", "/", "%", "**":
+		case "+", "-", "*", "/", "%", "**", "&", "|", "^", "~^", "^~":
 			n.Signed = a.Signed && b.Signed
 		}
 		if n.Signed && (x.Op == "/" || x.Op == "%") {
 			n.Fn2 = signedFns[x.Op]
+		}
+		if (n.Op == sim.VBinCtx || n.Op == sim.VCompare) && !(a.Signed && b.Signed) {
+			unsign(a)
+			unsign(b)
 		}
 		return n
 	case *verilog.Ternary:
@@ -251,6 +278,10 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 		n := node(sim.VTernary, max(t.W, f.W))
 		n.A, n.B, n.C = c, t, f
 		n.Dyn, n.Signed, n.Const = t.Dyn || f.Dyn, t.Signed && f.Signed, c.Const && t.Const && f.Const
+		if !n.Signed {
+			unsign(t)
+			unsign(f)
+		}
 		return n
 	case *verilog.ConcatExpr:
 		n := node(sim.VConcat, 0)

@@ -47,6 +47,45 @@ endmodule`)
 	}
 }
 
+// TestSimSignedOperandsWiden: a signed expression sign-extends its
+// context-determined operands to the context width, and an unsigned one
+// zero-extends them, signed or not (IEEE 1364-2005 §5.5.1–5.5.2).
+func TestSimSignedOperandsWiden(t *testing.T) {
+	res := run(t, "tb", `
+module tb;
+  integer i;
+  reg signed [63:0] y, x;
+  reg signed [7:0] sa, sb;
+  reg [7:0] b;
+  reg [16:0] w;
+  initial begin
+    i = -5; y = i; x = i / 2;
+    $display("assign %0d %0d", y, x);
+    sa = -8'sd1; sb = 8'sd1; b = 8'd1;
+    w = sa + sb; $display("signed-ctx %b", w);
+    w = sa + b; $display("unsigned-ctx %b", w);
+    w = $signed(8'hff) + b; $display("cast %b", w);
+    w = sa >>> 1; $display("shift %b", w);
+    w = 1'b1 ? sa : b; $display("ternary %b", w);
+    $display("compare %b %b", sa == -1, sa == 255);
+    $finish;
+  end
+endmodule`)
+	for _, want := range []string{
+		"assign -5 -2",
+		"signed-ctx 00000000000000000",
+		"unsigned-ctx 00000000100000000",
+		"cast 00000000100000000",
+		"shift 11111111111111111",
+		"ternary 00000000011111111",
+		"compare 1 0",
+	} {
+		if !strings.Contains(res.Log, want+"\n") {
+			t.Errorf("missing %q in log:\n%s", want, res.Log)
+		}
+	}
+}
+
 func TestSimWhileAndRepeat(t *testing.T) {
 	res := run(t, "tb", `
 module tb;
