@@ -15,8 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/edatool"
-	"repro/internal/llm"
+	"repro/internal/exp"
 	"repro/internal/llm/provider"
 	"repro/internal/runner"
 )
@@ -29,8 +28,8 @@ func main() {
 		list      = flag.Bool("list", false, "list all problem ids and exit")
 		showRTL   = flag.Bool("show-rtl", true, "print the final RTL")
 
-		providerName = flag.String("provider", "offline",
-			"LLM provider: "+strings.Join(provider.Names(), " | "))
+		providerName = flag.String("provider", "",
+			"LLM provider: "+strings.Join(provider.Names(), " | ")+" (empty: offline)")
 		traceLLM   = flag.Bool("trace-llm", false, "interleave one transcript line per LLM call")
 		llmMetrics = flag.Bool("llm-metrics", false, "print per-op LLM call metrics at the end")
 		flakyRate  = flag.Float64("flaky-error-rate", 0.25, "flaky provider: per-call injected error probability")
@@ -38,7 +37,7 @@ func main() {
 
 		checkpointDir = flag.String("checkpoint-dir", "",
 			"persist a checkpoint after every pipeline state into this directory (aborted runs resume)")
-		resume = flag.Bool("resume", true, "resume from an existing checkpoint in -checkpoint-dir")
+		resume = flag.Bool("resume", true, "resume from an existing checkpoint in -checkpoint-dir (false: discard it and start over)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -53,25 +52,16 @@ func main() {
 		}
 		return
 	}
-	prob := suite.ByID(*problemID)
-	if prob == nil {
-		fmt.Fprintf(os.Stderr, "unknown problem %q (use -list)\n", *problemID)
-		os.Exit(1)
-	}
-	model := llm.ProfileByName(*modelName)
-	if model == nil {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *modelName)
-		os.Exit(1)
-	}
-	lang := edatool.Verilog
-	if *langName == "vhdl" {
-		lang = edatool.VHDL
+	cell, err := exp.RemoteCell{Problem: *problemID, Model: *modelName, Language: *langName, Provider: *providerName}.Resolve(suite)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "aivril: %v\n", err)
+		os.Exit(2)
 	}
 
-	fmt.Printf("=== AIVRIL 2: %s / %s / %s / provider %s ===\n\n", prob.ID, model.Name(), lang, *providerName)
-	fmt.Printf("Specification:\n  %s\n\n", prob.Spec)
+	fmt.Printf("=== AIVRIL 2: %s / %s / %s / provider %s ===\n\n", cell.Problem.ID, cell.Model.Name(), cell.Language, cell.Provider)
+	fmt.Printf("Specification:\n  %s\n\n", cell.Problem.Spec)
 
-	cfg := core.DefaultConfig(model, lang)
+	cfg := cell.Config
 	cfg.Trace = func(stage, detail string) {
 		fmt.Printf("[%-9s] %s\n", stage, detail)
 	}
@@ -85,7 +75,7 @@ func main() {
 		metrics = provider.NewMetrics(provider.RealClock())
 		stack.Metrics = metrics
 	}
-	p, err := provider.New(*providerName, model, provider.BuildConfig{
+	cfg.Provider, err = provider.New(cell.Provider, cell.Model, provider.BuildConfig{
 		Stack: stack,
 		Flaky: provider.FlakyConfig{Seed: *flakySeed, ErrorRate: *flakyRate},
 	})
@@ -93,8 +83,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aivril: %v\n", err)
 		os.Exit(1)
 	}
-	cfg.Provider = p
-	pipe := core.New(cfg)
 
 	// -checkpoint-dir only picks the store: the run is one checkpointed
 	// loop either way, and without a store it checkpoints nothing.
@@ -105,54 +93,47 @@ func main() {
 			fmt.Fprintf(os.Stderr, "aivril: %v\n", err)
 			os.Exit(1)
 		}
-		tag := ""
-		if *providerName != "offline" {
-			tag = *providerName
+		store = cache.Checkpoints(cell.Job)
+		if !*resume {
+			store.Delete()
 		}
-		store = cache.Checkpoints(runner.Job{Problem: prob.ID, Model: model.Name(), Language: lang.String(),
-			Config: cfg.Fingerprint(), Provider: tag})
 	}
-	resumeFrom := store
-	if !*resume {
-		resumeFrom = nil
-	}
-	m, _ := pipe.Resume(prob, resumeFrom)
-	res, err := m.RunCheckpointed(context.Background(), store, func(cp *core.Checkpoint) error {
-		if store == nil || cp != nil {
-			return nil
+	out, res, err := exp.Evaluate(context.Background(), cell, cfg, store, func(m *core.Machine, _ bool) func(*core.Checkpoint) error {
+		return func(cp *core.Checkpoint) error {
+			if store == nil || cp != nil {
+				return nil
+			}
+			// The loop could not persist this boundary. Retry once: the
+			// write either lands or reports the cause that stops the run.
+			c, err := m.Checkpoint()
+			if err == nil {
+				err = store.Store(c)
+			}
+			return err
 		}
-		// The loop could not persist this boundary. Retry once: the
-		// write either lands or reports the cause that stops the run.
-		c, err := m.Checkpoint()
-		if err == nil {
-			err = store.Store(c)
-		}
-		return err
 	})
-	if err != nil {
+	switch {
+	case res == nil && err != nil:
 		fmt.Fprintf(os.Stderr, "aivril: checkpointing failed: %v\n", err)
 		os.Exit(1)
-	}
-
-	if res.Aborted {
+	case err != nil:
 		if metrics != nil {
 			fmt.Printf("\n%s\n", metrics.Render())
 		}
 		// The abort is the program's failure: classified verdict and
 		// cause on stderr, non-zero exit for scripts and CI.
 		fmt.Fprintf(os.Stderr, "aivril: run aborted: %s: %v\n", res.Verdict(), res.Err)
-		if store != nil && store.Load(&core.Checkpoint{}) {
+		if store != nil && store.Load() != nil {
 			fmt.Fprintf(os.Stderr, "aivril: checkpoint kept in %s; re-run with the same flags to resume\n", *checkpointDir)
 		}
 		os.Exit(1)
 	}
 
 	fmt.Printf("\n--- outcome ---\n")
-	fmt.Printf("baseline syntax OK : %v\n", core.EvaluateSyntax(lang, res.BaselineRTL))
+	fmt.Printf("baseline syntax OK : %v\n", out.BaselineSyntaxOK)
 	fmt.Printf("loop syntax OK     : %v (after %d syntax iterations)\n", res.SyntaxOK, res.SyntaxIters)
 	fmt.Printf("self-verified      : %v (after %d functional iterations)\n", res.SelfVerified, res.FuncIters)
-	funcOK := res.SyntaxOK && core.EvaluateFunctional(lang, prob, res.FinalRTL, cfg.MaxSimTime)
-	fmt.Printf("reference bench    : %v   <-- pass@1F verdict\n", funcOK)
+	fmt.Printf("reference bench    : %v   <-- pass@1F verdict\n", out.LoopFuncOK)
 	fmt.Printf("latency            : baseline %.1fs, syntax loop %.1fs, functional loop %.1fs (total %.1fs)\n",
 		res.Latency.Baseline, res.Latency.Syntax, res.Latency.Func, res.Latency.Total())
 	if *showRTL {

@@ -1,34 +1,33 @@
 // Quickstart: run the AIVRIL 2 pipeline on one benchmark problem and
 // print the verdicts. This is the smallest end-to-end use of the public
-// pipeline API:
+// pipeline API: resolve a cell, then evaluate it.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/edatool"
-	"repro/internal/llm"
+	"repro/internal/exp"
 )
 
 func main() {
-	suite := bench.NewSuite()
-	prob := suite.ByID("counter_up_w4")
-	model := llm.ProfileByName("claude-3.5-sonnet")
+	cell, err := exp.RemoteCell{Problem: "counter_up_w4", Model: "claude-3.5-sonnet"}.Resolve(bench.NewSuite())
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, res, err := exp.Evaluate(context.Background(), cell, cell.Config, nil, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	pipeline := core.New(core.DefaultConfig(model, edatool.Verilog))
-	res := pipeline.Run(prob)
-
-	fmt.Printf("problem          : %s\n", prob.ID)
-	fmt.Printf("spec             : %s\n", prob.Spec)
+	fmt.Printf("problem          : %s\n", cell.Problem.ID)
+	fmt.Printf("spec             : %s\n", cell.Problem.Spec)
 	fmt.Printf("syntax converged : %v (%d iterations)\n", res.SyntaxOK, res.SyntaxIters)
 	fmt.Printf("self-verified    : %v (%d iterations)\n", res.SelfVerified, res.FuncIters)
-
-	passed := res.SyntaxOK &&
-		core.EvaluateFunctional(edatool.Verilog, prob, res.FinalRTL, 200_000)
-	fmt.Printf("reference bench  : %v\n", passed)
+	fmt.Printf("reference bench  : %v\n", out.LoopFuncOK)
 	fmt.Printf("\nfinal RTL:\n%s\n", res.FinalRTL)
 }

@@ -7,21 +7,24 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"strings"
 
 	"repro/internal/agents"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/edatool"
-	"repro/internal/llm"
+	"repro/internal/exp"
 )
 
 func main() {
-	suite := bench.NewSuite()
-	prob := suite.ByID("fsm_shift_ena")
 	// Llama3 exhibits the most loop activity — good for a walkthrough.
-	model := llm.ProfileByName("llama3-70b")
+	cell, err := exp.RemoteCell{Problem: "fsm_shift_ena", Model: "llama3-70b"}.Resolve(bench.NewSuite())
+	if err != nil {
+		log.Fatal(err)
+	}
+	prob := cell.Problem
 
 	fmt.Println("=== AIVRIL 2 walkthrough: the Fig. 2 shift-enable FSM ===")
 	fmt.Println()
@@ -30,12 +33,15 @@ func main() {
 	fmt.Println("\nModule header provided to the Code Agent:")
 	fmt.Println(indent(prob.ModuleHeaderVerilog()))
 
-	cfg := core.DefaultConfig(model, edatool.Verilog)
+	cfg := cell.Config
 	cfg.Trace = func(stage, detail string) {
 		fmt.Printf("  [%-9s] %s\n", stage, detail)
 	}
 	fmt.Println("\nPipeline transcript:")
-	res := core.New(cfg).Run(prob)
+	out, res, err := exp.Evaluate(context.Background(), cell, cfg, nil, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("\nFrozen self-verification testbench (excerpt):")
 	fmt.Println(indent(firstLines(res.Testbench, 12)))
@@ -51,10 +57,8 @@ func main() {
 	fmt.Println("Review Agent corrective prompt:")
 	fmt.Println(indent(review.CorrectivePrompt(fb)))
 
-	passed := res.SyntaxOK &&
-		core.EvaluateFunctional(edatool.Verilog, prob, res.FinalRTL, 200_000)
 	fmt.Printf("\nFinal verdicts: syntax=%v selfVerified=%v referenceBench=%v\n",
-		res.SyntaxOK, res.SelfVerified, passed)
+		res.SyntaxOK, res.SelfVerified, out.LoopFuncOK)
 	fmt.Printf("Latency: baseline %.1fs + syntax %.1fs + functional %.1fs\n",
 		res.Latency.Baseline, res.Latency.Syntax, res.Latency.Func)
 }

@@ -7,30 +7,32 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/edatool"
-	"repro/internal/llm"
+	"repro/internal/exp"
 )
 
 func main() {
-	suite := bench.NewSuite()
-	prob := suite.ByID("counter_load_w8")
-	model := llm.ProfileByName("gpt-4o")
+	cell, err := exp.RemoteCell{Problem: "counter_load_w8", Model: "gpt-4o", Language: "vhdl"}.Resolve(bench.NewSuite())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("=== VHDL flow: loadable counter ===")
-	fmt.Printf("spec: %s\n\n", prob.Spec)
+	fmt.Printf("spec: %s\n\n", cell.Problem.Spec)
 
-	cfg := core.DefaultConfig(model, edatool.VHDL)
+	cfg := cell.Config
 	cfg.Trace = func(stage, detail string) { fmt.Printf("  [%-9s] %s\n", stage, detail) }
-	res := core.New(cfg).Run(prob)
-
-	passed := res.SyntaxOK &&
-		core.EvaluateFunctional(edatool.VHDL, prob, res.FinalRTL, 200_000)
+	out, res, err := exp.Evaluate(context.Background(), cell, cfg, nil, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nsyntax=%v selfVerified=%v referenceBench=%v\n\n",
-		res.SyntaxOK, res.SelfVerified, passed)
+		res.SyntaxOK, res.SelfVerified, out.LoopFuncOK)
 
 	// Direct EDA-tool usage: compile and simulate hand-written VHDL.
 	design := `

@@ -250,17 +250,12 @@ func (p *Pipeline) RunContext(ctx context.Context, prob *bench.Problem) *Result 
 	return res
 }
 
-// EvaluateFunctional runs the final, reference-bench judgement: the
+// EvaluateFunctionalWith runs the final, reference-bench judgement: the
 // suite's own testbench decides pass@1F, never the self-generated one.
 // The judgement runs the problem's judge shell with its reference
 // vectors driven natively (edatool.Judge), which reaches the verdict
-// the full textual reference testbench does.
-func EvaluateFunctional(lang edatool.Language, prob *bench.Problem, rtl string, maxSimTime uint64) bool {
-	return EvaluateFunctionalWith(nil, lang, prob, rtl, maxSimTime)
-}
-
-// EvaluateFunctionalWith is EvaluateFunctional through an optional
-// design cache: the judge shell never changes per problem, so repeated
+// the full textual reference testbench does. The design cache is
+// optional: the judge shell never changes per problem, so repeated
 // judgements (sweeps, pass@k) reuse its parse, and judging the same RTL
 // again reuses the memoized result.
 func EvaluateFunctionalWith(cache *edatool.DesignCache, lang edatool.Language, prob *bench.Problem, rtl string, maxSimTime uint64) bool {
@@ -279,13 +274,8 @@ func EvaluateFunctionalWith(cache *edatool.DesignCache, lang edatool.Language, p
 	return res.Passed
 }
 
-// EvaluateSyntax checks whether RTL compiles on its own.
-func EvaluateSyntax(lang edatool.Language, rtl string) bool {
-	return EvaluateSyntaxWith(nil, lang, rtl)
-}
-
-// EvaluateSyntaxWith is EvaluateSyntax through an optional design
-// cache (unchanged RTL reuses its parse).
+// EvaluateSyntaxWith checks whether RTL compiles on its own, through
+// an optional design cache (unchanged RTL reuses its parse).
 func EvaluateSyntaxWith(cache *edatool.DesignCache, lang edatool.Language, rtl string) bool {
 	if strings.TrimSpace(rtl) == "" {
 		return false

@@ -44,7 +44,7 @@ func TestPipelineWholeModelMatrixSmall(t *testing.T) {
 				if res.FinalRTL == "" {
 					t.Errorf("%s/%v/%s: empty final RTL", model.Name(), lang, id)
 				}
-				if res.SyntaxOK != EvaluateSyntax(lang, res.FinalRTL) {
+				if res.SyntaxOK != EvaluateSyntaxWith(nil, lang, res.FinalRTL) {
 					t.Errorf("%s/%v/%s: SyntaxOK disagrees with standalone compile", model.Name(), lang, id)
 				}
 			}
@@ -63,13 +63,13 @@ func TestPipelineDeterministic(t *testing.T) {
 
 func TestEvaluateFunctionalGolden(t *testing.T) {
 	prob := testSuite.ByID("counter_up_w4")
-	if !EvaluateFunctional(edatool.Verilog, prob, prob.GoldenVerilog, 200_000) {
+	if !EvaluateFunctionalWith(nil, edatool.Verilog, prob, prob.GoldenVerilog, 200_000) {
 		t.Error("golden Verilog must pass reference bench")
 	}
-	if !EvaluateFunctional(edatool.VHDL, prob, prob.GoldenVHDL, 200_000) {
+	if !EvaluateFunctionalWith(nil, edatool.VHDL, prob, prob.GoldenVHDL, 200_000) {
 		t.Error("golden VHDL must pass reference bench")
 	}
-	if EvaluateFunctional(edatool.Verilog, prob, "module top_module(input clk, input reset, output [3:0] q); assign q = 4'd0; endmodule", 200_000) {
+	if EvaluateFunctionalWith(nil, edatool.Verilog, prob, "module top_module(input clk, input reset, output [3:0] q); assign q = 4'd0; endmodule", 200_000) {
 		t.Error("stub must fail reference bench")
 	}
 }
@@ -87,11 +87,11 @@ func TestPipelineImprovesOverBaseline(t *testing.T) {
 		n++
 		pl := New(DefaultConfig(model, edatool.Verilog))
 		res := pl.Run(prob)
-		if EvaluateSyntax(edatool.Verilog, res.BaselineRTL) &&
-			EvaluateFunctional(edatool.Verilog, prob, res.BaselineRTL, 200_000) {
+		if EvaluateSyntaxWith(nil, edatool.Verilog, res.BaselineRTL) &&
+			EvaluateFunctionalWith(nil, edatool.Verilog, prob, res.BaselineRTL, 200_000) {
 			basePass++
 		}
-		if res.SyntaxOK && EvaluateFunctional(edatool.Verilog, prob, res.FinalRTL, 200_000) {
+		if res.SyntaxOK && EvaluateFunctionalWith(nil, edatool.Verilog, prob, res.FinalRTL, 200_000) {
 			loopPass++
 		}
 	}
@@ -121,11 +121,11 @@ func TestPipelineSkipFunctional(t *testing.T) {
 }
 
 func TestEvaluateHelpersEmptyInput(t *testing.T) {
-	if EvaluateSyntax(edatool.Verilog, "") || EvaluateSyntax(edatool.VHDL, "  \n") {
+	if EvaluateSyntaxWith(nil, edatool.Verilog, "") || EvaluateSyntaxWith(nil, edatool.VHDL, "  \n") {
 		t.Error("empty RTL must not pass the syntax check")
 	}
 	prob := testSuite.ByID("gate_and")
-	if EvaluateFunctional(edatool.Verilog, prob, "", 1000) {
+	if EvaluateFunctionalWith(nil, edatool.Verilog, prob, "", 1000) {
 		t.Error("empty RTL must fail functional evaluation")
 	}
 }
@@ -141,13 +141,13 @@ func TestCoGenerationDegradesOutcome(t *testing.T) {
 		}
 		n++
 		f := New(DefaultConfig(model, edatool.Verilog)).Run(prob)
-		if f.SyntaxOK && EvaluateFunctional(edatool.Verilog, prob, f.FinalRTL, 200_000) {
+		if f.SyntaxOK && EvaluateFunctionalWith(nil, edatool.Verilog, prob, f.FinalRTL, 200_000) {
 			frozenPass++
 		}
 		cfg := DefaultConfig(model, edatool.Verilog)
 		cfg.FreezeTestbench = false
 		c := New(cfg).Run(prob)
-		if c.SyntaxOK && EvaluateFunctional(edatool.Verilog, prob, c.FinalRTL, 200_000) {
+		if c.SyntaxOK && EvaluateFunctionalWith(nil, edatool.Verilog, prob, c.FinalRTL, 200_000) {
 			cogenPass++
 		}
 	}

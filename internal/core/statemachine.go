@@ -500,11 +500,12 @@ func (p *Pipeline) Restore(cp *Checkpoint, prob *bench.Problem) (*Machine, error
 
 // CheckpointStore is one run's checkpoint slot: RunCheckpointed
 // persists a Checkpoint into it after every step and deletes it once
-// it can no longer pay off, and Resume restores from it. Load reports
-// a missing or undecodable checkpoint as false. runner.Cache.Checkpoints
-// binds a job's on-disk slot to this interface.
+// it can no longer pay off, and Resume restores from it. Load returns
+// the stored bytes as they are, nil when the slot holds none; Resume
+// decodes them. runner.Cache.Checkpoints binds a job's on-disk slot to
+// this interface.
 type CheckpointStore interface {
-	Load(v any) bool
+	Load() []byte
 	Store(v any) error
 	Delete() error
 }
@@ -513,20 +514,19 @@ type CheckpointStore interface {
 // store's checkpoint when it holds one for this pipeline, fresh when
 // the store is nil, empty, or holds a checkpoint that does not match.
 // resumed reports which. Both outcomes of a found checkpoint are
-// reported through cfg.Trace under stage "job"; one that is JSON but
-// not a checkpoint, such as one naming an unknown state, is unusable.
+// reported through cfg.Trace under stage "job"; one that is not a
+// checkpoint, such as torn JSON or one naming an unknown state, is
+// unusable.
 func (p *Pipeline) Resume(prob *bench.Problem, store CheckpointStore) (m *Machine, resumed bool) {
 	if store == nil {
 		return p.NewMachine(prob), false
 	}
-	// Declared past the nil check: Load takes it as an interface, so it
-	// lives on the heap, and a run without a store must not pay for it.
-	var raw json.RawMessage
-	if !store.Load(&raw) {
+	data := store.Load()
+	if data == nil {
 		return p.NewMachine(prob), false
 	}
 	var cp Checkpoint
-	err := json.Unmarshal(raw, &cp)
+	err := json.Unmarshal(data, &cp)
 	if err == nil {
 		m, err = p.Restore(&cp, prob)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/edatool"
 	"repro/internal/llm"
 	"repro/internal/llm/provider"
+	"repro/internal/runner"
 )
 
 // machineProblems covers the interesting control-flow shapes: a
@@ -76,7 +79,7 @@ type memStore struct {
 	failing bool
 }
 
-func (s *memStore) Load(v any) bool { return s.data != nil && json.Unmarshal(s.data, v) == nil }
+func (s *memStore) Load() []byte { return s.data }
 
 func (s *memStore) Store(v any) error {
 	if s.failing {
@@ -370,6 +373,7 @@ func TestResumeFallsBackToFresh(t *testing.T) {
 		{"matching checkpoint", edatool.Verilog, &memStore{data: cps[1]}, true, "resumed from checkpoint at state "},
 		{"mismatched checkpoint", edatool.VHDL, &memStore{data: cps[1]}, false, "checkpoint unusable ("},
 		{"unknown state", edatool.Verilog, &memStore{data: withField(t, cps[1], "state", "no-such-state")}, false, "checkpoint unusable (core: unknown machine state"},
+		{"torn checkpoint", edatool.Verilog, tornSlot(t, cps[1]), false, "checkpoint unusable ("},
 	} {
 		cfg := DefaultConfig(model, tc.lang)
 		var lines []string
@@ -389,6 +393,29 @@ func TestResumeFallsBackToFresh(t *testing.T) {
 			t.Errorf("%s: job trace %q, want one line starting %q", tc.name, lines, tc.wantTrace)
 		}
 	}
+}
+
+// tornSlot returns a runner cache's checkpoint slot holding the first
+// half of checkpoint data, as a write torn by a crash leaves it.
+func tornSlot(t *testing.T, data []byte) CheckpointStore {
+	t.Helper()
+	dir := t.TempDir()
+	cache, err := runner.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := cache.Checkpoints(runner.Job{Problem: "gate_or"})
+	if err := slot.Store(json.RawMessage(data)); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*", "*.json"))
+	if len(files) != 1 {
+		t.Fatalf("checkpoint files %q, want one", files)
+	}
+	if err := os.WriteFile(files[0], data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return slot
 }
 
 // TestRestoreRejectsMismatches: a checkpoint must only restore into an

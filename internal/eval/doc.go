@@ -6,6 +6,6 @@
 // the pass fraction c/n over the suite (Rate).
 //
 // The package is arithmetic only — the judgements themselves live in
-// internal/core (EvaluateSyntax, EvaluateFunctional) and are
+// internal/core (EvaluateSyntaxWith, EvaluateFunctionalWith) and are
 // aggregated by internal/exp.
 package eval

@@ -59,7 +59,7 @@ func TestCheckpointedSweepMatchesPlain(t *testing.T) {
 	for _, p := range problems {
 		job := runner.Job{Problem: p.ID, Model: model.Name(),
 			Language: edatool.Verilog.String(), Config: cfg.Fingerprint()}
-		if cache.HasCheckpoint(job) {
+		if cache.Checkpoints(job).Load() != nil {
 			t.Errorf("completed cell %s left its checkpoint behind", p.ID)
 		}
 	}
@@ -99,7 +99,7 @@ func TestCheckpointedSweepResumesPreseededCell(t *testing.T) {
 	if !reflect.DeepEqual(want.Outcomes, got.Outcomes) {
 		t.Fatal("sweep with a resumed cell diverged from the uninterrupted sweep")
 	}
-	if cache.HasCheckpoint(job) {
+	if cache.Checkpoints(job).Load() != nil {
 		t.Error("resumed cell left its checkpoint behind after completing")
 	}
 }
@@ -161,7 +161,7 @@ func TestInvalidAbortDiscardsCheckpoint(t *testing.T) {
 	healthy := flakyOptions(provider.FlakyConfig{Seed: 1}, nil, problems)
 	cfg := healthy.effectiveConfig(model, lang)
 	job := runner.Job{Problem: problems[0].ID, Model: model.Name(),
-		Language: lang.String(), Config: cfg.Fingerprint(), Provider: healthy.providerTag()}
+		Language: lang.String(), Config: cfg.Fingerprint(), Provider: healthy.Provider}
 	seedCheckpoint(t, cache, job, cfg, problems[0], 2)
 
 	r := &runner.Runner{Cache: cache}
@@ -171,7 +171,7 @@ func TestInvalidAbortDiscardsCheckpoint(t *testing.T) {
 	if st.JobsResumed != 1 || st.Failed != 1 {
 		t.Fatalf("stats = %+v, want the seeded cell resumed and failed", st)
 	}
-	if cache.HasCheckpoint(job) {
+	if cache.Checkpoints(job).Load() != nil {
 		t.Error("invalid abort left its checkpoint behind")
 	}
 }

@@ -102,7 +102,7 @@ func TestSeedGoldenDeterminism(t *testing.T) {
 				Problem:  p.ID,
 				Model:    model.Name(),
 				Language: lang.String(),
-				Config:   configKey(cfg),
+				Config:   cfg.Fingerprint(),
 			}
 			if got := job.Key(); got != cell.JobKeys[j] {
 				t.Errorf("%s/%s job %s cache key changed:\ngot:    %s\ngolden: %s",

@@ -186,13 +186,6 @@ type Options struct {
 	DesignCache *edatool.DesignCache
 }
 
-// configKey fingerprints the effective pipeline configuration. It is
-// part of the runner job identity, so sweeps with different budgets or
-// ablation variants (Configure hooks) occupy distinct cache cells.
-func configKey(cfg core.Config) string {
-	return cfg.Fingerprint()
-}
-
 // effectiveConfig applies provider selection and the Configure hook on
 // top of the defaults. It panics on an unknown provider name: that is
 // a caller configuration bug (CLIs validate the flag up front), not a
@@ -212,50 +205,39 @@ func (o Options) effectiveConfig(model *llm.Profile, lang edatool.Language) core
 	return cfg
 }
 
-// providerTag names the provider for cache keys and reports. The
-// offline default maps to "" so every pre-provider cache key and JSON
-// report stays byte-identical.
-func (o Options) providerTag() string {
-	if o.Provider == "" || o.Provider == "offline" {
-		return ""
-	}
-	return o.Provider
-}
-
-// evaluate runs the pipeline and both judgements for one cell. This is
-// the unit of work the runner executes and caches. When the runner
-// has a cache, the cell checkpoints into it after every pipeline
-// state: a checkpoint left by a crashed or aborted invocation
-// resumes the cell mid-run, with the artefacts, outcome and cache
-// entry an uninterrupted run would have. Aborted runs (provider gave
-// up after exhausting its resilience budget) surface as an error so
-// the runner marks the cell Failed and — key for resumability — never
-// caches it: the next invocation recomputes the cell instead of
-// serving a poisoned result.
-func evaluate(r *runner.Runner, job runner.Job, prob *bench.Problem, lang edatool.Language, cfg core.Config, tag string) (ProblemOutcome, error) {
+// evaluate runs one cell of a sweep through Evaluate: the unit of work
+// the runner executes and caches. When the runner has a cache, the
+// cell checkpoints into it after every pipeline state, so a checkpoint
+// left by a crashed or aborted invocation resumes the cell mid-run,
+// with the artefacts, outcome and cache entry an uninterrupted run
+// would have. An aborted run (the provider gave up after exhausting
+// its resilience budget) is an error, so the runner marks the cell
+// Failed and never caches it: the next invocation recomputes the cell
+// instead of serving a poisoned result.
+func evaluate(r *runner.Runner, cell Cell) (ProblemOutcome, error) {
 	var store core.CheckpointStore
 	if r.Cache != nil {
-		store = r.Cache.Checkpoints(job)
+		store = r.Cache.Checkpoints(cell.Job)
 	}
-	m, resumed := core.New(cfg).Resume(prob, store)
-	base, written := m.Steps(), 0
-	// A checkpoint that cannot be written only degrades resumability,
-	// never the sweep, so the hook only counts.
-	res, _ := m.RunCheckpointed(context.Background(), store, func(cp *core.Checkpoint) error {
-		if cp != nil {
-			written++
+	var m *core.Machine
+	resumed, base, written := false, 0, 0
+	out, _, err := Evaluate(context.Background(), cell, cell.Config, store, func(mm *core.Machine, res bool) func(*core.Checkpoint) error {
+		m, resumed, base = mm, res, mm.Steps()
+		// A checkpoint that cannot be written only degrades
+		// resumability, never the sweep, so the hook only counts.
+		return func(cp *core.Checkpoint) error {
+			if cp != nil {
+				written++
+			}
+			return nil
 		}
-		return nil
 	})
 	if resumed {
 		r.AddResume(written, 1, m.Steps()-base)
 	} else if written > 0 {
 		r.AddResume(written, 0, 0)
 	}
-	if res.Aborted {
-		return ProblemOutcome{}, fmt.Errorf("cell %s/%s aborted: %w", prob.ID, lang, res.Err)
-	}
-	return Outcome(prob, lang, cfg, tag, res), nil
+	return out, err
 }
 
 // Outcome runs the reference judgements over a completed (non-aborted)
@@ -308,23 +290,17 @@ func Run(model *llm.Profile, lang edatool.Language, opts Options) *Summary {
 		}
 	}
 	elabBefore := cfg.DesignCache.Stats()
-	key := configKey(cfg)
-	tag := opts.providerTag()
+	key := cfg.Fingerprint()
+	name, tag := providerName(opts.Provider)
 	jobs := make([]runner.Job, len(problems))
 	for i, p := range problems {
-		jobs[i] = runner.Job{
-			Problem:  p.ID,
-			Model:    model.Name(),
-			Language: lang.String(),
-			Config:   key,
-			Provider: tag,
-		}
+		jobs[i] = cellJob(p, model, lang, key, tag)
 	}
 	results := runner.Execute(r, jobs, func(i int, job runner.Job) (ProblemOutcome, error) {
 		if opts.Dispatch != nil {
 			return opts.Dispatch(job, remoteCell(problems[i].ID, model.Name(), lang.String(), tag, cfg))
 		}
-		return evaluate(r, job, problems[i], lang, cfg, tag)
+		return evaluate(r, Cell{Problem: problems[i], Model: model, Language: lang, Provider: name, Config: cfg, Job: job})
 	})
 	elab := cfg.DesignCache.Stats().Sub(elabBefore)
 	r.AddElab(elab.DesignHits, elab.DesignMisses, elab.ParseHits, elab.ParseMisses)

@@ -104,15 +104,16 @@ func (c *Cache) Checkpoints(j Job) JobCheckpoints { return JobCheckpoints{path: 
 // JobCheckpoints is one job's checkpoint file in a Cache.
 type JobCheckpoints struct{ path string }
 
-// Load reads the checkpoint into v. A missing — or corrupt — checkpoint
-// is a clean miss: a torn write from a crash degrades to "restart this
-// job from scratch", never to an error that wedges the job.
-func (s JobCheckpoints) Load(v any) bool {
+// Load returns the checkpoint's bytes as stored, nil when there is
+// none. It does not decode them: the reader (core.Pipeline.Resume)
+// reports a torn write from a crash and restarts the job from scratch,
+// so a corrupt checkpoint never wedges the job.
+func (s JobCheckpoints) Load() []byte {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
-		return false
+		return nil
 	}
-	return json.Unmarshal(data, v) == nil
+	return data
 }
 
 // Store atomically replaces the checkpoint.
@@ -131,12 +132,6 @@ func (s JobCheckpoints) Delete() error {
 		return nil
 	}
 	return err
-}
-
-// HasCheckpoint reports whether a checkpoint exists for the job.
-func (c *Cache) HasCheckpoint(j Job) bool {
-	_, err := os.Stat(c.ckptPath(j))
-	return err == nil
 }
 
 // WriteFileAtomic writes data to path via a temp file in the same

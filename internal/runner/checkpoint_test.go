@@ -1,10 +1,23 @@
 package runner
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/edatool"
+	"repro/internal/llm"
 )
+
+// loadJSON decodes a checkpoint slot's bytes into v: false when the
+// slot holds none or they do not decode.
+func loadJSON(s JobCheckpoints, v any) bool {
+	data := s.Load()
+	return data != nil && json.Unmarshal(data, v) == nil
+}
 
 func ckptJob(p string) Job {
 	return Job{Problem: p, Model: "claude-3.5-sonnet", Language: "verilog", Config: "syn5,fun5,sim200000,freeze=true,skipf=false"}
@@ -18,22 +31,22 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	j := ckptJob("gate_and")
 
 	var miss map[string]int
-	if c.Checkpoints(j).Load(&miss) {
+	if loadJSON(c.Checkpoints(j), &miss) {
 		t.Fatal("Load hit on empty cache")
 	}
-	if c.HasCheckpoint(j) {
-		t.Fatal("HasCheckpoint true on empty cache")
+	if c.Checkpoints(j).Load() != nil {
+		t.Fatal("checkpoint found in an empty cache")
 	}
 
 	want := map[string]int{"state": 3, "steps": 7}
 	if err := c.Checkpoints(j).Store(want); err != nil {
 		t.Fatal(err)
 	}
-	if !c.HasCheckpoint(j) {
-		t.Fatal("HasCheckpoint false after store")
+	if c.Checkpoints(j).Load() == nil {
+		t.Fatal("no checkpoint after store")
 	}
 	var got map[string]int
-	if !c.Checkpoints(j).Load(&got) {
+	if !loadJSON(c.Checkpoints(j), &got) {
 		t.Fatal("Load missed after store")
 	}
 	if got["state"] != 3 || got["steps"] != 7 {
@@ -45,7 +58,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = nil
-	c.Checkpoints(j).Load(&got)
+	loadJSON(c.Checkpoints(j), &got)
 	if got["state"] != 4 || got["steps"] != 0 {
 		t.Fatalf("overwrite did not replace: %v", got)
 	}
@@ -53,7 +66,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := c.Checkpoints(j).Delete(); err != nil {
 		t.Fatal(err)
 	}
-	if c.HasCheckpoint(j) {
+	if c.Checkpoints(j).Load() != nil {
 		t.Fatal("checkpoint survived delete")
 	}
 	// Deleting a missing checkpoint is not an error.
@@ -75,9 +88,10 @@ func TestCheckpointCorruptIsCleanMiss(t *testing.T) {
 	if err := os.WriteFile(c.ckptPath(j), []byte("{\"trunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var v map[string]int
-	if c.Checkpoints(j).Load(&v) {
-		t.Fatal("corrupt checkpoint loaded")
+	m, resumed := core.New(core.DefaultConfig(llm.ProfileByName(j.Model), edatool.Verilog)).Resume(
+		bench.NewSuite().ByID(j.Problem), c.Checkpoints(j))
+	if resumed || m.Steps() != 0 {
+		t.Fatalf("corrupt checkpoint resumed at step %d", m.Steps())
 	}
 }
 
@@ -116,7 +130,7 @@ func TestCheckpointIndependentOfResult(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Load: %v %v", ok, err)
 	}
-	if !c.Checkpoints(j).Load(&cp) {
+	if !loadJSON(c.Checkpoints(j), &cp) {
 		t.Fatal("Load miss")
 	}
 	if res != "result" || cp != "checkpoint" {

@@ -28,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/edatool"
 	"repro/internal/exp"
-	"repro/internal/llm"
 	"repro/internal/llm/provider"
 	"repro/internal/runner"
 )
@@ -266,8 +265,8 @@ func (s *Server) gc(now time.Time) int {
 		}
 		delete(s.jobs, id)
 		os.Remove(filepath.Join(s.cfg.CacheDir, "jobs", id+".json"))
-		if r, err := s.resolve(j.rec.Spec); err == nil {
-			s.cache.Checkpoints(r.rjob).Delete()
+		if cell, err := s.resolve(j.rec.Spec); err == nil {
+			s.cache.Checkpoints(cell.Job).Delete()
 		}
 		j.hub.close()
 		n++
@@ -334,64 +333,20 @@ const (
 	maxSpecIters   = 32
 )
 
-// resolved is a Spec bound to the concrete objects it names.
-type resolved struct {
-	prob *bench.Problem
-	lang edatool.Language
-	cfg  core.Config
-	tag  string // provider tag for cache keys ("" = offline)
-	rjob runner.Job
-}
-
-// resolve validates a spec and derives the job identity. The provider
-// is NOT built here (it needs per-job trace plumbing); its name is
-// checked against provider.Names so submission fails fast.
-func (s *Server) resolve(spec Spec) (resolved, error) {
-	var r resolved
-	r.prob = s.suite.ByID(spec.Problem)
-	if r.prob == nil {
-		return r, specErrf("unknown problem %q", spec.Problem)
+// resolve validates a spec and derives its cell (exp.RemoteCell.Resolve)
+// within the server's budget bounds. The provider is not built here:
+// it needs the job's trace plumbing.
+func (s *Server) resolve(spec Spec) (exp.Cell, error) {
+	cell, err := spec.Resolve(s.suite)
+	switch {
+	case err != nil:
+		return exp.Cell{}, &SpecError{msg: err.Error()}
+	case spec.MaxSyntaxIters > maxSpecIters || spec.MaxFuncIters > maxSpecIters:
+		return exp.Cell{}, specErrf("max_syntax_iters and max_func_iters may be at most %d", maxSpecIters)
+	case spec.MaxSimTime > maxSpecSimTime:
+		return exp.Cell{}, specErrf("max_sim_time %d exceeds %d", spec.MaxSimTime, maxSpecSimTime)
 	}
-	model := llm.ProfileByName(spec.Model)
-	if model == nil {
-		return r, specErrf("unknown model %q", spec.Model)
-	}
-	switch strings.ToLower(spec.Language) {
-	case "", "verilog":
-		r.lang = edatool.Verilog
-	case "vhdl":
-		r.lang = edatool.VHDL
-	default:
-		return r, specErrf("unknown language %q (verilog | vhdl)", spec.Language)
-	}
-	name := spec.Provider
-	if name == "" {
-		name = "offline"
-	}
-	if !slices.Contains(provider.Names(), name) {
-		return r, specErrf("unknown provider %q (have: %s)", name, strings.Join(provider.Names(), ", "))
-	}
-	if name != "offline" {
-		r.tag = name
-	}
-	if spec.MaxSyntaxIters > maxSpecIters || spec.MaxFuncIters > maxSpecIters {
-		return r, specErrf("max_syntax_iters and max_func_iters may be at most %d", maxSpecIters)
-	}
-	if spec.MaxSimTime > maxSpecSimTime {
-		return r, specErrf("max_sim_time %d exceeds %d", spec.MaxSimTime, maxSpecSimTime)
-	}
-	cfg := core.DefaultConfig(model, r.lang)
-	cfg.Provider = nil // built per run, with the job's trace plumbing
-	spec.Configure(&cfg)
-	r.cfg = cfg
-	r.rjob = runner.Job{
-		Problem:  r.prob.ID,
-		Model:    model.Name(),
-		Language: r.lang.String(),
-		Config:   cfg.Fingerprint(),
-		Provider: r.tag,
-	}
-	return r, nil
+	return cell, nil
 }
 
 // Submit validates, registers and enqueues a job. It is idempotent:
@@ -400,11 +355,11 @@ func (s *Server) resolve(spec Spec) (resolved, error) {
 // (resuming from its checkpoint when one exists). The bounded queue
 // rejects with runner.ErrQueueFull — the HTTP layer's 429.
 func (s *Server) Submit(spec Spec) (Record, error) {
-	r, err := s.resolve(spec)
+	cell, err := s.resolve(spec)
 	if err != nil {
 		return Record{}, err
 	}
-	id := r.rjob.Key()
+	id := cell.Job.Key()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -579,7 +534,7 @@ func (s *Server) run(id string) {
 	defer cancel()
 	hub.publish("job", "running")
 
-	r, err := s.resolve(spec)
+	cell, err := s.resolve(spec)
 	if err != nil {
 		s.finish(j, func(rec *Record) {
 			rec.Status = StatusFailed
@@ -591,7 +546,7 @@ func (s *Server) run(id string) {
 	// A completed cell (this server's earlier life, or a benchsuite
 	// sweep over the same cache) short-circuits the run.
 	var cached exp.ProblemOutcome
-	if ok, _ := s.cache.Load(r.rjob, &cached); ok {
+	if ok, _ := s.cache.Load(cell.Job, &cached); ok {
 		hub.publish("job", "served from result cache")
 		s.finish(j, func(rec *Record) {
 			rec.Status = StatusCompleted
@@ -607,12 +562,7 @@ func (s *Server) run(id string) {
 	stack := s.cfg.Stack
 	stack.Metrics = s.prov
 	stack.Trace = func(stage, detail string) { hub.publish(stage, detail) }
-	name := spec.Provider
-	if name == "" {
-		name = "offline"
-	}
-	model := llm.ProfileByName(spec.Model)
-	prov, err := provider.New(name, model, provider.BuildConfig{Stack: stack, Flaky: s.cfg.Flaky})
+	prov, err := provider.New(cell.Provider, cell.Model, provider.BuildConfig{Stack: stack, Flaky: s.cfg.Flaky})
 	if err != nil {
 		s.finish(j, func(rec *Record) {
 			rec.Status = StatusFailed
@@ -620,74 +570,75 @@ func (s *Server) run(id string) {
 		})
 		return
 	}
-	cfg := r.cfg
+	cfg := cell.Config
 	cfg.Provider = prov
 	cfg.DesignCache = s.elab
 	cfg.Trace = func(stage, detail string) { hub.publish(stage, detail) }
 
-	store := s.cache.Checkpoints(r.rjob)
-	m, resumed := core.New(cfg).Resume(r.prob, store)
-	if resumed {
-		s.st.resumed()
-		s.mu.Lock()
-		j.rec.Resumes++
-		s.mu.Unlock()
-	}
-
 	// The per-job work at each state boundary, after the checkpoint
 	// write: counters, the crash-test hook, the state event and the
 	// step delay. A state's wall time includes its checkpoint write.
-	st, t0 := m.State(), time.Now()
-	res, herr := m.RunCheckpointed(ctx, store, func(cp *core.Checkpoint) error {
-		s.st.observe(st, time.Since(t0))
+	var m *core.Machine
+	var st core.State
+	var t0 time.Time
+	out, res, err := exp.Evaluate(ctx, cell, cfg, s.cache.Checkpoints(cell.Job), func(mm *core.Machine, resumed bool) func(*core.Checkpoint) error {
+		m, st, t0 = mm, mm.State(), time.Now()
 		if resumed {
-			s.st.replayed()
+			s.st.resumed()
+			s.mu.Lock()
+			j.rec.Resumes++
+			s.mu.Unlock()
 		}
-		if cp != nil {
-			s.st.checkpointed()
-		}
-		st = m.State()
-		s.mu.Lock()
-		if resumed {
-			j.rec.StatesReplayed++
-		}
-		if cp != nil {
-			j.rec.CheckpointsWritten++
-		}
-		j.rec.State = st.String()
-		s.mu.Unlock()
-		if hook := s.cfg.StepHook; hook != nil && cp != nil {
-			if err := hook(id, cp); err != nil {
-				return err
+		return func(cp *core.Checkpoint) error {
+			s.st.observe(st, time.Since(t0))
+			if resumed {
+				s.st.replayed()
 			}
-		}
-		hub.publish("state", st.String())
-		if d := s.cfg.StepDelay; d > 0 && st != core.StateDone {
-			select {
-			case <-ctx.Done():
-			case <-time.After(d):
+			if cp != nil {
+				s.st.checkpointed()
 			}
+			st = m.State()
+			s.mu.Lock()
+			if resumed {
+				j.rec.StatesReplayed++
+			}
+			if cp != nil {
+				j.rec.CheckpointsWritten++
+			}
+			j.rec.State = st.String()
+			s.mu.Unlock()
+			if hook := s.cfg.StepHook; hook != nil && cp != nil {
+				if err := hook(id, cp); err != nil {
+					return err
+				}
+			}
+			hub.publish("state", st.String())
+			if d := s.cfg.StepDelay; d > 0 && st != core.StateDone {
+				select {
+				case <-ctx.Done():
+				case <-time.After(d):
+				}
+			}
+			t0 = time.Now()
+			return nil
 		}
-		t0 = time.Now()
-		return nil
 	})
-	if herr != nil {
+	switch {
+	case res == nil && err != nil:
 		// Injected crash: the checkpoint is on disk, the job stays
 		// resumable.
 		s.finish(j, func(rec *Record) {
 			rec.Status = StatusInterrupted
-			rec.Error = herr.Error()
+			rec.Error = err.Error()
 		})
 		return
-	}
-	if res.Aborted {
+	case err != nil:
 		s.st.observe(st, time.Since(t0))
 		s.finishStep(j, m.State(), res)
 		return
 	}
 
-	out := exp.Outcome(r.prob, r.lang, cfg, r.tag, res)
-	if err := s.cache.Store(r.rjob, out); err != nil {
+	if err := s.cache.Store(cell.Job, out); err != nil {
 		s.cfg.Logf("serve: job %s: result store failed: %v", id, err)
 	}
 	hub.publish("job", "completed: "+res.Verdict())
