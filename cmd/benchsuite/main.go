@@ -156,10 +156,32 @@ func main() {
 		fmt.Printf("Dispatch: job service %s\n", *server)
 	}
 
+	// Each distinct sweep runs once per invocation: the ablation repeats
+	// sweeps Table 1 and Table 2 ran, and the iteration sweep's budget 5
+	// is the default configuration. A sweep is its model, HDL and
+	// configuration fingerprint; the provider is the invocation's.
+	done := map[string]*exp.Summary{}
+	sw := func(model *llm.Profile, lang edatool.Language, configure func(*core.Config)) *exp.Summary {
+		cfg := core.DefaultConfig(model, lang)
+		if configure != nil {
+			configure(&cfg)
+		}
+		key := model.Name() + "/" + lang.String() + "/" + cfg.Fingerprint()
+		if done[key] == nil {
+			o := opts
+			o.Configure = configure
+			done[key] = exp.Run(model, lang, o)
+		}
+		return done[key]
+	}
 	var matrix []*exp.Summary
 	needMatrix := *table1 || *fig3 || *table2 || *categories || *all
 	if needMatrix {
-		matrix = exp.Matrix(opts)
+		for _, model := range llm.Profiles() {
+			for _, lang := range []edatool.Language{edatool.Verilog, edatool.VHDL} {
+				matrix = append(matrix, sw(model, lang, nil))
+			}
+		}
 	}
 	if *table1 || *all {
 		fmt.Println(report.Table1(matrix))
@@ -168,13 +190,13 @@ func main() {
 		fmt.Println(report.Fig3(matrix))
 	}
 	if *table2 || *all {
-		fmt.Println(report.Table2(measuredTable2(matrix, opts)))
+		fmt.Println(report.Table2(measuredTable2(matrix, sw)))
 	}
 	if *ablation || *all {
-		fmt.Println(runAblation(opts))
+		fmt.Println(runAblation(sw))
 	}
 	if *sweep || *all {
-		fmt.Println(runSweep(opts))
+		fmt.Println(runSweep(sw))
 	}
 	if *categories || *all {
 		for _, s := range matrix {
@@ -195,8 +217,11 @@ func main() {
 	fmt.Println(report.Manifest(run.Stats()))
 }
 
+// sweeper runs one sweep of the invocation under a Configure hook.
+type sweeper func(model *llm.Profile, lang edatool.Language, configure func(*core.Config)) *exp.Summary
+
 // measuredTable2 derives our measured comparison rows (Verilog only).
-func measuredTable2(matrix []*exp.Summary, opts exp.Options) []report.Table2Row {
+func measuredTable2(matrix []*exp.Summary, sw sweeper) []report.Table2Row {
 	var rows []report.Table2Row
 	for _, s := range matrix {
 		if s.Language != edatool.Verilog {
@@ -213,10 +238,7 @@ func measuredTable2(matrix []*exp.Summary, opts exp.Options) []report.Table2Row 
 	// Co-generation comparator on the strongest profile (AIVRIL1-like).
 	claude := llm.ProfileByName("claude-3.5-sonnet")
 	for _, c := range baseline.Comparators() {
-		o := opts
-		o.Configure = c.Configure
-		s := exp.Run(claude, edatool.Verilog, o)
-		_, _, _, loopF := s.Rates()
+		_, _, _, loopF := sw(claude, edatool.Verilog, c.Configure).Rates()
 		rows = append(rows, report.Table2Row{
 			Technology: c.Name + " (claude-3.5-sonnet)",
 			License:    "Closed Source",
@@ -227,30 +249,25 @@ func measuredTable2(matrix []*exp.Summary, opts exp.Options) []report.Table2Row 
 	return rows
 }
 
-func runAblation(opts exp.Options) string {
+func runAblation(sw sweeper) string {
 	claude := llm.ProfileByName("claude-3.5-sonnet")
 	rows := map[string]*exp.Summary{}
-	rows["aivril2 (tb frozen)"] = exp.Run(claude, edatool.Verilog, opts)
+	rows["aivril2 (tb frozen)"] = sw(claude, edatool.Verilog, nil)
 	for _, c := range baseline.Comparators() {
-		o := opts
-		o.Configure = c.Configure
-		rows[c.Name] = exp.Run(claude, edatool.Verilog, o)
+		rows[c.Name] = sw(claude, edatool.Verilog, c.Configure)
 	}
 	return report.Ablation(rows)
 }
 
-func runSweep(opts exp.Options) string {
+func runSweep(sw sweeper) string {
 	claude := llm.ProfileByName("claude-3.5-sonnet")
 	budgets := []int{1, 2, 3, 5, 8}
 	var sums []*exp.Summary
 	for _, b := range budgets {
-		b := b
-		o := opts
-		o.Configure = func(c *core.Config) {
+		sums = append(sums, sw(claude, edatool.Verilog, func(c *core.Config) {
 			c.MaxSyntaxIters = b
 			c.MaxFuncIters = b
-		}
-		sums = append(sums, exp.Run(claude, edatool.Verilog, o))
+		}))
 	}
 	return report.IterSweep(budgets, sums)
 }
