@@ -262,7 +262,7 @@ func (s *Simulator) lower(inst *Instance, e verilog.Expr) *sim.Expr {
 			}
 		}
 		switch x.Op {
-		case "+", "-", "*", "/", "%", "**", "&", "|", "^", "~^", "^~":
+		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
 			n.Signed = a.Signed && b.Signed
 		}
 		if n.Signed && (x.Op == "/" || x.Op == "%") {

@@ -49,7 +49,8 @@ endmodule`)
 
 // TestSimSignedOperandsWiden: a signed expression sign-extends its
 // context-determined operands to the context width, and an unsigned one
-// zero-extends them, signed or not (IEEE 1364-2005 §5.5.1–5.5.2).
+// zero-extends them, signed or not (IEEE 1364-2005 §5.5.1–5.5.2). A
+// shift or a power takes the type of its left operand.
 func TestSimSignedOperandsWiden(t *testing.T) {
 	res := run(t, "tb", `
 module tb;
@@ -66,6 +67,8 @@ module tb;
     w = sa + b; $display("unsigned-ctx %b", w);
     w = $signed(8'hff) + b; $display("cast %b", w);
     w = sa >>> 1; $display("shift %b", w);
+    w = sa ** 2'd3; $display("power %b", w);
+    w = sa ** 2'd3 + b; $display("power-unsigned %b", w);
     w = 1'b1 ? sa : b; $display("ternary %b", w);
     $display("compare %b %b", sa == -1, sa == 255);
     $finish;
@@ -77,6 +80,8 @@ endmodule`)
 		"unsigned-ctx 00000000100000000",
 		"cast 00000000100000000",
 		"shift 11111111111111111",
+		"power 11111111111111111",
+		"power-unsigned 10000001100000000",
 		"ternary 00000000011111111",
 		"compare 1 0",
 	} {
